@@ -121,70 +121,67 @@ fn sweep_cells(config: &Config) -> Vec<Scenario> {
         |n| Algorithm::PtBoundChirality { upper_bound: n },
         |_| Algorithm::PtLandmarkChirality,
     ];
+    let placements = |n, agents| start_placements_with(n, agents, config.density);
     let mut cells = Vec::new();
     for make in fsync {
-        sweep_into(
-            &mut cells,
-            make,
-            &config.fsync_sizes,
-            config.seeds,
-            false,
-            config.density,
-        );
+        for &n in &config.fsync_sizes {
+            for seed in 0..config.seeds {
+                push_sweep_cells(&mut cells, make(n), n, seed * 97 + 13, &placements, None);
+            }
+        }
     }
     for make in ssync {
-        sweep_into(
-            &mut cells,
-            make,
-            &config.ssync_sizes,
-            config.seeds,
-            true,
-            config.density,
-        );
+        for &n in &config.ssync_sizes {
+            for seed in 0..config.seeds {
+                let scheduler = |_: usize| seed * 31 + 7;
+                push_sweep_cells(
+                    &mut cells,
+                    make(n),
+                    n,
+                    seed * 97 + 13,
+                    &placements,
+                    Some(&scheduler),
+                );
+            }
+        }
     }
     cells
 }
 
-/// The stop condition a sweep gives an algorithm's cells: the termination
-/// discipline it promises.
-pub fn sweep_stop(algorithm: &Algorithm) -> StopCondition {
-    match algorithm.termination_kind() {
+/// Appends the cells one sweep gives `algorithm` at ring size `n`, in the
+/// library's order (adversaries → placements → orientations): the
+/// `adversary_suite` of `adversary_seed`, the start `placements(n, agents)`
+/// and every orientation choice, stopped by the termination the algorithm
+/// promises. `scheduler_seed` is `None` for FSYNC cells; for SSYNC cells it
+/// maps the index the cell gets in `cells` to its scheduler seed.
+pub fn push_sweep_cells(
+    cells: &mut Vec<Scenario>,
+    algorithm: Algorithm,
+    n: usize,
+    adversary_seed: u64,
+    placements: &dyn Fn(usize, usize) -> Vec<Vec<usize>>,
+    scheduler_seed: Option<&dyn Fn(usize) -> u64>,
+) {
+    let agents = algorithm.required_agents();
+    let stop = match algorithm.termination_kind() {
         TerminationKind::Explicit => StopCondition::AllTerminated,
         TerminationKind::Partial => StopCondition::ExploredAndPartialTermination,
         TerminationKind::Unconscious => StopCondition::Explored,
-    }
-}
-
-fn sweep_into(
-    cells: &mut Vec<Scenario>,
-    make: fn(usize) -> Algorithm,
-    sizes: &[usize],
-    seeds: u64,
-    ssync: bool,
-    density: PlacementDensity,
-) {
-    for &n in sizes {
-        let algorithm = make(n);
-        let agents = algorithm.required_agents();
-        let stop = sweep_stop(&algorithm);
-        for seed in 0..seeds {
-            for adversary in adversary_suite(n, seed * 97 + 13) {
-                for starts in start_placements_with(n, agents, density) {
-                    for orientations in orientation_choices(&algorithm, agents) {
-                        let base = if ssync {
-                            Scenario::ssync(n, algorithm, seed * 31 + 7)
-                        } else {
-                            Scenario::fsync(n, algorithm)
-                        };
-                        cells.push(
-                            base.with_starts(starts.clone())
-                                .with_orientations(orientations)
-                                .with_adversary(adversary.clone())
-                                .with_stop(stop)
-                                .with_max_rounds(round_budget(&algorithm, n)),
-                        );
-                    }
-                }
+    };
+    for adversary in adversary_suite(n, adversary_seed) {
+        for starts in placements(n, agents) {
+            for orientations in orientation_choices(&algorithm, agents) {
+                let base = match scheduler_seed {
+                    Some(seed) => Scenario::ssync(n, algorithm, seed(cells.len())),
+                    None => Scenario::fsync(n, algorithm),
+                };
+                cells.push(
+                    base.with_starts(starts.clone())
+                        .with_orientations(orientations)
+                        .with_adversary(adversary.clone())
+                        .with_stop(stop)
+                        .with_max_rounds(round_budget(&algorithm, n)),
+                );
             }
         }
     }

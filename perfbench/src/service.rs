@@ -6,14 +6,12 @@
 //! rounds, and this is the only workload on the service's write path
 //! (journal append and fsync) and read path (`journal::replay`).
 
-use crate::huge::sweep_stop;
+use crate::huge::push_sweep_cells;
 use crate::{
     median, metric, nanos, ratio, secs, splitmix64, Checks, Metric, Work, Workload, THREADS,
 };
-use dynring_analysis::sweeps::{
-    adversary_suite, orientation_choices, round_budget, start_placements,
-};
-use dynring_analysis::{BatchRunner, Scenario, ScenarioRunner};
+use dynring_analysis::sweeps::start_placements;
+use dynring_analysis::{BatchRunner, ScenarioRunner};
 use dynring_core::Algorithm;
 use dynring_engine::RunReport;
 use dynring_service::journal::{
@@ -56,34 +54,18 @@ fn job_for(seed: u64) -> (Job, usize) {
         (|n| Algorithm::EtBoundNoChirality { ring_size: n }, true),
         (|_| Algorithm::EtUnconscious, true),
     ];
+    let scheduler = |index: usize| scheduler_seed.wrapping_add(index as u64);
     let mut cells = Vec::new();
     for n in SIZES {
         for (make, ssync) in algorithms {
-            let algorithm = make(n);
-            let agents = algorithm.required_agents();
-            let stop = sweep_stop(&algorithm);
-            for adversary in adversary_suite(n, adversary_seed.wrapping_add(n as u64)) {
-                for starts in start_placements(n, agents) {
-                    for orientations in orientation_choices(&algorithm, agents) {
-                        let base = if ssync {
-                            Scenario::ssync(
-                                n,
-                                algorithm,
-                                scheduler_seed.wrapping_add(cells.len() as u64),
-                            )
-                        } else {
-                            Scenario::fsync(n, algorithm)
-                        };
-                        cells.push(
-                            base.with_starts(starts.clone())
-                                .with_orientations(orientations)
-                                .with_adversary(adversary.clone())
-                                .with_stop(stop)
-                                .with_max_rounds(round_budget(&algorithm, n)),
-                        );
-                    }
-                }
-            }
+            push_sweep_cells(
+                &mut cells,
+                make(n),
+                n,
+                adversary_seed.wrapping_add(n as u64),
+                &start_placements,
+                ssync.then_some(&scheduler as &dyn Fn(usize) -> u64),
+            );
         }
     }
     let len = cells.len();
