@@ -39,7 +39,7 @@
 //! exhibited a play surviving the whole horizon); an undecided safety
 //! objective is reported `Feasible` (no play violated it within the horizon).
 
-use crate::batch::{parse_thread_count, BatchRunner};
+use crate::batch::parse_thread_count;
 use crate::figures;
 use crate::report::RowResult;
 use crate::scenario::{AdversaryKind, Scenario, SchedulerKind};
@@ -60,14 +60,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Panics on a malformed or non-unicode value.
 #[must_use]
 pub fn mc_threads_from_env() -> usize {
-    match std::env::var("DYNRING_MC_THREADS") {
-        Ok(raw) => match parse_thread_count(&raw) {
-            Ok(threads) => threads,
-            Err(message) => panic!("invalid DYNRING_MC_THREADS: {message}"),
-        },
-        Err(std::env::VarError::NotPresent) => 1,
+    env_knob("DYNRING_MC_THREADS", 1, parse_thread_count)
+}
+
+/// The strictly parsed value of the environment variable `name`, or
+/// `default` when it is unset.
+///
+/// # Panics
+///
+/// Panics on a value `parse` rejects or a non-unicode value.
+fn env_knob(name: &str, default: usize, parse: fn(&str) -> Result<usize, String>) -> usize {
+    match std::env::var(name) {
+        Ok(raw) => parse(&raw).unwrap_or_else(|message| panic!("invalid {name}: {message}")),
+        Err(std::env::VarError::NotPresent) => default,
         Err(std::env::VarError::NotUnicode(_)) => {
-            panic!("invalid DYNRING_MC_THREADS: value is not valid unicode")
+            panic!("invalid {name}: value is not valid unicode")
         }
     }
 }
@@ -101,31 +108,30 @@ pub fn parse_max_check_n(raw: &str) -> Result<usize, String> {
 /// Panics on a malformed or non-unicode value.
 #[must_use]
 pub fn max_check_n(default: usize) -> usize {
-    match std::env::var("DYNRING_MC_MAX_N") {
-        Ok(raw) => match parse_max_check_n(&raw) {
-            Ok(n) => n,
-            Err(message) => panic!("invalid DYNRING_MC_MAX_N: {message}"),
-        },
-        Err(std::env::VarError::NotPresent) => default,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            panic!("invalid DYNRING_MC_MAX_N: value is not valid unicode")
-        }
-    }
+    env_knob("DYNRING_MC_MAX_N", default, parse_max_check_n)
 }
 
-/// 64-bit FNV-1a digest of a canonical key.
+/// 64-bit digest of a canonical key, read eight bytes at a time: each
+/// little-endian word is folded in with a multiply and a rotate, and a
+/// final shift mixes the high bits into the low ones the probe table
+/// indexes by.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+fn word_digest(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut words = bytes.chunks_exact(8);
+    let mut hash = (bytes.len() as u64).wrapping_mul(K);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight-byte chunk"));
+        hash = (hash ^ word).wrapping_mul(K).rotate_left(29);
     }
-    hash
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    hash = (hash ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+    hash ^ (hash >> 32)
 }
 
 /// Per-level dedup set over canonical keys: an open-addressed table of
-/// 64-bit FNV-1a digests, with the full keys retained in a side arena so
+/// 64-bit [`word_digest`]s, with the full keys retained in a side arena so
 /// that digest matches fall back to exact byte comparison. Hash collisions
 /// therefore cost one memcmp but can never merge distinct configurations —
 /// the proofs stay proofs.
@@ -160,46 +166,52 @@ impl KeyTable {
         self.digests.len()
     }
 
-    fn entry_key(&self, entry: usize) -> &[u8] {
+    /// The digest and key of entry `entry`, in insertion order.
+    fn entry(&self, entry: usize) -> (u64, &[u8]) {
         let start = if entry == 0 { 0 } else { self.ends[entry - 1] as usize };
-        &self.arena[start..self.ends[entry] as usize]
+        (self.digests[entry], &self.arena[start..self.ends[entry] as usize])
+    }
+
+    /// The slot holding `key` (`Ok`), or the empty slot where its probe
+    /// chain ends (`Err`). The table must have slots.
+    fn probe(&self, digest: u64, key: &[u8]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut pos = (digest as usize) & mask;
+        loop {
+            match self.slots[pos] {
+                0 => return Err(pos),
+                slot if self.entry(slot as usize - 1) == (digest, key) => return Ok(pos),
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    /// Whether `key`, whose digest is `digest`, is among the first `limit`
+    /// entries inserted (byte-compared exactly). `limit` is at most
+    /// [`KeyTable::len`].
+    fn contains_before(&self, digest: u64, key: &[u8], limit: usize) -> bool {
+        limit > 0 && self.probe(digest, key).is_ok_and(|pos| self.slots[pos] as usize <= limit)
     }
 
     /// Inserts `key`, returning whether it was new (`false` = already
     /// present, byte-compared exactly).
     fn insert(&mut self, key: &[u8]) -> bool {
-        if self.slots.is_empty() {
-            self.slots.resize(Self::INITIAL_SLOTS, 0);
-        }
-        // Grow at 7/8 load, before probing, so the probe below always finds
-        // an empty slot.
+        self.insert_with_digest(word_digest(key), key)
+    }
+
+    /// [`KeyTable::insert`] with the digest supplied by the caller.
+    fn insert_with_digest(&mut self, digest: u64, key: &[u8]) -> bool {
+        // Grow at 7/8 load, before probing, so the probe always ends.
         if (self.len() + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
-        let digest = fnv1a(key);
-        let mask = self.slots.len() - 1;
-        let mut pos = (digest as usize) & mask;
-        loop {
-            match self.slots[pos] {
-                0 => {
-                    let entry = self.len();
-                    self.slots[pos] =
-                        u32::try_from(entry + 1).expect("key table exceeds u32 entries");
-                    self.digests.push(digest);
-                    self.arena.extend_from_slice(key);
-                    self.ends
-                        .push(u32::try_from(self.arena.len()).expect("key arena exceeds u32"));
-                    return true;
-                }
-                slot => {
-                    let entry = slot as usize - 1;
-                    if self.digests[entry] == digest && self.entry_key(entry) == key {
-                        return false;
-                    }
-                    pos = (pos + 1) & mask;
-                }
-            }
-        }
+        let Err(pos) = self.probe(digest, key) else { return false };
+        let entry = self.len();
+        self.slots[pos] = u32::try_from(entry + 1).expect("key table exceeds u32 entries");
+        self.digests.push(digest);
+        self.arena.extend_from_slice(key);
+        self.ends.push(u32::try_from(self.arena.len()).expect("key arena exceeds u32"));
+        true
     }
 
     fn grow(&mut self) {
@@ -230,39 +242,90 @@ struct Link {
     choice: u16,
 }
 
-/// Reusable buffers of one exhaustive search: the link arena, the hashed
-/// dedup set, both frontiers, a checkpoint pool and the canonicalisation
-/// scratch. Holding a `SearchContext` across [`ModelCheck::run_in`] calls
-/// makes the sequential search allocation-free in the steady state (the
-/// bench's counting allocator pins this).
+/// One frontier state: checkpoint `slot` of `worker`'s slab for the
+/// level's parity, and the link that reached it.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    worker: u32,
+    slot: u32,
+    link: u32,
+}
+
+/// One expansion outcome recorded by a worker, in the exact (item, choice)
+/// order the level is merged in. Every successor of a level lands in the
+/// same round, so no record needs to carry it.
+#[derive(Debug, Clone, Copy)]
+enum Rec {
+    /// Adversary win; the worker stops after recording it.
+    Adv,
+    /// Protocol win.
+    Proto,
+    /// Undecided configuration new to the worker. The `k`-th `New` record
+    /// of a worker's level is entry `k` of its key table and slot `k` of
+    /// its slab.
+    New,
+    /// Duplicate of a key the worker reached earlier in the level (hence a
+    /// global duplicate).
+    Dup,
+}
+
+/// Everything one thread expands a level's chunks with. Each lives in the
+/// [`SearchContext`] and is reused level after level and run after run.
+/// Aligned so that two workers never share a cache line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Worker {
+    /// The cell's branchable simulation, built on the worker's first chunk
+    /// of a run.
+    sim: Option<Simulation>,
+    key_scratch: KeyScratch,
+    key: Vec<u8>,
+    /// The worker's keys: every undecided successor its chunks reached,
+    /// each once.
+    seen: KeyTable,
+    recs: Vec<Rec>,
+    /// The chunks it claimed this level, in claim (hence level) order.
+    claimed: Vec<usize>,
+    /// The merge's cursor: claimed chunks, records and keys merged so far.
+    merged: (usize, usize, usize),
+}
+
+/// Reusable buffers of one exhaustive search: the link arena, both
+/// frontiers, one worker per thread and each worker's checkpoint slabs.
+/// Holding a `SearchContext` across [`ModelCheck::run_in`] calls makes the
+/// search allocation-free in the steady state (the bench's counting
+/// allocator pins this).
 #[derive(Debug)]
 pub struct SearchContext {
-    threads: usize,
     links: Vec<Link>,
-    seen: KeyTable,
-    frontier: Vec<(SimCheckpoint, u32)>,
-    next: Vec<(SimCheckpoint, u32)>,
-    key: Vec<u8>,
-    key_scratch: KeyScratch,
-    scratch: SimCheckpoint,
-    pool: Vec<SimCheckpoint>,
+    frontier: Vec<Entry>,
+    next: Vec<Entry>,
+    workers: Vec<Worker>,
+    /// Checkpoint slabs by level parity, then by worker: a level's frontier
+    /// lives in one parity and its successors are written to the other, each
+    /// into the slab of the worker that reached it.
+    slabs: [Vec<Slab>; 2],
 }
+
+/// One worker's checkpoint slab for one parity, on cache lines of its own:
+/// workers grow their slabs side by side, and slab headers sharing a line
+/// would bounce between their cores on every push.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Slab(Vec<SimCheckpoint>);
 
 impl SearchContext {
     /// A context whose searches expand levels on `threads` workers
     /// (`1` = the sequential reference path).
     #[must_use]
     pub fn new(threads: usize) -> Self {
+        let threads = threads.max(1);
         SearchContext {
-            threads: threads.max(1),
             links: Vec::new(),
-            seen: KeyTable::default(),
             frontier: Vec::new(),
             next: Vec::new(),
-            key: Vec::new(),
-            key_scratch: KeyScratch::new(),
-            scratch: SimCheckpoint::default(),
-            pool: Vec::new(),
+            workers: (0..threads).map(|_| Worker::default()).collect(),
+            slabs: [(); 2].map(|()| (0..threads).map(|_| Slab::default()).collect()),
         }
     }
 
@@ -275,14 +338,7 @@ impl SearchContext {
     /// The configured worker width.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Returns leftover checkpoints of a previous run to the pool.
-    fn recycle(&mut self) {
-        self.pool.extend(self.frontier.drain(..).map(|(cp, _)| cp));
-        self.pool.extend(self.next.drain(..).map(|(cp, _)| cp));
-        self.links.clear();
+        self.workers.len()
     }
 }
 
@@ -347,58 +403,18 @@ impl Objective {
         let alive = sim.alive_count();
         let partial = alive < sim.agent_count();
         match self {
-            Objective::Explore => {
-                if explored {
-                    Outcome::ProtocolWins
-                } else if alive == 0 {
-                    Outcome::AdversaryWins
-                } else {
-                    Outcome::Undecided
-                }
-            }
-            Objective::ExploreAndPartialTermination => {
-                if explored && partial {
-                    Outcome::ProtocolWins
-                } else if alive == 0 {
-                    Outcome::AdversaryWins
-                } else {
-                    Outcome::Undecided
-                }
-            }
-            Objective::ExploreAndFullTermination => {
-                if alive > 0 {
-                    Outcome::Undecided
-                } else if explored {
-                    Outcome::ProtocolWins
-                } else {
-                    Outcome::AdversaryWins
-                }
-            }
-            Objective::AnyMove => {
-                if sim.total_moves() > 0 {
-                    Outcome::ProtocolWins
-                } else if alive == 0 {
-                    Outcome::AdversaryWins
-                } else {
-                    Outcome::Undecided
-                }
-            }
-            Objective::NoPrematureTermination => {
-                if partial && !explored {
-                    Outcome::AdversaryWins
-                } else if explored {
-                    Outcome::ProtocolWins
-                } else {
-                    Outcome::Undecided
-                }
-            }
-            Objective::NoTermination => {
-                if partial {
-                    Outcome::AdversaryWins
-                } else {
-                    Outcome::Undecided
-                }
-            }
+            Objective::Explore if explored => Outcome::ProtocolWins,
+            Objective::Explore if alive == 0 => Outcome::AdversaryWins,
+            Objective::ExploreAndPartialTermination if explored && partial => Outcome::ProtocolWins,
+            Objective::ExploreAndPartialTermination if alive == 0 => Outcome::AdversaryWins,
+            Objective::ExploreAndFullTermination if alive == 0 && explored => Outcome::ProtocolWins,
+            Objective::ExploreAndFullTermination if alive == 0 => Outcome::AdversaryWins,
+            Objective::AnyMove if sim.total_moves() > 0 => Outcome::ProtocolWins,
+            Objective::AnyMove if alive == 0 => Outcome::AdversaryWins,
+            Objective::NoPrematureTermination if partial && !explored => Outcome::AdversaryWins,
+            Objective::NoPrematureTermination if explored => Outcome::ProtocolWins,
+            Objective::NoTermination if partial => Outcome::AdversaryWins,
+            _ => Outcome::Undecided,
         }
     }
 
@@ -474,6 +490,14 @@ pub enum Verdict {
     /// Some adversary play defeats the objective; the proof carries a
     /// replayable witness schedule.
     Infeasible(InfeasibleProof),
+    /// The search kept more than [`ModelCheck::max_states`] distinct
+    /// configurations before deciding the cell, so it proves nothing.
+    Inconclusive {
+        /// Search statistics up to and including the state over budget.
+        stats: SearchStats,
+        /// The round of the level the budget ran out in.
+        depth: u64,
+    },
 }
 
 impl Verdict {
@@ -488,7 +512,7 @@ impl Verdict {
     pub fn feasible(&self) -> Option<&FeasibleProof> {
         match self {
             Verdict::Feasible(p) => Some(p),
-            Verdict::Infeasible(_) => None,
+            _ => None,
         }
     }
 
@@ -497,16 +521,17 @@ impl Verdict {
     pub fn infeasible(&self) -> Option<&InfeasibleProof> {
         match self {
             Verdict::Infeasible(p) => Some(p),
-            Verdict::Feasible(_) => None,
+            _ => None,
         }
     }
 
-    /// The search statistics of either proof.
+    /// The search statistics of any verdict.
     #[must_use]
     pub fn stats(&self) -> &SearchStats {
         match self {
             Verdict::Feasible(p) => &p.stats,
             Verdict::Infeasible(p) => &p.stats,
+            Verdict::Inconclusive { stats, .. } => stats,
         }
     }
 }
@@ -526,8 +551,9 @@ pub struct ModelCheck {
     pub objective: Objective,
     /// Depth bound (rounds) of the exhaustive expansion.
     pub depth: u64,
-    /// Hard cap on distinct kept configurations; exceeding it panics rather
-    /// than silently truncating the proof.
+    /// Cap on distinct kept configurations; exceeding it ends the search
+    /// with [`Verdict::Inconclusive`] rather than silently truncating the
+    /// proof.
     pub max_states: u64,
     /// Dedup on the legacy `Debug`-string canonical key instead of the packed
     /// binary key. Both encodings induce exactly the same equivalence classes
@@ -541,6 +567,15 @@ pub struct ModelCheck {
 /// thread fan-out costs more than it saves on tiny levels, and the sequential
 /// path is the allocation-free one.
 const PARALLEL_FRONTIER_MIN: usize = 32;
+
+/// A parallel level is cut into about this many chunks per thread, at most
+/// [`MAX_CHUNK_ITEMS`] items each, and every thread claims the next chunk
+/// as soon as it is done with its last: a thread slowed by its CPU leaves
+/// the rest of the level to the others instead of holding the level up.
+const CHUNKS_PER_THREAD: usize = 8;
+
+/// Largest chunk of a parallel level, in frontier items.
+const MAX_CHUNK_ITEMS: usize = 64;
 
 impl ModelCheck {
     /// Packages a cell for exhaustive checking.
@@ -585,9 +620,8 @@ impl ModelCheck {
     ///
     /// # Panics
     ///
-    /// Panics if the cell's scheduler is not checkpointable (seeded `Random`)
-    /// or if the search exceeds [`ModelCheck::max_states`] distinct
-    /// configurations.
+    /// Panics if the cell's scheduler is not checkpointable (seeded
+    /// `Random`).
     #[must_use]
     pub fn run(&self) -> Verdict {
         self.run_in(&mut SearchContext::from_env())
@@ -606,19 +640,24 @@ impl ModelCheck {
 
     /// Runs the exhaustive search inside `ctx`, recycling its buffers.
     ///
-    /// The parallel path (`ctx.threads() > 1`) shards each BFS level into
-    /// contiguous chunks, expands them on a [`BatchRunner`] pool, and merges
-    /// the per-chunk records back **in sequential order** — the returned
-    /// verdict, its witness schedule and its [`SearchStats`] are byte-for-byte
-    /// identical to the sequential search (the parallel-equivalence tests pin
-    /// this over every packaged cell).
+    /// Each BFS level is split into chunks: one chunk, expanded on the
+    /// caller's thread, unless `ctx.threads() > 1` and the frontier is wide
+    /// enough to share among the threads, which then claim its contiguous
+    /// chunks one at a time. The chunk records are then merged **in
+    /// sequential order**, so the returned verdict, its
+    /// witness schedule and its [`SearchStats`] are byte-for-byte identical
+    /// at every thread count (the parallel-equivalence tests pin this over
+    /// every packaged cell).
     ///
     /// # Panics
     ///
     /// As [`ModelCheck::run`].
     #[must_use]
     pub fn run_in(&self, ctx: &mut SearchContext) -> Verdict {
-        let mut sim = self.branchable_simulation();
+        for worker in &mut ctx.workers {
+            worker.sim = None;
+        }
+        let sim = ctx.workers[0].sim.insert(self.branchable_simulation());
         assert!(
             sim.supports_checkpoint(),
             "scheduler {:?} is not checkpointable and cannot be model checked",
@@ -628,48 +667,43 @@ impl ModelCheck {
         let n = ring.size();
         assert!(n < usize::from(u16::MAX), "ring size exceeds the packed link arena's choice width");
         let mut stats = SearchStats::default();
-        ctx.recycle();
+        ctx.links.clear();
+        ctx.frontier.clear();
 
         // Latest protocol win (round, link) — the worst feasible play.
         let mut best_win: Option<(u64, u32)> = None;
 
-        if let Outcome::AdversaryWins | Outcome::ProtocolWins = self.objective.classify(&sim) {
-            // Decided before the adversary ever moves (e.g. dense starts
-            // covering the whole ring): the empty schedule is the proof.
-            let empty = EdgeSchedule::always_present(&ring);
-            return match self.objective.classify(&sim) {
-                Outcome::ProtocolWins => Verdict::Feasible(FeasibleProof {
-                    worst_schedule: empty,
-                    worst_round: 0,
-                    stats,
-                }),
-                _ => Verdict::Infeasible(InfeasibleProof {
-                    witness: empty,
-                    defeat_round: 0,
-                    proof_depth: 0,
-                    stats,
-                }),
-            };
+        // Decided before the adversary ever moves (e.g. dense starts
+        // covering the whole ring): the empty schedule is the proof.
+        let empty = EdgeSchedule::always_present(&ring);
+        match self.objective.classify(sim) {
+            Outcome::ProtocolWins => {
+                return Verdict::Feasible(FeasibleProof { worst_schedule: empty, worst_round: 0, stats });
+            }
+            Outcome::AdversaryWins => {
+                let proof = InfeasibleProof { witness: empty, defeat_round: 0, proof_depth: 0, stats };
+                return Verdict::Infeasible(proof);
+            }
+            Outcome::Undecided => {}
         }
 
-        let mut root = ctx.pool.pop().unwrap_or_default();
-        sim.checkpoint_into(&mut root);
-        ctx.frontier.push((root, ROOT_LINK));
+        let mut round = sim.round();
+        // A level's checkpoints live in the slabs of its round's parity.
+        let root_slab = &mut ctx.slabs[(round % 2) as usize][0].0;
+        if root_slab.is_empty() {
+            root_slab.push(SimCheckpoint::default());
+        }
+        sim.checkpoint_into(&mut root_slab[0]);
+        ctx.frontier.push(Entry { worker: 0, slot: 0, link: ROOT_LINK });
 
         for _ in 0..self.depth {
             if ctx.frontier.is_empty() {
                 break;
             }
             stats.peak_frontier = stats.peak_frontier.max(ctx.frontier.len());
-            ctx.seen.clear();
-            let parallel = ctx.threads > 1
-                && ctx.frontier.len() >= (2 * ctx.threads).max(PARALLEL_FRONTIER_MIN);
-            let verdict = if parallel {
-                self.expand_level_parallel(ctx, &ring, n, &mut stats, &mut best_win)
-            } else {
-                self.expand_level_sequential(ctx, &mut sim, &ring, n, &mut stats, &mut best_win)
-            };
-            if let Some(verdict) = verdict {
+            round += 1;
+            ctx.next.clear();
+            if let Some(verdict) = self.expand_level(ctx, &ring, round, &mut stats, &mut best_win) {
                 return verdict;
             }
             std::mem::swap(&mut ctx.frontier, &mut ctx.next);
@@ -679,256 +713,227 @@ impl ModelCheck {
         if self.objective.is_safety() || ctx.frontier.is_empty() {
             // Safety: no play violated the objective within the bound.
             // Liveness with an empty frontier: every play achieved it.
-            let (worst_round, link) = match (&*ctx.frontier, best_win) {
+            let (worst_round, link) = match (ctx.frontier.first(), best_win) {
                 // A surviving safety play is "worse" than any decided one.
-                ([(cp, parent), ..], _) => (cp.round(), *parent),
-                ([], Some((round, link))) => (round, link),
-                ([], None) => {
-                    // Decided-at-root cells returned above; a zero-depth
-                    // search proves nothing but is vacuously feasible.
-                    return Verdict::Feasible(FeasibleProof {
-                        worst_schedule: EdgeSchedule::always_present(&ring),
-                        worst_round: 0,
-                        stats,
-                    });
-                }
+                (Some(entry), _) => (round, entry.link),
+                (None, Some(win)) => win,
+                // Decided-at-root cells returned above; a zero-depth search
+                // proves nothing but is vacuously feasible.
+                (None, None) => (0, ROOT_LINK),
             };
             let worst_schedule = schedule_from(&ctx.links, link, &ring);
             Verdict::Feasible(FeasibleProof { worst_schedule, worst_round, stats })
         } else {
             // Liveness undecided at the bound: the adversary exhibited a play
             // surviving the whole horizon without the objective.
-            let (cp, parent) = &ctx.frontier[0];
-            let witness = schedule_from(&ctx.links, *parent, &ring);
+            let witness = schedule_from(&ctx.links, ctx.frontier[0].link, &ring);
             Verdict::Infeasible(InfeasibleProof {
                 witness,
-                defeat_round: cp.round(),
+                defeat_round: round,
                 proof_depth: stats.depth_reached,
                 stats,
             })
         }
     }
 
-    /// Expands one BFS level in place on the caller's thread: the reference
-    /// path, allocation-free in the steady state (every buffer it touches is
-    /// recycled through `ctx`).
-    fn expand_level_sequential(
+    /// Expands the BFS level whose successors land in `round`: the frontier
+    /// in `ctx.frontier` becomes the next one in `ctx.next`, unless the level
+    /// decides the cell.
+    ///
+    /// The level runs as one chunk on the caller's thread, or, when it is
+    /// wide enough, as many contiguous chunks that `ctx.threads` scoped
+    /// threads claim in order, one at a time. Each thread writes the records
+    /// of its chunks and every checkpoint new to it into its own worker; the
+    /// merge then replays the records in (item, choice) order and counts a
+    /// key new to its worker as globally new unless another worker reached
+    /// it in an earlier chunk.
+    fn expand_level(
         &self,
         ctx: &mut SearchContext,
-        sim: &mut Simulation,
         ring: &RingTopology,
-        n: usize,
+        round: u64,
         stats: &mut SearchStats,
         best_win: &mut Option<(u64, u32)>,
     ) -> Option<Verdict> {
-        for (cp, parent) in ctx.frontier.drain(..) {
-            // The n + 1 admissible adversary choices: remove edge e, or
-            // remove nothing (encoded as choice index n).
-            for choice_index in 0..=n {
-                let choice = (choice_index < n).then(|| EdgeId::new(choice_index));
-                sim.restore(&cp);
-                sim.step_with_edge(choice);
-                stats.expanded += 1;
-                match self.objective.classify(sim) {
-                    Outcome::AdversaryWins => {
-                        let link = push_link(&mut ctx.links, parent, choice_index);
-                        let witness = schedule_from(&ctx.links, link, ring);
-                        stats.depth_reached = sim.round();
-                        return Some(Verdict::Infeasible(InfeasibleProof {
-                            witness,
-                            defeat_round: sim.round(),
-                            proof_depth: sim.round(),
-                            stats: *stats,
-                        }));
-                    }
-                    Outcome::ProtocolWins => {
-                        let link = push_link(&mut ctx.links, parent, choice_index);
-                        let round = sim.round();
-                        if best_win.is_none_or(|(r, _)| round >= r) {
-                            *best_win = Some((round, link));
+        let n = ring.size();
+        let width = ctx.frontier.len();
+        let threads = ctx.threads();
+        let (active, chunk_len) = if threads > 1 && width >= (2 * threads).max(PARALLEL_FRONTIER_MIN) {
+            (threads, width.div_ceil(threads * CHUNKS_PER_THREAD).min(MAX_CHUNK_ITEMS))
+        } else {
+            (1, width)
+        };
+        // The frontier sits in the parity of its own round; successors go
+        // to the other one.
+        let [even, odd] = &mut ctx.slabs;
+        let (current, successors) = if round % 2 == 1 { (&*even, odd) } else { (&*odd, even) };
+        // Lowest chunk index that hit an adversary win. The merge never
+        // reads records past that win, so chunks strictly after it may stop
+        // expanding early; chunks before it must run to completion because
+        // every one of their records is merged. It is only a hint and
+        // publishes no data: the scope's join orders every record before
+        // the merge reads it.
+        let earliest_adv = AtomicUsize::new(usize::MAX);
+        // Next unclaimed chunk. Each claim only has to be unique; the
+        // frontier the chunks index was written before the threads started.
+        let next_chunk = AtomicUsize::new(0);
+        let frontier = &ctx.frontier[..];
+        let expand = |(worker, slab): (&mut Worker, _)| {
+            self.expand_chunks(frontier, chunk_len, &next_chunk, current, worker, slab, ring, &earliest_adv);
+        };
+        let mut work = ctx.workers.iter_mut().zip(successors.iter_mut()).take(active);
+        let first = work.next().expect("a context has at least one worker");
+        if active > 1 {
+            std::thread::scope(|scope| {
+                for worker in work {
+                    scope.spawn(move || expand(worker));
+                }
+                expand(first);
+            });
+        } else {
+            expand(first);
+        }
+
+        // In-order merge: replay every chunk's records exactly as one
+        // sequential pass over the level would have produced them. A key
+        // new to its worker was reached earlier in the level by another
+        // worker exactly when it is among that worker's keys of the chunks
+        // merged so far.
+        for worker in &mut ctx.workers[..active] {
+            worker.merged = (0, 0, 0);
+        }
+        for (chunk, items) in ctx.frontier.chunks(chunk_len).enumerate() {
+            let workers = &ctx.workers[..active];
+            let owner = workers
+                .iter()
+                .position(|worker| worker.claimed.get(worker.merged.0) == Some(&chunk))
+                .expect("every chunk up to the first adversary win is expanded");
+            let worker = &workers[owner];
+            let (claims, recs_start, mut ordinal) = worker.merged;
+            // A chunk holds n + 1 records per item, unless it ends at an
+            // adversary win, the worker's last record.
+            let recs_end = worker.recs.len().min(recs_start + items.len() * (n + 1));
+            let recs = &worker.recs[recs_start..recs_end];
+            for (item_recs, item) in recs.chunks(n + 1).zip(items) {
+                for (choice_index, &rec) in item_recs.iter().enumerate() {
+                    stats.expanded += 1;
+                    match rec {
+                        Rec::Adv => {
+                            let link = push_link(&mut ctx.links, item.link, choice_index);
+                            stats.depth_reached = round;
+                            return Some(Verdict::Infeasible(InfeasibleProof {
+                                witness: schedule_from(&ctx.links, link, ring),
+                                defeat_round: round,
+                                proof_depth: round,
+                                stats: *stats,
+                            }));
                         }
-                    }
-                    Outcome::Undecided => {
-                        sim.checkpoint_into(&mut ctx.scratch);
-                        if self.use_debug_key {
-                            ctx.scratch.canonical_key_debug(ring, &mut ctx.key);
-                        } else {
-                            ctx.scratch.canonical_key_into(
-                                ring,
-                                &mut ctx.key_scratch,
-                                &mut ctx.key,
-                            );
+                        Rec::Proto => {
+                            let link = push_link(&mut ctx.links, item.link, choice_index);
+                            if best_win.is_none_or(|(r, _)| round >= r) {
+                                *best_win = Some((round, link));
+                            }
                         }
-                        if ctx.seen.insert(&ctx.key) {
-                            let link = push_link(&mut ctx.links, parent, choice_index);
+                        Rec::New => {
+                            let slot = ordinal;
+                            ordinal += 1;
+                            let (digest, key) = worker.seen.entry(slot);
+                            let reached_earlier = workers.iter().enumerate().any(|(other, w)| {
+                                other != owner && w.seen.contains_before(digest, key, w.merged.2)
+                            });
+                            if reached_earlier {
+                                continue;
+                            }
+                            let link = push_link(&mut ctx.links, item.link, choice_index);
                             stats.visited += 1;
-                            assert!(
-                                stats.visited <= self.max_states,
-                                "model check exceeded {} states at depth {} (cell {})",
-                                self.max_states,
-                                sim.round(),
-                                self.scenario.label()
-                            );
-                            let fresh = ctx.pool.pop().unwrap_or_default();
-                            ctx.next.push((std::mem::replace(&mut ctx.scratch, fresh), link));
+                            if stats.visited > self.max_states {
+                                return Some(Verdict::Inconclusive { stats: *stats, depth: round });
+                            }
+                            ctx.next.push(Entry {
+                                worker: u32::try_from(owner).expect("worker index exceeds u32"),
+                                slot: u32::try_from(slot).expect("slab exceeds u32 entries"),
+                                link,
+                            });
                         }
+                        Rec::Dup => {}
                     }
                 }
             }
-            ctx.pool.push(cp);
+            ctx.workers[owner].merged = (claims + 1, recs_end, ordinal);
         }
         None
     }
 
-    /// Expands one BFS level on the `BatchRunner` pool and merges the chunk
-    /// records back in sequential order — see [`ModelCheck::run_in`].
-    fn expand_level_parallel(
+    /// Claims chunks of `frontier` from `next_chunk` until none is left and
+    /// expands each: every admissible choice of every item, recorded in
+    /// order into `worker.recs`. Each undecided
+    /// successor new to the worker keeps its checkpoint in the next free
+    /// slot of `slab`.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_chunks(
         &self,
-        ctx: &mut SearchContext,
+        frontier: &[Entry],
+        chunk_len: usize,
+        next_chunk: &AtomicUsize,
+        current: &[Slab],
+        worker: &mut Worker,
+        slab: &mut Slab,
         ring: &RingTopology,
-        n: usize,
-        stats: &mut SearchStats,
-        best_win: &mut Option<(u64, u32)>,
-    ) -> Option<Verdict> {
-        // Every successor of this level lands in the same round (BFS levels
-        // are lockstep in depth), which the max-states panic message reports.
-        let level_round = ctx.frontier[0].0.round() + 1;
-        let chunk_len = ctx.frontier.len().div_ceil(ctx.threads);
-        let chunks: Vec<(usize, &[(SimCheckpoint, u32)])> =
-            ctx.frontier.chunks(chunk_len).enumerate().collect();
-        // Lowest chunk index that hit an adversary win. The merge below never
-        // reads records past that win, so chunks strictly after it may stop
-        // expanding early; chunks before it must run to completion because
-        // every one of their records is merged.
-        let earliest_adv = AtomicUsize::new(usize::MAX);
-        let use_debug_key = self.use_debug_key;
-        let runner = BatchRunner::new(ctx.threads);
-        let mut outs = runner.run_map_with(
-            &chunks,
-            || {
-                (
-                    self.branchable_simulation(),
-                    SimCheckpoint::default(),
-                    KeyScratch::new(),
-                    KeyTable::default(),
-                    Vec::new(),
-                )
-            },
-            |state, &(chunk_index, items)| {
-                let (sim, scratch, key_scratch, local_seen, key) = state;
-                local_seen.clear();
-                let mut out = ChunkOut::default();
-                'items: for (cp, _parent) in items {
-                    for choice_index in 0..=n {
-                        if earliest_adv.load(Ordering::Relaxed) < chunk_index {
+        earliest_adv: &AtomicUsize,
+    ) {
+        let n = ring.size();
+        let Worker { sim, key_scratch, key, seen, recs, claimed, .. } = worker;
+        let Slab(slab) = slab;
+        let sim = sim.get_or_insert_with(|| self.branchable_simulation());
+        seen.clear();
+        recs.clear();
+        claimed.clear();
+        loop {
+            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+            let Some(items) = frontier.chunks(chunk_len).nth(chunk) else { return };
+            claimed.push(chunk);
+            'items: for item in items {
+                if earliest_adv.load(Ordering::Relaxed) < chunk {
+                    break;
+                }
+                let parent = &current[item.worker as usize].0[item.slot as usize];
+                // The n + 1 admissible adversary choices: remove edge e, or
+                // remove nothing (encoded as choice index n).
+                for choice_index in 0..=n {
+                    sim.restore(parent);
+                    sim.step_with_edge((choice_index < n).then(|| EdgeId::new(choice_index)));
+                    let rec = match self.objective.classify(sim) {
+                        Outcome::AdversaryWins => {
+                            recs.push(Rec::Adv);
+                            earliest_adv.fetch_min(chunk, Ordering::Relaxed);
                             break 'items;
                         }
-                        let choice = (choice_index < n).then(|| EdgeId::new(choice_index));
-                        sim.restore(cp);
-                        sim.step_with_edge(choice);
-                        match self.objective.classify(sim) {
-                            Outcome::AdversaryWins => {
-                                out.recs.push(Rec::Adv { round: sim.round() });
-                                earliest_adv.fetch_min(chunk_index, Ordering::Relaxed);
-                                break 'items;
+                        Outcome::ProtocolWins => Rec::Proto,
+                        Outcome::Undecided => {
+                            // A duplicate leaves its slot free for the next
+                            // successor.
+                            let slot = seen.len();
+                            if slot == slab.len() {
+                                slab.push(SimCheckpoint::default());
                             }
-                            Outcome::ProtocolWins => {
-                                out.recs.push(Rec::Proto { round: sim.round() });
+                            let cp = &mut slab[slot];
+                            sim.checkpoint_into(cp);
+                            if self.use_debug_key {
+                                cp.canonical_key_debug(ring, key);
+                            } else {
+                                cp.canonical_key_into(ring, key_scratch, key);
                             }
-                            Outcome::Undecided => {
-                                sim.checkpoint_into(scratch);
-                                if use_debug_key {
-                                    scratch.canonical_key_debug(ring, key);
-                                } else {
-                                    scratch.canonical_key_into(ring, key_scratch, key);
-                                }
-                                if local_seen.insert(key) {
-                                    // Chunk-locally new: ship key + checkpoint.
-                                    // If the merge finds it globally old the
-                                    // checkpoint is recycled, not kept.
-                                    out.keys.extend_from_slice(key);
-                                    out.key_ends.push(
-                                        u32::try_from(out.keys.len())
-                                            .expect("chunk key arena exceeds u32"),
-                                    );
-                                    out.cps.push(std::mem::take(scratch));
-                                    out.recs.push(Rec::New);
-                                } else {
-                                    // A chunk-local duplicate is necessarily a
-                                    // global duplicate: the earlier identical
-                                    // key in this same chunk merges first.
-                                    out.recs.push(Rec::Dup);
-                                }
-                            }
+                            if seen.insert(key) { Rec::New } else { Rec::Dup }
                         }
-                    }
-                }
-                out
-            },
-        );
-
-        // In-order merge: replay every chunk's records exactly as the
-        // sequential loop would have visited them.
-        let mut result = None;
-        'merge: for (chunk_index, out) in outs.iter_mut().enumerate() {
-            let chunk_start = chunk_index * chunk_len;
-            let mut key_start = 0usize;
-            let mut ordinal = 0usize;
-            for (i, rec) in out.recs.iter().enumerate() {
-                let item = chunk_start + i / (n + 1);
-                let choice_index = i % (n + 1);
-                let parent = ctx.frontier[item].1;
-                stats.expanded += 1;
-                match *rec {
-                    Rec::Adv { round } => {
-                        let link = push_link(&mut ctx.links, parent, choice_index);
-                        let witness = schedule_from(&ctx.links, link, ring);
-                        stats.depth_reached = round;
-                        result = Some(Verdict::Infeasible(InfeasibleProof {
-                            witness,
-                            defeat_round: round,
-                            proof_depth: round,
-                            stats: *stats,
-                        }));
-                        break 'merge;
-                    }
-                    Rec::Proto { round } => {
-                        let link = push_link(&mut ctx.links, parent, choice_index);
-                        if best_win.is_none_or(|(r, _)| round >= r) {
-                            *best_win = Some((round, link));
-                        }
-                    }
-                    Rec::New => {
-                        let end = out.key_ends[ordinal] as usize;
-                        let key = &out.keys[key_start..end];
-                        let cp = std::mem::take(&mut out.cps[ordinal]);
-                        key_start = end;
-                        ordinal += 1;
-                        if ctx.seen.insert(key) {
-                            let link = push_link(&mut ctx.links, parent, choice_index);
-                            stats.visited += 1;
-                            assert!(
-                                stats.visited <= self.max_states,
-                                "model check exceeded {} states at depth {} (cell {})",
-                                self.max_states,
-                                level_round,
-                                self.scenario.label()
-                            );
-                            ctx.next.push((cp, link));
-                        } else {
-                            ctx.pool.push(cp);
-                        }
-                    }
-                    Rec::Dup => {}
+                    };
+                    recs.push(rec);
                 }
             }
+            // Every chunk still unclaimed comes after this one.
+            if earliest_adv.load(Ordering::Relaxed) <= chunk {
+                return;
+            }
         }
-        drop(outs);
-        drop(chunks);
-        if result.is_none() {
-            ctx.pool.extend(ctx.frontier.drain(..).map(|(cp, _)| cp));
-        }
-        result
     }
 }
 
@@ -940,33 +945,6 @@ fn push_link(links: &mut Vec<Link>, parent: u32, choice_index: usize) -> u32 {
         choice: u16::try_from(choice_index).expect("choice exceeds packed width"),
     });
     id
-}
-
-/// One expansion outcome recorded by a parallel chunk worker, in the exact
-/// (item, choice) order the sequential loop visits.
-#[derive(Debug, Clone, Copy)]
-enum Rec {
-    /// Adversary win at `round`; the worker stops after recording it.
-    Adv { round: u64 },
-    /// Protocol win at `round`.
-    Proto { round: u64 },
-    /// Chunk-locally new undecided configuration; its canonical key and
-    /// checkpoint ride in the chunk's side arrays.
-    New,
-    /// Chunk-local (hence global) duplicate; nothing attached.
-    Dup,
-}
-
-/// Everything one parallel chunk ships back to the in-order merge.
-#[derive(Debug, Default)]
-struct ChunkOut {
-    recs: Vec<Rec>,
-    /// Concatenated canonical keys of the `Rec::New` records.
-    keys: Vec<u8>,
-    /// End offset of each `Rec::New` key within `keys`.
-    key_ends: Vec<u32>,
-    /// Checkpoints of the `Rec::New` records.
-    cps: Vec<SimCheckpoint>,
 }
 
 /// Walks the parent-pointer arena back to the root and materialises the
@@ -1049,6 +1027,13 @@ impl TableCell {
                 format!(
                     "UNEXPECTEDLY infeasible (defeat at round {}, {} states)",
                     proof.defeat_round, stats.visited
+                ),
+            ),
+            (Verdict::Inconclusive { depth, .. }, _) => (
+                false,
+                format!(
+                    "INCONCLUSIVE: state budget of {} exceeded at depth {depth} ({} states)",
+                    self.check.max_states, stats.visited
                 ),
             ),
         };
@@ -1335,5 +1320,80 @@ mod tests {
         assert!(!table.insert(b"prefix-0"));
         assert!(!table.insert(b"prefix"));
         assert_eq!(table.len(), 3);
+    }
+
+    #[test]
+    fn key_table_keeps_keys_with_equal_digests_apart() {
+        // Every key lands on one probe chain, so only the exact byte
+        // comparison tells them apart.
+        let keys: [&[u8]; 5] = [b"", b"\0", b"\0\0", b"alpha", b"alphb"];
+        let mut table = KeyTable::default();
+        for (i, key) in keys.iter().enumerate() {
+            assert!(!table.contains_before(7, key, table.len()), "{key:?} is not in yet");
+            assert!(table.insert_with_digest(7, key), "{key:?} is distinct");
+            assert!(table.contains_before(7, key, table.len()));
+            assert_eq!(table.entry(i), (7, *key));
+        }
+        for key in keys {
+            assert!(!table.insert_with_digest(7, key), "{key:?} is already in");
+        }
+        assert_eq!(table.len(), keys.len());
+        for (entry, key) in keys.iter().enumerate() {
+            for limit in 0..=keys.len() {
+                assert_eq!(table.contains_before(7, key, limit), entry < limit, "{key:?} before {limit}");
+            }
+        }
+        assert!(!table.contains_before(7, b"beta", keys.len()));
+        assert!(!table.contains_before(8, b"alpha", keys.len()), "a digest mismatch is a miss");
+    }
+
+    #[test]
+    fn key_table_contains_agrees_with_insert() {
+        let mut table = KeyTable::default();
+        for i in 0u32..5_000 {
+            // Every other key repeats an earlier one.
+            let key = (i / 2 * 7919).to_le_bytes();
+            let digest = word_digest(&key);
+            let present = table.contains_before(digest, &key, table.len());
+            assert_eq!(table.insert(&key), !present, "key {i}");
+            assert!(table.contains_before(digest, &key, table.len()));
+        }
+        assert_eq!(table.len(), 2_500);
+    }
+
+    #[test]
+    fn word_digest_reads_the_length_and_the_tail() {
+        let digests = [&b""[..], b"\0", b"\0\0", b"01234567", b"012345670", b"012345671"]
+            .map(word_digest);
+        for (i, a) in digests.iter().enumerate() {
+            for b in &digests[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn reused_parallel_context_retains_a_bounded_number_of_checkpoints() {
+        // The Theorem 10 cell at n = 7 peaks at a frontier of 78, past the
+        // 32-wide threshold of the parallel path.
+        let cell = table3_cells(7)
+            .into_iter()
+            .find(|cell| cell.id.starts_with("MC-T3-R2"))
+            .expect("the Theorem 10 cell is packaged at n = 7");
+        let mut ctx = SearchContext::new(2);
+        let first = cell.check.run_in(&mut ctx);
+        let stats = *first.stats();
+        assert!(stats.peak_frontier >= PARALLEL_FRONTIER_MIN);
+        // Which worker claims which chunk varies from run to run, but a slab
+        // never holds more than one level's successors, however often the
+        // context is reused.
+        let level_successors = (cell.check.scenario.ring().size() + 1) * stats.peak_frontier;
+        assert!(level_successors < usize::try_from(stats.visited).unwrap());
+        for _ in 0..4 {
+            assert_eq!(cell.check.run_in(&mut ctx).stats(), &stats);
+            for Slab(slab) in ctx.slabs.iter().flatten() {
+                assert!(slab.len() <= level_successors, "{} > {level_successors}", slab.len());
+            }
+        }
     }
 }

@@ -64,6 +64,11 @@
 //!   held port (2 bits), termination flag, reflection-adjusted handedness,
 //!   and prior outcome (3 bits).
 //!
+//! On rings of up to 64 nodes the minimising map is chosen from a `u64`
+//! visited mask, comparing agent bytes only between maps that tie on it;
+//! [`SimCheckpoint::canonical_key_exhaustive`] emits every map in full and
+//! yields the same bytes.
+//!
 //! Any injective encoding yields the same equivalence classes as any other
 //! over the same map family: the orbits of the symmetry group partition the
 //! configuration space, and two orbits sharing their minimal encoded element
@@ -76,17 +81,15 @@ use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::PriorOutcome;
 use std::fmt::Write as _;
 
-/// Recycled scratch buffers for [`SimCheckpoint::canonical_key_into`].
+/// Recycled scratch buffer for [`SimCheckpoint::canonical_key_into`].
 ///
 /// Holding one `KeyScratch` per search worker makes canonicalisation
-/// allocation-free in the steady state: the per-agent program encodings and
-/// the per-map candidate buffer reuse their capacity across calls.
+/// allocation-free in the steady state: the candidate buffer of the direct
+/// per-map comparison (rings wider than 64 nodes, and
+/// [`SimCheckpoint::canonical_key_exhaustive`]) reuses its capacity across
+/// calls.
 #[derive(Debug, Default)]
 pub struct KeyScratch {
-    /// Concatenated packed program encodings of every agent.
-    programs: Vec<u8>,
-    /// End offset of each agent's slice within `programs`.
-    program_ends: Vec<u32>,
     /// Candidate variant section for the symmetry map under consideration.
     candidate: Vec<u8>,
 }
@@ -185,6 +188,9 @@ impl SimCheckpoint {
     /// ⇔ symmetric configuration) is the same as
     /// [`SimCheckpoint::canonical_key`], which merely wraps this.
     ///
+    /// The bytes are those of [`SimCheckpoint::canonical_key_exhaustive`];
+    /// only the search for the minimising map differs.
+    ///
     /// # Panics
     ///
     /// Panics if `ring`'s size does not match the checkpoint.
@@ -194,26 +200,47 @@ impl SimCheckpoint {
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
     ) {
-        let n = ring.size();
-        assert_eq!(self.visited.len(), n, "checkpoint is from a different ring");
+        self.write_invariant_prefix(ring, out);
+        if ring.size() > 64 {
+            self.push_min_variant_exhaustive(ring, scratch, out);
+        } else {
+            self.push_min_variant(ring, out);
+        }
+    }
+
+    /// The packed key of [`SimCheckpoint::canonical_key_into`], chosen the
+    /// direct way: every admissible map's variant section is emitted in full
+    /// and the lexicographic minimum kept. This is the reference the bitmask
+    /// search is tested against byte for byte, and its path on rings wider
+    /// than 64 nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring`'s size does not match the checkpoint.
+    pub fn canonical_key_exhaustive(
+        &self,
+        ring: &RingTopology,
+        scratch: &mut KeyScratch,
+        out: &mut Vec<u8>,
+    ) {
+        self.write_invariant_prefix(ring, out);
+        self.push_min_variant_exhaustive(ring, scratch, out);
+    }
+
+    /// Writes the symmetry-invariant prefix of the packed key into `out`
+    /// (cleared first).
+    fn write_invariant_prefix(&self, ring: &RingTopology, out: &mut Vec<u8>) {
+        assert_eq!(self.visited.len(), ring.size(), "checkpoint is from a different ring");
         // Symmetry-invariant prefix: both map families relabel nodes and
         // global directions but never touch round counters, scheduler state,
         // sleep ages or program state (protocols only see local frames), so
         // these are emitted once, outside the min-over-maps loop. This is
         // the structural win over the retired Debug-string encoding, which
         // re-emitted every program string for all 2n candidate maps.
-        scratch.programs.clear();
-        scratch.program_ends.clear();
-        for program in &self.program {
-            program.write_state_key(&mut scratch.programs);
-            let end = u32::try_from(scratch.programs.len()).expect("program key exceeds u32");
-            scratch.program_ends.push(end);
-        }
         out.clear();
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&self.activation_token.to_le_bytes());
-        let mut program_start = 0usize;
-        for index in 0..self.node.len() {
+        for (index, program) in self.program.iter().enumerate() {
             out.extend_from_slice(&self.asleep_on_port[index].to_le_bytes());
             // `last_active_round` is only consumed through order comparisons
             // (`min_by_key` in the first-mover scheduler and adversary), so
@@ -224,43 +251,78 @@ impl SimCheckpoint {
             let r = self.last_active_round[index];
             let rank = self.last_active_round.iter().filter(|&&other| other < r).count();
             out.push(u8::try_from(rank).unwrap_or(u8::MAX));
-            let program_end = scratch.program_ends[index] as usize;
-            let program_key = &scratch.programs[program_start..program_end];
-            let len = u32::try_from(program_key.len()).expect("program key exceeds u32");
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(program_key);
-            program_start = program_end;
+            // The program state, prefixed by its `u32` length.
+            let len_at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            program.write_state_key(out);
+            let len = u32::try_from(out.len() - len_at - 4).expect("program key exceeds u32");
+            out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
         }
-        // Symmetry-variant suffix: lexicographic minimum over the admissible
-        // maps. Candidates are a few bytes (bit-packed visit map + 3 bytes
-        // per agent), so a full emit-and-compare per map is cheaper than any
-        // early-exit bookkeeping.
+    }
+
+    /// Appends the lexicographically least variant section over the
+    /// admissible maps, emitting every candidate in full.
+    fn push_min_variant_exhaustive(
+        &self,
+        ring: &RingTopology,
+        scratch: &mut KeyScratch,
+        out: &mut Vec<u8>,
+    ) {
         let variant_at = out.len();
-        let mut first = true;
-        let mut consider = |rot: usize, reflect: bool, out: &mut Vec<u8>| {
-            self.emit_variant(n, rot, reflect, &mut scratch.candidate);
-            if first || scratch.candidate.as_slice() < &out[variant_at..] {
+        for (i, (rot, reflect)) in admissible_maps(ring).enumerate() {
+            self.emit_variant(ring.size(), rot, reflect, &mut scratch.candidate);
+            if i == 0 || scratch.candidate.as_slice() < &out[variant_at..] {
                 out.truncate(variant_at);
                 out.extend_from_slice(&scratch.candidate);
-                first = false;
-            }
-        };
-        match ring.landmark() {
-            Some(landmark) => {
-                // Only maps fixing the landmark (carrying it to node 0) are
-                // admissible: the translation landmark → 0 and the
-                // reflection through the landmark.
-                let l = landmark.index();
-                consider((n - l) % n, false, out);
-                consider(l, true, out);
-            }
-            None => {
-                for rot in 0..n {
-                    consider(rot, false, out);
-                    consider(rot, true, out);
-                }
             }
         }
+    }
+
+    /// Appends the same section as
+    /// [`SimCheckpoint::push_min_variant_exhaustive`] for a ring of at most
+    /// 64 nodes. The section opens with the bit-packed visit map, so that map
+    /// decides the minimum first. Each candidate's visit map is a rotation,
+    /// or a rotation of the reversal, of one `u64` mask whose little-endian
+    /// bytes are the packed map, and those bytes compare lexicographically
+    /// exactly as the byte-swapped word compares numerically (bits past `n`
+    /// are zero in every candidate). Agent bytes are only compared between
+    /// maps that tie on the mask.
+    fn push_min_variant(&self, ring: &RingTopology, out: &mut Vec<u8>) {
+        let n = ring.size();
+        let full = u64::MAX >> (64 - n);
+        let visited = (0..n).fold(0u64, |mask, v| mask | (u64::from(self.visited[v]) << v));
+        // Bit `w` of `reversed` is node `n − 1 − w`.
+        let reversed = visited.reverse_bits() >> (64 - n);
+        let rotl = |mask: u64, by: usize| {
+            if by == 0 { mask } else { ((mask << by) | (mask >> (n - by))) & full }
+        };
+        // Image node `w` is node `w − rot` under a rotation, and node
+        // `rot − w` (bit `w − rot − 1` of `reversed`) under a reflection.
+        let image = |(rot, reflect): (usize, bool)| {
+            if reflect {
+                rotl(reversed, if rot + 1 == n { 0 } else { rot + 1 })
+            } else {
+                rotl(visited, rot)
+            }
+        };
+        let agents = |(rot, reflect): (usize, bool)| {
+            (0..self.node.len()).map(move |index| self.agent_bytes(n, index, rot, reflect))
+        };
+        let mut maps = admissible_maps(ring);
+        let mut winner = maps.next().expect("every ring admits the identity map");
+        let mut winner_mask = image(winner);
+        for map in maps {
+            let mask = image(map);
+            let order = mask
+                .swap_bytes()
+                .cmp(&winner_mask.swap_bytes())
+                .then_with(|| agents(map).cmp(agents(winner)));
+            if order.is_lt() {
+                (winner, winner_mask) = (map, mask);
+            }
+        }
+        out.extend_from_slice(&winner_mask.to_le_bytes()[..n.div_ceil(8)]);
+        out.extend(agents(winner).flatten());
     }
 
     /// The symmetry-variant section of the packed key under one candidate
@@ -285,32 +347,40 @@ impl SimCheckpoint {
             buf.push(packed);
         }
         for index in 0..self.node.len() {
-            let v = self.node[index].index();
-            let mapped = if reflect { (rot + n - v) % n } else { (v + rot) % n };
-            buf.extend_from_slice(&u16::try_from(mapped).unwrap_or(u16::MAX).to_le_bytes());
-            let port = match self.held_port[index] {
-                None => 0u8,
-                Some(dir) => {
-                    let dir = if reflect { dir.opposite() } else { dir };
-                    match dir {
-                        GlobalDirection::Ccw => 1,
-                        GlobalDirection::Cw => 2,
-                    }
-                }
-            };
-            let handedness = match (self.handedness[index], reflect) {
-                (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0u8,
-                _ => 1u8,
-            };
-            let prior = match self.prior[index] {
-                PriorOutcome::Idle => 0u8,
-                PriorOutcome::Moved => 1,
-                PriorOutcome::BlockedOnPort => 2,
-                PriorOutcome::PortAcquisitionFailed => 3,
-                PriorOutcome::Transported => 4,
-            };
-            buf.push(port | (u8::from(self.terminated[index]) << 2) | (handedness << 3) | (prior << 4));
+            buf.extend_from_slice(&self.agent_bytes(n, index, rot, reflect));
         }
+    }
+
+    /// Agent `index`'s part of the variant section under one candidate map:
+    /// its mapped node as a little-endian `u16`, then one flags byte.
+    fn agent_bytes(&self, n: usize, index: usize, rot: usize, reflect: bool) -> [u8; 3] {
+        let v = self.node[index].index();
+        // `v ↦ rot − v` or `v ↦ v + rot`, reduced mod n without a division.
+        let mapped = if reflect { rot + n - v } else { v + rot };
+        let mapped = if mapped >= n { mapped - n } else { mapped };
+        let [lo, hi] = u16::try_from(mapped).unwrap_or(u16::MAX).to_le_bytes();
+        let port = match self.held_port[index] {
+            None => 0u8,
+            Some(dir) => {
+                let dir = if reflect { dir.opposite() } else { dir };
+                match dir {
+                    GlobalDirection::Ccw => 1,
+                    GlobalDirection::Cw => 2,
+                }
+            }
+        };
+        let handedness = match (self.handedness[index], reflect) {
+            (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0u8,
+            _ => 1u8,
+        };
+        let prior = match self.prior[index] {
+            PriorOutcome::Idle => 0u8,
+            PriorOutcome::Moved => 1,
+            PriorOutcome::BlockedOnPort => 2,
+            PriorOutcome::PortAcquisitionFailed => 3,
+            PriorOutcome::Transported => 4,
+        };
+        [lo, hi, port | (u8::from(self.terminated[index]) << 2) | (handedness << 3) | (prior << 4)]
     }
 
     /// The retired `Debug`-string canonical key, preserved verbatim as the
@@ -409,23 +479,25 @@ impl SimCheckpoint {
                 first = false;
             }
         };
-        match ring.landmark() {
-            Some(landmark) => {
-                // Only maps fixing the landmark (carrying it to node 0) are
-                // admissible: the translation landmark → 0 and the
-                // reflection through the landmark.
-                let l = landmark.index();
-                consider((n - l) % n, false, out);
-                consider(l, true, out);
-            }
-            None => {
-                for rot in 0..n {
-                    consider(rot, false, out);
-                    consider(rot, true, out);
-                }
-            }
+        for (rot, reflect) in admissible_maps(ring) {
+            consider(rot, reflect, out);
         }
     }
+}
+
+/// The symmetry maps a canonical key minimises over, as `(rot, reflect)`
+/// pairs: `v ↦ v + rot`, or `v ↦ rot − v` when reflecting. On a landmark
+/// ring only the two maps carrying the landmark to node 0 are admissible
+/// (the translation and the reflection through the landmark); an anonymous
+/// ring admits all `2n`.
+fn admissible_maps(ring: &RingTopology) -> impl Iterator<Item = (usize, bool)> {
+    let n = ring.size();
+    let landmark = ring.landmark().map(NodeId::index);
+    let rotations = if landmark.is_some() { 1 } else { n };
+    (0..rotations).flat_map(move |rot| match landmark {
+        Some(l) => [((n - l) % n, false), (l, true)],
+        None => [(rot, false), (rot, true)],
+    })
 }
 
 #[cfg(test)]

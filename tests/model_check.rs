@@ -72,7 +72,8 @@ fn figure2_script_is_pinned_by_the_discovered_worst_case() {
 /// sequential reference over **every** packaged Table 1/3 cell plus the
 /// Theorem 4 lower-bound cell — identical [`SearchStats`], verdicts, and
 /// witness/worst schedules. The parallel merge replays chunk records in
-/// sequential order, so nothing weaker than equality is acceptable.
+/// sequential order, so nothing weaker than equality is acceptable. Three
+/// threads leave a ragged last chunk; four may outnumber the host's CPUs.
 #[test]
 fn parallel_search_is_bit_identical_to_sequential() {
     for n in 4..=7 {
@@ -85,28 +86,165 @@ fn parallel_search_is_bit_identical_to_sequential() {
         }
         for (id, check) in checks {
             let sequential = check.run_with_threads(1);
-            let parallel = check.run_with_threads(4);
-            assert_eq!(
-                sequential.stats(),
-                parallel.stats(),
-                "{id}: parallel search stats diverged from sequential"
-            );
-            match (&sequential, &parallel) {
-                (Verdict::Infeasible(s), Verdict::Infeasible(p)) => {
-                    assert_eq!(s.witness, p.witness, "{id}: witness schedules diverged");
-                    assert_eq!(s.defeat_round, p.defeat_round, "{id}: defeat rounds diverged");
-                    assert_eq!(s.proof_depth, p.proof_depth, "{id}: proof depths diverged");
+            for threads in [2, 3, 4] {
+                let id = format!("{id} at {threads} threads");
+                let parallel = check.run_with_threads(threads);
+                assert_eq!(
+                    sequential.stats(),
+                    parallel.stats(),
+                    "{id}: parallel search stats diverged from sequential"
+                );
+                match (&sequential, &parallel) {
+                    (Verdict::Infeasible(s), Verdict::Infeasible(p)) => {
+                        assert_eq!(s.witness, p.witness, "{id}: witness schedules diverged");
+                        assert_eq!(s.defeat_round, p.defeat_round, "{id}: defeat rounds diverged");
+                        assert_eq!(s.proof_depth, p.proof_depth, "{id}: proof depths diverged");
+                    }
+                    (Verdict::Feasible(s), Verdict::Feasible(p)) => {
+                        assert_eq!(
+                            s.worst_schedule, p.worst_schedule,
+                            "{id}: worst schedules diverged"
+                        );
+                        assert_eq!(s.worst_round, p.worst_round, "{id}: worst rounds diverged");
+                    }
+                    (s, p) => {
+                        panic!("{id}: verdicts diverged: sequential {s:?} vs parallel {p:?}")
+                    }
                 }
-                (Verdict::Feasible(s), Verdict::Feasible(p)) => {
-                    assert_eq!(
-                        s.worst_schedule, p.worst_schedule,
-                        "{id}: worst schedules diverged"
-                    );
-                    assert_eq!(s.worst_round, p.worst_round, "{id}: worst rounds diverged");
-                }
-                (s, p) => panic!("{id}: verdicts diverged: sequential {s:?} vs parallel {p:?}"),
             }
         }
+    }
+}
+
+/// A cell that keeps more distinct configurations than its `max_states`
+/// budget is inconclusive, not a panic, and it runs out at the same state
+/// at every thread count: the budget is counted in the in-order merge.
+#[test]
+fn a_state_budget_below_the_cell_is_inconclusive_at_every_width() {
+    let mut cell = model_check::table3_cells(7)
+        .into_iter()
+        .find(|cell| cell.id.starts_with("MC-T3-R2"))
+        .expect("the Theorem 10 cell is packaged at n = 7");
+    let visited = cell.check.run_with_threads(1).stats().visited;
+    cell.check.max_states = visited / 2;
+    let verdicts = [1, 2].map(|threads| cell.check.run_with_threads(threads));
+    let [Verdict::Inconclusive { stats, depth }, Verdict::Inconclusive { stats: stats2, depth: depth2 }] =
+        &verdicts
+    else {
+        panic!("a budget of {} states must be inconclusive: {verdicts:?}", visited / 2);
+    };
+    assert_eq!((stats, depth), (stats2, depth2), "1 and 2 threads disagree");
+    assert_eq!(stats.visited, visited / 2 + 1, "the search stops at the first state over budget");
+    assert!(
+        stats.peak_frontier >= 32,
+        "the budget must run out after a level wide enough to run in parallel"
+    );
+    assert_eq!(*depth, stats.depth_reached + 1, "the budget runs out inside the next level");
+    assert!(verdicts[0].feasible().is_none() && verdicts[0].infeasible().is_none());
+    let row = cell.row();
+    assert!(!row.holds, "an inconclusive cell does not hold: {row:?}");
+    assert!(
+        row.observed.contains(&format!("state budget of {}", visited / 2)),
+        "the row must name the budget: {}",
+        row.observed
+    );
+}
+
+/// The packed canonical key's bitmask map search produces exactly the bytes
+/// of the direct minimum over every admissible map, across the catalogue
+/// run under FSYNC and SSYNC on rings of 4 to 17 nodes: whole-byte visit
+/// maps (n = 8, 16) and partial tail bytes, landmark and anonymous rings,
+/// agents sharing a node, held ports and both handednesses — each case is
+/// counted and must occur.
+#[test]
+fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
+    use dynring_engine::KeyScratch;
+    use dynring_model::TransportModel;
+
+    let mut rng = proptest::TestRng::new(proptest::seed_from_name("bitmask_canonical_key"));
+    let (mut scratch, mut reference_scratch) = (KeyScratch::new(), KeyScratch::new());
+    let (mut key, mut reference) = (Vec::new(), Vec::new());
+    let cases = [
+        "landmark ring",
+        "anonymous ring",
+        "whole-byte visit map",
+        "partial tail byte",
+        "agents sharing a node",
+        "held port",
+        "LeftIsCcw agent",
+        "LeftIsCw agent",
+    ];
+    let mut seen = [0usize; 8];
+    for n in 4..=17 {
+        for algorithm in Algorithm::full_catalog(n) {
+            for (ssync, landmark) in [(false, false), (false, true), (true, false), (true, true)] {
+                if algorithm.needs_landmark() && !landmark {
+                    continue;
+                }
+                let mut scenario = if ssync {
+                    let mut scenario = Scenario::ssync(n, algorithm, 1);
+                    if scenario.synchrony == SynchronyModel::Fsync {
+                        scenario.synchrony = SynchronyModel::Ssync(TransportModel::PassiveTransport);
+                    }
+                    scenario
+                } else {
+                    Scenario::fsync(n, algorithm)
+                };
+                scenario.landmark = landmark.then(|| rng.next_u64() as usize % n);
+                // The first two agents share a node in every other cell.
+                let shared = rng.next_u64() & 1 == 0;
+                let mut starts: Vec<usize> =
+                    scenario.starts.iter().map(|_| rng.next_u64() as usize % n).collect();
+                if shared && starts.len() > 1 {
+                    starts[1] = starts[0];
+                }
+                scenario.orientations = starts
+                    .iter()
+                    .map(|_| {
+                        if rng.next_u64() & 1 == 0 { Handedness::LeftIsCcw } else { Handedness::LeftIsCw }
+                    })
+                    .collect();
+                scenario.starts = starts;
+                let check = ModelCheck::new(scenario, Objective::Explore, 1);
+                let mut sim = check.branchable_simulation();
+                let ring = check.scenario.ring();
+                for round in 0..2 * n {
+                    let cp = sim.checkpoint();
+                    cp.canonical_key_into(&ring, &mut scratch, &mut key);
+                    cp.canonical_key_exhaustive(&ring, &mut reference_scratch, &mut reference);
+                    assert_eq!(
+                        key,
+                        reference,
+                        "{algorithm} n={n} ssync={ssync} landmark={:?} round {round}",
+                        ring.landmark()
+                    );
+                    let view = sim.peek();
+                    let agents = &view.agents;
+                    let shares = (1..agents.len())
+                        .any(|i| agents[..i].iter().any(|other| other.node == agents[i].node));
+                    let covered = [
+                        landmark,
+                        !landmark,
+                        n % 8 == 0,
+                        n % 8 != 0,
+                        shares,
+                        agents.iter().any(|agent| agent.held_port.is_some()),
+                        agents.iter().any(|agent| agent.handedness == Handedness::LeftIsCcw),
+                        agents.iter().any(|agent| agent.handedness == Handedness::LeftIsCw),
+                    ];
+                    for (count, hit) in seen.iter_mut().zip(covered) {
+                        *count += usize::from(hit);
+                    }
+                    let choice = rng.next_u64() as usize % (n + 1);
+                    if !sim.step_with_edge((choice < n).then(|| EdgeId::new(choice))) {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    for (case, count) in cases.iter().zip(seen) {
+        assert!(count > 0, "no checked state had a {case}");
     }
 }
 
