@@ -248,13 +248,12 @@ impl BatchRunner {
     ///
     /// The battery is first partitioned into maximal runs of consecutive
     /// same-shape cells ([`group_ranges`], capped at
-    /// [`batch_lanes_from_env`] lanes); each group rides the engine's
-    /// batched lockstep path through a per-worker
-    /// [`ScenarioBatchRunner`], and singleton cells fall back to the
-    /// recycled solo simulation inside the same runner (trace-recording
-    /// cells batch like any other since the columnar trace). Results
-    /// are merged in input order, so the output is byte-identical to the
-    /// cell-by-cell sequential path whatever the thread or lane count.
+    /// [`batch_lanes_from_env`] cells); each group runs through a
+    /// per-worker [`ScenarioBatchRunner`], which plays neighbouring FSYNC
+    /// cells in interleaved pairs and everything else solo on recycled
+    /// simulations. Results are merged in input order, so the output is
+    /// byte-identical to the cell-by-cell sequential path whatever the
+    /// thread or lane count.
     #[must_use]
     pub fn run_reports(&self, scenarios: &[Scenario]) -> Vec<RunReport> {
         let ranges = group_ranges(scenarios, |s| s, batch_lanes_from_env());
@@ -296,15 +295,17 @@ pub fn parse_thread_count(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// The default lane cap for batched execution: throughput on the batched
-/// path is flat from ~8 lanes up (the per-lane state already saturates the
-/// cache-resident working set), and 16 keeps groups small enough that a
-/// battery's shape changes don't leave long ragged tails.
+/// The default number of cells per batched group — one unit of pool work
+/// for a worker's [`ScenarioBatchRunner`], which plays neighbouring FSYNC
+/// cells in interleaved pairs. The engine only ever pairs two runs, so the
+/// cap no longer shapes the round loop; 16 keeps a unit large enough to
+/// amortise the pool's hand-off and small enough that a battery's shape
+/// changes don't leave long ragged tails.
 pub const DEFAULT_BATCH_LANES: usize = 16;
 
 /// Parses a `DYNRING_BATCH_LANES`-style value: a positive integer or the
 /// literal `solo` (= 1, turning every cell into a singleton group and thereby
-/// forcing the recycled solo path for every shape), rejecting everything else
+/// running every cell solo, unpaired), rejecting everything else
 /// with a human-readable message — the same strict contract as
 /// [`parse_thread_count`]: a typo'd knob must abort loudly, never fall back
 /// silently.
@@ -331,9 +332,9 @@ pub fn parse_batch_lanes(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// The lane cap batched execution uses: `DYNRING_BATCH_LANES` if set (a
+/// The number of cells per batched group: `DYNRING_BATCH_LANES` if set (a
 /// positive integer), otherwise [`DEFAULT_BATCH_LANES`]. A cap of 1 turns
-/// every cell into a singleton group, i.e. disables the batched path.
+/// every cell into a singleton group, i.e. disables pairing.
 ///
 /// # Panics
 ///
@@ -355,11 +356,11 @@ pub fn batch_lanes_from_env() -> usize {
 
 /// Partitions a battery into maximal runs of **consecutive same-shape
 /// cells** (capped at `max_lanes` per range, clamped to at least 1) — the
-/// unit the batched engine path executes as one `SimBatch` lane group
-/// (trace-recording cells group like any other since the columnar trace).
-/// Concatenating the ranges always reproduces `0..items.len()` in order, so
-/// merging per-range results in input order is output-identical to the
-/// cell-by-cell path.
+/// unit of pool work one [`ScenarioBatchRunner::run_group`] call executes,
+/// neighbouring FSYNC cells in interleaved pairs (trace-recording cells
+/// group like any other). Concatenating the ranges always reproduces
+/// `0..items.len()` in order, so merging per-range results in input order
+/// is output-identical to the cell-by-cell path.
 #[must_use]
 pub fn group_ranges<T>(
     items: &[T],

@@ -17,7 +17,6 @@ use dynring_engine::scheduler::{
     RoundRobinSingle,
 };
 use dynring_engine::sim::{AgentSpec, RunReport, RunSpec, Simulation, StopCondition};
-use dynring_engine::sim_batch::{BatchLane, SimBatch};
 use dynring_engine::trace::Trace;
 use dynring_graph::{AgentId, EdgeId, EdgeSchedule, Handedness, NodeId, RingTopology};
 use dynring_model::SynchronyModel;
@@ -462,41 +461,24 @@ impl Scenario {
         )
     }
 
-    /// Whether this scenario may ride the batched engine path at all.
-    /// Always true since the columnar trace refactor: batched lanes record
-    /// traces through the same flat-append fast path as solo runs, so trace
-    /// cells batch like any other cell (read them back via
-    /// [`ScenarioBatchRunner::trace`]).
-    #[must_use]
-    pub fn batchable(&self) -> bool {
-        true
-    }
-
-    /// Whether this scenario's shape actually *profits* from lockstep
-    /// batching.
+    /// Whether batched execution pairs this scenario with a neighbour.
     ///
-    /// FSYNC cells do: every lane activates every agent every round, so the
-    /// run-major SoA loop amortises its per-round dispatch across all lanes.
-    /// SSYNC cells don't — scheduler-driven activation makes lanes diverge
-    /// (different agents active, different rounds decided), and the measured
-    /// batched throughput on the ssync-pt shape trails the recycled solo
-    /// runner. [`ScenarioBatchRunner`] uses this to route non-lockstep
-    /// groups through its solo recycled path; outputs are byte-identical
-    /// either way, this is purely a throughput heuristic (override with
-    /// `DYNRING_BATCH_LANES=solo` to force solo routing for every shape).
+    /// FSYNC cells are paired: [`ScenarioBatchRunner`] plays two
+    /// neighbouring FSYNC cells with their rounds interleaved
+    /// ([`Simulation::run_pair_into`]). SSYNC cells run solo. Outputs are
+    /// byte-identical either way.
     #[must_use]
     pub fn prefers_lockstep(&self) -> bool {
         matches!(self.synchrony, SynchronyModel::Fsync)
     }
 
-    /// Whether `self` and `other` can share one [`SimBatch`] lane group.
+    /// Whether `self` and `other` belong in one batched group.
     ///
-    /// The engine requires every lane of a batch to agree on ring size, team
-    /// size and synchrony model, and one batch plays all its lanes under a
-    /// single round budget and stop condition — so those must match too.
-    /// Everything else — algorithm, landmark, placements, orientations,
-    /// scheduler, adversary, dispatch, trace recording — is per-lane state
-    /// and may differ freely within a group.
+    /// Grouped cells share ring size, team size and synchrony model, and a
+    /// pair of cells plays under one round budget and stop condition — so
+    /// those must match too. Everything else — algorithm, landmark,
+    /// placements, orientations, scheduler, adversary, dispatch, trace
+    /// recording — is per-cell state and may differ freely within a group.
     #[must_use]
     pub fn same_batch_shape(&self, other: &Scenario) -> bool {
         self.ring_size == other.ring_size
@@ -561,6 +543,23 @@ impl ScenarioRunner {
         self.sim.as_ref().and_then(Simulation::trace)
     }
 
+    /// Runs `scenario` on this runner and `other_scenario` on `other`, the
+    /// two runs' rounds interleaved ([`Simulation::run_pair_into`]), writing
+    /// the reports in place. The two scenarios must share their round
+    /// budget and stop condition (see [`Scenario::same_batch_shape`]).
+    pub fn run_pair_into(
+        &mut self,
+        other: &mut ScenarioRunner,
+        scenarios: [&Scenario; 2],
+        reports: [&mut RunReport; 2],
+    ) {
+        let [scenario, other_scenario] = scenarios;
+        debug_assert!(scenario.same_batch_shape(other_scenario));
+        let (max_rounds, stop) = (scenario.max_rounds, scenario.stop);
+        let sim = self.prepare(scenario);
+        sim.run_pair_into(other.prepare(other_scenario), max_rounds, stop, reports);
+    }
+
     /// Readies the held simulation for a run of `scenario` at round zero.
     fn prepare(&mut self, scenario: &Scenario) -> &mut Simulation {
         if self.compiled_from.as_ref() == Some(scenario) {
@@ -586,34 +585,28 @@ impl ScenarioRunner {
     }
 }
 
-/// A stateful executor for **groups** of same-shape scenarios that rides the
-/// engine's batched path ([`SimBatch`]): one group becomes one lane batch,
-/// each lane carrying its own compiled spec and freshly instantiated
-/// policies, and the reports come back in lane order — byte-identical to
-/// running every cell solo (each lane's policies consume their RNG streams
-/// exactly as a solo run would).
+/// A stateful executor for **groups** of same-shape scenarios: one recycled
+/// [`ScenarioRunner`] per group position. Each pair of neighbouring FSYNC
+/// cells runs through [`ScenarioRunner::run_pair_into`], the two runs'
+/// rounds interleaved; SSYNC cells and an odd last cell run solo. The
+/// reports come back in input order, byte-identical to running every cell
+/// solo (each cell's policies consume their RNG streams exactly as a solo
+/// run would).
 ///
-/// Like [`ScenarioRunner`] it caches its last group: re-running an identical
-/// group (the benchmark regime) is a pure [`SimBatch::recycle`] — zero
-/// steady-state heap allocations in the engine — while a different group
-/// reloads fresh lanes into the same buffers. Singleton groups (nothing to
-/// step in lockstep) fall back to an embedded solo [`ScenarioRunner`], so
-/// callers can feed any [`group_ranges`](crate::batch::group_ranges)
-/// partition without special cases; trace-recording cells batch like any
-/// other cell since the columnar trace refactor, their traces readable per
-/// cell via [`ScenarioBatchRunner::trace`].
+/// Every position recycles like a [`ScenarioRunner`]: re-running an
+/// identical group (the benchmark regime) performs zero steady-state heap
+/// allocations in the engine, while a different group recompiles the cells
+/// into the same buffers. Callers may feed any
+/// [`group_ranges`](crate::batch::group_ranges) partition; trace-recording
+/// cells are readable per cell via [`ScenarioBatchRunner::trace`].
 #[derive(Debug, Default)]
 pub struct ScenarioBatchRunner {
-    batch: SimBatch,
-    compiled_from: Vec<Scenario>,
+    runners: Vec<ScenarioRunner>,
     reports: Vec<RunReport>,
-    solo: ScenarioRunner,
-    /// Whether the last group ran through the solo fallback (singletons).
-    last_solo: bool,
 }
 
 impl ScenarioBatchRunner {
-    /// An empty runner (the first group loads the batch).
+    /// An empty runner (the first group builds its simulations).
     #[must_use]
     pub fn new() -> Self {
         ScenarioBatchRunner::default()
@@ -621,12 +614,6 @@ impl ScenarioBatchRunner {
 
     /// Runs every scenario of the group and returns one report per cell, in
     /// input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a multi-cell group is not actually same-shape — the
-    /// contract of [`Scenario::same_batch_shape`]; partition arbitrary
-    /// batteries with [`group_ranges`](crate::batch::group_ranges).
     #[must_use]
     pub fn run_group(&mut self, group: &[Scenario]) -> Vec<RunReport> {
         let mut out = Vec::with_capacity(group.len());
@@ -636,85 +623,56 @@ impl ScenarioBatchRunner {
 
     /// [`ScenarioBatchRunner::run_group`], appending the reports to `out`.
     pub fn run_group_into(&mut self, group: &[Scenario], out: &mut Vec<RunReport>) {
-        let produced = self.run_group_reports(group).len();
-        debug_assert_eq!(produced, group.len());
-        // Split borrow dance: `run_group_reports` holds `&mut self`, so copy
-        // out of the buffer afterwards.
-        out.extend_from_slice(&self.reports[..produced]);
+        out.extend_from_slice(self.run_group_reports(group));
     }
 
-    /// Runs the group and returns the harvested reports as a borrowed slice
-    /// (one per cell, in input order; valid until the next call) — the
+    /// Runs the group and returns the reports as a borrowed slice (one per
+    /// cell, in input order; valid until the next call) — the
     /// allocation-free rerun path the `sweep_throughput` benchmark measures:
-    /// re-running the identical group recycles the batch and rewrites the
-    /// same report buffers in place, with zero steady-state heap
-    /// allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a multi-cell group is not same-shape, like
-    /// [`ScenarioBatchRunner::run_group`].
+    /// re-running the identical group recycles every simulation and
+    /// rewrites the same report buffers in place, with zero steady-state
+    /// heap allocations.
     pub fn run_group_reports(&mut self, group: &[Scenario]) -> &[RunReport] {
         let b = group.len();
-        let Some(first) = group.first() else { return &[] };
-        // Adaptive lifecycle heuristic: shapes that don't profit from
-        // lockstep (SSYNC groups — see `Scenario::prefers_lockstep`) run on
-        // the recycled solo runner instead of the batch. Trace-recording
-        // groups stay batched so `ScenarioBatchRunner::trace` keeps every
-        // lane's trace addressable. Reports are byte-identical either way.
-        let route_solo = b == 1
-            || (!group.iter().all(Scenario::prefers_lockstep)
-                && group.iter().all(|s| !s.record_trace));
-        if route_solo {
-            self.last_solo = true;
-            if self.reports.len() < b {
-                self.reports.resize_with(b, RunReport::default);
-            }
-            for (lane, scenario) in group.iter().enumerate() {
-                self.solo.run_into(scenario, &mut self.reports[lane]);
-            }
-            return &self.reports[..b];
+        if self.runners.len() < b {
+            self.runners.resize_with(b, ScenarioRunner::default);
         }
-        self.last_solo = false;
-        assert!(
-            group.iter().all(|s| first.same_batch_shape(s)),
-            "a batched group must be same-shape (see Scenario::same_batch_shape)"
-        );
-        if self.compiled_from.as_slice() == group {
-            self.batch.recycle();
-        } else {
-            let lanes = group
-                .iter()
-                .map(|scenario| BatchLane {
-                    spec: scenario.compile(),
-                    activation: scenario.scheduler.instantiate(),
-                    edges: scenario.adversary.instantiate(),
-                })
-                .collect();
-            self.batch
-                .load(lanes)
-                .expect("a same-shape group satisfies the engine's batch constraints");
-            self.compiled_from.clear();
-            self.compiled_from.extend_from_slice(group);
+        if self.reports.len() < b {
+            self.reports.resize_with(b, RunReport::default);
         }
-        self.batch.run_into(first.max_rounds, first.stop, &mut self.reports);
+        let mut i = 0;
+        while i < b {
+            let (cell, next) = (&group[i], group.get(i + 1));
+            match next {
+                Some(next)
+                    if cell.prefers_lockstep()
+                        && next.prefers_lockstep()
+                        && cell.same_batch_shape(next) =>
+                {
+                    let (runners, other) = self.runners.split_at_mut(i + 1);
+                    let (reports, other_report) = self.reports.split_at_mut(i + 1);
+                    runners[i].run_pair_into(
+                        &mut other[0],
+                        [cell, next],
+                        [&mut reports[i], &mut other_report[0]],
+                    );
+                    i += 2;
+                }
+                _ => {
+                    self.runners[i].run_into(cell, &mut self.reports[i]);
+                    i += 1;
+                }
+            }
+        }
         &self.reports[..b]
     }
 
     /// The trace recorded by cell `index` of the last group, if that cell's
     /// scenario enabled trace recording — byte-identical to the trace a solo
-    /// run of the same cell would record, whichever path executed it.
+    /// run of the same cell would record.
     #[must_use]
     pub fn trace(&self, index: usize) -> Option<&Trace> {
-        if self.last_solo {
-            if index == 0 {
-                self.solo.trace()
-            } else {
-                None
-            }
-        } else {
-            self.batch.trace(index)
-        }
+        self.runners.get(index).and_then(ScenarioRunner::trace)
     }
 }
 
@@ -725,27 +683,28 @@ mod tests {
     #[test]
     fn ssync_groups_route_through_the_solo_recycled_path() {
         let fsync = Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 });
-        assert!(fsync.prefers_lockstep(), "FSYNC shapes profit from lockstep");
+        assert!(fsync.prefers_lockstep(), "FSYNC shapes run in pairs");
         let group: Vec<Scenario> = (0..4)
             .map(|i| Scenario::ssync(6, Algorithm::PtBoundChirality { upper_bound: 6 }, i))
             .collect();
         assert!(group.iter().all(|s| !s.prefers_lockstep()), "SSYNC shapes do not");
 
-        // The routed group must produce byte-identical reports to per-cell
-        // solo runs, and actually take the solo path.
+        // The solo-routed group must produce byte-identical reports to
+        // per-cell fresh runs.
         let mut runner = ScenarioBatchRunner::new();
         let routed = runner.run_group(&group);
-        assert!(runner.last_solo, "a non-lockstep group must route solo");
         let solo: Vec<RunReport> = group.iter().map(Scenario::run).collect();
         assert_eq!(routed, solo);
 
-        // Lockstep groups still ride the batch.
-        let lockstep: Vec<Scenario> = (0..4)
-            .map(|_| Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 }))
+        // Paired FSYNC cells (plus an odd tail) on the same runner, too.
+        let paired: Vec<Scenario> = (0..5)
+            .map(|i| {
+                Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 })
+                    .with_starts(vec![0, i + 1])
+            })
             .collect();
-        let batched = runner.run_group(&lockstep);
-        assert!(!runner.last_solo, "an FSYNC group must stay batched");
-        assert_eq!(batched, lockstep.iter().map(Scenario::run).collect::<Vec<_>>());
+        let batched = runner.run_group(&paired);
+        assert_eq!(batched, paired.iter().map(Scenario::run).collect::<Vec<_>>());
     }
 
     #[test]

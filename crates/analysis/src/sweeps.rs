@@ -272,8 +272,8 @@ fn sweep_battery(
     }
 
     // Consecutive same-shape cells (the common case: a battery fixes size
-    // and algorithm while rotating adversaries/placements/orientations) ride
-    // the engine's batched lockstep path as one lane group per range; each
+    // and algorithm while rotating adversaries/placements/orientations) form
+    // one group per range, its FSYNC cells played in interleaved pairs; each
     // worker thread drives its share of the ranges through one recycled
     // `ScenarioBatchRunner`. Merging in input order keeps the outcome
     // bit-identical to the solo cell-by-cell path.

@@ -1,14 +1,15 @@
 //! Run-lifecycle throughput: **runs per second** in the short-run regime
 //! (n = 64, round budget 4n), measured as fresh-build vs recycled vs
-//! batched-lockstep triples.
+//! batched triples.
 //!
 //! Where `engine_throughput` measures the round loop, this target measures
 //! everything *around* it — `Scenario::run()`'s per-cell construction of the
 //! ring, agent SoA, scratch, probe pool and boxed policies versus the
 //! recycled lifecycle (`ScenarioRunner` + `Simulation::recycle`), which
-//! re-initialises one simulation in place, and versus the batched lockstep
-//! path (`ScenarioBatchRunner` + `SimBatch`), which steps a
-//! `DYNRING_BATCH_LANES`-lane group per generation. It also **counts heap
+//! re-initialises one simulation in place, and versus the batched path
+//! (`ScenarioBatchRunner` + `Simulation::run_pair_into`), which runs a
+//! `DYNRING_BATCH_LANES`-cell group per generation, FSYNC cells in
+//! interleaved pairs. It also **counts heap
 //! allocations** through a wrapping global allocator and fails loudly if the
 //! recycled or batched steady state allocates at all, so the zero-allocation
 //! claim is machine-checked on every run, including the CI smoke.
@@ -70,8 +71,8 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// Counts the heap allocations per run in the steady state (after two
 /// warm-up iterations that size every buffer) for each recycled **and**
 /// batched case of the grid. A batched generation replays the identical
-/// `DYNRING_BATCH_LANES`-lane group, so its steady state must recycle the
-/// whole batch in place — the per-run quotient divides by `lanes * RUNS`.
+/// `DYNRING_BATCH_LANES`-cell group, so its steady state must recycle every
+/// simulation in place — the per-run quotient divides by `lanes * RUNS`.
 /// Returns `(case id, allocations per run)` pairs.
 fn steady_state_allocations() -> Vec<(String, u64)> {
     const RUNS: u64 = 64;
@@ -142,7 +143,7 @@ fn main() {
 
     // Machine-checked zero-allocation contract: a recycled run of a
     // shape-stable scenario must not touch the allocator at all, and neither
-    // may a batched generation once its lane group is loaded.
+    // may a batched generation once its group has run.
     println!();
     let mut dirty = false;
     for (id, allocations_per_run) in steady_state_allocations() {

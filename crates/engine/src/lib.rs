@@ -15,12 +15,11 @@
 //!   (fixed [`EdgeSchedule`](dynring_graph::EdgeSchedule)s such as the
 //!   worst-case schedule of Figure 2) and the proof adversaries
 //!   (Observations 1–2, Theorems 9, 10, 13, 15, 19);
-//! * [`sim`] — the round loop itself, with port mutual exclusion, passive
-//!   transport, metrics and invariant checking;
-//! * [`sim_batch`] — batched lockstep execution: [`sim_batch::SimBatch`]
-//!   steps B same-shape runs per instruction stream through the same round
-//!   code as [`sim::Simulation`], harvesting byte-identical reports at
-//!   multi-run sweep speed;
+//! * [`sim`] — the round loop itself: one FSYNC round kernel and one SSYNC
+//!   round body, with port mutual exclusion, passive transport, metrics and
+//!   run recycling; [`Simulation::run_pair_into`](sim::Simulation::run_pair_into)
+//!   interleaves the rounds of two FSYNC runs, which is how the analysis
+//!   layer batches sweep cells;
 //! * [`checkpoint`] — branchable run state: checkpoint/restore of a live
 //!   simulation plus canonicalised configuration keys, the engine half of
 //!   the analysis-side model checker;
@@ -65,7 +64,6 @@ pub mod error;
 pub mod render;
 pub mod scheduler;
 pub mod sim;
-pub mod sim_batch;
 pub mod trace;
 pub mod world;
 
@@ -74,6 +72,5 @@ pub use checkpoint::{KeyScratch, SimCheckpoint};
 pub use error::EngineError;
 pub use scheduler::ActivationPolicy;
 pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition};
-pub use sim_batch::{BatchLane, SimBatch};
 pub use trace::{RoundRecord, Trace};
 pub use world::{AgentProgram, AgentView, PredictedAction, RoundView};

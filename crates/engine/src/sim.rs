@@ -6,8 +6,8 @@ use crate::error::EngineError;
 use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
 use crate::world::{
-    build_snapshot, fill_agent_views, fill_round_fsync, predict_action, AgentProgram, AgentSoA,
-    AgentView, LaneStateMut, ProbePool, RoundView,
+    build_snapshot, fill_agent_views, predict_action, refill, to_global, AgentProgram, AgentSoA,
+    AgentView, PredictedAction, ProbePool, RoundView,
 };
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::{Decision, PriorOutcome, Protocol, SynchronyModel, TransportModel};
@@ -324,12 +324,6 @@ impl RunSpec {
         self.record_trace
     }
 
-    /// The per-agent specs (start node, handedness, protocol template), in
-    /// team order — the batched engine seeds its lanes from these.
-    pub(crate) fn agent_specs(&self) -> &[AgentSpec] {
-        &self.agents
-    }
-
     /// Builds a fresh simulation from this spec with the given policies
     /// (observably identical to assembling the same run through
     /// [`Simulation::builder`]; the agent templates are cloned, the spec
@@ -353,17 +347,19 @@ impl RunSpec {
     }
 }
 
-/// Reusable per-round working memory. All buffers are cleared and refilled
-/// every round, so after the first round [`Simulation::step`] performs no
-/// heap allocation on the FSYNC hot path — with trace recording off this now
-/// holds **with or without** decision predictions, because predictions reuse
-/// the per-agent [`ProbePool`] instead of boxing protocol clones; see
-/// [`Simulation::step`] for the one SSYNC caveat.
+/// Reusable per-round working memory. All buffers are refilled every round,
+/// so after the first round [`Simulation::step`] performs no heap
+/// allocation with trace recording off — FSYNC and SSYNC alike, with or
+/// without decision predictions (predictions reuse the per-agent
+/// [`ProbePool`] instead of boxing protocol clones, and the activation
+/// policy chooses into the reused `chosen` buffer through
+/// [`ActivationPolicy::select_into`]).
 #[derive(Debug, Default)]
 struct RoundScratch {
     /// Per-agent adversary views (borrowed by the [`RoundView`]).
     views: Vec<AgentView>,
-    /// The sanitised active set, sorted by agent id.
+    /// The sanitised active set, sorted by agent id. The FSYNC kernel keeps
+    /// it at team length and uses a prefix.
     active: Vec<AgentId>,
     /// Raw activation-policy choice (SSYNC only; sanitised into `active`).
     chosen: Vec<AgentId>,
@@ -372,15 +368,16 @@ struct RoundScratch {
     active_mask: Vec<bool>,
     /// Per-agent decision of this round (`None` = asleep or terminated).
     decisions: Vec<Option<Decision>>,
-    /// Per-agent decision predicted by the probe dry run (prediction rounds
-    /// only; fused into [`RoundScratch::decisions`] for active agents).
+    /// Per-agent decision predicted by the probe dry run (SSYNC prediction
+    /// rounds and [`Simulation::peek`]).
     predicted: Vec<Option<Decision>>,
     /// Reusable per-agent protocol probes backing the predictions.
     probes: ProbePool,
     /// Node of each agent at the start of the round (trace recording only).
     nodes_before: Vec<NodeId>,
-    /// Ports denied for the rest of the round, sorted. A handful of entries
-    /// at most (one per agent), so a sorted vec beats a `HashSet`.
+    /// Ports denied for the rest of the round. At most two entries per
+    /// agent (the port held at the start plus one acquired), so a linear
+    /// scan beats a `HashSet`.
     claimed: Vec<(NodeId, GlobalDirection)>,
 }
 
@@ -395,8 +392,31 @@ impl RoundScratch {
             predicted: vec![None; agent_count],
             probes: ProbePool::default(),
             nodes_before: Vec::with_capacity(agent_count),
-            claimed: Vec::with_capacity(agent_count),
+            claimed: Vec::with_capacity(2 * agent_count),
         }
+    }
+
+    /// Sizes the buffers the FSYNC kernel writes in place by index: a no-op
+    /// once the team size is settled, so it costs a length compare per
+    /// buffer and never allocates in the steady state.
+    fn fit_fsync(&mut self, agent_count: usize) {
+        let filler = AgentView {
+            id: AgentId::new(0),
+            node: NodeId::new(0),
+            held_port: None,
+            terminated: false,
+            handedness: Handedness::LeftIsCcw,
+            predicted: PredictedAction::Stay,
+            last_active_round: 0,
+            asleep_on_port: 0,
+            moves: 0,
+        };
+        self.views.resize(agent_count, filler);
+        self.active.resize(agent_count, AgentId::new(0));
+        self.active_mask.resize(agent_count, false);
+        self.decisions.resize(agent_count, None);
+        self.nodes_before.resize(agent_count, NodeId::new(0));
+        self.claimed.resize(2 * agent_count, (NodeId::new(0), GlobalDirection::Cw));
     }
 }
 
@@ -537,8 +557,7 @@ impl Simulation {
             spec.ring.size(),
             spec.agents.iter().map(|a| (a.start, a.handedness, &a.program)),
         );
-        self.visited.clear();
-        self.visited.resize(spec.ring.size(), false);
+        refill(&mut self.visited, spec.ring.size(), false);
         let mut start_nodes = 0;
         for agent in &spec.agents {
             let slot = &mut self.visited[agent.start.index()];
@@ -577,16 +596,14 @@ impl Simulation {
     /// agent has terminated).
     ///
     /// All per-round working memory lives in scratch buffers owned by the
-    /// simulation, so on the FSYNC hot path (trace recording off) this
-    /// performs no heap allocation — including rounds with decision
-    /// predictions, which dry-run each live protocol through a reusable
-    /// probe from the engine's probe pool instead of boxing a clone. Under
-    /// SSYNC
-    /// the activation policy still returns a fresh `Vec` of chosen agents
-    /// each round (that is its trait contract), so SSYNC rounds carry one
-    /// small allocation.
+    /// simulation, so with trace recording off this performs no heap
+    /// allocation under either synchrony model — including rounds with
+    /// decision predictions, which dry-run each live protocol through a
+    /// reusable probe from the engine's probe pool instead of boxing a
+    /// clone, and SSYNC rounds, whose activation policy chooses into a
+    /// reused buffer ([`ActivationPolicy::select_into`]).
     pub fn step(&mut self) -> bool {
-        self.step_impl(None)
+        self.step_forced(None)
     }
 
     /// Plays one round with the adversary's edge choice **forced** to
@@ -601,142 +618,203 @@ impl Simulation {
     /// which enumerates every edge choice per round instead of sampling one
     /// choice from a policy.
     pub fn step_with_edge(&mut self, missing: Option<EdgeId>) -> bool {
-        self.step_impl(Some(missing))
+        self.step_forced(Some(missing))
     }
 
-    fn step_impl(&mut self, forced: Option<Option<EdgeId>>) -> bool {
+    /// One round under either synchrony model; `forced` is `Some(choice)`
+    /// when the caller is the edge adversary.
+    fn step_forced(&mut self, forced: Option<Option<EdgeId>>) -> bool {
         if self.alive == 0 {
             return false;
         }
+        if self.synchrony.is_fsync() {
+            // Predictions dry-run every live protocol, so they are only
+            // computed when the edge policy will run and reads them (under
+            // FSYNC the activation policy never runs).
+            let predict = forced.is_none() && self.edges.needs_predictions();
+            let mut kernel = self.fsync_kernel();
+            kernel.round(forced, predict);
+            let counters = kernel.counters;
+            self.store_counters(counters);
+        } else {
+            self.step_ssync(forced);
+        }
+        true
+    }
+
+    /// Borrows this simulation's state as an [`FsyncKernel`]; hand the
+    /// kernel's counters back with [`Simulation::store_counters`] when it is done.
+    #[inline(always)]
+    fn fsync_kernel(&mut self) -> FsyncKernel<'_> {
+        let counters = self.counters();
+        let Simulation { ring, agents, visited, edges, trace, scratch, .. } = self;
+        // Every column is cut to exactly the team (or ring) length, so the
+        // compiler sees equal lengths and drops the round body's bounds
+        // checks.
+        let (a, n) = (agents.len(), ring.size());
+        scratch.fit_fsync(a);
+        FsyncKernel {
+            counters,
+            ring,
+            edges: edges.as_mut(),
+            node: &mut agents.node[..a],
+            held: &mut agents.held_port[..a],
+            term: &mut agents.terminated[..a],
+            hand: &agents.handedness[..a],
+            prior: &mut agents.prior[..a],
+            prog: &mut agents.program[..a],
+            moves: &mut agents.moves[..a],
+            activations: &mut agents.activations[..a],
+            last_active: &mut agents.last_active_round[..a],
+            asleep: &mut agents.asleep_on_port[..a],
+            terminated_at: &mut agents.terminated_at[..a],
+            poll: &agents.poll_termination[..a],
+            vcount: &mut agents.visited_count[..a],
+            avisited: &mut agents.visited[..a * n],
+            population: &mut agents.node_population[..n],
+            visited: &mut visited[..n],
+            views: &mut scratch.views[..a],
+            dec: &mut scratch.decisions[..a],
+            act: &mut scratch.active[..a],
+            mask: &mut scratch.active_mask[..a],
+            claim: &mut scratch.claimed[..2 * a],
+            nodes_before: &mut scratch.nodes_before[..a],
+            trace: trace.as_mut(),
+        }
+    }
+
+    fn counters(&self) -> RunCounters {
+        RunCounters {
+            round: self.round,
+            alive: self.alive,
+            unvisited: self.unvisited,
+            explored_at: self.explored_at,
+            crowded_nodes: self.agents.crowded_nodes,
+        }
+    }
+
+    /// Writes back the counters an [`FsyncKernel`] carried.
+    fn store_counters(&mut self, counters: RunCounters) {
+        self.round = counters.round;
+        self.alive = counters.alive;
+        self.unvisited = counters.unvisited;
+        self.explored_at = counters.explored_at;
+        self.agents.crowded_nodes = counters.crowded_nodes;
+    }
+
+    /// One SSYNC round: the activation policy picks the active set, the
+    /// edge adversary (or `forced`) picks the missing edge, sleepers holding
+    /// a port are carried across under passive transport.
+    #[allow(clippy::too_many_lines)]
+    fn step_ssync(&mut self, forced: Option<Option<EdgeId>>) {
         let round = self.round + 1;
         self.round = round;
-        let fsync = self.synchrony.is_fsync();
-        let record_trace = self.trace.is_some();
+        let transport_pt = self.synchrony.transport() == Some(TransportModel::PassiveTransport);
         // Predictions dry-run every live protocol, so they are only computed
-        // when a policy that will run this round declares it reads them
-        // (under FSYNC the activation policy never runs — the engine
-        // activates everyone directly). Three prediction strategies:
+        // when a policy that will run this round reads them. Two strategies:
         //
-        //  * FSYNC: every live agent is activated no matter what, so the dry
-        //    run *is* this round's Compute — decide on the live protocols at
-        //    fill time, no probe (`fill_agent_views_fsync_predict`);
-        //  * SSYNC, activation policy reads predictions: full probe pass
-        //    before the activation choice; actives are fused by swapping the
+        //  * the activation policy reads predictions: full probe pass before
+        //    the activation choice; actives are fused by swapping the
         //    post-Compute probe in;
-        //  * SSYNC, only the edge policy reads predictions: defer the
-        //    predictions until after the activation choice, so actives
-        //    decide on the live protocols and only sleepers go through a
-        //    probe (the policy declared it never reads `predicted`, so the
-        //    placeholder views it selects on are equivalent).
-        let act_pred = !fsync && self.activation.needs_predictions();
-        let edges_pred = forced.is_none() && self.edges.needs_predictions();
-        let predict = edges_pred || act_pred;
+        //  * only the edge policy reads predictions: defer them until after
+        //    the activation choice, so actives decide on the live protocols
+        //    and only sleepers go through a probe (the policy declared it
+        //    never reads `predicted`, so the placeholder views it selects on
+        //    are equivalent).
+        let act_pred = self.activation.needs_predictions();
+        let deferred = !act_pred && forced.is_none() && self.edges.needs_predictions();
+        let Simulation {
+            ring,
+            agents,
+            visited,
+            unvisited,
+            alive,
+            activation,
+            edges,
+            trace,
+            explored_at,
+            scratch,
+            ..
+        } = self;
+        let RoundScratch {
+            views,
+            active,
+            chosen,
+            active_mask,
+            decisions,
+            predicted,
+            probes,
+            nodes_before,
+            claimed,
+        } = scratch;
+        let agent_count = agents.len();
 
-        // 1. Fill + activation choice. Under FSYNC the activation policy is
-        // never consulted (everyone live is active), so the views, active
-        // set, mask and fused predictions come from one pass; under SSYNC the
-        // policy selects on a view borrowed from the scratch buffers.
-        if fsync {
-            let RoundScratch { views, predicted, active, active_mask, claimed, .. } =
-                &mut self.scratch;
-            fill_round_fsync(
-                views,
-                predicted,
-                active,
-                active_mask,
-                claimed,
-                &self.ring,
-                &mut self.agents,
-                round,
-                predict,
-            );
-        } else {
-            {
-                let RoundScratch { views, predicted, probes, .. } = &mut self.scratch;
-                fill_agent_views(
-                    views,
-                    predicted,
-                    probes,
-                    &self.ring,
-                    &self.agents,
-                    round,
-                    fsync,
-                    act_pred,
-                );
+        // 1. Fill + activation choice on a view borrowed from the scratch.
+        fill_agent_views(views, predicted, probes, ring, agents, round, false, act_pred);
+        {
+            let view = RoundView { round, ring, agents: Cow::Borrowed(views), visited };
+            active.clear();
+            chosen.clear();
+            activation.select_into(&view, chosen);
+            chosen.retain(|id| agents.terminated.get(id.index()).is_some_and(|t| !*t));
+            if chosen.len() > 1 {
+                chosen.sort_unstable();
+                chosen.dedup();
             }
-            {
-                let RoundScratch { views, active, chosen, .. } = &mut self.scratch;
-                let view = RoundView {
-                    round,
-                    ring: &self.ring,
-                    agents: Cow::Borrowed(views),
-                    visited: &self.visited,
-                };
-                active.clear();
-                chosen.clear();
-                self.activation.select_into(&view, chosen);
-                chosen.retain(|id| {
-                    self.agents.terminated.get(id.index()).is_some_and(|t| !*t)
-                });
-                if chosen.len() > 1 {
-                    chosen.sort_unstable();
-                    chosen.dedup();
-                }
-                if chosen.is_empty() {
-                    active.extend(view.alive().map(|a| a.id));
-                } else {
-                    active.extend(chosen.iter().copied());
-                }
-            }
-            // The policy result was sorted and deduplicated above (the FSYNC
-            // pass walks the agents in order by construction).
-            debug_assert!(
-                self.scratch.active.windows(2).all(|w| w[0] < w[1]),
-                "active set must be sorted and deduplicated"
-            );
-
-            self.scratch.active_mask.clear();
-            self.scratch.active_mask.resize(self.agents.len(), false);
-            for id in &self.scratch.active {
-                self.scratch.active_mask[id.index()] = true;
+            if chosen.is_empty() {
+                active.extend(view.alive().map(|a| a.id));
+            } else {
+                active.extend(chosen.iter().copied());
             }
         }
+        debug_assert!(
+            active.windows(2).all(|w| w[0] < w[1]),
+            "active set must be sorted and deduplicated"
+        );
+        active_mask.clear();
+        active_mask.resize(agent_count, false);
+        for id in active.iter() {
+            active_mask[id.index()] = true;
+        }
 
-        // Deferred predictions (SSYNC with an omniscient edge policy only):
-        // the active set is known, so actives run Compute on the live
-        // protocols (prediction fusion) and only sleepers dry-run a probe.
-        // Active decisions land straight in the decision buffer — there is
-        // no separate Look + Compute pass afterwards.
-        let deferred = predict && !fsync && !act_pred;
+        // Deferred predictions: the active set is known, so actives run
+        // Compute on the live protocols (prediction fusion) and only sleepers
+        // dry-run a probe. Active decisions land straight in the decision
+        // buffer — there is no separate Look + Compute pass afterwards.
+        decisions.clear();
+        decisions.resize(agent_count, None);
         if deferred {
             // Sleepers are only dry-run when the edge policy actually reads
             // their predictions; the paper's block-the-mover adversaries
             // all filter on the active set first.
-            let probe_sleepers = self.edges.needs_sleeper_predictions();
-            let agent_count = self.agents.len();
-            let RoundScratch { views, probes, active_mask, decisions, .. } = &mut self.scratch;
-            let views = &mut views[..agent_count];
-            let active_mask = &active_mask[..agent_count];
-            decisions.clear();
-            decisions.resize(agent_count, None);
+            let probe_sleepers = edges.needs_sleeper_predictions();
             for (index, decision_slot) in decisions.iter_mut().enumerate() {
-                if self.agents.terminated[index] {
+                if agents.terminated[index] {
                     continue;
                 }
-                let node = self.agents.node[index];
-                let handedness = self.agents.handedness[index];
-                let decision = if active_mask[index] {
-                    let snapshot = build_snapshot(&self.ring, &self.agents, index, round, fsync);
-                    let decision = self.agents.program[index].decide(&snapshot);
-                    *decision_slot = Some(decision);
-                    decision
-                } else if probe_sleepers {
-                    let snapshot = build_snapshot(&self.ring, &self.agents, index, round, fsync);
-                    probes.refresh(index, &self.agents.program[index]).decide(&snapshot)
+                let decision = if active_mask[index] || probe_sleepers {
+                    let snapshot = build_snapshot(
+                        ring,
+                        &agents.node,
+                        &agents.held_port,
+                        agents.crowded_nodes,
+                        index,
+                        agents.handedness[index],
+                        agents.prior[index],
+                        None,
+                    );
+                    if active_mask[index] {
+                        let decision = agents.program[index].decide(&snapshot);
+                        *decision_slot = Some(decision);
+                        decision
+                    } else {
+                        probes.refresh(index, &agents.program[index]).decide(&snapshot)
+                    }
                 } else {
                     continue;
                 };
-                views[index].predicted = predict_action(&self.ring, node, handedness, decision);
+                views[index].predicted =
+                    predict_action(ring, agents.node[index], agents.handedness[index], decision);
             }
         }
 
@@ -744,131 +822,201 @@ impl Simulation {
         // set). A forced round skips the policy: the caller *is* the
         // adversary.
         let missing = match forced {
-            Some(choice) => choice.filter(|e| e.index() < self.ring.size()),
+            Some(choice) => choice,
             None => {
-                let view = RoundView {
-                    round,
-                    ring: &self.ring,
-                    agents: Cow::Borrowed(&self.scratch.views),
-                    visited: &self.visited,
-                };
-                self.edges
-                    .select(&view, &self.scratch.active)
-                    .filter(|e| e.index() < self.ring.size())
+                let view = RoundView { round, ring, agents: Cow::Borrowed(views), visited };
+                edges.select(&view, active)
             }
-        };
+        }
+        .filter(|e| e.index() < ring.size());
 
-        // 3. Look + Compute for active agents, in id order. On prediction
-        // rounds this is *fused* with the prediction pass: the probe was
-        // state-copied from the live protocol and dry-run on the identical
-        // Look snapshot, so (protocols being deterministic) its decision is
-        // this round's decision and its state the post-Compute state — the
-        // probe is swapped in instead of running Look + Compute a second
-        // time.
-        if fsync && predict {
-            // The one-pass FSYNC fill already ran Compute on every live
-            // agent and recorded the decisions; terminated agents hold
-            // `None` there exactly as the resolution phase expects, so the
-            // prediction buffer simply *becomes* the decision buffer.
-            std::mem::swap(&mut self.scratch.decisions, &mut self.scratch.predicted);
-        } else if deferred {
-            // The deferred pass above filled the decision buffer in place.
-        } else {
-            self.scratch.decisions.clear();
-            self.scratch.decisions.resize(self.agents.len(), None);
-            for index in 0..self.agents.len() {
-                if !self.scratch.active_mask[index] {
+        // 3. Look + Compute for active agents, in id order. When the
+        // activation policy predicted, this is *fused* with the prediction
+        // pass: the probe was state-copied from the live protocol and
+        // dry-run on the identical Look snapshot, so (protocols being
+        // deterministic) its decision is this round's decision and its state
+        // the post-Compute state — the probe is swapped in instead of
+        // running Look + Compute a second time.
+        if !deferred {
+            for index in 0..agent_count {
+                if !active_mask[index] {
                     continue;
                 }
-                let decision = if predict {
-                    // Only the predicting-scheduler tier reaches this branch
-                    // (the FSYNC and deferred tiers were handled above), so
-                    // the probe holds the post-Compute state: swap it in.
-                    debug_assert!(act_pred);
-                    let decision = self.scratch.predicted[index]
-                        .expect("every live agent carries a prediction on prediction rounds");
-                    self.scratch.probes.swap(index, &mut self.agents.program[index]);
-                    decision
+                decisions[index] = if act_pred {
+                    probes.swap(index, &mut agents.program[index]);
+                    predicted[index]
                 } else {
-                    let snapshot = build_snapshot(&self.ring, &self.agents, index, round, fsync);
-                    self.agents.program[index].decide(&snapshot)
+                    let snapshot = build_snapshot(
+                        ring,
+                        &agents.node,
+                        &agents.held_port,
+                        agents.crowded_nodes,
+                        index,
+                        agents.handedness[index],
+                        agents.prior[index],
+                        None,
+                    );
+                    Some(agents.program[index].decide(&snapshot))
                 };
-                self.scratch.decisions[index] = Some(decision);
             }
         }
 
         // Keep the start-of-round nodes for the trace (trace-only work).
-        if record_trace {
-            self.scratch.nodes_before.clear();
-            self.scratch.nodes_before.extend_from_slice(&self.agents.node);
+        if trace.is_some() {
+            nodes_before.clear();
+            nodes_before.extend_from_slice(&agents.node);
         }
 
-        // Ports denied for the whole round: every port already held at the
-        // start of the round plus every port acquired during it ("access to
-        // the port continues to be denied … during this round"). At most one
-        // entry per agent, so an unsorted scratch vec with a linear
-        // membership scan beats both a hash set and a sorted vec. (FSYNC
-        // rounds collected the held ports during the one-pass fill; held
-        // ports only change during resolution, so the fill-time snapshot is
-        // identical.)
-        if !fsync {
-            self.scratch.claimed.clear();
-            for (node, port) in self.agents.node.iter().zip(&self.agents.held_port) {
-                if let Some(port) = port {
-                    self.scratch.claimed.push((*node, *port));
+        // 4. Port acquisition in mutual exclusion, then moves. Ports are
+        // denied for the whole round: every port already held at the start
+        // of the round plus every port acquired during it ("access to the
+        // port continues to be denied … during this round").
+        claimed.clear();
+        for (node, port) in agents.node.iter().zip(&agents.held_port) {
+            if let Some(port) = port {
+                claimed.push((*node, *port));
+            }
+        }
+        let AgentSoA {
+            node,
+            held_port,
+            terminated,
+            handedness,
+            prior,
+            program,
+            moves,
+            activations,
+            last_active_round,
+            asleep_on_port,
+            terminated_at,
+            poll_termination,
+            visited: agent_visited,
+            visited_count,
+            ring_size,
+            node_population,
+            crowded_nodes,
+        } = agents;
+        let ring_size = *ring_size;
+        let mut mark_visited = |index: usize, node_index: usize| {
+            if !visited[node_index] {
+                visited[node_index] = true;
+                *unvisited -= 1;
+            }
+            let cell = &mut agent_visited[index * ring_size + node_index];
+            if !*cell {
+                *cell = true;
+                visited_count[index] += 1;
+            }
+        };
+        for index in 0..agent_count {
+            let Some(decision) = decisions[index] else {
+                continue;
+            };
+            match decision {
+                Decision::Terminate => {
+                    *alive -= 1;
+                    terminated[index] = true;
+                    terminated_at[index] = Some(round);
+                    held_port[index] = None;
+                    prior[index] = PriorOutcome::Idle;
+                }
+                Decision::Stay => prior[index] = PriorOutcome::Idle,
+                Decision::Retreat => {
+                    held_port[index] = None;
+                    prior[index] = PriorOutcome::Idle;
+                }
+                Decision::Move(ldir) => {
+                    let gdir = to_global(handedness[index], ldir);
+                    let at = node[index];
+                    if held_port[index] != Some(gdir) {
+                        // Release any other port first, then try to acquire.
+                        held_port[index] = None;
+                        if claimed.contains(&(at, gdir)) {
+                            prior[index] = PriorOutcome::PortAcquisitionFailed;
+                            continue;
+                        }
+                        held_port[index] = Some(gdir);
+                        claimed.push((at, gdir));
+                    }
+                    if missing == Some(ring.edge_towards(at, gdir)) {
+                        prior[index] = PriorOutcome::BlockedOnPort;
+                    } else {
+                        let destination = ring.neighbor(at, gdir);
+                        node[index] = destination;
+                        held_port[index] = None;
+                        prior[index] = PriorOutcome::Moved;
+                        moves[index] += 1;
+                        AgentSoA::relocate(node_population, crowded_nodes, at, destination);
+                        mark_visited(index, destination.index());
+                    }
+                }
+            }
+            // A protocol may flag termination without returning `Terminate`
+            // (defensive; none of the paper's algorithms do).
+            if poll_termination[index] && program[index].has_terminated() && !terminated[index] {
+                *alive -= 1;
+                terminated[index] = true;
+                terminated_at[index] = Some(round);
+                held_port[index] = None;
+            }
+        }
+
+        // 5. Passive transport of sleeping agents (PT model only).
+        if transport_pt {
+            for index in 0..agent_count {
+                if active_mask[index] || terminated[index] {
+                    continue;
+                }
+                if let Some(gdir) = held_port[index] {
+                    let at = node[index];
+                    if missing != Some(ring.edge_towards(at, gdir)) {
+                        let destination = ring.neighbor(at, gdir);
+                        node[index] = destination;
+                        held_port[index] = None;
+                        prior[index] = PriorOutcome::Transported;
+                        moves[index] += 1;
+                        AgentSoA::relocate(node_population, crowded_nodes, at, destination);
+                        mark_visited(index, destination.index());
+                    }
                 }
             }
         }
 
-        // 4–6. Resolution (port acquisition in mutual exclusion, then
-        // moves), passive transport, and activation/sleep bookkeeping —
-        // shared verbatim with the batched engine via `resolve_lane`.
-        {
-            let agent_count = self.agents.len();
-            let transport_pt = self.synchrony.transport() == Some(TransportModel::PassiveTransport);
-            let lane = self.agents.lane_state_mut(
-                self.visited.as_mut_slice(),
-                &mut self.unvisited,
-                &mut self.alive,
-            );
-            resolve_lane(
-                &self.ring,
-                lane,
-                &self.scratch.decisions[..agent_count],
-                &self.scratch.active_mask[..agent_count],
-                &mut self.scratch.claimed,
-                missing,
-                round,
-                fsync,
-                transport_pt,
-            );
+        // 6. Bookkeeping: activation ages, sleep counters.
+        for index in 0..agent_count {
+            if active_mask[index] {
+                activations[index] += 1;
+                last_active_round[index] = round;
+                asleep_on_port[index] = 0;
+            } else if held_port[index].is_some() {
+                asleep_on_port[index] += 1;
+            } else {
+                asleep_on_port[index] = 0;
+            }
         }
-        if self.explored_at.is_none() && self.unvisited == 0 {
-            self.explored_at = Some(round);
+        if explored_at.is_none() && *unvisited == 0 {
+            *explored_at = Some(round);
         }
 
         // 7. Trace recording: flat columnar appends straight from the round
-        // slices (allocation-free in the recycled steady state; see
-        // `Trace::record_round_from_lane`).
-        let visited_count = self.ring.size() - self.unvisited;
-        if let Some(trace) = self.trace.as_mut() {
+        // slices (allocation-free in the recycled steady state).
+        if let Some(trace) = trace.as_mut() {
             trace.record_round_from_lane(
                 round,
                 missing,
-                visited_count,
-                self.ring.size(),
-                &self.scratch.active,
-                &self.scratch.active_mask,
-                &self.scratch.nodes_before,
-                &self.agents.node,
-                &self.agents.held_port,
-                &self.scratch.decisions,
-                &self.agents.prior,
-                &self.agents.terminated,
-                &self.agents.program,
+                ring.size() - *unvisited,
+                ring.size(),
+                active,
+                active_mask,
+                nodes_before,
+                node,
+                held_port,
+                decisions,
+                prior,
+                terminated,
+                program,
             );
         }
-        true
     }
 
     /// Runs until the stop condition holds or `max_rounds` rounds have been
@@ -887,43 +1035,52 @@ impl Simulation {
         self.report_into(reason, report);
     }
 
-    fn run_rounds(&mut self, max_rounds: u64, stop: StopCondition) -> StopReason {
-        let mut reason = StopReason::BudgetExhausted;
-        if stop == StopCondition::RoundBudget {
-            // The budget-only loop (throughput measurement) skips the
-            // per-round stop-condition dispatch.
-            for _ in 0..max_rounds {
-                if !self.step() {
-                    return StopReason::Deadlocked;
-                }
-            }
-            return reason;
+    /// Runs `self` and `other` as two [`Simulation::run_into`] calls would,
+    /// under one round budget and stop condition, but with their rounds
+    /// interleaved when both are FSYNC: `self` plays round *r*, then
+    /// `other` plays round *r*, and so on, through the same loop that plays
+    /// a single run. The two runs share no state, so each report is
+    /// byte-identical to a solo run. The batched sweep path runs
+    /// neighbouring FSYNC cells in such pairs. SSYNC runs play one after the
+    /// other.
+    pub fn run_pair_into(
+        &mut self,
+        other: &mut Simulation,
+        max_rounds: u64,
+        stop: StopCondition,
+        reports: [&mut RunReport; 2],
+    ) {
+        let [first, second] = reports;
+        if !(self.synchrony.is_fsync() && other.synchrony.is_fsync()) {
+            self.run_into(max_rounds, stop, first);
+            other.run_into(max_rounds, stop, second);
+            return;
         }
-        for _ in 0..max_rounds {
-            if self.stop_condition_met(stop) {
-                reason = StopReason::ConditionMet;
-                break;
-            }
-            if !self.step() {
-                reason = StopReason::Deadlocked;
-                break;
-            }
-        }
-        if reason == StopReason::BudgetExhausted && self.stop_condition_met(stop) {
-            reason = StopReason::ConditionMet;
-        }
-        reason
+        let mut kernels = [self.fsync_kernel(), other.fsync_kernel()];
+        let [reason, other_reason] = run_fsync(&mut kernels, max_rounds, stop);
+        let [counters, other_counters] = kernels.map(|kernel| kernel.counters);
+        self.store_counters(counters);
+        other.store_counters(other_counters);
+        self.report_into(reason, first);
+        other.report_into(other_reason, second);
     }
 
-    fn stop_condition_met(&self, stop: StopCondition) -> bool {
-        match stop {
-            StopCondition::Explored => self.explored(),
-            StopCondition::ExploredAndPartialTermination => {
-                self.explored() && self.alive < self.agents.len()
-            }
-            StopCondition::AllTerminated => self.alive == 0,
-            StopCondition::RoundBudget => false,
+    fn run_rounds(&mut self, max_rounds: u64, stop: StopCondition) -> StopReason {
+        if self.synchrony.is_fsync() {
+            let mut kernels = [self.fsync_kernel()];
+            let [reason] = run_fsync(&mut kernels, max_rounds, stop);
+            let [counters] = kernels.map(|kernel| kernel.counters);
+            self.store_counters(counters);
+            return reason;
         }
+        let agent_count = self.agents.len();
+        for _ in 0..max_rounds {
+            if let Some(reason) = self.counters().cull(stop, agent_count) {
+                return reason;
+            }
+            self.step_ssync(None);
+        }
+        self.counters().budget_reason(stop, agent_count)
     }
 
     /// Builds the report for the current state of the simulation.
@@ -963,7 +1120,16 @@ impl Simulation {
         let fsync = self.synchrony.is_fsync();
         {
             let RoundScratch { views, predicted, probes, .. } = &mut self.scratch;
-            fill_agent_views(views, predicted, probes, &self.ring, &self.agents, round, fsync, true);
+            fill_agent_views(
+                views,
+                predicted,
+                probes,
+                &self.ring,
+                &self.agents,
+                round,
+                fsync,
+                true,
+            );
         }
         RoundView {
             round,
@@ -1133,172 +1299,337 @@ impl Simulation {
     }
 }
 
-/// Resolution phase of one round — steps 4–6 of the round pipeline: port
-/// acquisition in mutual exclusion, traversals against the missing edge,
-/// passive transport of sleeping agents (PT model), and activation/sleep
-/// bookkeeping. `decisions[index]` is `Some` exactly for the agents that ran
-/// Compute this round; `claimed` must already hold every port held at the
-/// start of the round. Shared verbatim between the solo [`Simulation`] and
-/// the batched [`SimBatch`](crate::sim_batch::SimBatch) so both paths
-/// resolve rounds through the same code.
-///
-/// The per-agent state arrives as slices hoisted once per round (via
-/// [`LaneStateMut`]): the parallel vectors are re-sliced to the common
-/// length so the indexing below is bounds-check-free, and the virtual
-/// protocol calls cannot force reloads of the (noalias) slice pointers.
-#[allow(clippy::too_many_arguments)]
+/// Plays `K` FSYNC runs until each one's stop condition holds, it
+/// deadlocks, or `max_rounds` rounds have been played, returning why each
+/// stopped. With `K = 2` the two runs' rounds interleave (see
+/// [`Simulation::run_pair_into`]); a finished run sits out while its
+/// partner plays on.
 #[inline(always)]
-pub(crate) fn resolve_lane(
-    ring: &RingTopology,
-    lane: LaneStateMut<'_>,
-    decisions: &[Option<Decision>],
-    active_mask: &[bool],
-    claimed: &mut Vec<(NodeId, GlobalDirection)>,
-    missing: Option<EdgeId>,
+fn run_fsync<const K: usize>(
+    kernels: &mut [FsyncKernel<'_>; K],
+    max_rounds: u64,
+    stop: StopCondition,
+) -> [StopReason; K] {
+    const { assert!(K == 1 || K == 2, "the round loop plays one run or a pair") };
+    // `needs_predictions` takes `&self`, so its answer cannot change
+    // between rounds.
+    let predict: [bool; K] = std::array::from_fn(|k| kernels[k].edges.needs_predictions());
+    let mut reasons = [None; K];
+    for _ in 0..max_rounds {
+        for (reason, kernel) in reasons.iter_mut().zip(kernels.iter()) {
+            if reason.is_none() {
+                *reason = kernel.counters.cull(stop, kernel.node.len());
+            }
+        }
+        if reasons.iter().all(Option::is_some) {
+            break;
+        }
+        // Constant indices, not a loop over `0..K`: the round body is too
+        // large for the compiler to unroll such a loop, and only after
+        // unrolling can it keep each kernel's slices and counters in
+        // registers with their bounds checks hoisted.
+        if reasons[0].is_none() {
+            kernels[0].round(None, predict[0]);
+        }
+        if K == 2 && reasons[K - 1].is_none() {
+            kernels[K - 1].round(None, predict[K - 1]);
+        }
+    }
+    std::array::from_fn(|k| {
+        let kernel = &kernels[k];
+        reasons[k].unwrap_or_else(|| kernel.counters.budget_reason(stop, kernel.node.len()))
+    })
+}
+
+/// A run's counters. An [`FsyncKernel`] carries them by value, so they
+/// stay in registers across the round loop.
+#[derive(Clone, Copy)]
+struct RunCounters {
     round: u64,
-    fsync: bool,
-    transport_pt: bool,
-) {
-    let LaneStateMut {
-        node,
-        held_port,
-        terminated,
-        handedness,
-        prior,
-        program,
-        moves,
-        activations,
-        last_active_round,
-        asleep_on_port,
-        terminated_at,
-        poll_termination,
-        agent_visited,
-        visited_count,
-        ring_size,
-        node_population,
-        crowded_nodes,
-        global_visited,
-        unvisited,
-        alive,
-    } = lane;
-    let agent_count = node.len();
-    let decisions = &decisions[..agent_count];
-    let mut mark_visited = |index: usize, node_index: usize| {
-        if !global_visited[node_index] {
-            global_visited[node_index] = true;
-            *unvisited -= 1;
-        }
-        let cell = &mut agent_visited[index * ring_size + node_index];
-        if !*cell {
-            *cell = true;
-            visited_count[index] += 1;
-        }
-    };
-    for index in 0..agent_count {
-        let Some(decision) = decisions[index] else { continue };
-        // Under FSYNC every decider was active, so the per-agent
-        // bookkeeping (step 6) folds into this pass; terminated
-        // agents were never activated and their sleep counters are
-        // already zero.
-        if fsync {
-            activations[index] += 1;
-            last_active_round[index] = round;
-            asleep_on_port[index] = 0;
-        }
-        match decision {
-            Decision::Terminate => {
-                *alive -= 1;
-                terminated[index] = true;
-                terminated_at[index] = Some(round);
-                held_port[index] = None;
-                prior[index] = PriorOutcome::Idle;
+    alive: usize,
+    unvisited: usize,
+    explored_at: Option<u64>,
+    crowded_nodes: usize,
+}
+
+impl RunCounters {
+    /// Whether the stop condition holds for a team of `agent_count`.
+    fn stop_met(&self, stop: StopCondition, agent_count: usize) -> bool {
+        match stop {
+            StopCondition::Explored => self.explored_at.is_some(),
+            StopCondition::ExploredAndPartialTermination => {
+                self.explored_at.is_some() && self.alive < agent_count
             }
-            Decision::Stay => {
-                prior[index] = PriorOutcome::Idle;
-            }
-            Decision::Retreat => {
-                held_port[index] = None;
-                prior[index] = PriorOutcome::Idle;
-            }
-            Decision::Move(ldir) => {
-                let gdir = crate::world::to_global(handedness[index], ldir);
-                let at = node[index];
-                let already_held = held_port[index] == Some(gdir);
-                if !already_held {
-                    // Release any other port first, then try to
-                    // acquire. The target port must not have been
-                    // held or claimed by anyone else this round
-                    // (mutual exclusion).
-                    held_port[index] = None;
-                    if claimed.contains(&(at, gdir)) {
-                        prior[index] = PriorOutcome::PortAcquisitionFailed;
-                        continue;
-                    }
-                    held_port[index] = Some(gdir);
-                    claimed.push((at, gdir));
-                }
-                // Attempt the traversal.
-                let edge = ring.edge_towards(at, gdir);
-                if missing == Some(edge) {
-                    prior[index] = PriorOutcome::BlockedOnPort;
-                } else {
-                    let destination = ring.neighbor(at, gdir);
-                    node[index] = destination;
-                    held_port[index] = None;
-                    prior[index] = PriorOutcome::Moved;
-                    moves[index] += 1;
-                    AgentSoA::relocate(node_population, crowded_nodes, at, destination);
-                    mark_visited(index, destination.index());
-                }
-            }
-        }
-        // A protocol may flag termination without returning
-        // `Terminate` (defensive; none of the paper's algorithms do).
-        if poll_termination[index] && program[index].has_terminated() && !terminated[index] {
-            *alive -= 1;
-            terminated[index] = true;
-            terminated_at[index] = Some(round);
-            held_port[index] = None;
+            StopCondition::AllTerminated => self.alive == 0,
+            StopCondition::RoundBudget => false,
         }
     }
 
-    // 5. Passive transport of sleeping agents (PT model only).
-    if transport_pt {
-        let active_mask = &active_mask[..agent_count];
-        for index in 0..agent_count {
-            if active_mask[index] || terminated[index] {
+    /// The run loop's check before every round: `Some` reason if the run
+    /// must stop now (its condition holds, or no agent is left to step).
+    #[inline]
+    fn cull(&self, stop: StopCondition, agent_count: usize) -> Option<StopReason> {
+        if self.stop_met(stop, agent_count) {
+            Some(StopReason::ConditionMet)
+        } else if self.alive == 0 {
+            Some(StopReason::Deadlocked)
+        } else {
+            None
+        }
+    }
+
+    /// Why a run that used up its round budget stopped: a run whose
+    /// condition holds after the last budgeted round still reports
+    /// `ConditionMet`.
+    fn budget_reason(&self, stop: StopCondition, agent_count: usize) -> StopReason {
+        if self.stop_met(stop, agent_count) {
+            StopReason::ConditionMet
+        } else {
+            StopReason::BudgetExhausted
+        }
+    }
+}
+
+/// One FSYNC run's state, borrowed out of a [`Simulation`] for one step or
+/// a whole run: the agent columns and the round scratch as slices (sized to
+/// the team once, so the round body does no `Vec` bookkeeping), the
+/// run-level counters by value. [`FsyncKernel::round`] is the engine's only
+/// FSYNC round body; `step`, `step_with_edge`, `run_into` and
+/// `run_pair_into` all play their FSYNC rounds through it.
+struct FsyncKernel<'s> {
+    counters: RunCounters,
+    ring: &'s RingTopology,
+    edges: &'s mut dyn EdgePolicy,
+    node: &'s mut [NodeId],
+    held: &'s mut [Option<GlobalDirection>],
+    term: &'s mut [bool],
+    hand: &'s [Handedness],
+    prior: &'s mut [PriorOutcome],
+    prog: &'s mut [AgentProgram],
+    moves: &'s mut [u64],
+    activations: &'s mut [u64],
+    last_active: &'s mut [u64],
+    asleep: &'s mut [u64],
+    terminated_at: &'s mut [Option<u64>],
+    poll: &'s [bool],
+    vcount: &'s mut [usize],
+    avisited: &'s mut [bool],
+    population: &'s mut [u32],
+    visited: &'s mut [bool],
+    views: &'s mut [AgentView],
+    dec: &'s mut [Option<Decision>],
+    act: &'s mut [AgentId],
+    mask: &'s mut [bool],
+    claim: &'s mut [(NodeId, GlobalDirection)],
+    nodes_before: &'s mut [NodeId],
+    trace: Option<&'s mut Trace>,
+}
+
+impl FsyncKernel<'_> {
+    /// Look + Compute for every live agent, in id order.
+    #[inline(always)]
+    fn compute(&mut self, round: u64) {
+        for index in 0..self.node.len() {
+            if self.term[index] {
                 continue;
             }
-            if let Some(gdir) = held_port[index] {
-                let at = node[index];
-                let edge = ring.edge_towards(at, gdir);
-                if missing != Some(edge) {
-                    let destination = ring.neighbor(at, gdir);
-                    node[index] = destination;
-                    held_port[index] = None;
-                    prior[index] = PriorOutcome::Transported;
-                    moves[index] += 1;
-                    AgentSoA::relocate(node_population, crowded_nodes, at, destination);
-                    mark_visited(index, destination.index());
-                }
-            }
+            let snapshot = build_snapshot(
+                self.ring,
+                self.node,
+                self.held,
+                self.counters.crowded_nodes,
+                index,
+                self.hand[index],
+                self.prior[index],
+                Some(round),
+            );
+            self.dec[index] = Some(self.prog[index].decide(&snapshot));
         }
     }
 
-    // 6. Bookkeeping: activation ages, sleep counters (FSYNC rounds
-    // folded this into the resolution pass above).
-    if !fsync {
-        let active_mask = &active_mask[..agent_count];
-        for index in 0..agent_count {
-            if active_mask[index] {
-                activations[index] += 1;
-                last_active_round[index] = round;
-                asleep_on_port[index] = 0;
-            } else if held_port[index].is_some() {
-                asleep_on_port[index] += 1;
-            } else {
-                asleep_on_port[index] = 0;
+    /// Plays one FSYNC round: every live agent is active. `forced` is
+    /// `Some(choice)` when the caller picks the missing edge instead of the
+    /// edge policy; `predict` (only without `forced`) dry-runs the
+    /// protocols so the policy sees each agent's intent — under FSYNC the
+    /// dry run *is* this round's Compute, so it runs on the live protocols
+    /// before the adversary moves instead of after.
+    #[inline(always)]
+    #[allow(clippy::too_many_lines)]
+    fn round(&mut self, forced: Option<Option<EdgeId>>, predict: bool) {
+        let a = self.node.len();
+        let n = self.visited.len();
+        self.counters.round += 1;
+        let r = self.counters.round;
+        // Start-of-round state for the trace (trace-only work): the active
+        // set is exactly the agents live at the start of the round.
+        if self.trace.is_some() {
+            self.nodes_before.copy_from_slice(self.node);
+            for index in 0..a {
+                self.mask[index] = !self.term[index];
             }
+        }
+        if predict {
+            self.compute(r);
+        }
+        // The active set, the start-of-round port claims and (for the edge
+        // policy) the views — straight-line array work, no calls.
+        let mut active_len = 0;
+        let mut claimed_len = 0;
+        for index in 0..a {
+            let is_terminated = self.term[index];
+            let at = self.node[index];
+            let held = self.held[index];
+            if is_terminated {
+                self.dec[index] = None;
+            } else {
+                self.act[active_len] = AgentId::new(index);
+                active_len += 1;
+            }
+            if let Some(port) = held {
+                self.claim[claimed_len] = (at, port);
+                claimed_len += 1;
+            }
+            if forced.is_none() {
+                let hand = self.hand[index];
+                let predicted = match self.dec[index] {
+                    _ if is_terminated => PredictedAction::Terminate,
+                    Some(decision) if predict => predict_action(self.ring, at, hand, decision),
+                    _ => PredictedAction::Stay,
+                };
+                self.views[index] = AgentView {
+                    id: AgentId::new(index),
+                    node: at,
+                    held_port: held,
+                    terminated: is_terminated,
+                    handedness: hand,
+                    predicted,
+                    last_active_round: self.last_active[index],
+                    asleep_on_port: self.asleep[index],
+                    moves: self.moves[index],
+                };
+            }
+        }
+        // The adversary sees the round view and picks the missing edge — or
+        // the caller already has.
+        let missing = match forced {
+            Some(choice) => choice,
+            None => {
+                let view = RoundView {
+                    round: r,
+                    ring: self.ring,
+                    agents: Cow::Borrowed(&self.views[..]),
+                    visited: &self.visited[..],
+                };
+                self.edges.select(&view, &self.act[..active_len])
+            }
+        }
+        .filter(|e| e.index() < n);
+        if !predict {
+            self.compute(r);
+        }
+        // Resolution + bookkeeping: port acquisition in mutual exclusion,
+        // then moves. Every agent of the active set decided this round, and
+        // PT never applies to FSYNC.
+        for k in 0..active_len {
+            let index = self.act[k].index();
+            let Some(decision) = self.dec[index] else {
+                continue;
+            };
+            self.activations[index] += 1;
+            self.last_active[index] = r;
+            self.asleep[index] = 0;
+            match decision {
+                Decision::Terminate => {
+                    self.counters.alive -= 1;
+                    self.term[index] = true;
+                    self.terminated_at[index] = Some(r);
+                    self.held[index] = None;
+                    self.prior[index] = PriorOutcome::Idle;
+                }
+                Decision::Stay => self.prior[index] = PriorOutcome::Idle,
+                Decision::Retreat => {
+                    self.held[index] = None;
+                    self.prior[index] = PriorOutcome::Idle;
+                }
+                Decision::Move(ldir) => {
+                    // A prediction round already resolved the local direction
+                    // against the topology for the adversary; reuse it.
+                    let at = self.node[index];
+                    let (gdir, edge) = match self.views[index].predicted {
+                        PredictedAction::Move { edge, direction } if predict => (direction, edge),
+                        _ => {
+                            let g = to_global(self.hand[index], ldir);
+                            (g, self.ring.edge_towards(at, g))
+                        }
+                    };
+                    if self.held[index] != Some(gdir) {
+                        // Release any other port first, then try to acquire.
+                        self.held[index] = None;
+                        if self.claim[..claimed_len].contains(&(at, gdir)) {
+                            self.prior[index] = PriorOutcome::PortAcquisitionFailed;
+                            continue;
+                        }
+                        self.held[index] = Some(gdir);
+                        self.claim[claimed_len] = (at, gdir);
+                        claimed_len += 1;
+                    }
+                    if missing == Some(edge) {
+                        self.prior[index] = PriorOutcome::BlockedOnPort;
+                    } else {
+                        let destination = self.ring.neighbor(at, gdir);
+                        self.node[index] = destination;
+                        self.held[index] = None;
+                        self.prior[index] = PriorOutcome::Moved;
+                        self.moves[index] += 1;
+                        AgentSoA::relocate(
+                            self.population,
+                            &mut self.counters.crowded_nodes,
+                            at,
+                            destination,
+                        );
+                        let node_index = destination.index();
+                        if !self.visited[node_index] {
+                            self.visited[node_index] = true;
+                            self.counters.unvisited -= 1;
+                        }
+                        let cell = &mut self.avisited[index * n + node_index];
+                        if !*cell {
+                            *cell = true;
+                            self.vcount[index] += 1;
+                        }
+                    }
+                }
+            }
+            // A protocol may flag termination without returning `Terminate`
+            // (defensive; none of the paper's algorithms do).
+            if self.poll[index] && self.prog[index].has_terminated() && !self.term[index] {
+                self.counters.alive -= 1;
+                self.term[index] = true;
+                self.terminated_at[index] = Some(r);
+                self.held[index] = None;
+            }
+        }
+        if self.counters.explored_at.is_none() && self.counters.unvisited == 0 {
+            self.counters.explored_at = Some(r);
+        }
+        // Trace recording: flat columnar appends straight from the round
+        // slices (allocation-free in the recycled steady state).
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record_round_from_lane(
+                r,
+                missing,
+                n - self.counters.unvisited,
+                n,
+                &self.act[..active_len],
+                self.mask,
+                self.nodes_before,
+                self.node,
+                self.held,
+                self.dec,
+                self.prior,
+                self.term,
+                self.prog,
+            );
         }
     }
 }
@@ -1581,6 +1912,86 @@ mod tests {
         sim.recycle(&big);
         assert!(sim.trace().is_none(), "recycling a trace-off spec drops the trace");
         assert_eq!(sim.run(40, StopCondition::RoundBudget), reference);
+    }
+
+    fn two_agent_spec(n: usize, starts: [usize; 2], synchrony: SynchronyModel) -> RunSpec {
+        let agents = starts
+            .iter()
+            .map(|&start| {
+                AgentSpec::new(
+                    NodeId::new(start),
+                    Handedness::LeftIsCcw,
+                    Box::new(KnownBound::new(n)) as Box<dyn Protocol>,
+                )
+            })
+            .collect();
+        RunSpec::new(RingTopology::new(n).unwrap(), synchrony, agents, false).unwrap()
+    }
+
+    #[test]
+    fn paired_runs_match_solo_runs_and_recycle_identically() {
+        let n = 8;
+        let specs: Vec<RunSpec> = (0..4)
+            .map(|shift| two_agent_spec(n, [shift, shift + 2], SynchronyModel::Fsync))
+            .collect();
+        let solo: Vec<RunReport> = specs
+            .iter()
+            .map(|spec| {
+                spec.instantiate(
+                    Box::new(FullActivation),
+                    Box::new(BlockAgent::new(AgentId::new(0))),
+                )
+                .run(200, StopCondition::AllTerminated)
+            })
+            .collect();
+        let mut sims: Vec<Simulation> = specs
+            .iter()
+            .map(|spec| {
+                spec.instantiate(
+                    Box::new(FullActivation),
+                    Box::new(BlockAgent::new(AgentId::new(0))),
+                )
+            })
+            .collect();
+        let mut reports = vec![RunReport::default(); 4];
+        // A second generation recycles every simulation and must reproduce
+        // the same reports.
+        for _ in 0..2 {
+            for (sim, spec) in sims.iter_mut().zip(&specs) {
+                sim.recycle(spec);
+            }
+            for (pair, out) in sims.chunks_exact_mut(2).zip(reports.chunks_exact_mut(2)) {
+                let (left, right) = pair.split_at_mut(1);
+                let (first, second) = out.split_at_mut(1);
+                left[0].run_pair_into(
+                    &mut right[0],
+                    200,
+                    StopCondition::AllTerminated,
+                    [&mut first[0], &mut second[0]],
+                );
+            }
+            assert_eq!(reports, solo);
+        }
+        // SSYNC pairs play one after the other, with the same result.
+        let ssync = SynchronyModel::Ssync(TransportModel::PassiveTransport);
+        let (spec, other_spec) =
+            (two_agent_spec(n, [0, 3], ssync), two_agent_spec(n, [1, 5], ssync));
+        let build = |spec: &RunSpec| {
+            spec.instantiate(Box::new(RoundRobinSingle::new()), Box::new(NoRemoval))
+        };
+        let expected = [
+            build(&spec).run(300, StopCondition::Explored),
+            build(&other_spec).run(300, StopCondition::Explored),
+        ];
+        let mut out = [RunReport::default(), RunReport::default()];
+        let [first, second] = &mut out;
+        build(&spec).run_pair_into(
+            &mut build(&other_spec),
+            300,
+            StopCondition::Explored,
+            [first, second],
+        );
+        assert_eq!(out, expected);
     }
 
     #[test]

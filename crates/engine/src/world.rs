@@ -290,10 +290,10 @@ impl AgentSoA {
     }
 
     /// Re-initialises the whole team in place from per-agent templates: every
-    /// parallel vector is cleared and refilled (capacity reused — no
-    /// allocation when the shape matches a previous run, and vector growth is
-    /// the only allocation when it does not), and each agent's program copies
-    /// the template's pristine state through
+    /// parallel vector is refilled (capacity reused — no allocation when the
+    /// shape matches a previous run, and vector growth is the only
+    /// allocation when it does not), and each agent's program copies the
+    /// template's pristine state through
     /// [`AgentProgram::clone_from_program`] (falling back to a fresh program
     /// clone on a representation mismatch). This is the team half of
     /// [`Simulation::recycle`](crate::sim::Simulation::recycle).
@@ -303,33 +303,31 @@ impl AgentSoA {
         specs: impl ExactSizeIterator<Item = (NodeId, Handedness, &'a AgentProgram)>,
     ) {
         let count = specs.len();
+        if self.ring_size == ring_size && self.node_population.len() == ring_size {
+            // Every agent stands on exactly one node, so undoing the agents'
+            // positions zeroes the occupancy index in O(agents), not O(n).
+            for node in &self.node {
+                self.node_population[node.index()] -= 1;
+            }
+            debug_assert!(self.node_population.iter().all(|p| *p == 0));
+        } else {
+            refill(&mut self.node_population, ring_size, 0);
+        }
         self.ring_size = ring_size;
         self.node.clear();
         self.handedness.clear();
-        self.held_port.clear();
-        self.held_port.resize(count, None);
-        self.terminated.clear();
-        self.terminated.resize(count, false);
-        self.prior.clear();
-        self.prior.resize(count, PriorOutcome::Idle);
-        self.moves.clear();
-        self.moves.resize(count, 0);
-        self.activations.clear();
-        self.activations.resize(count, 0);
-        self.last_active_round.clear();
-        self.last_active_round.resize(count, 0);
-        self.asleep_on_port.clear();
-        self.asleep_on_port.resize(count, 0);
-        self.terminated_at.clear();
-        self.terminated_at.resize(count, None);
         self.poll_termination.clear();
+        refill(&mut self.held_port, count, None);
+        refill(&mut self.terminated, count, false);
+        refill(&mut self.prior, count, PriorOutcome::Idle);
+        refill(&mut self.moves, count, 0);
+        refill(&mut self.activations, count, 0);
+        refill(&mut self.last_active_round, count, 0);
+        refill(&mut self.asleep_on_port, count, 0);
+        refill(&mut self.terminated_at, count, None);
+        refill(&mut self.visited, count * ring_size, false);
+        refill(&mut self.visited_count, count, 1);
         self.program.truncate(count);
-        self.visited.clear();
-        self.visited.resize(count * ring_size, false);
-        self.visited_count.clear();
-        self.visited_count.resize(count, 1);
-        self.node_population.clear();
-        self.node_population.resize(ring_size, 0);
         self.crowded_nodes = 0;
         for (index, (node, handedness, template)) in specs.enumerate() {
             debug_assert!(node.index() < ring_size, "RunSpec starts are validated");
@@ -396,126 +394,18 @@ impl AgentSoA {
     pub(crate) fn all_terminated(&self) -> bool {
         self.terminated.iter().all(|t| *t)
     }
-
-    /// Splits the team into the immutable hot-state [`LaneRef`] plus the
-    /// mutable program slice — the borrow shape shared by the solo round
-    /// loop and the batched engine, so [`fill_round_fsync`] and friends run
-    /// on exactly the same slices either way.
-    #[inline(always)]
-    pub(crate) fn lane_split(&mut self) -> (LaneRef<'_>, &mut [AgentProgram]) {
-        (
-            LaneRef {
-                node: &self.node,
-                held_port: &self.held_port,
-                terminated: &self.terminated,
-                handedness: &self.handedness,
-                prior: &self.prior,
-                last_active_round: &self.last_active_round,
-                asleep_on_port: &self.asleep_on_port,
-                moves: &self.moves,
-                crowded_nodes: self.crowded_nodes,
-            },
-            &mut self.program,
-        )
-    }
-
-    /// Immutable variant of [`AgentSoA::lane_split`].
-    #[inline(always)]
-    pub(crate) fn lane_ref(&self) -> (LaneRef<'_>, &[AgentProgram]) {
-        (
-            LaneRef {
-                node: &self.node,
-                held_port: &self.held_port,
-                terminated: &self.terminated,
-                handedness: &self.handedness,
-                prior: &self.prior,
-                last_active_round: &self.last_active_round,
-                asleep_on_port: &self.asleep_on_port,
-                moves: &self.moves,
-                crowded_nodes: self.crowded_nodes,
-            },
-            &self.program,
-        )
-    }
-
-    /// Borrows the team's complete mutable state as a [`LaneStateMut`] for
-    /// the resolution phase, joined with the run-level visit map and
-    /// liveness counters that live outside the SoA.
-    #[inline(always)]
-    pub(crate) fn lane_state_mut<'a>(
-        &'a mut self,
-        global_visited: &'a mut [bool],
-        unvisited: &'a mut usize,
-        alive: &'a mut usize,
-    ) -> LaneStateMut<'a> {
-        LaneStateMut {
-            node: &mut self.node,
-            held_port: &mut self.held_port,
-            terminated: &mut self.terminated,
-            handedness: &self.handedness,
-            prior: &mut self.prior,
-            program: &mut self.program,
-            moves: &mut self.moves,
-            activations: &mut self.activations,
-            last_active_round: &mut self.last_active_round,
-            asleep_on_port: &mut self.asleep_on_port,
-            terminated_at: &mut self.terminated_at,
-            poll_termination: &self.poll_termination,
-            agent_visited: &mut self.visited,
-            visited_count: &mut self.visited_count,
-            ring_size: self.ring_size,
-            node_population: &mut self.node_population,
-            crowded_nodes: &mut self.crowded_nodes,
-            global_visited,
-            unvisited,
-            alive,
-        }
-    }
 }
 
-/// Borrowed, storage-agnostic view of one run's hot agent state: parallel
-/// slices indexed by agent. The solo [`Simulation`](crate::sim::Simulation)
-/// derives it from its [`AgentSoA`]; the batched engine
-/// ([`SimBatch`](crate::sim_batch::SimBatch)) derives it from one lane's
-/// stride of its run-major flat arrays — both then run the **same** fill,
-/// Look and resolution code, which is what makes the batched path
-/// byte-identical by construction.
-pub(crate) struct LaneRef<'a> {
-    pub node: &'a [NodeId],
-    pub held_port: &'a [Option<GlobalDirection>],
-    pub terminated: &'a [bool],
-    pub handedness: &'a [Handedness],
-    pub prior: &'a [PriorOutcome],
-    pub last_active_round: &'a [u64],
-    pub asleep_on_port: &'a [u64],
-    pub moves: &'a [u64],
-    pub crowded_nodes: usize,
-}
-
-/// Mutable counterpart of [`LaneRef`] for the resolution phase: one run's
-/// complete mutable state (agent slices plus the run-level visit map and
-/// liveness counters), again shared between the solo and batched engines.
-pub(crate) struct LaneStateMut<'a> {
-    pub node: &'a mut [NodeId],
-    pub held_port: &'a mut [Option<GlobalDirection>],
-    pub terminated: &'a mut [bool],
-    pub handedness: &'a [Handedness],
-    pub prior: &'a mut [PriorOutcome],
-    pub program: &'a mut [AgentProgram],
-    pub moves: &'a mut [u64],
-    pub activations: &'a mut [u64],
-    pub last_active_round: &'a mut [u64],
-    pub asleep_on_port: &'a mut [u64],
-    pub terminated_at: &'a mut [Option<u64>],
-    pub poll_termination: &'a [bool],
-    pub agent_visited: &'a mut [bool],
-    pub visited_count: &'a mut [usize],
-    pub ring_size: usize,
-    pub node_population: &'a mut [u32],
-    pub crowded_nodes: &'a mut usize,
-    pub global_visited: &'a mut [bool],
-    pub unvisited: &'a mut usize,
-    pub alive: &'a mut usize,
+/// Sets `column` to `len` copies of `value`, in place: a plain fill when the
+/// length already matches (the recycled steady state), a clear and resize
+/// otherwise.
+pub(crate) fn refill<T: Clone>(column: &mut Vec<T>, len: usize, value: T) {
+    if column.len() == len {
+        column.fill(value);
+    } else {
+        column.clear();
+        column.resize(len, value);
+    }
 }
 
 /// A pool of reusable protocol *probe* instances, one slot per agent.
@@ -682,10 +572,9 @@ impl RoundView<'_> {
 /// the round loop can *fuse* the prediction with the actual Compute step: the
 /// protocols are deterministic and the snapshot at Look time is identical, so
 /// the dry run already produced both this round's decision and the
-/// post-Compute state. (FSYNC rounds use [`fill_round_fsync`] instead,
-/// which skips the probes entirely.)
+/// post-Compute state. (The FSYNC round kernel fills its views itself and
+/// runs its predictions on the live protocols.)
 #[allow(clippy::too_many_arguments)]
-#[inline(always)]
 pub(crate) fn fill_agent_views(
     views: &mut Vec<AgentView>,
     predicted_decisions: &mut Vec<Option<Decision>>,
@@ -696,126 +585,29 @@ pub(crate) fn fill_agent_views(
     fsync: bool,
     predict: bool,
 ) {
-    let (lane, programs) = agents.lane_ref();
-    fill_agent_views_lane(
-        views,
-        predicted_decisions,
-        probes,
-        ring,
-        &lane,
-        programs,
-        round,
-        fsync,
-        predict,
-    );
-}
-
-/// Slice-based body of [`fill_agent_views`], shared with the batched engine
-/// (which passes one lane's stride of its run-major arrays).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn fill_agent_views_lane(
-    views: &mut Vec<AgentView>,
-    predicted_decisions: &mut Vec<Option<Decision>>,
-    probes: &mut ProbePool,
-    ring: &RingTopology,
-    lane: &LaneRef<'_>,
-    programs: &[AgentProgram],
-    round: u64,
-    fsync: bool,
-    predict: bool,
-) {
-    predicted_decisions.clear();
-    predicted_decisions.resize(lane.node.len(), None);
-    if predict {
-        for (index, slot) in predicted_decisions.iter_mut().enumerate() {
-            if lane.terminated[index] {
-                continue;
-            }
-            let snapshot = build_snapshot_lane(ring, lane, index, round, fsync);
-            let probe = probes.refresh(index, &programs[index]);
-            *slot = Some(probe.decide(&snapshot));
-        }
-    }
-    fill_views_from_decisions(views, ring, lane, predicted_decisions, predict);
-}
-
-/// One-pass start of an FSYNC round: refills the agent views, the active set
-/// (every live agent — full synchrony ignores the activation policy), the
-/// activation mask, the claimed-port list (held ports only change during
-/// resolution, so the fill-time snapshot is the start-of-round truth) and,
-/// when `predict` is set, the fused predictions, all in a single traversal
-/// of the hot slices. Under FSYNC the prediction dry run
-/// *is* this round's Compute (see [`fill_agent_views_fsync_predict`]), so the
-/// recorded decisions are reused verbatim by the resolution phase.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn fill_round_fsync(
-    views: &mut Vec<AgentView>,
-    predicted_decisions: &mut Vec<Option<Decision>>,
-    active: &mut Vec<AgentId>,
-    active_mask: &mut Vec<bool>,
-    claimed: &mut Vec<(NodeId, GlobalDirection)>,
-    ring: &RingTopology,
-    agents: &mut AgentSoA,
-    round: u64,
-    predict: bool,
-) {
-    let (lane, programs) = agents.lane_split();
-    fill_round_fsync_lane(
-        views,
-        predicted_decisions,
-        active,
-        active_mask,
-        claimed,
-        ring,
-        &lane,
-        programs,
-        round,
-        predict,
-    );
-}
-
-/// Slice-based body of [`fill_round_fsync`], shared with the batched engine
-/// (which passes one lane's stride of its run-major arrays).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn fill_round_fsync_lane(
-    views: &mut Vec<AgentView>,
-    predicted_decisions: &mut Vec<Option<Decision>>,
-    active: &mut Vec<AgentId>,
-    active_mask: &mut Vec<bool>,
-    claimed: &mut Vec<(NodeId, GlobalDirection)>,
-    ring: &RingTopology,
-    lane: &LaneRef<'_>,
-    programs: &mut [AgentProgram],
-    round: u64,
-    predict: bool,
-) {
-    views.clear();
-    active.clear();
-    active_mask.clear();
-    claimed.clear();
-    let count = lane.node.len();
+    let round_hint = if fsync { Some(round) } else { None };
+    let count = agents.len();
     predicted_decisions.clear();
     predicted_decisions.resize(count, None);
-    for (index, predicted_slot) in predicted_decisions.iter_mut().enumerate().take(count) {
-        let is_terminated = lane.terminated[index];
-        let node = lane.node[index];
-        let held_port = lane.held_port[index];
-        let handedness = lane.handedness[index];
-        active_mask.push(!is_terminated);
-        if !is_terminated {
-            active.push(AgentId::new(index));
-        }
-        if let Some(port) = held_port {
-            claimed.push((node, port));
-        }
-        let predicted = if is_terminated {
+    views.clear();
+    for (index, predicted_slot) in predicted_decisions.iter_mut().enumerate() {
+        let node = agents.node[index];
+        let handedness = agents.handedness[index];
+        let terminated = agents.terminated[index];
+        let predicted = if terminated {
             PredictedAction::Terminate
         } else if predict {
-            let snapshot = build_snapshot_lane(ring, lane, index, round, true);
-            let decision = programs[index].decide(&snapshot);
+            let snapshot = build_snapshot(
+                ring,
+                &agents.node,
+                &agents.held_port,
+                agents.crowded_nodes,
+                index,
+                handedness,
+                agents.prior[index],
+                round_hint,
+            );
+            let decision = probes.refresh(index, &agents.program[index]).decide(&snapshot);
             *predicted_slot = Some(decision);
             predict_action(ring, node, handedness, decision)
         } else {
@@ -824,119 +616,62 @@ pub(crate) fn fill_round_fsync_lane(
         views.push(AgentView {
             id: AgentId::new(index),
             node,
-            held_port,
-            terminated: is_terminated,
+            held_port: agents.held_port[index],
+            terminated,
             handedness,
             predicted,
-            last_active_round: lane.last_active_round[index],
-            asleep_on_port: lane.asleep_on_port[index],
-            moves: lane.moves[index],
+            last_active_round: agents.last_active_round[index],
+            asleep_on_port: agents.asleep_on_port[index],
+            moves: agents.moves[index],
         });
     }
 }
 
-/// Shared second pass of the fill functions: one [`AgentView`] per agent from
-/// the hot slices plus the already-computed decisions. The slices are
-/// re-sliced to a common length up front so the indexing below is
-/// bounds-check-free.
-fn fill_views_from_decisions(
-    views: &mut Vec<AgentView>,
-    ring: &RingTopology,
-    lane: &LaneRef<'_>,
-    predicted_decisions: &[Option<Decision>],
-    predict: bool,
-) {
-    views.clear();
-    let count = lane.node.len();
-    let node = &lane.node[..count];
-    let held_port = &lane.held_port[..count];
-    let terminated = &lane.terminated[..count];
-    let handedness = &lane.handedness[..count];
-    let last_active_round = &lane.last_active_round[..count];
-    let asleep_on_port = &lane.asleep_on_port[..count];
-    let moves = &lane.moves[..count];
-    let predicted_decisions = &predicted_decisions[..count];
-    for index in 0..count {
-        let predicted = if terminated[index] {
-            PredictedAction::Terminate
-        } else if predict {
-            let decision = predicted_decisions[index]
-                .expect("every live agent carries a prediction on prediction rounds");
-            predict_action(ring, node[index], handedness[index], decision)
-        } else {
-            PredictedAction::Stay
-        };
-        views.push(AgentView {
-            id: AgentId::new(index),
-            node: node[index],
-            held_port: held_port[index],
-            terminated: terminated[index],
-            handedness: handedness[index],
-            predicted,
-            last_active_round: last_active_round[index],
-            asleep_on_port: asleep_on_port[index],
-            moves: moves[index],
-        });
-    }
-}
-
-/// Builds the **Look** snapshot of agent `observer` given the positions of
-/// all agents (the paper's Look operation: own position, other agents at the
-/// same node, landmark flag, own previous outcome). The occupancy loop is a
-/// straight pass over the two dense hot slices of the [`AgentSoA`].
+/// Builds the **Look** snapshot of agent `observer` from the team's
+/// positions and held ports (the paper's Look operation: own position,
+/// other agents at the same node, landmark flag, own previous outcome).
+/// While no node holds two agents (`crowded_nodes == 0`, tracked
+/// incrementally) every occupancy is trivially empty and the scan over the
+/// team is skipped. `round_hint` is the round under FSYNC, `None` under
+/// SSYNC.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn build_snapshot(
     ring: &RingTopology,
-    agents: &AgentSoA,
+    node: &[NodeId],
+    held_port: &[Option<GlobalDirection>],
+    crowded_nodes: usize,
     observer: usize,
-    round: u64,
-    fsync: bool,
+    handedness: Handedness,
+    prior: PriorOutcome,
+    round_hint: Option<u64>,
 ) -> Snapshot {
-    let (lane, _) = agents.lane_ref();
-    build_snapshot_lane(ring, &lane, observer, round, fsync)
-}
-
-/// Slice-based body of [`build_snapshot`], shared with the batched engine.
-#[inline(always)]
-pub(crate) fn build_snapshot_lane(
-    ring: &RingTopology,
-    lane: &LaneRef<'_>,
-    observer: usize,
-    round: u64,
-    fsync: bool,
-) -> Snapshot {
-    let count = lane.node.len();
-    let node = &lane.node[..count];
-    let held_port = &lane.held_port[..count];
     let observer_node = node[observer];
-    let observer_handedness = lane.handedness[observer];
     let mut occupancy = NodeOccupancy::default();
-    // While no node holds two agents (tracked incrementally), every
-    // observer's occupancy is trivially empty and the team scan is skipped.
-    if lane.crowded_nodes > 0 {
-        for index in 0..count {
-            if index == observer || node[index] != observer_node {
+    if crowded_nodes > 0 {
+        for (index, (at, held)) in node.iter().zip(held_port).enumerate() {
+            if index == observer || *at != observer_node {
                 continue;
             }
-            match held_port[index] {
+            match held {
                 None => occupancy.in_node += 1,
-                Some(gdir) => match to_local(observer_handedness, gdir) {
+                Some(gdir) => match to_local(handedness, *gdir) {
                     LocalDirection::Left => occupancy.on_left_port += 1,
                     LocalDirection::Right => occupancy.on_right_port += 1,
                 },
             }
         }
     }
-    let position = match lane.held_port[observer] {
+    let position = match held_port[observer] {
         None => LocalPosition::InNode,
-        Some(gdir) => LocalPosition::OnPort(to_local(observer_handedness, gdir)),
+        Some(gdir) => LocalPosition::OnPort(to_local(handedness, gdir)),
     };
     Snapshot {
         position,
         is_landmark: ring.is_landmark(observer_node),
         occupancy,
-        prior: lane.prior[observer],
-        round_hint: if fsync { Some(round) } else { None },
+        prior,
+        round_hint,
     }
 }
 
@@ -1006,6 +741,24 @@ mod tests {
         }
     }
 
+    fn snapshot_of(
+        ring: &RingTopology,
+        agents: &AgentSoA,
+        observer: usize,
+        round_hint: Option<u64>,
+    ) -> Snapshot {
+        build_snapshot(
+            ring,
+            &agents.node,
+            &agents.held_port,
+            agents.crowded_nodes,
+            observer,
+            agents.handedness[observer],
+            agents.prior[observer],
+            round_hint,
+        )
+    }
+
     #[test]
     fn snapshot_sees_other_agents_in_the_observers_frame() {
         let ring = RingTopology::with_landmark(6, NodeId::new(2)).unwrap();
@@ -1020,7 +773,7 @@ mod tests {
         // Agent 1 is waiting on the CCW port of node 2.
         agents.held_port[1] = Some(GlobalDirection::Ccw);
 
-        let snap0 = build_snapshot(&ring, &agents, 0, 7, true);
+        let snap0 = snapshot_of(&ring, &agents, 0, Some(7));
         // Observer 0 (left = CCW) sees agent 1 on its *left* port.
         assert_eq!(snap0.occupancy.on_left_port, 1);
         assert_eq!(snap0.occupancy.on_right_port, 0);
@@ -1030,13 +783,13 @@ mod tests {
         assert_eq!(snap0.position, LocalPosition::InNode);
 
         // Observer 1 (left = CW) is itself on the CCW port, i.e. its right port.
-        let snap1 = build_snapshot(&ring, &agents, 1, 7, false);
+        let snap1 = snapshot_of(&ring, &agents, 1, None);
         assert_eq!(snap1.position, LocalPosition::OnPort(LocalDirection::Right));
         assert_eq!(snap1.occupancy.in_node, 1);
         assert_eq!(snap1.round_hint, None);
 
         // Agent 2 is alone on node 3.
-        let snap2 = build_snapshot(&ring, &agents, 2, 7, true);
+        let snap2 = snapshot_of(&ring, &agents, 2, Some(7));
         assert_eq!(snap2.occupancy.total(), 0);
         assert!(!snap2.is_landmark);
     }

@@ -231,10 +231,10 @@ impl Supervisor {
                 return Err(ServiceError::Killed { cell: kill_at.expect("empty wave has a kill") });
             }
 
-            // Consecutive first-attempt cells with the same batch shape ride
-            // the engine's batched lockstep path as one lane group; retries
-            // and shape changes run as singleton groups (which
-            // `ScenarioBatchRunner` executes on its solo path).
+            // Consecutive first-attempt cells with the same batch shape run
+            // as one group (FSYNC cells in interleaved pairs); retries and
+            // shape changes run as singleton groups, which
+            // `ScenarioBatchRunner` executes solo.
             let groups = batch_waves(job, &items);
             let grouped = runner.run_map_catching(
                 &groups,
@@ -385,10 +385,10 @@ impl Supervisor {
     }
 }
 
-/// Partitions a wave's items into the lane groups the batched engine path
-/// can take in one go: maximal runs of consecutive **first-attempt** cells
-/// with the same batch shape, capped at the `DYNRING_BATCH_LANES` lane
-/// count. Retries always run as singletons — a retried cell is under
+/// Partitions a wave's items into the lane groups one
+/// `ScenarioBatchRunner::run_group` call takes: maximal runs of consecutive
+/// **first-attempt** cells with the same batch shape, capped at the
+/// `DYNRING_BATCH_LANES` lane count. Retries always run as singletons — a retried cell is under
 /// suspicion, and keeping it out of a lane group keeps a repeat panic
 /// scoped to itself from the start.
 fn batch_waves(job: &Job, items: &[(usize, u32)]) -> Vec<std::ops::Range<usize>> {

@@ -1,10 +1,10 @@
-//! Zero-allocation contract of the batched lockstep steady state.
+//! Zero-allocation contract of the batched steady state.
 //!
-//! Once a lane group is loaded, re-running the identical group must recycle
-//! the whole batch in place — `SimBatch::recycle` plus `run_into` may not
-//! touch the global allocator at all. This is the machine-checked half of
-//! the "whole batch recycles in place" design rule; the byte-identity half
-//! lives in `batch_lockstep_equivalence.rs`.
+//! Once a group has run, re-running the identical group must recycle every
+//! simulation in place — `Simulation::recycle` plus the paired and solo
+//! runs may not touch the global allocator at all. This is the
+//! machine-checked half of the "whole batch recycles in place" design rule;
+//! the byte-identity half lives in `batch_lockstep_equivalence.rs`.
 //!
 //! This file deliberately holds a **single** test: the counting global
 //! allocator is process-wide, so any concurrently running test would bleed

@@ -1,17 +1,17 @@
-//! Batched lockstep execution versus the sequential reference, byte for
-//! byte.
+//! Batched execution versus the sequential reference, byte for byte.
 //!
-//! The `SimBatch` engine path steps B same-shape runs per instruction
-//! stream; `ScenarioBatchRunner` feeds it groups formed by `group_ranges`.
-//! Because every lane owns its RNG streams (scheduler, adversary) and
-//! consumes draws exactly as a solo run would, the batched `RunReport`s must
-//! equal the solo ones **exactly** — same termination round, same outcome,
-//! same per-agent counters — for every catalogue algorithm, both synchrony
-//! families, the full seeded-adversary suite, and any lane cap, including
-//! ragged tails (suite length not divisible by the cap) and mid-batch early
-//! termination (lanes harvested while their batch-mates keep stepping).
+//! `ScenarioBatchRunner` runs the groups `group_ranges` forms on one
+//! recycled simulation per group position, neighbouring FSYNC cells as
+//! interleaved pairs (`Simulation::run_pair_into`). Because every cell owns
+//! its RNG streams (scheduler, adversary) and consumes draws exactly as a
+//! solo run would, the batched `RunReport`s must equal the solo ones
+//! **exactly** — same termination round, same outcome, same per-agent
+//! counters — for every catalogue algorithm, both synchrony families, the
+//! full seeded-adversary suite, and any lane cap, including odd tails (a
+//! group length not divisible by two) and pairs whose runs finish at
+//! different rounds.
 //!
-//! The companion allocation contract (a loaded batch recycles in place,
+//! The companion allocation contract (a group re-run recycles in place,
 //! zero allocations per steady-state generation) lives in
 //! `batch_lockstep_alloc.rs`: it needs a counting global allocator, which
 //! only yields deterministic readings in a single-test binary.
@@ -76,24 +76,34 @@ fn sequential(scenarios: &[Scenario]) -> Vec<RunReport> {
 
 /// The full catalogue under the seeded-adversary suite: for every algorithm
 /// and every lane cap, the batched reports equal the solo reports exactly.
-/// The suite mixes fast-terminating lanes (static dynamics) with
-/// budget-exhausting ones (blocked edges), so the early-harvest / lane
-/// compaction machinery is exercised in every batch.
+/// The suite mixes fast-terminating cells (static dynamics) with
+/// budget-exhausting ones (blocked edges), so paired runs routinely finish
+/// at different rounds. Besides the natural budget, tiny budgets of 0, 1
+/// and 3 rounds pin the final `ConditionMet`/`BudgetExhausted` check of
+/// paired and odd-tail runs against solo.
 #[test]
 fn catalogue_batched_equals_sequential_for_every_lane_cap() {
     let n = 7;
     for algorithm in catalogue(n) {
-        let scenarios: Vec<Scenario> = adversary_suite(n, 11)
-            .into_iter()
-            .map(|adversary| natural_scenario(n, algorithm, 11).with_adversary(adversary))
-            .collect();
-        let reference = sequential(&scenarios);
-        for cap in LANE_CAPS {
-            assert_eq!(
-                batched_with_cap(&scenarios, cap),
-                reference,
-                "{algorithm:?} diverged at lane cap {cap}"
-            );
+        for budget in [None, Some(0), Some(1), Some(3)] {
+            let scenarios: Vec<Scenario> = adversary_suite(n, 11)
+                .into_iter()
+                .map(|adversary| {
+                    let scenario = natural_scenario(n, algorithm, 11).with_adversary(adversary);
+                    match budget {
+                        Some(rounds) => scenario.with_max_rounds(rounds),
+                        None => scenario,
+                    }
+                })
+                .collect();
+            let reference = sequential(&scenarios);
+            for cap in LANE_CAPS {
+                assert_eq!(
+                    batched_with_cap(&scenarios, cap),
+                    reference,
+                    "{algorithm:?} diverged at lane cap {cap}, budget {budget:?}"
+                );
+            }
         }
     }
 }
@@ -239,9 +249,9 @@ fn mixed_trace_lanes_record_only_where_enabled() {
 }
 
 /// The pinned pre-refactor golden digests, reproduced through the *batched*
-/// engine path: each golden scenario is doubled into a two-lane group (so it
-/// cannot ride the solo fallback) and both lanes must digest to the pinned
-/// value.
+/// path: each golden scenario is doubled into a two-cell group (an FSYNC
+/// golden then runs as an interleaved pair) and both cells must digest to
+/// the pinned value.
 #[test]
 fn batched_trace_lanes_reproduce_the_pinned_golden_digests() {
     for (name, scenario, expected) in golden_scenarios() {

@@ -86,3 +86,58 @@ proptest! {
         prop_assert_eq!(report.total_moves as usize, trace.total_traversals());
     }
 }
+
+/// SplitMix64: a tiny seeded generator for the schedules below.
+fn split_mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The FSYNC round kernel's forced branch — `step_with_edge`, the model
+/// checker's expansion step — against its policy branch: one seeded random
+/// edge schedule, replayed through a scripted adversary with `step` and
+/// through forced steps on a static scenario, gives equal reports, traces
+/// and checkpoints after every round, for every FSYNC catalogue algorithm.
+#[test]
+fn forced_fsync_steps_equal_policy_steps() {
+    use dynring::algorithms::AlgorithmFamily;
+    use dynring::engine::sim::StopReason;
+
+    let n = 6;
+    let ring = RingTopology::new(n).unwrap();
+    for seed in 0..4u64 {
+        let mut state = seed;
+        let missing: Vec<Option<EdgeId>> = (0..40)
+            .map(|_| {
+                let draw = split_mix(&mut state);
+                (!draw.is_multiple_of(4)).then(|| EdgeId::new((draw >> 8) as usize % n))
+            })
+            .collect();
+        let schedule = EdgeSchedule::from_missing(&ring, missing).unwrap();
+        let fsync_algorithms = Algorithm::full_catalog(n).into_iter().filter(|algorithm| {
+            matches!(algorithm.family(), AlgorithmFamily::Fsync | AlgorithmFamily::SingleAgent)
+        });
+        for algorithm in fsync_algorithms {
+            let base = Scenario::fsync(n, algorithm).with_trace();
+            let mut scripted =
+                base.clone().with_adversary(AdversaryKind::scripted(schedule.clone())).build();
+            let mut forced = base.with_adversary(AdversaryKind::Static).build();
+            for round in 1..=schedule.horizon() + 5 {
+                let at = format!("{algorithm:?} seed {seed} round {round}");
+                let played = scripted.step();
+                assert_eq!(forced.step_with_edge(schedule.missing_at(round)), played, "{at}");
+                let reason = StopReason::BudgetExhausted;
+                assert_eq!(forced.report(reason), scripted.report(reason), "{at}");
+                assert_eq!(forced.trace(), scripted.trace(), "{at}");
+                assert_eq!(
+                    format!("{:?}", forced.checkpoint()),
+                    format!("{:?}", scripted.checkpoint()),
+                    "{at}"
+                );
+            }
+        }
+    }
+}
