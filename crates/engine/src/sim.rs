@@ -1426,86 +1426,107 @@ struct FsyncKernel<'s> {
 }
 
 impl FsyncKernel<'_> {
-    /// Look + Compute for every live agent, in id order.
-    #[inline(always)]
-    fn compute(&mut self, round: u64) {
-        for index in 0..self.node.len() {
-            if self.term[index] {
-                continue;
-            }
-            let snapshot = build_snapshot(
-                self.ring,
-                self.node,
-                self.held,
-                self.counters.crowded_nodes,
-                index,
-                self.hand[index],
-                self.prior[index],
-                Some(round),
-            );
-            self.dec[index] = Some(self.prog[index].decide(&snapshot));
-        }
-    }
-
     /// Plays one FSYNC round: every live agent is active. `forced` is
     /// `Some(choice)` when the caller picks the missing edge instead of the
-    /// edge policy; `predict` (only without `forced`) dry-runs the
-    /// protocols so the policy sees each agent's intent — under FSYNC the
-    /// dry run *is* this round's Compute, so it runs on the live protocols
-    /// before the adversary moves instead of after.
+    /// edge policy; `predict` (only without `forced`) shows the policy each
+    /// agent's decision.
+    ///
+    /// Compute runs first, on the live protocols: under FSYNC every live
+    /// agent decides this round, so the prediction dry run *is* the
+    /// Compute step, and without predictions the order is unobservable —
+    /// protocols see only the start-of-round state, and the edge policy
+    /// sees no protocol state.
     #[inline(always)]
     #[allow(clippy::too_many_lines)]
     fn round(&mut self, forced: Option<Option<EdgeId>>, predict: bool) {
-        let a = self.node.len();
-        let n = self.visited.len();
-        self.counters.round += 1;
-        let r = self.counters.round;
+        let FsyncKernel {
+            counters,
+            ring,
+            edges,
+            node,
+            held,
+            term,
+            hand,
+            prior,
+            prog,
+            moves,
+            activations,
+            last_active,
+            asleep,
+            terminated_at,
+            poll,
+            vcount,
+            avisited,
+            population,
+            visited,
+            views,
+            dec,
+            act,
+            mask,
+            claim,
+            nodes_before,
+            trace,
+        } = self;
+        let (a, n) = (node.len(), visited.len());
+        let mut c = *counters;
+        c.round += 1;
+        let r = c.round;
         // Start-of-round state for the trace (trace-only work): the active
         // set is exactly the agents live at the start of the round.
-        if self.trace.is_some() {
-            self.nodes_before.copy_from_slice(self.node);
+        if trace.is_some() {
+            nodes_before.copy_from_slice(node);
             for index in 0..a {
-                self.mask[index] = !self.term[index];
+                mask[index] = !term[index];
             }
         }
-        if predict {
-            self.compute(r);
+        // Look + Compute for every live agent, in id order.
+        for index in 0..a {
+            dec[index] = if term[index] {
+                None
+            } else {
+                let snapshot = build_snapshot(
+                    ring,
+                    node,
+                    held,
+                    c.crowded_nodes,
+                    index,
+                    hand[index],
+                    prior[index],
+                    Some(r),
+                );
+                Some(prog[index].decide(&snapshot))
+            };
         }
         // The active set, the start-of-round port claims and (for the edge
         // policy) the views — straight-line array work, no calls.
         let mut active_len = 0;
         let mut claimed_len = 0;
         for index in 0..a {
-            let is_terminated = self.term[index];
-            let at = self.node[index];
-            let held = self.held[index];
-            if is_terminated {
-                self.dec[index] = None;
-            } else {
-                self.act[active_len] = AgentId::new(index);
+            let at = node[index];
+            if !term[index] {
+                act[active_len] = AgentId::new(index);
                 active_len += 1;
             }
-            if let Some(port) = held {
-                self.claim[claimed_len] = (at, port);
+            if let Some(port) = held[index] {
+                claim[claimed_len] = (at, port);
                 claimed_len += 1;
             }
             if forced.is_none() {
-                let hand = self.hand[index];
-                let predicted = match self.dec[index] {
-                    _ if is_terminated => PredictedAction::Terminate,
-                    Some(decision) if predict => predict_action(self.ring, at, hand, decision),
-                    _ => PredictedAction::Stay,
+                let predicted = match dec[index] {
+                    None => PredictedAction::Terminate,
+                    Some(decision) if predict => predict_action(ring, at, hand[index], decision),
+                    Some(_) => PredictedAction::Stay,
                 };
-                self.views[index] = AgentView {
+                views[index] = AgentView {
                     id: AgentId::new(index),
                     node: at,
-                    held_port: held,
-                    terminated: is_terminated,
-                    handedness: hand,
+                    held_port: held[index],
+                    terminated: term[index],
+                    handedness: hand[index],
                     predicted,
-                    last_active_round: self.last_active[index],
-                    asleep_on_port: self.asleep[index],
-                    moves: self.moves[index],
+                    last_active_round: last_active[index],
+                    asleep_on_port: asleep[index],
+                    moves: moves[index],
                 };
             }
         }
@@ -1514,123 +1535,109 @@ impl FsyncKernel<'_> {
         let missing = match forced {
             Some(choice) => choice,
             None => {
-                let view = RoundView {
-                    round: r,
-                    ring: self.ring,
-                    agents: Cow::Borrowed(&self.views[..]),
-                    visited: &self.visited[..],
-                };
-                self.edges.select(&view, &self.act[..active_len])
+                let view = RoundView { round: r, ring, agents: Cow::Borrowed(views), visited };
+                edges.select(&view, &act[..active_len])
             }
         }
         .filter(|e| e.index() < n);
-        if !predict {
-            self.compute(r);
-        }
         // Resolution + bookkeeping: port acquisition in mutual exclusion,
         // then moves. Every agent of the active set decided this round, and
         // PT never applies to FSYNC.
-        for k in 0..active_len {
-            let index = self.act[k].index();
-            let Some(decision) = self.dec[index] else {
-                continue;
-            };
-            self.activations[index] += 1;
-            self.last_active[index] = r;
-            self.asleep[index] = 0;
+        for &id in &act[..active_len] {
+            let index = id.index();
+            let Some(decision) = dec[index] else { continue };
+            activations[index] += 1;
+            last_active[index] = r;
+            asleep[index] = 0;
             match decision {
                 Decision::Terminate => {
-                    self.counters.alive -= 1;
-                    self.term[index] = true;
-                    self.terminated_at[index] = Some(r);
-                    self.held[index] = None;
-                    self.prior[index] = PriorOutcome::Idle;
+                    c.alive -= 1;
+                    term[index] = true;
+                    terminated_at[index] = Some(r);
+                    held[index] = None;
+                    prior[index] = PriorOutcome::Idle;
                 }
-                Decision::Stay => self.prior[index] = PriorOutcome::Idle,
+                Decision::Stay => prior[index] = PriorOutcome::Idle,
                 Decision::Retreat => {
-                    self.held[index] = None;
-                    self.prior[index] = PriorOutcome::Idle;
+                    held[index] = None;
+                    prior[index] = PriorOutcome::Idle;
                 }
                 Decision::Move(ldir) => {
-                    // A prediction round already resolved the local direction
-                    // against the topology for the adversary; reuse it.
-                    let at = self.node[index];
-                    let (gdir, edge) = match self.views[index].predicted {
+                    // A prediction round already resolved the move against
+                    // the topology for the adversary; reuse it.
+                    let at = node[index];
+                    let (gdir, edge) = match views[index].predicted {
                         PredictedAction::Move { edge, direction } if predict => (direction, edge),
                         _ => {
-                            let g = to_global(self.hand[index], ldir);
-                            (g, self.ring.edge_towards(at, g))
+                            let gdir = to_global(hand[index], ldir);
+                            (gdir, ring.edge_towards(at, gdir))
                         }
                     };
-                    if self.held[index] != Some(gdir) {
+                    if held[index] != Some(gdir) {
                         // Release any other port first, then try to acquire.
-                        self.held[index] = None;
-                        if self.claim[..claimed_len].contains(&(at, gdir)) {
-                            self.prior[index] = PriorOutcome::PortAcquisitionFailed;
+                        held[index] = None;
+                        if claim[..claimed_len].contains(&(at, gdir)) {
+                            prior[index] = PriorOutcome::PortAcquisitionFailed;
                             continue;
                         }
-                        self.held[index] = Some(gdir);
-                        self.claim[claimed_len] = (at, gdir);
+                        held[index] = Some(gdir);
+                        claim[claimed_len] = (at, gdir);
                         claimed_len += 1;
                     }
                     if missing == Some(edge) {
-                        self.prior[index] = PriorOutcome::BlockedOnPort;
+                        prior[index] = PriorOutcome::BlockedOnPort;
                     } else {
-                        let destination = self.ring.neighbor(at, gdir);
-                        self.node[index] = destination;
-                        self.held[index] = None;
-                        self.prior[index] = PriorOutcome::Moved;
-                        self.moves[index] += 1;
-                        AgentSoA::relocate(
-                            self.population,
-                            &mut self.counters.crowded_nodes,
-                            at,
-                            destination,
-                        );
+                        let destination = ring.neighbor(at, gdir);
+                        node[index] = destination;
+                        held[index] = None;
+                        prior[index] = PriorOutcome::Moved;
+                        moves[index] += 1;
+                        AgentSoA::relocate(population, &mut c.crowded_nodes, at, destination);
                         let node_index = destination.index();
-                        if !self.visited[node_index] {
-                            self.visited[node_index] = true;
-                            self.counters.unvisited -= 1;
+                        if !visited[node_index] {
+                            visited[node_index] = true;
+                            c.unvisited -= 1;
                         }
-                        let cell = &mut self.avisited[index * n + node_index];
+                        let cell = &mut avisited[index * n + node_index];
                         if !*cell {
                             *cell = true;
-                            self.vcount[index] += 1;
+                            vcount[index] += 1;
                         }
                     }
                 }
             }
             // A protocol may flag termination without returning `Terminate`
             // (defensive; none of the paper's algorithms do).
-            if self.poll[index] && self.prog[index].has_terminated() && !self.term[index] {
-                self.counters.alive -= 1;
-                self.term[index] = true;
-                self.terminated_at[index] = Some(r);
-                self.held[index] = None;
+            if poll[index] && prog[index].has_terminated() && !term[index] {
+                c.alive -= 1;
+                term[index] = true;
+                terminated_at[index] = Some(r);
+                held[index] = None;
             }
         }
-        if self.counters.explored_at.is_none() && self.counters.unvisited == 0 {
-            self.counters.explored_at = Some(r);
+        if c.explored_at.is_none() && c.unvisited == 0 {
+            c.explored_at = Some(r);
         }
         // Trace recording: flat columnar appends straight from the round
         // slices (allocation-free in the recycled steady state).
-        if let Some(trace) = self.trace.as_mut() {
+        if let Some(trace) = trace.as_mut() {
             trace.record_round_from_lane(
                 r,
                 missing,
-                n - self.counters.unvisited,
+                n - c.unvisited,
                 n,
-                &self.act[..active_len],
-                self.mask,
-                self.nodes_before,
-                self.node,
-                self.held,
-                self.dec,
-                self.prior,
-                self.term,
-                self.prog,
+                &act[..active_len],
+                mask,
+                nodes_before,
+                node,
+                held,
+                dec,
+                prior,
+                term,
+                prog,
             );
         }
+        *counters = c;
     }
 }
 

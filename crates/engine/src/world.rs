@@ -314,27 +314,43 @@ impl AgentSoA {
             refill(&mut self.node_population, ring_size, 0);
         }
         self.ring_size = ring_size;
-        self.node.clear();
-        self.handedness.clear();
-        self.poll_termination.clear();
-        refill(&mut self.held_port, count, None);
-        refill(&mut self.terminated, count, false);
-        refill(&mut self.prior, count, PriorOutcome::Idle);
-        refill(&mut self.moves, count, 0);
-        refill(&mut self.activations, count, 0);
-        refill(&mut self.last_active_round, count, 0);
-        refill(&mut self.asleep_on_port, count, 0);
-        refill(&mut self.terminated_at, count, None);
+        if self.node.len() != count {
+            // A new team size: size every column; the loop below writes
+            // each agent's entries.
+            self.node.resize(count, NodeId::new(0));
+            self.held_port.resize(count, None);
+            self.terminated.resize(count, false);
+            self.handedness.resize(count, Handedness::LeftIsCcw);
+            self.prior.resize(count, PriorOutcome::Idle);
+            self.moves.resize(count, 0);
+            self.activations.resize(count, 0);
+            self.last_active_round.resize(count, 0);
+            self.asleep_on_port.resize(count, 0);
+            self.terminated_at.resize(count, None);
+            self.poll_termination.resize(count, false);
+            self.visited_count.resize(count, 1);
+        }
         refill(&mut self.visited, count * ring_size, false);
-        refill(&mut self.visited_count, count, 1);
         self.program.truncate(count);
         self.crowded_nodes = 0;
+        // One pass per agent rather than one fill per column: with the
+        // paper's two- and three-agent teams, per-column fills cost more in
+        // call overhead than in stores.
         for (index, (node, handedness, template)) in specs.enumerate() {
             debug_assert!(node.index() < ring_size, "RunSpec starts are validated");
-            self.node.push(node);
-            self.handedness.push(handedness);
-            self.poll_termination
-                .push(template.termination_kind() != TerminationKind::Unconscious);
+            self.node[index] = node;
+            self.held_port[index] = None;
+            self.terminated[index] = false;
+            self.handedness[index] = handedness;
+            self.prior[index] = PriorOutcome::Idle;
+            self.moves[index] = 0;
+            self.activations[index] = 0;
+            self.last_active_round[index] = 0;
+            self.asleep_on_port[index] = 0;
+            self.terminated_at[index] = None;
+            self.poll_termination[index] =
+                template.termination_kind() != TerminationKind::Unconscious;
+            self.visited_count[index] = 1;
             if let Some(live) = self.program.get_mut(index) {
                 if !live.clone_from_program(template) {
                     *live = template.clone_program();
