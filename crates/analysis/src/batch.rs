@@ -249,9 +249,8 @@ impl BatchRunner {
     /// The battery is first partitioned into maximal runs of consecutive
     /// same-shape cells ([`group_ranges`], capped at
     /// [`batch_lanes_from_env`] cells); each group runs through a
-    /// per-worker [`ScenarioBatchRunner`], which plays neighbouring FSYNC
-    /// cells in interleaved pairs and everything else solo on recycled
-    /// simulations. Results are merged in input order, so the output is
+    /// per-worker [`ScenarioBatchRunner`], which runs each cell solo on a
+    /// recycled simulation. Results are merged in input order, so the output is
     /// byte-identical to the cell-by-cell sequential path whatever the
     /// thread or lane count.
     #[must_use]
@@ -296,16 +295,15 @@ pub fn parse_thread_count(raw: &str) -> Result<usize, String> {
 }
 
 /// The default number of cells per batched group — one unit of pool work
-/// for a worker's [`ScenarioBatchRunner`], which plays neighbouring FSYNC
-/// cells in interleaved pairs. The engine only ever pairs two runs, so the
-/// cap no longer shapes the round loop; 16 keeps a unit large enough to
-/// amortise the pool's hand-off and small enough that a battery's shape
-/// changes don't leave long ragged tails.
+/// for a worker's [`ScenarioBatchRunner`], which runs each cell solo on a
+/// recycled simulation, so the cap does not shape the round loop. 16 keeps
+/// a unit large enough to amortise the pool's hand-off and small enough
+/// that a battery's shape changes don't leave long ragged tails.
 pub const DEFAULT_BATCH_LANES: usize = 16;
 
 /// Parses a `DYNRING_BATCH_LANES`-style value: a positive integer or the
-/// literal `solo` (= 1, turning every cell into a singleton group and thereby
-/// running every cell solo, unpaired), rejecting everything else
+/// literal `solo` (= 1, turning every cell into a singleton group), rejecting
+/// everything else
 /// with a human-readable message — the same strict contract as
 /// [`parse_thread_count`]: a typo'd knob must abort loudly, never fall back
 /// silently.
@@ -334,7 +332,7 @@ pub fn parse_batch_lanes(raw: &str) -> Result<usize, String> {
 
 /// The number of cells per batched group: `DYNRING_BATCH_LANES` if set (a
 /// positive integer), otherwise [`DEFAULT_BATCH_LANES`]. A cap of 1 turns
-/// every cell into a singleton group, i.e. disables pairing.
+/// every cell into a singleton group.
 ///
 /// # Panics
 ///
@@ -356,9 +354,9 @@ pub fn batch_lanes_from_env() -> usize {
 
 /// Partitions a battery into maximal runs of **consecutive same-shape
 /// cells** (capped at `max_lanes` per range, clamped to at least 1) — the
-/// unit of pool work one [`ScenarioBatchRunner::run_group`] call executes,
-/// neighbouring FSYNC cells in interleaved pairs (trace-recording cells
-/// group like any other). Concatenating the ranges always reproduces
+/// unit of pool work one [`ScenarioBatchRunner::run_group`] call executes
+/// (trace-recording cells group like any other). Concatenating the ranges
+/// always reproduces
 /// `0..items.len()` in order, so merging per-range results in input order
 /// is output-identical to the cell-by-cell path.
 #[must_use]

@@ -461,12 +461,9 @@ impl Scenario {
         )
     }
 
-    /// Whether batched execution pairs this scenario with a neighbour.
-    ///
-    /// FSYNC cells are paired: [`ScenarioBatchRunner`] plays two
-    /// neighbouring FSYNC cells with their rounds interleaved
-    /// ([`Simulation::run_pair_into`]). SSYNC cells run solo. Outputs are
-    /// byte-identical either way.
+    /// Whether this is an FSYNC cell. Batched groups run every cell solo
+    /// on a recycled simulation, so this does not change how a group runs;
+    /// benchmarks use it to pick out FSYNC groups.
     #[must_use]
     pub fn prefers_lockstep(&self) -> bool {
         matches!(self.synchrony, SynchronyModel::Fsync)
@@ -474,9 +471,10 @@ impl Scenario {
 
     /// Whether `self` and `other` belong in one batched group.
     ///
-    /// Grouped cells share ring size, team size and synchrony model, and a
-    /// pair of cells plays under one round budget and stop condition — so
-    /// those must match too. Everything else — algorithm, landmark,
+    /// Grouped cells share ring size, team size, synchrony model, round
+    /// budget and stop condition, so each position of a
+    /// [`ScenarioBatchRunner`] recycles its simulation into the same buffer
+    /// sizes from group to group. Everything else — algorithm, landmark,
     /// placements, orientations, scheduler, adversary, dispatch, trace
     /// recording — is per-cell state and may differ freely within a group.
     #[must_use]
@@ -543,23 +541,6 @@ impl ScenarioRunner {
         self.sim.as_ref().and_then(Simulation::trace)
     }
 
-    /// Runs `scenario` on this runner and `other_scenario` on `other`, the
-    /// two runs' rounds interleaved ([`Simulation::run_pair_into`]), writing
-    /// the reports in place. The two scenarios must share their round
-    /// budget and stop condition (see [`Scenario::same_batch_shape`]).
-    pub fn run_pair_into(
-        &mut self,
-        other: &mut ScenarioRunner,
-        scenarios: [&Scenario; 2],
-        reports: [&mut RunReport; 2],
-    ) {
-        let [scenario, other_scenario] = scenarios;
-        debug_assert!(scenario.same_batch_shape(other_scenario));
-        let (max_rounds, stop) = (scenario.max_rounds, scenario.stop);
-        let sim = self.prepare(scenario);
-        sim.run_pair_into(other.prepare(other_scenario), max_rounds, stop, reports);
-    }
-
     /// Readies the held simulation for a run of `scenario` at round zero.
     fn prepare(&mut self, scenario: &Scenario) -> &mut Simulation {
         if self.compiled_from.as_ref() == Some(scenario) {
@@ -586,12 +567,9 @@ impl ScenarioRunner {
 }
 
 /// A stateful executor for **groups** of same-shape scenarios: one recycled
-/// [`ScenarioRunner`] per group position. Each pair of neighbouring FSYNC
-/// cells runs through [`ScenarioRunner::run_pair_into`], the two runs'
-/// rounds interleaved; SSYNC cells and an odd last cell run solo. The
-/// reports come back in input order, byte-identical to running every cell
-/// solo (each cell's policies consume their RNG streams exactly as a solo
-/// run would).
+/// [`ScenarioRunner`] per group position, each cell run solo on its
+/// position's runner. The reports come back in input order, byte-identical
+/// to fresh runs of the cells.
 ///
 /// Every position recycles like a [`ScenarioRunner`]: re-running an
 /// identical group (the benchmark regime) performs zero steady-state heap
@@ -603,6 +581,8 @@ impl ScenarioRunner {
 pub struct ScenarioBatchRunner {
     runners: Vec<ScenarioRunner>,
     reports: Vec<RunReport>,
+    /// The length of the last group.
+    len: usize,
 }
 
 impl ScenarioBatchRunner {
@@ -640,30 +620,10 @@ impl ScenarioBatchRunner {
         if self.reports.len() < b {
             self.reports.resize_with(b, RunReport::default);
         }
-        let mut i = 0;
-        while i < b {
-            let (cell, next) = (&group[i], group.get(i + 1));
-            match next {
-                Some(next)
-                    if cell.prefers_lockstep()
-                        && next.prefers_lockstep()
-                        && cell.same_batch_shape(next) =>
-                {
-                    let (runners, other) = self.runners.split_at_mut(i + 1);
-                    let (reports, other_report) = self.reports.split_at_mut(i + 1);
-                    runners[i].run_pair_into(
-                        &mut other[0],
-                        [cell, next],
-                        [&mut reports[i], &mut other_report[0]],
-                    );
-                    i += 2;
-                }
-                _ => {
-                    self.runners[i].run_into(cell, &mut self.reports[i]);
-                    i += 1;
-                }
-            }
+        for ((runner, report), cell) in self.runners.iter_mut().zip(&mut self.reports).zip(group) {
+            runner.run_into(cell, report);
         }
+        self.len = b;
         &self.reports[..b]
     }
 
@@ -672,7 +632,7 @@ impl ScenarioBatchRunner {
     /// run of the same cell would record.
     #[must_use]
     pub fn trace(&self, index: usize) -> Option<&Trace> {
-        self.runners.get(index).and_then(ScenarioRunner::trace)
+        self.runners[..self.len].get(index).and_then(ScenarioRunner::trace)
     }
 }
 
@@ -683,28 +643,38 @@ mod tests {
     #[test]
     fn ssync_groups_route_through_the_solo_recycled_path() {
         let fsync = Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 });
-        assert!(fsync.prefers_lockstep(), "FSYNC shapes run in pairs");
+        assert!(fsync.prefers_lockstep(), "FSYNC cells are flagged");
         let group: Vec<Scenario> = (0..4)
             .map(|i| Scenario::ssync(6, Algorithm::PtBoundChirality { upper_bound: 6 }, i))
             .collect();
-        assert!(group.iter().all(|s| !s.prefers_lockstep()), "SSYNC shapes do not");
+        assert!(group.iter().all(|s| !s.prefers_lockstep()), "SSYNC cells are not");
 
-        // The solo-routed group must produce byte-identical reports to
-        // per-cell fresh runs.
+        // The group must produce byte-identical reports to per-cell fresh
+        // runs.
         let mut runner = ScenarioBatchRunner::new();
         let routed = runner.run_group(&group);
         let solo: Vec<RunReport> = group.iter().map(Scenario::run).collect();
         assert_eq!(routed, solo);
 
-        // Paired FSYNC cells (plus an odd tail) on the same runner, too.
-        let paired: Vec<Scenario> = (0..5)
+        // FSYNC cells on the same runner, too, with traces per cell.
+        let traced: Vec<Scenario> = (0..5)
             .map(|i| {
                 Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 })
                     .with_starts(vec![0, i + 1])
+                    .with_trace()
             })
             .collect();
-        let batched = runner.run_group(&paired);
-        assert_eq!(batched, paired.iter().map(Scenario::run).collect::<Vec<_>>());
+        let batched = runner.run_group(&traced);
+        assert_eq!(batched, traced.iter().map(Scenario::run).collect::<Vec<_>>());
+        let mut fresh = traced[4].build();
+        let _ = fresh.run(traced[4].max_rounds, traced[4].stop);
+        assert_eq!(runner.trace(4), fresh.trace());
+
+        // A shorter group after a longer one has no trace past its end.
+        let _ = runner.run_group(&traced[..2]);
+        assert!(runner.trace(1).is_some());
+        assert!(runner.trace(2).is_none());
+        assert!(runner.trace(4).is_none());
     }
 
     #[test]

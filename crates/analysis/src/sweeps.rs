@@ -273,8 +273,7 @@ fn sweep_battery(
 
     // Consecutive same-shape cells (the common case: a battery fixes size
     // and algorithm while rotating adversaries/placements/orientations) form
-    // one group per range, its FSYNC cells played in interleaved pairs; each
-    // worker thread drives its share of the ranges through one recycled
+    // one group per range; each worker thread drives its share of the ranges through one recycled
     // `ScenarioBatchRunner`. Merging in input order keeps the outcome
     // bit-identical to the solo cell-by-cell path.
     let ranges = group_ranges(&scenarios, |scenario| scenario, batch_lanes_from_env());

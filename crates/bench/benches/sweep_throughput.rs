@@ -7,9 +7,8 @@
 //! ring, agent SoA, scratch, probe pool and boxed policies versus the
 //! recycled lifecycle (`ScenarioRunner` + `Simulation::recycle`), which
 //! re-initialises one simulation in place, and versus the batched path
-//! (`ScenarioBatchRunner` + `Simulation::run_pair_into`), which runs a
-//! `DYNRING_BATCH_LANES`-cell group per generation, FSYNC cells in
-//! interleaved pairs. It also **counts heap
+//! (`ScenarioBatchRunner`), which runs a `DYNRING_BATCH_LANES`-cell group
+//! per generation on one recycled simulation per cell. It also **counts heap
 //! allocations** through a wrapping global allocator and fails loudly if the
 //! recycled or batched steady state allocates at all, so the zero-allocation
 //! claim is machine-checked on every run, including the CI smoke.

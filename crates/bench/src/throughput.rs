@@ -255,8 +255,8 @@ pub enum Lifecycle {
     /// `RunReport`) across all runs — the engine's run-recycling fast path.
     Recycled,
     /// One [`ScenarioBatchRunner`] re-runs a `DYNRING_BATCH_LANES`-cell
-    /// group across generations on recycled simulations, FSYNC cells in
-    /// interleaved pairs (each generation completes one run per cell).
+    /// group across generations, one recycled simulation per cell (each
+    /// generation completes one run per cell).
     Batched,
 }
 
@@ -333,7 +333,7 @@ pub struct SweepSample {
 /// `n = `[`SWEEP_RING_SIZE`] with a `4n` budget. Each `lifecycle=fresh` row
 /// has its `lifecycle=recycled` sibling (quantifying the run-recycling fast
 /// path) and each `lifecycle=recycled` row has its `lifecycle=batched`
-/// sibling (quantifying the paired batched path), PR over PR.
+/// sibling (quantifying the batched path), PR over PR.
 #[must_use]
 pub fn sweep_cases() -> Vec<SweepCase> {
     let mut cases = Vec::new();
@@ -391,10 +391,9 @@ pub fn sweep_case_scenario(case: &SweepCase) -> Scenario {
 ///
 /// `lifecycle=batched` cases replay a `DYNRING_BATCH_LANES`-lane group of
 /// the identical scenario per generation (one complete run per lane), so
-/// their runs/sec is directly comparable to the solo lifecycles. The group
-/// goes through [`ScenarioBatchRunner`]'s routing, so what a `batched` row
-/// measures is the *routed* path — interleaved pairs for FSYNC shapes, solo
-/// recycled runs for SSYNC shapes (see [`Scenario::prefers_lockstep`]).
+/// their runs/sec is directly comparable to the solo lifecycles. What a
+/// `batched` row adds over its `recycled` sibling is the group bookkeeping
+/// and one simulation per cell instead of one for all runs.
 #[must_use]
 pub fn measure_runs(case: &SweepCase, budget: Duration) -> SweepSample {
     let scenario = sweep_case_scenario(case);
@@ -457,7 +456,7 @@ pub fn measure_runs(case: &SweepCase, budget: Duration) -> SweepSample {
 
 /// Pairs every `lifecycle=batched` sample with its `lifecycle=recycled`
 /// sibling and returns one comparison line per pair (batched/recycled
-/// runs/sec ratio) — the headline of the paired batched path.
+/// runs/sec ratio) — the headline of the batched path.
 #[must_use]
 pub fn batch_comparisons(samples: &[SweepSample]) -> Vec<String> {
     samples

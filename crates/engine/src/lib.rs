@@ -17,9 +17,9 @@
 //!   (Observations 1–2, Theorems 9, 10, 13, 15, 19);
 //! * [`sim`] — the round loop itself: one FSYNC round kernel and one SSYNC
 //!   round body, with port mutual exclusion, passive transport, metrics and
-//!   run recycling; [`Simulation::run_pair_into`](sim::Simulation::run_pair_into)
-//!   interleaves the rounds of two FSYNC runs, which is how the analysis
-//!   layer batches sweep cells;
+//!   run recycling ([`Simulation::recycle`](sim::Simulation::recycle)
+//!   re-initialises a simulation in place, which is how the analysis layer
+//!   runs sweep cells);
 //! * [`checkpoint`] — branchable run state: checkpoint/restore of a live
 //!   simulation plus canonicalised configuration keys, the engine half of
 //!   the analysis-side model checker;

@@ -1035,41 +1035,14 @@ impl Simulation {
         self.report_into(reason, report);
     }
 
-    /// Runs `self` and `other` as two [`Simulation::run_into`] calls would,
-    /// under one round budget and stop condition, but with their rounds
-    /// interleaved when both are FSYNC: `self` plays round *r*, then
-    /// `other` plays round *r*, and so on, through the same loop that plays
-    /// a single run. The two runs share no state, so each report is
-    /// byte-identical to a solo run. The batched sweep path runs
-    /// neighbouring FSYNC cells in such pairs. SSYNC runs play one after the
-    /// other.
-    pub fn run_pair_into(
-        &mut self,
-        other: &mut Simulation,
-        max_rounds: u64,
-        stop: StopCondition,
-        reports: [&mut RunReport; 2],
-    ) {
-        let [first, second] = reports;
-        if !(self.synchrony.is_fsync() && other.synchrony.is_fsync()) {
-            self.run_into(max_rounds, stop, first);
-            other.run_into(max_rounds, stop, second);
-            return;
-        }
-        let mut kernels = [self.fsync_kernel(), other.fsync_kernel()];
-        let [reason, other_reason] = run_fsync(&mut kernels, max_rounds, stop);
-        let [counters, other_counters] = kernels.map(|kernel| kernel.counters);
-        self.store_counters(counters);
-        other.store_counters(other_counters);
-        self.report_into(reason, first);
-        other.report_into(other_reason, second);
-    }
-
     fn run_rounds(&mut self, max_rounds: u64, stop: StopCondition) -> StopReason {
         if self.synchrony.is_fsync() {
-            let mut kernels = [self.fsync_kernel()];
-            let [reason] = run_fsync(&mut kernels, max_rounds, stop);
-            let [counters] = kernels.map(|kernel| kernel.counters);
+            // `needs_predictions` takes `&self`, so its answer cannot change
+            // between rounds.
+            let predict = self.edges.needs_predictions();
+            let mut kernel = self.fsync_kernel();
+            let reason = kernel.run(max_rounds, stop, predict);
+            let counters = kernel.counters;
             self.store_counters(counters);
             return reason;
         }
@@ -1299,48 +1272,6 @@ impl Simulation {
     }
 }
 
-/// Plays `K` FSYNC runs until each one's stop condition holds, it
-/// deadlocks, or `max_rounds` rounds have been played, returning why each
-/// stopped. With `K = 2` the two runs' rounds interleave (see
-/// [`Simulation::run_pair_into`]); a finished run sits out while its
-/// partner plays on.
-#[inline(always)]
-fn run_fsync<const K: usize>(
-    kernels: &mut [FsyncKernel<'_>; K],
-    max_rounds: u64,
-    stop: StopCondition,
-) -> [StopReason; K] {
-    const { assert!(K == 1 || K == 2, "the round loop plays one run or a pair") };
-    // `needs_predictions` takes `&self`, so its answer cannot change
-    // between rounds.
-    let predict: [bool; K] = std::array::from_fn(|k| kernels[k].edges.needs_predictions());
-    let mut reasons = [None; K];
-    for _ in 0..max_rounds {
-        for (reason, kernel) in reasons.iter_mut().zip(kernels.iter()) {
-            if reason.is_none() {
-                *reason = kernel.counters.cull(stop, kernel.node.len());
-            }
-        }
-        if reasons.iter().all(Option::is_some) {
-            break;
-        }
-        // Constant indices, not a loop over `0..K`: the round body is too
-        // large for the compiler to unroll such a loop, and only after
-        // unrolling can it keep each kernel's slices and counters in
-        // registers with their bounds checks hoisted.
-        if reasons[0].is_none() {
-            kernels[0].round(None, predict[0]);
-        }
-        if K == 2 && reasons[K - 1].is_none() {
-            kernels[K - 1].round(None, predict[K - 1]);
-        }
-    }
-    std::array::from_fn(|k| {
-        let kernel = &kernels[k];
-        reasons[k].unwrap_or_else(|| kernel.counters.budget_reason(stop, kernel.node.len()))
-    })
-}
-
 /// A run's counters. An [`FsyncKernel`] carries them by value, so they
 /// stay in registers across the round loop.
 #[derive(Clone, Copy)]
@@ -1394,8 +1325,8 @@ impl RunCounters {
 /// a whole run: the agent columns and the round scratch as slices (sized to
 /// the team once, so the round body does no `Vec` bookkeeping), the
 /// run-level counters by value. [`FsyncKernel::round`] is the engine's only
-/// FSYNC round body; `step`, `step_with_edge`, `run_into` and
-/// `run_pair_into` all play their FSYNC rounds through it.
+/// FSYNC round body; `step`, `step_with_edge` and `run_into` all play their
+/// FSYNC rounds through it.
 struct FsyncKernel<'s> {
     counters: RunCounters,
     ring: &'s RingTopology,
@@ -1426,6 +1357,20 @@ struct FsyncKernel<'s> {
 }
 
 impl FsyncKernel<'_> {
+    /// Plays rounds until the stop condition holds, no agent is left to
+    /// step, or `max_rounds` rounds have been played, and returns why the
+    /// run stopped.
+    fn run(&mut self, max_rounds: u64, stop: StopCondition, predict: bool) -> StopReason {
+        let agent_count = self.node.len();
+        for _ in 0..max_rounds {
+            if let Some(reason) = self.counters.cull(stop, agent_count) {
+                return reason;
+            }
+            self.round(None, predict);
+        }
+        self.counters.budget_reason(stop, agent_count)
+    }
+
     /// Plays one FSYNC round: every live agent is active. `forced` is
     /// `Some(choice)` when the caller picks the missing edge instead of the
     /// edge policy; `predict` (only without `forced`) shows the policy each
@@ -1936,69 +1881,37 @@ mod tests {
     }
 
     #[test]
-    fn paired_runs_match_solo_runs_and_recycle_identically() {
+    fn recycled_simulations_match_fresh_runs_every_generation() {
         let n = 8;
-        let specs: Vec<RunSpec> = (0..4)
+        let ssync = SynchronyModel::Ssync(TransportModel::PassiveTransport);
+        let mut specs: Vec<RunSpec> = (0..4)
             .map(|shift| two_agent_spec(n, [shift, shift + 2], SynchronyModel::Fsync))
             .collect();
-        let solo: Vec<RunReport> = specs
-            .iter()
-            .map(|spec| {
+        specs.push(two_agent_spec(n, [0, 3], ssync));
+        specs.push(two_agent_spec(n, [1, 5], ssync));
+        let build = |spec: &RunSpec| -> Simulation {
+            if spec.synchrony().is_fsync() {
                 spec.instantiate(
                     Box::new(FullActivation),
                     Box::new(BlockAgent::new(AgentId::new(0))),
                 )
-                .run(200, StopCondition::AllTerminated)
-            })
-            .collect();
-        let mut sims: Vec<Simulation> = specs
-            .iter()
-            .map(|spec| {
-                spec.instantiate(
-                    Box::new(FullActivation),
-                    Box::new(BlockAgent::new(AgentId::new(0))),
-                )
-            })
-            .collect();
-        let mut reports = vec![RunReport::default(); 4];
-        // A second generation recycles every simulation and must reproduce
-        // the same reports.
-        for _ in 0..2 {
-            for (sim, spec) in sims.iter_mut().zip(&specs) {
-                sim.recycle(spec);
+            } else {
+                spec.instantiate(Box::new(RoundRobinSingle::new()), Box::new(NoRemoval))
             }
-            for (pair, out) in sims.chunks_exact_mut(2).zip(reports.chunks_exact_mut(2)) {
-                let (left, right) = pair.split_at_mut(1);
-                let (first, second) = out.split_at_mut(1);
-                left[0].run_pair_into(
-                    &mut right[0],
-                    200,
-                    StopCondition::AllTerminated,
-                    [&mut first[0], &mut second[0]],
-                );
-            }
-            assert_eq!(reports, solo);
-        }
-        // SSYNC pairs play one after the other, with the same result.
-        let ssync = SynchronyModel::Ssync(TransportModel::PassiveTransport);
-        let (spec, other_spec) =
-            (two_agent_spec(n, [0, 3], ssync), two_agent_spec(n, [1, 5], ssync));
-        let build = |spec: &RunSpec| {
-            spec.instantiate(Box::new(RoundRobinSingle::new()), Box::new(NoRemoval))
         };
-        let expected = [
-            build(&spec).run(300, StopCondition::Explored),
-            build(&other_spec).run(300, StopCondition::Explored),
-        ];
-        let mut out = [RunReport::default(), RunReport::default()];
-        let [first, second] = &mut out;
-        build(&spec).run_pair_into(
-            &mut build(&other_spec),
-            300,
-            StopCondition::Explored,
-            [first, second],
-        );
-        assert_eq!(out, expected);
+        let stop = StopCondition::AllTerminated;
+        let fresh: Vec<RunReport> = specs.iter().map(|spec| build(spec).run(300, stop)).collect();
+        let mut sims: Vec<Simulation> = specs.iter().map(build).collect();
+        let mut reports = vec![RunReport::default(); specs.len()];
+        // Every generation recycles each simulation in place and must
+        // reproduce the fresh reports.
+        for _ in 0..3 {
+            for ((sim, spec), report) in sims.iter_mut().zip(&specs).zip(&mut reports) {
+                sim.recycle(spec);
+                sim.run_into(300, stop, report);
+            }
+            assert_eq!(reports, fresh);
+        }
     }
 
     #[test]

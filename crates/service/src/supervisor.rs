@@ -232,9 +232,8 @@ impl Supervisor {
             }
 
             // Consecutive first-attempt cells with the same batch shape run
-            // as one group (FSYNC cells in interleaved pairs); retries and
-            // shape changes run as singleton groups, which
-            // `ScenarioBatchRunner` executes solo.
+            // as one group; retries and shape changes run as singleton
+            // groups.
             let groups = batch_waves(job, &items);
             let grouped = runner.run_map_catching(
                 &groups,

@@ -1,8 +1,8 @@
 //! Zero-allocation contract of the batched steady state.
 //!
 //! Once a group has run, re-running the identical group must recycle every
-//! simulation in place — `Simulation::recycle` plus the paired and solo
-//! runs may not touch the global allocator at all. This is the
+//! simulation in place — `Simulation::recycle` plus the runs may not touch
+//! the global allocator at all. This is the
 //! machine-checked half of the "whole batch recycles in place" design rule;
 //! the byte-identity half lives in `batch_lockstep_equivalence.rs`.
 //!

@@ -1,15 +1,13 @@
 //! Batched execution versus the sequential reference, byte for byte.
 //!
 //! `ScenarioBatchRunner` runs the groups `group_ranges` forms on one
-//! recycled simulation per group position, neighbouring FSYNC cells as
-//! interleaved pairs (`Simulation::run_pair_into`). Because every cell owns
-//! its RNG streams (scheduler, adversary) and consumes draws exactly as a
-//! solo run would, the batched `RunReport`s must equal the solo ones
+//! recycled simulation per group position. Because every cell owns its RNG
+//! streams (scheduler, adversary) and consumes draws exactly as a fresh run
+//! would, the batched `RunReport`s must equal the sequential ones
 //! **exactly** — same termination round, same outcome, same per-agent
 //! counters — for every catalogue algorithm, both synchrony families, the
-//! full seeded-adversary suite, and any lane cap, including odd tails (a
-//! group length not divisible by two) and pairs whose runs finish at
-//! different rounds.
+//! full seeded-adversary suite, and any lane cap, including ragged tails
+//! and neighbouring cells whose runs finish at different rounds.
 //!
 //! The companion allocation contract (a group re-run recycles in place,
 //! zero allocations per steady-state generation) lives in
@@ -26,7 +24,7 @@ use dynring_core::{Algorithm, AlgorithmFamily};
 use dynring_engine::sim::RunReport;
 use proptest::prelude::*;
 
-/// Lane caps exercised everywhere: degenerate (1 = solo fallback), tiny,
+/// Lane caps exercised everywhere: degenerate (1 = singleton groups), tiny,
 /// prime (ragged tails for every suite length), and wider than any suite
 /// (one group swallows everything).
 const LANE_CAPS: [usize; 4] = [1, 2, 7, 64];
@@ -77,10 +75,10 @@ fn sequential(scenarios: &[Scenario]) -> Vec<RunReport> {
 /// The full catalogue under the seeded-adversary suite: for every algorithm
 /// and every lane cap, the batched reports equal the solo reports exactly.
 /// The suite mixes fast-terminating cells (static dynamics) with
-/// budget-exhausting ones (blocked edges), so paired runs routinely finish
-/// at different rounds. Besides the natural budget, tiny budgets of 0, 1
-/// and 3 rounds pin the final `ConditionMet`/`BudgetExhausted` check of
-/// paired and odd-tail runs against solo.
+/// budget-exhausting ones (blocked edges), so neighbouring runs routinely
+/// finish at different rounds. Besides the natural budget, tiny budgets of
+/// 0, 1 and 3 rounds pin the final `ConditionMet`/`BudgetExhausted` check of
+/// batched runs against solo.
 #[test]
 fn catalogue_batched_equals_sequential_for_every_lane_cap() {
     let n = 7;
@@ -249,9 +247,8 @@ fn mixed_trace_lanes_record_only_where_enabled() {
 }
 
 /// The pinned pre-refactor golden digests, reproduced through the *batched*
-/// path: each golden scenario is doubled into a two-cell group (an FSYNC
-/// golden then runs as an interleaved pair) and both cells must digest to
-/// the pinned value.
+/// path: each golden scenario is doubled into a two-cell group and both
+/// cells must digest to the pinned value.
 #[test]
 fn batched_trace_lanes_reproduce_the_pinned_golden_digests() {
     for (name, scenario, expected) in golden_scenarios() {
