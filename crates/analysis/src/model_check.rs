@@ -555,12 +555,6 @@ pub struct ModelCheck {
     /// with [`Verdict::Inconclusive`] rather than silently truncating the
     /// proof.
     pub max_states: u64,
-    /// Dedup on the legacy `Debug`-string canonical key instead of the packed
-    /// binary key. Both encodings induce exactly the same equivalence classes
-    /// (the equivalence proptests pin this), so verdicts are identical; this
-    /// switch exists so the `model_check_throughput` bench can measure the
-    /// pre-packing baseline in-tree.
-    pub use_debug_key: bool,
 }
 
 /// Frontier size below which a parallel context still expands sequentially —
@@ -587,7 +581,7 @@ impl ModelCheck {
     #[must_use]
     pub fn new(scenario: Scenario, objective: Objective, depth: u64) -> Self {
         let max_states = if scenario.ring_size >= 10 { 10_000_000 } else { 2_000_000 };
-        ModelCheck { scenario, objective, depth, max_states, use_debug_key: false }
+        ModelCheck { scenario, objective, depth, max_states }
     }
 
     /// The branchable simulation the search recycles: the cell's compiled
@@ -918,11 +912,7 @@ impl ModelCheck {
                             }
                             let cp = &mut slab[slot];
                             sim.checkpoint_into(cp);
-                            if self.use_debug_key {
-                                cp.canonical_key_debug(ring, key);
-                            } else {
-                                cp.canonical_key_into(ring, key_scratch, key);
-                            }
+                            cp.canonical_key_into(ring, key_scratch, key);
                             if seen.insert(key) { Rec::New } else { Rec::Dup }
                         }
                     };

@@ -89,7 +89,9 @@ impl AdversaryKind {
         AdversaryKind::Scripted(schedule.into())
     }
 
-    pub(crate) fn instantiate(&self) -> Box<dyn EdgePolicy> {
+    /// A fresh engine policy for this adversary.
+    #[must_use]
+    pub fn instantiate(&self) -> Box<dyn EdgePolicy> {
         match self {
             AdversaryKind::Static => Box::new(NoRemoval),
             AdversaryKind::Random { p, seed } => Box::new(RandomEdge::new(*p, *seed)),
@@ -136,36 +138,6 @@ impl AdversaryKind {
     }
 }
 
-/// How a scenario's agents dispatch their Compute step.
-///
-/// The catalogue of the paper is closed, so the engine offers two observably
-/// identical representations of every catalogue protocol (see
-/// `docs/ARCHITECTURE.md`, "The dispatch story"): the statically dispatched
-/// [`CatalogProtocol`](dynring_core::CatalogProtocol) enum and the classic
-/// virtual `Box<dyn Protocol>`. Scenarios default to the enum fast path;
-/// the `dyn` path is kept selectable so the equivalence tests
-/// (`tests/dispatch_equivalence.rs`) and the `dispatch=enum|dyn` benchmark
-/// rows can compare the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum DispatchKind {
-    /// Statically dispatched enum runtime (`Algorithm::instantiate_enum`).
-    #[default]
-    Enum,
-    /// Virtually dispatched boxed runtime (`Algorithm::instantiate`).
-    Dyn,
-}
-
-impl DispatchKind {
-    /// The label used in benchmark case ids and report rows.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            DispatchKind::Enum => "enum",
-            DispatchKind::Dyn => "dyn",
-        }
-    }
-}
-
 /// The activation schedulers available to scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SchedulerKind {
@@ -196,7 +168,9 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    pub(crate) fn instantiate(&self) -> Box<dyn ActivationPolicy> {
+    /// A fresh engine policy for this scheduler.
+    #[must_use]
+    pub fn instantiate(&self) -> Box<dyn ActivationPolicy> {
         match self {
             SchedulerKind::Full => Box::new(FullActivation),
             SchedulerKind::RoundRobin => Box::new(RoundRobinSingle::new()),
@@ -248,8 +222,6 @@ pub struct Scenario {
     pub stop: StopCondition,
     /// Whether to record a full trace.
     pub record_trace: bool,
-    /// How the agents dispatch Compute (enum fast path by default).
-    pub dispatch: DispatchKind,
 }
 
 impl Scenario {
@@ -273,7 +245,6 @@ impl Scenario {
             max_rounds: 64 * ring_size as u64 + 512,
             stop: StopCondition::AllTerminated,
             record_trace: false,
-            dispatch: DispatchKind::Enum,
         }
     }
 
@@ -355,13 +326,6 @@ impl Scenario {
         self
     }
 
-    /// Replaces the dispatch representation (enum fast path by default).
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchKind) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// The ring topology this scenario runs on (with its landmark, if any).
     #[must_use]
     pub fn ring(&self) -> RingTopology {
@@ -391,18 +355,7 @@ impl Scenario {
             .map(|(i, start)| {
                 let handedness =
                     self.orientations.get(i).copied().unwrap_or(Handedness::LeftIsCcw);
-                match self.dispatch {
-                    DispatchKind::Enum => AgentSpec::new(
-                        NodeId::new(*start),
-                        handedness,
-                        self.algorithm.instantiate_enum(),
-                    ),
-                    DispatchKind::Dyn => AgentSpec::new(
-                        NodeId::new(*start),
-                        handedness,
-                        self.algorithm.instantiate(),
-                    ),
-                }
+                AgentSpec::new(NodeId::new(*start), handedness, self.algorithm.instantiate_enum())
             })
             .collect();
         RunSpec::new(self.ring(), self.synchrony, agents, self.record_trace)
@@ -418,29 +371,7 @@ impl Scenario {
     /// failure is preferable to error plumbing.
     #[must_use]
     pub fn build(&self) -> Simulation {
-        let ring = self.ring();
-        let mut builder = Simulation::builder(ring)
-            .synchrony(self.synchrony)
-            .activation(self.scheduler.instantiate())
-            .edges(self.adversary.instantiate())
-            .record_trace(self.record_trace);
-        for (i, start) in self.starts.iter().enumerate() {
-            let handedness =
-                self.orientations.get(i).copied().unwrap_or(Handedness::LeftIsCcw);
-            builder = match self.dispatch {
-                DispatchKind::Enum => builder.agent_program(
-                    NodeId::new(*start),
-                    handedness,
-                    self.algorithm.instantiate_enum(),
-                ),
-                DispatchKind::Dyn => builder.agent(
-                    NodeId::new(*start),
-                    handedness,
-                    self.algorithm.instantiate(),
-                ),
-            };
-        }
-        builder.build().expect("scenario must describe a valid simulation")
+        self.compile().instantiate(self.scheduler.instantiate(), self.adversary.instantiate())
     }
 
     /// Builds and runs the scenario, returning the run report.
@@ -475,8 +406,8 @@ impl Scenario {
     /// budget and stop condition, so each position of a
     /// [`ScenarioBatchRunner`] recycles its simulation into the same buffer
     /// sizes from group to group. Everything else — algorithm, landmark,
-    /// placements, orientations, scheduler, adversary, dispatch, trace
-    /// recording — is per-cell state and may differ freely within a group.
+    /// placements, orientations, scheduler, adversary, trace recording — is
+    /// per-cell state and may differ freely within a group.
     #[must_use]
     pub fn same_batch_shape(&self, other: &Scenario) -> bool {
         self.ring_size == other.ring_size
@@ -716,17 +647,6 @@ mod tests {
         assert!(s.record_trace);
         let report = s.run();
         assert!(report.explored());
-    }
-
-    #[test]
-    fn dispatch_defaults_to_enum_and_is_overridable() {
-        let s = Scenario::fsync(8, Algorithm::KnownBound { upper_bound: 8 });
-        assert_eq!(s.dispatch, DispatchKind::Enum);
-        let enum_report = s.clone().run();
-        let dyn_report = s.with_dispatch(DispatchKind::Dyn).run();
-        assert_eq!(enum_report, dyn_report);
-        assert_eq!(DispatchKind::Enum.label(), "enum");
-        assert_eq!(DispatchKind::Dyn.label(), "dyn");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! ```
 
 use dynring_bench::throughput::{
-    case_json_line, case_rates, dispatch_comparisons, extract_section, fast_mode, filter_cases,
-    hard_gate, measure, measurement_budget, out_path, parse_baseline, regressions, standard_cases,
-    write_document, ThroughputSample,
+    case_json_line, case_rates, extract_section, fast_mode, filter_cases, gate, measure,
+    measurement_budget, out_path, parse_baseline, standard_cases, write_document,
+    ThroughputSample,
 };
 
 fn main() {
@@ -40,14 +40,6 @@ fn main() {
         samples.push(sample);
     }
 
-    let comparisons = dispatch_comparisons(&samples);
-    if !comparisons.is_empty() {
-        println!();
-        for line in &comparisons {
-            println!("{line}");
-        }
-    }
-
     let path = out_path();
     // Diff against the previous committed baseline before overwriting it,
     // and carry its runs/sec and states/sec sections (owned by
@@ -62,23 +54,5 @@ fn main() {
         .expect("write BENCH_engine.json");
     println!("\nbaseline written to {}", path.display());
 
-    if previous.is_empty() {
-        println!("no previous baseline to diff against");
-    } else {
-        let drops = regressions(&case_rates(&samples), &previous, 0.10, "rounds/sec");
-        if drops.is_empty() {
-            println!("no regressions >= 10% against the previous baseline");
-        } else {
-            for line in &drops {
-                println!("{line}");
-            }
-            if hard_gate() {
-                eprintln!(
-                    "bench gate (hard by default; DYNRING_BENCH_GATE=soft to opt out): failing on {} regression(s) >= 10%",
-                    drops.len()
-                );
-                std::process::exit(1);
-            }
-        }
-    }
+    gate(&case_rates(&samples), &previous, "rounds/sec");
 }

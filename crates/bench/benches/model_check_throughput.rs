@@ -1,16 +1,13 @@
 //! Exhaustive model-checker throughput: expanded states per second over the
-//! packaged impossibility cells — the flagship Theorem 10 cell (`MC-T3-R2`)
-//! under legacy `Debug`-string keys vs packed binary keys, the widest cell
-//! (`MC-T1-R3`, n = 9) sequentially vs under the parallel level-synchronous
-//! search (multi-core machines only), plus wall-clock rows for every
-//! infeasibility cell at the large ring sizes the packed-key search unlocked
-//! (n = 9 and, in full mode, n = 10).
+//! packaged impossibility cells — the flagship Theorem 10 cell (`MC-T3-R2`,
+//! n = 7), the widest cell (`MC-T1-R3`, n = 9) sequentially vs under the
+//! parallel level-synchronous search (multi-core machines only), plus
+//! wall-clock rows for every infeasibility cell at n = 9 and, in full mode,
+//! n = 10.
 //!
-//! The debug/packed pair keeps the pre-packing baseline measurable in-tree:
-//! the printed `PACKED-KEY speedup` line is the canonical-key optimisation's
-//! acceptance metric (≥ 3× sequential states/sec), and the `model_check_cases`
-//! section written into `BENCH_engine.json` puts every row under the same
-//! hard ≥10% regression gate as the engine and sweep rows.
+//! The `model_check_cases` section written into `BENCH_engine.json` puts
+//! every row under the same hard ≥10% regression gate as the engine and
+//! sweep rows.
 //!
 //! ```bash
 //! cargo bench --bench model_check_throughput            # full measurement
@@ -19,9 +16,8 @@
 
 use dynring_analysis::model_check::{self, ModelCheck, SearchContext, SearchStats};
 use dynring_bench::throughput::{
-    extract_section, fast_mode, filter_cases, hard_gate, measurement_budget,
-    model_check_json_line, model_check_rates, out_path, parse_baseline, regressions,
-    write_document, ModelCheckSample,
+    extract_section, fast_mode, filter_cases, gate, measurement_budget, model_check_json_line,
+    model_check_rates, out_path, parse_baseline, write_document, ModelCheckSample,
 };
 use std::time::{Duration, Instant};
 
@@ -29,7 +25,6 @@ use std::time::{Duration, Instant};
 struct McCase {
     id: String,
     ring_size: usize,
-    key: &'static str,
     threads: usize,
     check: ModelCheck,
 }
@@ -59,21 +54,12 @@ fn widest(n: usize) -> ModelCheck {
 }
 
 fn cases(fast: bool) -> Vec<McCase> {
-    let mut out = Vec::new();
-    // The packed-key acceptance pair on the flagship n = 7 cell: identical
-    // search, only the canonical-key encoding differs.
-    let n = 7;
-    for key in ["debug", "packed"] {
-        let mut check = flagship(n);
-        check.use_debug_key = key == "debug";
-        out.push(McCase {
-            id: format!("mc/t3r2/n={n}/key={key}/threads=1"),
-            ring_size: n,
-            key,
-            threads: 1,
-            check,
-        });
-    }
+    let mut out = vec![McCase {
+        id: "mc/t3r2/n=7/threads=1".to_owned(),
+        ring_size: 7,
+        threads: 1,
+        check: flagship(7),
+    }];
     // The parallel pair on the widest cell, where level frontiers are large
     // enough to amortise the deterministic chunk merge. On a single-core
     // machine the multi-thread row is pure overhead (threads time-slice one
@@ -84,15 +70,14 @@ fn cases(fast: bool) -> Vec<McCase> {
     let widths: &[usize] = if cores > 1 { &[1, 4] } else { &[1] };
     for &threads in widths {
         out.push(McCase {
-            id: format!("mc/t1r3/n=9/key=packed/threads={threads}"),
+            id: format!("mc/t1r3/n=9/threads={threads}"),
             ring_size: 9,
-            key: "packed",
             threads,
             check: widest(9),
         });
     }
-    // Wall-clock per remaining infeasibility cell at the sizes the packed
-    // keys unlocked; smoke mode stops at n = 9, full mode proves n = 10.
+    // Wall-clock per remaining infeasibility cell; smoke mode stops at
+    // n = 9, full mode proves n = 10.
     let sizes: &[usize] = if fast { &[9] } else { &[9, 10] };
     for &n in sizes {
         for cell in model_check::infeasibility_cells(n) {
@@ -102,7 +87,6 @@ fn cases(fast: bool) -> Vec<McCase> {
             out.push(McCase {
                 id: format!("mc/matrix/n={n}/{}", cell.id),
                 ring_size: n,
-                key: "packed",
                 threads: 1,
                 check: cell.check,
             });
@@ -135,7 +119,6 @@ fn measure(case: &McCase, budget: Duration) -> ModelCheckSample {
     ModelCheckSample {
         id: case.id.clone(),
         ring_size: case.ring_size,
-        key: case.key,
         threads: case.threads,
         runs,
         states,
@@ -190,8 +173,6 @@ fn main() {
         samples.push(sample);
     }
 
-    // The acceptance comparison: packed sequential vs the Debug-string
-    // baseline on the flagship cell.
     let rate = |needle: &str| {
         samples
             .iter()
@@ -199,14 +180,8 @@ fn main() {
             .map(|s| s.states_per_sec)
             .filter(|&r| r > 0.0)
     };
-    if let (Some(debug), Some(packed)) =
-        (rate("t3r2/n=7/key=debug"), rate("t3r2/n=7/key=packed"))
-    {
-        println!("\nPACKED-KEY speedup (sequential, n=7 flagship): {:.2}x", packed / debug);
-    }
-    if let (Some(seq), Some(par)) =
-        (rate("t1r3/n=9/key=packed/threads=1"), rate("t1r3/n=9/key=packed/threads=4"))
-    {
+    println!();
+    if let (Some(seq), Some(par)) = (rate("t1r3/n=9/threads=1"), rate("t1r3/n=9/threads=4")) {
         println!("PARALLEL speedup (4 threads vs sequential, n=9 widest cell): {:.2}x", par / seq);
     } else {
         println!("PARALLEL speedup: skipped (single-core machine; parallel search byte-identity is test-pinned)");
@@ -225,23 +200,5 @@ fn main() {
         .expect("write BENCH_engine.json");
     println!("\nbaseline written to {}", path.display());
 
-    if previous.is_empty() {
-        println!("no previous baseline to diff against");
-    } else {
-        let drops = regressions(&model_check_rates(&samples), &previous, 0.10, "states/sec");
-        if drops.is_empty() {
-            println!("no regressions >= 10% against the previous baseline");
-        } else {
-            for line in &drops {
-                println!("{line}");
-            }
-            if hard_gate() {
-                eprintln!(
-                    "bench gate (hard by default; DYNRING_BENCH_GATE=soft to opt out): failing on {} regression(s) >= 10%",
-                    drops.len()
-                );
-                std::process::exit(1);
-            }
-        }
-    }
+    gate(&model_check_rates(&samples), &previous, "states/sec");
 }

@@ -23,9 +23,9 @@
 //! ```
 
 use dynring_bench::throughput::{
-    batch_comparisons, extract_section, fast_mode, filter_cases, hard_gate, measure_runs,
-    measurement_budget, out_path, parse_baseline, recycle_comparisons, regressions,
-    sweep_case_scenario, sweep_cases, sweep_json_line, sweep_rates, Lifecycle, SweepSample,
+    batch_comparisons, extract_section, fast_mode, filter_cases, gate, measure_runs,
+    measurement_budget, out_path, parse_baseline, recycle_comparisons, sweep_case_scenario,
+    sweep_cases, sweep_json_line, sweep_rates, Lifecycle, SweepSample,
 };
 use dynring_analysis::batch::batch_lanes_from_env;
 use dynring_analysis::scenario::{Scenario, ScenarioBatchRunner, ScenarioRunner};
@@ -167,23 +167,5 @@ fn main() {
         .expect("write BENCH_engine.json");
     println!("\nbaseline written to {}", path.display());
 
-    if previous.is_empty() {
-        println!("no previous baseline to diff against");
-    } else {
-        let drops = regressions(&sweep_rates(&samples), &previous, 0.10, "runs/sec");
-        if drops.is_empty() {
-            println!("no regressions >= 10% against the previous baseline");
-        } else {
-            for line in &drops {
-                println!("{line}");
-            }
-            if hard_gate() {
-                eprintln!(
-                    "bench gate (hard by default; DYNRING_BENCH_GATE=soft to opt out): failing on {} regression(s) >= 10%",
-                    drops.len()
-                );
-                std::process::exit(1);
-            }
-        }
-    }
+    gate(&sweep_rates(&samples), &previous, "runs/sec");
 }

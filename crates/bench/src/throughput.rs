@@ -34,9 +34,7 @@
 //!   the warn-only annotation history exists).
 
 use dynring_analysis::batch::batch_lanes_from_env;
-use dynring_analysis::scenario::{
-    AdversaryKind, DispatchKind, Scenario, ScenarioBatchRunner, ScenarioRunner,
-};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner};
 use dynring_core::Algorithm;
 use dynring_engine::sim::{RunReport, StopCondition};
 use std::io::Write as _;
@@ -70,9 +68,8 @@ impl SynchronyCase {
 /// One configuration of the throughput grid.
 #[derive(Debug, Clone)]
 pub struct ThroughputCase {
-    /// Stable identifier, e.g. `fsync/n=1024/trace=off/dispatch=enum`
-    /// (prediction-on cases insert `/pred=on`; the trace=on rows measure
-    /// trace overhead, not dispatch, and carry no dispatch segment).
+    /// Stable identifier, e.g. `fsync/n=1024/trace=off` (prediction-on
+    /// cases append `/pred=on`).
     pub id: String,
     /// Synchrony family.
     pub synchrony: SynchronyCase,
@@ -84,10 +81,6 @@ pub struct ThroughputCase {
     /// is installed, forcing the engine to predict every agent's decision
     /// each round.
     pub predictions: bool,
-    /// How the agents dispatch Compute: the statically dispatched catalogue
-    /// enum (the engine's default) or the virtual `Box<dyn Protocol>` escape
-    /// hatch.
-    pub dispatch: DispatchKind,
 }
 
 /// A measured case.
@@ -107,58 +100,31 @@ pub struct ThroughputSample {
 /// [`THROUGHPUT_SIZES`], trace recording off and on, plus the
 /// prediction-on family (omniscient `PreventMeeting` adversary installed,
 /// trace off) for both synchrony families.
-///
-/// Every trace-off configuration is measured **twice** — once per dispatch
-/// representation (`…/dispatch=enum` for the statically dispatched catalogue
-/// runtime, `…/dispatch=dyn` for the boxed escape hatch) — so the cost of
-/// virtual Compute dispatch stays visible PR over PR. The trace-on rows
-/// measure trace recording, which dwarfs dispatch, and run the engine
-/// default (enum) without a dispatch segment.
 #[must_use]
 pub fn standard_cases() -> Vec<ThroughputCase> {
+    let case = |synchrony: SynchronyCase, ring_size, trace, predictions| ThroughputCase {
+        id: format!(
+            "{}/n={ring_size}/trace={}{}",
+            synchrony.label(),
+            if trace { "on" } else { "off" },
+            if predictions { "/pred=on" } else { "" }
+        ),
+        synchrony,
+        ring_size,
+        trace,
+        predictions,
+    };
+    let families = [SynchronyCase::Fsync, SynchronyCase::SsyncPt];
     let mut cases = Vec::new();
-    for synchrony in [SynchronyCase::Fsync, SynchronyCase::SsyncPt] {
+    for synchrony in families {
         for &n in THROUGHPUT_SIZES {
-            for dispatch in [DispatchKind::Enum, DispatchKind::Dyn] {
-                cases.push(ThroughputCase {
-                    id: format!(
-                        "{}/n={n}/trace=off/dispatch={}",
-                        synchrony.label(),
-                        dispatch.label()
-                    ),
-                    synchrony,
-                    ring_size: n,
-                    trace: false,
-                    predictions: false,
-                    dispatch,
-                });
-            }
-            cases.push(ThroughputCase {
-                id: format!("{}/n={n}/trace=on", synchrony.label()),
-                synchrony,
-                ring_size: n,
-                trace: true,
-                predictions: false,
-                dispatch: DispatchKind::Enum,
-            });
+            cases.push(case(synchrony, n, false, false));
+            cases.push(case(synchrony, n, true, false));
         }
     }
-    for synchrony in [SynchronyCase::Fsync, SynchronyCase::SsyncPt] {
+    for synchrony in families {
         for &n in THROUGHPUT_SIZES {
-            for dispatch in [DispatchKind::Enum, DispatchKind::Dyn] {
-                cases.push(ThroughputCase {
-                    id: format!(
-                        "{}/n={n}/trace=off/pred=on/dispatch={}",
-                        synchrony.label(),
-                        dispatch.label()
-                    ),
-                    synchrony,
-                    ring_size: n,
-                    trace: false,
-                    predictions: true,
-                    dispatch,
-                });
-            }
+            cases.push(case(synchrony, n, false, true));
         }
     }
     cases
@@ -184,7 +150,6 @@ pub fn case_scenario(case: &ThroughputCase) -> Scenario {
     if case.predictions {
         scenario = scenario.with_adversary(AdversaryKind::PreventMeeting);
     }
-    scenario = scenario.with_dispatch(case.dispatch);
     scenario.stop = StopCondition::RoundBudget;
     if case.trace {
         scenario = scenario.with_trace();
@@ -638,14 +603,12 @@ fn json_escape(s: &str) -> String {
 pub fn case_json_line(s: &ThroughputSample) -> String {
     format!(
         "{{\"id\": \"{}\", \"synchrony\": \"{}\", \"ring_size\": {}, \"trace\": {}, \
-         \"predictions\": {}, \"dispatch\": \"{}\", \"rounds\": {}, \"elapsed_ns\": {}, \
-         \"rounds_per_sec\": {:.1}}}",
+         \"predictions\": {}, \"rounds\": {}, \"elapsed_ns\": {}, \"rounds_per_sec\": {:.1}}}",
         json_escape(&s.case.id),
         json_escape(s.case.synchrony.label()),
         s.case.ring_size,
         s.case.trace,
         s.case.predictions,
-        s.case.dispatch.label(),
         s.rounds,
         s.elapsed_ns,
         s.rounds_per_sec,
@@ -676,13 +639,10 @@ pub fn sweep_json_line(s: &SweepSample) -> String {
 /// moves).
 #[derive(Debug, Clone)]
 pub struct ModelCheckSample {
-    /// Row id, e.g. `mc/t3r2/n=7/key=packed/threads=1`.
+    /// Row id, e.g. `mc/t3r2/n=7/threads=1`.
     pub id: String,
     /// Ring size of the cell.
     pub ring_size: usize,
-    /// Canonical-key encoding: `packed` or `debug` (the pre-packing
-    /// baseline, kept measurable in-tree).
-    pub key: &'static str,
     /// Worker threads of the search (1 = sequential reference).
     pub threads: usize,
     /// Full search runs completed within the budget.
@@ -705,12 +665,11 @@ pub struct ModelCheckSample {
 #[must_use]
 pub fn model_check_json_line(s: &ModelCheckSample) -> String {
     format!(
-        "{{\"id\": \"{}\", \"ring_size\": {}, \"key\": \"{}\", \"threads\": {}, \
-         \"runs\": {}, \"states\": {}, \"peak_frontier\": {}, \"dedup_ratio\": {:.2}, \
-         \"elapsed_ns\": {}, \"states_per_sec\": {:.1}}}",
+        "{{\"id\": \"{}\", \"ring_size\": {}, \"threads\": {}, \"runs\": {}, \"states\": {}, \
+         \"peak_frontier\": {}, \"dedup_ratio\": {:.2}, \"elapsed_ns\": {}, \
+         \"states_per_sec\": {:.1}}}",
         json_escape(&s.id),
         s.ring_size,
-        s.key,
         s.threads,
         s.runs,
         s.states,
@@ -852,9 +811,9 @@ pub fn sweep_rates(samples: &[SweepSample]) -> Vec<(String, f64)> {
 
 /// Compares fresh `(id, rate)` pairs against a previous baseline and returns
 /// one line per case whose rate dropped by at least `threshold` (fractional:
-/// `0.10` = 10%). Cases absent from the previous baseline are ignored (new
-/// rows are not regressions). `unit` names the rate in the printed line
-/// (`"rounds/sec"` or `"runs/sec"`).
+/// `0.10` = 10%). Cases without a positive rate in the previous baseline
+/// are not regressions; [`ungated`] names them. `unit` names the rate in the
+/// printed line (`"rounds/sec"` or `"runs/sec"`).
 #[must_use]
 pub fn regressions(
     fresh: &[(String, f64)],
@@ -883,31 +842,47 @@ pub fn regressions(
         .collect()
 }
 
-/// Pairs every `dispatch=dyn` sample with its `dispatch=enum` sibling and
-/// returns one comparison line per pair (`enum/dyn` throughput ratio). The
-/// bench target prints these so the cost of virtual Compute dispatch is
-/// visible in every run's output.
+/// One `UNGATED <id>` line per fresh row that the previous baseline has no
+/// positive rate for: [`regressions`] cannot compare those rows, so a
+/// renamed or new row would otherwise drop out of the gate unnoticed.
 #[must_use]
-pub fn dispatch_comparisons(samples: &[ThroughputSample]) -> Vec<String> {
-    samples
+pub fn ungated(fresh: &[(String, f64)], previous: &[(String, f64)]) -> Vec<String> {
+    fresh
         .iter()
-        .filter(|s| s.case.dispatch == DispatchKind::Dyn)
-        .filter_map(|dyn_sample| {
-            let enum_id = dyn_sample.case.id.replace("/dispatch=dyn", "/dispatch=enum");
-            let enum_sample = samples.iter().find(|s| s.case.id == enum_id)?;
-            if dyn_sample.rounds_per_sec <= 0.0 {
-                return None;
-            }
-            let ratio = enum_sample.rounds_per_sec / dyn_sample.rounds_per_sec;
-            Some(format!(
-                "DISPATCH {}: enum {:.2}M vs dyn {:.2}M rounds/sec ({:.2}x)",
-                dyn_sample.case.id.replace("/dispatch=dyn", ""),
-                enum_sample.rounds_per_sec / 1e6,
-                dyn_sample.rounds_per_sec / 1e6,
-                ratio
-            ))
-        })
+        .filter(|(id, _)| !previous.iter().any(|(prev_id, rate)| prev_id == id && *rate > 0.0))
+        .map(|(id, _)| format!("UNGATED {id}"))
         .collect()
+}
+
+/// The gate every bench target ends with: diffs its fresh `(id, rate)`
+/// pairs against the previous baseline, prints an [`ungated`] line per row
+/// the baseline cannot gate and a [`regressions`] line per drop of 10% or
+/// more, and exits 1 on any drop under the [`hard_gate`]. Without a
+/// previous baseline there is nothing to diff and nothing is printed but a
+/// note.
+pub fn gate(fresh: &[(String, f64)], previous: &[(String, f64)], unit: &str) {
+    if previous.is_empty() {
+        println!("no previous baseline to diff against");
+        return;
+    }
+    for line in ungated(fresh, previous) {
+        println!("{line}");
+    }
+    let drops = regressions(fresh, previous, 0.10, unit);
+    if drops.is_empty() {
+        println!("no regressions >= 10% against the previous baseline");
+        return;
+    }
+    for line in &drops {
+        println!("{line}");
+    }
+    if hard_gate() {
+        eprintln!(
+            "bench gate (hard by default; DYNRING_BENCH_GATE=soft to opt out): failing on {} regression(s) >= 10%",
+            drops.len()
+        );
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
@@ -921,20 +896,14 @@ mod tests {
             ring_size: 8,
             trace: false,
             predictions,
-            dispatch: if id.contains("/dispatch=dyn") {
-                DispatchKind::Dyn
-            } else {
-                DispatchKind::Enum
-            },
         }
     }
 
     #[test]
     fn standard_grid_covers_both_synchrony_families_and_trace_modes() {
         let cases = standard_cases();
-        // Per family per size: trace=off × {enum, dyn} + trace=on, plus
-        // prediction-on × {enum, dyn}.
-        assert_eq!(cases.len(), 2 * THROUGHPUT_SIZES.len() * 5);
+        // Per family per size: trace=off, trace=on and prediction-on.
+        assert_eq!(cases.len(), 2 * THROUGHPUT_SIZES.len() * 3);
         assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::Fsync && !c.trace));
         assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::SsyncPt && c.trace));
         assert!(cases
@@ -944,43 +913,10 @@ mod tests {
             .iter()
             .any(|c| c.synchrony == SynchronyCase::SsyncPt && c.predictions));
         assert!(cases.iter().all(|c| c.predictions == c.id.contains("/pred=on")));
-        // Every trace-off configuration appears under both dispatch
-        // representations; trace-on rows run the engine default.
-        assert!(cases
-            .iter()
-            .all(|c| c.trace || c.id.contains("/dispatch=")));
-        assert!(cases.iter().all(|c| {
-            (c.dispatch == DispatchKind::Dyn) == c.id.ends_with("/dispatch=dyn")
-        }));
-        for dyn_case in cases.iter().filter(|c| c.dispatch == DispatchKind::Dyn) {
-            let sibling = dyn_case.id.replace("/dispatch=dyn", "/dispatch=enum");
-            assert!(
-                cases.iter().any(|c| c.id == sibling),
-                "{} has no enum sibling",
-                dyn_case.id
-            );
-        }
+        assert!(cases.iter().all(|c| c.trace == c.id.contains("/trace=on")));
         let ids: std::collections::HashSet<&str> =
             cases.iter().map(|c| c.id.as_str()).collect();
         assert_eq!(ids.len(), cases.len(), "case ids must be unique");
-    }
-
-    #[test]
-    fn dispatch_comparisons_pair_enum_with_dyn_rows() {
-        let mk = |id: &str, rps: f64| ThroughputSample {
-            case: case(id, false),
-            rounds: 100,
-            elapsed_ns: 100,
-            rounds_per_sec: rps,
-        };
-        let lines = dispatch_comparisons(&[
-            mk("fsync/n=8/trace=off/dispatch=enum", 4_000_000.0),
-            mk("fsync/n=8/trace=off/dispatch=dyn", 2_000_000.0),
-            mk("fsync/n=8/trace=on", 1_000_000.0),
-        ]);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("fsync/n=8/trace=off"), "{}", lines[0]);
-        assert!(lines[0].contains("(2.00x)"), "{}", lines[0]);
     }
 
     #[test]
@@ -1024,7 +960,6 @@ mod tests {
         ModelCheckSample {
             id: id.to_owned(),
             ring_size: 7,
-            key: "packed",
             threads: 1,
             runs: 3,
             states: 50_000,
@@ -1047,20 +982,20 @@ mod tests {
             "sweep/fsync-witness/n=64/budget=256/lifecycle=recycled",
             4000.0,
         ));
-        let mc_line = model_check_json_line(&mc_sample("mc/t3r2/n=7/key=packed/threads=1", 5e6));
+        let mc_line = model_check_json_line(&mc_sample("mc/t3r2/n=7/threads=1", 5e6));
         let json = render_document(&[case_line], &[sweep_line], &[mc_line]);
         assert!(json.contains("\"schema\": \"dynring-engine-throughput/v3\""));
         assert!(json.contains("\"ring_size\": 8"));
         assert!(json.contains("\"rounds_per_sec\": 123.5"));
         assert!(json.contains("\"trace\": false"));
         assert!(json.contains("\"predictions\": false"));
-        assert!(json.contains("\"dispatch\": \"enum\""));
+        assert!(!json.contains("\"dispatch\""));
         assert!(json.contains("\"sweep_cases\": ["));
         assert!(json.contains("\"lifecycle\": \"recycled\""));
         assert!(json.contains("\"budget_rounds\": 256"));
         assert!(json.contains("\"runs_per_sec\": 4000.0"));
         assert!(json.contains("\"model_check_cases\": ["));
-        assert!(json.contains("\"key\": \"packed\""));
+        assert!(!json.contains("\"key\""));
         assert!(json.contains("\"peak_frontier\": 900"));
         assert!(json.contains("\"dedup_ratio\": 4.20"));
         assert!(json.contains("\"states_per_sec\": 5000000.0"));
@@ -1078,7 +1013,7 @@ mod tests {
             "sweep/fsync-witness/n=64/budget=256/lifecycle=fresh",
             1234.5,
         ));
-        let mc_line = model_check_json_line(&mc_sample("mc/t3r2/n=7/key=debug/threads=1", 1e6));
+        let mc_line = model_check_json_line(&mc_sample("mc/t1r3/n=9/threads=1", 1e6));
         let json = render_document(
             std::slice::from_ref(&case_line),
             std::slice::from_ref(&sweep_line),
@@ -1107,7 +1042,7 @@ mod tests {
             800_000.0,
         ))];
         let mc_lines =
-            vec![model_check_json_line(&mc_sample("mc/t3r2/n=7/key=packed/threads=1", 3e6))];
+            vec![model_check_json_line(&mc_sample("mc/t3r2/n=7/threads=1", 3e6))];
         let parsed = parse_baseline(&render_document(&case_lines, &sweep_lines, &mc_lines));
         assert_eq!(
             parsed,
@@ -1117,7 +1052,7 @@ mod tests {
                     "sweep/fsync-witness/n=64/budget=256/lifecycle=recycled".to_owned(),
                     800_000.0
                 ),
-                ("mc/t3r2/n=7/key=packed/threads=1".to_owned(), 3_000_000.0),
+                ("mc/t3r2/n=7/threads=1".to_owned(), 3_000_000.0),
             ]
         );
         assert!(parse_baseline("not json at all").is_empty());
@@ -1141,6 +1076,23 @@ mod tests {
         assert!(lines[0].contains('b'), "{lines:?}");
         assert!(lines[0].contains("-20.0%"), "{lines:?}");
         assert!(lines[0].contains("rounds/sec"), "{lines:?}");
+    }
+
+    #[test]
+    fn ungated_names_fresh_rows_the_baseline_cannot_gate() {
+        let previous = vec![
+            ("kept".to_owned(), 1_000_000.0),
+            ("zero".to_owned(), 0.0),
+            ("old/dispatch=enum".to_owned(), 1_000_000.0),
+        ];
+        let fresh = vec![
+            ("kept".to_owned(), 900_000.0),
+            ("zero".to_owned(), 100.0),
+            ("old".to_owned(), 1_000_000.0),
+        ];
+        assert_eq!(ungated(&fresh, &previous), vec!["UNGATED zero", "UNGATED old"]);
+        // Baseline rows nobody measured this run are not ungated rows.
+        assert!(ungated(&fresh[..1], &previous).is_empty());
     }
 
     #[test]

@@ -72,14 +72,13 @@
 //! Any injective encoding yields the same equivalence classes as any other
 //! over the same map family: the orbits of the symmetry group partition the
 //! configuration space, and two orbits sharing their minimal encoded element
-//! are equal. The retired `Debug`-string encoding is kept as
-//! [`SimCheckpoint::canonical_key_debug`] so benches and the equivalence
-//! proptests can measure and verify exactly that.
+//! are equal. The unit tests hold a second, `Debug`-string encoding of the
+//! same configuration and check that both keys split configurations into
+//! the same classes.
 
 use crate::world::AgentProgram;
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::PriorOutcome;
-use std::fmt::Write as _;
 
 /// Recycled scratch buffer for [`SimCheckpoint::canonical_key_into`].
 ///
@@ -234,9 +233,7 @@ impl SimCheckpoint {
         // Symmetry-invariant prefix: both map families relabel nodes and
         // global directions but never touch round counters, scheduler state,
         // sleep ages or program state (protocols only see local frames), so
-        // these are emitted once, outside the min-over-maps loop. This is
-        // the structural win over the retired Debug-string encoding, which
-        // re-emitted every program string for all 2n candidate maps.
+        // these are emitted once, outside the min-over-maps loop.
         out.clear();
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&self.activation_token.to_le_bytes());
@@ -382,107 +379,6 @@ impl SimCheckpoint {
         };
         [lo, hi, port | (u8::from(self.terminated[index]) << 2) | (handedness << 3) | (prior << 4)]
     }
-
-    /// The retired `Debug`-string canonical key, preserved verbatim as the
-    /// baseline the `model_check_throughput` bench measures the packed
-    /// encoding against, and as the second encoding of the key-equivalence
-    /// proptests. Induces exactly the same equivalence classes as
-    /// [`SimCheckpoint::canonical_key`] (see the [module docs](self));
-    /// allocates freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring`'s size does not match the checkpoint.
-    pub fn canonical_key_debug(&self, ring: &RingTopology, out: &mut Vec<u8>) {
-        let n = ring.size();
-        assert_eq!(self.visited.len(), n, "checkpoint is from a different ring");
-        // Program state via the derived `Debug` representation: complete
-        // (every catalogue state machine derives `Debug` field by field) and
-        // symmetry-invariant (protocols only ever observe local-frame
-        // snapshots, so a mirrored run drives the program through identical
-        // states). Rendered once per agent, shared by every candidate map.
-        let mut labels = String::new();
-        let mut label_ends = Vec::with_capacity(self.program.len());
-        for program in &self.program {
-            let _ = write!(labels, "{program:?}");
-            label_ends.push(labels.len());
-        }
-        // `last_active_round` is only ever consumed through order comparisons
-        // (`min_by_key` in the first-mover scheduler and adversary), so the
-        // key encodes its dense rank among the agents instead of the raw
-        // round number: plays that reach the same configuration along
-        // different activation histories coincide.
-        let last_active_rank: Vec<u8> = self
-            .last_active_round
-            .iter()
-            .map(|&r| {
-                let rank = self
-                    .last_active_round
-                    .iter()
-                    .filter(|&&other| other < r)
-                    .count();
-                u8::try_from(rank).unwrap_or(u8::MAX)
-            })
-            .collect();
-        let emit = |rot: usize, reflect: bool, buf: &mut Vec<u8>| {
-            buf.clear();
-            buf.extend_from_slice(&self.round.to_le_bytes());
-            buf.extend_from_slice(&self.activation_token.to_le_bytes());
-            // Node `w` of the canonical image is node `map⁻¹(w)` of the
-            // original (both map families are trivially invertible).
-            for w in 0..n {
-                let v = if reflect { (rot + n - w) % n } else { (w + n - rot) % n };
-                buf.push(u8::from(self.visited[v]));
-            }
-            let mut label_start = 0;
-            for index in 0..self.node.len() {
-                let v = self.node[index].index();
-                let mapped = if reflect { (rot + n - v) % n } else { (v + rot) % n };
-                buf.extend_from_slice(&u32::try_from(mapped).unwrap_or(u32::MAX).to_le_bytes());
-                buf.push(match self.held_port[index] {
-                    None => 0,
-                    Some(dir) => {
-                        let dir = if reflect { dir.opposite() } else { dir };
-                        match dir {
-                            GlobalDirection::Ccw => 1,
-                            GlobalDirection::Cw => 2,
-                        }
-                    }
-                });
-                buf.push(u8::from(self.terminated[index]));
-                buf.push(match (self.handedness[index], reflect) {
-                    (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0,
-                    _ => 1,
-                });
-                buf.push(match self.prior[index] {
-                    PriorOutcome::Idle => 0,
-                    PriorOutcome::Moved => 1,
-                    PriorOutcome::BlockedOnPort => 2,
-                    PriorOutcome::PortAcquisitionFailed => 3,
-                    PriorOutcome::Transported => 4,
-                });
-                buf.extend_from_slice(&self.asleep_on_port[index].to_le_bytes());
-                buf.push(last_active_rank[index]);
-                let label_end = label_ends[index];
-                buf.extend_from_slice(&labels.as_bytes()[label_start..label_end]);
-                buf.push(0xFF);
-                label_start = label_end;
-            }
-        };
-        out.clear();
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut first = true;
-        let mut consider = |rot: usize, reflect: bool, out: &mut Vec<u8>| {
-            emit(rot, reflect, &mut scratch);
-            if first || scratch < *out {
-                std::mem::swap(out, &mut scratch);
-                first = false;
-            }
-        };
-        for (rot, reflect) in admissible_maps(ring) {
-            consider(rot, reflect, out);
-        }
-    }
 }
 
 /// The symmetry maps a canonical key minimises over, as `(rot, reflect)`
@@ -502,13 +398,117 @@ fn admissible_maps(ring: &RingTopology) -> impl Iterator<Item = (usize, bool)> {
 
 #[cfg(test)]
 mod tests {
+    use super::{admissible_maps, SimCheckpoint};
     use crate::adversary::NoRemoval;
-    use crate::scheduler::{FullActivation, RoundRobinSingle};
+    use crate::scheduler::{
+        ActivationPolicy, AlternateBlocked, EtFairness, FullActivation, RoundRobinSingle,
+    };
     use crate::sim::Simulation;
     use dynring_core::fsync::KnownBound;
     use dynring_core::single::LoneWalker;
-    use dynring_graph::{EdgeId, Handedness, NodeId, RingTopology};
-    use dynring_model::{Protocol, SynchronyModel, TransportModel};
+    use dynring_core::Algorithm;
+    use dynring_graph::{EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
+    use dynring_model::{PriorOutcome, Protocol, SynchronyModel, TransportModel};
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    impl SimCheckpoint {
+        /// The reference encoding the packed key's classes are checked against:
+        /// the minimum over the admissible maps of a byte string holding the
+        /// round, scheduler token, unpacked visit map, per-agent fields and each
+        /// program's derived `Debug` string. It shares no code with the packed
+        /// key beyond [`admissible_maps`], and allocates freely.
+        fn canonical_key_debug(&self, ring: &RingTopology, out: &mut Vec<u8>) {
+            let n = ring.size();
+            assert_eq!(self.visited.len(), n, "checkpoint is from a different ring");
+            // Program state via the derived `Debug` representation: complete
+            // (every catalogue state machine derives `Debug` field by field) and
+            // symmetry-invariant (protocols only ever observe local-frame
+            // snapshots, so a mirrored run drives the program through identical
+            // states). Rendered once per agent, shared by every candidate map.
+            let mut labels = String::new();
+            let mut label_ends = Vec::with_capacity(self.program.len());
+            for program in &self.program {
+                let _ = write!(labels, "{program:?}");
+                label_ends.push(labels.len());
+            }
+            // `last_active_round` is only ever consumed through order comparisons
+            // (`min_by_key` in the first-mover scheduler and adversary), so the
+            // key encodes its dense rank among the agents instead of the raw
+            // round number: plays that reach the same configuration along
+            // different activation histories coincide.
+            let last_active_rank: Vec<u8> = self
+                .last_active_round
+                .iter()
+                .map(|&r| {
+                    let rank = self
+                        .last_active_round
+                        .iter()
+                        .filter(|&&other| other < r)
+                        .count();
+                    u8::try_from(rank).unwrap_or(u8::MAX)
+                })
+                .collect();
+            let emit = |rot: usize, reflect: bool, buf: &mut Vec<u8>| {
+                buf.clear();
+                buf.extend_from_slice(&self.round.to_le_bytes());
+                buf.extend_from_slice(&self.activation_token.to_le_bytes());
+                // Node `w` of the canonical image is node `map⁻¹(w)` of the
+                // original (both map families are trivially invertible).
+                for w in 0..n {
+                    let v = if reflect { (rot + n - w) % n } else { (w + n - rot) % n };
+                    buf.push(u8::from(self.visited[v]));
+                }
+                let mut label_start = 0;
+                for index in 0..self.node.len() {
+                    let v = self.node[index].index();
+                    let mapped = if reflect { (rot + n - v) % n } else { (v + rot) % n };
+                    buf.extend_from_slice(&u32::try_from(mapped).unwrap_or(u32::MAX).to_le_bytes());
+                    buf.push(match self.held_port[index] {
+                        None => 0,
+                        Some(dir) => {
+                            let dir = if reflect { dir.opposite() } else { dir };
+                            match dir {
+                                GlobalDirection::Ccw => 1,
+                                GlobalDirection::Cw => 2,
+                            }
+                        }
+                    });
+                    buf.push(u8::from(self.terminated[index]));
+                    buf.push(match (self.handedness[index], reflect) {
+                        (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0,
+                        _ => 1,
+                    });
+                    buf.push(match self.prior[index] {
+                        PriorOutcome::Idle => 0,
+                        PriorOutcome::Moved => 1,
+                        PriorOutcome::BlockedOnPort => 2,
+                        PriorOutcome::PortAcquisitionFailed => 3,
+                        PriorOutcome::Transported => 4,
+                    });
+                    buf.extend_from_slice(&self.asleep_on_port[index].to_le_bytes());
+                    buf.push(last_active_rank[index]);
+                    let label_end = label_ends[index];
+                    buf.extend_from_slice(&labels.as_bytes()[label_start..label_end]);
+                    buf.push(0xFF);
+                    label_start = label_end;
+                }
+            };
+            out.clear();
+            let mut scratch: Vec<u8> = Vec::new();
+            let mut first = true;
+            let mut consider = |rot: usize, reflect: bool, out: &mut Vec<u8>| {
+                emit(rot, reflect, &mut scratch);
+                if first || scratch < *out {
+                    std::mem::swap(out, &mut scratch);
+                    first = false;
+                }
+            };
+            for (rot, reflect) in admissible_maps(ring) {
+                consider(rot, reflect, out);
+            }
+        }
+    }
 
     fn known_bound_sim(ring: RingTopology, starts: &[(usize, Handedness)], n: usize) -> Simulation {
         let mut builder = Simulation::builder(ring)
@@ -661,5 +661,127 @@ mod tests {
         let mut key_c = Vec::new();
         c.checkpoint().canonical_key(&ring_a, &mut key_c);
         assert_ne!(key_a, key_c);
+    }
+
+    /// A catalogue cell as the model checker branches it: the algorithm's
+    /// own synchrony with the default deterministic scheduler of its model
+    /// (FSYNC: everyone; ET: fair round robin; otherwise sleep-blocked), a
+    /// landmark at node 0 when the algorithm needs one, and no edge removal
+    /// (the test forces every edge choice).
+    fn catalog_sim(
+        n: usize,
+        algorithm: Algorithm,
+        starts: &[usize],
+        orientations: &[Handedness],
+        landmark: Option<usize>,
+    ) -> Simulation {
+        let ring = match landmark {
+            Some(l) => RingTopology::with_landmark(n, NodeId::new(l)).unwrap(),
+            None => RingTopology::new(n).unwrap(),
+        };
+        let activation: Box<dyn ActivationPolicy> = match algorithm.synchrony() {
+            SynchronyModel::Fsync => Box::new(FullActivation),
+            SynchronyModel::Ssync(TransportModel::EventualTransport) => {
+                Box::new(EtFairness::new(Box::new(RoundRobinSingle::new()), 0))
+            }
+            SynchronyModel::Ssync(_) => Box::new(AlternateBlocked::new(3)),
+        };
+        let mut builder = Simulation::builder(ring)
+            .synchrony(algorithm.synchrony())
+            .activation(activation)
+            .edges(Box::new(NoRemoval));
+        for (start, handedness) in starts.iter().zip(orientations) {
+            let program = algorithm.instantiate_enum();
+            builder = builder.agent_program(NodeId::new(*start), *handedness, program);
+        }
+        builder.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The packed binary key induces **exactly** the same equivalence
+        /// classes as the `Debug`-string key. Two configurations — one a
+        /// random rotation/reflection of the other, or a genuinely different
+        /// cell (perturbed start) — have equal packed keys if and only if
+        /// they have equal `Debug` keys, at every round of a random
+        /// forced-edge play.
+        #[test]
+        fn packed_key_classes_match_debug_key_classes(
+            n in 4usize..9,
+            pick in 0usize..64,
+            start_a in 0usize..8,
+            start_b in 0usize..8,
+            shift in 0usize..8,
+            reflect in any::<bool>(),
+            perturb in any::<bool>(),
+            schedule_bits in any::<u64>(),
+        ) {
+            let catalog = Algorithm::full_catalog(n);
+            let algorithm = catalog[pick % catalog.len()];
+            let shift = shift % n;
+            let agents = algorithm.required_agents();
+            let starts: Vec<usize> =
+                [start_a % n, start_b % n, (start_a + start_b) % n][..agents.min(3)].to_vec();
+            if starts.is_empty() { return Ok(()); }
+
+            // The comparison cell: a symmetry image of the base (equal
+            // classes expected) or a perturbed sibling (usually distinct
+            // classes) — either way both encodings must agree on equality.
+            let map = |v: usize| {
+                let rotated = (v + shift) % n;
+                if reflect { (n - rotated) % n } else { rotated }
+            };
+            let landmark = algorithm.needs_landmark().then_some(0);
+            let orientations = vec![Handedness::LeftIsCcw; starts.len()];
+            let mut sim_a = catalog_sim(n, algorithm, &starts, &orientations, landmark);
+            let (other_starts, other_orientations, other_landmark) = if perturb {
+                (starts.iter().map(|&s| (s + 1) % n).collect(), orientations, landmark)
+            } else {
+                let handedness =
+                    if reflect { Handedness::LeftIsCw } else { Handedness::LeftIsCcw };
+                (
+                    starts.iter().map(|&s| map(s)).collect::<Vec<_>>(),
+                    vec![handedness; starts.len()],
+                    landmark.map(map),
+                )
+            };
+            let mut sim_b =
+                catalog_sim(n, algorithm, &other_starts, &other_orientations, other_landmark);
+            let ring = sim_a.ring().clone();
+            let (mut packed_a, mut packed_b) = (Vec::new(), Vec::new());
+            let (mut debug_a, mut debug_b) = (Vec::new(), Vec::new());
+            for round in 0..8u32 {
+                let choice = (schedule_bits >> (8 * round)) as usize % (n + 1);
+                let edge_a = (choice < n).then(|| EdgeId::new(choice));
+                let edge_b = if perturb {
+                    edge_a
+                } else {
+                    // Map the forced edge through the same symmetry: edge
+                    // e = (e, e+1) rotates to e + shift and reflects to
+                    // (n - 1) - e.
+                    (choice < n).then(|| {
+                        let rotated = (choice + shift) % n;
+                        EdgeId::new(if reflect { (n + n - 1 - rotated) % n } else { rotated })
+                    })
+                };
+                sim_a.step_with_edge(edge_a);
+                sim_b.step_with_edge(edge_b);
+                let cp_a = sim_a.checkpoint();
+                let cp_b = sim_b.checkpoint();
+                cp_a.canonical_key(&ring, &mut packed_a);
+                cp_b.canonical_key(&ring, &mut packed_b);
+                cp_a.canonical_key_debug(&ring, &mut debug_a);
+                cp_b.canonical_key_debug(&ring, &mut debug_b);
+                prop_assert_eq!(
+                    packed_a == packed_b,
+                    debug_a == debug_b,
+                    "{} n={} shift={} reflect={} perturb={}: encodings disagree at round {} \
+                     (packed equal: {}, debug equal: {})",
+                    algorithm, n, shift, reflect, perturb, round,
+                    packed_a == packed_b, debug_a == debug_b
+                );
+            }
+        }
     }
 }

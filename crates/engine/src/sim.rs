@@ -1594,6 +1594,7 @@ mod tests {
     use dynring_core::fsync::{KnownBound, Unconscious};
     use dynring_core::single::LoneWalker;
     use dynring_core::ssync::PtBoundChirality;
+    use dynring_core::CatalogProtocol;
 
     fn fsync_sim(
         n: usize,
@@ -1866,15 +1867,22 @@ mod tests {
         assert_eq!(sim.run(40, StopCondition::RoundBudget), reference);
     }
 
-    fn two_agent_spec(n: usize, starts: [usize; 2], synchrony: SynchronyModel) -> RunSpec {
+    /// Two `KnownBound` agents, as boxed programs or as catalogue enums.
+    fn two_agent_spec(
+        n: usize,
+        starts: [usize; 2],
+        synchrony: SynchronyModel,
+        boxed: bool,
+    ) -> RunSpec {
         let agents = starts
             .iter()
             .map(|&start| {
-                AgentSpec::new(
-                    NodeId::new(start),
-                    Handedness::LeftIsCcw,
-                    Box::new(KnownBound::new(n)) as Box<dyn Protocol>,
-                )
+                let program: AgentProgram = if boxed {
+                    (Box::new(KnownBound::new(n)) as Box<dyn Protocol>).into()
+                } else {
+                    CatalogProtocol::KnownBound(KnownBound::new(n)).into()
+                };
+                AgentSpec::new(NodeId::new(start), Handedness::LeftIsCcw, program)
             })
             .collect();
         RunSpec::new(RingTopology::new(n).unwrap(), synchrony, agents, false).unwrap()
@@ -1884,11 +1892,14 @@ mod tests {
     fn recycled_simulations_match_fresh_runs_every_generation() {
         let n = 8;
         let ssync = SynchronyModel::Ssync(TransportModel::PassiveTransport);
+        // Boxed and enum programs alternate: specs 0 and 1, and 2 and 3,
+        // differ only in the program representation.
+        let fsync = SynchronyModel::Fsync;
         let mut specs: Vec<RunSpec> = (0..4)
-            .map(|shift| two_agent_spec(n, [shift, shift + 2], SynchronyModel::Fsync))
+            .map(|shift| two_agent_spec(n, [shift, shift + 2], fsync, shift % 2 == 0))
             .collect();
-        specs.push(two_agent_spec(n, [0, 3], ssync));
-        specs.push(two_agent_spec(n, [1, 5], ssync));
+        specs.push(two_agent_spec(n, [0, 3], ssync, true));
+        specs.push(two_agent_spec(n, [1, 5], ssync, false));
         let build = |spec: &RunSpec| -> Simulation {
             if spec.synchrony().is_fsync() {
                 spec.instantiate(
@@ -1904,13 +1915,19 @@ mod tests {
         let mut sims: Vec<Simulation> = specs.iter().map(build).collect();
         let mut reports = vec![RunReport::default(); specs.len()];
         // Every generation recycles each simulation in place and must
-        // reproduce the fresh reports.
-        for _ in 0..3 {
-            for ((sim, spec), report) in sims.iter_mut().zip(&specs).zip(&mut reports) {
-                sim.recycle(spec);
+        // reproduce the fresh reports. On odd generations each FSYNC
+        // simulation takes its neighbour's spec, so the recycle switches
+        // its programs between enum and boxed, and back again after.
+        for generation in 0..4 {
+            let order: Vec<usize> = (0..specs.len())
+                .map(|i| if generation % 2 == 1 && i < 4 { i ^ 1 } else { i })
+                .collect();
+            for ((sim, report), &j) in sims.iter_mut().zip(&mut reports).zip(&order) {
+                sim.recycle(&specs[j]);
                 sim.run_into(300, stop, report);
             }
-            assert_eq!(reports, fresh);
+            let expected: Vec<RunReport> = order.iter().map(|&j| fresh[j].clone()).collect();
+            assert_eq!(reports, expected, "generation {generation}");
         }
     }
 

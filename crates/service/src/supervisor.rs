@@ -18,8 +18,8 @@ use crate::fault::FaultPlan;
 use crate::job::{CellFailure, Job, JobOutcome, JobStatus};
 use crate::journal::{self, FileSink, Journal, JournalEvent, Replay};
 use crate::ServiceError;
-use dynring_analysis::batch::{batch_lanes_from_env, BatchRunner, WorkerPanic};
-use dynring_analysis::scenario::{Scenario, ScenarioBatchRunner, ScenarioRunner};
+use dynring_analysis::batch::BatchRunner;
+use dynring_analysis::scenario::ScenarioRunner;
 use dynring_engine::sim::RunReport;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
@@ -231,56 +231,17 @@ impl Supervisor {
                 return Err(ServiceError::Killed { cell: kill_at.expect("empty wave has a kill") });
             }
 
-            // Consecutive first-attempt cells with the same batch shape run
-            // as one group; retries and shape changes run as singleton
-            // groups.
-            let groups = batch_waves(job, &items);
-            let grouped = runner.run_map_catching(
-                &groups,
-                ScenarioBatchRunner::new,
-                |local, range: &std::ops::Range<usize>| {
-                    let members = &items[range.clone()];
-                    for (index, attempt) in members {
-                        self.fault.maybe_panic(*index, *attempt);
-                        if !self.throttle.is_zero() {
-                            std::thread::sleep(self.throttle);
-                        }
+            let results = runner.run_map_catching(
+                &items,
+                ScenarioRunner::new,
+                |local, &(index, attempt): &(usize, u32)| {
+                    self.fault.maybe_panic(index, attempt);
+                    if !self.throttle.is_zero() {
+                        std::thread::sleep(self.throttle);
                     }
-                    let cells: Vec<Scenario> =
-                        members.iter().map(|(index, _)| job.cells()[*index].clone()).collect();
-                    local.run_group(&cells)
+                    local.run(&job.cells()[index])
                 },
             );
-
-            // A panic poisons its whole lane group, but only the offending
-            // cells deserve the failure: salvage a poisoned multi-cell group
-            // by re-running its members solo with per-cell isolation (the
-            // fault is a deterministic function of (cell, attempt), so the
-            // culprits fail again and the innocents produce their reports —
-            // byte-identical to the batched run, per the engine's
-            // equivalence guarantee).
-            let mut results: Vec<Result<RunReport, WorkerPanic>> =
-                Vec::with_capacity(items.len());
-            for (range, outcome) in groups.iter().zip(grouped) {
-                match outcome {
-                    Ok(reports) => results.extend(reports.into_iter().map(Ok)),
-                    Err(panic) if range.len() == 1 => results.push(Err(panic)),
-                    Err(_) => {
-                        let members = &items[range.clone()];
-                        results.extend(runner.run_map_catching(
-                            members,
-                            ScenarioRunner::new,
-                            |local, (index, attempt): &(usize, u32)| {
-                                self.fault.maybe_panic(*index, *attempt);
-                                if !self.throttle.is_zero() {
-                                    std::thread::sleep(self.throttle);
-                                }
-                                local.run(&job.cells()[*index])
-                            },
-                        ));
-                    }
-                }
-            }
 
             for ((index, attempt), result) in items.iter().copied().zip(results) {
                 match result {
@@ -382,34 +343,6 @@ impl Supervisor {
         }
         Some((items, kill_at))
     }
-}
-
-/// Partitions a wave's items into the lane groups one
-/// `ScenarioBatchRunner::run_group` call takes: maximal runs of consecutive
-/// **first-attempt** cells with the same batch shape, capped at the
-/// `DYNRING_BATCH_LANES` lane count. Retries always run as singletons — a retried cell is under
-/// suspicion, and keeping it out of a lane group keeps a repeat panic
-/// scoped to itself from the start.
-fn batch_waves(job: &Job, items: &[(usize, u32)]) -> Vec<std::ops::Range<usize>> {
-    let max_lanes = batch_lanes_from_env();
-    let mut ranges = Vec::new();
-    let mut start = 0;
-    while start < items.len() {
-        let (index, attempt) = items[start];
-        let first = &job.cells()[index];
-        let mut end = start + 1;
-        while attempt == 1
-            && end < items.len()
-            && end - start < max_lanes
-            && items[end].1 == 1
-            && first.same_batch_shape(&job.cells()[items[end].0])
-        {
-            end += 1;
-        }
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
 }
 
 /// Collects the cells a replayed journal leaves unsettled (used when the
@@ -630,9 +563,9 @@ mod tests {
         std::fs::remove_file(&reference_path).unwrap();
     }
 
-    /// A battery where every cell shares one batch shape (ring 8, two
-    /// agents, same budget/stop) while placements and adversaries vary —
-    /// so supervisor waves actually form multi-cell lane groups.
+    /// A battery of same-sized cells (ring 8, two agents, same
+    /// budget/stop) whose placements vary, so one recycled runner per
+    /// worker serves several cells of a shared wave.
     fn same_shape_battery(cells: usize) -> Job {
         let cells: Vec<Scenario> = (0..cells)
             .map(|i| {
@@ -644,12 +577,12 @@ mod tests {
     }
 
     #[test]
-    fn panic_inside_a_lane_group_quarantines_only_the_offending_cell() {
+    fn panic_inside_a_shared_wave_quarantines_only_the_offending_cell() {
         let job = same_shape_battery(6);
-        let path = temp_journal("batched-quarantine");
-        // All six cells fit one wave and one lane group; cell 3 panics on
-        // every attempt. Only cell 3 may quarantine — its five lane-mates
-        // must come back with reports identical to running them alone.
+        let path = temp_journal("wave-quarantine");
+        // All six cells fit one wave on one worker; cell 3 panics on every
+        // attempt. Only cell 3 may quarantine — its five wave-mates must
+        // come back with reports identical to running them alone.
         let outcome = Supervisor::new()
             .threads(1)
             .max_attempts(2)
@@ -671,11 +604,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_waves_resume_byte_identically_after_a_kill() {
+    fn shared_waves_resume_byte_identically_after_a_kill() {
         let job = same_shape_battery(9);
-        let reference_path = temp_journal("batched-kill-reference");
+        let reference_path = temp_journal("wave-kill-reference");
         let reference = Supervisor::new().threads(2).run(&job, &reference_path).unwrap();
-        let path = temp_journal("batched-kill");
+        let path = temp_journal("wave-kill");
         let sup = Supervisor::new().threads(2).chunk(4);
         let killed = sup
             .clone()
@@ -689,21 +622,6 @@ mod tests {
         assert_eq!(resumed.digest(), reference.digest());
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&reference_path).unwrap();
-    }
-
-    #[test]
-    fn batch_waves_group_first_attempts_and_isolate_retries() {
-        let job = same_shape_battery(5);
-        let grouped = batch_waves(&job, &[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]);
-        assert_eq!(grouped, vec![0..5]);
-        // A retry at the front (the re-queue position) runs solo; the
-        // first-attempt tail still groups.
-        let mixed = batch_waves(&job, &[(2, 2), (0, 1), (1, 1), (3, 1)]);
-        assert_eq!(mixed, vec![0..1, 1..4]);
-        // Shape changes split groups.
-        let other = battery(3);
-        let split = batch_waves(&other, &[(0, 1), (1, 1), (2, 1)]);
-        assert_eq!(split, vec![0..1, 1..2, 2..3]);
     }
 
     #[test]

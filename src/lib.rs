@@ -55,7 +55,7 @@ pub use dynring_service as service;
 
 pub mod prelude {
     //! The most commonly used items, re-exported for quick scripting.
-    pub use dynring_analysis::scenario::{AdversaryKind, DispatchKind, Scenario, SchedulerKind};
+    pub use dynring_analysis::scenario::{AdversaryKind, Scenario, SchedulerKind};
     pub use dynring_core::fsync::{KnownBound, LandmarkChirality, LandmarkNoChirality, Unconscious};
     pub use dynring_core::ssync::{
         EtUnconscious, PtBoundChirality, PtLandmarkChirality, PtNoChirality,

@@ -10,17 +10,34 @@
 //! round record — as the boxed run. These tests pin that equivalence for
 //! every algorithm of the catalogue across FSYNC and SSYNC and across all
 //! three prediction-fusion tiers (prediction off, omniscient edge policy,
-//! predicting scheduler).
+//! predicting scheduler). The boxed side is assembled through
+//! [`SimulationBuilder::agent`](dynring_engine::SimulationBuilder::agent),
+//! the way a user plugs in a protocol of their own, with the scenario's own
+//! policies.
 
-use dynring_analysis::scenario::{AdversaryKind, DispatchKind, Scenario, SchedulerKind};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, SchedulerKind};
 use dynring_core::Algorithm;
+use dynring_engine::sim::{RunReport, Simulation};
+use dynring_graph::NodeId;
 use proptest::prelude::*;
+
+/// The scenario's simulation with every agent a `Box<dyn Protocol>`.
+fn boxed_build(scenario: &Scenario) -> Simulation {
+    let mut builder = Simulation::builder(scenario.ring())
+        .synchrony(scenario.synchrony)
+        .activation(scenario.scheduler.instantiate())
+        .edges(scenario.adversary.instantiate())
+        .record_trace(scenario.record_trace);
+    for (start, handedness) in scenario.starts.iter().zip(&scenario.orientations) {
+        builder = builder.agent(NodeId::new(*start), *handedness, scenario.algorithm.instantiate());
+    }
+    builder.build().expect("equivalence scenarios are valid")
+}
 
 /// FNV-1a over the debug rendering of the full execution record (the same
 /// digest the golden tests in `tests/determinism.rs` use): two runs digest
 /// equal iff they are observably identical.
-fn execution_digest(scenario: &Scenario) -> (dynring_engine::sim::RunReport, u64) {
-    let mut sim = scenario.build();
+fn execution_digest(scenario: &Scenario, mut sim: Simulation) -> (RunReport, u64) {
     let report = sim.run(scenario.max_rounds, scenario.stop);
     let trace = sim.trace().expect("equivalence scenarios record traces");
     let rendered = format!("{report:?}|{trace:?}");
@@ -32,13 +49,11 @@ fn execution_digest(scenario: &Scenario) -> (dynring_engine::sim::RunReport, u64
     (report, hash)
 }
 
-/// Asserts that the enum- and dyn-dispatched runs of `scenario` are
-/// observably identical.
+/// Asserts that the scenario's own (enum-dispatched) run and its boxed run
+/// are observably identical.
 fn assert_dispatch_equivalent(name: &str, scenario: Scenario) {
-    let (enum_report, enum_digest) =
-        execution_digest(&scenario.clone().with_dispatch(DispatchKind::Enum));
-    let (dyn_report, dyn_digest) =
-        execution_digest(&scenario.with_dispatch(DispatchKind::Dyn));
+    let (enum_report, enum_digest) = execution_digest(&scenario, scenario.build());
+    let (dyn_report, dyn_digest) = execution_digest(&scenario, boxed_build(&scenario));
     assert_eq!(enum_report, dyn_report, "{name}: run reports diverged");
     assert_eq!(
         enum_digest, dyn_digest,

@@ -248,37 +248,6 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
     }
 }
 
-/// Tentpole: dedup on the legacy `Debug`-string key and on the packed binary
-/// key must agree on every verdict and every witness — both encodings are
-/// injective per candidate mapping, so the lexicographic minimum lands on the
-/// same orbit representative and the searches prune identically.
-#[test]
-fn debug_key_search_agrees_with_packed_key_search() {
-    for n in 4..=5 {
-        for cell in model_check::infeasibility_cells(n) {
-            let packed = cell.check.run_with_threads(1);
-            let mut debug_check = cell.check.clone();
-            debug_check.use_debug_key = true;
-            let debug = debug_check.run_with_threads(1);
-            assert_eq!(
-                packed.stats(),
-                debug.stats(),
-                "{}: packed-key search stats diverged from Debug-key search",
-                cell.id
-            );
-            assert_eq!(
-                packed.is_feasible(),
-                debug.is_feasible(),
-                "{}: verdicts diverged between key encodings",
-                cell.id
-            );
-            if let (Some(p), Some(d)) = (packed.infeasible(), debug.infeasible()) {
-                assert_eq!(p.witness, d.witness, "{}: witnesses diverged", cell.id);
-            }
-        }
-    }
-}
-
 /// The scenario cell a catalogue algorithm is checked in: the algorithm's
 /// natural synchrony/scheduler with deterministic parameters.
 fn catalog_cell(n: usize, algorithm: Algorithm, seed: u64) -> Scenario {
@@ -375,99 +344,6 @@ proptest! {
             prop_assert_eq!(
                 &key_a, &key_b,
                 "{} n={} shift={} diverged at round {}", algorithm, n, shift, round
-            );
-        }
-    }
-
-    /// Tentpole: the packed binary key induces **exactly** the same
-    /// equivalence classes as the legacy `Debug`-string key. Two
-    /// configurations — one a random rotation/reflection of the other, or a
-    /// genuinely different cell (perturbed start) — have equal packed keys if
-    /// and only if they have equal `Debug` keys, at every round of a random
-    /// forced-edge play.
-    #[test]
-    fn packed_key_classes_match_debug_key_classes(
-        n in 4usize..9,
-        pick in 0usize..64,
-        start_a in 0usize..8,
-        start_b in 0usize..8,
-        shift in 0usize..8,
-        reflect in any::<bool>(),
-        perturb in any::<bool>(),
-        schedule_bits in any::<u64>(),
-    ) {
-        let catalog = Algorithm::full_catalog(n);
-        let algorithm = catalog[pick % catalog.len()];
-        let shift = shift % n;
-        let agents = algorithm.required_agents();
-        let starts: Vec<usize> =
-            [start_a % n, start_b % n, (start_a + start_b) % n][..agents.min(3)].to_vec();
-        if starts.is_empty() { return Ok(()); }
-
-        // The comparison cell: a symmetry image of the base (equal classes
-        // expected) or a perturbed sibling (usually distinct classes) —
-        // either way both encodings must agree on equality.
-        let map = |v: usize| {
-            let rotated = (v + shift) % n;
-            if reflect { (n - rotated) % n } else { rotated }
-        };
-        let base = catalog_cell(n, algorithm, 1).with_starts(starts.clone());
-        let mut other = catalog_cell(n, algorithm, 1).with_starts(
-            starts
-                .iter()
-                .map(|&s| if perturb { (s + 1) % n } else { map(s) })
-                .collect(),
-        );
-        if !perturb {
-            other.landmark = base.landmark.map(map);
-            if reflect {
-                other.orientations = base
-                    .orientations
-                    .iter()
-                    .map(|&h| match h {
-                        Handedness::LeftIsCcw => Handedness::LeftIsCw,
-                        Handedness::LeftIsCw => Handedness::LeftIsCcw,
-                    })
-                    .collect();
-            }
-        }
-
-        let check_a = ModelCheck::new(base, Objective::Explore, 1);
-        let check_b = ModelCheck::new(other, Objective::Explore, 1);
-        let mut sim_a = check_a.branchable_simulation();
-        let mut sim_b = check_b.branchable_simulation();
-        let ring = check_a.scenario.ring();
-        let (mut packed_a, mut packed_b) = (Vec::new(), Vec::new());
-        let (mut debug_a, mut debug_b) = (Vec::new(), Vec::new());
-        for round in 0..8u32 {
-            let choice = (schedule_bits >> (8 * round)) as usize % (n + 1);
-            let edge_a = (choice < n).then(|| EdgeId::new(choice));
-            let edge_b = if perturb {
-                edge_a
-            } else {
-                // Map the forced edge through the same symmetry: edge
-                // e = (e, e+1) rotates to e + shift and reflects to
-                // (n - 1) - e.
-                (choice < n).then(|| {
-                    let rotated = (choice + shift) % n;
-                    EdgeId::new(if reflect { (n + n - 1 - rotated) % n } else { rotated })
-                })
-            };
-            sim_a.step_with_edge(edge_a);
-            sim_b.step_with_edge(edge_b);
-            let cp_a = sim_a.checkpoint();
-            let cp_b = sim_b.checkpoint();
-            cp_a.canonical_key(&ring, &mut packed_a);
-            cp_b.canonical_key(&ring, &mut packed_b);
-            cp_a.canonical_key_debug(&ring, &mut debug_a);
-            cp_b.canonical_key_debug(&ring, &mut debug_b);
-            prop_assert_eq!(
-                packed_a == packed_b,
-                debug_a == debug_b,
-                "{} n={} shift={} reflect={} perturb={}: encodings disagree at round {} \
-                 (packed equal: {}, debug equal: {})",
-                algorithm, n, shift, reflect, perturb, round,
-                packed_a == packed_b, debug_a == debug_b
             );
         }
     }

@@ -9,7 +9,7 @@
 //!   one shared runner replays all nine scenarios back to back, so every
 //!   digest is computed on a simulation recycled across shape changes;
 //! * a **battery sweep** drives the full algorithm catalogue ×
-//!   FSYNC/SSYNC × the adversary suite × mixed ring sizes/dispatches through
+//!   FSYNC/SSYNC × the adversary suite × mixed ring sizes through
 //!   ONE recycled runner, comparing every `RunReport` (and trace digest,
 //!   where traces are on) against a fresh `Scenario` build;
 //! * a **proptest** replays random cell sequences, so arbitrary recycle
@@ -19,7 +19,7 @@
 mod common;
 
 use common::{fnv, golden_scenarios};
-use dynring_analysis::scenario::{AdversaryKind, DispatchKind, Scenario, ScenarioRunner};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioRunner};
 use dynring_analysis::sweeps::adversary_suite;
 use dynring_core::Algorithm;
 use dynring_engine::sim::{RunReport, StopCondition};
@@ -72,7 +72,7 @@ fn golden_digests_come_out_of_the_recycled_lifecycle_unchanged() {
 }
 
 /// One battery cell: the catalogue algorithm under either synchrony base,
-/// one adversary, one ring size, alternating dispatch and trace recording.
+/// one adversary, one ring size, alternating trace recording.
 fn battery_cell(
     algorithm: Algorithm,
     ssync: bool,
@@ -94,8 +94,7 @@ fn battery_cell(
     let mut scenario = base
         .with_adversary(adversary)
         .with_stop(stop)
-        .with_max_rounds(budget)
-        .with_dispatch(if index % 4 == 3 { DispatchKind::Dyn } else { DispatchKind::Enum });
+        .with_max_rounds(budget);
     if index.is_multiple_of(3) {
         scenario = scenario.with_trace();
     }
@@ -105,8 +104,8 @@ fn battery_cell(
 #[test]
 fn the_full_catalogue_battery_is_lifecycle_invariant() {
     // Every catalogue algorithm × FSYNC/SSYNC × the adversary suite × mixed
-    // ring sizes through ONE recycled runner: shape, policy, dispatch and
-    // trace churn on every consecutive pair of cells.
+    // ring sizes through ONE recycled runner: shape, policy and trace churn
+    // on every consecutive pair of cells.
     let mut runner = ScenarioRunner::new();
     let mut cells = 0usize;
     for (a, &n) in [5usize, 8, 11].iter().enumerate() {
@@ -136,9 +135,9 @@ proptest! {
 
     /// Arbitrary cell sequences replay identically through one recycled
     /// runner, whatever the order of shape growth/shrinkage, scheduler and
-    /// adversary churn, dispatch switches and trace toggling (the per-cell
-    /// picks are derived from the seed through an LCG — the vendored
-    /// proptest stub samples plain integer ranges).
+    /// adversary churn and trace toggling (the per-cell picks are derived
+    /// from the seed through an LCG — the vendored proptest stub samples
+    /// plain integer ranges).
     #[test]
     fn random_cell_sequences_are_lifecycle_invariant(
         seed in 0u64..1_000_000_000,
