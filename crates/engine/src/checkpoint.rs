@@ -403,7 +403,7 @@ mod tests {
     use crate::scheduler::{
         ActivationPolicy, AlternateBlocked, EtFairness, FullActivation, RoundRobinSingle,
     };
-    use crate::sim::Simulation;
+    use crate::sim::{Simulation, StopReason};
     use dynring_core::fsync::KnownBound;
     use dynring_core::single::LoneWalker;
     use dynring_core::Algorithm;
@@ -552,47 +552,64 @@ mod tests {
     #[test]
     fn checkpoint_restore_replays_identically() {
         let n = 7;
-        let ring = RingTopology::new(n).unwrap();
-        let mut sim = Simulation::builder(ring)
-            .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
-            .agent(NodeId::new(0), Handedness::LeftIsCcw, Box::new(KnownBound::new(n)))
-            .agent(NodeId::new(3), Handedness::LeftIsCw, Box::new(KnownBound::new(n)))
-            .activation(Box::new(RoundRobinSingle::new()))
-            .edges(Box::new(NoRemoval))
-            .build()
-            .unwrap();
-        assert!(sim.supports_checkpoint());
-        // Drive an adversarial prefix, fork, and check both branches replay
-        // bit for bit after a restore.
-        let schedule = [Some(EdgeId::new(0)), None, Some(EdgeId::new(3)), None, None];
-        for missing in schedule {
-            sim.step_with_edge(missing);
+        let pt = SynchronyModel::Ssync(TransportModel::PassiveTransport);
+        let (ccw, cw) = (Handedness::LeftIsCcw, Handedness::LeftIsCw);
+        let e = |index| Some(EdgeId::new(index));
+        // Both synchrony models, with the agents apart and, in the last two
+        // cases, sharing a node when the run forks. Each case drives its own
+        // adversarial prefix up to the fork.
+        let cases = [
+            (pt, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None]),
+            (SynchronyModel::Fsync, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None]),
+            (pt, [(2, ccw), (2, ccw)], [None, e(0), e(0), e(0), e(4)]),
+            (SynchronyModel::Fsync, [(2, ccw), (2, ccw)], [e(2), None, e(3), e(2), e(2)]),
+        ];
+        for (synchrony, starts, prefix) in cases {
+            let activation: Box<dyn ActivationPolicy> = if synchrony.is_fsync() {
+                Box::new(FullActivation)
+            } else {
+                Box::new(RoundRobinSingle::new())
+            };
+            let mut builder = Simulation::builder(RingTopology::new(n).unwrap())
+                .synchrony(synchrony)
+                .activation(activation)
+                .edges(Box::new(NoRemoval));
+            for (start, handedness) in starts {
+                builder =
+                    builder.agent(NodeId::new(start), handedness, Box::new(KnownBound::new(n)));
+            }
+            let mut sim = builder.build().unwrap();
+            assert!(sim.supports_checkpoint());
+            for missing in prefix {
+                sim.step_with_edge(missing);
+            }
+            let fork = sim.checkpoint();
+            assert_eq!(fork.round(), 5);
+            assert_eq!(fork.agent_count(), 2);
+            let positions = sim.positions();
+            assert_eq!(positions[0] == positions[1], starts[0] == starts[1], "{synchrony:?}");
+            let continuation = [e(1), None, e(2), None];
+            for missing in continuation {
+                sim.step_with_edge(missing);
+            }
+            let report = sim.report(StopReason::BudgetExhausted);
+            let first_branch = sim.checkpoint();
+            let mut key_a = Vec::new();
+            first_branch.canonical_key(sim.ring(), &mut key_a);
+            // Rewind and replay the same choices: every observable must match.
+            sim.restore(&fork);
+            assert_eq!(sim.round(), 5);
+            assert_eq!(format!("{:?}", sim.checkpoint()), format!("{fork:?}"), "{synchrony:?}");
+            for missing in continuation {
+                sim.step_with_edge(missing);
+            }
+            assert_eq!(sim.report(StopReason::BudgetExhausted), report, "{synchrony:?}");
+            let second_branch = sim.checkpoint();
+            assert_eq!(format!("{second_branch:?}"), format!("{first_branch:?}"), "{synchrony:?}");
+            let mut key_b = Vec::new();
+            second_branch.canonical_key(sim.ring(), &mut key_b);
+            assert_eq!(key_a, key_b);
         }
-        let fork = sim.checkpoint();
-        assert_eq!(fork.round(), 5);
-        assert_eq!(fork.agent_count(), 2);
-        let continuation = [Some(EdgeId::new(1)), None, Some(EdgeId::new(2)), None];
-        for missing in continuation {
-            sim.step_with_edge(missing);
-        }
-        let positions = sim.positions();
-        let round = sim.round();
-        let moves = sim.moves_per_agent();
-        let first_branch = sim.checkpoint();
-        let mut key_a = Vec::new();
-        first_branch.canonical_key(sim.ring(), &mut key_a);
-        // Rewind and replay the same choices: every observable must match.
-        sim.restore(&fork);
-        assert_eq!(sim.round(), 5);
-        for missing in continuation {
-            sim.step_with_edge(missing);
-        }
-        assert_eq!(sim.positions(), positions);
-        assert_eq!(sim.round(), round);
-        assert_eq!(sim.moves_per_agent(), moves);
-        let mut key_b = Vec::new();
-        sim.checkpoint().canonical_key(sim.ring(), &mut key_b);
-        assert_eq!(key_a, key_b);
     }
 
     #[test]

@@ -96,6 +96,44 @@ fn split_mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A seeded random edge schedule of `rounds` rounds: each round misses a
+/// uniformly drawn edge, or (one round in four) none.
+fn seeded_schedule(ring: &RingTopology, seed: u64, rounds: usize) -> EdgeSchedule {
+    let n = ring.size();
+    let mut state = seed;
+    let missing: Vec<Option<EdgeId>> = (0..rounds)
+        .map(|_| {
+            let draw = split_mix(&mut state);
+            (!draw.is_multiple_of(4)).then(|| EdgeId::new((draw >> 8) as usize % n))
+        })
+        .collect();
+    EdgeSchedule::from_missing(ring, missing).unwrap()
+}
+
+/// Replays `schedule` through a scripted adversary with `step` and through
+/// forced steps on a static copy of `base`, and checks equal reports, traces
+/// and checkpoints after every round (and five rounds past the schedule).
+fn assert_forced_steps_equal_policy_steps(base: &Scenario, schedule: &EdgeSchedule, label: &str) {
+    use dynring::engine::sim::StopReason;
+
+    let mut scripted =
+        base.clone().with_adversary(AdversaryKind::scripted(schedule.clone())).build();
+    let mut forced = base.clone().with_adversary(AdversaryKind::Static).build();
+    for round in 1..=schedule.horizon() + 5 {
+        let at = format!("{label} round {round}");
+        let played = scripted.step();
+        assert_eq!(forced.step_with_edge(schedule.missing_at(round)), played, "{at}");
+        let reason = StopReason::BudgetExhausted;
+        assert_eq!(forced.report(reason), scripted.report(reason), "{at}");
+        assert_eq!(forced.trace(), scripted.trace(), "{at}");
+        assert_eq!(
+            format!("{:?}", forced.checkpoint()),
+            format!("{:?}", scripted.checkpoint()),
+            "{at}"
+        );
+    }
+}
+
 /// The FSYNC round kernel's forced branch — `step_with_edge`, the model
 /// checker's expansion step — against its policy branch: one seeded random
 /// edge schedule, replayed through a scripted adversary with `step` and
@@ -104,39 +142,46 @@ fn split_mix(state: &mut u64) -> u64 {
 #[test]
 fn forced_fsync_steps_equal_policy_steps() {
     use dynring::algorithms::AlgorithmFamily;
-    use dynring::engine::sim::StopReason;
 
     let n = 6;
     let ring = RingTopology::new(n).unwrap();
     for seed in 0..4u64 {
-        let mut state = seed;
-        let missing: Vec<Option<EdgeId>> = (0..40)
-            .map(|_| {
-                let draw = split_mix(&mut state);
-                (!draw.is_multiple_of(4)).then(|| EdgeId::new((draw >> 8) as usize % n))
-            })
-            .collect();
-        let schedule = EdgeSchedule::from_missing(&ring, missing).unwrap();
+        let schedule = seeded_schedule(&ring, seed, 40);
         let fsync_algorithms = Algorithm::full_catalog(n).into_iter().filter(|algorithm| {
             matches!(algorithm.family(), AlgorithmFamily::Fsync | AlgorithmFamily::SingleAgent)
         });
         for algorithm in fsync_algorithms {
             let base = Scenario::fsync(n, algorithm).with_trace();
-            let mut scripted =
-                base.clone().with_adversary(AdversaryKind::scripted(schedule.clone())).build();
-            let mut forced = base.with_adversary(AdversaryKind::Static).build();
-            for round in 1..=schedule.horizon() + 5 {
-                let at = format!("{algorithm:?} seed {seed} round {round}");
-                let played = scripted.step();
-                assert_eq!(forced.step_with_edge(schedule.missing_at(round)), played, "{at}");
-                let reason = StopReason::BudgetExhausted;
-                assert_eq!(forced.report(reason), scripted.report(reason), "{at}");
-                assert_eq!(forced.trace(), scripted.trace(), "{at}");
-                assert_eq!(
-                    format!("{:?}", forced.checkpoint()),
-                    format!("{:?}", scripted.checkpoint()),
-                    "{at}"
-                );
+            let label = format!("{algorithm:?} seed {seed}");
+            assert_forced_steps_equal_policy_steps(&base, &schedule, &label);
+        }
+    }
+}
+
+/// The same pin for SSYNC rounds, forced and policy-driven alike, for every
+/// PT and ET catalogue algorithm under three schedulers: the scenario's
+/// default, round robin, and `FirstMoverOnly`, which reads decision
+/// predictions and so runs the prediction-fusion tier.
+#[test]
+fn forced_ssync_steps_equal_policy_steps() {
+    use dynring::algorithms::AlgorithmFamily;
+    use dynring_analysis::scenario::SchedulerKind;
+
+    let n = 6;
+    let ring = RingTopology::new(n).unwrap();
+    for seed in 0..4u64 {
+        let schedule = seeded_schedule(&ring, seed, 60);
+        let ssync_algorithms = Algorithm::full_catalog(n).into_iter().filter(|algorithm| {
+            matches!(algorithm.family(), AlgorithmFamily::SsyncPt | AlgorithmFamily::SsyncEt)
+        });
+        for algorithm in ssync_algorithms {
+            let default = Scenario::ssync(n, algorithm, seed).with_trace();
+            let schedulers =
+                [default.scheduler, SchedulerKind::RoundRobin, SchedulerKind::FirstMoverOnly];
+            for scheduler in schedulers {
+                let label = format!("{algorithm:?} {scheduler:?} seed {seed}");
+                let base = default.clone().with_scheduler(scheduler);
+                assert_forced_steps_equal_policy_steps(&base, &schedule, &label);
             }
         }
     }
