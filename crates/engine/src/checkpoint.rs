@@ -2,12 +2,17 @@
 //! the canonical configuration key its memo table deduplicates on.
 //!
 //! A [`SimCheckpoint`] captures everything that determines a run's future
-//! behaviour — round counter, global and per-agent visit maps, every agent's
-//! position, held port, outcome flags and full program state, and the
-//! activation policy's state token (see
+//! behaviour — the run counters (round, live agents, unvisited and crowded
+//! nodes, exploration round), the global visit map, the agent columns
+//! (every agent's position, held port, outcome flags, statistics, visit map
+//! and full program state) and the activation policy's state token (see
 //! [`ActivationPolicy::state_token`](crate::scheduler::ActivationPolicy::state_token)).
-//! Two things are deliberately *not* captured:
+//! The agent columns are the simulation's own struct-of-arrays type, so
+//! checkpointing and restoring are one column copy each. Three things are
+//! deliberately *not* captured:
 //!
+//! * what the run's **spec** fixes — the ring size and which programs the
+//!   engine polls for termination — which a restore finds unchanged;
 //! * the **trace** — checkpointing callers run trace-off, because a restored
 //!   trace-on simulation would keep appending rounds from every explored
 //!   branch to one linear trace;
@@ -56,8 +61,9 @@
 //! * a *symmetry-invariant* prefix, emitted once — round counter,
 //!   activation-policy token, and per agent the sleep age, the dense rank of
 //!   its last-active round, and its length-prefixed program state via
-//!   [`AgentProgram::write_state_key`] (packed integers for catalogue
-//!   protocols, a `Debug`-string fallback for foreign boxed ones);
+//!   [`AgentProgram::write_state_key`](crate::world::AgentProgram::write_state_key)
+//!   (packed integers for catalogue protocols, a `Debug`-string fallback for
+//!   foreign boxed ones);
 //! * a *symmetry-variant* suffix, minimised lexicographically over the
 //!   admissible maps — the permuted visit map bit-packed at 8 nodes/byte,
 //!   then per agent the mapped node (`u16`) and one flags byte packing the
@@ -76,7 +82,8 @@
 //! same configuration and check that both keys split configurations into
 //! the same classes.
 
-use crate::world::AgentProgram;
+use crate::sim::RunCounters;
+use crate::world::AgentSoA;
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::PriorOutcome;
 
@@ -112,26 +119,13 @@ impl KeyScratch {
 /// captured.
 #[derive(Debug, Default)]
 pub struct SimCheckpoint {
-    pub(crate) round: u64,
-    pub(crate) explored_at: Option<u64>,
-    pub(crate) unvisited: usize,
-    pub(crate) alive: usize,
+    /// The agent columns, in the simulation's own layout.
+    pub(crate) agents: AgentSoA,
+    /// Which nodes any agent has visited.
     pub(crate) visited: Vec<bool>,
-    pub(crate) node: Vec<NodeId>,
-    pub(crate) held_port: Vec<Option<GlobalDirection>>,
-    pub(crate) terminated: Vec<bool>,
-    pub(crate) handedness: Vec<Handedness>,
-    pub(crate) prior: Vec<PriorOutcome>,
-    pub(crate) program: Vec<AgentProgram>,
-    pub(crate) moves: Vec<u64>,
-    pub(crate) activations: Vec<u64>,
-    pub(crate) last_active_round: Vec<u64>,
-    pub(crate) asleep_on_port: Vec<u64>,
-    pub(crate) terminated_at: Vec<Option<u64>>,
-    pub(crate) agent_visited: Vec<bool>,
-    pub(crate) agent_visited_count: Vec<usize>,
-    pub(crate) node_population: Vec<u32>,
-    pub(crate) crowded_nodes: usize,
+    /// The run counters.
+    pub(crate) counters: RunCounters,
+    /// The activation policy's state token.
     pub(crate) activation_token: u64,
 }
 
@@ -139,25 +133,25 @@ impl SimCheckpoint {
     /// The round the checkpoint was captured at.
     #[must_use]
     pub fn round(&self) -> u64 {
-        self.round
+        self.counters.round
     }
 
     /// Number of agents captured.
     #[must_use]
     pub fn agent_count(&self) -> usize {
-        self.node.len()
+        self.agents.len()
     }
 
     /// Whether the captured state had explored the whole ring.
     #[must_use]
     pub fn explored(&self) -> bool {
-        self.explored_at.is_some()
+        self.counters.explored_at.is_some()
     }
 
     /// Number of agents that had not terminated in the captured state.
     #[must_use]
     pub fn alive_count(&self) -> usize {
-        self.alive
+        self.counters.alive
     }
 
     /// Writes the canonicalised configuration key into `out` (cleared
@@ -234,19 +228,20 @@ impl SimCheckpoint {
         // global directions but never touch round counters, scheduler state,
         // sleep ages or program state (protocols only see local frames), so
         // these are emitted once, outside the min-over-maps loop.
+        let agents = &self.agents;
         out.clear();
-        out.extend_from_slice(&self.round.to_le_bytes());
+        out.extend_from_slice(&self.counters.round.to_le_bytes());
         out.extend_from_slice(&self.activation_token.to_le_bytes());
-        for (index, program) in self.program.iter().enumerate() {
-            out.extend_from_slice(&self.asleep_on_port[index].to_le_bytes());
+        for (index, program) in agents.program.iter().enumerate() {
+            out.extend_from_slice(&agents.asleep_on_port[index].to_le_bytes());
             // `last_active_round` is only consumed through order comparisons
             // (`min_by_key` in the first-mover scheduler and adversary), so
             // the key encodes its dense rank among the agents: plays reaching
             // the same configuration along different activation histories
             // coincide. Teams are tiny (≤ u8::MAX agents), so the O(k²) scan
             // beats allocating a rank table.
-            let r = self.last_active_round[index];
-            let rank = self.last_active_round.iter().filter(|&&other| other < r).count();
+            let r = agents.last_active_round[index];
+            let rank = agents.last_active_round.iter().filter(|&&other| other < r).count();
             out.push(u8::try_from(rank).unwrap_or(u8::MAX));
             // The program state, prefixed by its `u32` length.
             let len_at = out.len();
@@ -303,7 +298,7 @@ impl SimCheckpoint {
             }
         };
         let agents = |(rot, reflect): (usize, bool)| {
-            (0..self.node.len()).map(move |index| self.agent_bytes(n, index, rot, reflect))
+            (0..self.agents.len()).map(move |index| self.agent_bytes(n, index, rot, reflect))
         };
         let mut maps = admissible_maps(ring);
         let mut winner = maps.next().expect("every ring admits the identity map");
@@ -343,7 +338,7 @@ impl SimCheckpoint {
         if !n.is_multiple_of(8) {
             buf.push(packed);
         }
-        for index in 0..self.node.len() {
+        for index in 0..self.agents.len() {
             buf.extend_from_slice(&self.agent_bytes(n, index, rot, reflect));
         }
     }
@@ -351,12 +346,13 @@ impl SimCheckpoint {
     /// Agent `index`'s part of the variant section under one candidate map:
     /// its mapped node as a little-endian `u16`, then one flags byte.
     fn agent_bytes(&self, n: usize, index: usize, rot: usize, reflect: bool) -> [u8; 3] {
-        let v = self.node[index].index();
+        let agents = &self.agents;
+        let v = agents.node[index].index();
         // `v ↦ rot − v` or `v ↦ v + rot`, reduced mod n without a division.
         let mapped = if reflect { rot + n - v } else { v + rot };
         let mapped = if mapped >= n { mapped - n } else { mapped };
         let [lo, hi] = u16::try_from(mapped).unwrap_or(u16::MAX).to_le_bytes();
-        let port = match self.held_port[index] {
+        let port = match agents.held_port[index] {
             None => 0u8,
             Some(dir) => {
                 let dir = if reflect { dir.opposite() } else { dir };
@@ -366,18 +362,19 @@ impl SimCheckpoint {
                 }
             }
         };
-        let handedness = match (self.handedness[index], reflect) {
+        let handedness = match (agents.handedness[index], reflect) {
             (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0u8,
             _ => 1u8,
         };
-        let prior = match self.prior[index] {
+        let prior = match agents.prior[index] {
             PriorOutcome::Idle => 0u8,
             PriorOutcome::Moved => 1,
             PriorOutcome::BlockedOnPort => 2,
             PriorOutcome::PortAcquisitionFailed => 3,
             PriorOutcome::Transported => 4,
         };
-        [lo, hi, port | (u8::from(self.terminated[index]) << 2) | (handedness << 3) | (prior << 4)]
+        let terminated = u8::from(agents.terminated[index]);
+        [lo, hi, port | (terminated << 2) | (handedness << 3) | (prior << 4)]
     }
 }
 
@@ -420,6 +417,7 @@ mod tests {
         /// key beyond [`admissible_maps`], and allocates freely.
         fn canonical_key_debug(&self, ring: &RingTopology, out: &mut Vec<u8>) {
             let n = ring.size();
+            let agents = &self.agents;
             assert_eq!(self.visited.len(), n, "checkpoint is from a different ring");
             // Program state via the derived `Debug` representation: complete
             // (every catalogue state machine derives `Debug` field by field) and
@@ -427,8 +425,8 @@ mod tests {
             // snapshots, so a mirrored run drives the program through identical
             // states). Rendered once per agent, shared by every candidate map.
             let mut labels = String::new();
-            let mut label_ends = Vec::with_capacity(self.program.len());
-            for program in &self.program {
+            let mut label_ends = Vec::with_capacity(agents.program.len());
+            for program in &agents.program {
                 let _ = write!(labels, "{program:?}");
                 label_ends.push(labels.len());
             }
@@ -437,11 +435,11 @@ mod tests {
             // key encodes its dense rank among the agents instead of the raw
             // round number: plays that reach the same configuration along
             // different activation histories coincide.
-            let last_active_rank: Vec<u8> = self
+            let last_active_rank: Vec<u8> = agents
                 .last_active_round
                 .iter()
                 .map(|&r| {
-                    let rank = self
+                    let rank = agents
                         .last_active_round
                         .iter()
                         .filter(|&&other| other < r)
@@ -451,7 +449,7 @@ mod tests {
                 .collect();
             let emit = |rot: usize, reflect: bool, buf: &mut Vec<u8>| {
                 buf.clear();
-                buf.extend_from_slice(&self.round.to_le_bytes());
+                buf.extend_from_slice(&self.counters.round.to_le_bytes());
                 buf.extend_from_slice(&self.activation_token.to_le_bytes());
                 // Node `w` of the canonical image is node `map⁻¹(w)` of the
                 // original (both map families are trivially invertible).
@@ -460,11 +458,11 @@ mod tests {
                     buf.push(u8::from(self.visited[v]));
                 }
                 let mut label_start = 0;
-                for index in 0..self.node.len() {
-                    let v = self.node[index].index();
+                for index in 0..agents.len() {
+                    let v = agents.node[index].index();
                     let mapped = if reflect { (rot + n - v) % n } else { (v + rot) % n };
                     buf.extend_from_slice(&u32::try_from(mapped).unwrap_or(u32::MAX).to_le_bytes());
-                    buf.push(match self.held_port[index] {
+                    buf.push(match agents.held_port[index] {
                         None => 0,
                         Some(dir) => {
                             let dir = if reflect { dir.opposite() } else { dir };
@@ -474,19 +472,19 @@ mod tests {
                             }
                         }
                     });
-                    buf.push(u8::from(self.terminated[index]));
-                    buf.push(match (self.handedness[index], reflect) {
+                    buf.push(u8::from(agents.terminated[index]));
+                    buf.push(match (agents.handedness[index], reflect) {
                         (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0,
                         _ => 1,
                     });
-                    buf.push(match self.prior[index] {
+                    buf.push(match agents.prior[index] {
                         PriorOutcome::Idle => 0,
                         PriorOutcome::Moved => 1,
                         PriorOutcome::BlockedOnPort => 2,
                         PriorOutcome::PortAcquisitionFailed => 3,
                         PriorOutcome::Transported => 4,
                     });
-                    buf.extend_from_slice(&self.asleep_on_port[index].to_le_bytes());
+                    buf.extend_from_slice(&agents.asleep_on_port[index].to_le_bytes());
                     buf.push(last_active_rank[index]);
                     let label_end = label_ends[index];
                     buf.extend_from_slice(&labels.as_bytes()[label_start..label_end]);

@@ -6,11 +6,13 @@ use crate::error::EngineError;
 use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
 use crate::world::{
-    build_snapshot, fill_agent_views, predict_action, refill, to_global, AgentProgram, AgentSoA,
-    AgentView, PredictedAction, ProbePool, RoundView,
+    build_snapshot, predict_action, refill, to_global, AgentProgram, AgentSoA, AgentView,
+    PredictedAction, ProbePool, RoundView,
 };
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
-use dynring_model::{Decision, PriorOutcome, Protocol, SynchronyModel, TransportModel};
+use dynring_model::{
+    Decision, PriorOutcome, Protocol, Snapshot, SynchronyModel, TerminationKind, TransportModel,
+};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -202,22 +204,24 @@ impl SimulationBuilder {
         for node in &team.node {
             visited[node.index()] = true;
         }
-        let unvisited = visited.iter().filter(|v| !**v).count();
-        let scratch = RoundScratch::new(team.len());
-        let alive = team.len();
+        let counters = RunCounters {
+            round: 0,
+            alive: team.len(),
+            unvisited: visited.iter().filter(|v| !**v).count(),
+            explored_at: None,
+            crowded_nodes: team.crowded_nodes(),
+        };
         Ok(Simulation {
             ring: self.ring,
             synchrony: self.synchrony,
+            poll: team.program.iter().map(polls_termination).collect(),
             agents: team,
             visited,
-            unvisited,
-            alive,
-            round: 0,
+            counters,
             activation,
             edges,
             trace: if self.record_trace { Some(Trace::new()) } else { None },
-            explored_at: None,
-            scratch,
+            scratch: RoundScratch::default(),
         })
     }
 }
@@ -358,19 +362,16 @@ impl RunSpec {
 struct RoundScratch {
     /// Per-agent adversary views (borrowed by the [`RoundView`]).
     views: Vec<AgentView>,
-    /// The sanitised active set, sorted by agent id. The FSYNC kernel keeps
-    /// it at team length and uses a prefix.
+    /// The active set, sorted by agent id, as a prefix of a team-length
+    /// buffer.
     active: Vec<AgentId>,
     /// Raw activation-policy choice (SSYNC only; sanitised into `active`).
     chosen: Vec<AgentId>,
-    /// `active_mask[i]` ⇔ agent `i` is active this round (O(1) lookup where
-    /// the resolution steps previously scanned the active list).
+    /// `active_mask[i]` ⇔ agent `i` is active this round.
     active_mask: Vec<bool>,
-    /// Per-agent decision of this round (`None` = asleep or terminated).
+    /// Per-agent decision of this round (`None` = asleep or terminated). A
+    /// prediction pass first fills it with the probes' decisions.
     decisions: Vec<Option<Decision>>,
-    /// Per-agent decision predicted by the probe dry run (SSYNC prediction
-    /// rounds and [`Simulation::peek`]).
-    predicted: Vec<Option<Decision>>,
     /// Reusable per-agent protocol probes backing the predictions.
     probes: ProbePool,
     /// Node of each agent at the start of the round (trace recording only).
@@ -382,24 +383,10 @@ struct RoundScratch {
 }
 
 impl RoundScratch {
-    fn new(agent_count: usize) -> Self {
-        RoundScratch {
-            views: Vec::with_capacity(agent_count),
-            active: Vec::with_capacity(agent_count),
-            chosen: Vec::with_capacity(agent_count),
-            active_mask: vec![false; agent_count],
-            decisions: vec![None; agent_count],
-            predicted: vec![None; agent_count],
-            probes: ProbePool::default(),
-            nodes_before: Vec::with_capacity(agent_count),
-            claimed: Vec::with_capacity(2 * agent_count),
-        }
-    }
-
-    /// Sizes the buffers the FSYNC kernel writes in place by index: a no-op
+    /// Sizes the buffers the round kernel writes in place by index: a no-op
     /// once the team size is settled, so it costs a length compare per
     /// buffer and never allocates in the steady state.
-    fn fit_fsync(&mut self, agent_count: usize) {
+    fn fit(&mut self, agent_count: usize) {
         let filler = AgentView {
             id: AgentId::new(0),
             node: NodeId::new(0),
@@ -420,23 +407,27 @@ impl RoundScratch {
     }
 }
 
+/// Whether the engine polls `program`'s `has_terminated` after each of its
+/// decisions. Protocols declaring [`TerminationKind::Unconscious`] promise
+/// they never enter a terminal state, so the per-round call is skipped for
+/// them.
+fn polls_termination(program: &AgentProgram) -> bool {
+    program.termination_kind() != TerminationKind::Unconscious
+}
+
 /// A live simulation of agents exploring a dynamic ring.
 pub struct Simulation {
     ring: RingTopology,
     synchrony: SynchronyModel,
     agents: AgentSoA,
+    /// Per agent, [`polls_termination`] of its program. Fixed by the spec,
+    /// so checkpoints leave it out.
+    poll: Vec<bool>,
     visited: Vec<bool>,
-    /// Number of `false` entries in `visited` (kept incrementally so the
-    /// per-round exploration check is O(1) instead of an O(n) scan).
-    unvisited: usize,
-    /// Number of agents that have not terminated (kept incrementally so the
-    /// per-round liveness and termination checks are O(1)).
-    alive: usize,
-    round: u64,
+    counters: RunCounters,
     activation: Box<dyn ActivationPolicy>,
     edges: Box<dyn EdgePolicy>,
     trace: Option<Trace>,
-    explored_at: Option<u64>,
     scratch: RoundScratch,
 }
 
@@ -444,7 +435,7 @@ impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("ring_size", &self.ring.size())
-            .field("round", &self.round)
+            .field("round", &self.counters.round)
             .field("agents", &self.agents.len())
             .field("visited", &self.visited_count())
             .field("synchrony", &self.synchrony)
@@ -475,7 +466,7 @@ impl Simulation {
     /// Number of rounds simulated so far.
     #[must_use]
     pub fn round(&self) -> u64 {
-        self.round
+        self.counters.round
     }
 
     /// The recorded trace, if trace recording was enabled.
@@ -487,19 +478,19 @@ impl Simulation {
     /// Number of distinct nodes visited by the union of the agents.
     #[must_use]
     pub fn visited_count(&self) -> usize {
-        self.ring.size() - self.unvisited
+        self.ring.size() - self.counters.unvisited
     }
 
     /// Whether every node has been visited.
     #[must_use]
     pub fn explored(&self) -> bool {
-        self.explored_at.is_some()
+        self.counters.explored_at.is_some()
     }
 
     /// The round in which exploration completed, if it did.
     #[must_use]
     pub fn explored_at(&self) -> Option<u64> {
-        self.explored_at
+        self.counters.explored_at
     }
 
     /// Whether every agent has terminated.
@@ -553,10 +544,12 @@ impl Simulation {
     pub fn recycle(&mut self, spec: &RunSpec) {
         self.ring.clone_from(&spec.ring);
         self.synchrony = spec.synchrony;
-        self.agents.reset_from(
+        let crowded_nodes = self.agents.reset_from(
             spec.ring.size(),
             spec.agents.iter().map(|a| (a.start, a.handedness, &a.program)),
         );
+        self.poll.clear();
+        self.poll.extend(spec.agents.iter().map(|a| polls_termination(&a.program)));
         refill(&mut self.visited, spec.ring.size(), false);
         let mut start_nodes = 0;
         for agent in &spec.agents {
@@ -566,10 +559,13 @@ impl Simulation {
                 start_nodes += 1;
             }
         }
-        self.unvisited = spec.ring.size() - start_nodes;
-        self.alive = spec.agents.len();
-        self.round = 0;
-        self.explored_at = None;
+        self.counters = RunCounters {
+            round: 0,
+            alive: spec.agents.len(),
+            unvisited: spec.ring.size() - start_nodes,
+            explored_at: None,
+            crowded_nodes,
+        };
         match (&mut self.trace, spec.record_trace) {
             (Some(trace), true) => trace.clear(),
             (trace @ None, true) => *trace = Some(Trace::new()),
@@ -624,39 +620,84 @@ impl Simulation {
     /// One round under either synchrony model; `forced` is `Some(choice)`
     /// when the caller is the edge adversary.
     fn step_forced(&mut self, forced: Option<Option<EdgeId>>) -> bool {
-        if self.alive == 0 {
+        if self.counters.alive == 0 {
             return false;
         }
-        if self.synchrony.is_fsync() {
-            // Predictions dry-run every live protocol, so they are only
-            // computed when the edge policy will run and reads them (under
-            // FSYNC the activation policy never runs).
-            let predict = forced.is_none() && self.edges.needs_predictions();
-            let mut kernel = self.fsync_kernel();
-            kernel.round(forced, predict);
-            let counters = kernel.counters;
-            self.store_counters(counters);
-        } else {
-            self.step_ssync(forced);
-        }
+        self.play(forced, 1, StopCondition::RoundBudget);
         true
     }
 
-    /// Borrows this simulation's state as an [`FsyncKernel`]; hand the
-    /// kernel's counters back with [`Simulation::store_counters`] when it is done.
+    /// Plays up to `max_rounds` rounds through the round kernel and returns
+    /// why it stopped (see [`RoundKernel::run`]).
+    fn play(
+        &mut self,
+        forced: Option<Option<EdgeId>>,
+        max_rounds: u64,
+        stop: StopCondition,
+    ) -> StopReason {
+        if self.synchrony.is_fsync() {
+            self.play_as::<true>(forced, max_rounds, stop)
+        } else {
+            self.play_as::<false>(forced, max_rounds, stop)
+        }
+    }
+
+    /// [`Simulation::play`] for one synchrony model. Each model gets a
+    /// function of its own, so the FSYNC loop carries no SSYNC branch and
+    /// holds a single Compute call site, which the compiler inlines.
+    #[inline(never)]
+    fn play_as<const FSYNC: bool>(
+        &mut self,
+        forced: Option<Option<EdgeId>>,
+        max_rounds: u64,
+        stop: StopCondition,
+    ) -> StopReason {
+        let mut kernel = self.kernel(forced.is_none());
+        let reason = kernel.run::<FSYNC>(forced, max_rounds, stop);
+        self.counters = kernel.counters;
+        reason
+    }
+
+    /// Borrows this simulation's state as a [`RoundKernel`]; copy the
+    /// kernel's counters back when it is done. `policy_edges` says whether
+    /// the edge policy will choose (rather than a caller forcing every
+    /// choice), which is when its predictions are worth computing.
     #[inline(always)]
-    fn fsync_kernel(&mut self) -> FsyncKernel<'_> {
-        let counters = self.counters();
-        let Simulation { ring, agents, visited, edges, trace, scratch, .. } = self;
+    fn kernel(&mut self, policy_edges: bool) -> RoundKernel<'_> {
+        let fsync = self.synchrony.is_fsync();
+        // Predictions dry-run every live protocol, so they are only computed
+        // when a policy that will run reads them (under FSYNC the activation
+        // policy never runs). `needs_predictions` takes `&self`, so the
+        // answers hold for a whole run.
+        let edge_pred = policy_edges && self.edges.needs_predictions();
+        let act_pred = !fsync && self.activation.needs_predictions();
+        let sleeper_pred = !fsync && edge_pred && self.edges.needs_sleeper_predictions();
+        let Simulation {
+            ring,
+            synchrony,
+            agents,
+            poll,
+            visited,
+            activation,
+            edges,
+            trace,
+            scratch,
+            ..
+        } = self;
         // Every column is cut to exactly the team (or ring) length, so the
         // compiler sees equal lengths and drops the round body's bounds
         // checks.
         let (a, n) = (agents.len(), ring.size());
-        scratch.fit_fsync(a);
-        FsyncKernel {
-            counters,
+        scratch.fit(a);
+        RoundKernel {
+            counters: self.counters,
             ring,
+            activation: activation.as_mut(),
             edges: edges.as_mut(),
+            transport: synchrony.transport() == Some(TransportModel::PassiveTransport),
+            edge_pred,
+            act_pred,
+            sleeper_pred,
             node: &mut agents.node[..a],
             held: &mut agents.held_port[..a],
             term: &mut agents.terminated[..a],
@@ -668,7 +709,7 @@ impl Simulation {
             last_active: &mut agents.last_active_round[..a],
             asleep: &mut agents.asleep_on_port[..a],
             terminated_at: &mut agents.terminated_at[..a],
-            poll: &agents.poll_termination[..a],
+            poll: &poll[..a],
             vcount: &mut agents.visited_count[..a],
             avisited: &mut agents.visited[..a * n],
             population: &mut agents.node_population[..n],
@@ -676,353 +717,19 @@ impl Simulation {
             views: &mut scratch.views[..a],
             dec: &mut scratch.decisions[..a],
             act: &mut scratch.active[..a],
+            chosen: &mut scratch.chosen,
             mask: &mut scratch.active_mask[..a],
             claim: &mut scratch.claimed[..2 * a],
             nodes_before: &mut scratch.nodes_before[..a],
+            probes: &mut scratch.probes,
             trace: trace.as_mut(),
-        }
-    }
-
-    fn counters(&self) -> RunCounters {
-        RunCounters {
-            round: self.round,
-            alive: self.alive,
-            unvisited: self.unvisited,
-            explored_at: self.explored_at,
-            crowded_nodes: self.agents.crowded_nodes,
-        }
-    }
-
-    /// Writes back the counters an [`FsyncKernel`] carried.
-    fn store_counters(&mut self, counters: RunCounters) {
-        self.round = counters.round;
-        self.alive = counters.alive;
-        self.unvisited = counters.unvisited;
-        self.explored_at = counters.explored_at;
-        self.agents.crowded_nodes = counters.crowded_nodes;
-    }
-
-    /// One SSYNC round: the activation policy picks the active set, the
-    /// edge adversary (or `forced`) picks the missing edge, sleepers holding
-    /// a port are carried across under passive transport.
-    #[allow(clippy::too_many_lines)]
-    fn step_ssync(&mut self, forced: Option<Option<EdgeId>>) {
-        let round = self.round + 1;
-        self.round = round;
-        let transport_pt = self.synchrony.transport() == Some(TransportModel::PassiveTransport);
-        // Predictions dry-run every live protocol, so they are only computed
-        // when a policy that will run this round reads them. Two strategies:
-        //
-        //  * the activation policy reads predictions: full probe pass before
-        //    the activation choice; actives are fused by swapping the
-        //    post-Compute probe in;
-        //  * only the edge policy reads predictions: defer them until after
-        //    the activation choice, so actives decide on the live protocols
-        //    and only sleepers go through a probe (the policy declared it
-        //    never reads `predicted`, so the placeholder views it selects on
-        //    are equivalent).
-        let act_pred = self.activation.needs_predictions();
-        let deferred = !act_pred && forced.is_none() && self.edges.needs_predictions();
-        let Simulation {
-            ring,
-            agents,
-            visited,
-            unvisited,
-            alive,
-            activation,
-            edges,
-            trace,
-            explored_at,
-            scratch,
-            ..
-        } = self;
-        let RoundScratch {
-            views,
-            active,
-            chosen,
-            active_mask,
-            decisions,
-            predicted,
-            probes,
-            nodes_before,
-            claimed,
-        } = scratch;
-        let agent_count = agents.len();
-
-        // 1. Fill + activation choice on a view borrowed from the scratch.
-        fill_agent_views(views, predicted, probes, ring, agents, round, false, act_pred);
-        {
-            let view = RoundView { round, ring, agents: Cow::Borrowed(views), visited };
-            active.clear();
-            chosen.clear();
-            activation.select_into(&view, chosen);
-            chosen.retain(|id| agents.terminated.get(id.index()).is_some_and(|t| !*t));
-            if chosen.len() > 1 {
-                chosen.sort_unstable();
-                chosen.dedup();
-            }
-            if chosen.is_empty() {
-                active.extend(view.alive().map(|a| a.id));
-            } else {
-                active.extend(chosen.iter().copied());
-            }
-        }
-        debug_assert!(
-            active.windows(2).all(|w| w[0] < w[1]),
-            "active set must be sorted and deduplicated"
-        );
-        active_mask.clear();
-        active_mask.resize(agent_count, false);
-        for id in active.iter() {
-            active_mask[id.index()] = true;
-        }
-
-        // Deferred predictions: the active set is known, so actives run
-        // Compute on the live protocols (prediction fusion) and only sleepers
-        // dry-run a probe. Active decisions land straight in the decision
-        // buffer — there is no separate Look + Compute pass afterwards.
-        decisions.clear();
-        decisions.resize(agent_count, None);
-        if deferred {
-            // Sleepers are only dry-run when the edge policy actually reads
-            // their predictions; the paper's block-the-mover adversaries
-            // all filter on the active set first.
-            let probe_sleepers = edges.needs_sleeper_predictions();
-            for (index, decision_slot) in decisions.iter_mut().enumerate() {
-                if agents.terminated[index] {
-                    continue;
-                }
-                let decision = if active_mask[index] || probe_sleepers {
-                    let snapshot = build_snapshot(
-                        ring,
-                        &agents.node,
-                        &agents.held_port,
-                        agents.crowded_nodes,
-                        index,
-                        agents.handedness[index],
-                        agents.prior[index],
-                        None,
-                    );
-                    if active_mask[index] {
-                        let decision = agents.program[index].decide(&snapshot);
-                        *decision_slot = Some(decision);
-                        decision
-                    } else {
-                        probes.refresh(index, &agents.program[index]).decide(&snapshot)
-                    }
-                } else {
-                    continue;
-                };
-                views[index].predicted =
-                    predict_action(ring, agents.node[index], agents.handedness[index], decision);
-            }
-        }
-
-        // 2. Edge adversary (may inspect predicted intents and the active
-        // set). A forced round skips the policy: the caller *is* the
-        // adversary.
-        let missing = match forced {
-            Some(choice) => choice,
-            None => {
-                let view = RoundView { round, ring, agents: Cow::Borrowed(views), visited };
-                edges.select(&view, active)
-            }
-        }
-        .filter(|e| e.index() < ring.size());
-
-        // 3. Look + Compute for active agents, in id order. When the
-        // activation policy predicted, this is *fused* with the prediction
-        // pass: the probe was state-copied from the live protocol and
-        // dry-run on the identical Look snapshot, so (protocols being
-        // deterministic) its decision is this round's decision and its state
-        // the post-Compute state — the probe is swapped in instead of
-        // running Look + Compute a second time.
-        if !deferred {
-            for index in 0..agent_count {
-                if !active_mask[index] {
-                    continue;
-                }
-                decisions[index] = if act_pred {
-                    probes.swap(index, &mut agents.program[index]);
-                    predicted[index]
-                } else {
-                    let snapshot = build_snapshot(
-                        ring,
-                        &agents.node,
-                        &agents.held_port,
-                        agents.crowded_nodes,
-                        index,
-                        agents.handedness[index],
-                        agents.prior[index],
-                        None,
-                    );
-                    Some(agents.program[index].decide(&snapshot))
-                };
-            }
-        }
-
-        // Keep the start-of-round nodes for the trace (trace-only work).
-        if trace.is_some() {
-            nodes_before.clear();
-            nodes_before.extend_from_slice(&agents.node);
-        }
-
-        // 4. Port acquisition in mutual exclusion, then moves. Ports are
-        // denied for the whole round: every port already held at the start
-        // of the round plus every port acquired during it ("access to the
-        // port continues to be denied … during this round").
-        claimed.clear();
-        for (node, port) in agents.node.iter().zip(&agents.held_port) {
-            if let Some(port) = port {
-                claimed.push((*node, *port));
-            }
-        }
-        let AgentSoA {
-            node,
-            held_port,
-            terminated,
-            handedness,
-            prior,
-            program,
-            moves,
-            activations,
-            last_active_round,
-            asleep_on_port,
-            terminated_at,
-            poll_termination,
-            visited: agent_visited,
-            visited_count,
-            ring_size,
-            node_population,
-            crowded_nodes,
-        } = agents;
-        let ring_size = *ring_size;
-        let mut mark_visited = |index: usize, node_index: usize| {
-            if !visited[node_index] {
-                visited[node_index] = true;
-                *unvisited -= 1;
-            }
-            let cell = &mut agent_visited[index * ring_size + node_index];
-            if !*cell {
-                *cell = true;
-                visited_count[index] += 1;
-            }
-        };
-        for index in 0..agent_count {
-            let Some(decision) = decisions[index] else {
-                continue;
-            };
-            match decision {
-                Decision::Terminate => {
-                    *alive -= 1;
-                    terminated[index] = true;
-                    terminated_at[index] = Some(round);
-                    held_port[index] = None;
-                    prior[index] = PriorOutcome::Idle;
-                }
-                Decision::Stay => prior[index] = PriorOutcome::Idle,
-                Decision::Retreat => {
-                    held_port[index] = None;
-                    prior[index] = PriorOutcome::Idle;
-                }
-                Decision::Move(ldir) => {
-                    let gdir = to_global(handedness[index], ldir);
-                    let at = node[index];
-                    if held_port[index] != Some(gdir) {
-                        // Release any other port first, then try to acquire.
-                        held_port[index] = None;
-                        if claimed.contains(&(at, gdir)) {
-                            prior[index] = PriorOutcome::PortAcquisitionFailed;
-                            continue;
-                        }
-                        held_port[index] = Some(gdir);
-                        claimed.push((at, gdir));
-                    }
-                    if missing == Some(ring.edge_towards(at, gdir)) {
-                        prior[index] = PriorOutcome::BlockedOnPort;
-                    } else {
-                        let destination = ring.neighbor(at, gdir);
-                        node[index] = destination;
-                        held_port[index] = None;
-                        prior[index] = PriorOutcome::Moved;
-                        moves[index] += 1;
-                        AgentSoA::relocate(node_population, crowded_nodes, at, destination);
-                        mark_visited(index, destination.index());
-                    }
-                }
-            }
-            // A protocol may flag termination without returning `Terminate`
-            // (defensive; none of the paper's algorithms do).
-            if poll_termination[index] && program[index].has_terminated() && !terminated[index] {
-                *alive -= 1;
-                terminated[index] = true;
-                terminated_at[index] = Some(round);
-                held_port[index] = None;
-            }
-        }
-
-        // 5. Passive transport of sleeping agents (PT model only).
-        if transport_pt {
-            for index in 0..agent_count {
-                if active_mask[index] || terminated[index] {
-                    continue;
-                }
-                if let Some(gdir) = held_port[index] {
-                    let at = node[index];
-                    if missing != Some(ring.edge_towards(at, gdir)) {
-                        let destination = ring.neighbor(at, gdir);
-                        node[index] = destination;
-                        held_port[index] = None;
-                        prior[index] = PriorOutcome::Transported;
-                        moves[index] += 1;
-                        AgentSoA::relocate(node_population, crowded_nodes, at, destination);
-                        mark_visited(index, destination.index());
-                    }
-                }
-            }
-        }
-
-        // 6. Bookkeeping: activation ages, sleep counters.
-        for index in 0..agent_count {
-            if active_mask[index] {
-                activations[index] += 1;
-                last_active_round[index] = round;
-                asleep_on_port[index] = 0;
-            } else if held_port[index].is_some() {
-                asleep_on_port[index] += 1;
-            } else {
-                asleep_on_port[index] = 0;
-            }
-        }
-        if explored_at.is_none() && *unvisited == 0 {
-            *explored_at = Some(round);
-        }
-
-        // 7. Trace recording: flat columnar appends straight from the round
-        // slices (allocation-free in the recycled steady state).
-        if let Some(trace) = trace.as_mut() {
-            trace.record_round_from_lane(
-                round,
-                missing,
-                ring.size() - *unvisited,
-                ring.size(),
-                active,
-                active_mask,
-                nodes_before,
-                node,
-                held_port,
-                decisions,
-                prior,
-                terminated,
-                program,
-            );
         }
     }
 
     /// Runs until the stop condition holds or `max_rounds` rounds have been
     /// simulated, and summarises the execution.
     pub fn run(&mut self, max_rounds: u64, stop: StopCondition) -> RunReport {
-        let reason = self.run_rounds(max_rounds, stop);
+        let reason = self.play(None, max_rounds, stop);
         self.report(reason)
     }
 
@@ -1031,29 +738,8 @@ impl Simulation {
     /// report has seen a team of this size) — the companion of
     /// [`Simulation::recycle`] on the runs/sec fast path.
     pub fn run_into(&mut self, max_rounds: u64, stop: StopCondition, report: &mut RunReport) {
-        let reason = self.run_rounds(max_rounds, stop);
+        let reason = self.play(None, max_rounds, stop);
         self.report_into(reason, report);
-    }
-
-    fn run_rounds(&mut self, max_rounds: u64, stop: StopCondition) -> StopReason {
-        if self.synchrony.is_fsync() {
-            // `needs_predictions` takes `&self`, so its answer cannot change
-            // between rounds.
-            let predict = self.edges.needs_predictions();
-            let mut kernel = self.fsync_kernel();
-            let reason = kernel.run(max_rounds, stop, predict);
-            let counters = kernel.counters;
-            self.store_counters(counters);
-            return reason;
-        }
-        let agent_count = self.agents.len();
-        for _ in 0..max_rounds {
-            if let Some(reason) = self.counters().cull(stop, agent_count) {
-                return reason;
-            }
-            self.step_ssync(None);
-        }
-        self.counters().budget_reason(stop, agent_count)
     }
 
     /// Builds the report for the current state of the simulation.
@@ -1068,9 +754,9 @@ impl Simulation {
     /// per-agent vectors reuse their capacity, so summarising a recycled run
     /// into a recycled report allocates nothing.
     pub fn report_into(&self, stop_reason: StopReason, out: &mut RunReport) {
-        out.rounds = self.round;
+        out.rounds = self.counters.round;
         out.ring_size = self.ring.size();
-        out.explored_at = self.explored_at;
+        out.explored_at = self.counters.explored_at;
         out.visited_count = self.visited_count();
         out.termination_rounds.clone_from(&self.agents.terminated_at);
         out.all_terminated = self.all_terminated();
@@ -1089,21 +775,9 @@ impl Simulation {
     /// reading it, so peeking never perturbs the run).
     #[must_use]
     pub fn peek(&mut self) -> RoundView<'_> {
-        let round = self.round + 1;
-        let fsync = self.synchrony.is_fsync();
-        {
-            let RoundScratch { views, predicted, probes, .. } = &mut self.scratch;
-            fill_agent_views(
-                views,
-                predicted,
-                probes,
-                &self.ring,
-                &self.agents,
-                round,
-                fsync,
-                true,
-            );
-        }
+        let round = self.counters.round + 1;
+        let round_hint = self.synchrony.is_fsync().then_some(round);
+        self.kernel(false).predict_views(round_hint);
         RoundView {
             round,
             ring: &self.ring,
@@ -1137,7 +811,7 @@ impl Simulation {
     /// Number of agents that have not terminated.
     #[must_use]
     pub fn alive_count(&self) -> usize {
-        self.alive
+        self.counters.alive
     }
 
     /// Total successful traversals across the team so far.
@@ -1189,36 +863,9 @@ impl Simulation {
     ///
     /// Panics if the activation policy is not checkpointable.
     pub fn checkpoint_into(&self, out: &mut SimCheckpoint) {
-        out.round = self.round;
-        out.explored_at = self.explored_at;
-        out.unvisited = self.unvisited;
-        out.alive = self.alive;
+        out.agents.copy_from(&self.agents);
         out.visited.clone_from(&self.visited);
-        let agents = &self.agents;
-        out.node.clone_from(&agents.node);
-        out.held_port.clone_from(&agents.held_port);
-        out.terminated.clone_from(&agents.terminated);
-        out.handedness.clone_from(&agents.handedness);
-        out.prior.clone_from(&agents.prior);
-        out.moves.clone_from(&agents.moves);
-        out.activations.clone_from(&agents.activations);
-        out.last_active_round.clone_from(&agents.last_active_round);
-        out.asleep_on_port.clone_from(&agents.asleep_on_port);
-        out.terminated_at.clone_from(&agents.terminated_at);
-        out.agent_visited.clone_from(&agents.visited);
-        out.agent_visited_count.clone_from(&agents.visited_count);
-        out.node_population.clone_from(&agents.node_population);
-        out.crowded_nodes = agents.crowded_nodes;
-        if out.program.len() == agents.program.len() {
-            for (dst, src) in out.program.iter_mut().zip(&agents.program) {
-                if !dst.clone_from_program(src) {
-                    *dst = src.clone_program();
-                }
-            }
-        } else {
-            out.program.clear();
-            out.program.extend(agents.program.iter().map(AgentProgram::clone_program));
-        }
+        out.counters = self.counters;
         out.activation_token = self
             .activation
             .state_token()
@@ -1236,33 +883,11 @@ impl Simulation {
     /// Panics if the checkpoint's shape (team size, ring size) does not match
     /// this simulation — checkpoints are not portable across specs.
     pub fn restore(&mut self, cp: &SimCheckpoint) {
-        assert_eq!(cp.node.len(), self.agents.len(), "checkpoint is from a different team");
+        assert_eq!(cp.agents.len(), self.agents.len(), "checkpoint is from a different team");
         assert_eq!(cp.visited.len(), self.ring.size(), "checkpoint is from a different ring");
-        self.round = cp.round;
-        self.explored_at = cp.explored_at;
-        self.unvisited = cp.unvisited;
-        self.alive = cp.alive;
+        self.agents.copy_from(&cp.agents);
         self.visited.clone_from(&cp.visited);
-        let agents = &mut self.agents;
-        agents.node.clone_from(&cp.node);
-        agents.held_port.clone_from(&cp.held_port);
-        agents.terminated.clone_from(&cp.terminated);
-        agents.handedness.clone_from(&cp.handedness);
-        agents.prior.clone_from(&cp.prior);
-        agents.moves.clone_from(&cp.moves);
-        agents.activations.clone_from(&cp.activations);
-        agents.last_active_round.clone_from(&cp.last_active_round);
-        agents.asleep_on_port.clone_from(&cp.asleep_on_port);
-        agents.terminated_at.clone_from(&cp.terminated_at);
-        agents.visited.clone_from(&cp.agent_visited);
-        agents.visited_count.clone_from(&cp.agent_visited_count);
-        agents.node_population.clone_from(&cp.node_population);
-        agents.crowded_nodes = cp.crowded_nodes;
-        for (dst, src) in agents.program.iter_mut().zip(&cp.program) {
-            if !dst.clone_from_program(src) {
-                *dst = src.clone_program();
-            }
-        }
+        self.counters = cp.counters;
         if let Some(trace) = self.trace.as_mut() {
             // Program state just changed outside `decide` — the one event the
             // trace's label delta encoding cannot observe.
@@ -1272,15 +897,26 @@ impl Simulation {
     }
 }
 
-/// A run's counters. An [`FsyncKernel`] carries them by value, so they
-/// stay in registers across the round loop.
-#[derive(Clone, Copy)]
-struct RunCounters {
-    round: u64,
-    alive: usize,
-    unvisited: usize,
-    explored_at: Option<u64>,
-    crowded_nodes: usize,
+/// A run's counters. A [`RoundKernel`] carries them by value, so they stay
+/// in registers across the round loop; checkpoints hold one copy.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RunCounters {
+    /// Number of rounds played.
+    pub(crate) round: u64,
+    /// Number of agents that have not terminated (kept incrementally so the
+    /// per-round liveness and termination checks are O(1)).
+    pub(crate) alive: usize,
+    /// Number of `false` entries in the visit map (kept incrementally so the
+    /// per-round exploration check is O(1) instead of an O(n) scan).
+    pub(crate) unvisited: usize,
+    /// The round in which the last unvisited node was first visited.
+    pub(crate) explored_at: Option<u64>,
+    /// Number of nodes holding two or more agents. While this is zero the
+    /// Look occupancy of every agent is trivially empty, so
+    /// [`build_snapshot`] skips its scan over the team entirely — the common
+    /// case under a meeting-preventing adversary, and the difference between
+    /// O(k) and O(k²) Look work per round for large teams.
+    pub(crate) crowded_nodes: usize,
 }
 
 impl RunCounters {
@@ -1321,16 +957,27 @@ impl RunCounters {
     }
 }
 
-/// One FSYNC run's state, borrowed out of a [`Simulation`] for one step or
-/// a whole run: the agent columns and the round scratch as slices (sized to
+/// One run's state, borrowed out of a [`Simulation`] for one step or a
+/// whole run: the agent columns and the round scratch as slices (sized to
 /// the team once, so the round body does no `Vec` bookkeeping), the
-/// run-level counters by value. [`FsyncKernel::round`] is the engine's only
-/// FSYNC round body; `step`, `step_with_edge` and `run_into` all play their
-/// FSYNC rounds through it.
-struct FsyncKernel<'s> {
+/// run-level counters by value. [`RoundKernel::round`] is the engine's only
+/// round body, for both synchrony models: `step`, `step_with_edge` and
+/// `run_into` all play their rounds through it, and `peek` fills its views
+/// with the kernel's prediction pass.
+struct RoundKernel<'s> {
     counters: RunCounters,
     ring: &'s RingTopology,
+    activation: &'s mut dyn ActivationPolicy,
     edges: &'s mut dyn EdgePolicy,
+    /// SSYNC under passive transport: a sleeper holding a port is carried
+    /// across with it.
+    transport: bool,
+    /// The edge policy chooses, and reads predictions.
+    edge_pred: bool,
+    /// The activation policy reads predictions (SSYNC only).
+    act_pred: bool,
+    /// The edge policy also reads sleepers' predictions (SSYNC only).
+    sleeper_pred: bool,
     node: &'s mut [NodeId],
     held: &'s mut [Option<GlobalDirection>],
     term: &'s mut [bool],
@@ -1350,239 +997,374 @@ struct FsyncKernel<'s> {
     views: &'s mut [AgentView],
     dec: &'s mut [Option<Decision>],
     act: &'s mut [AgentId],
+    chosen: &'s mut Vec<AgentId>,
     mask: &'s mut [bool],
     claim: &'s mut [(NodeId, GlobalDirection)],
     nodes_before: &'s mut [NodeId],
+    probes: &'s mut ProbePool,
     trace: Option<&'s mut Trace>,
 }
 
-impl FsyncKernel<'_> {
+impl RoundKernel<'_> {
     /// Plays rounds until the stop condition holds, no agent is left to
     /// step, or `max_rounds` rounds have been played, and returns why the
-    /// run stopped.
-    fn run(&mut self, max_rounds: u64, stop: StopCondition, predict: bool) -> StopReason {
+    /// run stopped. `forced` is `Some(choice)` when the caller picks every
+    /// round's missing edge instead of the edge policy.
+    #[inline(always)]
+    fn run<const FSYNC: bool>(
+        &mut self,
+        forced: Option<Option<EdgeId>>,
+        max_rounds: u64,
+        stop: StopCondition,
+    ) -> StopReason {
         let agent_count = self.node.len();
         for _ in 0..max_rounds {
             if let Some(reason) = self.counters.cull(stop, agent_count) {
                 return reason;
             }
-            self.round(None, predict);
+            self.round::<FSYNC>(forced);
         }
         self.counters.budget_reason(stop, agent_count)
     }
 
-    /// Plays one FSYNC round: every live agent is active. `forced` is
-    /// `Some(choice)` when the caller picks the missing edge instead of the
-    /// edge policy; `predict` (only without `forced`) shows the policy each
-    /// agent's decision.
+    /// Plays one round. `forced` is `Some(choice)` when the caller picks the
+    /// missing edge instead of the edge policy.
     ///
-    /// Compute runs first, on the live protocols: under FSYNC every live
-    /// agent decides this round, so the prediction dry run *is* the
-    /// Compute step, and without predictions the order is unobservable —
-    /// protocols see only the start-of-round state, and the edge policy
-    /// sees no protocol state.
+    /// The active agents decide first: no protocol sees anything but the
+    /// start-of-round state, and the edge policy sees no protocol state, so
+    /// Compute may run before the adversary moves. Then the edge adversary
+    /// picks the missing edge, the decisions are resolved, and under SSYNC
+    /// the sleepers are carried and aged.
     #[inline(always)]
-    #[allow(clippy::too_many_lines)]
-    fn round(&mut self, forced: Option<Option<EdgeId>>, predict: bool) {
-        let FsyncKernel {
-            counters,
-            ring,
-            edges,
-            node,
-            held,
-            term,
-            hand,
-            prior,
-            prog,
-            moves,
-            activations,
-            last_active,
-            asleep,
-            terminated_at,
-            poll,
-            vcount,
-            avisited,
-            population,
-            visited,
-            views,
-            dec,
-            act,
-            mask,
-            claim,
-            nodes_before,
-            trace,
-        } = self;
-        let (a, n) = (node.len(), visited.len());
-        let mut c = *counters;
-        c.round += 1;
-        let r = c.round;
-        // Start-of-round state for the trace (trace-only work): the active
-        // set is exactly the agents live at the start of the round.
-        if trace.is_some() {
-            nodes_before.copy_from_slice(node);
-            for index in 0..a {
-                mask[index] = !term[index];
-            }
+    fn round<const FSYNC: bool>(&mut self, forced: Option<Option<EdgeId>>) {
+        self.counters.round += 1;
+        let r = self.counters.round;
+        if self.trace.is_some() {
+            self.nodes_before.copy_from_slice(self.node);
         }
-        // Look + Compute for every live agent, in id order.
-        for index in 0..a {
-            dec[index] = if term[index] {
-                None
-            } else {
-                let snapshot = build_snapshot(
-                    ring,
-                    node,
-                    held,
-                    c.crowded_nodes,
-                    index,
-                    hand[index],
-                    prior[index],
-                    Some(r),
-                );
-                Some(prog[index].decide(&snapshot))
-            };
-        }
-        // The active set, the start-of-round port claims and (for the edge
-        // policy) the views — straight-line array work, no calls.
-        let mut active_len = 0;
-        let mut claimed_len = 0;
-        for index in 0..a {
-            let at = node[index];
-            if !term[index] {
-                act[active_len] = AgentId::new(index);
-                active_len += 1;
-            }
-            if let Some(port) = held[index] {
-                claim[claimed_len] = (at, port);
-                claimed_len += 1;
-            }
-            if forced.is_none() {
-                let predicted = match dec[index] {
-                    None => PredictedAction::Terminate,
-                    Some(decision) if predict => predict_action(ring, at, hand[index], decision),
-                    Some(_) => PredictedAction::Stay,
-                };
-                views[index] = AgentView {
-                    id: AgentId::new(index),
-                    node: at,
-                    held_port: held[index],
-                    terminated: term[index],
-                    handedness: hand[index],
-                    predicted,
-                    last_active_round: last_active[index],
-                    asleep_on_port: asleep[index],
-                    moves: moves[index],
-                };
-            }
-        }
-        // The adversary sees the round view and picks the missing edge — or
-        // the caller already has.
+        let policy_edges = forced.is_none();
+        let active_len = if FSYNC {
+            self.fsync_compute(r, policy_edges)
+        } else {
+            self.ssync_compute(r, policy_edges)
+        };
         let missing = match forced {
             Some(choice) => choice,
             None => {
-                let view = RoundView { round: r, ring, agents: Cow::Borrowed(views), visited };
-                edges.select(&view, &act[..active_len])
+                let view = RoundView {
+                    round: r,
+                    ring: self.ring,
+                    agents: Cow::Borrowed(self.views),
+                    visited: self.visited,
+                };
+                self.edges.select(&view, &self.act[..active_len])
             }
         }
-        .filter(|e| e.index() < n);
-        // Resolution + bookkeeping: port acquisition in mutual exclusion,
-        // then moves. Every agent of the active set decided this round, and
-        // PT never applies to FSYNC.
-        for &id in &act[..active_len] {
-            let index = id.index();
-            let Some(decision) = dec[index] else { continue };
-            activations[index] += 1;
-            last_active[index] = r;
-            asleep[index] = 0;
+        .filter(|e| e.index() < self.visited.len());
+        self.resolve(r, missing);
+        if !FSYNC {
+            self.ssync_sleepers(missing);
+        }
+        let n = self.visited.len();
+        if self.counters.explored_at.is_none() && self.counters.unvisited == 0 {
+            self.counters.explored_at = Some(r);
+        }
+        // Trace recording: flat columnar appends straight from the round
+        // slices (allocation-free in the recycled steady state).
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record_round_from_lane(
+                r,
+                missing,
+                n - self.counters.unvisited,
+                n,
+                &self.act[..active_len],
+                self.mask,
+                self.nodes_before,
+                self.node,
+                self.held,
+                self.dec,
+                self.prior,
+                self.term,
+                self.prog,
+            );
+        }
+    }
+
+    /// FSYNC's Look + Compute: every live agent is active and decides on
+    /// its live program, in id order. Under FSYNC that decision *is* the
+    /// prediction, so a prediction round needs no dry run. Returns the
+    /// length of the active set.
+    #[inline(always)]
+    fn fsync_compute(&mut self, r: u64, policy_edges: bool) -> usize {
+        let mut active_len = 0;
+        for index in 0..self.node.len() {
+            let live = !self.term[index];
+            self.mask[index] = live;
+            self.dec[index] = if live {
+                let snapshot = self.snapshot(index, Some(r));
+                Some(self.prog[index].decide(&snapshot))
+            } else {
+                None
+            };
+            if live {
+                self.act[active_len] = AgentId::new(index);
+                active_len += 1;
+            }
+        }
+        if policy_edges {
+            self.fill_views(self.edge_pred);
+        }
+        active_len
+    }
+
+    /// SSYNC's activation choice and Look + Compute. Predictions come in two
+    /// tiers:
+    ///
+    ///  * the activation policy reads them: every live agent is dry-run on
+    ///    a probe before the choice, and each active agent's probe — which
+    ///    holds exactly its post-Compute state — is swapped in instead of
+    ///    running Compute a second time (prediction fusion);
+    ///  * only the edge policy reads them: they wait for the choice, so the
+    ///    actives decide on their live programs and only sleepers are
+    ///    dry-run, and only when the policy reads sleepers' predictions
+    ///    (the paper's block-the-mover adversaries filter on the active set
+    ///    first).
+    ///
+    /// Returns the length of the active set.
+    #[inline(always)]
+    fn ssync_compute(&mut self, r: u64, policy_edges: bool) -> usize {
+        let a = self.node.len();
+        let act_pred = self.act_pred;
+        let deferred = !act_pred && policy_edges && self.edge_pred;
+        if act_pred {
+            self.predict_views(None);
+        } else {
+            self.fill_views(false);
+        }
+        // The activation choice, cut to live agents; an empty choice
+        // activates every live agent.
+        self.chosen.clear();
+        let view = RoundView {
+            round: r,
+            ring: self.ring,
+            agents: Cow::Borrowed(self.views),
+            visited: self.visited,
+        };
+        self.activation.select_into(&view, self.chosen);
+        self.mask.fill(false);
+        for id in self.chosen.iter() {
+            if self.term.get(id.index()) == Some(&false) {
+                self.mask[id.index()] = true;
+            }
+        }
+        if !self.mask.contains(&true) {
+            for index in 0..a {
+                self.mask[index] = !self.term[index];
+            }
+        }
+        let mut active_len = 0;
+        for index in 0..a {
+            if self.mask[index] {
+                self.act[active_len] = AgentId::new(index);
+                active_len += 1;
+                if act_pred {
+                    // `dec[index]` already holds the probe's decision.
+                    self.probes.swap(index, &mut self.prog[index]);
+                    continue;
+                }
+                let snapshot = self.snapshot(index, None);
+                let decision = self.prog[index].decide(&snapshot);
+                self.dec[index] = Some(decision);
+                if deferred {
+                    self.views[index].predicted =
+                        predict_action(self.ring, self.node[index], self.hand[index], decision);
+                }
+            } else {
+                self.dec[index] = None;
+                if deferred && self.sleeper_pred && !self.term[index] {
+                    let snapshot = self.snapshot(index, None);
+                    let decision = self.probes.refresh(index, &self.prog[index]).decide(&snapshot);
+                    self.views[index].predicted =
+                        predict_action(self.ring, self.node[index], self.hand[index], decision);
+                }
+            }
+        }
+        active_len
+    }
+
+    /// Dry-runs every live agent's program on a probe from the pool, leaving
+    /// the decisions in `dec` and the predictions in the views.
+    /// `round_hint` is the round under FSYNC, `None` under SSYNC.
+    #[inline(always)]
+    fn predict_views(&mut self, round_hint: Option<u64>) {
+        for index in 0..self.node.len() {
+            self.dec[index] = if self.term[index] {
+                None
+            } else {
+                let snapshot = self.snapshot(index, round_hint);
+                Some(self.probes.refresh(index, &self.prog[index]).decide(&snapshot))
+            };
+        }
+        self.fill_views(true);
+    }
+
+    /// Refills the adversary views from the start-of-round columns. With
+    /// `predict`, each live agent's view shows the decision `dec` holds for
+    /// it; otherwise live agents show [`PredictedAction::Stay`].
+    #[inline(always)]
+    fn fill_views(&mut self, predict: bool) {
+        for index in 0..self.node.len() {
+            let at = self.node[index];
+            let predicted = match self.dec[index] {
+                _ if self.term[index] => PredictedAction::Terminate,
+                Some(decision) if predict => {
+                    predict_action(self.ring, at, self.hand[index], decision)
+                }
+                _ => PredictedAction::Stay,
+            };
+            self.views[index] = AgentView {
+                id: AgentId::new(index),
+                node: at,
+                held_port: self.held[index],
+                terminated: self.term[index],
+                handedness: self.hand[index],
+                predicted,
+                last_active_round: self.last_active[index],
+                asleep_on_port: self.asleep[index],
+                moves: self.moves[index],
+            };
+        }
+    }
+
+    /// Agent `index`'s Look snapshot of the current state.
+    #[inline(always)]
+    fn snapshot(&self, index: usize, round_hint: Option<u64>) -> Snapshot {
+        build_snapshot(
+            self.ring,
+            self.node,
+            self.held,
+            self.counters.crowded_nodes,
+            index,
+            self.hand[index],
+            self.prior[index],
+            round_hint,
+        )
+    }
+
+    /// Resolves this round's decisions in id order: the paper's movement
+    /// rule, for both synchrony models. Ports are taken in mutual exclusion
+    /// and denied for the whole round — every port held at the start of the
+    /// round plus every port acquired during it ("access to the port
+    /// continues to be denied … during this round") — and a missing edge
+    /// blocks the agent holding its port. The termination poll runs after
+    /// every decision, whatever its outcome.
+    #[inline(always)]
+    fn resolve(&mut self, r: u64, missing: Option<EdgeId>) {
+        let a = self.node.len();
+        let mut claimed = 0;
+        for index in 0..a {
+            if let Some(port) = self.held[index] {
+                self.claim[claimed] = (self.node[index], port);
+                claimed += 1;
+            }
+        }
+        for index in 0..a {
+            let Some(decision) = self.dec[index] else { continue };
+            self.activations[index] += 1;
+            self.last_active[index] = r;
+            self.asleep[index] = 0;
             match decision {
                 Decision::Terminate => {
-                    c.alive -= 1;
-                    term[index] = true;
-                    terminated_at[index] = Some(r);
-                    held[index] = None;
-                    prior[index] = PriorOutcome::Idle;
+                    self.terminate(index, r);
+                    self.prior[index] = PriorOutcome::Idle;
                 }
-                Decision::Stay => prior[index] = PriorOutcome::Idle,
+                Decision::Stay => self.prior[index] = PriorOutcome::Idle,
                 Decision::Retreat => {
-                    held[index] = None;
-                    prior[index] = PriorOutcome::Idle;
+                    self.held[index] = None;
+                    self.prior[index] = PriorOutcome::Idle;
                 }
                 Decision::Move(ldir) => {
-                    // A prediction round already resolved the move against
-                    // the topology for the adversary; reuse it.
-                    let at = node[index];
-                    let (gdir, edge) = match views[index].predicted {
-                        PredictedAction::Move { edge, direction } if predict => (direction, edge),
-                        _ => {
-                            let gdir = to_global(hand[index], ldir);
-                            (gdir, ring.edge_towards(at, gdir))
-                        }
-                    };
-                    if held[index] != Some(gdir) {
+                    let gdir = to_global(self.hand[index], ldir);
+                    let at = self.node[index];
+                    if self.held[index] != Some(gdir) {
                         // Release any other port first, then try to acquire.
-                        held[index] = None;
-                        if claim[..claimed_len].contains(&(at, gdir)) {
-                            prior[index] = PriorOutcome::PortAcquisitionFailed;
-                            continue;
+                        self.held[index] = None;
+                        if self.claim[..claimed].contains(&(at, gdir)) {
+                            self.prior[index] = PriorOutcome::PortAcquisitionFailed;
+                        } else {
+                            self.held[index] = Some(gdir);
+                            self.claim[claimed] = (at, gdir);
+                            claimed += 1;
                         }
-                        held[index] = Some(gdir);
-                        claim[claimed_len] = (at, gdir);
-                        claimed_len += 1;
                     }
-                    if missing == Some(edge) {
-                        prior[index] = PriorOutcome::BlockedOnPort;
-                    } else {
-                        let destination = ring.neighbor(at, gdir);
-                        node[index] = destination;
-                        held[index] = None;
-                        prior[index] = PriorOutcome::Moved;
-                        moves[index] += 1;
-                        AgentSoA::relocate(population, &mut c.crowded_nodes, at, destination);
-                        let node_index = destination.index();
-                        if !visited[node_index] {
-                            visited[node_index] = true;
-                            c.unvisited -= 1;
-                        }
-                        let cell = &mut avisited[index * n + node_index];
-                        if !*cell {
-                            *cell = true;
-                            vcount[index] += 1;
+                    if self.held[index] == Some(gdir) {
+                        if missing == Some(self.ring.edge_towards(at, gdir)) {
+                            self.prior[index] = PriorOutcome::BlockedOnPort;
+                        } else {
+                            self.traverse(index, gdir, PriorOutcome::Moved);
                         }
                     }
                 }
             }
             // A protocol may flag termination without returning `Terminate`
             // (defensive; none of the paper's algorithms do).
-            if poll[index] && prog[index].has_terminated() && !term[index] {
-                c.alive -= 1;
-                term[index] = true;
-                terminated_at[index] = Some(r);
-                held[index] = None;
+            if self.poll[index] && !self.term[index] && self.prog[index].has_terminated() {
+                self.terminate(index, r);
             }
         }
-        if c.explored_at.is_none() && c.unvisited == 0 {
-            c.explored_at = Some(r);
+    }
+
+    /// SSYNC's sleepers: under passive transport a sleeper holding a port
+    /// is carried across when its edge is present; then each sleeper's age
+    /// on its port advances, or resets when it holds none.
+    #[inline(always)]
+    fn ssync_sleepers(&mut self, missing: Option<EdgeId>) {
+        for index in 0..self.node.len() {
+            if self.mask[index] {
+                continue;
+            }
+            if self.transport {
+                if let Some(gdir) = self.held[index] {
+                    if missing != Some(self.ring.edge_towards(self.node[index], gdir)) {
+                        self.traverse(index, gdir, PriorOutcome::Transported);
+                    }
+                }
+            }
+            self.asleep[index] =
+                if self.held[index].is_some() { self.asleep[index] + 1 } else { 0 };
         }
-        // Trace recording: flat columnar appends straight from the round
-        // slices (allocation-free in the recycled steady state).
-        if let Some(trace) = trace.as_mut() {
-            trace.record_round_from_lane(
-                r,
-                missing,
-                n - c.unvisited,
-                n,
-                &act[..active_len],
-                mask,
-                nodes_before,
-                node,
-                held,
-                dec,
-                prior,
-                term,
-                prog,
-            );
+    }
+
+    /// Agent `index` crosses the edge in direction `gdir` and arrives with
+    /// `outcome`, with the population and visit bookkeeping.
+    #[inline(always)]
+    fn traverse(&mut self, index: usize, gdir: GlobalDirection, outcome: PriorOutcome) {
+        let at = self.node[index];
+        let destination = self.ring.neighbor(at, gdir);
+        self.node[index] = destination;
+        self.held[index] = None;
+        self.prior[index] = outcome;
+        self.moves[index] += 1;
+        AgentSoA::relocate(self.population, &mut self.counters.crowded_nodes, at, destination);
+        let node_index = destination.index();
+        if !self.visited[node_index] {
+            self.visited[node_index] = true;
+            self.counters.unvisited -= 1;
         }
-        *counters = c;
+        let cell = &mut self.avisited[index * self.visited.len() + node_index];
+        if !*cell {
+            *cell = true;
+            self.vcount[index] += 1;
+        }
+    }
+
+    /// Agent `index` enters its terminal state in round `r`.
+    #[inline(always)]
+    fn terminate(&mut self, index: usize, r: u64) {
+        self.counters.alive -= 1;
+        self.term[index] = true;
+        self.terminated_at[index] = Some(r);
+        self.held[index] = None;
     }
 }
 
@@ -1706,6 +1488,65 @@ mod tests {
         assert!(outcomes.contains(&PriorOutcome::Moved));
         assert!(outcomes.contains(&PriorOutcome::PortAcquisitionFailed));
         sim.trace().unwrap().check_invariants(n).unwrap();
+    }
+
+    /// Moves left once, then reports termination without returning
+    /// `Terminate`.
+    #[derive(Debug, Clone, Default)]
+    struct StopsAfterOneMove {
+        decided: bool,
+    }
+
+    impl Protocol for StopsAfterOneMove {
+        fn name(&self) -> &'static str {
+            "StopsAfterOneMove"
+        }
+
+        fn termination_kind(&self) -> dynring_model::TerminationKind {
+            dynring_model::TerminationKind::Explicit
+        }
+
+        fn decide(&mut self, _snapshot: &dynring_model::Snapshot) -> Decision {
+            self.decided = true;
+            Decision::Move(dynring_model::LocalDirection::Left)
+        }
+
+        fn has_terminated(&self) -> bool {
+            self.decided
+        }
+
+        fn clone_box(&self) -> Box<dyn Protocol> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn an_agent_that_loses_the_port_is_still_polled_for_termination() {
+        // Both agents try the same port in round 1; the one that loses it
+        // has still decided, so the termination poll must see it stop.
+        let synchronies =
+            [SynchronyModel::Fsync, SynchronyModel::Ssync(TransportModel::PassiveTransport)];
+        for synchrony in synchronies {
+            let mut sim = Simulation::builder(RingTopology::new(5).unwrap())
+                .synchrony(synchrony)
+                .agent(
+                    NodeId::new(0),
+                    Handedness::LeftIsCcw,
+                    Box::new(StopsAfterOneMove::default()),
+                )
+                .agent(
+                    NodeId::new(0),
+                    Handedness::LeftIsCcw,
+                    Box::new(StopsAfterOneMove::default()),
+                )
+                .activation(Box::new(FullActivation))
+                .edges(Box::new(NoRemoval))
+                .build()
+                .unwrap();
+            assert!(sim.step());
+            assert_eq!(sim.termination_rounds(), [Some(1), Some(1)], "{synchrony:?}");
+            assert_eq!(sim.alive_count(), 0, "{synchrony:?}");
+        }
     }
 
     #[test]

@@ -203,6 +203,12 @@ pub(crate) fn to_local(handedness: Handedness, dir: GlobalDirection) -> LocalDir
 /// Mutable per-agent runtime state owned by the simulation, in
 /// struct-of-arrays layout. All vectors are parallel and indexed by agent
 /// (agents are stored in id order, so the index *is* the [`AgentId`]).
+///
+/// This is also the agent half of a
+/// [`SimCheckpoint`](crate::checkpoint::SimCheckpoint): checkpoints embed the
+/// type and [`AgentSoA::copy_from`] moves it both ways, so every column here
+/// is captured. What the spec fixes (the ring size, and whether each program
+/// is polled for termination) lives on the simulation instead.
 #[derive(Debug, Default)]
 pub(crate) struct AgentSoA {
     /// Hot: the node each agent currently occupies.
@@ -229,11 +235,6 @@ pub(crate) struct AgentSoA {
     pub asleep_on_port: Vec<u64>,
     /// Cold: per-agent termination rounds.
     pub terminated_at: Vec<Option<u64>>,
-    /// Cold: whether the engine must poll `Protocol::has_terminated` after
-    /// each decision. Protocols declaring [`TerminationKind::Unconscious`]
-    /// promise they never enter a terminal state, so the per-round virtual
-    /// call is skipped for them.
-    pub poll_termination: Vec<bool>,
     /// Cold: per-agent visit maps, flattened row-major
     /// (`agent * ring_size + node`).
     pub visited: Vec<bool>,
@@ -241,27 +242,16 @@ pub(crate) struct AgentSoA {
     /// maintained incrementally by the resolution phase so reports read the
     /// count in O(1) instead of re-scanning the row.
     pub visited_count: Vec<usize>,
-    /// Ring size (row stride of `visited`).
-    pub ring_size: usize,
-    /// Number of agents standing on each node (index = node id), maintained
-    /// incrementally on every move/transport.
+    /// Number of agents standing on each node (index = node id, so its
+    /// length is the ring size), maintained incrementally on every
+    /// move/transport.
     pub node_population: Vec<u32>,
-    /// Number of nodes holding two or more agents. While this is zero the
-    /// Look occupancy of every agent is trivially empty, so
-    /// [`build_snapshot`] skips its scan over the team entirely — the common
-    /// case under a meeting-preventing adversary, and the difference between
-    /// O(k) and O(k²) Look work per round for large teams.
-    pub crowded_nodes: usize,
 }
 
 impl AgentSoA {
     /// An empty team on a ring of the given size.
     pub(crate) fn new(ring_size: usize) -> Self {
-        AgentSoA {
-            ring_size,
-            node_population: vec![0; ring_size],
-            ..AgentSoA::default()
-        }
+        AgentSoA { node_population: vec![0; ring_size], ..AgentSoA::default() }
     }
 
     /// Appends an agent; its start node is marked visited in its private map.
@@ -271,8 +261,6 @@ impl AgentSoA {
         self.terminated.push(false);
         self.handedness.push(handedness);
         self.prior.push(PriorOutcome::Idle);
-        self.poll_termination
-            .push(program.termination_kind() != TerminationKind::Unconscious);
         self.program.push(program);
         self.moves.push(0);
         self.activations.push(0);
@@ -280,13 +268,10 @@ impl AgentSoA {
         self.asleep_on_port.push(0);
         self.terminated_at.push(None);
         let start = self.visited.len();
-        self.visited.resize(start + self.ring_size, false);
+        self.visited.resize(start + self.node_population.len(), false);
         self.visited[start + node.index()] = true;
         self.visited_count.push(1);
         self.node_population[node.index()] += 1;
-        if self.node_population[node.index()] == 2 {
-            self.crowded_nodes += 1;
-        }
     }
 
     /// Re-initialises the whole team in place from per-agent templates: every
@@ -296,14 +281,15 @@ impl AgentSoA {
     /// template's pristine state through
     /// [`AgentProgram::clone_from_program`] (falling back to a fresh program
     /// clone on a representation mismatch). This is the team half of
-    /// [`Simulation::recycle`](crate::sim::Simulation::recycle).
+    /// [`Simulation::recycle`](crate::sim::Simulation::recycle). Returns the
+    /// number of nodes the team starts crowded on (two or more agents).
     pub(crate) fn reset_from<'a>(
         &mut self,
         ring_size: usize,
         specs: impl ExactSizeIterator<Item = (NodeId, Handedness, &'a AgentProgram)>,
-    ) {
+    ) -> usize {
         let count = specs.len();
-        if self.ring_size == ring_size && self.node_population.len() == ring_size {
+        if self.node_population.len() == ring_size {
             // Every agent stands on exactly one node, so undoing the agents'
             // positions zeroes the occupancy index in O(agents), not O(n).
             for node in &self.node {
@@ -313,7 +299,6 @@ impl AgentSoA {
         } else {
             refill(&mut self.node_population, ring_size, 0);
         }
-        self.ring_size = ring_size;
         if self.node.len() != count {
             // A new team size: size every column; the loop below writes
             // each agent's entries.
@@ -327,12 +312,11 @@ impl AgentSoA {
             self.last_active_round.resize(count, 0);
             self.asleep_on_port.resize(count, 0);
             self.terminated_at.resize(count, None);
-            self.poll_termination.resize(count, false);
             self.visited_count.resize(count, 1);
         }
         refill(&mut self.visited, count * ring_size, false);
         self.program.truncate(count);
-        self.crowded_nodes = 0;
+        let mut crowded_nodes = 0;
         // One pass per agent rather than one fill per column: with the
         // paper's two- and three-agent teams, per-column fills cost more in
         // call overhead than in stores.
@@ -348,21 +332,38 @@ impl AgentSoA {
             self.last_active_round[index] = 0;
             self.asleep_on_port[index] = 0;
             self.terminated_at[index] = None;
-            self.poll_termination[index] =
-                template.termination_kind() != TerminationKind::Unconscious;
             self.visited_count[index] = 1;
-            if let Some(live) = self.program.get_mut(index) {
-                if !live.clone_from_program(template) {
-                    *live = template.clone_program();
-                }
-            } else {
-                self.program.push(template.clone_program());
-            }
+            copy_program(&mut self.program, index, template);
             self.visited[index * ring_size + node.index()] = true;
             self.node_population[node.index()] += 1;
             if self.node_population[node.index()] == 2 {
-                self.crowded_nodes += 1;
+                crowded_nodes += 1;
             }
+        }
+        crowded_nodes
+    }
+
+    /// Makes `self` a copy of `src`, column by column and in place — the
+    /// one copy behind both checkpointing and restoring. Capacity is reused,
+    /// so a copy between teams of one shape allocates nothing (programs
+    /// copy their state through [`AgentProgram::clone_from_program`]).
+    pub(crate) fn copy_from(&mut self, src: &AgentSoA) {
+        self.node.clone_from(&src.node);
+        self.held_port.clone_from(&src.held_port);
+        self.terminated.clone_from(&src.terminated);
+        self.handedness.clone_from(&src.handedness);
+        self.prior.clone_from(&src.prior);
+        self.moves.clone_from(&src.moves);
+        self.activations.clone_from(&src.activations);
+        self.last_active_round.clone_from(&src.last_active_round);
+        self.asleep_on_port.clone_from(&src.asleep_on_port);
+        self.terminated_at.clone_from(&src.terminated_at);
+        self.visited.clone_from(&src.visited);
+        self.visited_count.clone_from(&src.visited_count);
+        self.node_population.clone_from(&src.node_population);
+        self.program.truncate(src.program.len());
+        for (index, program) in src.program.iter().enumerate() {
+            copy_program(&mut self.program, index, program);
         }
     }
 
@@ -390,16 +391,20 @@ impl AgentSoA {
         self.node.len()
     }
 
+    /// Number of nodes holding two or more agents, counted from the
+    /// population index.
+    pub(crate) fn crowded_nodes(&self) -> usize {
+        self.node_population.iter().filter(|p| **p >= 2).count()
+    }
+
     /// The number of distinct nodes agent `index` has visited (maintained
     /// incrementally; equals the number of `true` entries in the agent's
     /// row of the visit map).
     pub(crate) fn visited_count(&self, index: usize) -> usize {
+        let n = self.node_population.len();
         debug_assert_eq!(
             self.visited_count[index],
-            self.visited[index * self.ring_size..(index + 1) * self.ring_size]
-                .iter()
-                .filter(|v| **v)
-                .count(),
+            self.visited[index * n..(index + 1) * n].iter().filter(|v| **v).count(),
             "incremental per-agent visit counter out of sync"
         );
         self.visited_count[index]
@@ -409,6 +414,20 @@ impl AgentSoA {
     /// bool slice).
     pub(crate) fn all_terminated(&self) -> bool {
         self.terminated.iter().all(|t| *t)
+    }
+}
+
+/// Sets `programs[index]` to a copy of `src`: a state copy in place when
+/// the slot holds a program of the same representation, a fresh clone
+/// otherwise (appended when `index` is one past the end).
+fn copy_program(programs: &mut Vec<AgentProgram>, index: usize, src: &AgentProgram) {
+    match programs.get_mut(index) {
+        Some(dst) => {
+            if !dst.clone_from_program(src) {
+                *dst = src.clone_program();
+            }
+        }
+        None => programs.push(src.clone_program()),
     }
 }
 
@@ -578,71 +597,6 @@ impl RoundView<'_> {
     }
 }
 
-/// Refills `views` (a scratch buffer owned by the simulation) with the
-/// per-agent views of the upcoming round. The buffer's capacity is reused, so
-/// after the first round this performs no allocation.
-///
-/// When `predict` is set (a policy running this round reads predictions) each
-/// live agent's protocol is dry-run on its Look snapshot through a probe from
-/// `probes`, and the raw [`Decision`] is stored in `predicted_decisions` so
-/// the round loop can *fuse* the prediction with the actual Compute step: the
-/// protocols are deterministic and the snapshot at Look time is identical, so
-/// the dry run already produced both this round's decision and the
-/// post-Compute state. (The FSYNC round kernel fills its views itself and
-/// runs its predictions on the live protocols.)
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fill_agent_views(
-    views: &mut Vec<AgentView>,
-    predicted_decisions: &mut Vec<Option<Decision>>,
-    probes: &mut ProbePool,
-    ring: &RingTopology,
-    agents: &AgentSoA,
-    round: u64,
-    fsync: bool,
-    predict: bool,
-) {
-    let round_hint = if fsync { Some(round) } else { None };
-    let count = agents.len();
-    predicted_decisions.clear();
-    predicted_decisions.resize(count, None);
-    views.clear();
-    for (index, predicted_slot) in predicted_decisions.iter_mut().enumerate() {
-        let node = agents.node[index];
-        let handedness = agents.handedness[index];
-        let terminated = agents.terminated[index];
-        let predicted = if terminated {
-            PredictedAction::Terminate
-        } else if predict {
-            let snapshot = build_snapshot(
-                ring,
-                &agents.node,
-                &agents.held_port,
-                agents.crowded_nodes,
-                index,
-                handedness,
-                agents.prior[index],
-                round_hint,
-            );
-            let decision = probes.refresh(index, &agents.program[index]).decide(&snapshot);
-            *predicted_slot = Some(decision);
-            predict_action(ring, node, handedness, decision)
-        } else {
-            PredictedAction::Stay
-        };
-        views.push(AgentView {
-            id: AgentId::new(index),
-            node,
-            held_port: agents.held_port[index],
-            terminated,
-            handedness,
-            predicted,
-            last_active_round: agents.last_active_round[index],
-            asleep_on_port: agents.asleep_on_port[index],
-            moves: agents.moves[index],
-        });
-    }
-}
-
 /// Builds the **Look** snapshot of agent `observer` from the team's
 /// positions and held ports (the paper's Look operation: own position,
 /// other agents at the same node, landmark flag, own previous outcome).
@@ -767,7 +721,7 @@ mod tests {
             ring,
             &agents.node,
             &agents.held_port,
-            agents.crowded_nodes,
+            agents.crowded_nodes(),
             observer,
             agents.handedness[observer],
             agents.prior[observer],
