@@ -8,7 +8,7 @@ use dynring_analysis::model_check::{self, ModelCheck, Objective, Verdict};
 use dynring_analysis::scenario::{AdversaryKind, Scenario};
 use dynring_core::Algorithm;
 use dynring_engine::StopCondition;
-use dynring_graph::{EdgeId, Handedness};
+use dynring_graph::{EdgeId, EdgeSchedule, Handedness};
 use dynring_model::SynchronyModel;
 use proptest::prelude::*;
 
@@ -114,6 +114,110 @@ fn parallel_search_is_bit_identical_to_sequential() {
             }
         }
     }
+}
+
+/// FNV-1a over a schedule's `Debug`: a short, stable fingerprint of a
+/// witness or worst schedule for the output pin below.
+fn schedule_digest(schedule: &EdgeSchedule) -> u64 {
+    format!("{schedule:?}").bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One pinned search output: cell id, verdict kind, the full
+/// [`SearchStats`] (expanded, visited, peak frontier, depth reached), the
+/// defeat or worst round, and the [`schedule_digest`] of the witness or
+/// worst schedule.
+type Pin = (&'static str, &'static str, u64, u64, usize, u64, u64, u64);
+
+/// The sequential search's outputs for every packaged cell at n = 4..=7,
+/// as recorded before choices that share the all-present round were
+/// scored from one step.
+#[rustfmt::skip]
+const SEARCH_PINS: &[Pin] = &[
+    ("MC-T1-R1(n=4)", "infeasible", 46, 13, 5, 4, 4, 12073661243166338939),
+    ("MC-T1-R2(n=4)", "infeasible", 16, 3, 1, 4, 4, 10515272153976449413),
+    ("MC-T1-R3(n=4)", "feasible", 22270, 7908, 2092, 10, 10, 1853160979889934467),
+    ("MC-T3-R1a(n=4)", "infeasible", 400, 80, 1, 80, 80, 4339306459616073371),
+    ("MC-T3-R1b(n=4)", "infeasible", 400, 80, 1, 80, 80, 4339306459616073371),
+    ("MC-T3-R1c(n=4)", "infeasible", 400, 80, 1, 80, 80, 11141539558481327842),
+    ("MC-T3-R2(n=4)", "infeasible", 1205, 248, 10, 32, 32, 3049038172366787419),
+    ("MC-T3-R3(n=4)", "infeasible", 2335, 742, 176, 8, 8, 6683698085162446971),
+    ("MC-T1-R1(n=5)", "infeasible", 79, 29, 17, 4, 4, 9493537666599119736),
+    ("MC-T1-R2(n=5)", "infeasible", 67, 18, 8, 4, 4, 6596179982216573790),
+    ("MC-T1-R3(n=5)", "feasible", 49848, 14052, 3675, 11, 11, 11297114934186064946),
+    ("MC-T3-R1a(n=5)", "infeasible", 600, 100, 1, 100, 100, 487444437626311316),
+    ("MC-T3-R1b(n=5)", "infeasible", 600, 100, 1, 100, 100, 487444437626311316),
+    ("MC-T3-R1c(n=5)", "infeasible", 600, 100, 1, 100, 100, 17004305916180737144),
+    ("MC-T3-R2(n=5)", "infeasible", 4182, 715, 23, 40, 40, 15786331325970584524),
+    ("MC-T3-R3(n=5)", "infeasible", 7356, 1925, 471, 9, 9, 7131055708684736222),
+    ("MC-T3-R4(n=5)", "infeasible", 568, 191, 91, 7, 7, 6275554250123930289),
+    ("theorem4(n=5)", "feasible", 480, 79, 20, 9, 9, 368359981543682928),
+    ("MC-T1-R1(n=6)", "infeasible", 92, 38, 26, 4, 4, 17120500955879821770),
+    ("MC-T1-R2(n=6)", "infeasible", 141, 45, 26, 4, 4, 11211930589305773174),
+    ("MC-T1-R3(n=6)", "feasible", 102158, 23619, 6035, 12, 12, 11350432416700305633),
+    ("MC-T3-R1a(n=6)", "infeasible", 840, 120, 1, 120, 120, 7463148222059779945),
+    ("MC-T3-R1b(n=6)", "infeasible", 840, 120, 1, 120, 120, 7463148222059779945),
+    ("MC-T3-R1c(n=6)", "infeasible", 840, 120, 1, 120, 120, 3619466792114775121),
+    ("MC-T3-R2(n=6)", "infeasible", 11291, 1649, 45, 48, 48, 5280467573604804561),
+    ("MC-T3-R3(n=6)", "infeasible", 17626, 3967, 1010, 10, 10, 4211045077650437417),
+    ("MC-T3-R4(n=6)", "infeasible", 7054, 1805, 798, 10, 10, 11428423161606728128),
+    ("theorem4(n=6)", "feasible", 2170, 309, 66, 12, 12, 9499177414842066387),
+    ("MC-T1-R1(n=7)", "infeasible", 105, 39, 27, 4, 4, 18381802951012156090),
+    ("MC-T1-R2(n=7)", "infeasible", 161, 71, 52, 4, 4, 2335206463732245542),
+    ("MC-T1-R3(n=7)", "feasible", 191736, 33627, 9183, 13, 13, 13021818515727679260),
+    ("MC-T3-R1a(n=7)", "infeasible", 1120, 140, 1, 140, 140, 8420254335906147190),
+    ("MC-T3-R1b(n=7)", "infeasible", 1120, 140, 1, 140, 140, 8420254335906147190),
+    ("MC-T3-R1c(n=7)", "infeasible", 1120, 140, 1, 140, 140, 9832245718067746348),
+    ("MC-T3-R2(n=7)", "infeasible", 26640, 3395, 78, 56, 56, 17902301471282669458),
+    ("MC-T3-R3(n=7)", "infeasible", 39344, 7828, 1988, 11, 11, 14679523660318048760),
+    ("MC-T3-R4(n=7)", "infeasible", 71918, 14645, 5818, 13, 13, 8603320151208432399),
+    ("theorem4(n=7)", "feasible", 7664, 957, 170, 15, 15, 3738808876491554630),
+];
+
+/// Every packaged Table 1/3 cell and the Theorem 4 cell at n = 4..=7 keep
+/// the verdict, the search statistics, the decisive round and the
+/// schedule pinned in [`SEARCH_PINS`]. The parallel-equivalence test only
+/// compares the search with itself; this one compares it with recorded
+/// outputs.
+#[test]
+fn search_outputs_match_the_recorded_table() {
+    let mut actual = Vec::new();
+    for n in 4..=7 {
+        let mut checks: Vec<(String, ModelCheck)> = model_check::infeasibility_cells(n)
+            .into_iter()
+            .map(|cell| (cell.id, cell.check))
+            .collect();
+        if n >= 5 {
+            checks.push((format!("theorem4(n={n})"), model_check::theorem4_cell(n)));
+        }
+        for (id, check) in checks {
+            let verdict = check.run_with_threads(1);
+            let stats = *verdict.stats();
+            let (kind, round, digest) = match &verdict {
+                Verdict::Infeasible(p) => {
+                    ("infeasible", p.defeat_round, schedule_digest(&p.witness))
+                }
+                Verdict::Feasible(p) => {
+                    ("feasible", p.worst_round, schedule_digest(&p.worst_schedule))
+                }
+                Verdict::Inconclusive { depth, .. } => ("inconclusive", *depth, 0),
+            };
+            actual.push((
+                id,
+                kind,
+                stats.expanded,
+                stats.visited,
+                stats.peak_frontier,
+                stats.depth_reached,
+                round,
+                digest,
+            ));
+        }
+    }
+    let rendered: Vec<String> = actual.iter().map(|row| format!("{row:?}")).collect();
+    let expected: Vec<String> = SEARCH_PINS.iter().map(|row| format!("{row:?}")).collect();
+    assert_eq!(rendered, expected, "search outputs diverged from the recorded table");
 }
 
 /// A cell that keeps more distinct configurations than its `max_states`
