@@ -17,7 +17,11 @@
 //! One recycled [`Simulation`] serves the whole search: each expansion
 //! restores a parent [`SimCheckpoint`], forces one of the `n + 1` admissible
 //! edge choices (remove edge `e`, or remove nothing) with
-//! [`Simulation::step_with_edge`] and classifies the successor. Successors are
+//! [`Simulation::step_with_edge`] and classifies the successor. An agent
+//! meets the missing edge only when it tries to cross it, so a parent is
+//! stepped once with every edge present and then once per edge an agent
+//! crossed in that round ([`Simulation::crossed_edges`]); every other
+//! choice plays the all-present round and shares its outcome. Successors are
 //! deduplicated **per level** on the canonicalised configuration key of
 //! [`SimCheckpoint::canonical_key`] (lexicographic minimum over the ring's
 //! rotation/reflection automorphisms), which quotients away the agents'
@@ -280,6 +284,12 @@ struct Worker {
     sim: Option<Simulation>,
     key_scratch: KeyScratch,
     key: Vec<u8>,
+    /// The edges crossed in the current parent's all-present round.
+    crossed: Vec<bool>,
+    /// The current parent's all-present successor and its key, shared by
+    /// every choice that removes an edge nobody crossed.
+    shared: SimCheckpoint,
+    shared_key: Vec<u8>,
     /// The worker's keys: every undecided successor its chunks reached,
     /// each once.
     seen: KeyTable,
@@ -440,7 +450,9 @@ impl Objective {
 /// Search statistics of one [`ModelCheck::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Successor configurations generated (restore + forced step).
+    /// Adversary choices scored: `n + 1` per expanded parent. Choices that
+    /// remove an edge no agent crosses play the all-present round, and are
+    /// scored from its one step.
     pub expanded: u64,
     /// Distinct (canonical) undecided configurations kept across all levels.
     pub visited: u64,
@@ -860,9 +872,17 @@ impl ModelCheck {
 
     /// Claims chunks of `frontier` from `next_chunk` until none is left and
     /// expands each: every admissible choice of every item, recorded in
-    /// order into `worker.recs`. Each undecided
-    /// successor new to the worker keeps its checkpoint in the next free
-    /// slot of `slab`.
+    /// order into `worker.recs`. Each undecided successor new to the worker
+    /// keeps its checkpoint in the next free slot of `slab`.
+    ///
+    /// A parent is stepped once per distinct round, not once per choice: its
+    /// all-present round first, then once per edge an agent crossed in it
+    /// (see [`Simulation::crossed_edges`]). Removing an edge nobody crossed
+    /// plays that same all-present round, so such a choice, and the
+    /// remove-nothing choice, take its outcome. The first of them probes its
+    /// key and, if it is new, moves its checkpoint into the slab; every later
+    /// one is a duplicate of it. The records are those of stepping every
+    /// choice.
     #[allow(clippy::too_many_arguments)]
     fn expand_chunks(
         &self,
@@ -875,8 +895,8 @@ impl ModelCheck {
         ring: &RingTopology,
         earliest_adv: &AtomicUsize,
     ) {
-        let n = ring.size();
-        let Worker { sim, key_scratch, key, seen, recs, claimed, .. } = worker;
+        let Worker { sim, key_scratch, key, crossed, shared, shared_key, seen, recs, claimed, .. } =
+            worker;
         let Slab(slab) = slab;
         let sim = sim.get_or_insert_with(|| self.branchable_simulation());
         seen.clear();
@@ -891,32 +911,62 @@ impl ModelCheck {
                     break;
                 }
                 let parent = &current[item.worker as usize].0[item.slot as usize];
+                sim.restore(parent);
+                sim.step_with_edge(None);
+                sim.crossed_edges(parent, crossed);
+                let all_present = self.objective.classify(sim);
+                if let Outcome::Undecided = all_present {
+                    sim.checkpoint_into(shared);
+                    shared.canonical_key_into(ring, key_scratch, shared_key);
+                }
+                let mut shared_kept = false;
                 // The n + 1 admissible adversary choices: remove edge e, or
-                // remove nothing (encoded as choice index n).
-                for choice_index in 0..=n {
-                    sim.restore(parent);
-                    sim.step_with_edge((choice_index < n).then(|| EdgeId::new(choice_index)));
-                    let rec = match self.objective.classify(sim) {
-                        Outcome::AdversaryWins => {
-                            recs.push(Rec::Adv);
-                            earliest_adv.fetch_min(chunk, Ordering::Relaxed);
-                            break 'items;
-                        }
-                        Outcome::ProtocolWins => Rec::Proto,
-                        Outcome::Undecided => {
-                            // A duplicate leaves its slot free for the next
-                            // successor.
-                            let slot = seen.len();
-                            if slot == slab.len() {
-                                slab.push(SimCheckpoint::default());
+                // remove nothing (encoded as choice index n, never crossed).
+                for (choice_index, &crossed) in crossed.iter().chain(&[false]).enumerate() {
+                    let rec = if crossed {
+                        sim.restore(parent);
+                        sim.step_with_edge(Some(EdgeId::new(choice_index)));
+                        match self.objective.classify(sim) {
+                            Outcome::AdversaryWins => Rec::Adv,
+                            Outcome::ProtocolWins => Rec::Proto,
+                            Outcome::Undecided => {
+                                // A duplicate leaves its slot free for the
+                                // next successor.
+                                let slot = seen.len();
+                                if slot == slab.len() {
+                                    slab.push(SimCheckpoint::default());
+                                }
+                                let cp = &mut slab[slot];
+                                sim.checkpoint_into(cp);
+                                cp.canonical_key_into(ring, key_scratch, key);
+                                if seen.insert(key) { Rec::New } else { Rec::Dup }
                             }
-                            let cp = &mut slab[slot];
-                            sim.checkpoint_into(cp);
-                            cp.canonical_key_into(ring, key_scratch, key);
-                            if seen.insert(key) { Rec::New } else { Rec::Dup }
+                        }
+                    } else {
+                        match all_present {
+                            Outcome::AdversaryWins => Rec::Adv,
+                            Outcome::ProtocolWins => Rec::Proto,
+                            Outcome::Undecided if shared_kept => Rec::Dup,
+                            Outcome::Undecided => {
+                                shared_kept = true;
+                                let slot = seen.len();
+                                if seen.insert(shared_key) {
+                                    if slot == slab.len() {
+                                        slab.push(SimCheckpoint::default());
+                                    }
+                                    std::mem::swap(shared, &mut slab[slot]);
+                                    Rec::New
+                                } else {
+                                    Rec::Dup
+                                }
+                            }
                         }
                     };
                     recs.push(rec);
+                    if let Rec::Adv = rec {
+                        earliest_adv.fetch_min(chunk, Ordering::Relaxed);
+                        break 'items;
+                    }
                 }
             }
             // Every chunk still unclaimed comes after this one.

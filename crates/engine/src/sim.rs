@@ -895,6 +895,36 @@ impl Simulation {
         }
         self.activation.restore_state(cp.activation_token);
     }
+
+    /// Marks in `hit` (cleared, then one entry per edge) every edge an
+    /// agent crossed since `before`, a checkpoint of this run one round
+    /// back: an agent that moved stands on a neighbour of its old node, and
+    /// an agent crosses at most one edge a round.
+    ///
+    /// The rule this rests on is the paper's: an agent learns of the
+    /// missing edge only by trying to cross it from the port it holds. The
+    /// round reads the missing edge only for an agent holding that edge's
+    /// port — a mover, or under passive transport a sleeper — and in an
+    /// all-present round every such agent crosses. So after
+    /// `step_with_edge(None)` from `before`, the marked edges are exactly
+    /// the choices whose removal changes the round, and removing any other
+    /// edge plays the same round as removing none.
+    ///
+    /// Allocation-free once `hit` has held a ring's worth of entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `before` is from a different team.
+    pub fn crossed_edges(&self, before: &SimCheckpoint, hit: &mut Vec<bool>) {
+        assert_eq!(before.agents.len(), self.agents.len(), "checkpoint is from a different team");
+        hit.clear();
+        hit.resize(self.ring.size(), false);
+        for (&from, &to) in before.agents.node.iter().zip(&self.agents.node) {
+            if let Some(edge) = self.ring.edge_between(from, to) {
+                hit[edge.index()] = true;
+            }
+        }
+    }
 }
 
 /// A run's counters. A [`RoundKernel`] carries them by value, so they stay

@@ -186,3 +186,91 @@ fn forced_ssync_steps_equal_policy_steps() {
         }
     }
 }
+
+/// From `base`'s state after every round of `schedule`, checks the rule
+/// [`Simulation::crossed_edges`] rests on: removing edge `e` plays the same
+/// round as removing nothing (equal checkpoints) exactly when no agent
+/// crossed `e` in the all-present round. Returns how many of those rounds
+/// carried a sleeper across its port (passive transport).
+fn assert_uncrossed_edges_play_the_all_present_round(
+    base: &Scenario,
+    schedule: &EdgeSchedule,
+    label: &str,
+) -> usize {
+    let n = base.ring_size;
+    let mut sim = base.clone().with_trace().with_adversary(AdversaryKind::Static).build();
+    let mut hit = Vec::new();
+    let mut transported = 0;
+    for round in 1..=schedule.horizon() {
+        if sim.alive_count() == 0 {
+            break;
+        }
+        let before = sim.checkpoint();
+        sim.step_with_edge(None);
+        let all_present = format!("{:?}", sim.checkpoint());
+        sim.crossed_edges(&before, &mut hit);
+        assert_eq!(hit.len(), n, "{label} round {round}");
+        let last = sim.trace().and_then(|trace| trace.rounds().last()).expect("trace recorded");
+        if last.agents.iter().any(|agent| !agent.active && agent.node_before != agent.node_after) {
+            transported += 1;
+        }
+        for (edge, &crossed) in hit.iter().enumerate() {
+            sim.restore(&before);
+            sim.step_with_edge(Some(EdgeId::new(edge)));
+            let same = format!("{:?}", sim.checkpoint()) == all_present;
+            assert_eq!(
+                same, !crossed,
+                "{label} round {round}: removing edge {edge} (crossed: {crossed}) {} the \
+                 all-present round",
+                if same { "plays" } else { "changes" },
+            );
+        }
+        sim.restore(&before);
+        sim.step_with_edge(schedule.missing_at(round));
+    }
+    transported
+}
+
+/// The rule behind the model checker's shared all-present step: from
+/// seeded reachable states of every FSYNC, PT and ET catalogue algorithm
+/// (SSYNC ones under the three schedulers of
+/// `forced_ssync_steps_equal_policy_steps`), a forced edge changes the
+/// round if and only if `crossed_edges` marks it. Passive transport, where
+/// a sleeper on a port is the one non-mover that reads the missing edge,
+/// must carry a sleeper across in some checked round.
+#[test]
+fn only_crossed_edges_change_the_round() {
+    use dynring::algorithms::AlgorithmFamily;
+
+    let n = 6;
+    let ring = RingTopology::new(n).unwrap();
+    let mut transported = 0;
+    for seed in 0..4u64 {
+        let schedule = seeded_schedule(&ring, seed, 30);
+        for algorithm in Algorithm::full_catalog(n) {
+            let family = algorithm.family();
+            let bases = match family {
+                AlgorithmFamily::Fsync | AlgorithmFamily::SingleAgent => {
+                    vec![Scenario::fsync(n, algorithm)]
+                }
+                AlgorithmFamily::SsyncPt | AlgorithmFamily::SsyncEt => {
+                    let default = Scenario::ssync(n, algorithm, seed);
+                    [default.scheduler, SchedulerKind::RoundRobin, SchedulerKind::FirstMoverOnly]
+                        .map(|scheduler| default.clone().with_scheduler(scheduler))
+                        .to_vec()
+                }
+            };
+            for base in bases {
+                let label = format!("{algorithm:?} {:?} seed {seed}", base.scheduler);
+                let carried =
+                    assert_uncrossed_edges_play_the_all_present_round(&base, &schedule, &label);
+                if matches!(family, AlgorithmFamily::SsyncPt) {
+                    transported += carried;
+                } else {
+                    assert_eq!(carried, 0, "{label}: only passive transport carries sleepers");
+                }
+            }
+        }
+    }
+    assert!(transported > 0, "no checked round carried a sleeper across its port");
+}

@@ -102,6 +102,25 @@ fn model_check_rows_hold_at_smoke_scale() {
 }
 
 #[test]
+fn model_check_example_parses_max_n_strictly() {
+    let parse = |args: &[&str]| model_check::parse_args(args.iter().map(|arg| arg.to_string()));
+    assert_eq!(parse(&[]), Ok(model_check::DEFAULT_MAX_N));
+    assert_eq!(parse(&["--max-n", "4"]), Ok(4));
+    assert_eq!(parse(&["--max-n", "10"]), Ok(model_check::MAX_N_CEILING));
+    let rejected = [
+        (&["--max-n", "12"][..], "above the ceiling of 10"),
+        (&["--max-n", "3"], "smallest exhaustively checkable ring"),
+        (&["--max-n", "nine"], "not a positive integer"),
+        (&["--max-n"], "needs a ring size"),
+        (&["--max"], "unknown argument --max"),
+    ];
+    for (args, message) in rejected {
+        let err = parse(args).unwrap_err();
+        assert!(err.contains(message), "{args:?} should fail with {message:?}, got {err:?}");
+    }
+}
+
+#[test]
 fn sweep_service_example_runs_and_resumes_byte_identically() {
     let job = sweep_service::battery(6);
     let supervisor = dynring::service::Supervisor::new().threads(2).chunk(2);
