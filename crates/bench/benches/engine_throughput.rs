@@ -1,10 +1,11 @@
 //! Raw engine throughput: rounds per second over the standard grid
-//! (FSYNC and SSYNC/PT, n ∈ {64, 256, 1024}, trace recording off/on).
+//! (FSYNC and SSYNC/PT, n ∈ {64, 256, 1024}, trace recording on/off and
+//! prediction-on).
 //!
-//! Unlike the table/figure benches, this target measures the simulator's
-//! inner loop itself, not the experiments built on top of it, and it writes
-//! the machine-readable baseline `BENCH_engine.json` so the engine's perf
-//! trajectory is visible PR over PR.
+//! This target measures the simulator's inner loop itself, not the
+//! experiments built on top of it. It refreshes the `cases` section of
+//! `BENCH_engine.json` and gates on the same-process `TRACE` (trace-on ÷
+//! trace-off) and `PRED` (prediction-on ÷ trace-off) ratios.
 //!
 //! ```bash
 //! cargo bench --bench engine_throughput            # full measurement
@@ -12,9 +13,8 @@
 //! ```
 
 use dynring_bench::throughput::{
-    case_json_line, case_rates, extract_section, fast_mode, filter_cases, gate, measure,
-    measurement_budget, out_path, parse_baseline, standard_cases, write_document,
-    ThroughputSample,
+    case_json_line, fast_mode, filter_cases, measure, measurement_budget, record_and_gate,
+    standard_cases, PRED, TRACE,
 };
 
 fn main() {
@@ -28,31 +28,18 @@ fn main() {
         budget.as_millis(),
         chunk
     );
-    println!("{:<28} {:>14} {:>14}", "case", "rounds", "rounds/sec");
+    println!("{:<34} {:>12} {:>14} {:>22}", "case", "rounds", "rounds/sec", "min-max");
 
-    let mut samples: Vec<ThroughputSample> = Vec::new();
-    for case in filter_cases(standard_cases(), |case| case.id.as_str()) {
-        let sample = measure(&case, budget, chunk);
+    let samples = measure(&filter_cases(standard_cases(), |case| case.id.as_str()), budget, chunk);
+    for sample in &samples {
+        let r = sample.rounds_per_sec;
         println!(
-            "{:<28} {:>14} {:>14.0}",
-            sample.case.id, sample.rounds, sample.rounds_per_sec
+            "{:<34} {:>12} {:>14.0} {:>10.0}-{:<11.0}",
+            sample.case.id, sample.rounds, r.median, r.min, r.max
         );
-        samples.push(sample);
     }
 
-    let path = out_path();
-    // Diff against the previous committed baseline before overwriting it,
-    // and carry its runs/sec and states/sec sections (owned by
-    // `sweep_throughput` and `model_check_throughput`) over verbatim — each
-    // bench target only refreshes its own rows.
-    let previous_document = std::fs::read_to_string(&path).unwrap_or_default();
-    let previous = parse_baseline(&previous_document);
-    let sweep_lines = extract_section(&previous_document, "sweep_cases");
-    let mc_lines = extract_section(&previous_document, "model_check_cases");
-    let case_lines: Vec<String> = samples.iter().map(case_json_line).collect();
-    write_document(&path, &case_lines, &sweep_lines, &mc_lines)
-        .expect("write BENCH_engine.json");
-    println!("\nbaseline written to {}", path.display());
-
-    gate(&case_rates(&samples), &previous, "rounds/sec");
+    let rows: Vec<(&str, f64)> =
+        samples.iter().map(|s| (s.case.id.as_str(), s.rounds_per_sec.median)).collect();
+    record_and_gate("cases", samples.iter().map(case_json_line).collect(), &rows, &[TRACE, PRED]);
 }

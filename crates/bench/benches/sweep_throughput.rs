@@ -13,22 +13,21 @@
 //! recycled or batched steady state allocates at all, so the zero-allocation
 //! claim is machine-checked on every run, including the CI smoke.
 //!
-//! Results are appended to `BENCH_engine.json` (schema v3, `sweep_cases`
-//! section); the `cases` and `model_check_cases` sections owned by
-//! `engine_throughput` and `model_check_throughput` are preserved verbatim.
+//! It refreshes the `sweep_cases` section of `BENCH_engine.json` and gates
+//! on the same-process `RECYCLE` (recycled ÷ fresh) and `BATCH` (batched ÷
+//! recycled) ratios.
 //!
 //! ```bash
 //! cargo bench --bench sweep_throughput            # full measurement
 //! DYNRING_BENCH_FAST=1 cargo bench --bench sweep_throughput   # CI smoke
 //! ```
 
-use dynring_bench::throughput::{
-    batch_comparisons, extract_section, fast_mode, filter_cases, gate, measure_runs,
-    measurement_budget, out_path, parse_baseline, recycle_comparisons, sweep_case_scenario,
-    sweep_cases, sweep_json_line, sweep_rates, Lifecycle, SweepSample,
-};
 use dynring_analysis::batch::batch_lanes_from_env;
 use dynring_analysis::scenario::{Scenario, ScenarioBatchRunner, ScenarioRunner};
+use dynring_bench::throughput::{
+    fast_mode, filter_cases, measure_runs, measurement_budget, record_and_gate,
+    sweep_case_scenario, sweep_cases, sweep_json_line, Lifecycle, BATCH, RECYCLE,
+};
 use dynring_engine::sim::RunReport;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,52 +119,38 @@ fn main() {
         if fast { "smoke" } else { "full" },
         budget.as_millis(),
     );
-    println!("{:<52} {:>10} {:>14}", "case", "runs", "runs/sec");
+    println!("{:<52} {:>10} {:>14} {:>20}", "case", "runs", "runs/sec", "min-max");
 
-    let mut samples: Vec<SweepSample> = Vec::new();
-    for case in filter_cases(sweep_cases(), |case| case.id.as_str()) {
-        let sample = measure_runs(&case, budget);
-        println!("{:<52} {:>10} {:>14.0}", sample.case.id, sample.runs, sample.runs_per_sec);
-        samples.push(sample);
-    }
-
-    let comparisons: Vec<String> = recycle_comparisons(&samples)
-        .into_iter()
-        .chain(batch_comparisons(&samples))
-        .collect();
-    if !comparisons.is_empty() {
-        println!();
-        for line in &comparisons {
-            println!("{line}");
-        }
+    let samples = measure_runs(&filter_cases(sweep_cases(), |case| case.id.as_str()), budget);
+    for sample in &samples {
+        let r = sample.runs_per_sec;
+        println!(
+            "{:<52} {:>10} {:>14.0} {:>9.0}-{:<10.0}",
+            sample.case.id, sample.runs, r.median, r.min, r.max
+        );
     }
 
     // Machine-checked zero-allocation contract: a recycled run of a
     // shape-stable scenario must not touch the allocator at all, and neither
-    // may a batched generation once its group has run.
+    // may a batched generation once its group has run. Checked after the
+    // ratio gate, so a broken recycle path reports both.
     println!();
     let mut dirty = false;
     for (id, allocations_per_run) in steady_state_allocations() {
         println!("ALLOC {id}: {allocations_per_run} allocations/run (steady state)");
         dirty |= allocations_per_run != 0;
     }
+
+    let rows: Vec<(&str, f64)> =
+        samples.iter().map(|s| (s.case.id.as_str(), s.runs_per_sec.median)).collect();
+    record_and_gate(
+        "sweep_cases",
+        samples.iter().map(sweep_json_line).collect(),
+        &rows,
+        &[RECYCLE, BATCH],
+    );
     assert!(
         !dirty,
         "recycled/batched steady state allocated: the run-recycling contract is broken"
     );
-
-    let path = out_path();
-    // Refresh the runs/sec section; preserve the rounds/sec and states/sec
-    // sections owned by `engine_throughput` and `model_check_throughput`
-    // verbatim, and diff against the previous baseline.
-    let previous_document = std::fs::read_to_string(&path).unwrap_or_default();
-    let previous = parse_baseline(&previous_document);
-    let case_lines = extract_section(&previous_document, "cases");
-    let mc_lines = extract_section(&previous_document, "model_check_cases");
-    let sweep_lines: Vec<String> = samples.iter().map(sweep_json_line).collect();
-    dynring_bench::throughput::write_document(&path, &case_lines, &sweep_lines, &mc_lines)
-        .expect("write BENCH_engine.json");
-    println!("\nbaseline written to {}", path.display());
-
-    gate(&sweep_rates(&samples), &previous, "runs/sec");
 }

@@ -1,46 +1,14 @@
-//! Shared helpers for the benchmark harness.
+//! The throughput benchmark harness of the workspace.
 //!
-//! Every benchmark target regenerates one table or figure of
-//! *Live Exploration of Dynamic Rings* and prints it (so that `cargo bench`
-//! output contains the same rows/series the paper reports) before measuring
-//! the runtime of the underlying simulations with Criterion.
+//! Three bench targets — `engine_throughput` (rounds/sec of the round
+//! loop), `sweep_throughput` (runs/sec of the run lifecycle) and
+//! `model_check_throughput` (states/sec of the exhaustive search) — measure
+//! their grids through [`throughput`], record every row in
+//! `BENCH_engine.json`, and gate only on ratios between rows measured in the
+//! same process. The paper's tables and figures are reproduced by the
+//! `feasibility_map` example and checked by the test suite, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dynring_analysis::report::RowResult;
-
 pub mod throughput;
-
-/// Ring sizes used by the FSYNC benchmarks.
-pub const FSYNC_SIZES: &[usize] = &[8, 16, 24];
-
-/// Ring sizes used by the SSYNC benchmarks (quadratic algorithms, so smaller).
-pub const SSYNC_SIZES: &[usize] = &[6, 9, 12];
-
-/// Prints a reproduced table and asserts that every row is consistent with
-/// the paper (a benchmark that silently reproduces the wrong numbers is
-/// worse than one that fails loudly).
-pub fn print_and_check(title: &str, rows: &[RowResult]) {
-    println!("{}", dynring_analysis::markdown_table(title, rows));
-    let violations: Vec<&RowResult> = rows.iter().filter(|r| !r.holds).collect();
-    assert!(violations.is_empty(), "{title}: rows inconsistent with the paper: {violations:#?}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn print_and_check_accepts_consistent_rows() {
-        let rows = vec![RowResult::new("X", "claim", "assumptions", "paper", "measured", true, 1)];
-        print_and_check("ok", &rows);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent")]
-    fn print_and_check_rejects_violations() {
-        let rows = vec![RowResult::new("X", "claim", "assumptions", "paper", "measured", false, 1)];
-        print_and_check("bad", &rows);
-    }
-}

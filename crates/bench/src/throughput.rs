@@ -1,10 +1,10 @@
 //! Raw engine throughput measurement — rounds per second of the round loop,
 //! **runs per second of the run lifecycle**, and **states per second of the
-//! exhaustive model checker** — plus the machine-readable `BENCH_engine.json`
-//! baseline emitter (schema v3: a `cases` section of rounds/sec rows, a
-//! `sweep_cases` section of runs/sec rows and a `model_check_cases` section
-//! of states/sec rows; each bench target refreshes its own section and
-//! preserves the others').
+//! exhaustive model checker** — the same-process ratio gate, and the
+//! machine-readable `BENCH_engine.json` record (schema v4: a `cases` section
+//! of rounds/sec rows, a `sweep_cases` section of runs/sec rows and a
+//! `model_check_cases` section of states/sec rows; each bench target
+//! refreshes its own section and preserves the others').
 //!
 //! The feasibility map is regenerated by sweeping every algorithm over
 //! batteries of ring sizes × placements × orientations × adversaries, so two
@@ -13,31 +13,39 @@
 //! runs up and tear them down (`sweep_throughput`, runs/sec in the short-run
 //! regime, fresh-build vs recycled pairs).
 //!
+//! **Gate.** Absolute rates depend on the host and on whatever else runs on
+//! it, so they are recorded but never gated. What gates is the ratio of two
+//! rows measured in interleaved windows of the same process (`pair_ratios`,
+//! `round_robin_windows`): each
+//! must stay above its floor in `RATIO_FLOORS`, and a pair without a floor
+//! (or a floor whose pair did not form) prints an `UNGATED` line
+//! (`ratio_gate`). A slowdown that hits both rows of every pair equally is
+//! not caught here; the repository benchmark's paired parent/change runs
+//! catch that.
+//!
 //! Environment knobs (read by the bench targets):
 //!
 //! * `DYNRING_BENCH_FAST=1` — shrink the measurement window to a smoke run
-//!   (used by CI, where only the shape of the output matters);
+//!   (used by CI);
 //! * `DYNRING_BENCH_OUT=path` — where to write the JSON (default
 //!   `BENCH_engine.json` in the workspace root);
 //! * `DYNRING_BENCH_FILTER=substring` — measure only the cases whose id
 //!   contains the substring (e.g. `pred=on` for the omniscient-adversary
-//!   rows); both bench targets route the knob through one strict parser
-//!   ([`filter_cases`]), and a filter matching zero cases is a hard error;
+//!   rows); every bench target routes the knob through one strict parser
+//!   ([`filter_cases`]), a filter matching zero cases is a hard error, and a
+//!   filtered run writes only to `DYNRING_BENCH_OUT` (`baseline_path`);
 //! * `DYNRING_BATCH_LANES=n` — lane count of the `lifecycle=batched` rows
 //!   (strict positive integer, default
 //!   [`DEFAULT_BATCH_LANES`](dynring_analysis::batch::DEFAULT_BATCH_LANES));
 //! * `DYNRING_BENCH_BUDGET_MS=n` — override the per-case measurement window
-//!   (longer windows drown scheduler noise on busy machines);
-//! * `DYNRING_BENCH_GATE=soft` — demote ≥10% median regressions against the
-//!   committed baseline from a failing exit back to warn-only lines (the
-//!   gate is **hard by default**, per the ROADMAP's flip criterion, now that
-//!   the warn-only annotation history exists).
+//!   (longer windows drown scheduler noise on busy machines).
 
 use dynring_analysis::batch::batch_lanes_from_env;
+use dynring_analysis::model_check::{self, ModelCheck, SearchContext, SearchStats};
 use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner};
 use dynring_core::Algorithm;
 use dynring_engine::sim::{RunReport, StopCondition};
-use std::io::Write as _;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -83,6 +91,33 @@ pub struct ThroughputCase {
     pub predictions: bool,
 }
 
+/// The median, minimum and maximum of a row's per-window (model-check rows:
+/// per-run) rates. The median is the headline; the range shows how much the
+/// host disturbed the measurement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rates {
+    /// Median rate.
+    pub median: f64,
+    /// Slowest window's rate.
+    pub min: f64,
+    /// Fastest window's rate.
+    pub max: f64,
+}
+
+impl Rates {
+    /// Summarises a non-empty set of rates (sorting it in place).
+    fn of(rates: &mut [f64]) -> Rates {
+        rates.sort_unstable_by(f64::total_cmp);
+        let mid = rates.len() / 2;
+        let median = if rates.len().is_multiple_of(2) {
+            (rates[mid - 1] + rates[mid]) / 2.0
+        } else {
+            rates[mid]
+        };
+        Rates { median, min: rates[0], max: rates[rates.len() - 1] }
+    }
+}
+
 /// A measured case.
 #[derive(Debug, Clone)]
 pub struct ThroughputSample {
@@ -92,14 +127,15 @@ pub struct ThroughputSample {
     pub rounds: u64,
     /// Wall-clock duration of the measurement window in nanoseconds.
     pub elapsed_ns: u128,
-    /// Rounds per second (the headline number).
-    pub rounds_per_sec: f64,
+    /// Rounds per second over the five sub-windows.
+    pub rounds_per_sec: Rates,
 }
 
 /// The standard measurement grid: FSYNC and SSYNC/PT over
-/// [`THROUGHPUT_SIZES`], trace recording off and on, plus the
-/// prediction-on family (omniscient `PreventMeeting` adversary installed,
-/// trace off) for both synchrony families.
+/// [`THROUGHPUT_SIZES`], each size measured trace-on, trace-off and
+/// prediction-on (omniscient `PreventMeeting` adversary installed, trace
+/// off), in that order, so both rows of every [`TRACE`] and [`PRED`] pair
+/// sit next to each other in every measurement pass.
 #[must_use]
 pub fn standard_cases() -> Vec<ThroughputCase> {
     let case = |synchrony: SynchronyCase, ring_size, trace, predictions| ThroughputCase {
@@ -114,16 +150,11 @@ pub fn standard_cases() -> Vec<ThroughputCase> {
         trace,
         predictions,
     };
-    let families = [SynchronyCase::Fsync, SynchronyCase::SsyncPt];
     let mut cases = Vec::new();
-    for synchrony in families {
+    for synchrony in [SynchronyCase::Fsync, SynchronyCase::SsyncPt] {
         for &n in THROUGHPUT_SIZES {
-            cases.push(case(synchrony, n, false, false));
             cases.push(case(synchrony, n, true, false));
-        }
-    }
-    for synchrony in families {
-        for &n in THROUGHPUT_SIZES {
+            cases.push(case(synchrony, n, false, false));
             cases.push(case(synchrony, n, false, true));
         }
     }
@@ -157,50 +188,76 @@ pub fn case_scenario(case: &ThroughputCase) -> Scenario {
     scenario
 }
 
-/// Measures one case: repeatedly builds the scenario's simulation and runs it
-/// for `chunk` rounds until the wall-clock budget has elapsed. Rebuilding
-/// per chunk keeps trace memory bounded and charges the (amortised)
-/// construction cost identically to every configuration.
-///
-/// The budget is split into five sub-windows and the reported
-/// `rounds_per_sec` is the **median** window's rate, so background bursts
-/// on a shared host (the reference container's window-to-window noise is
-/// ±10–15%, with occasional much larger spikes) poison at most two windows
-/// instead of the whole measurement; `rounds` and `elapsed_ns` still cover
-/// all five windows.
-#[must_use]
-pub fn measure(case: &ThroughputCase, budget: Duration, chunk: u64) -> ThroughputSample {
-    let scenario = case_scenario(case);
-    // Warm-up outside the measurement window.
-    let mut sim = scenario.build();
-    let _ = sim.run(chunk.min(512), StopCondition::RoundBudget);
+/// One row's unit of work: runs it once and returns the units it completed
+/// (rounds or runs).
+type Stepper<'a> = Box<dyn FnMut() -> u64 + 'a>;
 
-    let window_budget = budget / 5;
-    let mut window_rates = [0.0f64; 5];
-    let mut rounds = 0u64;
-    let mut elapsed_ns = 0u128;
-    for rate in &mut window_rates {
-        let mut window_rounds = 0u64;
-        let start = Instant::now();
-        loop {
-            let mut sim = scenario.build();
-            let _ = sim.run(chunk, StopCondition::RoundBudget);
-            window_rounds += sim.round();
-            if start.elapsed() >= window_budget {
-                break;
-            }
-        }
-        let window_ns = start.elapsed().as_nanos();
-        *rate = if window_ns == 0 {
-            0.0
-        } else {
-            window_rounds as f64 * 1e9 / window_ns as f64
-        };
-        rounds += window_rounds;
-        elapsed_ns += window_ns;
+/// Measures every row of a grid over five windows of `budget / 5` each,
+/// taken round-robin: five passes over the grid, each giving every row one
+/// window in which its `step` runs back to back. A background burst on a
+/// shared host then lands in one window of many rows instead of every
+/// window of one row, so the per-row median filters it out and the ratio
+/// of two rows compares windows taken moments apart. Every row steps once
+/// first, outside the windows, to size its buffers.
+///
+/// Returns, per row, the total units, the total nanoseconds and the rates
+/// over its five windows.
+fn round_robin_windows(budget: Duration, steppers: &mut [Stepper<'_>]) -> Vec<(u64, u128, Rates)> {
+    for step in steppers.iter_mut() {
+        step();
     }
-    window_rates.sort_unstable_by(f64::total_cmp);
-    ThroughputSample { case: case.clone(), rounds, elapsed_ns, rounds_per_sec: window_rates[2] }
+    let window_budget = budget / 5;
+    let mut rows = vec![(0u64, 0u128, Vec::with_capacity(5)); steppers.len()];
+    for _pass in 0..5 {
+        for (step, (units, ns, rates)) in steppers.iter_mut().zip(&mut rows) {
+            let mut window_units = 0u64;
+            let start = Instant::now();
+            loop {
+                window_units += step();
+                if start.elapsed() >= window_budget {
+                    break;
+                }
+            }
+            let window_ns = start.elapsed().as_nanos();
+            rates.push(if window_ns == 0 {
+                0.0
+            } else {
+                window_units as f64 * 1e9 / window_ns as f64
+            });
+            *units += window_units;
+            *ns += window_ns;
+        }
+    }
+    rows.into_iter().map(|(units, ns, mut rates)| (units, ns, Rates::of(&mut rates))).collect()
+}
+
+/// Measures the rounds/sec grid `cases`, its windows taken round-robin: each
+/// step builds the case's simulation and runs it for `chunk` rounds.
+/// Rebuilding per chunk keeps trace memory bounded and charges the
+/// (amortised) construction cost identically to every configuration.
+#[must_use]
+pub fn measure(cases: &[ThroughputCase], budget: Duration, chunk: u64) -> Vec<ThroughputSample> {
+    let scenarios: Vec<Scenario> = cases.iter().map(case_scenario).collect();
+    let mut steppers: Vec<Stepper<'_>> = scenarios
+        .iter()
+        .map(|scenario| -> Stepper<'_> {
+            Box::new(move || {
+                let mut sim = scenario.build();
+                let _ = sim.run(chunk, StopCondition::RoundBudget);
+                sim.round()
+            })
+        })
+        .collect();
+    cases
+        .iter()
+        .zip(round_robin_windows(budget, &mut steppers))
+        .map(|(case, (rounds, elapsed_ns, rounds_per_sec))| ThroughputSample {
+            case: case.clone(),
+            rounds,
+            elapsed_ns,
+            rounds_per_sec,
+        })
+        .collect()
 }
 
 /// Ring size of the runs/sec (sweep lifecycle) grid.
@@ -290,15 +347,14 @@ pub struct SweepSample {
     pub runs: u64,
     /// Wall-clock duration of the measurement window in nanoseconds.
     pub elapsed_ns: u128,
-    /// Runs per second (the headline number).
-    pub runs_per_sec: f64,
+    /// Runs per second over the five sub-windows.
+    pub runs_per_sec: Rates,
 }
 
 /// The runs/sec grid: every workload × all three lifecycles on
-/// `n = `[`SWEEP_RING_SIZE`] with a `4n` budget. Each `lifecycle=fresh` row
-/// has its `lifecycle=recycled` sibling (quantifying the run-recycling fast
-/// path) and each `lifecycle=recycled` row has its `lifecycle=batched`
-/// sibling (quantifying the batched path), PR over PR.
+/// `n = `[`SWEEP_RING_SIZE`] with a `4n` budget, in the order fresh,
+/// recycled, batched, so both rows of every [`RECYCLE`] and [`BATCH`] pair
+/// sit next to each other in every measurement pass.
 #[must_use]
 pub fn sweep_cases() -> Vec<SweepCase> {
     let mut cases = Vec::new();
@@ -349,10 +405,9 @@ pub fn sweep_case_scenario(case: &SweepCase) -> Scenario {
     }
 }
 
-/// Measures one sweep-lifecycle case: complete runs back to back until the
-/// wall-clock budget elapses. Like [`measure`], the budget is split into
-/// five sub-windows and the reported `runs_per_sec` is the median window's
-/// rate; `runs` and `elapsed_ns` cover all five.
+/// Measures the runs/sec grid `cases`, its windows taken round-robin: each
+/// step completes one run (a batched step, one run per lane), and every
+/// row keeps its own runner across windows.
 ///
 /// `lifecycle=batched` cases replay a `DYNRING_BATCH_LANES`-lane group of
 /// the identical scenario per generation (one complete run per lane), so
@@ -360,115 +415,321 @@ pub fn sweep_case_scenario(case: &SweepCase) -> Scenario {
 /// `batched` row adds over its `recycled` sibling is the group bookkeeping
 /// and one simulation per cell instead of one for all runs.
 #[must_use]
-pub fn measure_runs(case: &SweepCase, budget: Duration) -> SweepSample {
-    let scenario = sweep_case_scenario(case);
-    let mut runner = ScenarioRunner::new();
-    let mut batch = ScenarioBatchRunner::new();
-    let mut report = RunReport::default();
-    let group: Vec<Scenario> = match case.lifecycle {
-        Lifecycle::Batched => vec![scenario.clone(); batch_lanes_from_env()],
-        Lifecycle::Fresh | Lifecycle::Recycled => Vec::new(),
-    };
-    // Warm-up outside the measurement window (also sizes the recycled
-    // simulation's / batch's buffers).
-    match case.lifecycle {
-        Lifecycle::Fresh => {
-            let _ = scenario.run();
-        }
-        Lifecycle::Recycled => runner.run_into(&scenario, &mut report),
-        Lifecycle::Batched => {
-            let _ = batch.run_group_reports(&group);
-        }
-    }
-
-    let window_budget = budget / 5;
-    let mut window_rates = [0.0f64; 5];
-    let mut runs = 0u64;
-    let mut elapsed_ns = 0u128;
-    for rate in &mut window_rates {
-        let mut window_runs = 0u64;
-        let start = Instant::now();
-        loop {
-            match case.lifecycle {
+pub fn measure_runs(cases: &[SweepCase], budget: Duration) -> Vec<SweepSample> {
+    let mut steppers: Vec<Stepper<'static>> = cases
+        .iter()
+        .map(|case| -> Stepper<'static> {
+            let scenario = sweep_case_scenario(case);
+            let mut runner = ScenarioRunner::new();
+            let mut batch = ScenarioBatchRunner::new();
+            let mut report = RunReport::default();
+            let group: Vec<Scenario> = match case.lifecycle {
+                Lifecycle::Batched => vec![scenario.clone(); batch_lanes_from_env()],
+                Lifecycle::Fresh | Lifecycle::Recycled => Vec::new(),
+            };
+            let lifecycle = case.lifecycle;
+            Box::new(move || match lifecycle {
                 Lifecycle::Fresh => {
                     let _ = scenario.run();
-                    window_runs += 1;
+                    1
                 }
                 Lifecycle::Recycled => {
                     runner.run_into(&scenario, &mut report);
-                    window_runs += 1;
+                    1
                 }
-                Lifecycle::Batched => {
-                    window_runs += batch.run_group_reports(&group).len() as u64;
-                }
+                Lifecycle::Batched => batch.run_group_reports(&group).len() as u64,
+            })
+        })
+        .collect();
+    cases
+        .iter()
+        .zip(round_robin_windows(budget, &mut steppers))
+        .map(|(case, (runs, elapsed_ns, runs_per_sec))| SweepSample {
+            case: case.clone(),
+            runs,
+            elapsed_ns,
+            runs_per_sec,
+        })
+        .collect()
+}
+
+/// One states/sec row before measurement: a packaged model-check cell plus
+/// the search width it runs at.
+pub struct ModelCheckCase {
+    /// Row id, e.g. `mc/t3r2/n=7/threads=1`.
+    pub id: String,
+    /// Ring size of the cell.
+    pub ring_size: usize,
+    /// Worker threads of the search (1 = sequential reference).
+    pub threads: usize,
+    /// The packaged search.
+    pub check: ModelCheck,
+}
+
+/// The packaged cell of `cells` whose id starts with `prefix`.
+fn packaged(cells: Vec<model_check::TableCell>, prefix: &str) -> ModelCheck {
+    cells
+        .into_iter()
+        .find(|cell| cell.id.starts_with(prefix))
+        .unwrap_or_else(|| panic!("{prefix} is packaged at every checkable n"))
+        .check
+}
+
+/// The states/sec grid: the flagship Theorem 10 cell (`MC-T3-R2`, n = 7,
+/// the deepest horizon of the packaged cells), the widest cell (`MC-T1-R3`,
+/// n = 9) sequentially and — when `parallel` — on four search threads, then
+/// wall-clock rows for every remaining infeasibility cell at n = 9 and,
+/// unless `fast`, n = 10.
+///
+/// The thread pair runs on the widest cell because its level frontiers
+/// (tens of thousands of configurations) amortise the deterministic chunk
+/// merge; the n = 7 flagship peaks below the parallel dispatch threshold.
+/// On a single-core host the four-thread row would only measure threads
+/// time-slicing one core, so callers pass `parallel` only where more than
+/// one core exists; the parallel search's byte-identity is pinned by the
+/// test suite either way.
+#[must_use]
+pub fn model_check_cases(fast: bool, parallel: bool) -> Vec<ModelCheckCase> {
+    let mut out = vec![ModelCheckCase {
+        id: "mc/t3r2/n=7/threads=1".to_owned(),
+        ring_size: 7,
+        threads: 1,
+        check: packaged(model_check::table3_cells(7), "MC-T3-R2"),
+    }];
+    let widths: &[usize] = if parallel { &[1, 4] } else { &[1] };
+    for &threads in widths {
+        out.push(ModelCheckCase {
+            id: format!("mc/t1r3/n=9/threads={threads}"),
+            ring_size: 9,
+            threads,
+            check: packaged(model_check::table1_cells(9), "MC-T1-R3"),
+        });
+    }
+    let sizes: &[usize] = if fast { &[9] } else { &[9, 10] };
+    for &n in sizes {
+        for cell in model_check::infeasibility_cells(n) {
+            if n == 9 && cell.id.starts_with("MC-T1-R3") {
+                continue; // measured above as the thread pair
             }
-            if start.elapsed() >= window_budget {
-                break;
-            }
+            out.push(ModelCheckCase {
+                id: format!("mc/matrix/n={n}/{}", cell.id),
+                ring_size: n,
+                threads: 1,
+                check: cell.check,
+            });
         }
-        let window_ns = start.elapsed().as_nanos();
-        *rate = if window_ns == 0 {
+    }
+    out
+}
+
+/// Runs the cell to completion repeatedly until `budget` elapses (at least
+/// once) inside one recycled [`SearchContext`], so the steady-state
+/// allocation-free path is what gets measured. Each run is timed on its
+/// own; the row's rates are over those runs.
+#[must_use]
+pub fn measure_states(case: &ModelCheckCase, budget: Duration) -> ModelCheckSample {
+    let mut ctx = SearchContext::new(case.threads);
+    // Warm-up: size every context buffer outside the timed window.
+    let _ = case.check.run_in(&mut ctx);
+    let start = Instant::now();
+    let mut run_rates = Vec::new();
+    let mut stats: SearchStats;
+    loop {
+        let run_start = Instant::now();
+        stats = *case.check.run_in(&mut ctx).stats();
+        let secs = run_start.elapsed().as_secs_f64();
+        run_rates.push(if secs > 0.0 { stats.expanded as f64 / secs } else { 0.0 });
+        if start.elapsed() >= budget {
+            break;
+        }
+    }
+    ModelCheckSample {
+        id: case.id.clone(),
+        ring_size: case.ring_size,
+        threads: case.threads,
+        runs: run_rates.len() as u64,
+        states: stats.expanded,
+        peak_frontier: stats.peak_frontier,
+        dedup_ratio: if stats.visited == 0 {
             0.0
         } else {
-            window_runs as f64 * 1e9 / window_ns as f64
-        };
-        runs += window_runs;
-        elapsed_ns += window_ns;
+            stats.expanded as f64 / stats.visited as f64
+        },
+        elapsed_ns: start.elapsed().as_nanos(),
+        states_per_sec: Rates::of(&mut run_rates),
     }
-    window_rates.sort_unstable_by(f64::total_cmp);
-    SweepSample { case: case.clone(), runs, elapsed_ns, runs_per_sec: window_rates[2] }
 }
 
-/// Pairs every `lifecycle=batched` sample with its `lifecycle=recycled`
-/// sibling and returns one comparison line per pair (batched/recycled
-/// runs/sec ratio) — the headline of the batched path.
-#[must_use]
-pub fn batch_comparisons(samples: &[SweepSample]) -> Vec<String> {
-    samples
-        .iter()
-        .filter(|s| s.case.lifecycle == Lifecycle::Batched)
-        .filter_map(|batched| {
-            let recycled_id = batched.case.id.replace("/lifecycle=batched", "/lifecycle=recycled");
-            let recycled = samples.iter().find(|s| s.case.id == recycled_id)?;
-            if recycled.runs_per_sec <= 0.0 {
-                return None;
-            }
-            let ratio = batched.runs_per_sec / recycled.runs_per_sec;
-            Some(format!(
-                "BATCH {}: batched {:.0} vs recycled {:.0} runs/sec ({:.2}x)",
-                batched.case.id.replace("/lifecycle=batched", ""),
-                batched.runs_per_sec,
-                recycled.runs_per_sec,
-                ratio
-            ))
-        })
-        .collect()
+/// One measured exhaustive-search row: a packaged model-check cell run to
+/// completion some number of times within the budget, scored in expanded
+/// states per second (the unit the canonical-key and parallel-BFS work
+/// moves).
+#[derive(Debug, Clone)]
+pub struct ModelCheckSample {
+    /// Row id, e.g. `mc/t3r2/n=7/threads=1`.
+    pub id: String,
+    /// Ring size of the cell.
+    pub ring_size: usize,
+    /// Worker threads of the search (1 = sequential reference).
+    pub threads: usize,
+    /// Full search runs completed within the budget.
+    pub runs: u64,
+    /// Successor states expanded per run.
+    pub states: u64,
+    /// Largest BFS frontier of the search.
+    pub peak_frontier: usize,
+    /// Expanded-to-kept ratio (`expanded / visited`): how much the canonical
+    /// quotient plus per-level dedup collapse the raw play tree.
+    pub dedup_ratio: f64,
+    /// Total wall-clock nanoseconds across all runs.
+    pub elapsed_ns: u128,
+    /// Expanded states per second over the runs.
+    pub states_per_sec: Rates,
 }
 
-/// Pairs every `lifecycle=recycled` sample with its `lifecycle=fresh`
-/// sibling and returns one comparison line per pair (recycled/fresh
-/// runs/sec ratio) — the headline of the `sweep_throughput` target.
+/// A same-process comparison between two rows of one grid: the row whose id
+/// ends in `numerator` divided by its sibling that ends in `denominator`
+/// instead, both sharing the stem before the suffix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairRule {
+    /// Family name, the prefix of every ratio id the rule forms.
+    pub family: &'static str,
+    /// Id suffix of the numerator row.
+    pub numerator: &'static str,
+    /// Id suffix of the denominator row.
+    pub denominator: &'static str,
+}
+
+/// Recycled ÷ fresh runs/sec of one sweep workload: what run recycling buys.
+pub const RECYCLE: PairRule = PairRule {
+    family: "RECYCLE",
+    numerator: "/lifecycle=recycled",
+    denominator: "/lifecycle=fresh",
+};
+
+/// Batched ÷ recycled runs/sec of one sweep workload.
+pub const BATCH: PairRule = PairRule {
+    family: "BATCH",
+    numerator: "/lifecycle=batched",
+    denominator: "/lifecycle=recycled",
+};
+
+/// Trace-on ÷ trace-off rounds/sec: the cost of recording the trace.
+pub const TRACE: PairRule =
+    PairRule { family: "TRACE", numerator: "/trace=on", denominator: "/trace=off" };
+
+/// Prediction-on ÷ trace-off rounds/sec: the cost of the omniscient
+/// adversary's predictions.
+pub const PRED: PairRule = PairRule { family: "PRED", numerator: "/pred=on", denominator: "" };
+
+/// Four-thread ÷ sequential states/sec on the widest n = 9 cell.
+pub const PARALLEL: PairRule =
+    PairRule { family: "PARALLEL", numerator: "/threads=4", denominator: "/threads=1" };
+
+/// The lower bound of every gated ratio, by ratio id (`FAMILY:stem`). Each
+/// floor is about 0.6x the lowest value observed in at least 24 smoke runs
+/// of its bench target on a shared 2-vCPU host (CHANGES.md records the
+/// observations), so it catches a broken fast path or a cost that doubles,
+/// not a drift of a few percent. `PARALLEL` is the loosest: its rows run one
+/// search each in a smoke window, and the ratio swings with whether the
+/// host's second core is free.
+const RATIO_FLOORS: &[(&str, f64)] = &[
+    ("TRACE:fsync/n=64", 0.08),
+    ("TRACE:fsync/n=256", 0.08),
+    ("TRACE:fsync/n=1024", 0.08),
+    ("TRACE:ssync-pt/n=64", 0.2),
+    ("TRACE:ssync-pt/n=256", 0.1),
+    ("TRACE:ssync-pt/n=1024", 0.1),
+    ("PRED:fsync/n=64/trace=off", 0.4),
+    ("PRED:fsync/n=256/trace=off", 0.4),
+    ("PRED:fsync/n=1024/trace=off", 0.4),
+    ("PRED:ssync-pt/n=64/trace=off", 0.3),
+    ("PRED:ssync-pt/n=256/trace=off", 0.4),
+    ("PRED:ssync-pt/n=1024/trace=off", 0.45),
+    ("RECYCLE:sweep/fsync-witness/n=64/budget=256", 2.2),
+    ("RECYCLE:sweep/fsync/n=64/budget=256", 0.5),
+    ("RECYCLE:sweep/ssync-pt/n=64/budget=256", 0.5),
+    ("BATCH:sweep/fsync-witness/n=64/budget=256", 0.4),
+    ("BATCH:sweep/fsync/n=64/budget=256", 0.5),
+    ("BATCH:sweep/ssync-pt/n=64/budget=256", 0.5),
+    ("PARALLEL:mc/t1r3/n=9", 0.4),
+];
+
+/// A formed pair: its id (`FAMILY:stem`) and numerator ÷ denominator.
+#[derive(Debug, Clone, PartialEq)]
+struct Ratio {
+    /// `FAMILY:stem`, e.g. `TRACE:fsync/n=64`.
+    id: String,
+    /// Numerator rate ÷ denominator rate.
+    value: f64,
+}
+
+/// Forms every pair of `rules` among the measured `(id, rate)` rows, rule by
+/// rule in row order. A pair whose denominator rate is not positive does not
+/// form (its floor then reports `UNGATED`).
 #[must_use]
-pub fn recycle_comparisons(samples: &[SweepSample]) -> Vec<String> {
-    samples
-        .iter()
-        .filter(|s| s.case.lifecycle == Lifecycle::Recycled)
-        .filter_map(|recycled| {
-            let fresh_id = recycled.case.id.replace("/lifecycle=recycled", "/lifecycle=fresh");
-            let fresh = samples.iter().find(|s| s.case.id == fresh_id)?;
-            if fresh.runs_per_sec <= 0.0 {
-                return None;
+fn pair_ratios(rows: &[(&str, f64)], rules: &[PairRule]) -> Vec<Ratio> {
+    let mut out = Vec::new();
+    for rule in rules {
+        for &(id, rate) in rows {
+            let Some(stem) = id.strip_suffix(rule.numerator) else {
+                continue;
+            };
+            let sibling = format!("{stem}{}", rule.denominator);
+            if let Some(&(_, base)) = rows.iter().find(|(other, _)| *other == sibling) {
+                if base > 0.0 {
+                    out.push(Ratio { id: format!("{}:{stem}", rule.family), value: rate / base });
+                }
             }
-            let ratio = recycled.runs_per_sec / fresh.runs_per_sec;
-            Some(format!(
-                "RECYCLE {}: recycled {:.0} vs fresh {:.0} runs/sec ({:.2}x)",
-                recycled.case.id.replace("/lifecycle=recycled", ""),
-                recycled.runs_per_sec,
-                fresh.runs_per_sec,
-                ratio
-            ))
-        })
-        .collect()
+        }
+    }
+    out
+}
+
+/// The ratio gate a bench target ends with. Returns the lines to print and
+/// whether every ratio clears its floor:
+///
+/// * one `RATIO <id> <value> (floor <bound>)` line per formed pair, and a
+///   failure for every value below its floor;
+/// * one `UNGATED <id>` line per formed pair that [`RATIO_FLOORS`] has no
+///   floor for;
+/// * one `UNGATED <id>` line per floor of a family in `rules` whose two rows
+///   the `filter` keeps but whose pair did not form — what a renamed row
+///   looks like. A filtered run that keeps only one row of a pair expects
+///   nothing of its floor.
+#[must_use]
+fn ratio_gate(
+    ratios: &[Ratio],
+    rules: &[PairRule],
+    filter: Option<&str>,
+) -> (Vec<String>, bool) {
+    let mut lines = Vec::new();
+    let mut pass = true;
+    for ratio in ratios {
+        match RATIO_FLOORS.iter().find(|(id, _)| *id == ratio.id) {
+            Some(&(_, floor)) => {
+                lines.push(format!("RATIO {} {:.3} (floor {floor})", ratio.id, ratio.value));
+                pass &= ratio.value >= floor;
+            }
+            None => {
+                lines.push(format!("RATIO {} {:.3} (no floor)", ratio.id, ratio.value));
+                lines.push(format!("UNGATED {}", ratio.id));
+            }
+        }
+    }
+    for &(id, _) in RATIO_FLOORS {
+        let Some((family, stem)) = id.split_once(':') else {
+            continue;
+        };
+        let Some(rule) = rules.iter().find(|rule| rule.family == family) else {
+            continue;
+        };
+        let kept = |suffix: &str| filter.is_none_or(|f| format!("{stem}{suffix}").contains(f));
+        if kept(rule.numerator) && kept(rule.denominator) && !ratios.iter().any(|r| r.id == id) {
+            lines.push(format!("UNGATED {id}"));
+        }
+    }
+    (lines, pass)
 }
 
 /// Whether the smoke-mode knob (`DYNRING_BENCH_FAST`) is set.
@@ -490,30 +751,36 @@ pub fn fast_mode() -> bool {
     }
 }
 
-/// The shared case filter (`DYNRING_BENCH_FILTER`): keep only the cases
-/// whose id contains the substring. **Both** bench mains route their grids
-/// through this one function, so the knob's contract cannot drift between
-/// `engine_throughput` and `sweep_throughput`.
+/// The case filter (`DYNRING_BENCH_FILTER`), or `None` when unset or empty.
 ///
 /// # Panics
 ///
-/// Like every `DYNRING_BENCH_*` knob (and `DYNRING_THREADS`), a
-/// misconfiguration is a hard error, never a silent fallback: a non-unicode
-/// value panics, and so does a filter that matches **zero** cases — a typo'd
-/// filter silently measuring nothing would overwrite the target's baseline
-/// section with an empty list on the next write.
+/// A non-unicode value is a hard error, never a silent fallback.
 #[must_use]
-pub fn filter_cases<T>(cases: Vec<T>, id_of: impl Fn(&T) -> &str) -> Vec<T> {
-    let filter = match std::env::var("DYNRING_BENCH_FILTER") {
-        Ok(filter) => filter,
-        Err(std::env::VarError::NotPresent) => String::new(),
+fn bench_filter() -> Option<String> {
+    match std::env::var("DYNRING_BENCH_FILTER") {
+        Ok(filter) => Some(filter).filter(|f| !f.is_empty()),
+        Err(std::env::VarError::NotPresent) => None,
         Err(std::env::VarError::NotUnicode(_)) => {
             panic!("invalid DYNRING_BENCH_FILTER: value is not valid unicode")
         }
-    };
-    if filter.is_empty() {
-        return cases;
     }
+}
+
+/// The shared case filter: keep only the cases whose id contains
+/// `DYNRING_BENCH_FILTER`. **Every** bench main routes its grid through this one
+/// function, so the knob's contract cannot drift between targets.
+///
+/// # Panics
+///
+/// Like every `DYNRING_BENCH_*` knob, a misconfiguration is a hard error: so
+/// is a filter that matches **zero** cases (a typo'd filter silently
+/// measuring nothing).
+#[must_use]
+pub fn filter_cases<T>(cases: Vec<T>, id_of: impl Fn(&T) -> &str) -> Vec<T> {
+    let Some(filter) = bench_filter() else {
+        return cases;
+    };
     let total = cases.len();
     let kept: Vec<T> = cases.into_iter().filter(|case| id_of(case).contains(&filter)).collect();
     assert!(
@@ -521,26 +788,6 @@ pub fn filter_cases<T>(cases: Vec<T>, id_of: impl Fn(&T) -> &str) -> Vec<T> {
         "invalid DYNRING_BENCH_FILTER: {filter:?} matches none of the {total} case ids"
     );
     kept
-}
-
-/// Whether the ≥10% regression diff fails the bench (exit 1) instead of
-/// printing warn-only lines. **Hard by default** since two PRs of warn-only
-/// annotation history accumulated (per the ROADMAP's flip criterion); set
-/// `DYNRING_BENCH_GATE=soft` to opt back out on noisy runners.
-///
-/// # Panics
-///
-/// Any value other than `hard`/`soft` (or unset) is a hard error — a typo'd
-/// gate knob silently defaulting would defeat the point of the gate.
-#[must_use]
-pub fn hard_gate() -> bool {
-    match std::env::var("DYNRING_BENCH_GATE").as_deref() {
-        Err(_) | Ok("hard") => true,
-        Ok("soft") => false,
-        Ok(other) => {
-            panic!("invalid DYNRING_BENCH_GATE: {other:?} (use \"hard\" or \"soft\")")
-        }
-    }
 }
 
 /// The per-case measurement window: `DYNRING_BENCH_BUDGET_MS` if set,
@@ -570,16 +817,19 @@ pub fn measurement_budget(fast: bool) -> Duration {
     Duration::from_millis(millis)
 }
 
-/// Output path for the baseline: `DYNRING_BENCH_OUT` if set, otherwise
-/// `BENCH_engine.json` in the workspace root (cargo runs bench binaries with
-/// the *package* root as working directory, so a relative default would land
-/// in `crates/bench/`).
+/// Where a run writes the baseline: `out` (`DYNRING_BENCH_OUT`) if set,
+/// otherwise the committed `BENCH_engine.json` in the workspace root (cargo
+/// runs bench binaries with the *package* root as working directory, so a
+/// relative default would land in `crates/bench/`). A `filter`ed run with no
+/// `out` writes nothing: it measured only part of its section, and writing
+/// would shrink the committed baseline to that part.
 #[must_use]
-pub fn out_path() -> PathBuf {
-    std::env::var_os("DYNRING_BENCH_OUT").map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json"),
-        PathBuf::from,
-    )
+fn baseline_path(filter: Option<&str>, out: Option<OsString>) -> Option<PathBuf> {
+    match (out, filter) {
+        (Some(out), _) => Some(PathBuf::from(out)),
+        (None, Some(_)) => None,
+        (None, None) => Some(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")),
+    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -598,12 +848,24 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The rate fields every row ends with: the median under `unit`, its window
+/// (or run) range, and the core count of the host that measured it.
+fn rate_fields(unit: &str, rates: Rates) -> String {
+    format!(
+        "\"{unit}\": {:.1}, \"{unit}_min\": {:.1}, \"{unit}_max\": {:.1}, \"nproc\": {}",
+        rates.median,
+        rates.min,
+        rates.max,
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    )
+}
+
 /// Renders one rounds/sec row as a `cases` section line (no trailing comma).
 #[must_use]
 pub fn case_json_line(s: &ThroughputSample) -> String {
     format!(
         "{{\"id\": \"{}\", \"synchrony\": \"{}\", \"ring_size\": {}, \"trace\": {}, \
-         \"predictions\": {}, \"rounds\": {}, \"elapsed_ns\": {}, \"rounds_per_sec\": {:.1}}}",
+         \"predictions\": {}, \"rounds\": {}, \"elapsed_ns\": {}, {}}}",
         json_escape(&s.case.id),
         json_escape(s.case.synchrony.label()),
         s.case.ring_size,
@@ -611,7 +873,7 @@ pub fn case_json_line(s: &ThroughputSample) -> String {
         s.case.predictions,
         s.rounds,
         s.elapsed_ns,
-        s.rounds_per_sec,
+        rate_fields("rounds_per_sec", s.rounds_per_sec),
     )
 }
 
@@ -621,7 +883,7 @@ pub fn case_json_line(s: &ThroughputSample) -> String {
 pub fn sweep_json_line(s: &SweepSample) -> String {
     format!(
         "{{\"id\": \"{}\", \"workload\": \"{}\", \"ring_size\": {}, \"budget_rounds\": {}, \
-         \"lifecycle\": \"{}\", \"runs\": {}, \"elapsed_ns\": {}, \"runs_per_sec\": {:.1}}}",
+         \"lifecycle\": \"{}\", \"runs\": {}, \"elapsed_ns\": {}, {}}}",
         json_escape(&s.case.id),
         json_escape(s.case.workload.label()),
         s.case.ring_size,
@@ -629,35 +891,8 @@ pub fn sweep_json_line(s: &SweepSample) -> String {
         s.case.lifecycle.label(),
         s.runs,
         s.elapsed_ns,
-        s.runs_per_sec,
+        rate_fields("runs_per_sec", s.runs_per_sec),
     )
-}
-
-/// One measured exhaustive-search row: a packaged model-check cell run to
-/// completion some number of times within the budget, scored in expanded
-/// states per second (the unit the canonical-key and parallel-BFS work
-/// moves).
-#[derive(Debug, Clone)]
-pub struct ModelCheckSample {
-    /// Row id, e.g. `mc/t3r2/n=7/threads=1`.
-    pub id: String,
-    /// Ring size of the cell.
-    pub ring_size: usize,
-    /// Worker threads of the search (1 = sequential reference).
-    pub threads: usize,
-    /// Full search runs completed within the budget.
-    pub runs: u64,
-    /// Successor states expanded per run.
-    pub states: u64,
-    /// Largest BFS frontier of the search.
-    pub peak_frontier: usize,
-    /// Expanded-to-kept ratio (`expanded / visited`): how much the canonical
-    /// quotient plus per-level dedup collapse the raw play tree.
-    pub dedup_ratio: f64,
-    /// Total wall-clock nanoseconds across all runs.
-    pub elapsed_ns: u128,
-    /// Expanded states per second.
-    pub states_per_sec: f64,
 }
 
 /// Renders one states/sec row as a `model_check_cases` section line (no
@@ -666,8 +901,7 @@ pub struct ModelCheckSample {
 pub fn model_check_json_line(s: &ModelCheckSample) -> String {
     format!(
         "{{\"id\": \"{}\", \"ring_size\": {}, \"threads\": {}, \"runs\": {}, \"states\": {}, \
-         \"peak_frontier\": {}, \"dedup_ratio\": {:.2}, \"elapsed_ns\": {}, \
-         \"states_per_sec\": {:.1}}}",
+         \"peak_frontier\": {}, \"dedup_ratio\": {:.2}, \"elapsed_ns\": {}, {}}}",
         json_escape(&s.id),
         s.ring_size,
         s.threads,
@@ -676,47 +910,41 @@ pub fn model_check_json_line(s: &ModelCheckSample) -> String {
         s.peak_frontier,
         s.dedup_ratio,
         s.elapsed_ns,
-        s.states_per_sec,
+        rate_fields("states_per_sec", s.states_per_sec),
     )
 }
 
-/// The `(id, states_per_sec)` pairs of freshly measured model-check samples.
-#[must_use]
-pub fn model_check_rates(samples: &[ModelCheckSample]) -> Vec<(String, f64)> {
-    samples.iter().map(|s| (s.id.clone(), s.states_per_sec)).collect()
-}
+/// The three sections of `BENCH_engine.json`, in document order.
+const SECTIONS: [&str; 3] = ["cases", "sweep_cases", "model_check_cases"];
 
-fn render_section(out: &mut String, key: &str, lines: &[String], last: bool) {
-    out.push_str(&format!("  \"{key}\": [\n"));
-    for (i, line) in lines.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(line);
-        out.push_str(if i + 1 == lines.len() { "\n" } else { ",\n" });
-    }
-    out.push_str(if last { "  ]\n" } else { "  ],\n" });
-}
-
-/// Renders the full `BENCH_engine.json` document (schema v3): the
+/// Renders the full `BENCH_engine.json` document (schema v4): the
 /// rounds/sec `cases` section, the runs/sec `sweep_cases` section and the
 /// states/sec `model_check_cases` section, each given as pre-rendered row
 /// lines so a bench target can refresh its own section while carrying the
 /// others' rows over verbatim (see [`extract_section`]). Hand-rolled because
 /// the vendored `serde_json` stub does not emit real JSON.
 #[must_use]
-pub fn render_document(
+fn render_document(
     case_lines: &[String],
     sweep_lines: &[String],
     model_check_lines: &[String],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"dynring-engine-throughput/v3\",\n");
+    out.push_str("  \"schema\": \"dynring-engine-throughput/v4\",\n");
     out.push_str(
         "  \"generated_by\": \"cargo bench engine_throughput + sweep_throughput + model_check_throughput\",\n",
     );
-    render_section(&mut out, "cases", case_lines, false);
-    render_section(&mut out, "sweep_cases", sweep_lines, false);
-    render_section(&mut out, "model_check_cases", model_check_lines, true);
+    let sections = [case_lines, sweep_lines, model_check_lines];
+    for (i, (key, lines)) in SECTIONS.iter().zip(sections).enumerate() {
+        out.push_str(&format!("  \"{key}\": [\n"));
+        for (j, line) in lines.iter().enumerate() {
+            out.push_str("    ");
+            out.push_str(line);
+            out.push_str(if j + 1 == lines.len() { "\n" } else { ",\n" });
+        }
+        out.push_str(if i + 1 == SECTIONS.len() { "  ]\n" } else { "  ],\n" });
+    }
     out.push_str("}\n");
     out
 }
@@ -729,7 +957,7 @@ pub fn render_document(
 /// files; older documents simply have no newer sections and yield an empty
 /// vector for them.
 #[must_use]
-pub fn extract_section(json: &str, key: &str) -> Vec<String> {
+fn extract_section(json: &str, key: &str) -> Vec<String> {
     let header = format!("\"{key}\": [");
     let mut rows = Vec::new();
     let mut inside = false;
@@ -749,138 +977,49 @@ pub fn extract_section(json: &str, key: &str) -> Vec<String> {
     rows
 }
 
-/// Writes the full document to `path`.
+/// Ends a bench target: writes its `section` of the baseline (carrying the
+/// other two sections of the file over verbatim) to `baseline_path`, then
+/// prints the `ratio_gate` over the pairs `rules` form among `rows` and
+/// exits 1 if a ratio falls below its floor.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates I/O errors from creating or writing the file.
-pub fn write_document(
-    path: &Path,
-    case_lines: &[String],
-    sweep_lines: &[String],
-    model_check_lines: &[String],
-) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(render_document(case_lines, sweep_lines, model_check_lines).as_bytes())
-}
-
-/// Parses a previous `BENCH_engine.json` into `(id, rate)` pairs, where the
-/// rate is `rounds_per_sec` for `cases` rows, `runs_per_sec` for
-/// `sweep_cases` rows and `states_per_sec` for `model_check_cases` rows
-/// (the ids of the sections never collide — sweep ids carry the `sweep/`
-/// prefix, model-check ids the `mc/` prefix).
-///
-/// The document is emitted with exactly one row object per line, so a
-/// line-oriented scan is exact for our own files (the vendored `serde_json`
-/// stub cannot parse real JSON). Unrecognisable lines are skipped, so a
-/// hand-edited or truncated baseline degrades to a partial diff instead of
-/// an error.
-#[must_use]
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let start = line.find(key)? + key.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
+/// If the baseline cannot be written.
+pub fn record_and_gate(
+    section: &str,
+    lines: Vec<String>,
+    rows: &[(&str, f64)],
+    rules: &[PairRule],
+) {
+    let filter = bench_filter();
+    match baseline_path(filter.as_deref(), std::env::var_os("DYNRING_BENCH_OUT")) {
+        Some(path) => {
+            let previous = std::fs::read_to_string(&path).unwrap_or_default();
+            let [cases, sweep, mc] = SECTIONS.map(|key| {
+                if key == section {
+                    lines.clone()
+                } else {
+                    extract_section(&previous, key)
+                }
+            });
+            std::fs::write(&path, render_document(&cases, &sweep, &mc))
+                .expect("write the baseline file");
+            println!("\nbaseline written to {}", path.display());
+        }
+        None => println!(
+            "\nfiltered run: baseline not written (set DYNRING_BENCH_OUT to keep these rows)"
+        ),
     }
-    json.lines()
-        .filter_map(|line| {
-            let id = field(line, "\"id\": \"")?.trim_end_matches('"').to_owned();
-            let rate = field(line, "\"rounds_per_sec\": ")
-                .or_else(|| field(line, "\"runs_per_sec\": "))
-                .or_else(|| field(line, "\"states_per_sec\": "))?
-                .parse::<f64>()
-                .ok()?;
-            Some((id, rate))
-        })
-        .collect()
-}
 
-/// The `(id, rounds_per_sec)` pairs of freshly measured rounds/sec samples
-/// (the shape [`regressions`] diffs).
-#[must_use]
-pub fn case_rates(samples: &[ThroughputSample]) -> Vec<(String, f64)> {
-    samples.iter().map(|s| (s.case.id.clone(), s.rounds_per_sec)).collect()
-}
-
-/// The `(id, runs_per_sec)` pairs of freshly measured runs/sec samples.
-#[must_use]
-pub fn sweep_rates(samples: &[SweepSample]) -> Vec<(String, f64)> {
-    samples.iter().map(|s| (s.case.id.clone(), s.runs_per_sec)).collect()
-}
-
-/// Compares fresh `(id, rate)` pairs against a previous baseline and returns
-/// one line per case whose rate dropped by at least `threshold` (fractional:
-/// `0.10` = 10%). Cases without a positive rate in the previous baseline
-/// are not regressions; [`ungated`] names them. `unit` names the rate in the
-/// printed line (`"rounds/sec"` or `"runs/sec"`).
-#[must_use]
-pub fn regressions(
-    fresh: &[(String, f64)],
-    previous: &[(String, f64)],
-    threshold: f64,
-    unit: &str,
-) -> Vec<String> {
-    fresh
-        .iter()
-        .filter_map(|(id, rate)| {
-            let (_, before) = previous.iter().find(|(prev_id, _)| prev_id == id)?;
-            if *before <= 0.0 {
-                return None;
-            }
-            let ratio = rate / before;
-            (ratio <= 1.0 - threshold).then(|| {
-                format!(
-                    "REGRESSION {}: {:.2}M -> {:.2}M {unit} ({:+.1}%)",
-                    id,
-                    before / 1e6,
-                    rate / 1e6,
-                    (ratio - 1.0) * 100.0
-                )
-            })
-        })
-        .collect()
-}
-
-/// One `UNGATED <id>` line per fresh row that the previous baseline has no
-/// positive rate for: [`regressions`] cannot compare those rows, so a
-/// renamed or new row would otherwise drop out of the gate unnoticed.
-#[must_use]
-pub fn ungated(fresh: &[(String, f64)], previous: &[(String, f64)]) -> Vec<String> {
-    fresh
-        .iter()
-        .filter(|(id, _)| !previous.iter().any(|(prev_id, rate)| prev_id == id && *rate > 0.0))
-        .map(|(id, _)| format!("UNGATED {id}"))
-        .collect()
-}
-
-/// The gate every bench target ends with: diffs its fresh `(id, rate)`
-/// pairs against the previous baseline, prints an [`ungated`] line per row
-/// the baseline cannot gate and a [`regressions`] line per drop of 10% or
-/// more, and exits 1 on any drop under the [`hard_gate`]. Without a
-/// previous baseline there is nothing to diff and nothing is printed but a
-/// note.
-pub fn gate(fresh: &[(String, f64)], previous: &[(String, f64)], unit: &str) {
-    if previous.is_empty() {
-        println!("no previous baseline to diff against");
-        return;
+    let (gate_lines, pass) = ratio_gate(&pair_ratios(rows, rules), rules, filter.as_deref());
+    if !gate_lines.is_empty() {
+        println!();
     }
-    for line in ungated(fresh, previous) {
+    for line in &gate_lines {
         println!("{line}");
     }
-    let drops = regressions(fresh, previous, 0.10, unit);
-    if drops.is_empty() {
-        println!("no regressions >= 10% against the previous baseline");
-        return;
-    }
-    for line in &drops {
-        println!("{line}");
-    }
-    if hard_gate() {
-        eprintln!(
-            "bench gate (hard by default; DYNRING_BENCH_GATE=soft to opt out): failing on {} regression(s) >= 10%",
-            drops.len()
-        );
+    if !pass {
+        eprintln!("bench gate: a same-process ratio fell below its floor");
         std::process::exit(1);
     }
 }
@@ -899,6 +1038,27 @@ mod tests {
         }
     }
 
+    fn rates(median: f64) -> Rates {
+        Rates { median, min: median / 2.0, max: median * 2.0 }
+    }
+
+    /// The ids of every row the three grids can measure (the four-thread
+    /// row included).
+    fn grid_ids() -> Vec<String> {
+        standard_cases()
+            .into_iter()
+            .map(|c| c.id)
+            .chain(sweep_cases().into_iter().map(|c| c.id))
+            .chain(model_check_cases(true, true).into_iter().map(|c| c.id))
+            .collect()
+    }
+
+    const ALL_RULES: &[PairRule] = &[TRACE, PRED, RECYCLE, BATCH, PARALLEL];
+
+    fn unit_rows(ids: &[String]) -> Vec<(&str, f64)> {
+        ids.iter().map(|id| (id.as_str(), 1.0)).collect()
+    }
+
     #[test]
     fn standard_grid_covers_both_synchrony_families_and_trace_modes() {
         let cases = standard_cases();
@@ -906,33 +1066,37 @@ mod tests {
         assert_eq!(cases.len(), 2 * THROUGHPUT_SIZES.len() * 3);
         assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::Fsync && !c.trace));
         assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::SsyncPt && c.trace));
-        assert!(cases
-            .iter()
-            .any(|c| c.synchrony == SynchronyCase::Fsync && c.predictions));
-        assert!(cases
-            .iter()
-            .any(|c| c.synchrony == SynchronyCase::SsyncPt && c.predictions));
+        assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::Fsync && c.predictions));
+        assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::SsyncPt && c.predictions));
         assert!(cases.iter().all(|c| c.predictions == c.id.contains("/pred=on")));
         assert!(cases.iter().all(|c| c.trace == c.id.contains("/trace=on")));
-        let ids: std::collections::HashSet<&str> =
-            cases.iter().map(|c| c.id.as_str()).collect();
+        let ids: std::collections::HashSet<&str> = cases.iter().map(|c| c.id.as_str()).collect();
         assert_eq!(ids.len(), cases.len(), "case ids must be unique");
     }
 
     #[test]
     fn measure_counts_rounds_for_a_tiny_budget() {
-        let sample = measure(&case("fsync/n=8/trace=off", false), Duration::from_millis(5), 64);
+        let samples = measure(&[case("fsync/n=8/trace=off", false)], Duration::from_millis(5), 64);
+        let sample = &samples[0];
         assert!(sample.rounds >= 64);
-        assert!(sample.rounds_per_sec > 0.0);
+        let r = sample.rounds_per_sec;
+        assert!(0.0 < r.min && r.min <= r.median && r.median <= r.max, "{r:?}");
     }
 
     #[test]
     fn prediction_cases_install_an_omniscient_adversary() {
         let scenario = case_scenario(&case("fsync/n=8/trace=off/pred=on", true));
         assert_eq!(scenario.adversary, AdversaryKind::PreventMeeting);
-        let sample =
-            measure(&case("fsync/n=8/trace=off/pred=on", true), Duration::from_millis(5), 64);
-        assert!(sample.rounds >= 64);
+        let samples =
+            measure(&[case("fsync/n=8/trace=off/pred=on", true)], Duration::from_millis(5), 64);
+        assert!(samples[0].rounds >= 64);
+    }
+
+    #[test]
+    fn rates_summarise_median_and_range() {
+        assert_eq!(Rates::of(&mut [3.0, 1.0, 2.0]), Rates { median: 2.0, min: 1.0, max: 3.0 });
+        assert_eq!(Rates::of(&mut [4.0, 1.0]), Rates { median: 2.5, min: 1.0, max: 4.0 });
+        assert_eq!(Rates::of(&mut [7.0]), Rates { median: 7.0, min: 7.0, max: 7.0 });
     }
 
     fn sweep_sample(id: &str, runs_per_sec: f64) -> SweepSample {
@@ -942,17 +1106,11 @@ mod tests {
                 workload: SweepWorkload::FsyncWitness,
                 ring_size: SWEEP_RING_SIZE,
                 budget_rounds: SWEEP_BUDGET_ROUNDS,
-                lifecycle: if id.ends_with("lifecycle=recycled") {
-                    Lifecycle::Recycled
-                } else if id.ends_with("lifecycle=batched") {
-                    Lifecycle::Batched
-                } else {
-                    Lifecycle::Fresh
-                },
+                lifecycle: Lifecycle::Recycled,
             },
             runs: 10,
             elapsed_ns: 10,
-            runs_per_sec,
+            runs_per_sec: rates(runs_per_sec),
         }
     }
 
@@ -966,17 +1124,17 @@ mod tests {
             peak_frontier: 900,
             dedup_ratio: 4.2,
             elapsed_ns: 10,
-            states_per_sec,
+            states_per_sec: rates(states_per_sec),
         }
     }
 
     #[test]
-    fn rendered_document_has_the_expected_v3_shape() {
+    fn rendered_document_has_the_expected_v4_shape() {
         let case_line = case_json_line(&ThroughputSample {
             case: case("fsync/n=8/trace=off", false),
             rounds: 1000,
             elapsed_ns: 500,
-            rounds_per_sec: 123.456,
+            rounds_per_sec: Rates { median: 123.456, min: 100.0, max: 150.0 },
         });
         let sweep_line = sweep_json_line(&sweep_sample(
             "sweep/fsync-witness/n=64/budget=256/lifecycle=recycled",
@@ -984,21 +1142,23 @@ mod tests {
         ));
         let mc_line = model_check_json_line(&mc_sample("mc/t3r2/n=7/threads=1", 5e6));
         let json = render_document(&[case_line], &[sweep_line], &[mc_line]);
-        assert!(json.contains("\"schema\": \"dynring-engine-throughput/v3\""));
+        assert!(json.contains("\"schema\": \"dynring-engine-throughput/v4\""));
         assert!(json.contains("\"ring_size\": 8"));
-        assert!(json.contains("\"rounds_per_sec\": 123.5"));
+        assert!(json.contains(
+            "\"rounds_per_sec\": 123.5, \"rounds_per_sec_min\": 100.0, \
+             \"rounds_per_sec_max\": 150.0, \"nproc\": "
+        ));
         assert!(json.contains("\"trace\": false"));
         assert!(json.contains("\"predictions\": false"));
-        assert!(!json.contains("\"dispatch\""));
         assert!(json.contains("\"sweep_cases\": ["));
         assert!(json.contains("\"lifecycle\": \"recycled\""));
         assert!(json.contains("\"budget_rounds\": 256"));
-        assert!(json.contains("\"runs_per_sec\": 4000.0"));
+        assert!(json.contains("\"runs_per_sec\": 4000.0, \"runs_per_sec_min\": 2000.0"));
         assert!(json.contains("\"model_check_cases\": ["));
-        assert!(!json.contains("\"key\""));
         assert!(json.contains("\"peak_frontier\": 900"));
         assert!(json.contains("\"dedup_ratio\": 4.20"));
-        assert!(json.contains("\"states_per_sec\": 5000000.0"));
+        assert!(json.contains("\"states_per_sec\": 5000000.0, \"states_per_sec_min\": 2500000.0"));
+        assert!(json.contains("\"states_per_sec_max\": 10000000.0"));
     }
 
     #[test]
@@ -1007,7 +1167,7 @@ mod tests {
             case: case("fsync/n=8/trace=off", false),
             rounds: 1000,
             elapsed_ns: 500,
-            rounds_per_sec: 2_000_000.0,
+            rounds_per_sec: rates(2_000_000.0),
         });
         let sweep_line = sweep_json_line(&sweep_sample(
             "sweep/fsync-witness/n=64/budget=256/lifecycle=fresh",
@@ -1030,69 +1190,115 @@ mod tests {
     }
 
     #[test]
-    fn baseline_roundtrips_through_parse() {
-        let case_lines = vec![case_json_line(&ThroughputSample {
-            case: case("fsync/n=8/trace=off", false),
-            rounds: 1000,
-            elapsed_ns: 500,
-            rounds_per_sec: 2_000_000.0,
-        })];
-        let sweep_lines = vec![sweep_json_line(&sweep_sample(
-            "sweep/fsync-witness/n=64/budget=256/lifecycle=recycled",
-            800_000.0,
-        ))];
-        let mc_lines =
-            vec![model_check_json_line(&mc_sample("mc/t3r2/n=7/threads=1", 3e6))];
-        let parsed = parse_baseline(&render_document(&case_lines, &sweep_lines, &mc_lines));
+    fn every_floor_names_a_pair_the_grids_form() {
+        let ids = grid_ids();
+        let formed: Vec<String> =
+            pair_ratios(&unit_rows(&ids), ALL_RULES).into_iter().map(|r| r.id).collect();
+        for (id, _) in RATIO_FLOORS {
+            assert!(formed.iter().any(|f| f == id), "floor {id} names no pair of the grids");
+        }
+        for id in &formed {
+            assert!(RATIO_FLOORS.iter().any(|(f, _)| f == id), "pair {id} has no floor");
+        }
+        assert_eq!(formed.len(), RATIO_FLOORS.len(), "every pair forms once");
+    }
+
+    #[test]
+    fn every_pair_family_forms_from_the_standard_grids() {
+        let ids = grid_ids();
+        let formed = pair_ratios(&unit_rows(&ids), ALL_RULES);
+        let count = |family: &str| formed.iter().filter(|r| r.id.starts_with(family)).count();
         assert_eq!(
-            parsed,
-            vec![
-                ("fsync/n=8/trace=off".to_owned(), 2_000_000.0),
-                (
-                    "sweep/fsync-witness/n=64/budget=256/lifecycle=recycled".to_owned(),
-                    800_000.0
-                ),
-                ("mc/t3r2/n=7/threads=1".to_owned(), 3_000_000.0),
-            ]
+            [
+                count("RECYCLE:"),
+                count("BATCH:"),
+                count("TRACE:"),
+                count("PRED:"),
+                count("PARALLEL:")
+            ],
+            [3, 3, 6, 6, 1]
         );
-        assert!(parse_baseline("not json at all").is_empty());
+        assert!(formed.iter().all(|r| r.value == 1.0));
+        // Without the four-thread row the parallel pair does not form.
+        let sequential: Vec<String> =
+            model_check_cases(true, false).into_iter().map(|c| c.id).collect();
+        assert!(pair_ratios(&unit_rows(&sequential), &[PARALLEL]).is_empty());
     }
 
     #[test]
-    fn regressions_flag_only_significant_drops() {
-        let previous = vec![
-            ("a".to_owned(), 1_000_000.0),
-            ("b".to_owned(), 1_000_000.0),
-            ("c".to_owned(), 0.0),
-        ];
-        let fresh = vec![
-            ("a".to_owned(), 950_000.0), // -5%: fine
-            ("b".to_owned(), 800_000.0), // -20%: regression
-            ("c".to_owned(), 100.0),     // zero baseline: ignored
-            ("d".to_owned(), 1.0),       // new case: ignored
-        ];
-        let lines = regressions(&fresh, &previous, 0.10, "rounds/sec");
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains('b'), "{lines:?}");
-        assert!(lines[0].contains("-20.0%"), "{lines:?}");
-        assert!(lines[0].contains("rounds/sec"), "{lines:?}");
+    fn recycle_comparisons_pair_lifecycles() {
+        let ratios = pair_ratios(
+            &[
+                ("sweep/fsync-witness/n=64/budget=256/lifecycle=fresh", 1000.0),
+                ("sweep/fsync-witness/n=64/budget=256/lifecycle=recycled", 3500.0),
+                ("sweep/fsync/n=64/budget=256/lifecycle=recycled", 10.0),
+            ],
+            &[RECYCLE],
+        );
+        assert_eq!(
+            ratios,
+            vec![Ratio { id: "RECYCLE:sweep/fsync-witness/n=64/budget=256".into(), value: 3.5 }]
+        );
     }
 
     #[test]
-    fn ungated_names_fresh_rows_the_baseline_cannot_gate() {
-        let previous = vec![
-            ("kept".to_owned(), 1_000_000.0),
-            ("zero".to_owned(), 0.0),
-            ("old/dispatch=enum".to_owned(), 1_000_000.0),
+    fn batch_comparisons_pair_batched_with_recycled() {
+        let rows = [
+            ("sweep/fsync/n=64/budget=256/lifecycle=fresh", 1000.0),
+            ("sweep/fsync/n=64/budget=256/lifecycle=recycled", 2000.0),
+            ("sweep/fsync/n=64/budget=256/lifecycle=batched", 3000.0),
         ];
-        let fresh = vec![
-            ("kept".to_owned(), 900_000.0),
-            ("zero".to_owned(), 100.0),
-            ("old".to_owned(), 1_000_000.0),
-        ];
-        assert_eq!(ungated(&fresh, &previous), vec!["UNGATED zero", "UNGATED old"]);
-        // Baseline rows nobody measured this run are not ungated rows.
-        assert!(ungated(&fresh[..1], &previous).is_empty());
+        let ratios = pair_ratios(&rows, &[RECYCLE, BATCH]);
+        let ids: Vec<&str> = ratios.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(
+            ids,
+            ["RECYCLE:sweep/fsync/n=64/budget=256", "BATCH:sweep/fsync/n=64/budget=256"]
+        );
+        assert_eq!(ratios[1].value, 1.5);
+        // A zero denominator forms no pair.
+        let zero = [rows[1], ("sweep/fsync/n=64/budget=256/lifecycle=fresh", 0.0)];
+        assert!(pair_ratios(&zero, &[RECYCLE]).is_empty());
+    }
+
+    #[test]
+    fn a_ratio_below_its_floor_fails_the_gate() {
+        let ok = [Ratio { id: "PARALLEL:mc/t1r3/n=9".into(), value: 1.5 }];
+        let (lines, pass) = ratio_gate(&ok, &[PARALLEL], None);
+        assert!(pass);
+        assert_eq!(lines, ["RATIO PARALLEL:mc/t1r3/n=9 1.500 (floor 0.4)"]);
+        let slow = [Ratio { id: "PARALLEL:mc/t1r3/n=9".into(), value: 0.3 }];
+        let (lines, pass) = ratio_gate(&slow, &[PARALLEL], None);
+        assert!(!pass);
+        assert_eq!(lines, ["RATIO PARALLEL:mc/t1r3/n=9 0.300 (floor 0.4)"]);
+    }
+
+    #[test]
+    fn ungated_names_pairs_without_floor_and_floors_without_pair() {
+        // A pair with no floor.
+        let stray = [Ratio { id: "TRACE:fsync/n=8".into(), value: 0.4 }];
+        let (lines, pass) = ratio_gate(&stray, &[], None);
+        assert!(pass);
+        assert_eq!(lines, ["RATIO TRACE:fsync/n=8 0.400 (no floor)", "UNGATED TRACE:fsync/n=8"]);
+
+        // A floor of a family the target forms whose pair did not form:
+        // rename one standard row and its TRACE pair drops out.
+        let ids: Vec<String> = standard_cases()
+            .into_iter()
+            .map(|c| c.id.replace("fsync/n=64/trace=on", "fsync/n=64/trace=yes"))
+            .collect();
+        let ratios = pair_ratios(&unit_rows(&ids), &[TRACE, PRED]);
+        let (lines, pass) = ratio_gate(&ratios, &[TRACE, PRED], None);
+        assert!(pass);
+        let ungated: Vec<&String> = lines.iter().filter(|l| l.starts_with("UNGATED")).collect();
+        assert_eq!(ungated, ["UNGATED TRACE:fsync/n=64"]);
+
+        // A filter that keeps only one row of each pair expects nothing,
+        // and neither does a target that forms no pair of the family.
+        assert!(ratio_gate(&[], &[TRACE, PRED], Some("pred=on")).0.is_empty());
+        assert!(ratio_gate(&[], &[], None).0.is_empty());
+        // A filter that keeps both rows still expects the pair.
+        let (lines, _) = ratio_gate(&[], &[TRACE], Some("ssync-pt/n=256/"));
+        assert_eq!(lines, ["UNGATED TRACE:ssync-pt/n=256"]);
     }
 
     #[test]
@@ -1120,30 +1326,6 @@ mod tests {
     }
 
     #[test]
-    fn recycle_comparisons_pair_lifecycles() {
-        let lines = recycle_comparisons(&[
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=fresh", 1000.0),
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=recycled", 3500.0),
-        ]);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("(3.50x)"), "{}", lines[0]);
-        assert!(lines[0].contains("sweep/fsync-witness/n=64/budget=256"), "{}", lines[0]);
-    }
-
-    #[test]
-    fn batch_comparisons_pair_batched_with_recycled() {
-        let lines = batch_comparisons(&[
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=fresh", 1000.0),
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=recycled", 2000.0),
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=batched", 3000.0),
-        ]);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("(1.50x)"), "{}", lines[0]);
-        assert!(lines[0].contains("batched"), "{}", lines[0]);
-        assert!(lines[0].contains("sweep/fsync-witness/n=64/budget=256"), "{}", lines[0]);
-    }
-
-    #[test]
     fn filter_cases_keeps_matches_and_passes_through_when_unset() {
         // The bench processes set no filter by default; an absent/empty
         // filter must keep every case (the knob itself is env-global, so the
@@ -1155,11 +1337,23 @@ mod tests {
     }
 
     #[test]
+    fn a_filtered_run_writes_only_to_an_explicit_path() {
+        let committed = baseline_path(None, None).expect("an unfiltered run writes");
+        assert!(committed.ends_with("BENCH_engine.json"));
+        assert_eq!(baseline_path(Some("pred=on"), None), None);
+        let out = Some(OsString::from("b.json"));
+        assert_eq!(baseline_path(Some("pred=on"), out.clone()), Some(PathBuf::from("b.json")));
+        assert_eq!(baseline_path(None, out), Some(PathBuf::from("b.json")));
+    }
+
+    #[test]
     fn measure_runs_completes_runs_for_a_tiny_budget() {
-        for case in sweep_cases() {
-            let sample = measure_runs(&case, Duration::from_millis(5));
+        let cases = sweep_cases();
+        let samples = measure_runs(&cases, Duration::from_millis(45));
+        for (case, sample) in cases.iter().zip(&samples) {
+            assert_eq!(sample.case.id, case.id);
             assert!(sample.runs >= 5, "{}: {} runs", case.id, sample.runs);
-            assert!(sample.runs_per_sec > 0.0, "{}", case.id);
+            assert!(sample.runs_per_sec.median > 0.0, "{}", case.id);
         }
     }
 

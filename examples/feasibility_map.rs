@@ -2,8 +2,8 @@
 //! experiments, printing them as markdown tables.
 //!
 //! This is the programme behind `EXPERIMENTS.md`. Ring sizes are kept small
-//! so the whole map runs in a couple of minutes; pass `--large` for the
-//! larger sweep used in the benchmark harness, or `--huge` for the
+//! so the whole map runs in a couple of minutes; pass `--large` for a
+//! larger sweep, or `--huge` for the
 //! *Revisited*-scale battery (larger rings, more seeds, dense start
 //! placements — affordable thanks to the recycled run lifecycle; set
 //! `DYNRING_HUGE_SMOKE=1` to exercise the huge configuration on tiny rings,
@@ -55,7 +55,7 @@ impl MapConfig {
         }
     }
 
-    /// The larger sweep used by the benchmark harness.
+    /// A larger sweep (`--large`, minutes).
     pub fn large() -> Self {
         MapConfig {
             fsync_sizes: vec![8, 16, 32, 64],
@@ -71,17 +71,8 @@ impl MapConfig {
 
     /// The `--huge` battery of the ROADMAP (per the *Revisited* follow-up,
     /// arXiv:2001.04525): larger rings, more seeds and the dense
-    /// start-placement grid. Honour `DYNRING_HUGE_SMOKE=1` (the CI knob)
-    /// by shrinking the rings back to smoke scale while keeping the dense
-    /// grid and extra seeds, so the configuration itself stays exercised.
+    /// start-placement grid.
     pub fn huge() -> Self {
-        if std::env::var("DYNRING_HUGE_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty()) {
-            return MapConfig {
-                seeds: 2,
-                density: PlacementDensity::Dense,
-                ..MapConfig::small()
-            };
-        }
         MapConfig {
             fsync_sizes: vec![8, 16, 32, 64, 128],
             ssync_sizes: vec![6, 9, 12, 16],
@@ -92,6 +83,26 @@ impl MapConfig {
             lower_bound_n: 16,
             density: PlacementDensity::Dense,
         }
+    }
+
+    /// The `--huge` battery at smoke scale (`DYNRING_HUGE_SMOKE=1`, as CI
+    /// runs it): the small rings with the dense grid and extra seeds, so the
+    /// configuration itself stays exercised.
+    pub fn huge_smoke() -> Self {
+        MapConfig { seeds: 2, density: PlacementDensity::Dense, ..MapConfig::small() }
+    }
+}
+
+/// Parses `DYNRING_HUGE_SMOKE` as strictly as every other `DYNRING_*`
+/// switch: unset, `""` or `"0"` is off, `"1"` is on, and anything else (a
+/// `false` that would silently run the smoke battery) is an error.
+pub fn parse_huge_smoke(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("" | "0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(other) => Err(format!(
+            "invalid DYNRING_HUGE_SMOKE: {other:?} (use 1 for the smoke-scale battery, 0/unset for full)"
+        )),
     }
 }
 
@@ -146,7 +157,15 @@ pub fn run(config: &MapConfig) -> bool {
 
 fn main() {
     let config = if std::env::args().any(|a| a == "--huge") {
-        MapConfig::huge()
+        let raw = std::env::var_os("DYNRING_HUGE_SMOKE").map(|v| v.to_string_lossy().into_owned());
+        match parse_huge_smoke(raw.as_deref()) {
+            Ok(true) => MapConfig::huge_smoke(),
+            Ok(false) => MapConfig::huge(),
+            Err(message) => {
+                eprintln!("feasibility_map: {message}");
+                std::process::exit(2);
+            }
+        }
     } else if std::env::args().any(|a| a == "--large") {
         MapConfig::large()
     } else {

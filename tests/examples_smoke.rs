@@ -66,6 +66,18 @@ fn feasibility_map_huge_config_holds_at_smoke_scale() {
 }
 
 #[test]
+fn feasibility_map_parses_huge_smoke_strictly() {
+    assert_eq!(feasibility_map::parse_huge_smoke(None), Ok(false));
+    assert_eq!(feasibility_map::parse_huge_smoke(Some("")), Ok(false));
+    assert_eq!(feasibility_map::parse_huge_smoke(Some("0")), Ok(false));
+    assert_eq!(feasibility_map::parse_huge_smoke(Some("1")), Ok(true));
+    for bad in ["false", "true", "yes", " 1", "2"] {
+        let err = feasibility_map::parse_huge_smoke(Some(bad)).unwrap_err();
+        assert!(err.contains("invalid DYNRING_HUGE_SMOKE"), "{bad:?}: {err}");
+    }
+}
+
+#[test]
 fn landmark_termination_always_terminates() {
     for (label, adv_label, report) in landmark_termination::run(10) {
         assert!(report.explored(), "{label} vs {adv_label}");

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 /// Theorem 3 on the exact worst-case schedule of Figure 2, across sizes.
 #[test]
 fn figure2_schedule_costs_exactly_3n_minus_6() {
-    for n in [6, 8, 10, 14, 20] {
+    for n in [6, 8, 10, 14, 20, 32, 64, 128] {
         let outcome = figures::figure2(n);
         assert_eq!(outcome.explored_at, Some(3 * n as u64 - 6), "n = {n}");
     }
