@@ -18,7 +18,7 @@
 use crate::batch::BatchRunner;
 use crate::figures::figure2;
 use crate::model_check::{self, Verdict};
-use crate::report::{RowResult, SweepPoint};
+use crate::report::RowResult;
 use crate::sweeps::{self, within_bound, PlacementDensity};
 use dynring_core::Algorithm;
 
@@ -145,13 +145,6 @@ pub fn theorem13_15_battery(
     rows
 }
 
-/// The per-size points behind [`theorem13_15`], exposed for the benchmark
-/// harness that prints the quadratic-growth series.
-#[must_use]
-pub fn quadratic_series(sizes: &[usize], seeds: u64) -> Vec<SweepPoint> {
-    sweeps::sweep_ssync(|n| Algorithm::PtBoundChirality { upper_bound: n }, sizes, seeds).points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,12 +167,5 @@ mod tests {
         for row in theorem13_15(&[6], 1) {
             assert!(row.holds, "{}: {}", row.id, row.observed);
         }
-    }
-
-    #[test]
-    fn quadratic_series_is_nonempty() {
-        let series = quadratic_series(&[5], 1);
-        assert_eq!(series.len(), 1);
-        assert!(series[0].worst_moves >= 4);
     }
 }

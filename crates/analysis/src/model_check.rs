@@ -15,7 +15,7 @@
 //! # Search structure
 //!
 //! One recycled [`Simulation`] serves the whole search: each expansion
-//! restores a parent [`SimCheckpoint`], forces one of the `n + 1` admissible
+//! restores a parent checkpoint, forces one of the `n + 1` admissible
 //! edge choices (remove edge `e`, or remove nothing) with
 //! [`Simulation::step_with_edge`] and classifies the successor. An agent
 //! meets the missing edge only when it tries to cross it, so a parent is
@@ -23,14 +23,16 @@
 //! crossed in that round ([`Simulation::crossed_edges`]); every other
 //! choice plays the all-present round and shares its outcome. Successors are
 //! deduplicated **per level** on the canonicalised configuration key of
-//! [`SimCheckpoint::canonical_key`] (lexicographic minimum over the ring's
+//! [`CheckpointStore::canonical_key_into`] (lexicographic minimum over the ring's
 //! rotation/reflection automorphisms), which quotients away the agents'
 //! anonymity. Keys are only compared within a level because the FSYNC round
 //! hint makes configurations at different depths genuinely different states.
 //!
 //! Witness schedules are reconstructed from a parent-pointer arena: the
-//! frontier holds heavy checkpoints, interior nodes only `(parent, choice)`
-//! links.
+//! frontier holds checkpoints, interior nodes only `(parent, choice)`
+//! links. Each worker keeps the checkpoints it reaches in a
+//! [`CheckpointStore`] of its own per level parity, so a search allocates
+//! per column doubling, not per state.
 //!
 //! # Depth bounds
 //!
@@ -48,7 +50,7 @@ use crate::figures;
 use crate::report::RowResult;
 use crate::scenario::{AdversaryKind, Scenario, SchedulerKind};
 use dynring_core::Algorithm;
-use dynring_engine::{KeyScratch, RunReport, SimCheckpoint, Simulation, StopCondition};
+use dynring_engine::{CheckpointStore, KeyScratch, RunReport, Simulation, StopCondition};
 use dynring_graph::{EdgeId, EdgeSchedule, Handedness, RingTopology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -286,9 +288,9 @@ struct Worker {
     key: Vec<u8>,
     /// The edges crossed in the current parent's all-present round.
     crossed: Vec<bool>,
-    /// The current parent's all-present successor and its key, shared by
-    /// every choice that removes an edge nobody crossed.
-    shared: SimCheckpoint,
+    /// The current parent's all-present successor (slot 0) and its key,
+    /// shared by every choice that removes an edge nobody crossed.
+    shared: CheckpointStore,
     shared_key: Vec<u8>,
     /// The worker's keys: every undecided successor its chunks reached,
     /// each once.
@@ -319,10 +321,10 @@ pub struct SearchContext {
 
 /// One worker's checkpoint slab for one parity, on cache lines of its own:
 /// workers grow their slabs side by side, and slab headers sharing a line
-/// would bounce between their cores on every push.
+/// would bounce between their cores on every write.
 #[derive(Debug, Default)]
 #[repr(align(128))]
-struct Slab(Vec<SimCheckpoint>);
+struct Slab(CheckpointStore);
 
 impl SearchContext {
     /// A context whose searches expand levels on `threads` workers
@@ -695,11 +697,7 @@ impl ModelCheck {
 
         let mut round = sim.round();
         // A level's checkpoints live in the slabs of its round's parity.
-        let root_slab = &mut ctx.slabs[(round % 2) as usize][0].0;
-        if root_slab.is_empty() {
-            root_slab.push(SimCheckpoint::default());
-        }
-        sim.checkpoint_into(&mut root_slab[0]);
+        sim.checkpoint_to_slot(&mut ctx.slabs[(round % 2) as usize][0].0, 0);
         ctx.frontier.push(Entry { worker: 0, slot: 0, link: ROOT_LINK });
 
         for _ in 0..self.depth {
@@ -880,9 +878,9 @@ impl ModelCheck {
     /// (see [`Simulation::crossed_edges`]). Removing an edge nobody crossed
     /// plays that same all-present round, so such a choice, and the
     /// remove-nothing choice, take its outcome. The first of them probes its
-    /// key and, if it is new, moves its checkpoint into the slab; every later
-    /// one is a duplicate of it. The records are those of stepping every
-    /// choice.
+    /// key and, if it is new, copies its checkpoint into the slab; every
+    /// later one is a duplicate of it. The records are those of stepping
+    /// every choice.
     #[allow(clippy::too_many_arguments)]
     fn expand_chunks(
         &self,
@@ -910,21 +908,22 @@ impl ModelCheck {
                 if earliest_adv.load(Ordering::Relaxed) < chunk {
                     break;
                 }
-                let parent = &current[item.worker as usize].0[item.slot as usize];
-                sim.restore(parent);
+                let parent = &current[item.worker as usize].0;
+                let parent_slot = item.slot as usize;
+                sim.restore_from_slot(parent, parent_slot);
                 sim.step_with_edge(None);
-                sim.crossed_edges(parent, crossed);
+                sim.crossed_edges_since_slot(parent, parent_slot, crossed);
                 let all_present = self.objective.classify(sim);
                 if let Outcome::Undecided = all_present {
-                    sim.checkpoint_into(shared);
-                    shared.canonical_key_into(ring, key_scratch, shared_key);
+                    sim.checkpoint_to_slot(shared, 0);
+                    shared.canonical_key_into(0, ring, key_scratch, shared_key);
                 }
                 let mut shared_kept = false;
                 // The n + 1 admissible adversary choices: remove edge e, or
                 // remove nothing (encoded as choice index n, never crossed).
                 for (choice_index, &crossed) in crossed.iter().chain(&[false]).enumerate() {
                     let rec = if crossed {
-                        sim.restore(parent);
+                        sim.restore_from_slot(parent, parent_slot);
                         sim.step_with_edge(Some(EdgeId::new(choice_index)));
                         match self.objective.classify(sim) {
                             Outcome::AdversaryWins => Rec::Adv,
@@ -933,12 +932,8 @@ impl ModelCheck {
                                 // A duplicate leaves its slot free for the
                                 // next successor.
                                 let slot = seen.len();
-                                if slot == slab.len() {
-                                    slab.push(SimCheckpoint::default());
-                                }
-                                let cp = &mut slab[slot];
-                                sim.checkpoint_into(cp);
-                                cp.canonical_key_into(ring, key_scratch, key);
+                                sim.checkpoint_to_slot(slab, slot);
+                                slab.canonical_key_into(slot, ring, key_scratch, key);
                                 if seen.insert(key) { Rec::New } else { Rec::Dup }
                             }
                         }
@@ -951,10 +946,7 @@ impl ModelCheck {
                                 shared_kept = true;
                                 let slot = seen.len();
                                 if seen.insert(shared_key) {
-                                    if slot == slab.len() {
-                                        slab.push(SimCheckpoint::default());
-                                    }
-                                    std::mem::swap(shared, &mut slab[slot]);
+                                    slab.copy_slot(slot, shared, 0);
                                     Rec::New
                                 } else {
                                     Rec::Dup
@@ -1431,8 +1423,8 @@ mod tests {
         assert!(level_successors < usize::try_from(stats.visited).unwrap());
         for _ in 0..4 {
             assert_eq!(cell.check.run_in(&mut ctx).stats(), &stats);
-            for Slab(slab) in ctx.slabs.iter().flatten() {
-                assert!(slab.len() <= level_successors, "{} > {level_successors}", slab.len());
+            for Slab(store) in ctx.slabs.iter().flatten() {
+                assert!(store.len() <= level_successors, "{} > {level_successors}", store.len());
             }
         }
     }

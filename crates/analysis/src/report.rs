@@ -84,34 +84,6 @@ pub struct SweepPoint {
     pub runs: usize,
 }
 
-/// Renders a sweep as a markdown table, together with the claimed bound
-/// evaluated at each size so that "the shape holds" is visible at a glance.
-#[must_use]
-pub fn markdown_sweep(
-    title: &str,
-    points: &[SweepPoint],
-    bound_name: &str,
-    bound: impl Fn(usize) -> u64,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("### {title}\n\n"));
-    out.push_str(&format!(
-        "| n | worst rounds to explore | worst rounds to terminate | worst moves | {bound_name} |\n"
-    ));
-    out.push_str("|---|---|---|---|---|\n");
-    for p in points {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} |\n",
-            p.ring_size,
-            p.worst_rounds,
-            p.worst_termination,
-            p.worst_moves,
-            bound(p.ring_size)
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,16 +100,5 @@ mod tests {
         assert!(md.contains("| yes |"));
         assert!(md.contains("| NO |"));
         assert_eq!(md.lines().count(), 2 + 2 + 2); // title + blank + header + sep + 2 rows
-    }
-
-    #[test]
-    fn markdown_sweep_evaluates_the_bound() {
-        let points = vec![
-            SweepPoint { ring_size: 4, worst_rounds: 6, worst_termination: 7, worst_moves: 9, runs: 5 },
-            SweepPoint { ring_size: 8, worst_rounds: 18, worst_termination: 19, worst_moves: 30, runs: 5 },
-        ];
-        let md = markdown_sweep("Theorem 3 sweep", &points, "3N-6", |n| 3 * n as u64 - 6);
-        assert!(md.contains("| 4 | 6 | 7 | 9 | 6 |"));
-        assert!(md.contains("| 8 | 18 | 19 | 30 | 18 |"));
     }
 }

@@ -20,7 +20,9 @@ use dynring_bench::throughput::{
 fn main() {
     let fast = fast_mode();
     let budget = measurement_budget(fast);
-    let chunk: u64 = if fast { 512 } else { 4096 };
+    // Smoke mode keeps the full-mode chunk: with shorter chunks a trace-on
+    // row times the trace's per-build allocation more than its recording.
+    let chunk: u64 = 4096;
 
     println!(
         "engine throughput ({} mode, {}ms window per case, {} rounds per chunk)\n",

@@ -634,12 +634,12 @@ pub const PARALLEL: PairRule =
 /// search each in a smoke window, and the ratio swings with whether the
 /// host's second core is free.
 const RATIO_FLOORS: &[(&str, f64)] = &[
-    ("TRACE:fsync/n=64", 0.08),
-    ("TRACE:fsync/n=256", 0.08),
-    ("TRACE:fsync/n=1024", 0.08),
+    ("TRACE:fsync/n=64", 0.16),
+    ("TRACE:fsync/n=256", 0.16),
+    ("TRACE:fsync/n=1024", 0.14),
     ("TRACE:ssync-pt/n=64", 0.2),
-    ("TRACE:ssync-pt/n=256", 0.1),
-    ("TRACE:ssync-pt/n=1024", 0.1),
+    ("TRACE:ssync-pt/n=256", 0.17),
+    ("TRACE:ssync-pt/n=1024", 0.21),
     ("PRED:fsync/n=64/trace=off", 0.4),
     ("PRED:fsync/n=256/trace=off", 0.4),
     ("PRED:fsync/n=1024/trace=off", 0.4),

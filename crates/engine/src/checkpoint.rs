@@ -1,15 +1,26 @@
-//! Branchable run state: the checkpoint the model checker forks from, and
+//! Branchable run state: the checkpoints the model checker forks from, and
 //! the canonical configuration key its memo table deduplicates on.
 //!
-//! A [`SimCheckpoint`] captures everything that determines a run's future
+//! A checkpoint captures everything that determines a run's future
 //! behaviour — the run counters (round, live agents, unvisited and crowded
 //! nodes, exploration round), the global visit map, the agent columns
 //! (every agent's position, held port, outcome flags, statistics, visit map
 //! and full program state) and the activation policy's state token (see
 //! [`ActivationPolicy::state_token`](crate::scheduler::ActivationPolicy::state_token)).
-//! The agent columns are the simulation's own struct-of-arrays type, so
-//! checkpointing and restoring are one column copy each. Three things are
-//! deliberately *not* captured:
+//!
+//! Checkpoints live in a [`CheckpointStore`], one growable buffer per
+//! column. With `A` agents on `n` nodes, slot `k` holds rows `k·A..(k+1)·A`
+//! of each per-agent column, rows `k·n..(k+1)·n` of the global visit map and
+//! of the node population and rows `k·A·n..(k+1)·A·n` of the per-agent
+//! visit maps, plus one counter set and one activation token. The agent
+//! columns are the simulation's own struct-of-arrays type, so checkpointing
+//! into a slot, restoring from one and copying a slot between stores are
+//! each the one column copy `AgentSoA::copy_team`. A store allocates once
+//! per column doubling and frees once per column, however many checkpoints
+//! it holds. A [`SimCheckpoint`] is a store of one slot, for callers that
+//! keep one state at a time.
+//!
+//! Three things are deliberately *not* captured:
 //!
 //! * what the run's **spec** fixes — the ring size and which programs the
 //!   engine polls for termination — which a restore finds unchanged;
@@ -26,7 +37,7 @@
 //! Exhaustive search over adversary choices revisits the same configuration
 //! through many different histories, and configurations that differ only by
 //! a symmetry of the ring are behaviourally interchangeable. The key
-//! produced by [`SimCheckpoint::canonical_key`] quotients both away:
+//! produced by [`CheckpointStore::canonical_key_into`] quotients both away:
 //!
 //! * **rotation** — on anonymous rings, shifting every node index by a
 //!   constant relabels the ring without changing anything any agent can
@@ -54,7 +65,7 @@
 //!
 //! # Packed key format
 //!
-//! [`SimCheckpoint::canonical_key_into`] produces the key in a compact
+//! [`CheckpointStore::canonical_key_into`] produces the key in a compact
 //! binary layout with **zero steady-state allocations** (all buffers come
 //! from a recycled [`KeyScratch`]):
 //!
@@ -72,8 +83,8 @@
 //!
 //! On rings of up to 64 nodes the minimising map is chosen from a `u64`
 //! visited mask, comparing agent bytes only between maps that tie on it;
-//! [`SimCheckpoint::canonical_key_exhaustive`] emits every map in full and
-//! yields the same bytes.
+//! [`SimCheckpoint::canonical_key_exhaustive`] emits every map in full
+//! and yields the same bytes.
 //!
 //! Any injective encoding yields the same equivalence classes as any other
 //! over the same map family: the orbits of the symmetry group partition the
@@ -83,17 +94,18 @@
 //! the same classes.
 
 use crate::sim::RunCounters;
-use crate::world::AgentSoA;
+use crate::world::{put_slot, AgentSoA};
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::PriorOutcome;
+use std::ops::Range;
 
-/// Recycled scratch buffer for [`SimCheckpoint::canonical_key_into`].
+/// Recycled scratch buffer for [`CheckpointStore::canonical_key_into`].
 ///
 /// Holding one `KeyScratch` per search worker makes canonicalisation
 /// allocation-free in the steady state: the candidate buffer of the direct
 /// per-map comparison (rings wider than 64 nodes, and
-/// [`SimCheckpoint::canonical_key_exhaustive`]) reuses its capacity across
-/// calls.
+/// [`SimCheckpoint::canonical_key_exhaustive`]) reuses its capacity
+/// across calls.
 #[derive(Debug, Default)]
 pub struct KeyScratch {
     /// Candidate variant section for the symmetry map under consideration.
@@ -108,131 +120,152 @@ impl KeyScratch {
     }
 }
 
-/// A complete behavioural snapshot of a [`Simulation`](crate::sim::Simulation)
-/// mid-run, produced by
-/// [`Simulation::checkpoint`](crate::sim::Simulation::checkpoint) and
-/// consumed by [`Simulation::restore`](crate::sim::Simulation::restore).
+/// Checkpoints of one simulation shape, kept column by column in numbered
+/// slots (see the [module docs](self) for the layout).
 ///
-/// Checkpoints are only meaningful for the simulation (or an identically
-/// shaped recycle of the spec) they were captured from; `restore` asserts
-/// the shapes match. See the [module docs](self) for what is and is not
-/// captured.
+/// [`Simulation::checkpoint_to_slot`](crate::sim::Simulation::checkpoint_to_slot)
+/// writes a slot,
+/// [`Simulation::restore_from_slot`](crate::sim::Simulation::restore_from_slot)
+/// reads one back and [`CheckpointStore::copy_slot`] copies one between
+/// stores. Slots are written in order: writing slot [`CheckpointStore::len`]
+/// appends it, writing an earlier one overwrites it in place, and a write
+/// of another team or ring shape must be to slot 0, which empties the store
+/// first. Capacity is kept throughout, so refilling a store with up to as
+/// many checkpoints of one shape as it has held before allocates nothing.
 #[derive(Debug, Default)]
-pub struct SimCheckpoint {
-    /// The agent columns, in the simulation's own layout.
+pub struct CheckpointStore {
+    /// The agent columns, in the simulation's own layout, slot after slot.
     pub(crate) agents: AgentSoA,
-    /// Which nodes any agent has visited.
+    /// The global visit maps, one ring's worth per slot.
     pub(crate) visited: Vec<bool>,
-    /// The run counters.
-    pub(crate) counters: RunCounters,
-    /// The activation policy's state token.
-    pub(crate) activation_token: u64,
+    /// The run counters of each slot.
+    pub(crate) counters: Vec<RunCounters>,
+    /// The activation policy's state token of each slot.
+    pub(crate) activation_tokens: Vec<u64>,
+    /// Agents per slot and ring size: the shape every slot shares.
+    pub(crate) shape: (usize, usize),
 }
 
-impl SimCheckpoint {
-    /// The round the checkpoint was captured at.
+impl CheckpointStore {
+    /// Number of slots written since the store last changed shape.
     #[must_use]
-    pub fn round(&self) -> u64 {
-        self.counters.round
+    pub fn len(&self) -> usize {
+        self.counters.len()
     }
 
-    /// Number of agents captured.
+    /// Whether no slot has been written.
     #[must_use]
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_empty()
     }
 
-    /// Whether the captured state had explored the whole ring.
-    #[must_use]
-    pub fn explored(&self) -> bool {
-        self.counters.explored_at.is_some()
-    }
-
-    /// Number of agents that had not terminated in the captured state.
-    #[must_use]
-    pub fn alive_count(&self) -> usize {
-        self.counters.alive
-    }
-
-    /// Writes the canonicalised configuration key into `out` (cleared
-    /// first; capacity reused across calls). Two checkpoints receive the
-    /// same key **iff** their configurations are identical up to the ring
-    /// symmetries described in the [module docs](self) — the memo-table
-    /// identity of the model checker's breadth-first search.
-    ///
-    /// Convenience wrapper around [`SimCheckpoint::canonical_key_into`] that
-    /// allocates a throwaway [`KeyScratch`]; hot callers should hold their
-    /// own scratch and call `canonical_key_into` directly.
-    ///
-    /// The caller's `ring` must be the ring the checkpoint was captured on
-    /// (the checkpoint itself does not store the landmark).
+    /// Makes slot `to` a copy of slot `from` of `src` — the same column copy
+    /// as checkpointing a simulation into it.
     ///
     /// # Panics
     ///
-    /// Panics if `ring`'s size does not match the checkpoint.
-    pub fn canonical_key(&self, ring: &RingTopology, out: &mut Vec<u8>) {
-        let mut scratch = KeyScratch::new();
-        self.canonical_key_into(ring, &mut scratch, out);
+    /// Panics if `to` is past [`CheckpointStore::len`] (or not 0 when `src`
+    /// has another shape), or `from` is not a slot of `src`.
+    pub fn copy_slot(&mut self, to: usize, src: &CheckpointStore, from: usize) {
+        let state = (src.counters[from], src.activation_tokens[from]);
+        self.write(to, &src.agents, from, src.shape, src.visited_at(from), state);
     }
 
-    /// Packed-format canonicalisation into caller-owned buffers — the
-    /// allocation-free hot path of the model checker. See the
-    /// [module docs](self) for the exact layout; the key identity (equal key
-    /// ⇔ symmetric configuration) is the same as
-    /// [`SimCheckpoint::canonical_key`], which merely wraps this.
+    /// Writes slot `slot` from team slot `from` of `agents` (a team of
+    /// `shape`), the global visit map `visited` and the run counters and
+    /// activation token in `state`: the one write behind checkpointing a
+    /// simulation and copying a slot.
+    pub(crate) fn write(
+        &mut self,
+        slot: usize,
+        agents: &AgentSoA,
+        from: usize,
+        shape: (usize, usize),
+        visited: &[bool],
+        (counters, token): (RunCounters, u64),
+    ) {
+        let slots = if shape == self.shape { self.len() } else { 0 };
+        assert!(slot <= slots, "slot {slot} is past the end of a {slots}-slot store");
+        let slots = slots.max(slot + 1);
+        self.shape = shape;
+        self.agents.copy_team(slot, slots, agents, from, shape);
+        put_slot(&mut self.visited, slot, slots, visited);
+        put_slot(&mut self.counters, slot, slots, &[counters]);
+        put_slot(&mut self.activation_tokens, slot, slots, &[token]);
+    }
+
+    /// The global visit map of slot `slot`.
+    pub(crate) fn visited_at(&self, slot: usize) -> &[bool] {
+        let ring = self.shape.1;
+        &self.visited[slot * ring..(slot + 1) * ring]
+    }
+
+    /// The agent rows of slot `slot`.
+    fn rows(&self, slot: usize) -> Range<usize> {
+        let team = self.shape.0;
+        slot * team..(slot + 1) * team
+    }
+
+    /// Writes the canonicalised configuration key of slot `slot` into `out`
+    /// (cleared first; capacity reused across calls), in the packed format
+    /// of the [module docs](self). Two slots receive the same key **iff**
+    /// their configurations are identical up to the ring symmetries — the
+    /// memo-table identity of the model checker's breadth-first search.
+    /// This is the allocation-free hot path; `scratch` is the caller's.
     ///
-    /// The bytes are those of [`SimCheckpoint::canonical_key_exhaustive`];
-    /// only the search for the minimising map differs.
+    /// The caller's `ring` must be the ring the slot was captured on (the
+    /// store does not keep the landmark). The bytes are those of
+    /// [`SimCheckpoint::canonical_key_exhaustive`]; only the search for the
+    /// minimising map differs.
     ///
     /// # Panics
     ///
-    /// Panics if `ring`'s size does not match the checkpoint.
+    /// Panics if `slot` is not a slot of the store or `ring`'s size does not
+    /// match it.
     pub fn canonical_key_into(
         &self,
+        slot: usize,
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
     ) {
-        self.write_invariant_prefix(ring, out);
+        self.write_invariant_prefix(slot, ring, out);
         if ring.size() > 64 {
-            self.push_min_variant_exhaustive(ring, scratch, out);
+            self.push_min_variant_exhaustive(slot, ring, scratch, out);
         } else {
-            self.push_min_variant(ring, out);
+            self.push_min_variant(slot, ring, out);
         }
     }
 
-    /// The packed key of [`SimCheckpoint::canonical_key_into`], chosen the
-    /// direct way: every admissible map's variant section is emitted in full
-    /// and the lexicographic minimum kept. This is the reference the bitmask
-    /// search is tested against byte for byte, and its path on rings wider
-    /// than 64 nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring`'s size does not match the checkpoint.
-    pub fn canonical_key_exhaustive(
+    /// The packed key of slot `slot`, chosen the direct way (see
+    /// [`SimCheckpoint::canonical_key_exhaustive`]).
+    pub(crate) fn canonical_key_exhaustive(
         &self,
+        slot: usize,
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
     ) {
-        self.write_invariant_prefix(ring, out);
-        self.push_min_variant_exhaustive(ring, scratch, out);
+        self.write_invariant_prefix(slot, ring, out);
+        self.push_min_variant_exhaustive(slot, ring, scratch, out);
     }
 
-    /// Writes the symmetry-invariant prefix of the packed key into `out`
-    /// (cleared first).
-    fn write_invariant_prefix(&self, ring: &RingTopology, out: &mut Vec<u8>) {
-        assert_eq!(self.visited.len(), ring.size(), "checkpoint is from a different ring");
+    /// Writes the symmetry-invariant prefix of slot `slot`'s packed key into
+    /// `out` (cleared first).
+    fn write_invariant_prefix(&self, slot: usize, ring: &RingTopology, out: &mut Vec<u8>) {
+        assert_eq!(self.shape.1, ring.size(), "checkpoint is from a different ring");
+        assert!(slot < self.len(), "slot {slot} of a {}-slot store", self.len());
         // Symmetry-invariant prefix: both map families relabel nodes and
         // global directions but never touch round counters, scheduler state,
         // sleep ages or program state (protocols only see local frames), so
         // these are emitted once, outside the min-over-maps loop.
         let agents = &self.agents;
+        let rows = self.rows(slot);
+        let last_active = &agents.last_active_round[rows.clone()];
         out.clear();
-        out.extend_from_slice(&self.counters.round.to_le_bytes());
-        out.extend_from_slice(&self.activation_token.to_le_bytes());
-        for (index, program) in agents.program.iter().enumerate() {
+        out.extend_from_slice(&self.counters[slot].round.to_le_bytes());
+        out.extend_from_slice(&self.activation_tokens[slot].to_le_bytes());
+        for index in rows {
             out.extend_from_slice(&agents.asleep_on_port[index].to_le_bytes());
             // `last_active_round` is only consumed through order comparisons
             // (`min_by_key` in the first-mover scheduler and adversary), so
@@ -241,28 +274,29 @@ impl SimCheckpoint {
             // coincide. Teams are tiny (≤ u8::MAX agents), so the O(k²) scan
             // beats allocating a rank table.
             let r = agents.last_active_round[index];
-            let rank = agents.last_active_round.iter().filter(|&&other| other < r).count();
+            let rank = last_active.iter().filter(|&&other| other < r).count();
             out.push(u8::try_from(rank).unwrap_or(u8::MAX));
             // The program state, prefixed by its `u32` length.
             let len_at = out.len();
             out.extend_from_slice(&[0; 4]);
-            program.write_state_key(out);
+            agents.program[index].write_state_key(out);
             let len = u32::try_from(out.len() - len_at - 4).expect("program key exceeds u32");
             out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
         }
     }
 
-    /// Appends the lexicographically least variant section over the
-    /// admissible maps, emitting every candidate in full.
+    /// Appends the lexicographically least variant section of slot `slot`
+    /// over the admissible maps, emitting every candidate in full.
     fn push_min_variant_exhaustive(
         &self,
+        slot: usize,
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
     ) {
         let variant_at = out.len();
         for (i, (rot, reflect)) in admissible_maps(ring).enumerate() {
-            self.emit_variant(ring.size(), rot, reflect, &mut scratch.candidate);
+            self.emit_variant(slot, ring.size(), rot, reflect, &mut scratch.candidate);
             if i == 0 || scratch.candidate.as_slice() < &out[variant_at..] {
                 out.truncate(variant_at);
                 out.extend_from_slice(&scratch.candidate);
@@ -271,18 +305,22 @@ impl SimCheckpoint {
     }
 
     /// Appends the same section as
-    /// [`SimCheckpoint::push_min_variant_exhaustive`] for a ring of at most
-    /// 64 nodes. The section opens with the bit-packed visit map, so that map
-    /// decides the minimum first. Each candidate's visit map is a rotation,
-    /// or a rotation of the reversal, of one `u64` mask whose little-endian
-    /// bytes are the packed map, and those bytes compare lexicographically
-    /// exactly as the byte-swapped word compares numerically (bits past `n`
-    /// are zero in every candidate). Agent bytes are only compared between
-    /// maps that tie on the mask.
-    fn push_min_variant(&self, ring: &RingTopology, out: &mut Vec<u8>) {
+    /// [`CheckpointStore::push_min_variant_exhaustive`] for a ring of at
+    /// most 64 nodes. The section opens with the bit-packed visit map, so
+    /// that map decides the minimum first. Each candidate's visit map is a
+    /// rotation, or a rotation of the reversal, of one `u64` mask whose
+    /// little-endian bytes are the packed map, and those bytes compare
+    /// lexicographically exactly as the byte-swapped word compares
+    /// numerically (bits past `n` are zero in every candidate). Agent bytes
+    /// are only compared between maps that tie on the mask.
+    fn push_min_variant(&self, slot: usize, ring: &RingTopology, out: &mut Vec<u8>) {
         let n = ring.size();
         let full = u64::MAX >> (64 - n);
-        let visited = (0..n).fold(0u64, |mask, v| mask | (u64::from(self.visited[v]) << v));
+        let visited = self
+            .visited_at(slot)
+            .iter()
+            .enumerate()
+            .fold(0u64, |mask, (v, &seen)| mask | (u64::from(seen) << v));
         // Bit `w` of `reversed` is node `n − 1 − w`.
         let reversed = visited.reverse_bits() >> (64 - n);
         let rotl = |mask: u64, by: usize| {
@@ -298,7 +336,7 @@ impl SimCheckpoint {
             }
         };
         let agents = |(rot, reflect): (usize, bool)| {
-            (0..self.agents.len()).map(move |index| self.agent_bytes(n, index, rot, reflect))
+            self.rows(slot).map(move |index| self.agent_bytes(n, index, rot, reflect))
         };
         let mut maps = admissible_maps(ring);
         let mut winner = maps.next().expect("every ring admits the identity map");
@@ -317,17 +355,18 @@ impl SimCheckpoint {
         out.extend(agents(winner).flatten());
     }
 
-    /// The symmetry-variant section of the packed key under one candidate
-    /// map: bit-packed permuted visit map, then mapped node + flags byte per
-    /// agent.
-    fn emit_variant(&self, n: usize, rot: usize, reflect: bool, buf: &mut Vec<u8>) {
+    /// The symmetry-variant section of slot `slot`'s packed key under one
+    /// candidate map: bit-packed permuted visit map, then mapped node +
+    /// flags byte per agent.
+    fn emit_variant(&self, slot: usize, n: usize, rot: usize, reflect: bool, buf: &mut Vec<u8>) {
         buf.clear();
+        let visited = self.visited_at(slot);
         // Node `w` of the canonical image is node `map⁻¹(w)` of the
         // original (both map families are trivially invertible).
         let mut packed = 0u8;
         for w in 0..n {
             let v = if reflect { (rot + n - w) % n } else { (w + n - rot) % n };
-            if self.visited[v] {
+            if visited[v] {
                 packed |= 1 << (w % 8);
             }
             if w % 8 == 7 {
@@ -338,13 +377,14 @@ impl SimCheckpoint {
         if !n.is_multiple_of(8) {
             buf.push(packed);
         }
-        for index in 0..self.agents.len() {
+        for index in self.rows(slot) {
             buf.extend_from_slice(&self.agent_bytes(n, index, rot, reflect));
         }
     }
 
-    /// Agent `index`'s part of the variant section under one candidate map:
-    /// its mapped node as a little-endian `u16`, then one flags byte.
+    /// The part of the variant section for agent row `index` under one
+    /// candidate map: its mapped node as a little-endian `u16`, then one
+    /// flags byte.
     fn agent_bytes(&self, n: usize, index: usize, rot: usize, reflect: bool) -> [u8; 3] {
         let agents = &self.agents;
         let v = agents.node[index].index();
@@ -378,6 +418,93 @@ impl SimCheckpoint {
     }
 }
 
+/// A complete behavioural snapshot of a [`Simulation`](crate::sim::Simulation)
+/// mid-run, produced by
+/// [`Simulation::checkpoint`](crate::sim::Simulation::checkpoint) and
+/// consumed by [`Simulation::restore`](crate::sim::Simulation::restore): a
+/// [`CheckpointStore`] of one slot.
+///
+/// Checkpoints are only meaningful for the simulation (or an identically
+/// shaped recycle of the spec) they were captured from; `restore` asserts
+/// the shapes match. See the [module docs](self) for what is and is not
+/// captured.
+#[derive(Debug, Default)]
+pub struct SimCheckpoint(pub(crate) CheckpointStore);
+
+impl SimCheckpoint {
+    /// The captured run counters (all zero before the first capture).
+    fn counters(&self) -> RunCounters {
+        self.0.counters.first().copied().unwrap_or_default()
+    }
+
+    /// The round the checkpoint was captured at.
+    #[must_use]
+    pub fn round(&self) -> u64 {
+        self.counters().round
+    }
+
+    /// Number of agents captured.
+    #[must_use]
+    pub fn agent_count(&self) -> usize {
+        self.0.shape.0
+    }
+
+    /// Whether the captured state had explored the whole ring.
+    #[must_use]
+    pub fn explored(&self) -> bool {
+        self.counters().explored_at.is_some()
+    }
+
+    /// Number of agents that had not terminated in the captured state.
+    #[must_use]
+    pub fn alive_count(&self) -> usize {
+        self.counters().alive
+    }
+
+    /// [`CheckpointStore::canonical_key_into`] of the checkpoint, with a
+    /// throwaway [`KeyScratch`]; hot callers should hold their own scratch
+    /// and call [`SimCheckpoint::canonical_key_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was captured or `ring`'s size does not match.
+    pub fn canonical_key(&self, ring: &RingTopology, out: &mut Vec<u8>) {
+        self.canonical_key_into(ring, &mut KeyScratch::new(), out);
+    }
+
+    /// [`CheckpointStore::canonical_key_into`] of the checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimCheckpoint::canonical_key`].
+    pub fn canonical_key_into(
+        &self,
+        ring: &RingTopology,
+        scratch: &mut KeyScratch,
+        out: &mut Vec<u8>,
+    ) {
+        self.0.canonical_key_into(0, ring, scratch, out);
+    }
+
+    /// The packed key of [`SimCheckpoint::canonical_key_into`], chosen the
+    /// direct way: every admissible map's variant section is emitted in full
+    /// and the lexicographic minimum kept. This is the reference the bitmask
+    /// search is tested against byte for byte, and its path on rings wider
+    /// than 64 nodes.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimCheckpoint::canonical_key`].
+    pub fn canonical_key_exhaustive(
+        &self,
+        ring: &RingTopology,
+        scratch: &mut KeyScratch,
+        out: &mut Vec<u8>,
+    ) {
+        self.0.canonical_key_exhaustive(0, ring, scratch, out);
+    }
+}
+
 /// The symmetry maps a canonical key minimises over, as `(rot, reflect)`
 /// pairs: `v ↦ v + rot`, or `v ↦ rot − v` when reflecting. On a landmark
 /// ring only the two maps carrying the landmark to node 0 are admissible
@@ -395,7 +522,7 @@ fn admissible_maps(ring: &RingTopology) -> impl Iterator<Item = (usize, bool)> {
 
 #[cfg(test)]
 mod tests {
-    use super::{admissible_maps, SimCheckpoint};
+    use super::{admissible_maps, CheckpointStore, KeyScratch, SimCheckpoint};
     use crate::adversary::NoRemoval;
     use crate::scheduler::{
         ActivationPolicy, AlternateBlocked, EtFairness, FullActivation, RoundRobinSingle,
@@ -417,16 +544,18 @@ mod tests {
         /// key beyond [`admissible_maps`], and allocates freely.
         fn canonical_key_debug(&self, ring: &RingTopology, out: &mut Vec<u8>) {
             let n = ring.size();
-            let agents = &self.agents;
-            assert_eq!(self.visited.len(), n, "checkpoint is from a different ring");
+            let agents = &self.0.agents;
+            let team = self.agent_count();
+            let visited = self.0.visited_at(0);
+            assert_eq!(visited.len(), n, "checkpoint is from a different ring");
             // Program state via the derived `Debug` representation: complete
             // (every catalogue state machine derives `Debug` field by field) and
             // symmetry-invariant (protocols only ever observe local-frame
             // snapshots, so a mirrored run drives the program through identical
             // states). Rendered once per agent, shared by every candidate map.
             let mut labels = String::new();
-            let mut label_ends = Vec::with_capacity(agents.program.len());
-            for program in &agents.program {
+            let mut label_ends = Vec::with_capacity(team);
+            for program in &agents.program[..team] {
                 let _ = write!(labels, "{program:?}");
                 label_ends.push(labels.len());
             }
@@ -435,12 +564,11 @@ mod tests {
             // key encodes its dense rank among the agents instead of the raw
             // round number: plays that reach the same configuration along
             // different activation histories coincide.
-            let last_active_rank: Vec<u8> = agents
-                .last_active_round
+            let last_active = &agents.last_active_round[..team];
+            let last_active_rank: Vec<u8> = last_active
                 .iter()
                 .map(|&r| {
-                    let rank = agents
-                        .last_active_round
+                    let rank = last_active
                         .iter()
                         .filter(|&&other| other < r)
                         .count();
@@ -449,16 +577,16 @@ mod tests {
                 .collect();
             let emit = |rot: usize, reflect: bool, buf: &mut Vec<u8>| {
                 buf.clear();
-                buf.extend_from_slice(&self.counters.round.to_le_bytes());
-                buf.extend_from_slice(&self.activation_token.to_le_bytes());
+                buf.extend_from_slice(&self.round().to_le_bytes());
+                buf.extend_from_slice(&self.0.activation_tokens[0].to_le_bytes());
                 // Node `w` of the canonical image is node `map⁻¹(w)` of the
                 // original (both map families are trivially invertible).
                 for w in 0..n {
                     let v = if reflect { (rot + n - w) % n } else { (w + n - rot) % n };
-                    buf.push(u8::from(self.visited[v]));
+                    buf.push(u8::from(visited[v]));
                 }
                 let mut label_start = 0;
-                for index in 0..agents.len() {
+                for index in 0..team {
                     let v = agents.node[index].index();
                     let mapped = if reflect { (rot + n - v) % n } else { (v + rot) % n };
                     buf.extend_from_slice(&u32::try_from(mapped).unwrap_or(u32::MAX).to_le_bytes());
@@ -553,35 +681,58 @@ mod tests {
         let pt = SynchronyModel::Ssync(TransportModel::PassiveTransport);
         let (ccw, cw) = (Handedness::LeftIsCcw, Handedness::LeftIsCw);
         let e = |index| Some(EdgeId::new(index));
-        // Both synchrony models, with the agents apart and, in the last two
-        // cases, sharing a node when the run forks. Each case drives its own
-        // adversarial prefix up to the fork.
+        // Both synchrony models, with the agents apart and, in the third and
+        // fourth cases, sharing a node when the run forks. Each case drives
+        // its own adversarial prefix up to the fork. The `KnownBound` cases
+        // run boxed `Box<dyn Protocol>` programs; the last case runs the
+        // catalogue's `LandmarkNoChirality`, whose state owns a `Vec` and a
+        // `String`, on a landmark ring.
         let cases = [
-            (pt, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None]),
-            (SynchronyModel::Fsync, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None]),
-            (pt, [(2, ccw), (2, ccw)], [None, e(0), e(0), e(0), e(4)]),
-            (SynchronyModel::Fsync, [(2, ccw), (2, ccw)], [e(2), None, e(3), e(2), e(2)]),
+            (pt, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None], false),
+            (SynchronyModel::Fsync, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None], false),
+            (pt, [(2, ccw), (2, ccw)], [None, e(0), e(0), e(0), e(4)], false),
+            (SynchronyModel::Fsync, [(2, ccw), (2, ccw)], [e(2), None, e(3), e(2), e(2)], false),
+            (SynchronyModel::Fsync, [(1, ccw), (4, cw)], [e(1), None, e(4), None, e(0)], true),
         ];
-        for (synchrony, starts, prefix) in cases {
+        for (synchrony, starts, prefix, landmark) in cases {
             let activation: Box<dyn ActivationPolicy> = if synchrony.is_fsync() {
                 Box::new(FullActivation)
             } else {
                 Box::new(RoundRobinSingle::new())
             };
-            let mut builder = Simulation::builder(RingTopology::new(n).unwrap())
+            let ring = if landmark {
+                RingTopology::with_landmark(n, NodeId::new(0)).unwrap()
+            } else {
+                RingTopology::new(n).unwrap()
+            };
+            let mut builder = Simulation::builder(ring)
                 .synchrony(synchrony)
                 .activation(activation)
                 .edges(Box::new(NoRemoval));
             for (start, handedness) in starts {
-                builder =
-                    builder.agent(NodeId::new(start), handedness, Box::new(KnownBound::new(n)));
+                let node = NodeId::new(start);
+                builder = if landmark {
+                    let program = Algorithm::LandmarkNoChirality.instantiate_enum();
+                    builder.agent_program(node, handedness, program)
+                } else {
+                    builder.agent(node, handedness, Box::new(KnownBound::new(n)))
+                };
             }
             let mut sim = builder.build().unwrap();
             assert!(sim.supports_checkpoint());
+            // Slot 1 of the store holds the round-1 state until the fork is
+            // written over it.
+            let mut store = CheckpointStore::default();
+            sim.checkpoint_to_slot(&mut store, 0);
             for missing in prefix {
                 sim.step_with_edge(missing);
+                if sim.round() == 1 {
+                    sim.checkpoint_to_slot(&mut store, 1);
+                }
             }
             let fork = sim.checkpoint();
+            sim.checkpoint_to_slot(&mut store, 1);
+            assert_eq!(store.len(), 2);
             assert_eq!(fork.round(), 5);
             assert_eq!(fork.agent_count(), 2);
             let positions = sim.positions();
@@ -594,19 +745,31 @@ mod tests {
             let first_branch = sim.checkpoint();
             let mut key_a = Vec::new();
             first_branch.canonical_key(sim.ring(), &mut key_a);
-            // Rewind and replay the same choices: every observable must match.
-            sim.restore(&fork);
-            assert_eq!(sim.round(), 5);
-            assert_eq!(format!("{:?}", sim.checkpoint()), format!("{fork:?}"), "{synchrony:?}");
-            for missing in continuation {
-                sim.step_with_edge(missing);
+            // Rewind and replay the same choices, from the checkpoint and
+            // then from the store's slot: every observable must match.
+            for from_slot in [false, true] {
+                let label = format!("{synchrony:?} landmark={landmark} from_slot={from_slot}");
+                if from_slot {
+                    sim.restore_from_slot(&store, 1);
+                } else {
+                    sim.restore(&fork);
+                }
+                assert_eq!(sim.round(), 5);
+                assert_eq!(format!("{:?}", sim.checkpoint()), format!("{fork:?}"), "{label}");
+                for missing in continuation {
+                    sim.step_with_edge(missing);
+                }
+                assert_eq!(sim.report(StopReason::BudgetExhausted), report, "{label}");
+                let second_branch = sim.checkpoint();
+                assert_eq!(format!("{second_branch:?}"), format!("{first_branch:?}"), "{label}");
+                let mut key_b = Vec::new();
+                second_branch.canonical_key(sim.ring(), &mut key_b);
+                assert_eq!(key_a, key_b, "{label}");
             }
-            assert_eq!(sim.report(StopReason::BudgetExhausted), report, "{synchrony:?}");
-            let second_branch = sim.checkpoint();
-            assert_eq!(format!("{second_branch:?}"), format!("{first_branch:?}"), "{synchrony:?}");
-            let mut key_b = Vec::new();
-            second_branch.canonical_key(sim.ring(), &mut key_b);
-            assert_eq!(key_a, key_b);
+            let (mut fork_key, mut slot_key) = (Vec::new(), Vec::new());
+            fork.canonical_key(sim.ring(), &mut fork_key);
+            store.canonical_key_into(1, sim.ring(), &mut KeyScratch::new(), &mut slot_key);
+            assert_eq!(fork_key, slot_key);
         }
     }
 

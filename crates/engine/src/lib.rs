@@ -21,8 +21,9 @@
 //!   re-initialises a simulation in place, which is how the analysis layer
 //!   runs sweep cells);
 //! * [`checkpoint`] — branchable run state: checkpoint/restore of a live
-//!   simulation plus canonicalised configuration keys, the engine half of
-//!   the analysis-side model checker;
+//!   simulation into column stores of many checkpoints, plus canonicalised
+//!   configuration keys, the engine half of the analysis-side model
+//!   checker;
 //! * [`trace`] — per-round records of everything that happened, for replay,
 //!   rendering and assertions in tests.
 //!
@@ -68,7 +69,7 @@ pub mod trace;
 pub mod world;
 
 pub use adversary::EdgePolicy;
-pub use checkpoint::{KeyScratch, SimCheckpoint};
+pub use checkpoint::{CheckpointStore, KeyScratch, SimCheckpoint};
 pub use error::EngineError;
 pub use scheduler::ActivationPolicy;
 pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition};

@@ -1,7 +1,7 @@
 //! The round loop: Look–Compute–Move against an adversary.
 
 use crate::adversary::EdgePolicy;
-use crate::checkpoint::SimCheckpoint;
+use crate::checkpoint::{CheckpointStore, SimCheckpoint};
 use crate::error::EngineError;
 use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
@@ -855,21 +855,32 @@ impl Simulation {
     }
 
     /// [`Simulation::checkpoint`], written into an existing checkpoint whose
-    /// buffers are reused — the model checker's expansion loop re-fills one
-    /// scratch checkpoint per candidate state instead of allocating per
-    /// branch.
+    /// buffers are reused.
     ///
     /// # Panics
     ///
     /// Panics if the activation policy is not checkpointable.
     pub fn checkpoint_into(&self, out: &mut SimCheckpoint) {
-        out.agents.copy_from(&self.agents);
-        out.visited.clone_from(&self.visited);
-        out.counters = self.counters;
-        out.activation_token = self
+        self.checkpoint_to_slot(&mut out.0, 0);
+    }
+
+    /// [`Simulation::checkpoint`], written into slot `slot` of `store` —
+    /// the model checker's expansion loop keeps every frontier state this
+    /// way, in per-worker stores that allocate per column doubling rather
+    /// than per state. Writing slot [`CheckpointStore::len`] appends it; see
+    /// [`CheckpointStore`] for the slot rules.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the activation policy is not checkpointable, or `slot` is
+    /// past the end of `store` (or not 0 when `store` holds another shape).
+    pub fn checkpoint_to_slot(&self, store: &mut CheckpointStore, slot: usize) {
+        let token = self
             .activation
             .state_token()
             .expect("checkpoint requires a checkpointable activation policy");
+        let shape = (self.agents.len(), self.ring.size());
+        store.write(slot, &self.agents, 0, shape, &self.visited, (self.counters, token));
     }
 
     /// Rewinds the run to a state previously captured from **this** run by
@@ -883,17 +894,29 @@ impl Simulation {
     /// Panics if the checkpoint's shape (team size, ring size) does not match
     /// this simulation — checkpoints are not portable across specs.
     pub fn restore(&mut self, cp: &SimCheckpoint) {
-        assert_eq!(cp.agents.len(), self.agents.len(), "checkpoint is from a different team");
-        assert_eq!(cp.visited.len(), self.ring.size(), "checkpoint is from a different ring");
-        self.agents.copy_from(&cp.agents);
-        self.visited.clone_from(&cp.visited);
-        self.counters = cp.counters;
+        self.restore_from_slot(&cp.0, 0);
+    }
+
+    /// [`Simulation::restore`] from slot `slot` of `store`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store's shape does not match this simulation, or
+    /// `slot` is not one of its slots.
+    pub fn restore_from_slot(&mut self, store: &CheckpointStore, slot: usize) {
+        let shape = (self.agents.len(), self.ring.size());
+        assert_eq!(store.shape.0, shape.0, "checkpoint is from a different team");
+        assert_eq!(store.shape.1, shape.1, "checkpoint is from a different ring");
+        assert!(slot < store.len(), "slot {slot} of a {}-slot store", store.len());
+        self.agents.copy_team(0, 1, &store.agents, slot, shape);
+        self.visited.copy_from_slice(store.visited_at(slot));
+        self.counters = store.counters[slot];
         if let Some(trace) = self.trace.as_mut() {
             // Program state just changed outside `decide` — the one event the
             // trace's label delta encoding cannot observe.
             trace.invalidate_label_cache();
         }
-        self.activation.restore_state(cp.activation_token);
+        self.activation.restore_state(store.activation_tokens[slot]);
     }
 
     /// Marks in `hit` (cleared, then one entry per edge) every edge an
@@ -916,10 +939,27 @@ impl Simulation {
     ///
     /// Panics if `before` is from a different team.
     pub fn crossed_edges(&self, before: &SimCheckpoint, hit: &mut Vec<bool>) {
-        assert_eq!(before.agents.len(), self.agents.len(), "checkpoint is from a different team");
+        self.crossed_edges_since_slot(&before.0, 0, hit);
+    }
+
+    /// [`Simulation::crossed_edges`] since slot `slot` of `store`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store is from a different team, or `slot` is not one
+    /// of its slots.
+    pub fn crossed_edges_since_slot(
+        &self,
+        store: &CheckpointStore,
+        slot: usize,
+        hit: &mut Vec<bool>,
+    ) {
+        let team = self.agents.len();
+        assert_eq!(store.shape.0, team, "checkpoint is from a different team");
         hit.clear();
         hit.resize(self.ring.size(), false);
-        for (&from, &to) in before.agents.node.iter().zip(&self.agents.node) {
+        let before = &store.agents.node[slot * team..(slot + 1) * team];
+        for (&from, &to) in before.iter().zip(&self.agents.node) {
             if let Some(edge) = self.ring.edge_between(from, to) {
                 hit[edge.index()] = true;
             }

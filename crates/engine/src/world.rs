@@ -204,11 +204,11 @@ pub(crate) fn to_local(handedness: Handedness, dir: GlobalDirection) -> LocalDir
 /// struct-of-arrays layout. All vectors are parallel and indexed by agent
 /// (agents are stored in id order, so the index *is* the [`AgentId`]).
 ///
-/// This is also the agent half of a
-/// [`SimCheckpoint`](crate::checkpoint::SimCheckpoint): checkpoints embed the
-/// type and [`AgentSoA::copy_from`] moves it both ways, so every column here
-/// is captured. What the spec fixes (the ring size, and whether each program
-/// is polled for termination) lives on the simulation instead.
+/// The same type holds the agent columns of a
+/// [`CheckpointStore`](crate::checkpoint::CheckpointStore), many teams deep,
+/// and [`AgentSoA::copy_team`] moves a team between the two, so every column
+/// here is captured. What the spec fixes (the ring size, and whether each
+/// program is polled for termination) lives on the simulation instead.
 #[derive(Debug, Default)]
 pub(crate) struct AgentSoA {
     /// Hot: the node each agent currently occupies.
@@ -343,27 +343,42 @@ impl AgentSoA {
         crowded_nodes
     }
 
-    /// Makes `self` a copy of `src`, column by column and in place — the
-    /// one copy behind both checkpointing and restoring. Capacity is reused,
-    /// so a copy between teams of one shape allocates nothing (programs
-    /// copy their state through [`AgentProgram::clone_from_program`]).
-    pub(crate) fn copy_from(&mut self, src: &AgentSoA) {
-        self.node.clone_from(&src.node);
-        self.held_port.clone_from(&src.held_port);
-        self.terminated.clone_from(&src.terminated);
-        self.handedness.clone_from(&src.handedness);
-        self.prior.clone_from(&src.prior);
-        self.moves.clone_from(&src.moves);
-        self.activations.clone_from(&src.activations);
-        self.last_active_round.clone_from(&src.last_active_round);
-        self.asleep_on_port.clone_from(&src.asleep_on_port);
-        self.terminated_at.clone_from(&src.terminated_at);
-        self.visited.clone_from(&src.visited);
-        self.visited_count.clone_from(&src.visited_count);
-        self.node_population.clone_from(&src.node_population);
-        self.program.truncate(src.program.len());
-        for (index, program) in src.program.iter().enumerate() {
-            copy_program(&mut self.program, index, program);
+    /// Makes team slot `slot` of `self` a copy of team slot `from` of
+    /// `src`, column by column and in place — the one copy behind
+    /// checkpointing, restoring and copying a checkpoint between stores.
+    /// With `(team, ring) = shape`, team slot `k` spans agent rows
+    /// `k·team..`, visit-map rows `k·team·ring..` and population rows
+    /// `k·ring..`; a live team is slot 0 of 1. Every column is cut to
+    /// `slots` slots (see [`put_slot`]), and a slot past its end is
+    /// appended. Capacity is reused, so a copy into a slot already written
+    /// allocates nothing (programs copy their state through
+    /// [`AgentProgram::clone_from_program`]), and a growing store allocates
+    /// once per column doubling.
+    pub(crate) fn copy_team(
+        &mut self,
+        slot: usize,
+        slots: usize,
+        src: &AgentSoA,
+        from: usize,
+        (team, ring): (usize, usize),
+    ) {
+        let rows = |width: usize| from * width..(from + 1) * width;
+        put_slot(&mut self.node, slot, slots, &src.node[rows(team)]);
+        put_slot(&mut self.held_port, slot, slots, &src.held_port[rows(team)]);
+        put_slot(&mut self.terminated, slot, slots, &src.terminated[rows(team)]);
+        put_slot(&mut self.handedness, slot, slots, &src.handedness[rows(team)]);
+        put_slot(&mut self.prior, slot, slots, &src.prior[rows(team)]);
+        put_slot(&mut self.moves, slot, slots, &src.moves[rows(team)]);
+        put_slot(&mut self.activations, slot, slots, &src.activations[rows(team)]);
+        put_slot(&mut self.last_active_round, slot, slots, &src.last_active_round[rows(team)]);
+        put_slot(&mut self.asleep_on_port, slot, slots, &src.asleep_on_port[rows(team)]);
+        put_slot(&mut self.terminated_at, slot, slots, &src.terminated_at[rows(team)]);
+        put_slot(&mut self.visited, slot, slots, &src.visited[rows(team * ring)]);
+        put_slot(&mut self.visited_count, slot, slots, &src.visited_count[rows(team)]);
+        put_slot(&mut self.node_population, slot, slots, &src.node_population[rows(ring)]);
+        self.program.truncate(slots * team);
+        for (row, program) in (slot * team..).zip(&src.program[rows(team)]) {
+            copy_program(&mut self.program, row, program);
         }
     }
 
@@ -428,6 +443,23 @@ fn copy_program(programs: &mut Vec<AgentProgram>, index: usize, src: &AgentProgr
             }
         }
         None => programs.push(src.clone_program()),
+    }
+}
+
+/// Writes `rows` over slot `slot` of `column`, whose slots are
+/// `rows.len()` entries wide, after cutting it to `slots` slots: in place
+/// when the slot exists, appended when it is the next one. A column left
+/// longer or shorter by a team of another shape is cut first, so a write of
+/// slot 0 of 1 starts it afresh.
+pub(crate) fn put_slot<T: Copy>(column: &mut Vec<T>, slot: usize, slots: usize, rows: &[T]) {
+    let (start, end) = (slot * rows.len(), (slot + 1) * rows.len());
+    column.truncate(slots * rows.len());
+    debug_assert!(column.len() >= start, "slot {slot} is past the end of the column");
+    if column.len() < end {
+        column.truncate(start);
+        column.extend_from_slice(rows);
+    } else {
+        column[start..end].copy_from_slice(rows);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`SearchContext`] recycles every buffer the sequential search touches —
 //! the hashed dedup table, the packed link arena, both frontiers, the
-//! checkpoint pool and the canonicalisation scratch. Once a context is warm
+//! checkpoint slabs and the canonicalisation scratch. Once a context is warm
 //! for a cell, re-running the cell may allocate only the fixed per-run setup
 //! (one simulation build) and the terminal witness materialisation; the
 //! per-expanded-state inner loop must not touch the global allocator at all.
