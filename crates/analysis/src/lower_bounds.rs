@@ -92,20 +92,14 @@ pub fn theorem4(ring_size: usize) -> RowResult {
 /// upper bound of Theorems 12 and 14.
 #[must_use]
 pub fn theorem13_15(sizes: &[usize], seeds: u64) -> Vec<RowResult> {
-    theorem13_15_with(&BatchRunner::from_env(), sizes, seeds)
+    theorem13_15_battery(&BatchRunner::from_env(), sizes, seeds, PlacementDensity::Standard)
 }
 
-/// [`theorem13_15`] on an explicit [`BatchRunner`]: each sweep's battery is
-/// fanned across the runner's threads (like the tables and sweeps), merging
-/// per-run reports in enumeration order, so the rows are byte-identical to
-/// the sequential path whatever the thread count.
-#[must_use]
-pub fn theorem13_15_with(runner: &BatchRunner, sizes: &[usize], seeds: u64) -> Vec<RowResult> {
-    theorem13_15_battery(runner, sizes, seeds, PlacementDensity::Standard)
-}
-
-/// [`theorem13_15_with`] at an explicit [`PlacementDensity`] (the `--huge`
-/// battery runs `Dense`).
+/// [`theorem13_15`] on an explicit [`BatchRunner`] at an explicit
+/// [`PlacementDensity`] (the `--huge` battery runs `Dense`). Each sweep's
+/// battery is fanned across the runner's threads, merging per-run reports
+/// in enumeration order, so the rows are byte-identical to the sequential
+/// path whatever the thread count.
 #[must_use]
 pub fn theorem13_15_battery(
     runner: &BatchRunner,

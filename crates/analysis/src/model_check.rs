@@ -1018,12 +1018,14 @@ impl TableCell {
         TableCell { id, claim, check, expect_infeasible }
     }
 
-    /// Runs the cell and scores it as a report row: `holds` requires the
-    /// predicted verdict **and**, for impossibility rows, that the discovered
-    /// witness replays through a scripted adversary to the same defeat.
+    /// Runs the cell in `ctx` and scores it as a report row: `holds`
+    /// requires the predicted verdict **and**, for impossibility rows, that
+    /// the discovered witness replays through a scripted adversary to the
+    /// same defeat. A matrix of cells reuses one context, so its checkpoint
+    /// stores grow once rather than once per cell.
     #[must_use]
-    pub fn row(&self) -> RowResult {
-        let verdict = self.check.run();
+    pub fn row(&self, ctx: &mut SearchContext) -> RowResult {
+        let verdict = self.check.run_in(ctx);
         let stats = *verdict.stats();
         let (holds, observed) = match (&verdict, self.expect_infeasible) {
             (Verdict::Infeasible(proof), true) => {
@@ -1233,14 +1235,16 @@ pub fn theorem4_cell(n: usize) -> ModelCheck {
     ModelCheck::new(scenario, Objective::Explore, 3 * n as u64)
 }
 
-/// Runs every packaged cell for each ring size and returns the report rows
-/// (the `model_check` example prints these).
+/// Runs every packaged cell for each ring size in one
+/// [`SearchContext::from_env`] and returns the report rows (the
+/// `model_check` example prints these).
 #[must_use]
 pub fn model_check_rows(sizes: &[usize]) -> Vec<RowResult> {
+    let mut ctx = SearchContext::from_env();
     let mut rows = Vec::new();
     for &n in sizes {
         for cell in infeasibility_cells(n) {
-            rows.push(cell.row());
+            rows.push(cell.row(&mut ctx));
         }
     }
     rows
@@ -1402,6 +1406,17 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn one_context_per_matrix_scores_like_a_fresh_context_per_cell() {
+        let sizes = [4, 5];
+        let fresh: Vec<RowResult> = sizes
+            .iter()
+            .flat_map(|&n| infeasibility_cells(n))
+            .map(|cell| cell.row(&mut SearchContext::from_env()))
+            .collect();
+        assert_eq!(model_check_rows(&sizes), fresh);
     }
 
     #[test]

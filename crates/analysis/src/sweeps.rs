@@ -143,53 +143,9 @@ pub struct SweepOutcome {
     pub all_terminated_as_promised: bool,
 }
 
-/// Sweeps a fully-synchronous algorithm over the adversary battery, using
-/// the environment-default [`BatchRunner`].
-#[must_use]
-pub fn sweep_fsync(
-    make_algorithm: impl Fn(usize) -> Algorithm,
-    sizes: &[usize],
-    seeds: u64,
-) -> SweepOutcome {
-    sweep(&BatchRunner::from_env(), make_algorithm, sizes, seeds, false)
-}
-
-/// Sweeps a semi-synchronous algorithm (PT or ET) over SSYNC schedulers and
-/// the adversary battery, using the environment-default [`BatchRunner`].
-#[must_use]
-pub fn sweep_ssync(
-    make_algorithm: impl Fn(usize) -> Algorithm,
-    sizes: &[usize],
-    seeds: u64,
-) -> SweepOutcome {
-    sweep(&BatchRunner::from_env(), make_algorithm, sizes, seeds, true)
-}
-
-/// [`sweep_fsync`] on an explicit runner (used by the equivalence tests to
-/// compare the parallel executor against the sequential reference).
-#[must_use]
-pub fn sweep_fsync_with(
-    runner: &BatchRunner,
-    make_algorithm: impl Fn(usize) -> Algorithm,
-    sizes: &[usize],
-    seeds: u64,
-) -> SweepOutcome {
-    sweep(runner, make_algorithm, sizes, seeds, false)
-}
-
-/// [`sweep_ssync`] on an explicit runner.
-#[must_use]
-pub fn sweep_ssync_with(
-    runner: &BatchRunner,
-    make_algorithm: impl Fn(usize) -> Algorithm,
-    sizes: &[usize],
-    seeds: u64,
-) -> SweepOutcome {
-    sweep(runner, make_algorithm, sizes, seeds, true)
-}
-
-/// [`sweep_fsync_with`] at an explicit [`PlacementDensity`] (the `--huge`
-/// battery runs `Dense`).
+/// Sweeps a fully-synchronous algorithm over the adversary battery on
+/// `runner`, at the given [`PlacementDensity`] (the `--huge` battery runs
+/// `Dense`).
 #[must_use]
 pub fn sweep_fsync_battery(
     runner: &BatchRunner,
@@ -201,7 +157,8 @@ pub fn sweep_fsync_battery(
     sweep_battery(runner, make_algorithm, sizes, seeds, false, density)
 }
 
-/// [`sweep_ssync_with`] at an explicit [`PlacementDensity`].
+/// Sweeps a semi-synchronous algorithm (PT or ET) over SSYNC schedulers and
+/// the adversary battery on `runner`, at the given [`PlacementDensity`].
 #[must_use]
 pub fn sweep_ssync_battery(
     runner: &BatchRunner,
@@ -218,16 +175,6 @@ pub fn sweep_ssync_battery(
 /// independent runs across the runner's threads, and folds the reports back
 /// in enumeration order. Because the runner merges results in input order,
 /// the outcome is bit-identical whatever the thread count.
-fn sweep(
-    runner: &BatchRunner,
-    make_algorithm: impl Fn(usize) -> Algorithm,
-    sizes: &[usize],
-    seeds: u64,
-    ssync: bool,
-) -> SweepOutcome {
-    sweep_battery(runner, make_algorithm, sizes, seeds, ssync, PlacementDensity::Standard)
-}
-
 fn sweep_battery(
     runner: &BatchRunner,
     make_algorithm: impl Fn(usize) -> Algorithm,
@@ -361,8 +308,13 @@ mod tests {
 
     #[test]
     fn known_bound_sweep_respects_the_3n_minus_6_bound() {
-        let outcome =
-            sweep_fsync(|n| Algorithm::KnownBound { upper_bound: n }, &[5, 7], 1);
+        let outcome = sweep_fsync_battery(
+            &BatchRunner::from_env(),
+            |n| Algorithm::KnownBound { upper_bound: n },
+            &[5, 7],
+            1,
+            PlacementDensity::Standard,
+        );
         assert!(outcome.all_explored);
         assert!(outcome.all_terminated_as_promised);
         // Theorem 3: explicit termination within 3N-6 rounds (the terminating
@@ -372,7 +324,13 @@ mod tests {
 
     #[test]
     fn unconscious_sweep_explores_in_linear_time() {
-        let outcome = sweep_fsync(|_| Algorithm::Unconscious, &[6], 1);
+        let outcome = sweep_fsync_battery(
+            &BatchRunner::from_env(),
+            |_| Algorithm::Unconscious,
+            &[6],
+            1,
+            PlacementDensity::Standard,
+        );
         assert!(outcome.all_explored);
         // Theorem 5: O(n); a factor of 16 is ample for n = 6.
         assert!(within_bound(&outcome.points, |p| p.worst_rounds, |n| 16 * n as u64));

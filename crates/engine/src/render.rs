@@ -101,6 +101,7 @@ pub fn direction_label(dir: GlobalDirection) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::tests::record_row;
     use crate::trace::AgentRoundRecord;
     use dynring_graph::{AgentId, EdgeId};
     use dynring_model::PriorOutcome;
@@ -108,7 +109,7 @@ mod tests {
     fn sample_trace() -> (RingTopology, Trace) {
         let ring = RingTopology::with_landmark(5, NodeId::new(0)).unwrap();
         let mut trace = Trace::new();
-        trace.push(RoundRecord {
+        let row = RoundRecord {
             round: 1,
             missing_edge: Some(EdgeId::new(2)),
             active: vec![AgentId::new(0), AgentId::new(1)],
@@ -137,7 +138,8 @@ mod tests {
                 },
             ],
             visited_count: 3,
-        });
+        };
+        record_row(&mut trace, ring.size(), &row);
         (ring, trace)
     }
 

@@ -32,19 +32,12 @@ pub trait ActivationPolicy: Send {
     /// A short name for traces and reports.
     fn name(&self) -> &'static str;
 
-    /// Selects the agents to activate, given the adversary-visible view.
-    fn select(&mut self, view: &RoundView<'_>) -> Vec<AgentId>;
+    /// Selects the agents to activate, given the adversary-visible view, by
+    /// appending them to `out` (cleared by the engine, capacity reused round
+    /// over round, so a round's selection allocates nothing).
+    fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>);
 
-    /// Allocation-free variant of [`select`](ActivationPolicy::select):
-    /// appends the chosen agents to `out` (cleared by the engine, capacity
-    /// reused round over round). The engine always calls this method; the
-    /// default forwards to `select`, so implementing it is an optimisation,
-    /// not an obligation. Both methods must choose identically.
-    fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>) {
-        out.extend(self.select(view));
-    }
-
-    /// Whether [`select`](ActivationPolicy::select) ever reads
+    /// Whether [`select_into`](ActivationPolicy::select_into) ever reads
     /// [`AgentView::predicted`](crate::world::AgentView::predicted).
     ///
     /// See [`EdgePolicy::needs_predictions`](crate::adversary::EdgePolicy::needs_predictions)
@@ -95,10 +88,6 @@ impl ActivationPolicy for FullActivation {
         "fsync"
     }
 
-    fn select(&mut self, view: &RoundView<'_>) -> Vec<AgentId> {
-        view.alive().map(|a| a.id).collect()
-    }
-
     fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>) {
         out.extend(view.alive().map(|a| a.id));
     }
@@ -126,12 +115,6 @@ impl RoundRobinSingle {
 impl ActivationPolicy for RoundRobinSingle {
     fn name(&self) -> &'static str {
         "round-robin-single"
-    }
-
-    fn select(&mut self, view: &RoundView<'_>) -> Vec<AgentId> {
-        let mut out = Vec::new();
-        self.select_into(view, &mut out);
-        out
     }
 
     fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>) {
@@ -188,16 +171,8 @@ impl ActivationPolicy for RandomSubset {
         "random-subset"
     }
 
-    fn select(&mut self, view: &RoundView<'_>) -> Vec<AgentId> {
-        let mut out = Vec::new();
-        self.select_into(view, &mut out);
-        out
-    }
-
-    /// Scratch-filling re-draw loop: each attempt draws one `gen_bool` per
-    /// alive agent in id order (the same RNG sequence as the historical
-    /// collect-based implementation, so seeded schedules are unchanged) and
-    /// fills `out` directly instead of collecting a fresh `Vec` per round.
+    /// Re-draw loop: each attempt draws one `gen_bool` per alive agent in id
+    /// order, the RNG sequence that every seeded schedule depends on.
     fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>) {
         if view.alive().next().is_none() {
             return;
@@ -253,12 +228,6 @@ impl ActivationPolicy for AlternateBlocked {
         "sleep-blocked"
     }
 
-    fn select(&mut self, view: &RoundView<'_>) -> Vec<AgentId> {
-        let mut out = Vec::new();
-        self.select_into(view, &mut out);
-        out
-    }
-
     fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>) {
         out.extend(
             view.alive()
@@ -286,12 +255,6 @@ pub struct FirstMoverOnly;
 impl ActivationPolicy for FirstMoverOnly {
     fn name(&self) -> &'static str {
         "first-mover-only"
-    }
-
-    fn select(&mut self, view: &RoundView<'_>) -> Vec<AgentId> {
-        let mut out = Vec::new();
-        self.select_into(view, &mut out);
-        out
     }
 
     fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>) {
@@ -342,12 +305,6 @@ impl EtFairness {
 impl ActivationPolicy for EtFairness {
     fn name(&self) -> &'static str {
         "et-fair"
-    }
-
-    fn select(&mut self, view: &RoundView<'_>) -> Vec<AgentId> {
-        let mut out = Vec::new();
-        self.select_into(view, &mut out);
-        out
     }
 
     fn select_into(&mut self, view: &RoundView<'_>, out: &mut Vec<AgentId>) {
@@ -407,6 +364,12 @@ mod tests {
         RoundView { round: 1, ring, agents: agents.into(), visited }
     }
 
+    fn select(policy: &mut impl ActivationPolicy, view: &RoundView<'_>) -> Vec<AgentId> {
+        let mut out = Vec::new();
+        policy.select_into(view, &mut out);
+        out
+    }
+
     #[test]
     fn full_activation_selects_everyone_alive() {
         let ring = RingTopology::new(4).unwrap();
@@ -414,7 +377,7 @@ mod tests {
         let mut agents = vec![agent_view(0, true, 0, 0), agent_view(1, false, 0, 0)];
         agents[1].terminated = true;
         let v = view(&ring, &visited, agents);
-        assert_eq!(FullActivation.select(&v), vec![AgentId::new(0)]);
+        assert_eq!(select(&mut FullActivation, &v), vec![AgentId::new(0)]);
     }
 
     #[test]
@@ -424,7 +387,7 @@ mod tests {
         let agents = vec![agent_view(0, true, 0, 0), agent_view(1, true, 0, 0), agent_view(2, true, 0, 0)];
         let v = view(&ring, &visited, agents);
         let mut rr = RoundRobinSingle::new();
-        let picks: Vec<_> = (0..6).map(|_| rr.select(&v)[0].index()).collect();
+        let picks: Vec<_> = (0..6).map(|_| select(&mut rr, &v)[0].index()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -437,30 +400,10 @@ mod tests {
         let mut a = RandomSubset::new(0.3, 42);
         let mut b = RandomSubset::new(0.3, 42);
         for _ in 0..50 {
-            let sa = a.select(&v);
-            let sb = b.select(&v);
+            let sa = select(&mut a, &v);
+            let sb = select(&mut b, &v);
             assert!(!sa.is_empty());
             assert_eq!(sa, sb);
-        }
-    }
-
-    #[test]
-    fn random_subset_select_into_matches_select_draw_for_draw() {
-        let ring = RingTopology::new(4).unwrap();
-        let visited = vec![false; 4];
-        let agents =
-            vec![agent_view(0, true, 0, 0), agent_view(1, true, 0, 0), agent_view(2, true, 0, 0)];
-        let v = view(&ring, &visited, agents);
-        // Same seed through both entry points: the scratch-filling path must
-        // consume the RNG identically, so seeded schedules are unchanged.
-        let mut via_select = RandomSubset::new(0.3, 97);
-        let mut via_into = RandomSubset::new(0.3, 97);
-        let mut scratch = Vec::new();
-        for _ in 0..200 {
-            scratch.clear();
-            via_into.select_into(&v, &mut scratch);
-            assert_eq!(via_select.select(&v), scratch);
-            assert!(!scratch.is_empty());
         }
     }
 
@@ -475,7 +418,7 @@ mod tests {
         ];
         let v = view(&ring, &visited, agents);
         let mut p = FirstMoverOnly;
-        let chosen = p.select(&v);
+        let chosen = select(&mut p, &v);
         assert!(chosen.contains(&AgentId::new(2)));
         assert!(chosen.contains(&AgentId::new(1)));
         assert!(!chosen.contains(&AgentId::new(0)));
@@ -494,12 +437,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "only-zero"
             }
-            fn select(&mut self, _view: &RoundView<'_>) -> Vec<AgentId> {
-                vec![AgentId::new(0)]
+            fn select_into(&mut self, _view: &RoundView<'_>, out: &mut Vec<AgentId>) {
+                out.push(AgentId::new(0));
             }
         }
         let mut p = EtFairness::new(Box::new(OnlyZero), 5);
-        let chosen = p.select(&v);
+        let chosen = select(&mut p, &v);
         assert!(chosen.contains(&AgentId::new(0)));
         assert!(chosen.contains(&AgentId::new(1)), "sleeper past the lag must be woken");
     }
@@ -511,11 +454,11 @@ mod tests {
         let agents = vec![agent_view(0, true, 0, 2), agent_view(1, true, 0, 0)];
         let v = view(&ring, &visited, agents);
         let mut p = AlternateBlocked::new(10);
-        assert_eq!(p.select(&v), vec![AgentId::new(1)]);
+        assert_eq!(select(&mut p, &v), vec![AgentId::new(1)]);
         // Once the sleeper exceeds the holding limit it is activated again.
         let agents = vec![agent_view(0, true, 0, 12), agent_view(1, true, 0, 0)];
         let v = view(&ring, &visited, agents);
-        let chosen = p.select(&v);
+        let chosen = select(&mut p, &v);
         assert!(chosen.contains(&AgentId::new(0)));
     }
 
@@ -529,11 +472,11 @@ mod tests {
         // Round-robin: capture mid-rotation, advance, restore, and the
         // rotation must resume from the captured cursor.
         let mut rr = RoundRobinSingle::new();
-        let _ = rr.select(&v);
+        let _ = select(&mut rr, &v);
         let token = rr.state_token().expect("round-robin is checkpointable");
-        let next: Vec<_> = (0..3).map(|_| rr.select(&v)[0].index()).collect();
+        let next: Vec<_> = (0..3).map(|_| select(&mut rr, &v)[0].index()).collect();
         rr.restore_state(token);
-        let replay: Vec<_> = (0..3).map(|_| rr.select(&v)[0].index()).collect();
+        let replay: Vec<_> = (0..3).map(|_| select(&mut rr, &v)[0].index()).collect();
         assert_eq!(next, replay);
         // Stateless policies are trivially checkpointable; random ones refuse.
         assert!(FullActivation.state_token().is_some());
@@ -543,7 +486,7 @@ mod tests {
         // The ET wrapper forwards to its inner policy.
         assert!(EtFairness::new(Box::new(RandomSubset::new(0.5, 1)), 1).state_token().is_none());
         let mut wrapped = EtFairness::new(Box::new(RoundRobinSingle::new()), 1);
-        let _ = wrapped.select(&v);
+        let _ = select(&mut wrapped, &v);
         assert_eq!(wrapped.state_token(), Some(1));
         wrapped.restore_state(0);
         assert_eq!(wrapped.state_token(), Some(0));

@@ -1647,6 +1647,47 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_recorded_across_a_restore_replays_the_restored_state() {
+        // Trace on, checkpoint, step, restore and step again: the trace holds
+        // both branches, so round numbers repeat and lookups fall back to the
+        // first-match scan. Under round-robin activation the agent asleep in
+        // the first replayed round last computed in the abandoned branch, so
+        // its label renders the restored state only because the restore
+        // drops the trace's label cache.
+        let n = 6;
+        let mut sim = Simulation::builder(RingTopology::new(n).unwrap())
+            .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
+            .agent(NodeId::new(0), Handedness::LeftIsCcw, Box::new(PtBoundChirality::new(n)))
+            .agent(NodeId::new(3), Handedness::LeftIsCcw, Box::new(PtBoundChirality::new(n)))
+            .activation(Box::new(RoundRobinSingle::new()))
+            .edges(Box::new(NoRemoval))
+            .record_trace(true)
+            .build()
+            .unwrap();
+        sim.step();
+        sim.step();
+        let checkpoint = sim.checkpoint();
+        for _ in 0..3 {
+            sim.step();
+        }
+        sim.restore(&checkpoint);
+        for _ in 0..3 {
+            sim.step();
+        }
+        let trace = sim.trace().unwrap();
+        let numbers: Vec<u64> = trace.rounds().map(|record| record.round).collect();
+        assert_eq!(numbers, [1, 2, 3, 4, 5, 3, 4, 5]);
+        assert_eq!(trace.round(3), trace.round_at(2));
+        assert_eq!(trace.round(5), trace.round_at(4));
+        assert_eq!(trace.round_at(5).unwrap().round, 3);
+        assert!(trace.round(0).is_none() && trace.round(6).is_none());
+        trace.check_invariants(n).unwrap();
+        for index in 2..5 {
+            assert_eq!(trace.round_at(index + 3), trace.round_at(index), "trace entry {index}");
+        }
+    }
+
+    #[test]
     fn report_accessors_are_consistent() {
         let n = 6;
         let mut sim = fsync_sim(

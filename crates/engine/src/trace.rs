@@ -18,8 +18,9 @@
 //!   delta), and a state-label id;
 //! * **delta-encoded movement** — the landing node is stored as a 2-bit code
 //!   (stayed / one step ccw / one step cw) relative to the start node; only
-//!   a landing that is none of those (hand-built records on an unknown ring)
-//!   spills an explicit `NodeId` to a side table;
+//!   a landing that is none of those (a jump the engine never makes, kept so
+//!   the invariant checker still sees it) spills an explicit `NodeId` to a
+//!   side table;
 //! * **interned state labels** — the engine never calls
 //!   [`state_label`](crate::world::AgentProgram::state_label) while
 //!   recording. Protocol state only changes inside `decide`, so a new label
@@ -126,37 +127,6 @@ const MOVE_SPILL: u16 = 3;
 /// round, or the cache was invalidated by a checkpoint restore).
 const NO_LABEL: u32 = u32::MAX;
 
-/// One slot of the state-label table: either a literal string (hand-built
-/// records pushed through [`Trace::push`]) or a snapshot of the agent's
-/// program, whose label is formatted only when a view materializes.
-///
-/// The program snapshot is stored inline, not boxed: interning a label is
-/// on the per-round hot path, and a wide flat slot that is overwritten in
-/// place on reuse keeps the recording loop free of heap allocation — a
-/// boxed variant would trade the one-time width for an allocator call per
-/// fresh label.
-#[allow(clippy::large_enum_variant)]
-enum LabelEntry {
-    Text(String),
-    Program(AgentProgram),
-}
-
-impl LabelEntry {
-    fn render(&self) -> String {
-        match self {
-            LabelEntry::Text(text) => text.clone(),
-            LabelEntry::Program(program) => program.state_label(),
-        }
-    }
-
-    fn clone_entry(&self) -> LabelEntry {
-        match self {
-            LabelEntry::Text(text) => LabelEntry::Text(text.clone()),
-            LabelEntry::Program(program) => LabelEntry::Program(program.clone_program()),
-        }
-    }
-}
-
 /// A full execution trace, stored columnar (see the module docs).
 pub struct Trace {
     // Per-round columns.
@@ -178,15 +148,17 @@ pub struct Trace {
     /// Explicit landing nodes for entries whose move code is `MOVE_SPILL`,
     /// keyed by entry index (appended in order, so lookups binary-search).
     spill: Vec<(u32, NodeId)>,
-    /// State-label table. Slots past `labels_len` are retained capacity from
-    /// a cleared trace, reused in place on the next fill.
-    labels: Vec<LabelEntry>,
+    /// State-label table: one snapshot of an agent's program per slot, whose
+    /// label is formatted only when a view materializes. Slots past
+    /// `labels_len` are retained capacity from a cleared trace, overwritten
+    /// in place on the next fill, which keeps the recording loop free of
+    /// heap allocation.
+    labels: Vec<AgentProgram>,
     labels_len: usize,
     /// Per-agent id of the label recorded last (recorder state; `NO_LABEL`
     /// forces a fresh snapshot).
     last_label: Vec<u32>,
-    /// Ring size the move codes are relative to (0 until an engine round is
-    /// recorded: hand-built records spill every non-stay landing).
+    /// Ring size the move codes are relative to.
     ring_size: usize,
     /// Round numbers are exactly `1..=len` — lookup is an index.
     dense: bool,
@@ -219,27 +191,6 @@ impl Trace {
         }
     }
 
-    /// Appends a round record (the row-oriented entry point: tests and tools
-    /// that build traces by hand; the engine records through the columnar
-    /// fast path directly).
-    pub fn push(&mut self, record: RoundRecord) {
-        self.begin_round(record.round, record.missing_edge, record.visited_count, &record.active);
-        for agent in &record.agents {
-            let label = self.intern_text(agent.id.index(), &agent.state_label);
-            self.push_entry(
-                agent.id,
-                agent.node_before,
-                agent.node_after,
-                agent.active,
-                agent.terminated,
-                agent.held_port_after,
-                agent.decision,
-                agent.outcome,
-                label,
-            );
-        }
-    }
-
     /// Forgets every recorded round, keeping every column's allocation (and
     /// the label table's slots) so a recycled simulation (see
     /// [`Simulation::recycle`](crate::sim::Simulation::recycle)) can refill
@@ -258,7 +209,6 @@ impl Trace {
         self.spill.clear();
         self.labels_len = 0;
         self.last_label.clear();
-        self.ring_size = 0;
         self.dense = true;
         self.sorted = true;
     }
@@ -384,8 +334,8 @@ impl Trace {
         Ok(())
     }
 
-    /// Records one engine round straight from the round loop's slices — the
-    /// columnar fast path: flat appends only, no per-round `Vec`s, no
+    /// Records one engine round straight from the round loop's slices: flat
+    /// appends only, no per-round `Vec`s, no
     /// `state_label` formatting (agents that did not compute reuse their
     /// previous label id; agents that did snapshot their program in place).
     /// Steady-state allocation-free once every column has seen this shape.
@@ -478,9 +428,9 @@ impl Trace {
         let n = self.ring_size;
         let move_code = if node_after == node_before {
             MOVE_STAY
-        } else if n >= 2 && node_after.index() == (node_before.index() + 1) % n {
+        } else if node_after.index() == (node_before.index() + 1) % n {
             MOVE_CCW
-        } else if n >= 2 && node_after.index() == (node_before.index() + n - 1) % n {
+        } else if node_after.index() == (node_before.index() + n - 1) % n {
             MOVE_CW
         } else {
             self.spill.push((self.entry_id.len() as u32, node_after));
@@ -513,32 +463,6 @@ impl Trace {
         self.entry_label.push(label);
     }
 
-    /// Interns a literal label for the push path, reusing the agent's
-    /// previous entry when the text is unchanged.
-    fn intern_text(&mut self, agent_index: usize, label: &str) -> u32 {
-        if self.last_label.len() <= agent_index {
-            self.last_label.resize(agent_index + 1, NO_LABEL);
-        }
-        let previous = self.last_label[agent_index];
-        if previous != NO_LABEL {
-            if let LabelEntry::Text(text) = &self.labels[previous as usize] {
-                if text == label {
-                    return previous;
-                }
-            }
-        }
-        let id = self.alloc_label();
-        match &mut self.labels[id as usize] {
-            LabelEntry::Text(text) => {
-                text.clear();
-                text.push_str(label);
-            }
-            slot => *slot = LabelEntry::Text(label.to_string()),
-        }
-        self.last_label[agent_index] = id;
-        id
-    }
-
     /// Interns a program snapshot: reuses a cleared table slot in place
     /// through the variant-matching state copy when the slot's
     /// representation matches, so a recycled rerun of the same scenario
@@ -550,28 +474,12 @@ impl Trace {
             // push (no placeholder that the slot write would immediately
             // overwrite — the label table is the widest trace column, so
             // writing each fresh slot once instead of twice matters).
-            self.labels.push(LabelEntry::Program(program.clone_program()));
-        } else {
-            let slot = &mut self.labels[id];
-            let reused = match slot {
-                LabelEntry::Program(existing) => existing.clone_from_program(program),
-                LabelEntry::Text(_) => false,
-            };
-            if !reused {
-                *slot = LabelEntry::Program(program.clone_program());
-            }
+            self.labels.push(program.clone_program());
+        } else if !self.labels[id].clone_from_program(program) {
+            self.labels[id] = program.clone_program();
         }
         self.labels_len += 1;
         self.last_label[agent_index] = id as u32;
-        id as u32
-    }
-
-    fn alloc_label(&mut self) -> u32 {
-        let id = self.labels_len;
-        if id == self.labels.len() {
-            self.labels.push(LabelEntry::Text(String::new()));
-        }
-        self.labels_len += 1;
         id as u32
     }
 
@@ -633,7 +541,7 @@ impl Trace {
                 _ => PriorOutcome::Transported,
             },
             terminated: packed & TERMINATED_BIT != 0,
-            state_label: self.labels[self.entry_label[entry] as usize].render(),
+            state_label: self.labels[self.entry_label[entry] as usize].state_label(),
         }
     }
 }
@@ -658,7 +566,7 @@ impl Clone for Trace {
             entry_packed: self.entry_packed.clone(),
             entry_label: self.entry_label.clone(),
             spill: self.spill.clone(),
-            labels: self.labels[..self.labels_len].iter().map(LabelEntry::clone_entry).collect(),
+            labels: self.labels[..self.labels_len].iter().map(AgentProgram::clone_program).collect(),
             labels_len: self.labels_len,
             last_label: self.last_label.clone(),
             ring_size: self.ring_size,
@@ -679,7 +587,7 @@ impl fmt::Debug for Trace {
 }
 
 /// Two traces are equal when they materialize to the same round records —
-/// the label representation (literal vs program snapshot) is unobservable.
+/// which label slots hold the snapshots is unobservable.
 impl PartialEq for Trace {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.rounds().eq(other.rounds())
@@ -713,7 +621,7 @@ impl Iterator for Rounds<'_> {
 impl ExactSizeIterator for Rounds<'_> {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn record(round: u64, visited: usize) -> RoundRecord {
@@ -736,12 +644,66 @@ mod tests {
         }
     }
 
+    /// Minimal protocol whose state label is fixed, so a row's label
+    /// round-trips through the trace's program snapshots.
+    #[derive(Debug, Clone)]
+    struct Probe(String);
+    impl dynring_model::Protocol for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn termination_kind(&self) -> dynring_model::TerminationKind {
+            dynring_model::TerminationKind::Unconscious
+        }
+        fn decide(&mut self, _snapshot: &dynring_model::Snapshot) -> Decision {
+            Decision::Stay
+        }
+        fn has_terminated(&self) -> bool {
+            false
+        }
+        fn state_label(&self) -> String {
+            self.0.clone()
+        }
+        fn clone_box(&self) -> Box<dyn dynring_model::Protocol> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Records `row` through the engine-facing columnar encoder
+    /// (`record_round_from_lane`), so every test entry goes through move-code
+    /// packing, spill and label interning. Like the engine, the row holds one
+    /// agent per id in id order, and an agent without a decision keeps the
+    /// label it was last recorded with.
+    pub(crate) fn record_row(t: &mut Trace, ring_size: usize, row: &RoundRecord) {
+        let agents = &row.agents;
+        assert!(agents.iter().enumerate().all(|(i, a)| a.id.index() == i), "agents in id order");
+        let programs: Vec<AgentProgram> = agents
+            .iter()
+            .map(|a| AgentProgram::Boxed(Box::new(Probe(a.state_label.clone()))))
+            .collect();
+        t.record_round_from_lane(
+            row.round,
+            row.missing_edge,
+            row.visited_count,
+            ring_size,
+            &row.active,
+            &agents.iter().map(|a| a.active).collect::<Vec<_>>(),
+            &agents.iter().map(|a| a.node_before).collect::<Vec<_>>(),
+            &agents.iter().map(|a| a.node_after).collect::<Vec<_>>(),
+            &agents.iter().map(|a| a.held_port_after).collect::<Vec<_>>(),
+            &agents.iter().map(|a| a.decision).collect::<Vec<_>>(),
+            &agents.iter().map(|a| a.outcome).collect::<Vec<_>>(),
+            &agents.iter().map(|a| a.terminated).collect::<Vec<_>>(),
+            &programs,
+        );
+    }
+
     #[test]
     fn trace_accumulates_rounds() {
         let mut t = Trace::new();
         assert!(t.is_empty());
-        t.push(record(1, 2));
-        t.push(record(2, 3));
+        record_row(&mut t, 8, &record(1, 2));
+        record_row(&mut t, 8, &record(2, 3));
         assert_eq!(t.len(), 2);
         assert_eq!(t.round(2).unwrap().visited_count, 3);
         assert_eq!(t.exploration_round(3), Some(2));
@@ -752,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn pushed_records_materialize_identically() {
+    fn recorded_rows_materialize_identically() {
         let mut t = Trace::new();
         let mut second = record(2, 3);
         second.missing_edge = Some(EdgeId::new(4));
@@ -760,8 +722,8 @@ mod tests {
         second.agents[0].decision = Some(Decision::Retreat);
         second.agents[0].outcome = PriorOutcome::BlockedOnPort;
         second.agents[0].state_label = "Blocked".to_string();
-        t.push(record(1, 2));
-        t.push(second.clone());
+        record_row(&mut t, 8, &record(1, 2));
+        record_row(&mut t, 8, &second);
         assert_eq!(t.round_at(0).unwrap(), record(1, 2));
         assert_eq!(t.round_at(1).unwrap(), second);
         assert_eq!(t.rounds().len(), 2);
@@ -772,9 +734,9 @@ mod tests {
     #[test]
     fn round_lookup_handles_sparse_numbering() {
         let mut t = Trace::new();
-        t.push(record(2, 2));
-        t.push(record(5, 3));
-        t.push(record(9, 4));
+        record_row(&mut t, 8, &record(2, 2));
+        record_row(&mut t, 8, &record(5, 3));
+        record_row(&mut t, 8, &record(9, 4));
         assert_eq!(t.round(5).unwrap().visited_count, 3);
         assert_eq!(t.round(9).unwrap().visited_count, 4);
         assert!(t.round(1).is_none());
@@ -787,10 +749,10 @@ mod tests {
         // A restored trace-on simulation appends rounds from every branch,
         // so numbers may repeat or decrease; lookup is first-match.
         let mut t = Trace::new();
-        t.push(record(1, 2));
-        t.push(record(2, 3));
-        t.push(record(2, 4));
-        t.push(record(1, 5));
+        record_row(&mut t, 8, &record(1, 2));
+        record_row(&mut t, 8, &record(2, 3));
+        record_row(&mut t, 8, &record(2, 4));
+        record_row(&mut t, 8, &record(1, 5));
         assert_eq!(t.round(1).unwrap().visited_count, 2);
         assert_eq!(t.round(2).unwrap().visited_count, 3);
         assert!(t.round(3).is_none());
@@ -799,8 +761,8 @@ mod tests {
     #[test]
     fn dense_lookup_rejects_round_zero_and_overflow() {
         let mut t = Trace::new();
-        t.push(record(1, 2));
-        t.push(record(2, 3));
+        record_row(&mut t, 8, &record(1, 2));
+        record_row(&mut t, 8, &record(2, 3));
         assert!(t.round(0).is_none());
         assert_eq!(t.round(1).unwrap().round, 1);
         assert!(t.round(3).is_none());
@@ -809,14 +771,14 @@ mod tests {
     #[test]
     fn clear_resets_and_allows_refill() {
         let mut t = Trace::new();
-        t.push(record(1, 2));
-        t.push(record(2, 3));
+        record_row(&mut t, 8, &record(1, 2));
+        record_row(&mut t, 8, &record(2, 3));
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert!(t.round(1).is_none());
         assert_eq!(t.total_traversals(), 0);
-        t.push(record(1, 4));
+        record_row(&mut t, 8, &record(1, 4));
         assert_eq!(t.len(), 1);
         assert_eq!(t.round(1).unwrap().visited_count, 4);
         assert_eq!(t.round_at(0).unwrap().agents[0].state_label, "Init");
@@ -825,7 +787,7 @@ mod tests {
     #[test]
     fn debug_matches_row_of_structs_form() {
         let mut t = Trace::new();
-        t.push(record(1, 2));
+        record_row(&mut t, 8, &record(1, 2));
         let rounds = vec![record(1, 2)];
         // The historical storage derived Debug over a single `rounds` field;
         // the golden digests pin this exact rendering.
@@ -845,11 +807,11 @@ mod tests {
     fn equality_is_view_equality() {
         let mut a = Trace::new();
         let mut b = Trace::new();
-        a.push(record(1, 2));
-        b.push(record(1, 2));
+        record_row(&mut a, 8, &record(1, 2));
+        record_row(&mut b, 8, &record(1, 2));
         assert_eq!(a, b);
         assert_eq!(a, a.clone());
-        b.push(record(2, 3));
+        record_row(&mut b, 8, &record(2, 3));
         assert_ne!(a, b);
         assert_eq!(Trace::new(), Trace::default());
     }
@@ -857,7 +819,7 @@ mod tests {
     #[test]
     fn invariants_accept_legal_traces() {
         let mut t = Trace::new();
-        t.push(record(1, 2));
+        record_row(&mut t, 6, &record(1, 2));
         assert!(t.check_invariants(6).is_ok());
     }
 
@@ -866,7 +828,7 @@ mod tests {
         let mut t = Trace::new();
         let mut r = record(1, 2);
         r.agents[0].node_after = NodeId::new(3);
-        t.push(r);
+        record_row(&mut t, 8, &r);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("jumped"));
     }
@@ -877,10 +839,10 @@ mod tests {
         let mut r1 = record(1, 2);
         r1.agents[0].terminated = true;
         r1.agents[0].node_after = r1.agents[0].node_before;
-        t.push(r1);
+        record_row(&mut t, 8, &r1);
         let mut r2 = record(2, 2);
         r2.agents[0].terminated = true;
-        t.push(r2);
+        record_row(&mut t, 8, &r2);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("terminated"));
     }
@@ -895,37 +857,13 @@ mod tests {
         second.held_port_after = Some(GlobalDirection::Ccw);
         r.agents[0].held_port_after = Some(GlobalDirection::Ccw);
         r.agents.push(second);
-        t.push(r);
+        record_row(&mut t, 8, &r);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("same port"));
     }
 
-    /// Minimal protocol so the engine-facing encoder tests can hand real
-    /// programs to `record_round_from_lane`.
-    #[derive(Debug, Clone)]
-    struct Probe;
-    impl dynring_model::Protocol for Probe {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-        fn termination_kind(&self) -> dynring_model::TerminationKind {
-            dynring_model::TerminationKind::Unconscious
-        }
-        fn decide(&mut self, _snapshot: &dynring_model::Snapshot) -> Decision {
-            Decision::Stay
-        }
-        fn has_terminated(&self) -> bool {
-            false
-        }
-        fn clone_box(&self) -> Box<dyn dynring_model::Protocol> {
-            Box::new(self.clone())
-        }
-    }
-
-    /// Drives one round through the engine-facing delta encoder — the
-    /// columnar fast path the simulation uses, not the `push` compatibility
-    /// path — so the invariant checker is proven against entries that went
-    /// through move-code packing, spill and label interning.
+    /// One round of unit-labelled agents: agent `i` moves from `before[i]`
+    /// to `after[i]`, and is active exactly when not terminated.
     fn record_lane_round(
         t: &mut Trace,
         round: u64,
@@ -935,40 +873,23 @@ mod tests {
         held: &[Option<GlobalDirection>],
         terminated: &[bool],
     ) {
-        let count = before.len();
-        let active: Vec<AgentId> =
-            (0..count).filter(|&i| !terminated[i]).map(AgentId::new).collect();
-        let active_mask: Vec<bool> = terminated.iter().map(|t| !t).collect();
-        let nodes_before: Vec<NodeId> = before.iter().copied().map(NodeId::new).collect();
-        let nodes_after: Vec<NodeId> = after.iter().copied().map(NodeId::new).collect();
-        let decisions: Vec<Option<Decision>> = active_mask
-            .iter()
-            .map(|&live| if live { Some(Decision::Move(LocalDirection::Right)) } else { None })
+        let agents: Vec<AgentRoundRecord> = (0..before.len())
+            .map(|i| AgentRoundRecord {
+                id: AgentId::new(i),
+                active: !terminated[i],
+                node_before: NodeId::new(before[i]),
+                node_after: NodeId::new(after[i]),
+                held_port_after: held[i],
+                decision: (!terminated[i]).then_some(Decision::Move(LocalDirection::Right)),
+                outcome: if before[i] == after[i] { PriorOutcome::Idle } else { PriorOutcome::Moved },
+                terminated: terminated[i],
+                state_label: "probe".to_string(),
+            })
             .collect();
-        let outcomes: Vec<PriorOutcome> = before
-            .iter()
-            .zip(after)
-            .map(|(b, a)| if b == a { PriorOutcome::Idle } else { PriorOutcome::Moved })
-            .collect();
-        let programs: Vec<AgentProgram> =
-            (0..count).map(|_| AgentProgram::Boxed(Box::new(Probe))).collect();
-        t.record_round_from_lane(
-            round,
-            None,
-            2,
-            ring_size,
-            &active,
-            &active_mask,
-            &nodes_before,
-            &nodes_after,
-            held,
-            &decisions,
-            &outcomes,
-            terminated,
-            &programs,
-        );
+        let active = agents.iter().filter(|a| a.active).map(|a| a.id).collect();
+        let row = RoundRecord { round, missing_edge: None, active, agents, visited_count: 2 };
+        record_row(t, ring_size, &row);
     }
-
     #[test]
     fn encoder_accepts_legal_unit_moves_in_both_directions() {
         // 0 → 1 is the +1 (ccw) move code, 1 → 0 the −1 (cw) code, and the

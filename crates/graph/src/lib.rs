@@ -1,4 +1,4 @@
-//! Dynamic-ring and time-varying-graph substrate.
+//! Dynamic-ring substrate.
 //!
 //! This crate provides the *static footprint* and *dynamics* layers that the
 //! exploration protocols of Di Luna, Dobrev, Flocchini and Santoro
@@ -11,11 +11,7 @@
 //!   including the chirality relation between them;
 //! * [`dynamics`] — edge-presence schedules: fixed schedules, generators, and
 //!   validation of the 1-interval-connectivity constraint (at most one edge
-//!   missing per round);
-//! * [`tvg`] — a small general time-varying-graph layer (footprint +
-//!   presence function) of which the dynamic ring is the special case used by
-//!   the paper; it exists so that the exploration engine can later be extended
-//!   to the arbitrary topologies the paper lists as open problems.
+//!   missing per round).
 //!
 //! The crate is purely combinatorial: it knows nothing about agents,
 //! schedulers or protocols.
@@ -40,7 +36,6 @@ pub mod error;
 pub mod ids;
 pub mod orientation;
 pub mod ring;
-pub mod tvg;
 
 pub use dynamics::{EdgeSchedule, ScheduleBuilder};
 pub use error::GraphError;

@@ -406,15 +406,6 @@ impl Journal {
         Journal { sink, fsync_every: fsync_every.max(1), appended_since_sync: 0 }
     }
 
-    /// Opens the journal file at `path` for appending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the open failure.
-    pub fn open(path: &Path, fsync_every: usize) -> std::io::Result<Self> {
-        Ok(Journal::new(Box::new(FileSink::open(path)?), fsync_every))
-    }
-
     /// Appends one event; fsyncs when the batch is full.
     ///
     /// # Errors

@@ -14,8 +14,8 @@
 //!   / `job_finished`, fsync'd in batches) plus its replay/validation half;
 //! * [`supervisor`] — the [`Supervisor`]: a
 //!   worker-pool runtime with per-cell panic isolation
-//!   (`BatchRunner::run_map_catching`), bounded retry with deterministic
-//!   backoff, a per-job failure budget that degrades to a partial result +
+//!   (`BatchRunner::run_map_catching`), bounded immediate retry, a
+//!   per-job failure budget that degrades to a partial result +
 //!   failure report, and journal-driven **resume** — a crashed or killed
 //!   sweep picks up at the last durable cell boundary instead of
 //!   restarting;
@@ -64,7 +64,7 @@ pub mod supervisor;
 pub use fault::FaultPlan;
 pub use job::{CellFailure, Job, JobOutcome, JobStatus};
 pub use journal::{Journal, JournalEvent, Replay};
-pub use supervisor::{Backoff, Supervisor};
+pub use supervisor::Supervisor;
 
 /// Errors raised by the service layer.
 #[derive(Debug)]

@@ -7,8 +7,9 @@
 //! ([`BatchRunner::run_map_catching`]), journal each result, then
 //! `commit()` (fsync) the wave. A SIGKILL therefore loses at most the
 //! in-flight wave; everything journaled before it replays on resume.
-//! Failed cells re-enter the queue with a bounded, deterministically
-//! backed-off retry; cells that exhaust the retry budget are quarantined
+//! Failed cells re-enter the queue at once for a bounded number of retries
+//! (a deterministic cell's panic does not go away with waiting, so there is
+//! no backoff); cells that exhaust the retry budget are quarantined
 //! (journaled, reported, and excluded — the sweep goes on). A per-job
 //! failure budget degrades the whole job to a partial result once too many
 //! cells quarantine, instead of grinding through a battery that is clearly
@@ -25,39 +26,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::time::Duration;
 
-/// Deterministic exponential backoff between retry attempts of one cell:
-/// `delay(attempt) = min(cap, base << (attempt - 1))`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    /// Delay before the second attempt (the first retry).
-    pub base: Duration,
-    /// Upper bound on any single delay.
-    pub cap: Duration,
-}
-
-impl Backoff {
-    /// No waiting at all — the default, and what tests use.
-    #[must_use]
-    pub fn none() -> Self {
-        Backoff { base: Duration::ZERO, cap: Duration::ZERO }
-    }
-
-    /// The delay before retrying after `attempt` (1-based) failed.
-    #[must_use]
-    pub fn delay(&self, attempt: u32) -> Duration {
-        if self.base.is_zero() {
-            return Duration::ZERO;
-        }
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        (self.base * factor).min(self.cap)
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff::none()
-    }
-}
+/// Journal events between fsyncs inside a wave; every wave also ends with
+/// an unconditional fsync.
+const FSYNC_EVERY: usize = 8;
 
 /// The job runtime. Construct with [`Supervisor::new`], tune with the
 /// builder methods, execute with [`Supervisor::run`].
@@ -65,10 +36,8 @@ impl Default for Backoff {
 pub struct Supervisor {
     threads: usize,
     chunk: usize,
-    fsync_every: usize,
     max_attempts: u32,
     failure_budget: usize,
-    backoff: Backoff,
     throttle: Duration,
     fault: FaultPlan,
 }
@@ -78,10 +47,8 @@ impl Default for Supervisor {
         Supervisor {
             threads: BatchRunner::from_env().threads(),
             chunk: 16,
-            fsync_every: 8,
             max_attempts: 3,
             failure_budget: usize::MAX,
-            backoff: Backoff::none(),
             throttle: Duration::ZERO,
             fault: FaultPlan::none(),
         }
@@ -91,7 +58,7 @@ impl Default for Supervisor {
 impl Supervisor {
     /// A supervisor with default tuning: pool size from `DYNRING_THREADS`
     /// (or all cores), chunk 16, fsync every 8 events, 3 attempts per cell,
-    /// unlimited failure budget, no backoff, no faults.
+    /// unlimited failure budget, no faults.
     #[must_use]
     pub fn new() -> Self {
         Supervisor::default()
@@ -112,14 +79,6 @@ impl Supervisor {
         self
     }
 
-    /// Fsync batch size inside a wave (clamped to at least 1; every wave
-    /// ends with an unconditional fsync regardless).
-    #[must_use]
-    pub fn fsync_every(mut self, fsync_every: usize) -> Self {
-        self.fsync_every = fsync_every.max(1);
-        self
-    }
-
     /// Attempts per cell before quarantine (clamped to at least 1).
     #[must_use]
     pub fn max_attempts(mut self, max_attempts: u32) -> Self {
@@ -132,13 +91,6 @@ impl Supervisor {
     #[must_use]
     pub fn failure_budget(mut self, budget: usize) -> Self {
         self.failure_budget = budget;
-        self
-    }
-
-    /// Retry backoff policy.
-    #[must_use]
-    pub fn backoff(mut self, backoff: Backoff) -> Self {
-        self.backoff = backoff;
         self
     }
 
@@ -188,7 +140,7 @@ impl Supervisor {
             context: format!("opening journal {}", journal_path.display()),
             source,
         })?;
-        let mut journal = Journal::new(self.fault.wrap_sink(Box::new(sink)), self.fsync_every);
+        let mut journal = Journal::new(self.fault.wrap_sink(Box::new(sink)), FSYNC_EVERY);
         let io = |context: &str| {
             let context = context.to_owned();
             move |source: std::io::Error| ServiceError::Io { context, source }
@@ -277,10 +229,6 @@ impl Supervisor {
                                 CellFailure { index, attempts: attempt, error: panic.message },
                             );
                         } else {
-                            let delay = self.backoff.delay(attempt);
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
                             // Retry at the *front*: a cell is settled
                             // (completed or quarantined) before the queue
                             // moves on, so the failure budget can stop a
@@ -622,17 +570,5 @@ mod tests {
         assert_eq!(resumed.digest(), reference.digest());
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&reference_path).unwrap();
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_capped() {
-        let backoff =
-            Backoff { base: Duration::from_millis(2), cap: Duration::from_millis(10) };
-        assert_eq!(backoff.delay(1), Duration::from_millis(2));
-        assert_eq!(backoff.delay(2), Duration::from_millis(4));
-        assert_eq!(backoff.delay(3), Duration::from_millis(8));
-        assert_eq!(backoff.delay(4), Duration::from_millis(10));
-        assert_eq!(backoff.delay(63), Duration::from_millis(10));
-        assert_eq!(Backoff::none().delay(5), Duration::ZERO);
     }
 }

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! `--throttle-ms N` slows every cell down (to widen the kill window for
-//! the CI smoke); `--cells N` sizes the battery.
+//! the CI smoke); `--cells N` sizes the battery. The example exits 2 with a
+//! usage line on a bad argument, 2 on a degraded job, 1 on a service error.
 
 use dynring_core::Algorithm;
 use dynring_service::{Job, JobOutcome, JobStatus, ServiceError, Supervisor};
@@ -71,40 +72,72 @@ pub fn run(
     Ok(outcome)
 }
 
-fn main() {
-    let mut journal = PathBuf::from("sweep_service.journal.jsonl");
-    let mut report: Option<PathBuf> = None;
-    let mut throttle_ms: u64 = 0;
-    let mut cells: usize = 24;
+/// The command line of the example.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Args {
+    /// `--journal PATH`: the append-only JSONL journal to run or resume.
+    pub journal: PathBuf,
+    /// `--report PATH`: where the rendered report goes (stdout if absent).
+    pub report: Option<PathBuf>,
+    /// `--throttle-ms N`: sleep inside every cell, in milliseconds.
+    pub throttle_ms: u64,
+    /// `--cells N`: the battery size.
+    pub cells: usize,
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--journal" => journal = PathBuf::from(value("--journal")),
-            "--report" => report = Some(PathBuf::from(value("--report"))),
-            "--throttle-ms" => {
-                throttle_ms = value("--throttle-ms")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("invalid --throttle-ms: {e}"));
-            }
-            "--cells" => {
-                cells = value("--cells")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("invalid --cells: {e}"));
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --journal, --report, --throttle-ms, --cells)"
-            ),
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            journal: PathBuf::from("sweep_service.journal.jsonl"),
+            report: None,
+            throttle_ms: 0,
+            cells: 24,
         }
     }
+}
 
-    let job = battery(cells);
+/// The usage line printed on a bad argument.
+const USAGE: &str =
+    "usage: sweep_service [--journal PATH] [--report PATH] [--throttle-ms N] [--cells N]";
+
+/// Parses the command line (without the program name).
+///
+/// # Errors
+///
+/// Returns a message for an unknown argument, a flag without its value, or
+/// a `--throttle-ms`/`--cells` value that is not a non-negative integer.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--journal" => parsed.journal = PathBuf::from(value()?),
+            "--report" => parsed.report = Some(PathBuf::from(value()?)),
+            "--throttle-ms" => {
+                let text = value()?;
+                parsed.throttle_ms =
+                    text.parse().map_err(|e| format!("--throttle-ms {text:?}: {e}"))?;
+            }
+            "--cells" => {
+                let text = value()?;
+                parsed.cells = text.parse().map_err(|e| format!("--cells {text:?}: {e}"))?;
+            }
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("sweep_service: {message}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let job = battery(args.cells);
     let supervisor =
-        Supervisor::new().chunk(4).throttle(Duration::from_millis(throttle_ms));
-    match run(&supervisor, &job, &journal, report.as_deref()) {
+        Supervisor::new().chunk(4).throttle(Duration::from_millis(args.throttle_ms));
+    match run(&supervisor, &job, &args.journal, args.report.as_deref()) {
         Ok(outcome) => {
             if outcome.status == JobStatus::Complete {
                 std::process::exit(0);

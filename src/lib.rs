@@ -13,7 +13,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `dynring-graph` | ring topology, ports, edge schedules, time-varying-graph layer |
+//! | [`graph`] | `dynring-graph` | ring topology, ports, edge schedules |
 //! | [`model`] | `dynring-model` | snapshots, decisions, knowledge, the `Protocol` trait |
 //! | [`algorithms`] | `dynring-core` | the paper's algorithms (FSYNC and SSYNC) |
 //! | [`engine`] | `dynring-engine` | round engine, schedulers, adversaries, traces |

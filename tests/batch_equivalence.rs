@@ -8,7 +8,7 @@
 
 use dynring_analysis::batch::BatchRunner;
 use dynring_analysis::scenario::Scenario;
-use dynring_analysis::sweeps::{self, adversary_suite};
+use dynring_analysis::sweeps::{self, adversary_suite, PlacementDensity};
 use dynring_analysis::{figures, lower_bounds, markdown_table, tables};
 use dynring_core::Algorithm;
 use proptest::prelude::*;
@@ -27,10 +27,11 @@ proptest! {
     ) {
         let sizes = [n, n + extra + 1];
         let make = |n: usize| Algorithm::KnownBound { upper_bound: n };
-        let sequential =
-            sweeps::sweep_fsync_with(&BatchRunner::sequential(), make, &sizes, seeds);
-        let parallel =
-            sweeps::sweep_fsync_with(&BatchRunner::new(threads), make, &sizes, seeds);
+        let sweep = |runner: &BatchRunner| {
+            sweeps::sweep_fsync_battery(runner, make, &sizes, seeds, PlacementDensity::Standard)
+        };
+        let sequential = sweep(&BatchRunner::sequential());
+        let parallel = sweep(&BatchRunner::new(threads));
         prop_assert_eq!(&sequential.points, &parallel.points);
         prop_assert_eq!(sequential.all_explored, parallel.all_explored);
         prop_assert_eq!(
@@ -65,8 +66,11 @@ proptest! {
 #[test]
 fn ssync_sweep_is_thread_count_invariant() {
     let make = |n: usize| Algorithm::PtBoundChirality { upper_bound: n };
-    let sequential = sweeps::sweep_ssync_with(&BatchRunner::sequential(), make, &[6], 1);
-    let parallel = sweeps::sweep_ssync_with(&BatchRunner::new(4), make, &[6], 1);
+    let sweep = |runner: &BatchRunner| {
+        sweeps::sweep_ssync_battery(runner, make, &[6], 1, PlacementDensity::Standard)
+    };
+    let sequential = sweep(&BatchRunner::sequential());
+    let parallel = sweep(&BatchRunner::new(4));
     assert_eq!(sequential.points, parallel.points);
     assert_eq!(sequential.all_explored, parallel.all_explored);
     assert_eq!(
@@ -107,7 +111,10 @@ fn figures_are_thread_count_invariant() {
 /// tables; the folded rows must match the sequential reference.
 #[test]
 fn lower_bounds_are_thread_count_invariant() {
-    let sequential = lower_bounds::theorem13_15_with(&BatchRunner::sequential(), &[6], 1);
-    let parallel = lower_bounds::theorem13_15_with(&BatchRunner::new(4), &[6], 1);
+    let rows = |runner: &BatchRunner| {
+        lower_bounds::theorem13_15_battery(runner, &[6], 1, PlacementDensity::Standard)
+    };
+    let sequential = rows(&BatchRunner::sequential());
+    let parallel = rows(&BatchRunner::new(4));
     assert_eq!(sequential, parallel);
 }

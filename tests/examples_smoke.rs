@@ -133,6 +133,47 @@ fn model_check_example_parses_max_n_strictly() {
 }
 
 #[test]
+fn sweep_service_example_parses_arguments_strictly() {
+    let parse =
+        |args: &[&str]| sweep_service::parse_args(args.iter().map(|arg| arg.to_string()));
+    assert_eq!(parse(&[]), Ok(sweep_service::Args::default()));
+    // The CI crash-resume smoke's command line.
+    let parsed = parse(&[
+        "--cells",
+        "18",
+        "--throttle-ms",
+        "500",
+        "--journal",
+        "killed.journal.jsonl",
+        "--report",
+        "killed.report.md",
+    ])
+    .unwrap();
+    assert_eq!(
+        parsed,
+        sweep_service::Args {
+            journal: "killed.journal.jsonl".into(),
+            report: Some("killed.report.md".into()),
+            throttle_ms: 500,
+            cells: 18,
+        }
+    );
+    let rejected = [
+        (&["--cells", "many"][..], "--cells \"many\""),
+        (&["--cells", "-1"], "--cells \"-1\""),
+        (&["--throttle-ms", "1.5"], "--throttle-ms \"1.5\""),
+        (&["--journal"], "--journal needs a value"),
+        (&["--report"], "--report needs a value"),
+        (&["--cells"], "--cells needs a value"),
+        (&["--verbose"], "unknown argument --verbose"),
+    ];
+    for (args, message) in rejected {
+        let err = parse(args).unwrap_err();
+        assert!(err.contains(message), "{args:?} should fail with {message:?}, got {err:?}");
+    }
+}
+
+#[test]
 fn sweep_service_example_runs_and_resumes_byte_identically() {
     let job = sweep_service::battery(6);
     let supervisor = dynring::service::Supervisor::new().threads(2).chunk(2);

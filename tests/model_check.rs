@@ -245,7 +245,7 @@ fn a_state_budget_below_the_cell_is_inconclusive_at_every_width() {
     );
     assert_eq!(*depth, stats.depth_reached + 1, "the budget runs out inside the next level");
     assert!(verdicts[0].feasible().is_none() && verdicts[0].infeasible().is_none());
-    let row = cell.row();
+    let row = cell.row(&mut model_check::SearchContext::from_env());
     assert!(!row.holds, "an inconclusive cell does not hold: {row:?}");
     assert!(
         row.observed.contains(&format!("state budget of {}", visited / 2)),
