@@ -159,10 +159,11 @@ impl Algorithm {
                 CatalogProtocol::LandmarkChirality(LandmarkChirality::new())
             }
             Algorithm::LandmarkNoChirality => {
-                CatalogProtocol::LandmarkNoChirality(LandmarkNoChirality::new())
+                CatalogProtocol::LandmarkNoChirality(Box::default())
             }
             Algorithm::StartFromLandmarkNoChirality => {
-                CatalogProtocol::LandmarkNoChirality(LandmarkNoChirality::starting_from_landmark())
+                let program = LandmarkNoChirality::starting_from_landmark();
+                CatalogProtocol::LandmarkNoChirality(Box::new(program))
             }
             Algorithm::PtBoundChirality { upper_bound } => {
                 CatalogProtocol::PtBoundChirality(PtBoundChirality::new(upper_bound))
@@ -380,8 +381,10 @@ pub enum CatalogProtocol {
     LandmarkChirality(LandmarkChirality),
     /// Figures 8 and 13 — the landmark algorithms without chirality
     /// (Theorems 7–8), covering both `Algorithm::LandmarkNoChirality` and
-    /// `Algorithm::StartFromLandmarkNoChirality`.
-    LandmarkNoChirality(LandmarkNoChirality),
+    /// `Algorithm::StartFromLandmarkNoChirality`. Boxed: inline it would be
+    /// the enum's widest variant by far, and its identifier and sequence
+    /// live on the heap already.
+    LandmarkNoChirality(Box<LandmarkNoChirality>),
     /// Figure 14 — `PTBoundWithChirality` (Theorems 12–13).
     PtBoundChirality(PtBoundChirality),
     /// Figure 17 — `PTLandmarkWithChirality` (Theorems 14–15).
@@ -632,6 +635,18 @@ mod tests {
         // Copying from a non-enum protocol is refused (type mismatch).
         let concrete = Algorithm::LandmarkNoChirality.instantiate();
         assert!(!probe.clone_from_box(concrete.as_ref()));
+    }
+
+    #[test]
+    fn catalog_protocol_fits_a_narrow_program_column() {
+        // A checkpoint slot holds one `CatalogProtocol` per agent in its
+        // program column, so the enum's width is that column's stride:
+        // every restore, checkpoint and slot copy moves it once per agent.
+        assert!(
+            std::mem::size_of::<CatalogProtocol>() <= 176,
+            "CatalogProtocol is {} bytes wide",
+            std::mem::size_of::<CatalogProtocol>()
+        );
     }
 
     #[test]

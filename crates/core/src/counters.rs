@@ -262,8 +262,8 @@ impl Counters {
 
     /// Appends a packed, injective encoding of every counter field to `out`
     /// (see [`dynring_model::statekey`]). Every field of the struct is
-    /// emitted with a fixed width, so two `Counters` values serialise to the
-    /// same bytes iff they are equal.
+    /// emitted in a prefix-free encoding, so two `Counters` values serialise
+    /// to the same bytes iff they are equal.
     pub fn write_state_key(&self, out: &mut Vec<u8>) {
         use dynring_model::statekey::{push_i64, push_opt_i64, push_opt_u64, push_u64};
         out.push(u8::from(self.activated));

@@ -67,24 +67,33 @@
 //!
 //! [`CheckpointStore::canonical_key_into`] produces the key in a compact
 //! binary layout with **zero steady-state allocations** (all buffers come
-//! from a recycled [`KeyScratch`]):
+//! from a recycled [`KeyScratch`]). Every integer is a prefix-free LEB128
+//! varint written by [`dynring_model::statekey`], the one module that knows
+//! the integer encoding:
 //!
 //! * a *symmetry-invariant* prefix, emitted once — round counter,
 //!   activation-policy token, and per agent the sleep age, the dense rank of
 //!   its last-active round, and its length-prefixed program state via
 //!   [`AgentProgram::write_state_key`](crate::world::AgentProgram::write_state_key)
-//!   (packed integers for catalogue protocols, a `Debug`-string fallback for
+//!   (packed varints for catalogue protocols, a `Debug`-string fallback for
 //!   foreign boxed ones);
 //! * a *symmetry-variant* suffix, minimised lexicographically over the
 //!   admissible maps — the permuted visit map bit-packed at 8 nodes/byte,
-//!   then per agent the mapped node (`u16`) and one flags byte packing the
-//!   held port (2 bits), termination flag, reflection-adjusted handedness,
-//!   and prior outcome (3 bits).
+//!   then per agent the mapped node (a varint: one byte below 128 nodes)
+//!   and one flags byte packing the held port (2 bits), termination flag,
+//!   reflection-adjusted handedness, and prior outcome (3 bits).
 //!
-//! On rings of up to 64 nodes the minimising map is chosen from a `u64`
-//! visited mask, comparing agent bytes only between maps that tie on it;
-//! [`SimCheckpoint::canonical_key_exhaustive`] emits every map in full
-//! and yields the same bytes.
+//! On rings of up to 64 nodes the minimising map is found by integer
+//! compares in two passes. Pass one takes the least visit mask over the
+//! admissible maps as a `u64`. Pass two compares, only among the maps that
+//! tie on that mask, the first agent's `(mapped node, flags)` as one `u16`:
+//! below 128 nodes a mapped node's varint is the node itself, so that value
+//! orders as the agent's bytes do, and no two maps give one agent the same
+//! value, so the first agent decides the order of the whole section. The
+//! first agent's node and its flags byte with and without reflection are
+//! computed once per key, and every agent's bytes are written for the
+//! winning map alone. [`SimCheckpoint::canonical_key_exhaustive`] emits
+//! every map in full and yields the same bytes.
 //!
 //! Any injective encoding yields the same equivalence classes as any other
 //! over the same map family: the orbits of the symmetry group partition the
@@ -96,6 +105,7 @@
 use crate::sim::RunCounters;
 use crate::world::{put_slot, AgentSoA};
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
+use dynring_model::statekey::{push_prefixed, push_u64};
 use dynring_model::PriorOutcome;
 use std::ops::Range;
 
@@ -263,25 +273,20 @@ impl CheckpointStore {
         let rows = self.rows(slot);
         let last_active = &agents.last_active_round[rows.clone()];
         out.clear();
-        out.extend_from_slice(&self.counters[slot].round.to_le_bytes());
-        out.extend_from_slice(&self.activation_tokens[slot].to_le_bytes());
+        push_u64(out, self.counters[slot].round);
+        push_u64(out, self.activation_tokens[slot]);
         for index in rows {
-            out.extend_from_slice(&agents.asleep_on_port[index].to_le_bytes());
+            push_u64(out, agents.asleep_on_port[index]);
             // `last_active_round` is only consumed through order comparisons
             // (`min_by_key` in the first-mover scheduler and adversary), so
             // the key encodes its dense rank among the agents: plays reaching
             // the same configuration along different activation histories
-            // coincide. Teams are tiny (≤ u8::MAX agents), so the O(k²) scan
-            // beats allocating a rank table.
+            // coincide. Teams are tiny, so the O(k²) scan beats allocating a
+            // rank table.
             let r = agents.last_active_round[index];
             let rank = last_active.iter().filter(|&&other| other < r).count();
-            out.push(u8::try_from(rank).unwrap_or(u8::MAX));
-            // The program state, prefixed by its `u32` length.
-            let len_at = out.len();
-            out.extend_from_slice(&[0; 4]);
-            agents.program[index].write_state_key(out);
-            let len = u32::try_from(out.len() - len_at - 4).expect("program key exceeds u32");
-            out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+            push_u64(out, rank as u64);
+            push_prefixed(out, |out| agents.program[index].write_state_key(out));
         }
     }
 
@@ -306,13 +311,17 @@ impl CheckpointStore {
 
     /// Appends the same section as
     /// [`CheckpointStore::push_min_variant_exhaustive`] for a ring of at
-    /// most 64 nodes. The section opens with the bit-packed visit map, so
-    /// that map decides the minimum first. Each candidate's visit map is a
-    /// rotation, or a rotation of the reversal, of one `u64` mask whose
-    /// little-endian bytes are the packed map, and those bytes compare
-    /// lexicographically exactly as the byte-swapped word compares
-    /// numerically (bits past `n` are zero in every candidate). Agent bytes
-    /// are only compared between maps that tie on the mask.
+    /// most 64 nodes, in two passes of integer compares.
+    ///
+    /// The section opens with the bit-packed visit map, so that map decides
+    /// the minimum first. Each candidate's visit map is a rotation, or a
+    /// rotation of the reversal, of one `u64` mask whose little-endian bytes
+    /// are the packed map, and those bytes compare lexicographically exactly
+    /// as the byte-swapped word compares numerically (bits past `n` are zero
+    /// in every candidate): pass one finds the least mask. Each agent's
+    /// bytes are its mapped node's one-byte varint and its flags byte, which
+    /// compare as the `u16` `node << 8 | flags`: pass two finds the least
+    /// such value of the first agent among the maps tying on the mask.
     fn push_min_variant(&self, slot: usize, ring: &RingTopology, out: &mut Vec<u8>) {
         let n = ring.size();
         let full = u64::MAX >> (64 - n);
@@ -328,31 +337,48 @@ impl CheckpointStore {
         };
         // Image node `w` is node `w − rot` under a rotation, and node
         // `rot − w` (bit `w − rot − 1` of `reversed`) under a reflection.
+        // The image is byte-swapped, so that it compares as its bytes do.
         let image = |(rot, reflect): (usize, bool)| {
-            if reflect {
+            let mask = if reflect {
                 rotl(reversed, if rot + 1 == n { 0 } else { rot + 1 })
             } else {
                 rotl(visited, rot)
-            }
+            };
+            mask.swap_bytes()
         };
-        let agents = |(rot, reflect): (usize, bool)| {
-            self.rows(slot).map(move |index| self.agent_bytes(n, index, rot, reflect))
+        // Pass one: the least visit mask.
+        let least = admissible_maps(ring).map(image).min().expect("every ring admits a map");
+        // Pass two: among the maps carrying the visit map to the least
+        // mask, the one giving the first agent the least value. Two maps
+        // never give one agent the same value: maps with the same
+        // reflection move its node to different nodes, and a reflection
+        // flips its handedness bit. So the first agent's value alone
+        // decides the agents' lexicographic order, for any team size, and
+        // no two maps tie on the whole section unless the team is empty.
+        let agent = |index: usize| (self.agents.node[index].index(), self.flags(index));
+        let value = |(node, flags): (usize, [u8; 2]), (rot, reflect): (usize, bool)| {
+            // `node < n ≤ 64`, so the value fits in a `u16`.
+            ((map_node(n, node, rot, reflect) as u16) << 8) | u16::from(flags[usize::from(reflect)])
         };
-        let mut maps = admissible_maps(ring);
-        let mut winner = maps.next().expect("every ring admits the identity map");
-        let mut winner_mask = image(winner);
-        for map in maps {
-            let mask = image(map);
-            let order = mask
-                .swap_bytes()
-                .cmp(&winner_mask.swap_bytes())
-                .then_with(|| agents(map).cmp(agents(winner)));
-            if order.is_lt() {
-                (winner, winner_mask) = (map, mask);
+        let rows = self.rows(slot);
+        let first = (!rows.is_empty()).then(|| agent(rows.start));
+        let (mut winner, mut winner_value) = ((0, false), u32::MAX);
+        for map in admissible_maps(ring) {
+            let value = match first {
+                _ if image(map) != least => u32::MAX,
+                Some(first) => u32::from(value(first, map)),
+                None => 0,
+            };
+            if value < winner_value {
+                (winner, winner_value) = (map, value);
             }
         }
-        out.extend_from_slice(&winner_mask.to_le_bytes()[..n.div_ceil(8)]);
-        out.extend(agents(winner).flatten());
+        out.extend_from_slice(&least.swap_bytes().to_le_bytes()[..n.div_ceil(8)]);
+        for index in rows {
+            let value = value(agent(index), winner);
+            push_u64(out, u64::from(value >> 8));
+            out.push(value as u8);
+        }
     }
 
     /// The symmetry-variant section of slot `slot`'s packed key under one
@@ -378,33 +404,26 @@ impl CheckpointStore {
             buf.push(packed);
         }
         for index in self.rows(slot) {
-            buf.extend_from_slice(&self.agent_bytes(n, index, rot, reflect));
+            let node = map_node(n, self.agents.node[index].index(), rot, reflect);
+            push_u64(buf, node as u64);
+            buf.push(self.flags(index)[usize::from(reflect)]);
         }
     }
 
-    /// The part of the variant section for agent row `index` under one
-    /// candidate map: its mapped node as a little-endian `u16`, then one
-    /// flags byte.
-    fn agent_bytes(&self, n: usize, index: usize, rot: usize, reflect: bool) -> [u8; 3] {
+    /// The flags bytes of agent row `index` under a candidate map that does
+    /// not reflect the ring (`[0]`) and under one that does (`[1]`).
+    /// Reflection swaps the held port's global direction and flips the
+    /// handedness bit.
+    fn flags(&self, index: usize) -> [u8; 2] {
         let agents = &self.agents;
-        let v = agents.node[index].index();
-        // `v ↦ rot − v` or `v ↦ v + rot`, reduced mod n without a division.
-        let mapped = if reflect { rot + n - v } else { v + rot };
-        let mapped = if mapped >= n { mapped - n } else { mapped };
-        let [lo, hi] = u16::try_from(mapped).unwrap_or(u16::MAX).to_le_bytes();
         let port = match agents.held_port[index] {
-            None => 0u8,
-            Some(dir) => {
-                let dir = if reflect { dir.opposite() } else { dir };
-                match dir {
-                    GlobalDirection::Ccw => 1,
-                    GlobalDirection::Cw => 2,
-                }
-            }
+            None => [0, 0],
+            Some(GlobalDirection::Ccw) => [1, 2],
+            Some(GlobalDirection::Cw) => [2, 1],
         };
-        let handedness = match (agents.handedness[index], reflect) {
-            (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0u8,
-            _ => 1u8,
+        let handedness = match agents.handedness[index] {
+            Handedness::LeftIsCcw => [0, 1 << 3],
+            Handedness::LeftIsCw => [1 << 3, 0],
         };
         let prior = match agents.prior[index] {
             PriorOutcome::Idle => 0u8,
@@ -413,9 +432,17 @@ impl CheckpointStore {
             PriorOutcome::PortAcquisitionFailed => 3,
             PriorOutcome::Transported => 4,
         };
-        let terminated = u8::from(agents.terminated[index]);
-        [lo, hi, port | (terminated << 2) | (handedness << 3) | (prior << 4)]
+        let shared = (u8::from(agents.terminated[index]) << 2) | (prior << 4);
+        [shared | port[0] | handedness[0], shared | port[1] | handedness[1]]
     }
+}
+
+/// Node `v`'s image under the map `(rot, reflect)` of a ring of `n` nodes:
+/// `v ↦ rot − v` or `v ↦ v + rot`, reduced mod n without a division.
+#[inline]
+fn map_node(n: usize, v: usize, rot: usize, reflect: bool) -> usize {
+    let mapped = if reflect { rot + n - v } else { v + rot };
+    if mapped >= n { mapped - n } else { mapped }
 }
 
 /// A complete behavioural snapshot of a [`Simulation`](crate::sim::Simulation)
@@ -513,10 +540,14 @@ impl SimCheckpoint {
 fn admissible_maps(ring: &RingTopology) -> impl Iterator<Item = (usize, bool)> {
     let n = ring.size();
     let landmark = ring.landmark().map(NodeId::index);
-    let rotations = if landmark.is_some() { 1 } else { n };
-    (0..rotations).flat_map(move |rot| match landmark {
-        Some(l) => [((n - l) % n, false), (l, true)],
-        None => [(rot, false), (rot, true)],
+    let count = if landmark.is_some() { 2 } else { 2 * n };
+    (0..count).map(move |i| {
+        let reflect = i % 2 == 1;
+        match landmark {
+            Some(l) if reflect => (l, true),
+            Some(l) => ((n - l) % n, false),
+            None => (i / 2, reflect),
+        }
     })
 }
 

@@ -189,8 +189,8 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     ///
     /// Implementors must emit every field that can influence any future
     /// [`Protocol::decide`] or [`Protocol::has_terminated`] answer, using the
-    /// fixed-width helpers in [`crate::statekey`] so that distinct states
-    /// never serialise to the same bytes. The exhaustive model checker builds
+    /// prefix-free varint helpers in [`crate::statekey`] so that distinct
+    /// states never serialise to the same bytes. The exhaustive model checker builds
     /// its canonical per-state dedup key from this encoding — a collision
     /// between distinct states would silently prune reachable configurations
     /// and void the impossibility proofs, which is why injectivity (not

@@ -6,7 +6,9 @@
 //! per-state `String` allocation on the hottest path of the search. The
 //! [`Protocol::write_state_key`](crate::Protocol::write_state_key) hook
 //! replaces the string with a compact binary encoding built from the helpers
-//! in this module.
+//! in this module, and the engine writes the integer fields of its own
+//! key prefix through the same helpers, so this is the one module that
+//! knows the integer encoding.
 //!
 //! # Injectivity contract
 //!
@@ -15,33 +17,39 @@
 //! observable state (everything that can influence any future decision) is
 //! identical. Equality of canonical keys is then exactly equality of
 //! configurations, so the exhaustive proofs stay proofs. The helpers keep
-//! injectivity compositional:
+//! injectivity compositional by making every field **prefix-free** — no
+//! field's encoding is a proper prefix of another value's encoding of the
+//! same field, so a concatenation of fields splits back into its fields in
+//! exactly one way:
 //!
-//! * all integers are fixed-width little-endian, so field boundaries never
-//!   shift;
+//! * unsigned integers are LEB128 varints: seven value bits per byte, low
+//!   group first, the high bit set on every byte but the last. The state
+//!   fields hold small numbers, so most take one byte;
+//! * signed integers are zigzag-mapped (`0, −1, 1, −2, …` ↦ `0, 1, 2, 3, …`)
+//!   onto unsigned varints;
 //! * optional fields carry an explicit presence tag byte;
-//! * variable-length payloads are length-prefixed via [`push_bytes`].
+//! * variable-length payloads are length-prefixed via [`push_bytes`] or
+//!   [`push_prefixed`], with the length as a varint.
 //!
 //! Implementors must emit **every** field that `Debug` would show (the
 //! equivalence proptests in `tests/model_check.rs` compare the equivalence
 //! classes induced by the two encodings).
 
-/// Appends a `u64` as 8 little-endian bytes.
+/// Appends a `u64` as an LEB128 varint (1 byte below 128, at most 10).
 #[inline]
-pub fn push_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
+pub fn push_u64(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push((value as u8) | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
 }
 
-/// Appends a `u32` as 4 little-endian bytes.
-#[inline]
-pub fn push_u32(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-/// Appends an `i64` as 8 little-endian bytes (two's complement).
+/// Appends an `i64` zigzag-mapped onto an LEB128 varint, so values near
+/// zero of either sign take one byte.
 #[inline]
 pub fn push_i64(out: &mut Vec<u8>, value: i64) {
-    out.extend_from_slice(&value.to_le_bytes());
+    push_u64(out, ((value << 1) ^ (value >> 63)) as u64);
 }
 
 /// Appends an `Option<u64>` as a presence tag byte followed by the value
@@ -69,49 +77,139 @@ pub fn push_opt_i64(out: &mut Vec<u8>, value: Option<i64>) {
     }
 }
 
-/// Appends a length-prefixed byte slice (`u32` little-endian length, then the
-/// bytes). The prefix keeps concatenated encodings injective.
-///
-/// # Panics
-///
-/// Panics if `bytes` is longer than `u32::MAX` (no protocol state comes
-/// within orders of magnitude of that).
+/// Appends a length-prefixed byte slice (varint length, then the bytes).
+/// The prefix keeps concatenated encodings injective.
 #[inline]
 pub fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    let len = u32::try_from(bytes.len()).expect("state-key payload exceeds u32 length");
-    push_u32(out, len);
+    push_u64(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
+}
+
+/// Appends what `write` appends, prefixed by its varint length — the bytes
+/// of [`push_bytes`] on the same payload, without a second buffer. The
+/// payload is written in place after a one-byte prefix and shifted right
+/// when its length needs a longer one (128 bytes or more), so the call
+/// allocates only if `out` has to grow. Returns what `write` returns.
+#[inline]
+pub fn push_prefixed<R>(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let len_at = out.len();
+    out.push(0);
+    let result = write(out);
+    let len = out.len() - len_at - 1;
+    if len < 0x80 {
+        out[len_at] = len as u8;
+    } else {
+        // Append the full varint, then move the payload right over its
+        // first bytes and put the saved varint in front.
+        let end = out.len();
+        push_u64(out, len as u64);
+        let width = out.len() - end;
+        let mut prefix = [0u8; 10];
+        prefix[..width].copy_from_slice(&out[end..]);
+        out.copy_within(len_at + 1..end, len_at + width);
+        out[len_at..len_at + width].copy_from_slice(&prefix[..width]);
+        out.truncate(end + width - 1);
+    }
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn integers_are_fixed_width_little_endian() {
+    /// Reads one varint at the front of `bytes`, returning it and the rest;
+    /// `None` if `bytes` ends inside it.
+    fn read_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
+        let mut value = 0u64;
+        for (i, &byte) in bytes.iter().enumerate().take(10) {
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte < 0x80 {
+                return Some((value, &bytes[i + 1..]));
+            }
+        }
+        None
+    }
+
+    fn unzigzag(value: u64) -> i64 {
+        ((value >> 1) as i64) ^ -((value & 1) as i64)
+    }
+
+    fn encoded(push: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut out = Vec::new();
-        push_u64(&mut out, 0x0102_0304_0506_0708);
-        push_u32(&mut out, 0xAABB_CCDD);
-        push_i64(&mut out, -2);
-        assert_eq!(out.len(), 8 + 4 + 8);
-        assert_eq!(&out[..8], &[8, 7, 6, 5, 4, 3, 2, 1]);
-        assert_eq!(&out[8..12], &[0xDD, 0xCC, 0xBB, 0xAA]);
-        assert_eq!(&out[12..], &(-2i64).to_le_bytes());
+        push(&mut out);
+        out
     }
 
     #[test]
-    fn options_carry_presence_tags() {
-        let mut some = Vec::new();
-        push_opt_u64(&mut some, Some(7));
-        let mut none = Vec::new();
-        push_opt_u64(&mut none, None);
-        assert_eq!(some[0], 1);
-        assert_eq!(none, vec![0]);
-        assert_ne!(some, none);
+    fn unsigned_integers_are_leb128_varints() {
+        let cases: [(u64, &[u8]); 6] = [
+            (0, &[0x00]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (16383, &[0xFF, 0x7F]),
+            (16384, &[0x80, 0x80, 0x01]),
+            (u64::MAX, &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]),
+        ];
+        for (value, bytes) in cases {
+            assert_eq!(encoded(|out| push_u64(out, value)), bytes, "{value}");
+        }
+    }
 
-        let mut some_i = Vec::new();
-        push_opt_i64(&mut some_i, Some(-7));
-        assert_eq!(some_i.len(), 9);
+    #[test]
+    fn signed_integers_are_zigzag_varints() {
+        let cases: [(i64, &[u8]); 5] = [
+            (0, &[0x00]),
+            (-1, &[0x01]),
+            (1, &[0x02]),
+            (i64::MAX, &[0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]),
+            (i64::MIN, &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]),
+        ];
+        for (value, bytes) in cases {
+            assert_eq!(encoded(|out| push_i64(out, value)), bytes, "{value}");
+        }
+        let tagged = encoded(|out| {
+            push_opt_i64(out, Some(-7));
+            push_opt_i64(out, None);
+            push_opt_u64(out, Some(300));
+            push_opt_u64(out, None);
+        });
+        assert_eq!(tagged, [1, 13, 0, 1, 0xAC, 0x02, 0]);
+    }
+
+    #[test]
+    fn concatenated_fields_split_back_uniquely() {
+        // Every field is prefix-free, so a concatenation decodes back to
+        // exactly the values written: distinct field lists never share
+        // bytes.
+        let unsigned = [0, 1, 127, 128, 300, 16383, 16384, 1 << 35, u64::MAX - 1, u64::MAX];
+        let signed = [0, -1, 1, -64, 64, i64::MIN, i64::MAX, -300];
+        let mut out = Vec::new();
+        for &value in &unsigned {
+            push_u64(&mut out, value);
+        }
+        for &value in &signed {
+            push_i64(&mut out, value);
+        }
+        let mut rest = out.as_slice();
+        for &value in &unsigned {
+            let (decoded, tail) = read_u64(rest).expect("a whole varint");
+            assert_eq!(decoded, value);
+            rest = tail;
+        }
+        for &value in &signed {
+            let (decoded, tail) = read_u64(rest).expect("a whole varint");
+            assert_eq!(unzigzag(decoded), value);
+            rest = tail;
+        }
+        assert!(rest.is_empty());
+        // A varint is never a proper prefix of another: every proper
+        // prefix of an encoding ends on a continuation byte.
+        for &value in &unsigned {
+            let bytes = encoded(|out| push_u64(out, value));
+            for cut in 0..bytes.len() {
+                assert!(read_u64(&bytes[..cut]).is_none(), "{value} cut at {cut}");
+            }
+        }
     }
 
     #[test]
@@ -124,5 +222,25 @@ mod tests {
         push_bytes(&mut right, b"a");
         push_bytes(&mut right, b"bc");
         assert_ne!(left, right);
+    }
+
+    #[test]
+    fn prefixed_sections_match_push_bytes_at_every_prefix_width() {
+        for len in [0, 1, 127, 128, 200, 16383, 16384] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let direct = encoded(|out| {
+                out.push(0xEE);
+                push_bytes(out, &payload);
+            });
+            let mut in_place = vec![0xEE];
+            let returned = push_prefixed(&mut in_place, |out| {
+                out.extend_from_slice(&payload);
+                len
+            });
+            assert_eq!(returned, len);
+            assert_eq!(in_place, direct, "payload of {len} bytes");
+            let (decoded, rest) = read_u64(&in_place[1..]).expect("a whole length");
+            assert_eq!((decoded, rest), (len as u64, payload.as_slice()));
+        }
     }
 }

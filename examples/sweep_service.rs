@@ -14,8 +14,10 @@
 //! ```
 //!
 //! `--throttle-ms N` slows every cell down (to widen the kill window for
-//! the CI smoke); `--cells N` sizes the battery. The example exits 2 with a
-//! usage line on a bad argument, 2 on a degraded job, 1 on a service error.
+//! the CI smoke); `--cells N` sizes the battery. The example exits 0 when
+//! every cell completed, 3 on a degraded job (quarantined or skipped cells;
+//! the report says which), 2 with a usage line on a bad argument and 1 on
+//! a service error.
 
 use dynring_core::Algorithm;
 use dynring_service::{Job, JobOutcome, JobStatus, ServiceError, Supervisor};
@@ -97,8 +99,21 @@ impl Default for Args {
 }
 
 /// The usage line printed on a bad argument.
-const USAGE: &str =
-    "usage: sweep_service [--journal PATH] [--report PATH] [--throttle-ms N] [--cells N]";
+const USAGE: &str = "usage: sweep_service [--journal PATH] [--report PATH] [--throttle-ms N] \
+                     [--cells N]\nexits 0 when every cell completed, 3 on a degraded job \
+                     (quarantined or skipped cells), 2 on a bad argument, 1 on a service error";
+
+/// The exit code of a bad argument.
+pub const EXIT_USAGE: i32 = 2;
+
+/// The exit code of a job that ran to `status`: 0 when every cell
+/// completed, 3 when some were quarantined or skipped.
+pub fn exit_code(status: JobStatus) -> i32 {
+    match status {
+        JobStatus::Complete => 0,
+        JobStatus::CompleteWithFailures | JobStatus::Partial => 3,
+    }
+}
 
 /// Parses the command line (without the program name).
 ///
@@ -132,20 +147,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String
 fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
         eprintln!("sweep_service: {message}\n{USAGE}");
-        std::process::exit(2);
+        std::process::exit(EXIT_USAGE);
     });
     let job = battery(args.cells);
     let supervisor =
         Supervisor::new().chunk(4).throttle(Duration::from_millis(args.throttle_ms));
     match run(&supervisor, &job, &args.journal, args.report.as_deref()) {
-        Ok(outcome) => {
-            if outcome.status == JobStatus::Complete {
-                std::process::exit(0);
-            }
-            // Quarantined or skipped cells: the report says which; signal
-            // the degradation through the exit code.
-            std::process::exit(2);
-        }
+        Ok(outcome) => std::process::exit(exit_code(outcome.status)),
         Err(error) => {
             eprintln!("sweep service failed: {error}");
             std::process::exit(1);

@@ -192,6 +192,29 @@ fn sweep_service_example_runs_and_resumes_byte_identically() {
         .expect("resume must succeed");
     assert_eq!(resumed.resumed, 6);
     assert_eq!(std::fs::read_to_string(&report).unwrap(), first);
+    assert_eq!(sweep_service::exit_code(resumed.status), 0);
     std::fs::remove_file(&journal).unwrap();
     std::fs::remove_file(&report).unwrap();
+}
+
+#[test]
+fn sweep_service_example_exit_codes_tell_usage_from_degradation() {
+    use dynring::service::{FaultPlan, JobStatus, Supervisor};
+    // A cell that panics on every attempt is quarantined: the job finishes
+    // degraded, which exits 3, not the usage code 2.
+    let job = sweep_service::battery(3);
+    let supervisor = Supervisor::new()
+        .threads(1)
+        .max_attempts(2)
+        .fault_plan(FaultPlan::none().with_persistent_panic(1, 2));
+    let journal = std::env::temp_dir()
+        .join(format!("dynring-smoke-sweep-service-degraded-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let outcome = sweep_service::run(&supervisor, &job, &journal, None).expect("the job runs");
+    assert_eq!(outcome.status, JobStatus::CompleteWithFailures);
+    assert_eq!(sweep_service::exit_code(outcome.status), 3);
+    assert_eq!(sweep_service::exit_code(JobStatus::Partial), 3);
+    assert_eq!(sweep_service::exit_code(JobStatus::Complete), 0);
+    assert_eq!(sweep_service::EXIT_USAGE, 2);
+    std::fs::remove_file(&journal).unwrap();
 }

@@ -254,20 +254,140 @@ fn a_state_budget_below_the_cell_is_inconclusive_at_every_width() {
     );
 }
 
-/// The packed canonical key's bitmask map search produces exactly the bytes
-/// of the direct minimum over every admissible map, across the catalogue
-/// run under FSYNC and SSYNC on rings of 4 to 17 nodes: whole-byte visit
-/// maps (n = 8, 16) and partial tail bytes, landmark and anonymous rings,
-/// agents sharing a node, held ports and both handednesses — each case is
-/// counted and must occur.
+/// A boxed protocol without a packed state key, so the canonical key holds
+/// its `Debug` string; the note makes that string longer than 127 bytes,
+/// which takes a two-byte length prefix.
+#[derive(Debug, Clone)]
+struct Chatty {
+    steps: u64,
+    #[expect(dead_code, reason = "read through `Debug`, which keys the program's state")]
+    note: &'static str,
+}
+
+impl Chatty {
+    const NOTE: &'static str = "a deliberately long-winded program state that walks left for three \
+                                steps, then right for two, and never packs its own state key";
+}
+
+impl dynring_model::Protocol for Chatty {
+    fn name(&self) -> &'static str {
+        "chatty"
+    }
+
+    fn termination_kind(&self) -> dynring_model::TerminationKind {
+        dynring_model::TerminationKind::Unconscious
+    }
+
+    fn decide(&mut self, _snapshot: &dynring_model::Snapshot) -> dynring_model::Decision {
+        self.steps += 1;
+        let dir = if self.steps % 5 < 3 {
+            dynring_model::LocalDirection::Left
+        } else {
+            dynring_model::LocalDirection::Right
+        };
+        dynring_model::Decision::Move(dir)
+    }
+
+    fn has_terminated(&self) -> bool {
+        false
+    }
+
+    fn clone_box(&self) -> Box<dyn dynring_model::Protocol> {
+        Box::new(self.clone())
+    }
+}
+
+/// Whether two admissible maps carry the visit map to the same mask and
+/// every agent to the same node, so that only the agents' flags bytes
+/// (whose handedness bit a reflection always flips) order them. The visit
+/// map is read off the public view only when one node or every node has
+/// been visited; any other state counts as no.
+fn flags_break_a_mask_tie(
+    n: usize,
+    landmark: Option<usize>,
+    visited_count: usize,
+    nodes: &[usize],
+) -> bool {
+    let visited: Vec<usize> = match visited_count {
+        1 => vec![nodes[0]],
+        count if count == n => (0..n).collect(),
+        _ => return false,
+    };
+    let maps: Vec<(usize, bool)> = match landmark {
+        Some(l) => vec![((n - l) % n, false), (l, true)],
+        None => (0..n).flat_map(|rot| [(rot, false), (rot, true)]).collect(),
+    };
+    let image = |v: usize, (rot, reflect): (usize, bool)| {
+        if reflect { (rot + n - v) % n } else { (v + rot) % n }
+    };
+    let placed = |map| {
+        let mut mask: Vec<usize> = visited.iter().map(|&v| image(v, map)).collect();
+        mask.sort_unstable();
+        (mask, nodes.iter().map(|&v| image(v, map)).collect::<Vec<_>>())
+    };
+    maps.iter().enumerate().any(|(i, &a)| maps[i + 1..].iter().any(|&b| placed(a) == placed(b)))
+}
+
+/// The packed canonical key's two-pass map search produces exactly the
+/// bytes of the direct minimum over every admissible map, across the
+/// catalogue run under FSYNC and SSYNC on rings of 4 to 17 nodes, plus
+/// mixed teams holding a boxed protocol keyed by its `Debug` string. Each
+/// case is counted and must occur: whole-byte visit maps (n = 8, 16) and
+/// partial tail bytes, landmark and anonymous rings, agents sharing a node,
+/// held ports and both handednesses, a fully visited ring (every admissible
+/// map ties on the visit mask), a mask tie that only the flags bytes break,
+/// teams of four or more agents and a program key of 128 bytes or more.
 #[test]
 fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
-    use dynring_engine::KeyScratch;
+    use dynring_engine::adversary::NoRemoval;
+    use dynring_engine::scheduler::{FullActivation, RoundRobinSingle};
+    use dynring_engine::{KeyScratch, Simulation};
+    use dynring_graph::{NodeId, RingTopology};
     use dynring_model::TransportModel;
 
+    // Checks one state against the reference, leaving its key in `key`,
+    // and counts the cases it covers (all but the long program key).
+    fn check(
+        sim: &mut Simulation,
+        label: &str,
+        scratch: &mut [KeyScratch; 2],
+        key: &mut Vec<u8>,
+        seen: &mut [usize; 12],
+    ) {
+        let ring = sim.ring().clone();
+        let (n, visited) = (ring.size(), sim.visited_count());
+        let landmark = ring.landmark().map(NodeId::index);
+        let cp = sim.checkpoint();
+        let mut reference = Vec::new();
+        cp.canonical_key_into(&ring, &mut scratch[0], key);
+        cp.canonical_key_exhaustive(&ring, &mut scratch[1], &mut reference);
+        assert_eq!(*key, reference, "{label} landmark={landmark:?}");
+        let view = sim.peek();
+        let agents = &view.agents;
+        let shares =
+            (1..agents.len()).any(|i| agents[..i].iter().any(|other| other.node == agents[i].node));
+        let nodes: Vec<usize> = agents.iter().map(|agent| agent.node.index()).collect();
+        let covered = [
+            landmark.is_some(),
+            landmark.is_none(),
+            n % 8 == 0,
+            n % 8 != 0,
+            shares,
+            agents.iter().any(|agent| agent.held_port.is_some()),
+            agents.iter().any(|agent| agent.handedness == Handedness::LeftIsCcw),
+            agents.iter().any(|agent| agent.handedness == Handedness::LeftIsCw),
+            visited == n,
+            flags_break_a_mask_tie(n, landmark, visited, &nodes),
+            agents.len() >= 4,
+        ];
+        for (count, hit) in seen.iter_mut().zip(covered) {
+            *count += usize::from(hit);
+        }
+    }
+
     let mut rng = proptest::TestRng::new(proptest::seed_from_name("bitmask_canonical_key"));
-    let (mut scratch, mut reference_scratch) = (KeyScratch::new(), KeyScratch::new());
-    let (mut key, mut reference) = (Vec::new(), Vec::new());
+    let mut scratch = [KeyScratch::new(), KeyScratch::new()];
+    let mut key = Vec::new();
     let cases = [
         "landmark ring",
         "anonymous ring",
@@ -277,8 +397,12 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
         "held port",
         "LeftIsCcw agent",
         "LeftIsCw agent",
+        "fully visited ring",
+        "mask tie broken only by the flags byte",
+        "team of four or more agents",
+        "program key of 128 bytes or more",
     ];
-    let mut seen = [0usize; 8];
+    let mut seen = [0usize; 12];
     for n in 4..=17 {
         for algorithm in Algorithm::full_catalog(n) {
             for (ssync, landmark) in [(false, false), (false, true), (true, false), (true, true)] {
@@ -295,10 +419,15 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
                     Scenario::fsync(n, algorithm)
                 };
                 scenario.landmark = landmark.then(|| rng.next_u64() as usize % n);
-                // The first two agents share a node in every other cell.
+                // The first two agents share a node in every other cell,
+                // and every fourth cell runs a team of at least four.
                 let shared = rng.next_u64() & 1 == 0;
-                let mut starts: Vec<usize> =
-                    scenario.starts.iter().map(|_| rng.next_u64() as usize % n).collect();
+                let team = if rng.next_u64().is_multiple_of(4) {
+                    scenario.starts.len().max(4)
+                } else {
+                    scenario.starts.len()
+                };
+                let mut starts: Vec<usize> = (0..team).map(|_| rng.next_u64() as usize % n).collect();
                 if shared && starts.len() > 1 {
                     starts[1] = starts[0];
                 }
@@ -309,41 +438,56 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
                     })
                     .collect();
                 scenario.starts = starts;
-                let check = ModelCheck::new(scenario, Objective::Explore, 1);
-                let mut sim = check.branchable_simulation();
-                let ring = check.scenario.ring();
-                for round in 0..2 * n {
-                    let cp = sim.checkpoint();
-                    cp.canonical_key_into(&ring, &mut scratch, &mut key);
-                    cp.canonical_key_exhaustive(&ring, &mut reference_scratch, &mut reference);
-                    assert_eq!(
-                        key,
-                        reference,
-                        "{algorithm} n={n} ssync={ssync} landmark={:?} round {round}",
-                        ring.landmark()
-                    );
-                    let view = sim.peek();
-                    let agents = &view.agents;
-                    let shares = (1..agents.len())
-                        .any(|i| agents[..i].iter().any(|other| other.node == agents[i].node));
-                    let covered = [
-                        landmark,
-                        !landmark,
-                        n % 8 == 0,
-                        n % 8 != 0,
-                        shares,
-                        agents.iter().any(|agent| agent.held_port.is_some()),
-                        agents.iter().any(|agent| agent.handedness == Handedness::LeftIsCcw),
-                        agents.iter().any(|agent| agent.handedness == Handedness::LeftIsCw),
-                    ];
-                    for (count, hit) in seen.iter_mut().zip(covered) {
-                        *count += usize::from(hit);
-                    }
+                let model = ModelCheck::new(scenario, Objective::Explore, 1);
+                let mut sim = model.branchable_simulation();
+                for round in 0..3 * n {
+                    let label = format!("{algorithm} n={n} ssync={ssync} round {round}");
+                    check(&mut sim, &label, &mut scratch, &mut key, &mut seen);
                     let choice = rng.next_u64() as usize % (n + 1);
                     if !sim.step_with_edge((choice < n).then(|| EdgeId::new(choice))) {
                         break;
                     }
                 }
+            }
+        }
+    }
+    // Mixed teams: two `Debug`-keyed boxed programs beside catalogue ones.
+    for n in [5, 8, 11, 16] {
+        for (ssync, landmark) in [(false, None), (true, Some(n / 2))] {
+            let ring = match landmark {
+                Some(l) => RingTopology::with_landmark(n, NodeId::new(l)).unwrap(),
+                None => RingTopology::new(n).unwrap(),
+            };
+            let algorithm = Algorithm::KnownBound { upper_bound: n };
+            let mut builder = Simulation::builder(ring).edges(Box::new(NoRemoval));
+            builder = if ssync {
+                builder
+                    .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
+                    .activation(Box::new(RoundRobinSingle::new()))
+            } else {
+                builder.activation(Box::new(FullActivation))
+            };
+            for (i, start) in [0, n / 3, n / 3, n - 1, 1].into_iter().enumerate() {
+                let handedness = if i % 2 == 0 { Handedness::LeftIsCcw } else { Handedness::LeftIsCw };
+                builder = if i % 2 == 0 {
+                    builder.agent(NodeId::new(start), handedness, Box::new(Chatty { steps: 0, note: Chatty::NOTE }))
+                } else {
+                    builder.agent_program(NodeId::new(start), handedness, algorithm.instantiate_enum())
+                };
+            }
+            let mut sim = builder.build().unwrap();
+            for round in 0..3 * n {
+                let label = format!("mixed team n={n} ssync={ssync} round {round}");
+                check(&mut sim, &label, &mut scratch, &mut key, &mut seen);
+                // The `Debug` fallback's own length prefix sits right
+                // before the label: two varint bytes once it passes 127.
+                let at = key.windows(8).position(|w| w == b"Chatty {").expect("a Debug-keyed program");
+                let len = key[at..].iter().position(|&b| b == b'}').expect("a whole label") + 1;
+                assert!(len >= 128, "the label is {len} bytes");
+                assert_eq!(key[at - 2..at], [(len as u8) | 0x80, (len >> 7) as u8], "length prefix");
+                seen[11] += 1;
+                let choice = rng.next_u64() as usize % (n + 1);
+                sim.step_with_edge((choice < n).then(|| EdgeId::new(choice)));
             }
         }
     }
