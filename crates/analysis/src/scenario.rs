@@ -355,7 +355,7 @@ impl Scenario {
             .map(|(i, start)| {
                 let handedness =
                     self.orientations.get(i).copied().unwrap_or(Handedness::LeftIsCcw);
-                AgentSpec::new(NodeId::new(*start), handedness, self.algorithm.instantiate_enum())
+                AgentSpec::new(NodeId::new(*start), handedness, self.algorithm.instantiate())
             })
             .collect();
         RunSpec::new(self.ring(), self.synchrony, agents, self.record_trace)

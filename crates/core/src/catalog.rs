@@ -1,33 +1,24 @@
-//! A registry of every algorithm in the paper, and the enum-dispatched
-//! protocol runtime built on top of it.
+//! A registry of every algorithm in the paper, and the program type the
+//! engine runs for every agent.
 //!
 //! The analysis and benchmark crates enumerate this catalogue to build the
 //! feasibility map (Tables 1–4); examples use it to construct agents by name.
 //!
-//! # Two ways to instantiate an algorithm
+//! # One program representation
 //!
 //! The catalogue of *Live Exploration of Dynamic Rings* is **closed and
-//! small** — nine concrete protocol state machines cover all twelve
-//! feasibility-map rows — which the runtime exploits by offering two
-//! instantiation paths:
+//! small**: nine concrete protocol state machines cover all twelve
+//! feasibility-map rows. [`Algorithm::instantiate`] returns a
+//! [`CatalogProtocol`], a nine-variant enum wrapping the concrete protocol
+//! types, and that enum is the engine's only program type. Dispatching
+//! `decide` through it is a **static `match`** the compiler can inline, so
+//! a Look–Compute cycle pays **zero virtual calls**, and the engine copies
+//! program state (prediction probes, checkpoint slots, trace labels) with a
+//! plain variant-matching [`Clone::clone_from`].
 //!
-//! * [`Algorithm::instantiate_enum`] returns a [`CatalogProtocol`], a
-//!   nine-variant enum wrapping the concrete protocol types. Dispatching
-//!   `decide` through it is a **static `match`** the compiler can inline, so
-//!   a homogeneous team of catalogue agents (the common case in every sweep)
-//!   pays **zero virtual calls** per Look–Compute cycle, and the engine's
-//!   probe pool can refresh prediction probes with a plain variant-matching
-//!   [`Clone::clone_from`] instead of an `as_any` downcast.
-//! * [`Algorithm::instantiate`] returns the classic `Box<dyn Protocol>` —
-//!   the **extension escape hatch** that also accepts user-defined protocols
-//!   the catalogue has never heard of. The engine runs both representations
-//!   side by side in one team (see the example below).
-//!
-//! The two paths are observably identical — `tests/dispatch_equivalence.rs`
-//! pins identical run reports and trace digests for every catalogue
-//! algorithm under FSYNC and SSYNC, with and without decision predictions —
-//! so choosing between them is purely a performance decision. See
-//! `docs/ARCHITECTURE.md` (“The dispatch story”) for the full design.
+//! A new protocol joins as one more [`CatalogProtocol`] variant plus its
+//! [`Algorithm`] entry; see `docs/ARCHITECTURE.md` ("One program
+//! representation").
 
 use crate::fsync::{KnownBound, LandmarkChirality, LandmarkNoChirality, Unconscious};
 use crate::single::LoneWalker;
@@ -56,6 +47,7 @@ pub enum AlgorithmFamily {
 ///
 /// ```
 /// use dynring_core::Algorithm;
+/// use dynring_model::Protocol;
 ///
 /// let alg = Algorithm::KnownBound { upper_bound: 16 };
 /// let agent = alg.instantiate();
@@ -107,41 +99,8 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Instantiates a fresh agent running this algorithm behind the classic
-    /// type-erased `Box<dyn Protocol>` (the `dyn`-dispatch path).
-    ///
-    /// Prefer [`Algorithm::instantiate_enum`] for catalogue teams: the
-    /// returned [`CatalogProtocol`] dispatches `decide` through a static
-    /// `match` instead of a vtable. This boxed form remains the extension
-    /// escape hatch shared with user-defined protocols.
-    #[must_use]
-    pub fn instantiate(&self) -> Box<dyn Protocol> {
-        match *self {
-            Algorithm::KnownBound { upper_bound } => Box::new(KnownBound::new(upper_bound)),
-            Algorithm::Unconscious => Box::new(Unconscious::new()),
-            Algorithm::LandmarkChirality => Box::new(LandmarkChirality::new()),
-            Algorithm::LandmarkNoChirality => Box::new(LandmarkNoChirality::new()),
-            Algorithm::StartFromLandmarkNoChirality => {
-                Box::new(LandmarkNoChirality::starting_from_landmark())
-            }
-            Algorithm::PtBoundChirality { upper_bound } => {
-                Box::new(PtBoundChirality::new(upper_bound))
-            }
-            Algorithm::PtLandmarkChirality => Box::new(PtLandmarkChirality::new()),
-            Algorithm::PtBoundNoChirality { upper_bound } => {
-                Box::new(PtNoChirality::with_upper_bound(upper_bound))
-            }
-            Algorithm::PtLandmarkNoChirality => Box::new(PtNoChirality::with_landmark()),
-            Algorithm::EtBoundNoChirality { ring_size } => {
-                Box::new(PtNoChirality::for_eventual_transport(ring_size))
-            }
-            Algorithm::EtUnconscious => Box::new(EtUnconscious::new()),
-            Algorithm::LoneWalker { patience } => Box::new(LoneWalker::new(patience)),
-        }
-    }
-
     /// Instantiates a fresh agent running this algorithm as a
-    /// [`CatalogProtocol`] (the enum-dispatch fast path).
+    /// [`CatalogProtocol`].
     ///
     /// The twelve algorithm entries map onto the nine concrete protocol
     /// types: `StartFromLandmarkNoChirality` is a parameterisation of
@@ -149,7 +108,7 @@ impl Algorithm {
     /// `EtBoundNoChirality` entries are parameterisations of
     /// [`PtNoChirality`].
     #[must_use]
-    pub fn instantiate_enum(&self) -> CatalogProtocol {
+    pub fn instantiate(&self) -> CatalogProtocol {
         match *self {
             Algorithm::KnownBound { upper_bound } => {
                 CatalogProtocol::KnownBound(KnownBound::new(upper_bound))
@@ -247,7 +206,7 @@ impl Algorithm {
     /// The termination discipline the algorithm promises.
     #[must_use]
     pub fn termination_kind(&self) -> TerminationKind {
-        self.instantiate_enum().termination_kind()
+        self.instantiate().termination_kind()
     }
 
     /// The synchrony / transport model under which the algorithm's guarantee
@@ -306,25 +265,21 @@ impl Algorithm {
 
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.instantiate_enum().name())
+        write!(f, "{}", self.instantiate().name())
     }
 }
 
 /// Every concrete protocol state machine of the paper behind one **statically
-/// dispatched** enum — the fast path of the engine's agent runtime.
+/// dispatched** enum: the program every engine agent runs.
 ///
 /// Each `decide` call resolves by a `match` on the discriminant and a direct
-/// (inlinable) call into the wrapped state machine, so a homogeneous team of
-/// catalogue agents runs its whole Look–Compute cycle without a single
-/// virtual call. The enum also carries a variant-matching
-/// [`Clone::clone_from`], which is what lets the engine's probe pool refresh
-/// a prediction probe in place without the `as_any` downcast the boxed path
-/// needs.
+/// (inlinable) call into the wrapped state machine, so a team runs its whole
+/// Look–Compute cycle without a single virtual call. The enum also carries a
+/// variant-matching [`Clone::clone_from`], which is how the engine refreshes
+/// prediction probes, checkpoint slots and trace labels in place.
 ///
 /// The nine variants cover the paper's algorithm catalogue as mapped out in
-/// [`Algorithm::instantiate_enum`]; `Box<dyn Protocol>` (via
-/// [`Algorithm::instantiate`] or any user-defined type) remains the
-/// extension escape hatch, and both representations can share one team:
+/// [`Algorithm::instantiate`]:
 ///
 /// ```
 /// use dynring_core::{Algorithm, CatalogProtocol};
@@ -332,42 +287,22 @@ impl fmt::Display for Algorithm {
 /// use dynring_engine::scheduler::FullActivation;
 /// use dynring_engine::sim::{Simulation, StopCondition};
 /// use dynring_graph::{Handedness, NodeId, RingTopology};
-/// use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
+/// use dynring_model::Protocol;
 ///
-/// // A user-defined protocol the catalogue has never heard of: it walks
-/// // right forever (it cannot explore alone, but it can tag along).
-/// #[derive(Debug, Clone)]
-/// struct RightWalker;
-///
-/// impl Protocol for RightWalker {
-///     fn name(&self) -> &'static str { "right-walker" }
-///     fn termination_kind(&self) -> TerminationKind { TerminationKind::Unconscious }
-///     fn decide(&mut self, _snapshot: &Snapshot) -> Decision {
-///         Decision::Move(LocalDirection::Right)
-///     }
-///     fn has_terminated(&self) -> bool { false }
-///     fn clone_box(&self) -> Box<dyn Protocol> { Box::new(self.clone()) }
-/// }
-///
-/// // Two catalogue agents on the enum fast path (zero virtual calls in
-/// // their Compute dispatch) plus the custom protocol through the boxed
-/// // escape hatch, all in one simulation.
 /// let alg = Algorithm::KnownBound { upper_bound: 8 };
 /// let ring = RingTopology::new(8)?;
 /// let mut sim = Simulation::builder(ring)
-///     .agent_program(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate_enum())
-///     .agent_program(NodeId::new(4), Handedness::LeftIsCcw, alg.instantiate_enum())
-///     .agent(NodeId::new(2), Handedness::LeftIsCcw, Box::new(RightWalker))
+///     .agent(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate())
+///     .agent(NodeId::new(4), Handedness::LeftIsCcw, alg.instantiate())
 ///     .activation(Box::new(FullActivation))
 ///     .edges(Box::new(RandomEdge::new(0.5, 7)))
 ///     .build()?;
 /// let report = sim.run(200, StopCondition::Explored);
 /// assert!(report.explored());
 ///
-/// // The enum is itself a `Protocol`, so it can cross the boxed boundary
-/// // too when type erasure is genuinely needed.
-/// let boxed: Box<dyn Protocol> = Box::new(alg.instantiate_enum());
-/// assert_eq!(boxed.name(), CatalogProtocol::KnownBound(
+/// // The enum forwards every `Protocol` method to the wrapped state machine.
+/// let program = alg.instantiate();
+/// assert_eq!(program.name(), CatalogProtocol::KnownBound(
 ///     dynring_core::fsync::KnownBound::new(8)).name());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -439,8 +374,8 @@ impl Clone for CatalogProtocol {
     /// Variant-matching state copy: when both sides hold the same variant the
     /// copy delegates to the concrete protocol's `clone_from` (which reuses
     /// existing heap capacity where the type provides one), so refreshing an
-    /// engine probe from a live catalogue protocol is allocation-free in the
-    /// steady state — and needs no `as_any` downcast.
+    /// engine probe from a live program is allocation-free in the steady
+    /// state. A variant mismatch replaces `self` with a clone of `source`.
     fn clone_from(&mut self, source: &Self) {
         match (self, source) {
             (CatalogProtocol::KnownBound(dst), CatalogProtocol::KnownBound(src)) => {
@@ -477,10 +412,9 @@ impl Clone for CatalogProtocol {
     }
 }
 
-/// The enum is itself a [`Protocol`], so a `CatalogProtocol` can cross any
-/// `Box<dyn Protocol>` boundary; every method forwards to the wrapped state
-/// machine through the static `match`, and the trace-facing strings (`name`,
-/// `state_label`) are bit-identical to the wrapped protocol's own.
+/// Every method forwards to the wrapped state machine through the static
+/// `match`, and the trace-facing strings (`name`, `state_label`) are
+/// bit-identical to the wrapped protocol's own.
 impl Protocol for CatalogProtocol {
     fn name(&self) -> &'static str {
         dispatch!(self, p => p.name())
@@ -499,23 +433,11 @@ impl Protocol for CatalogProtocol {
         dispatch!(self, p => p.has_terminated())
     }
 
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
     fn state_label(&self) -> String {
         dispatch!(self, p => p.state_label())
     }
 
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
+    fn write_state_key(&self, out: &mut Vec<u8>) {
         // A leading variant tag keeps encodings of different catalogue
         // algorithms disjoint even when their field encodings would collide.
         out.push(match self {
@@ -602,39 +524,15 @@ mod tests {
     }
 
     #[test]
-    fn enum_and_boxed_instantiations_agree_on_every_algorithm() {
-        for alg in Algorithm::full_catalog(8) {
-            let enumed = alg.instantiate_enum();
-            let boxed = alg.instantiate();
-            assert_eq!(enumed.name(), boxed.name(), "{alg:?}");
-            assert_eq!(enumed.termination_kind(), boxed.termination_kind(), "{alg:?}");
-            assert_eq!(enumed.has_terminated(), boxed.has_terminated(), "{alg:?}");
-            assert_eq!(enumed.state_label(), boxed.state_label(), "{alg:?}");
-        }
-    }
-
-    #[test]
     fn enum_clone_from_copies_across_matching_variants() {
-        let mut probe = Algorithm::KnownBound { upper_bound: 4 }.instantiate_enum();
-        let live = Algorithm::KnownBound { upper_bound: 9 }.instantiate_enum();
+        let mut probe = Algorithm::KnownBound { upper_bound: 4 }.instantiate();
+        let live = Algorithm::KnownBound { upper_bound: 9 }.instantiate();
         probe.clone_from(&live);
         assert_eq!(probe.state_label(), live.state_label());
         // A variant mismatch falls back to a full clone of the source.
-        let other = Algorithm::Unconscious.instantiate_enum();
+        let other = Algorithm::Unconscious.instantiate();
         probe.clone_from(&other);
         assert_eq!(probe.name(), "UnconsciousExploration");
-    }
-
-    #[test]
-    fn enum_supports_the_boxed_state_copy_api() {
-        let live: Box<dyn Protocol> =
-            Box::new(Algorithm::LandmarkNoChirality.instantiate_enum());
-        let mut probe = live.clone_box();
-        assert!(probe.clone_from_box(live.as_ref()));
-        assert_eq!(probe.state_label(), live.state_label());
-        // Copying from a non-enum protocol is refused (type mismatch).
-        let concrete = Algorithm::LandmarkNoChirality.instantiate();
-        assert!(!probe.clone_from_box(concrete.as_ref()));
     }
 
     #[test]

@@ -36,9 +36,9 @@ pub struct DirectionSequence {
     base_phase: u32,
 }
 
-// Manual `Clone` so that `clone_from` reuses the capacity of `base` (the
-// engine's probe pool refreshes protocol copies every round; see
-// `dynring_model::Protocol::clone_from_box`).
+// Manual `Clone` so that `clone_from` reuses the capacity of `base`: the
+// engine refreshes its prediction probes, checkpoint slots and trace labels
+// through `CatalogProtocol::clone_from` every round.
 impl Clone for DirectionSequence {
     fn clone(&self) -> Self {
         DirectionSequence { id: self.id, base: self.base.clone(), base_phase: self.base_phase }

@@ -77,9 +77,9 @@ pub struct AgentIdentifier {
     value: u64,
 }
 
-// Manual `Clone` so that `clone_from` reuses the capacity of `bits` (the
-// engine's probe pool refreshes protocol copies every round; see
-// `dynring_model::Protocol::clone_from_box`).
+// Manual `Clone` so that `clone_from` reuses the capacity of `bits`: the
+// engine refreshes its prediction probes, checkpoint slots and trace labels
+// through `CatalogProtocol::clone_from` every round.
 impl Clone for AgentIdentifier {
     fn clone(&self) -> Self {
         AgentIdentifier {

@@ -39,11 +39,9 @@ enum State {
 /// assert_eq!(agent.termination_kind(), TerminationKind::Explicit);
 /// ```
 ///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::KnownBound`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
+/// The engine runs this type as the
+/// [`CatalogProtocol::KnownBound`](crate::CatalogProtocol) variant, whose
+/// Compute is statically dispatched. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KnownBound {
     bound: u64,
@@ -157,23 +155,11 @@ impl Protocol for KnownBound {
         self.state == State::Terminate
     }
 
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
     fn state_label(&self) -> String {
         format!("{:?}(Ttime={},Btime={})", self.state, self.counters.ttime(), self.counters.btime())
     }
 
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
+    fn write_state_key(&self, out: &mut Vec<u8>) {
         dynring_model::statekey::push_u64(out, self.bound);
         out.push(match self.state {
             State::Init => 0,
@@ -182,7 +168,6 @@ impl Protocol for KnownBound {
             State::Terminate => 3,
         });
         self.counters.write_state_key(out);
-        true
     }
 }
 
@@ -363,11 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_box_preserves_state() {
+    fn clone_preserves_state() {
         let mut a = KnownBound::new(8);
         let _ = a.decide(&plain(PriorOutcome::Idle));
         let _ = a.decide(&plain(PriorOutcome::PortAcquisitionFailed));
-        let cloned = a.clone_box();
+        let cloned = a.clone();
         assert_eq!(cloned.state_label(), a.state_label());
         assert_eq!(a.name(), "KnownNNoChirality");
     }

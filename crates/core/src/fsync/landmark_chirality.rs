@@ -61,11 +61,9 @@ pub enum LcState {
 /// assert_eq!(agent.name(), "LandmarkWithChirality");
 /// ```
 ///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::LandmarkChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
+/// The engine runs this type as the
+/// [`CatalogProtocol::LandmarkChirality`](crate::CatalogProtocol) variant, whose
+/// Compute is statically dispatched. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LandmarkChirality {
     state: LcState,
@@ -263,18 +261,6 @@ impl Protocol for LandmarkChirality {
         self.state == LcState::Terminate
     }
 
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
     fn state_label(&self) -> String {
         format!(
             "{:?}(Ntime={},size={:?},bounceSteps={:?})",
@@ -285,7 +271,7 @@ impl Protocol for LandmarkChirality {
         )
     }
 
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
+    fn write_state_key(&self, out: &mut Vec<u8>) {
         use dynring_model::statekey::push_opt_u64;
         out.push(match self.state {
             LcState::Init => 0,
@@ -301,7 +287,6 @@ impl Protocol for LandmarkChirality {
         push_opt_u64(out, self.bounce_steps);
         push_opt_u64(out, self.return_steps);
         self.counters.write_state_key(out);
-        true
     }
 }
 

@@ -74,11 +74,9 @@ pub enum LnState {
 /// assert_eq!(agent.name(), "LandmarkNoChirality");
 /// ```
 ///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::LandmarkNoChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
+/// The engine runs this type as the
+/// [`CatalogProtocol::LandmarkNoChirality`](crate::CatalogProtocol) variant, whose
+/// Compute is statically dispatched. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LandmarkNoChirality {
     state: LnState,
@@ -100,7 +98,7 @@ pub struct LandmarkNoChirality {
 
 // Manual `Clone` so that `clone_from` forwards to the capacity-reusing
 // `clone_from` of the identifier and direction sequence instead of
-// reallocating them (see `dynring_model::Protocol::clone_from_box`).
+// reallocating them (see `CatalogProtocol::clone_from`).
 impl Clone for LandmarkNoChirality {
     fn clone(&self) -> Self {
         LandmarkNoChirality {
@@ -579,18 +577,6 @@ impl Protocol for LandmarkNoChirality {
         self.state == LnState::Terminate
     }
 
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
     fn state_label(&self) -> String {
         format!(
             "{:?}(dir={},id={:?},n={:?})",
@@ -601,7 +587,7 @@ impl Protocol for LandmarkNoChirality {
         )
     }
 
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
+    fn write_state_key(&self, out: &mut Vec<u8>) {
         use dynring_model::statekey::{push_opt_u64, push_u64};
         out.push(match self.state {
             LnState::Init => 0,
@@ -641,7 +627,6 @@ impl Protocol for LandmarkNoChirality {
         push_opt_u64(out, self.bounce_steps);
         push_opt_u64(out, self.return_steps);
         self.counters.write_state_key(out);
-        true
     }
 }
 

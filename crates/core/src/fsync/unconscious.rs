@@ -45,11 +45,9 @@ enum State {
 /// assert!(!agent.has_terminated());
 /// ```
 ///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::Unconscious`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
+/// The engine runs this type as the
+/// [`CatalogProtocol::Unconscious`](crate::CatalogProtocol) variant, whose
+/// Compute is statically dispatched. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Unconscious {
     state: State,
@@ -163,23 +161,11 @@ impl Protocol for Unconscious {
         false
     }
 
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
     fn state_label(&self) -> String {
         format!("{:?}(G={},dir={})", self.state, self.guess, self.dir)
     }
 
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
+    fn write_state_key(&self, out: &mut Vec<u8>) {
         out.push(match self.state {
             State::Init => 0,
             State::Bounce => 1,
@@ -190,7 +176,6 @@ impl Protocol for Unconscious {
         dynring_model::statekey::push_u64(out, self.guess);
         out.push(crate::counters::direction_key(Some(self.dir)));
         self.counters.write_state_key(out);
-        true
     }
 }
 

@@ -26,7 +26,9 @@
 //! * [`single`] — the lone wanderer used to demonstrate Observation 1 /
 //!   Corollary 1;
 //! * [`catalog`] — a registry of all algorithms, used by the analysis and
-//!   benchmark crates to enumerate the feasibility map.
+//!   benchmark crates to enumerate the feasibility map, and
+//!   [`CatalogProtocol`], the one program type the engine runs for every
+//!   agent.
 //!
 //! # Quick example
 //!

@@ -19,11 +19,9 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(agent.termination_kind(), TerminationKind::Unconscious);
 /// ```
 ///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::EtUnconscious`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
+/// The engine runs this type as the
+/// [`CatalogProtocol::EtUnconscious`](crate::CatalogProtocol) variant, whose
+/// Compute is statically dispatched. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EtUnconscious {
     dir: LocalDirection,
@@ -79,22 +77,9 @@ impl Protocol for EtUnconscious {
         false
     }
 
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
+    fn write_state_key(&self, out: &mut Vec<u8>) {
         out.push(crate::counters::direction_key(Some(self.dir)));
         self.counters.write_state_key(out);
-        true
     }
 }
 

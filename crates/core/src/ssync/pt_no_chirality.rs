@@ -74,11 +74,9 @@ enum State {
 /// assert_eq!(et.termination_kind(), TerminationKind::Partial);
 /// ```
 ///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::PtNoChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
+/// The engine runs this type as the
+/// [`CatalogProtocol::PtNoChirality`](crate::CatalogProtocol) variant, whose
+/// Compute is statically dispatched. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PtNoChirality {
     done: SizeTermination,
@@ -295,23 +293,11 @@ impl Protocol for PtNoChirality {
         self.state == State::Terminate
     }
 
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
     fn state_label(&self) -> String {
         format!("{:?}(d={},Tnodes={})", self.state, self.d, self.counters.tnodes())
     }
 
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
+    fn write_state_key(&self, out: &mut Vec<u8>) {
         use dynring_model::statekey::push_u64;
         match self.done {
             SizeTermination::UpperBound(n) => {
@@ -335,7 +321,6 @@ impl Protocol for PtNoChirality {
         });
         push_u64(out, self.d);
         self.counters.write_state_key(out);
-        true
     }
 }
 

@@ -22,8 +22,8 @@
 //!
 //! Three things are deliberately *not* captured:
 //!
-//! * what the run's **spec** fixes — the ring size and which programs the
-//!   engine polls for termination — which a restore finds unchanged;
+//! * what the run's **spec** fixes — the ring size — which a restore finds
+//!   unchanged;
 //! * the **trace** — checkpointing callers run trace-off, because a restored
 //!   trace-on simulation would keep appending rounds from every explored
 //!   branch to one linear trace;
@@ -74,9 +74,9 @@
 //! * a *symmetry-invariant* prefix, emitted once — round counter,
 //!   activation-policy token, and per agent the sleep age, the dense rank of
 //!   its last-active round, and its length-prefixed program state via
-//!   [`AgentProgram::write_state_key`](crate::world::AgentProgram::write_state_key)
-//!   (packed varints for catalogue protocols, a `Debug`-string fallback for
-//!   foreign boxed ones);
+//!   [`Protocol::write_state_key`]
+//!   (the `CatalogProtocol` variant tag, then the protocol's packed
+//!   varints);
 //! * a *symmetry-variant* suffix, minimised lexicographically over the
 //!   admissible maps — the permuted visit map bit-packed at 8 nodes/byte,
 //!   then per agent the mapped node (a varint: one byte below 128 nodes)
@@ -106,7 +106,7 @@ use crate::sim::RunCounters;
 use crate::world::{put_slot, AgentSoA};
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::statekey::{push_prefixed, push_u64};
-use dynring_model::PriorOutcome;
+use dynring_model::{PriorOutcome, Protocol};
 use std::ops::Range;
 
 /// Recycled scratch buffer for [`CheckpointStore::canonical_key_into`].
@@ -559,11 +559,9 @@ mod tests {
         ActivationPolicy, AlternateBlocked, EtFairness, FullActivation, RoundRobinSingle,
     };
     use crate::sim::{Simulation, StopReason};
-    use dynring_core::fsync::KnownBound;
-    use dynring_core::single::LoneWalker;
     use dynring_core::Algorithm;
     use dynring_graph::{EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
-    use dynring_model::{PriorOutcome, Protocol, SynchronyModel, TransportModel};
+    use dynring_model::{PriorOutcome, SynchronyModel, TransportModel};
     use proptest::prelude::*;
     use std::fmt::Write as _;
 
@@ -673,11 +671,8 @@ mod tests {
             .activation(Box::new(FullActivation))
             .edges(Box::new(NoRemoval));
         for (start, handedness) in starts {
-            builder = builder.agent(
-                NodeId::new(*start),
-                *handedness,
-                Box::new(KnownBound::new(n)) as Box<dyn Protocol>,
-            );
+            let program = Algorithm::KnownBound { upper_bound: n }.instantiate();
+            builder = builder.agent(NodeId::new(*start), *handedness, program);
         }
         builder.build().unwrap()
     }
@@ -685,7 +680,11 @@ mod tests {
     #[test]
     fn step_with_edge_blocks_exactly_the_forced_edge() {
         let mut sim = Simulation::builder(RingTopology::new(6).unwrap())
-            .agent(NodeId::new(2), Handedness::LeftIsCcw, Box::new(LoneWalker::new(5)))
+            .agent(
+                NodeId::new(2),
+                Handedness::LeftIsCcw,
+                Algorithm::LoneWalker { patience: 5 }.instantiate(),
+            )
             .activation(Box::new(FullActivation))
             .edges(Box::new(NoRemoval))
             .build()
@@ -714,10 +713,9 @@ mod tests {
         let e = |index| Some(EdgeId::new(index));
         // Both synchrony models, with the agents apart and, in the third and
         // fourth cases, sharing a node when the run forks. Each case drives
-        // its own adversarial prefix up to the fork. The `KnownBound` cases
-        // run boxed `Box<dyn Protocol>` programs; the last case runs the
+        // its own adversarial prefix up to the fork. The last case runs the
         // catalogue's `LandmarkNoChirality`, whose state owns a `Vec` and a
-        // `String`, on a landmark ring.
+        // `String`, on a landmark ring; the others run `KnownBound`.
         let cases = [
             (pt, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None], false),
             (SynchronyModel::Fsync, [(0, ccw), (3, cw)], [e(0), None, e(3), None, None], false),
@@ -742,12 +740,12 @@ mod tests {
                 .edges(Box::new(NoRemoval));
             for (start, handedness) in starts {
                 let node = NodeId::new(start);
-                builder = if landmark {
-                    let program = Algorithm::LandmarkNoChirality.instantiate_enum();
-                    builder.agent_program(node, handedness, program)
+                let algorithm = if landmark {
+                    Algorithm::LandmarkNoChirality
                 } else {
-                    builder.agent(node, handedness, Box::new(KnownBound::new(n)))
+                    Algorithm::KnownBound { upper_bound: n }
                 };
+                builder = builder.agent(node, handedness, algorithm.instantiate());
             }
             let mut sim = builder.build().unwrap();
             assert!(sim.supports_checkpoint());
@@ -900,8 +898,7 @@ mod tests {
             .activation(activation)
             .edges(Box::new(NoRemoval));
         for (start, handedness) in starts.iter().zip(orientations) {
-            let program = algorithm.instantiate_enum();
-            builder = builder.agent_program(NodeId::new(*start), *handedness, program);
+            builder = builder.agent(NodeId::new(*start), *handedness, algorithm.instantiate());
         }
         builder.build().unwrap()
     }

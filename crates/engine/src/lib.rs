@@ -4,11 +4,9 @@
 //! *Live Exploration of Dynamic Rings* against pluggable adversaries:
 //!
 //! * [`world`] — the "god view": where each agent stands, which ports are
-//!   held, which nodes have been visited — plus [`world::AgentProgram`],
-//!   the two-representation agent runtime (statically dispatched
-//!   [`CatalogProtocol`](dynring_core::CatalogProtocol) fast path for
-//!   catalogue teams, `Box<dyn Protocol>` escape hatch for user-defined
-//!   protocols; see `docs/ARCHITECTURE.md`, "The dispatch story");
+//!   held, which nodes have been visited. Every agent runs a statically
+//!   dispatched [`CatalogProtocol`](dynring_core::CatalogProtocol) (see
+//!   `docs/ARCHITECTURE.md`, "One program representation");
 //! * [`scheduler`] — activation policies: the FSYNC scheduler, fair and
 //!   adversarial SSYNC schedulers, and the ET-fairness wrapper;
 //! * [`adversary`] — edge-removal policies: benign, random, scripted
@@ -29,9 +27,8 @@
 //!
 //! # Quick example
 //!
-//! Catalogue agents ride the enum fast path via
-//! [`SimulationBuilder::agent_program`](sim::SimulationBuilder::agent_program);
-//! `agent` with a `Box<dyn Protocol>` is the equivalent escape hatch.
+//! Agents join through [`SimulationBuilder::agent`](sim::SimulationBuilder::agent)
+//! with a program from [`Algorithm::instantiate`](dynring_core::Algorithm::instantiate).
 //!
 //! ```
 //! use dynring_core::Algorithm;
@@ -45,8 +42,8 @@
 //! let ring = RingTopology::new(8).unwrap();
 //! let mut sim = Simulation::builder(ring)
 //!     .synchrony(SynchronyModel::Fsync)
-//!     .agent_program(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate_enum())
-//!     .agent_program(NodeId::new(3), Handedness::LeftIsCcw, alg.instantiate_enum())
+//!     .agent(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate())
+//!     .agent(NodeId::new(3), Handedness::LeftIsCcw, alg.instantiate())
 //!     .activation(Box::new(FullActivation))
 //!     .edges(Box::new(NoRemoval))
 //!     .build()
@@ -74,4 +71,4 @@ pub use error::EngineError;
 pub use scheduler::ActivationPolicy;
 pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition};
 pub use trace::{RoundRecord, Trace};
-pub use world::{AgentProgram, AgentView, PredictedAction, RoundView};
+pub use world::{AgentView, PredictedAction, RoundView};

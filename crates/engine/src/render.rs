@@ -101,7 +101,7 @@ pub fn direction_label(dir: GlobalDirection) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::tests::record_row;
+    use crate::trace::tests::{label, record_row};
     use crate::trace::AgentRoundRecord;
     use dynring_graph::{AgentId, EdgeId};
     use dynring_model::PriorOutcome;
@@ -123,7 +123,7 @@ mod tests {
                     decision: None,
                     outcome: PriorOutcome::Moved,
                     terminated: false,
-                    state_label: String::new(),
+                    state_label: label(0),
                 },
                 AgentRoundRecord {
                     id: AgentId::new(1),
@@ -134,7 +134,7 @@ mod tests {
                     decision: None,
                     outcome: PriorOutcome::BlockedOnPort,
                     terminated: false,
-                    state_label: String::new(),
+                    state_label: label(0),
                 },
             ],
             visited_count: 3,

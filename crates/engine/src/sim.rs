@@ -6,13 +6,12 @@ use crate::error::EngineError;
 use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
 use crate::world::{
-    build_snapshot, predict_action, refill, to_global, AgentProgram, AgentSoA, AgentView,
-    PredictedAction, ProbePool, RoundView,
+    build_snapshot, predict_action, refill, to_global, AgentSoA, AgentView, PredictedAction,
+    ProbePool, RoundView,
 };
+use dynring_core::CatalogProtocol;
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
-use dynring_model::{
-    Decision, PriorOutcome, Protocol, Snapshot, SynchronyModel, TerminationKind, TransportModel,
-};
+use dynring_model::{Decision, PriorOutcome, Protocol, Snapshot, SynchronyModel, TransportModel};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -107,7 +106,7 @@ impl RunReport {
 pub struct SimulationBuilder {
     ring: RingTopology,
     synchrony: SynchronyModel,
-    agents: Vec<(NodeId, Handedness, AgentProgram)>,
+    agents: Vec<(NodeId, Handedness, CatalogProtocol)>,
     activation: Option<Box<dyn ActivationPolicy>>,
     edges: Option<Box<dyn EdgePolicy>>,
     record_trace: bool,
@@ -121,36 +120,17 @@ impl SimulationBuilder {
         self
     }
 
-    /// Adds an agent with its start node, private orientation and a boxed
-    /// protocol (the `dyn`-dispatch extension escape hatch; equivalent to
-    /// [`SimulationBuilder::agent_program`] with an
-    /// [`AgentProgram::Boxed`]).
+    /// Adds an agent with its start node, private orientation and program
+    /// (an [`Algorithm::instantiate`](dynring_core::Algorithm::instantiate)
+    /// result).
     #[must_use]
     pub fn agent(
         mut self,
         start: NodeId,
         handedness: Handedness,
-        protocol: Box<dyn Protocol>,
+        program: CatalogProtocol,
     ) -> Self {
-        self.agents.push((start, handedness, AgentProgram::Boxed(protocol)));
-        self
-    }
-
-    /// Adds an agent with its start node, private orientation and program.
-    ///
-    /// Accepts both sides of the engine's dispatch story: a
-    /// [`CatalogProtocol`](dynring_core::CatalogProtocol) (the statically
-    /// dispatched fast path — pass `algorithm.instantiate_enum()`) or an
-    /// explicit [`AgentProgram`]. Mixed teams are fine; see the
-    /// `dynring_core::catalog` docs for a worked example.
-    #[must_use]
-    pub fn agent_program(
-        mut self,
-        start: NodeId,
-        handedness: Handedness,
-        program: impl Into<AgentProgram>,
-    ) -> Self {
-        self.agents.push((start, handedness, program.into()));
+        self.agents.push((start, handedness, program));
         self
     }
 
@@ -214,7 +194,6 @@ impl SimulationBuilder {
         Ok(Simulation {
             ring: self.ring,
             synchrony: self.synchrony,
-            poll: team.program.iter().map(polls_termination).collect(),
             agents: team,
             visited,
             counters,
@@ -238,14 +217,14 @@ pub struct AgentSpec {
     /// The program in its as-instantiated state. Fresh builds clone it;
     /// recycled runs copy its state into the live program in place (see
     /// [`Simulation::recycle`]).
-    pub program: AgentProgram,
+    pub program: CatalogProtocol,
 }
 
 impl AgentSpec {
     /// Bundles one agent's start, orientation and program template.
     #[must_use]
-    pub fn new(start: NodeId, handedness: Handedness, program: impl Into<AgentProgram>) -> Self {
-        AgentSpec { start, handedness, program: program.into() }
+    pub fn new(start: NodeId, handedness: Handedness, program: CatalogProtocol) -> Self {
+        AgentSpec { start, handedness, program }
     }
 }
 
@@ -344,8 +323,7 @@ impl RunSpec {
             .edges(edges)
             .record_trace(self.record_trace);
         for agent in &self.agents {
-            builder =
-                builder.agent_program(agent.start, agent.handedness, agent.program.clone_program());
+            builder = builder.agent(agent.start, agent.handedness, agent.program.clone());
         }
         builder.build().expect("RunSpec was validated at construction")
     }
@@ -407,22 +385,11 @@ impl RoundScratch {
     }
 }
 
-/// Whether the engine polls `program`'s `has_terminated` after each of its
-/// decisions. Protocols declaring [`TerminationKind::Unconscious`] promise
-/// they never enter a terminal state, so the per-round call is skipped for
-/// them.
-fn polls_termination(program: &AgentProgram) -> bool {
-    program.termination_kind() != TerminationKind::Unconscious
-}
-
 /// A live simulation of agents exploring a dynamic ring.
 pub struct Simulation {
     ring: RingTopology,
     synchrony: SynchronyModel,
     agents: AgentSoA,
-    /// Per agent, [`polls_termination`] of its program. Fixed by the spec,
-    /// so checkpoints leave it out.
-    poll: Vec<bool>,
     visited: Vec<bool>,
     counters: RunCounters,
     activation: Box<dyn ActivationPolicy>,
@@ -526,7 +493,7 @@ impl Simulation {
     ///   cold SoA fields, per-agent visit maps and the occupancy index are
     ///   refilled in their existing vectors, and each program copies the
     ///   template's pristine state through the enum's variant-matching
-    ///   `clone_from` (boxed programs through `clone_from_box`);
+    ///   `clone_from`;
     /// * the trace is cleared (or created/dropped if `spec` toggles
     ///   recording) and the round scratch, including the probe pool, carries
     ///   over as-is — every scratch buffer is refilled before use;
@@ -535,7 +502,7 @@ impl Simulation {
     ///   next run needs *different* policies, install them first with
     ///   [`Simulation::replace_policies`].
     ///
-    /// When the shape (ring size, team size, program representations) matches
+    /// When the shape (ring size, team size, program variants) matches
     /// the previous run this performs **zero heap allocations**; when it does
     /// not, existing capacity is still reused and only growth allocates. A
     /// recycled run is observably identical to one built fresh from the same
@@ -548,8 +515,6 @@ impl Simulation {
             spec.ring.size(),
             spec.agents.iter().map(|a| (a.start, a.handedness, &a.program)),
         );
-        self.poll.clear();
-        self.poll.extend(spec.agents.iter().map(|a| polls_termination(&a.program)));
         refill(&mut self.visited, spec.ring.size(), false);
         let mut start_nodes = 0;
         for agent in &spec.agents {
@@ -676,7 +641,6 @@ impl Simulation {
             ring,
             synchrony,
             agents,
-            poll,
             visited,
             activation,
             edges,
@@ -709,7 +673,6 @@ impl Simulation {
             last_active: &mut agents.last_active_round[..a],
             asleep: &mut agents.asleep_on_port[..a],
             terminated_at: &mut agents.terminated_at[..a],
-            poll: &poll[..a],
             vcount: &mut agents.visited_count[..a],
             avisited: &mut agents.visited[..a * n],
             population: &mut agents.node_population[..n],
@@ -1053,13 +1016,12 @@ struct RoundKernel<'s> {
     term: &'s mut [bool],
     hand: &'s [Handedness],
     prior: &'s mut [PriorOutcome],
-    prog: &'s mut [AgentProgram],
+    prog: &'s mut [CatalogProtocol],
     moves: &'s mut [u64],
     activations: &'s mut [u64],
     last_active: &'s mut [u64],
     asleep: &'s mut [u64],
     terminated_at: &'s mut [Option<u64>],
-    poll: &'s [bool],
     vcount: &'s mut [usize],
     avisited: &'s mut [bool],
     population: &'s mut [u32],
@@ -1326,8 +1288,9 @@ impl RoundKernel<'_> {
     /// and denied for the whole round — every port held at the start of the
     /// round plus every port acquired during it ("access to the port
     /// continues to be denied … during this round") — and a missing edge
-    /// blocks the agent holding its port. The termination poll runs after
-    /// every decision, whatever its outcome.
+    /// blocks the agent holding its port. An agent terminates exactly on a
+    /// [`Decision::Terminate`]; debug builds check after every decision that
+    /// its program agrees (see [`Protocol::has_terminated`]).
     #[inline(always)]
     fn resolve(&mut self, r: u64, missing: Option<EdgeId>) {
         let a = self.node.len();
@@ -1376,11 +1339,11 @@ impl RoundKernel<'_> {
                     }
                 }
             }
-            // A protocol may flag termination without returning `Terminate`
-            // (defensive; none of the paper's algorithms do).
-            if self.poll[index] && !self.term[index] && self.prog[index].has_terminated() {
-                self.terminate(index, r);
-            }
+            debug_assert_eq!(
+                self.prog[index].has_terminated(),
+                decision == Decision::Terminate,
+                "agent {index}'s program and its round-{r} decision disagree on termination"
+            );
         }
     }
 
@@ -1446,12 +1409,27 @@ mod tests {
     use dynring_core::fsync::{KnownBound, Unconscious};
     use dynring_core::single::LoneWalker;
     use dynring_core::ssync::PtBoundChirality;
-    use dynring_core::CatalogProtocol;
+
+    fn known_bound(n: usize) -> CatalogProtocol {
+        CatalogProtocol::KnownBound(KnownBound::new(n))
+    }
+
+    fn lone_walker(patience: u64) -> CatalogProtocol {
+        CatalogProtocol::LoneWalker(LoneWalker::new(patience))
+    }
+
+    fn unconscious() -> CatalogProtocol {
+        CatalogProtocol::Unconscious(Unconscious::new())
+    }
+
+    fn pt_bound_chirality(n: usize) -> CatalogProtocol {
+        CatalogProtocol::PtBoundChirality(PtBoundChirality::new(n))
+    }
 
     fn fsync_sim(
         n: usize,
         starts: &[usize],
-        protos: Vec<Box<dyn Protocol>>,
+        protos: Vec<CatalogProtocol>,
         edges: Box<dyn EdgePolicy>,
     ) -> Simulation {
         let ring = RingTopology::new(n).unwrap();
@@ -1477,7 +1455,7 @@ mod tests {
         assert_eq!(err, EngineError::NoAgents);
 
         let err = Simulation::builder(ring.clone())
-            .agent(NodeId::new(9), Handedness::LeftIsCcw, Box::new(LoneWalker::new(0)))
+            .agent(NodeId::new(9), Handedness::LeftIsCcw, lone_walker(0))
             .activation(Box::new(FullActivation))
             .edges(Box::new(NoRemoval))
             .build()
@@ -1485,7 +1463,7 @@ mod tests {
         assert!(matches!(err, EngineError::StartOutOfRange { .. }));
 
         let err = Simulation::builder(ring)
-            .agent(NodeId::new(0), Handedness::LeftIsCcw, Box::new(LoneWalker::new(0)))
+            .agent(NodeId::new(0), Handedness::LeftIsCcw, lone_walker(0))
             .edges(Box::new(NoRemoval))
             .build()
             .unwrap_err();
@@ -1498,7 +1476,7 @@ mod tests {
         let mut sim = fsync_sim(
             n,
             &[0, 3],
-            vec![Box::new(KnownBound::new(n)), Box::new(KnownBound::new(n))],
+            vec![known_bound(n), known_bound(n)],
             Box::new(NoRemoval),
         );
         let report = sim.run(200, StopCondition::AllTerminated);
@@ -1517,7 +1495,7 @@ mod tests {
         let mut sim = fsync_sim(
             n,
             &[2],
-            vec![Box::new(LoneWalker::new(3))],
+            vec![lone_walker(3)],
             Box::new(BlockAgent::new(AgentId::new(0))),
         );
         let report = sim.run(500, StopCondition::Explored);
@@ -1532,7 +1510,7 @@ mod tests {
         let mut sim = fsync_sim(
             n,
             &[0, 4],
-            vec![Box::new(Unconscious::new()), Box::new(Unconscious::new())],
+            vec![unconscious(), unconscious()],
             Box::new(PreventMeeting::new()),
         );
         let report = sim.run(40 * n as u64, StopCondition::Explored);
@@ -1549,7 +1527,7 @@ mod tests {
         let mut sim = fsync_sim(
             n,
             &[0, 0],
-            vec![Box::new(KnownBound::new(n)), Box::new(KnownBound::new(n))],
+            vec![known_bound(n), known_bound(n)],
             Box::new(NoRemoval),
         );
         assert!(sim.step());
@@ -1558,65 +1536,6 @@ mod tests {
         assert!(outcomes.contains(&PriorOutcome::Moved));
         assert!(outcomes.contains(&PriorOutcome::PortAcquisitionFailed));
         sim.trace().unwrap().check_invariants(n).unwrap();
-    }
-
-    /// Moves left once, then reports termination without returning
-    /// `Terminate`.
-    #[derive(Debug, Clone, Default)]
-    struct StopsAfterOneMove {
-        decided: bool,
-    }
-
-    impl Protocol for StopsAfterOneMove {
-        fn name(&self) -> &'static str {
-            "StopsAfterOneMove"
-        }
-
-        fn termination_kind(&self) -> dynring_model::TerminationKind {
-            dynring_model::TerminationKind::Explicit
-        }
-
-        fn decide(&mut self, _snapshot: &dynring_model::Snapshot) -> Decision {
-            self.decided = true;
-            Decision::Move(dynring_model::LocalDirection::Left)
-        }
-
-        fn has_terminated(&self) -> bool {
-            self.decided
-        }
-
-        fn clone_box(&self) -> Box<dyn Protocol> {
-            Box::new(self.clone())
-        }
-    }
-
-    #[test]
-    fn an_agent_that_loses_the_port_is_still_polled_for_termination() {
-        // Both agents try the same port in round 1; the one that loses it
-        // has still decided, so the termination poll must see it stop.
-        let synchronies =
-            [SynchronyModel::Fsync, SynchronyModel::Ssync(TransportModel::PassiveTransport)];
-        for synchrony in synchronies {
-            let mut sim = Simulation::builder(RingTopology::new(5).unwrap())
-                .synchrony(synchrony)
-                .agent(
-                    NodeId::new(0),
-                    Handedness::LeftIsCcw,
-                    Box::new(StopsAfterOneMove::default()),
-                )
-                .agent(
-                    NodeId::new(0),
-                    Handedness::LeftIsCcw,
-                    Box::new(StopsAfterOneMove::default()),
-                )
-                .activation(Box::new(FullActivation))
-                .edges(Box::new(NoRemoval))
-                .build()
-                .unwrap();
-            assert!(sim.step());
-            assert_eq!(sim.termination_rounds(), [Some(1), Some(1)], "{synchrony:?}");
-            assert_eq!(sim.alive_count(), 0, "{synchrony:?}");
-        }
     }
 
     #[test]
@@ -1633,8 +1552,8 @@ mod tests {
             .build();
         let mut sim = Simulation::builder(ring)
             .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
-            .agent(NodeId::new(0), Handedness::LeftIsCcw, Box::new(PtBoundChirality::new(6)))
-            .agent(NodeId::new(3), Handedness::LeftIsCcw, Box::new(PtBoundChirality::new(6)))
+            .agent(NodeId::new(0), Handedness::LeftIsCcw, pt_bound_chirality(6))
+            .agent(NodeId::new(3), Handedness::LeftIsCcw, pt_bound_chirality(6))
             .activation(Box::new(RoundRobinSingle::new()))
             .edges(Box::new(FromSchedule::new(schedule)))
             .record_trace(true)
@@ -1657,8 +1576,8 @@ mod tests {
         let n = 6;
         let mut sim = Simulation::builder(RingTopology::new(n).unwrap())
             .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
-            .agent(NodeId::new(0), Handedness::LeftIsCcw, Box::new(PtBoundChirality::new(n)))
-            .agent(NodeId::new(3), Handedness::LeftIsCcw, Box::new(PtBoundChirality::new(n)))
+            .agent(NodeId::new(0), Handedness::LeftIsCcw, pt_bound_chirality(n))
+            .agent(NodeId::new(3), Handedness::LeftIsCcw, pt_bound_chirality(n))
             .activation(Box::new(RoundRobinSingle::new()))
             .edges(Box::new(NoRemoval))
             .record_trace(true)
@@ -1693,7 +1612,7 @@ mod tests {
         let mut sim = fsync_sim(
             n,
             &[0, 2],
-            vec![Box::new(KnownBound::new(n)), Box::new(KnownBound::new(n))],
+            vec![known_bound(n), known_bound(n)],
             Box::new(NoRemoval),
         );
         let report = sim.run(100, StopCondition::AllTerminated);
@@ -1719,7 +1638,7 @@ mod tests {
             vec![AgentSpec::new(
                 NodeId::new(9),
                 Handedness::LeftIsCcw,
-                Box::new(LoneWalker::new(0)) as Box<dyn Protocol>,
+                lone_walker(0),
             )],
             false,
         )
@@ -1737,12 +1656,12 @@ mod tests {
                 AgentSpec::new(
                     NodeId::new(0),
                     Handedness::LeftIsCcw,
-                    Box::new(KnownBound::new(n)) as Box<dyn Protocol>,
+                    known_bound(n),
                 ),
                 AgentSpec::new(
                     NodeId::new(3),
                     Handedness::LeftIsCcw,
-                    Box::new(KnownBound::new(n)) as Box<dyn Protocol>,
+                    known_bound(n),
                 ),
             ],
             true,
@@ -1780,12 +1699,12 @@ mod tests {
                 AgentSpec::new(
                     NodeId::new(0),
                     Handedness::LeftIsCcw,
-                    Box::new(KnownBound::new(5)) as Box<dyn Protocol>,
+                    known_bound(5),
                 ),
                 AgentSpec::new(
                     NodeId::new(2),
                     Handedness::LeftIsCcw,
-                    Box::new(KnownBound::new(5)) as Box<dyn Protocol>,
+                    known_bound(5),
                 ),
             ],
             true,
@@ -1797,7 +1716,7 @@ mod tests {
             vec![AgentSpec::new(
                 NodeId::new(4),
                 Handedness::LeftIsCw,
-                Box::new(LoneWalker::new(0)) as Box<dyn Protocol>,
+                lone_walker(0),
             )],
             false,
         )
@@ -1819,21 +1738,17 @@ mod tests {
         assert_eq!(sim.run(40, StopCondition::RoundBudget), reference);
     }
 
-    /// Two `KnownBound` agents, as boxed programs or as catalogue enums.
+    /// Two agents running `KnownBound`, or `PtBoundChirality` when `alt`.
     fn two_agent_spec(
         n: usize,
         starts: [usize; 2],
         synchrony: SynchronyModel,
-        boxed: bool,
+        alt: bool,
     ) -> RunSpec {
         let agents = starts
             .iter()
             .map(|&start| {
-                let program: AgentProgram = if boxed {
-                    (Box::new(KnownBound::new(n)) as Box<dyn Protocol>).into()
-                } else {
-                    CatalogProtocol::KnownBound(KnownBound::new(n)).into()
-                };
+                let program = if alt { pt_bound_chirality(n) } else { known_bound(n) };
                 AgentSpec::new(NodeId::new(start), Handedness::LeftIsCcw, program)
             })
             .collect();
@@ -1844,8 +1759,8 @@ mod tests {
     fn recycled_simulations_match_fresh_runs_every_generation() {
         let n = 8;
         let ssync = SynchronyModel::Ssync(TransportModel::PassiveTransport);
-        // Boxed and enum programs alternate: specs 0 and 1, and 2 and 3,
-        // differ only in the program representation.
+        // The two catalogue variants alternate: specs 0 and 1, and 2 and 3,
+        // run different algorithms.
         let fsync = SynchronyModel::Fsync;
         let mut specs: Vec<RunSpec> = (0..4)
             .map(|shift| two_agent_spec(n, [shift, shift + 2], fsync, shift % 2 == 0))
@@ -1869,7 +1784,7 @@ mod tests {
         // Every generation recycles each simulation in place and must
         // reproduce the fresh reports. On odd generations each FSYNC
         // simulation takes its neighbour's spec, so the recycle switches
-        // its programs between enum and boxed, and back again after.
+        // its programs to the other variant, and back again after.
         for generation in 0..4 {
             let order: Vec<usize> = (0..specs.len())
                 .map(|i| if generation % 2 == 1 && i < 4 { i ^ 1 } else { i })
@@ -1889,7 +1804,7 @@ mod tests {
         let mut sim = fsync_sim(
             n,
             &[0, 2],
-            vec![Box::new(KnownBound::new(n)), Box::new(KnownBound::new(n))],
+            vec![known_bound(n), known_bound(n)],
             Box::new(NoRemoval),
         );
         let view = sim.peek();

@@ -22,11 +22,11 @@
 //!   the invariant checker still sees it) spills an explicit `NodeId` to a
 //!   side table;
 //! * **interned state labels** — the engine never calls
-//!   [`state_label`](crate::world::AgentProgram::state_label) while
+//!   [`state_label`](dynring_model::Protocol::state_label) while
 //!   recording. Protocol state only changes inside `decide`, so a new label
-//!   entry (a cheap in-place program snapshot, variant-matching on the
-//!   `CatalogProtocol` fast path) is taken only for agents that computed
-//!   this round; every other entry reuses the agent's previous label id.
+//!   entry (a cheap in-place, variant-matching `CatalogProtocol` snapshot)
+//!   is taken only for agents that computed this round; every other entry
+//!   reuses the agent's previous label id.
 //!   Labels are rendered to `String`s lazily, at materialization time.
 //!
 //! The row-oriented [`RoundRecord`]/[`AgentRoundRecord`] structs survive as a
@@ -37,9 +37,9 @@
 //! [`Trace::clear`] keeps every column's capacity (and the label table's
 //! slots), so a recycled trace-on run appends without heap allocation.
 
-use crate::world::AgentProgram;
+use dynring_core::CatalogProtocol;
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, NodeId};
-use dynring_model::{Decision, LocalDirection, PriorOutcome};
+use dynring_model::{Decision, LocalDirection, PriorOutcome, Protocol};
 use std::fmt;
 
 /// What happened to one agent in one round.
@@ -153,7 +153,7 @@ pub struct Trace {
     /// `labels_len` are retained capacity from a cleared trace, overwritten
     /// in place on the next fill, which keeps the recording loop free of
     /// heap allocation.
-    labels: Vec<AgentProgram>,
+    labels: Vec<CatalogProtocol>,
     labels_len: usize,
     /// Per-agent id of the label recorded last (recorder state; `NO_LABEL`
     /// forces a fresh snapshot).
@@ -354,7 +354,7 @@ impl Trace {
         decisions: &[Option<Decision>],
         outcomes: &[PriorOutcome],
         terminated: &[bool],
-        programs: &[AgentProgram],
+        programs: &[CatalogProtocol],
     ) {
         self.ring_size = ring_size;
         self.begin_round(round, missing_edge, visited_count, active);
@@ -464,19 +464,18 @@ impl Trace {
     }
 
     /// Interns a program snapshot: reuses a cleared table slot in place
-    /// through the variant-matching state copy when the slot's
-    /// representation matches, so a recycled rerun of the same scenario
-    /// never allocates for labels.
-    fn intern_program(&mut self, agent_index: usize, program: &AgentProgram) -> u32 {
+    /// through the variant-matching state copy, so a recycled rerun of the
+    /// same scenario never allocates for labels.
+    fn intern_program(&mut self, agent_index: usize, program: &CatalogProtocol) -> u32 {
         let id = self.labels_len;
         if id == self.labels.len() {
             // Growing past every retained slot: snapshot straight into the
             // push (no placeholder that the slot write would immediately
             // overwrite — the label table is the widest trace column, so
             // writing each fresh slot once instead of twice matters).
-            self.labels.push(program.clone_program());
-        } else if !self.labels[id].clone_from_program(program) {
-            self.labels[id] = program.clone_program();
+            self.labels.push(program.clone());
+        } else {
+            self.labels[id].clone_from(program);
         }
         self.labels_len += 1;
         self.last_label[agent_index] = id as u32;
@@ -566,7 +565,7 @@ impl Clone for Trace {
             entry_packed: self.entry_packed.clone(),
             entry_label: self.entry_label.clone(),
             spill: self.spill.clone(),
-            labels: self.labels[..self.labels_len].iter().map(AgentProgram::clone_program).collect(),
+            labels: self.labels[..self.labels_len].to_vec(),
             labels_len: self.labels_len,
             last_label: self.last_label.clone(),
             ring_size: self.ring_size,
@@ -623,6 +622,7 @@ impl ExactSizeIterator for Rounds<'_> {}
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use dynring_core::Algorithm;
 
     fn record(round: u64, visited: usize) -> RoundRecord {
         RoundRecord {
@@ -638,49 +638,39 @@ pub(crate) mod tests {
                 decision: Some(Decision::Move(LocalDirection::Right)),
                 outcome: PriorOutcome::Moved,
                 terminated: false,
-                state_label: "Init".to_string(),
+                state_label: label(0),
             }],
             visited_count: visited,
         }
     }
 
-    /// Minimal protocol whose state label is fixed, so a row's label
-    /// round-trips through the trace's program snapshots.
-    #[derive(Debug, Clone)]
-    struct Probe(String);
-    impl dynring_model::Protocol for Probe {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-        fn termination_kind(&self) -> dynring_model::TerminationKind {
-            dynring_model::TerminationKind::Unconscious
-        }
-        fn decide(&mut self, _snapshot: &dynring_model::Snapshot) -> Decision {
-            Decision::Stay
-        }
-        fn has_terminated(&self) -> bool {
-            false
-        }
-        fn state_label(&self) -> String {
-            self.0.clone()
-        }
-        fn clone_box(&self) -> Box<dyn dynring_model::Protocol> {
-            Box::new(self.clone())
-        }
+    /// The state label of a fresh catalogue program: `label(i)` is that
+    /// of `Algorithm::full_catalog(8)[i]`, so distinct `i` below 12 give
+    /// distinct labels.
+    pub(crate) fn label(i: usize) -> String {
+        Algorithm::full_catalog(8)[i].instantiate().state_label()
+    }
+
+    /// The fresh catalogue program whose state label is `label`.
+    fn program_labelled(label: &str) -> CatalogProtocol {
+        Algorithm::full_catalog(8)
+            .iter()
+            .map(Algorithm::instantiate)
+            .find(|program| program.state_label() == label)
+            .unwrap_or_else(|| panic!("no fresh catalogue program is labelled {label:?}"))
     }
 
     /// Records `row` through the engine-facing columnar encoder
     /// (`record_round_from_lane`), so every test entry goes through move-code
-    /// packing, spill and label interning. Like the engine, the row holds one
-    /// agent per id in id order, and an agent without a decision keeps the
-    /// label it was last recorded with.
+    /// packing, spill and label interning. Each agent's program is the fresh
+    /// catalogue program carrying its row's label (see [`label`]). Like the
+    /// engine, the row holds one agent per id in id order, and an agent
+    /// without a decision keeps the label it was last recorded with.
     pub(crate) fn record_row(t: &mut Trace, ring_size: usize, row: &RoundRecord) {
         let agents = &row.agents;
         assert!(agents.iter().enumerate().all(|(i, a)| a.id.index() == i), "agents in id order");
-        let programs: Vec<AgentProgram> = agents
-            .iter()
-            .map(|a| AgentProgram::Boxed(Box::new(Probe(a.state_label.clone()))))
-            .collect();
+        let programs: Vec<CatalogProtocol> =
+            agents.iter().map(|a| program_labelled(&a.state_label)).collect();
         t.record_round_from_lane(
             row.round,
             row.missing_edge,
@@ -721,7 +711,7 @@ pub(crate) mod tests {
         second.agents[0].held_port_after = Some(GlobalDirection::Cw);
         second.agents[0].decision = Some(Decision::Retreat);
         second.agents[0].outcome = PriorOutcome::BlockedOnPort;
-        second.agents[0].state_label = "Blocked".to_string();
+        second.agents[0].state_label = label(1);
         record_row(&mut t, 8, &record(1, 2));
         record_row(&mut t, 8, &second);
         assert_eq!(t.round_at(0).unwrap(), record(1, 2));
@@ -781,7 +771,7 @@ pub(crate) mod tests {
         record_row(&mut t, 8, &record(1, 4));
         assert_eq!(t.len(), 1);
         assert_eq!(t.round(1).unwrap().visited_count, 4);
-        assert_eq!(t.round_at(0).unwrap().agents[0].state_label, "Init");
+        assert_eq!(t.round_at(0).unwrap().agents[0].state_label, label(0));
     }
 
     #[test]
@@ -883,7 +873,7 @@ pub(crate) mod tests {
                 decision: (!terminated[i]).then_some(Decision::Move(LocalDirection::Right)),
                 outcome: if before[i] == after[i] { PriorOutcome::Idle } else { PriorOutcome::Moved },
                 terminated: terminated[i],
-                state_label: "probe".to_string(),
+                state_label: label(2),
             })
             .collect();
         let active = agents.iter().filter(|a| a.active).map(|a| a.id).collect();

@@ -13,173 +13,18 @@
 //! pass and the scheduler's activation scans — are dense parallel vectors
 //! indexed by agent, while cold state (the agent program, per-agent visit
 //! maps, statistics) lives in separate arrays the hot passes never touch.
-//! Each program is an [`AgentProgram`]: a statically dispatched
-//! [`CatalogProtocol`] for the paper's algorithms (zero virtual calls in a
-//! homogeneous team's Compute dispatch) or a `Box<dyn Protocol>` escape
-//! hatch for user-defined ones. Decision predictions reuse per-agent probe
-//! instances from a private probe pool (an in-place state copy per round —
-//! a variant-matching `clone_from` on the enum arm, never an `as_any`
-//! downcast) instead of boxing a fresh clone, so the omniscient-adversary
-//! path is allocation-free in the steady state too.
+//! Every program is a [`CatalogProtocol`]: a statically dispatched enum
+//! over the paper's algorithms (zero virtual calls in Compute). Decision
+//! predictions reuse per-agent probe instances from a private probe pool
+//! (an in-place, variant-matching `clone_from` per round) instead of
+//! cloning afresh, so the omniscient-adversary path is allocation-free in
+//! the steady state too.
 
 use dynring_core::CatalogProtocol;
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
-use dynring_model::{
-    Decision, LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Protocol, Snapshot,
-    TerminationKind,
-};
+use dynring_model::{Decision, LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Snapshot};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-
-/// The executable program of one agent: the engine's two-representation
-/// dispatch story.
-///
-/// * [`AgentProgram::Catalog`] — the **enum fast path**: a
-///   [`CatalogProtocol`] whose `decide` resolves by a static `match` the
-///   compiler inlines, so a homogeneous catalogue team (the common case in
-///   every sweep and bench) runs Compute with **zero virtual calls**, and
-///   prediction probes refresh through a variant-matching
-///   [`Clone::clone_from`] instead of an `as_any` downcast.
-/// * [`AgentProgram::Boxed`] — the **extension escape hatch**: any
-///   user-defined `Box<dyn Protocol>`, dispatched virtually exactly as
-///   before the enum runtime existed.
-///
-/// Both representations coexist in one team (see
-/// [`SimulationBuilder::agent_program`](crate::sim::SimulationBuilder::agent_program))
-/// and are observably identical for catalogue algorithms
-/// (`tests/dispatch_equivalence.rs`). `docs/ARCHITECTURE.md` tells the full
-/// story.
-// The size asymmetry is deliberate: storing the catalogue state machine
-// inline (~260 bytes) keeps Compute reads out of the heap entirely, and the
-// per-agent cost is paid once per team, not per round.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum AgentProgram {
-    /// A catalogue protocol on the statically dispatched fast path.
-    Catalog(CatalogProtocol),
-    /// A type-erased protocol on the virtual-dispatch escape hatch.
-    Boxed(Box<dyn Protocol>),
-}
-
-impl From<CatalogProtocol> for AgentProgram {
-    fn from(protocol: CatalogProtocol) -> Self {
-        AgentProgram::Catalog(protocol)
-    }
-}
-
-impl From<Box<dyn Protocol>> for AgentProgram {
-    fn from(protocol: Box<dyn Protocol>) -> Self {
-        AgentProgram::Boxed(protocol)
-    }
-}
-
-impl AgentProgram {
-    /// One **Compute** step (see [`Protocol::decide`]). On the catalogue arm
-    /// this is a static match into the concrete state machine; only the
-    /// boxed arm pays a virtual call.
-    #[inline]
-    pub fn decide(&mut self, snapshot: &Snapshot) -> Decision {
-        match self {
-            AgentProgram::Catalog(p) => p.decide(snapshot),
-            AgentProgram::Boxed(p) => p.decide(snapshot),
-        }
-    }
-
-    /// The wrapped protocol's name (see [`Protocol::name`]).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            AgentProgram::Catalog(p) => p.name(),
-            AgentProgram::Boxed(p) => p.name(),
-        }
-    }
-
-    /// The wrapped protocol's termination discipline.
-    #[must_use]
-    pub fn termination_kind(&self) -> TerminationKind {
-        match self {
-            AgentProgram::Catalog(p) => p.termination_kind(),
-            AgentProgram::Boxed(p) => p.termination_kind(),
-        }
-    }
-
-    /// Whether the wrapped protocol has entered its terminal state.
-    #[must_use]
-    pub fn has_terminated(&self) -> bool {
-        match self {
-            AgentProgram::Catalog(p) => p.has_terminated(),
-            AgentProgram::Boxed(p) => p.has_terminated(),
-        }
-    }
-
-    /// The wrapped protocol's state label for traces.
-    #[must_use]
-    pub fn state_label(&self) -> String {
-        match self {
-            AgentProgram::Catalog(p) => p.state_label(),
-            AgentProgram::Boxed(p) => p.state_label(),
-        }
-    }
-
-    /// Appends an injective binary encoding of the program's full state to
-    /// `out`, for canonical-key construction (see
-    /// [`Protocol::write_state_key`]). A leading arm tag separates the two
-    /// representations, and a second discriminator byte records whether the
-    /// protocol supplied a packed encoding (`1`) or the encoder fell back to
-    /// the length-prefixed `Debug` string (`0`, allocation accepted on this
-    /// escape hatch — the format is injective because `Debug` derives print
-    /// every field).
-    pub fn write_state_key(&self, out: &mut Vec<u8>) {
-        let arm = match self {
-            AgentProgram::Catalog(_) => 0u8,
-            AgentProgram::Boxed(_) => 1u8,
-        };
-        out.push(arm);
-        let tag_at = out.len();
-        out.push(1);
-        let packed = match self {
-            AgentProgram::Catalog(p) => p.write_state_key(out),
-            AgentProgram::Boxed(p) => p.write_state_key(out),
-        };
-        if !packed {
-            out.truncate(tag_at + 1);
-            out[tag_at] = 0;
-            let label = match self {
-                AgentProgram::Catalog(p) => format!("{p:?}"),
-                AgentProgram::Boxed(p) => format!("{p:?}"),
-            };
-            dynring_model::statekey::push_bytes(out, label.as_bytes());
-        }
-    }
-
-    /// An owned copy of the program with its full internal state.
-    #[must_use]
-    pub fn clone_program(&self) -> AgentProgram {
-        match self {
-            AgentProgram::Catalog(p) => AgentProgram::Catalog(p.clone()),
-            AgentProgram::Boxed(p) => AgentProgram::Boxed(p.clone_box()),
-        }
-    }
-
-    /// Copies `src`'s state into `self` in place, returning whether the copy
-    /// happened. Catalogue programs copy through the enum's variant-matching
-    /// `clone_from` (no downcast, allocation-free for same-variant pairs);
-    /// boxed programs go through [`Protocol::clone_from_box`]. A
-    /// representation mismatch is refused, and the caller falls back to
-    /// [`AgentProgram::clone_program`].
-    pub fn clone_from_program(&mut self, src: &AgentProgram) -> bool {
-        match (self, src) {
-            (AgentProgram::Catalog(dst), AgentProgram::Catalog(src)) => {
-                dst.clone_from(src);
-                true
-            }
-            (AgentProgram::Boxed(dst), AgentProgram::Boxed(src)) => {
-                dst.clone_from_box(src.as_ref())
-            }
-            _ => false,
-        }
-    }
-}
 
 /// Converts a local direction into the global frame of an agent with the
 /// given orientation.
@@ -207,8 +52,8 @@ pub(crate) fn to_local(handedness: Handedness, dir: GlobalDirection) -> LocalDir
 /// The same type holds the agent columns of a
 /// [`CheckpointStore`](crate::checkpoint::CheckpointStore), many teams deep,
 /// and [`AgentSoA::copy_team`] moves a team between the two, so every column
-/// here is captured. What the spec fixes (the ring size, and whether each
-/// program is polled for termination) lives on the simulation instead.
+/// here is captured. What the spec fixes (the ring size) lives on the
+/// simulation instead.
 #[derive(Debug, Default)]
 pub(crate) struct AgentSoA {
     /// Hot: the node each agent currently occupies.
@@ -221,9 +66,8 @@ pub(crate) struct AgentSoA {
     pub handedness: Vec<Handedness>,
     /// Hot: the outcome each agent will be shown at its next Look.
     pub prior: Vec<PriorOutcome>,
-    /// Cold: the program (Compute state machine) of each agent — the
-    /// catalogue enum fast path or the boxed escape hatch.
-    pub program: Vec<AgentProgram>,
+    /// Cold: the program (Compute state machine) of each agent.
+    pub program: Vec<CatalogProtocol>,
     /// Cold: successful traversals per agent.
     pub moves: Vec<u64>,
     /// Cold: activations per agent.
@@ -255,7 +99,7 @@ impl AgentSoA {
     }
 
     /// Appends an agent; its start node is marked visited in its private map.
-    pub(crate) fn push(&mut self, node: NodeId, handedness: Handedness, program: AgentProgram) {
+    pub(crate) fn push(&mut self, node: NodeId, handedness: Handedness, program: CatalogProtocol) {
         self.node.push(node);
         self.held_port.push(None);
         self.terminated.push(false);
@@ -278,15 +122,14 @@ impl AgentSoA {
     /// parallel vector is refilled (capacity reused — no allocation when the
     /// shape matches a previous run, and vector growth is the only
     /// allocation when it does not), and each agent's program copies the
-    /// template's pristine state through
-    /// [`AgentProgram::clone_from_program`] (falling back to a fresh program
-    /// clone on a representation mismatch). This is the team half of
+    /// template's pristine state through [`Clone::clone_from`]. This is the
+    /// team half of
     /// [`Simulation::recycle`](crate::sim::Simulation::recycle). Returns the
     /// number of nodes the team starts crowded on (two or more agents).
     pub(crate) fn reset_from<'a>(
         &mut self,
         ring_size: usize,
-        specs: impl ExactSizeIterator<Item = (NodeId, Handedness, &'a AgentProgram)>,
+        specs: impl ExactSizeIterator<Item = (NodeId, Handedness, &'a CatalogProtocol)>,
     ) -> usize {
         let count = specs.len();
         if self.node_population.len() == ring_size {
@@ -352,8 +195,8 @@ impl AgentSoA {
     /// `slots` slots (see [`put_slot`]), and a slot past its end is
     /// appended. Capacity is reused, so a copy into a slot already written
     /// allocates nothing (programs copy their state through
-    /// [`AgentProgram::clone_from_program`]), and a growing store allocates
-    /// once per column doubling.
+    /// [`Clone::clone_from`]), and a growing store allocates once per column
+    /// doubling.
     pub(crate) fn copy_team(
         &mut self,
         slot: usize,
@@ -433,16 +276,11 @@ impl AgentSoA {
 }
 
 /// Sets `programs[index]` to a copy of `src`: a state copy in place when
-/// the slot holds a program of the same representation, a fresh clone
-/// otherwise (appended when `index` is one past the end).
-fn copy_program(programs: &mut Vec<AgentProgram>, index: usize, src: &AgentProgram) {
+/// the slot exists, a fresh clone appended when `index` is one past the end.
+fn copy_program(programs: &mut Vec<CatalogProtocol>, index: usize, src: &CatalogProtocol) {
     match programs.get_mut(index) {
-        Some(dst) => {
-            if !dst.clone_from_program(src) {
-                *dst = src.clone_program();
-            }
-        }
-        None => programs.push(src.clone_program()),
+        Some(dst) => dst.clone_from(src),
+        None => programs.push(src.clone()),
     }
 }
 
@@ -479,44 +317,33 @@ pub(crate) fn refill<T: Clone>(column: &mut Vec<T>, len: usize, value: T) {
 ///
 /// Predicting an agent's decision requires dry-running its (deterministic)
 /// protocol on the upcoming Look snapshot without touching the live instance.
-/// Instead of boxing a fresh clone per agent per round, the pool refreshes a
-/// persistent probe in place; only the first round per agent (or a boxed
-/// protocol that does not support in-place copies) allocates.
-///
-/// The slots hold [`AgentProgram`]s, so the pool follows the engine's
-/// two-representation dispatch story: a catalogue probe refreshes through
-/// the enum's variant-matching `clone_from` — **no `as_any` downcast on any
-/// prediction-fusion tier** — while a boxed probe goes through
-/// [`Protocol::clone_from_box`] exactly as before.
+/// Instead of cloning afresh per agent per round, the pool refreshes a
+/// persistent probe in place through [`CatalogProtocol`]'s variant-matching
+/// `clone_from`; only the first round per agent allocates.
 #[derive(Debug, Default)]
 pub(crate) struct ProbePool {
-    slots: Vec<Option<AgentProgram>>,
+    slots: Vec<CatalogProtocol>,
 }
 
 impl ProbePool {
     /// Returns the probe for agent `index`, its state refreshed from `src`.
-    pub(crate) fn refresh(&mut self, index: usize, src: &AgentProgram) -> &mut AgentProgram {
-        if self.slots.len() <= index {
-            self.slots.resize_with(index + 1, || None);
+    pub(crate) fn refresh(&mut self, index: usize, src: &CatalogProtocol) -> &mut CatalogProtocol {
+        if let Some(probe) = self.slots.get_mut(index) {
+            probe.clone_from(src);
+        } else {
+            // Fill any gap below `index` with copies too: every slot holds
+            // a program, and the gap's slots are refreshed before use.
+            self.slots.resize_with(index + 1, || src.clone());
         }
-        let slot = &mut self.slots[index];
-        let reused = match slot {
-            Some(probe) => probe.clone_from_program(src),
-            None => false,
-        };
-        if !reused {
-            *slot = Some(src.clone_program());
-        }
-        slot.as_mut().expect("slot was just filled")
+        &mut self.slots[index]
     }
 
     /// Swaps agent `index`'s probe with `live` (see the round loop's
     /// *prediction fusion*: after the dry run the probe holds exactly the
     /// post-Compute state of the live protocol, so swapping it in replaces a
     /// second Look + Compute).
-    pub(crate) fn swap(&mut self, index: usize, live: &mut AgentProgram) {
-        let probe = self.slots[index].as_mut().expect("probe exists for predicted agents");
-        std::mem::swap(probe, live);
+    pub(crate) fn swap(&mut self, index: usize, live: &mut CatalogProtocol) {
+        std::mem::swap(&mut self.slots[index], live);
     }
 }
 
@@ -699,32 +526,13 @@ pub(crate) fn predict_action(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynring_model::TerminationKind;
-
-    #[derive(Debug, Clone)]
-    struct GoLeft;
-    impl Protocol for GoLeft {
-        fn name(&self) -> &'static str {
-            "go-left"
-        }
-        fn termination_kind(&self) -> TerminationKind {
-            TerminationKind::Unconscious
-        }
-        fn decide(&mut self, _snapshot: &Snapshot) -> Decision {
-            Decision::Move(LocalDirection::Left)
-        }
-        fn has_terminated(&self) -> bool {
-            false
-        }
-        fn clone_box(&self) -> Box<dyn Protocol> {
-            Box::new(self.clone())
-        }
-    }
+    use dynring_core::Algorithm;
+    use dynring_model::Protocol;
 
     fn team(ring: &RingTopology, agents: &[(usize, Handedness)]) -> AgentSoA {
         let mut soa = AgentSoA::new(ring.size());
         for (node, handedness) in agents {
-            soa.push(NodeId::new(*node), *handedness, AgentProgram::Boxed(Box::new(GoLeft)));
+            soa.push(NodeId::new(*node), *handedness, Algorithm::Unconscious.instantiate());
         }
         soa
     }
@@ -838,65 +646,29 @@ mod tests {
 
     #[test]
     fn probe_pool_reuses_slots_and_survives_type_mismatches() {
-        #[derive(Debug, Clone)]
-        struct Stepper {
-            steps: u64,
-        }
-        impl Protocol for Stepper {
-            fn name(&self) -> &'static str {
-                "stepper"
-            }
-            fn termination_kind(&self) -> TerminationKind {
-                TerminationKind::Unconscious
-            }
-            fn decide(&mut self, _snapshot: &Snapshot) -> Decision {
-                self.steps += 1;
-                Decision::Stay
-            }
-            fn has_terminated(&self) -> bool {
-                false
-            }
-            fn clone_box(&self) -> Box<dyn Protocol> {
-                Box::new(self.clone())
-            }
-            fn as_any(&self) -> Option<&dyn std::any::Any> {
-                Some(self)
-            }
-            fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-                dynring_model::clone_state_from(self, src)
-            }
-        }
-
         let mut pool = ProbePool::default();
-        let live = AgentProgram::Boxed(Box::new(Stepper { steps: 5 }));
-        let probe = pool.refresh(0, &live);
-        assert!(probe.state_label().contains("steps: 5"));
+        let live = Algorithm::LoneWalker { patience: 2 }.instantiate();
+        // A first refresh past the end fills the slot (and any gap below it)
+        // with a clone.
+        let probe = pool.refresh(2, &live);
+        assert_eq!(probe.state_label(), live.state_label());
         // Mutate the probe, then refresh again: the state is copied back in
-        // place (same slot, no mismatch).
+        // place (same slot, same variant).
         let _ = probe.decide(&build_dummy_snapshot());
-        let probe = pool.refresh(0, &live);
-        assert!(probe.state_label().contains("steps: 5"));
-        // A different protocol type in the same slot falls back to clone_box.
-        let other = AgentProgram::Boxed(Box::new(GoLeft));
-        let probe = pool.refresh(0, &other);
-        assert_eq!(probe.name(), "go-left");
-        // Swapping hands the probe to the caller and parks the old live box.
-        let mut live_box = AgentProgram::Boxed(Box::new(Stepper { steps: 9 }));
-        let probe = pool.refresh(1, &live);
         let _ = probe.decide(&build_dummy_snapshot());
-        pool.swap(1, &mut live_box);
-        assert!(live_box.state_label().contains("steps: 6"));
+        assert_ne!(probe.state_label(), live.state_label());
+        assert_eq!(pool.refresh(2, &live).state_label(), live.state_label());
+        // A different variant in the same slot replaces the probe.
+        let other = Algorithm::Unconscious.instantiate();
+        assert_eq!(pool.refresh(0, &other).name(), "UnconsciousExploration");
+        assert_eq!(pool.refresh(0, &live).name(), live.name());
     }
 
     #[test]
     fn probe_pool_refreshes_catalog_programs_without_downcasts() {
-        use dynring_core::Algorithm;
-
         let mut pool = ProbePool::default();
-        let live = AgentProgram::Catalog(
-            Algorithm::KnownBound { upper_bound: 6 }.instantiate_enum(),
-        );
-        // First refresh fills the slot with an enum clone…
+        let live = Algorithm::KnownBound { upper_bound: 6 }.instantiate();
+        // First refresh fills the slot with a clone…
         let probe = pool.refresh(0, &live);
         assert_eq!(probe.state_label(), live.state_label());
         // …and diverging the probe (two activations: the first only arms the
@@ -907,19 +679,13 @@ mod tests {
         assert_ne!(probe.state_label(), live.state_label());
         let probe = pool.refresh(0, &live);
         assert_eq!(probe.state_label(), live.state_label());
-        // A representation switch in the same slot falls back to a fresh
-        // program clone.
-        let boxed = AgentProgram::Boxed(Algorithm::Unconscious.instantiate());
-        let probe = pool.refresh(0, &boxed);
-        assert_eq!(probe.name(), "UnconsciousExploration");
-        // Swapping fuses the post-Compute probe into the live slot, exactly
-        // as on the boxed path.
-        let mut live_enum = AgentProgram::Catalog(Algorithm::EtUnconscious.instantiate_enum());
-        let probe = pool.refresh(1, &live_enum);
+        // Swapping fuses the post-Compute probe into the live slot.
+        let mut live_program = Algorithm::EtUnconscious.instantiate();
+        let probe = pool.refresh(1, &live_program);
         let _ = probe.decide(&build_dummy_snapshot());
         let advanced = probe.state_label();
-        pool.swap(1, &mut live_enum);
-        assert_eq!(live_enum.state_label(), advanced);
+        pool.swap(1, &mut live_program);
+        assert_eq!(live_program.state_label(), advanced);
     }
 
     fn build_dummy_snapshot() -> Snapshot {

@@ -14,8 +14,10 @@
 //!   (`left`, `right`) or `nil`, possibly together with explicit termination;
 //! * [`Knowledge`] — what the agent knows a priori (`n`, an upper bound `N`,
 //!   chirality, landmark presence);
-//! * [`Protocol`] — the trait every algorithm implements, together with the
-//!   [`TerminationKind`] it promises (explicit / partial / unconscious).
+//! * [`Protocol`] — the trait every algorithm implements (the engine runs
+//!   them through `dynring_core::CatalogProtocol`, the enum over the
+//!   paper's algorithms), together with the [`TerminationKind`] it
+//!   promises (explicit / partial / unconscious).
 //!
 //! The crate deliberately contains no engine or algorithm logic, so that the
 //! strict information barrier of the model ("agents see only their own node")
@@ -33,5 +35,5 @@ pub mod statekey;
 
 pub use decision::Decision;
 pub use knowledge::{Knowledge, ScenarioAssumptions, SynchronyModel, TransportModel};
-pub use protocol::{clone_state_from, BoxedProtocol, Protocol, TerminationKind};
+pub use protocol::{Protocol, TerminationKind};
 pub use snapshot::{LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Snapshot};

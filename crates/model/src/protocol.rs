@@ -37,22 +37,19 @@ impl fmt::Display for TerminationKind {
 /// Protocols must be deterministic (the paper's algorithms all are), which the
 /// engine exploits in two ways:
 ///
-/// * adversaries may *predict* an agent's decision by cloning the protocol
-///   (via [`Protocol::clone_box`]) and dry-running it, exactly as the
-///   omniscient adversaries in the impossibility proofs do;
+/// * adversaries may *predict* an agent's decision by copying the protocol's
+///   state into a probe and dry-running it, exactly as the omniscient
+///   adversaries in the impossibility proofs do;
 /// * recorded executions can be replayed.
 ///
-/// # Dispatch
+/// # One program representation
 ///
-/// `Box<dyn Protocol>` is the open extension point: any user-defined type
-/// implementing this trait can join a simulation. A *closed* set of
-/// protocols can additionally be wrapped in an enum that implements
-/// `Protocol` by a static `match` over its variants, trading virtual calls
-/// for inlinable direct dispatch — `dynring_core::CatalogProtocol` does
-/// exactly this for the paper's nine-algorithm catalogue, and the engine
-/// runs both representations side by side (see `docs/ARCHITECTURE.md`,
-/// "The dispatch story"). Nothing in this trait is aware of the
-/// distinction; enum wrappers simply forward every method.
+/// The paper's protocols are a closed set, so the engine runs every agent
+/// as a `dynring_core::CatalogProtocol`: an enum over the concrete state
+/// machines that implements this trait by a static `match`. A new protocol
+/// implements `Protocol` and `Clone`, then joins the engine as one more
+/// `CatalogProtocol` variant plus its `Algorithm` entry (see
+/// `docs/ARCHITECTURE.md`, "One program representation").
 ///
 /// # Implementing
 ///
@@ -70,7 +67,8 @@ impl fmt::Display for TerminationKind {
 ///         Decision::Move(LocalDirection::Left)
 ///     }
 ///     fn has_terminated(&self) -> bool { false }
-///     fn clone_box(&self) -> Box<dyn Protocol> { Box::new(self.clone()) }
+///     // A stateless walker: the empty encoding is injective.
+///     fn write_state_key(&self, _out: &mut Vec<u8>) {}
 /// }
 /// ```
 ///
@@ -98,83 +96,13 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     /// Whether the agent has entered its terminal state. Once `true`, the
     /// engine never activates the agent again and it never moves.
     ///
-    /// Protocols whose [`Protocol::termination_kind`] is
-    /// [`TerminationKind::Unconscious`] promise this is constantly `false`
-    /// (unconscious exploration never stops); the engine relies on that and
-    /// skips the per-round poll for them.
+    /// This turns `true` exactly on the activation whose `decide` returns
+    /// [`Decision::Terminate`], and never otherwise: the engine terminates
+    /// an agent on that decision alone, and checks this invariant after
+    /// every decision in debug builds. Protocols whose
+    /// [`Protocol::termination_kind`] is [`TerminationKind::Unconscious`]
+    /// keep it constantly `false`.
     fn has_terminated(&self) -> bool;
-
-    /// Clones the protocol together with its full internal state.
-    fn clone_box(&self) -> Box<dyn Protocol>;
-
-    /// The protocol as a [`std::any::Any`] reference, enabling the in-place
-    /// state copy of [`Protocol::clone_from_box`]. Protocols that opt into
-    /// probe reuse return `Some(self)`; the default (`None`) makes every
-    /// state copy fall back to a fresh [`Protocol::clone_box`].
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-
-    /// Copies `src`'s full internal state into `self` **in place**, returning
-    /// whether the copy happened. A copy happens only when both protocols are
-    /// the same concrete type (checked through [`Protocol::as_any`]); the
-    /// default implementation refuses every copy, and callers then fall back
-    /// to an owned [`Protocol::clone_box`].
-    ///
-    /// This is the allocation-free sibling of `clone_box`: the engine keeps a
-    /// per-agent pool of *probe* instances and refreshes each probe from the
-    /// live protocol every round instead of boxing a new clone, which is what
-    /// makes omniscient-adversary predictions (the paper's impossibility
-    /// constructions dry-run every agent every round) as cheap as the plain
-    /// round loop. Implementors usually delegate to [`clone_state_from`]:
-    ///
-    /// ```
-    /// use dynring_model::{
-    ///     clone_state_from, Decision, LocalDirection, Protocol, Snapshot, TerminationKind,
-    /// };
-    ///
-    /// #[derive(Debug, Clone, Default)]
-    /// struct Pacer {
-    ///     steps: u64,
-    /// }
-    ///
-    /// impl Protocol for Pacer {
-    ///     fn name(&self) -> &'static str { "pacer" }
-    ///     fn termination_kind(&self) -> TerminationKind { TerminationKind::Unconscious }
-    ///     fn decide(&mut self, _snapshot: &Snapshot) -> Decision {
-    ///         self.steps += 1;
-    ///         Decision::Move(LocalDirection::Left)
-    ///     }
-    ///     fn has_terminated(&self) -> bool { false }
-    ///     fn clone_box(&self) -> Box<dyn Protocol> { Box::new(self.clone()) }
-    ///     fn as_any(&self) -> Option<&dyn std::any::Any> { Some(self) }
-    ///     fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-    ///         clone_state_from(self, src)
-    ///     }
-    /// }
-    ///
-    /// let live = Pacer { steps: 41 };
-    /// let mut probe = Pacer { steps: 7 };
-    /// assert!(probe.clone_from_box(&live));           // same type: copied in place
-    /// assert_eq!(probe.steps, 41);
-    ///
-    /// #[derive(Debug, Clone, Default)]
-    /// struct Other;
-    /// # impl Protocol for Other {
-    /// #     fn name(&self) -> &'static str { "other" }
-    /// #     fn termination_kind(&self) -> TerminationKind { TerminationKind::Unconscious }
-    /// #     fn decide(&mut self, _s: &Snapshot) -> Decision { Decision::Stay }
-    /// #     fn has_terminated(&self) -> bool { false }
-    /// #     fn clone_box(&self) -> Box<dyn Protocol> { Box::new(self.clone()) }
-    /// #     fn as_any(&self) -> Option<&dyn std::any::Any> { Some(self) }
-    /// # }
-    /// assert!(!probe.clone_from_box(&Other));         // type mismatch: refused
-    /// assert_eq!(probe.steps, 41);
-    /// ```
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        let _ = src;
-        false
-    }
 
     /// A free-form description of the internal state for traces and
     /// debugging; the default implementation uses the `Debug` representation.
@@ -183,9 +111,7 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     }
 
     /// Appends a compact, **injective** binary encoding of the protocol's
-    /// full observable state to `out`, returning whether the protocol
-    /// supports packed keys. The default refuses (`false`, nothing written);
-    /// callers then fall back to the `Debug`-string encoding.
+    /// full observable state to `out`.
     ///
     /// Implementors must emit every field that can influence any future
     /// [`Protocol::decide`] or [`Protocol::has_terminated`] answer, using the
@@ -195,36 +121,7 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     /// between distinct states would silently prune reachable configurations
     /// and void the impossibility proofs, which is why injectivity (not
     /// compactness) is the load-bearing requirement.
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
-        let _ = out;
-        false
-    }
-}
-
-/// Copies `src`'s state into `dst` when `src` is also a `T`, returning
-/// whether the copy happened. The copy goes through [`Clone::clone_from`], so
-/// types that override it (reusing existing heap capacity) stay
-/// allocation-free in the steady state.
-///
-/// This is the standard body of a [`Protocol::clone_from_box`] implementation;
-/// see the trait method for a full example.
-pub fn clone_state_from<T: Protocol + Clone + 'static>(dst: &mut T, src: &dyn Protocol) -> bool {
-    match src.as_any().and_then(|any| any.downcast_ref::<T>()) {
-        Some(concrete) => {
-            dst.clone_from(concrete);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Owned, type-erased protocol instance.
-pub type BoxedProtocol = Box<dyn Protocol>;
-
-impl Clone for BoxedProtocol {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
+    fn write_state_key(&self, out: &mut Vec<u8>);
 }
 
 #[cfg(test)]
@@ -261,8 +158,9 @@ mod tests {
             self.steps > 3
         }
 
-        fn clone_box(&self) -> BoxedProtocol {
-            Box::new(self.clone())
+        fn write_state_key(&self, out: &mut Vec<u8>) {
+            out.push(u8::from(self.next_left));
+            crate::statekey::push_u64(out, u64::from(self.steps));
         }
     }
 
@@ -277,8 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn boxed_clone_preserves_state() {
-        let mut original: BoxedProtocol = Box::new(Alternator { next_left: true, steps: 0 });
+    fn clone_preserves_state() {
+        let mut original = Alternator { next_left: true, steps: 0 };
         assert_eq!(original.decide(&snap()), Decision::Move(LocalDirection::Left));
         let mut copy = original.clone();
         // Both the copy and the original continue from the same state.

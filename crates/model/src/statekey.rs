@@ -28,12 +28,13 @@
 //! * signed integers are zigzag-mapped (`0, −1, 1, −2, …` ↦ `0, 1, 2, 3, …`)
 //!   onto unsigned varints;
 //! * optional fields carry an explicit presence tag byte;
-//! * variable-length payloads are length-prefixed via [`push_bytes`] or
-//!   [`push_prefixed`], with the length as a varint.
+//! * variable-length payloads are length-prefixed via [`push_prefixed`],
+//!   with the length as a varint.
 //!
 //! Implementors must emit **every** field that `Debug` would show (the
-//! equivalence proptests in `tests/model_check.rs` compare the equivalence
-//! classes induced by the two encodings).
+//! engine's `packed_key_classes_match_debug_key_classes` proptest, in
+//! `crates/engine/src/checkpoint.rs`, compares the equivalence classes
+//! induced by the two encodings).
 
 /// Appends a `u64` as an LEB128 varint (1 byte below 128, at most 10).
 #[inline]
@@ -77,24 +78,16 @@ pub fn push_opt_i64(out: &mut Vec<u8>, value: Option<i64>) {
     }
 }
 
-/// Appends a length-prefixed byte slice (varint length, then the bytes).
-/// The prefix keeps concatenated encodings injective.
-#[inline]
-pub fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    push_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// Appends what `write` appends, prefixed by its varint length — the bytes
-/// of [`push_bytes`] on the same payload, without a second buffer. The
+/// Appends what `write` appends, prefixed by its varint length (the bytes
+/// of a varint length followed by the payload), without a second buffer. The
 /// payload is written in place after a one-byte prefix and shifted right
 /// when its length needs a longer one (128 bytes or more), so the call
-/// allocates only if `out` has to grow. Returns what `write` returns.
+/// allocates only if `out` has to grow.
 #[inline]
-pub fn push_prefixed<R>(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+pub fn push_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     let len_at = out.len();
     out.push(0);
-    let result = write(out);
+    write(out);
     let len = out.len() - len_at - 1;
     if len < 0x80 {
         out[len_at] = len as u8;
@@ -110,7 +103,6 @@ pub fn push_prefixed<R>(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> R
         out[len_at..len_at + width].copy_from_slice(&prefix[..width]);
         out.truncate(end + width - 1);
     }
-    result
 }
 
 #[cfg(test)]
@@ -132,6 +124,13 @@ mod tests {
 
     fn unzigzag(value: u64) -> i64 {
         ((value >> 1) as i64) ^ -((value & 1) as i64)
+    }
+
+    /// The reference length prefix [`push_prefixed`] is checked against: a
+    /// varint length, then the bytes.
+    fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+        push_u64(out, bytes.len() as u64);
+        out.extend_from_slice(bytes);
     }
 
     fn encoded(push: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
@@ -233,11 +232,7 @@ mod tests {
                 push_bytes(out, &payload);
             });
             let mut in_place = vec![0xEE];
-            let returned = push_prefixed(&mut in_place, |out| {
-                out.extend_from_slice(&payload);
-                len
-            });
-            assert_eq!(returned, len);
+            push_prefixed(&mut in_place, |out| out.extend_from_slice(&payload));
             assert_eq!(in_place, direct, "payload of {len} bytes");
             let (decoded, rest) = read_u64(&in_place[1..]).expect("a whole length");
             assert_eq!((decoded, rest), (len as u64, payload.as_slice()));

@@ -17,10 +17,11 @@ use dynring_engine::render;
 pub fn run(n: usize) -> Result<RunReport, Box<dyn std::error::Error>> {
     let ring = RingTopology::new(n)?;
 
+    let algorithm = Algorithm::KnownBound { upper_bound: n };
     let mut sim = Simulation::builder(ring.clone())
         .synchrony(SynchronyModel::Fsync)
-        .agent(NodeId::new(0), Handedness::LeftIsCcw, Box::new(KnownBound::new(n)))
-        .agent(NodeId::new(5 % n), Handedness::LeftIsCw, Box::new(KnownBound::new(n)))
+        .agent(NodeId::new(0), Handedness::LeftIsCcw, algorithm.instantiate())
+        .agent(NodeId::new(5 % n), Handedness::LeftIsCw, algorithm.instantiate())
         .activation(Box::new(FullActivation))
         .edges(Box::new(StickyRandomEdge::new(1, n as u64, 0.3, 42)))
         .record_trace(true)

@@ -21,7 +21,7 @@ pub fn run(model: TransportModel, n: usize) -> RunReport {
         builder = builder.agent(
             NodeId::new(start),
             Handedness::LeftIsCcw,
-            Box::new(match model {
+            CatalogProtocol::PtNoChirality(match model {
                 TransportModel::EventualTransport => PtNoChirality::for_eventual_transport(n),
                 _ => PtNoChirality::with_upper_bound(n),
             }),

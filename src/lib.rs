@@ -29,10 +29,11 @@
 //! // ring of 10 nodes and terminate within 3N − 6 rounds, whatever the
 //! // adversary does (here: a random edge is missing most rounds).
 //! let ring = RingTopology::new(10)?;
+//! let algorithm = Algorithm::KnownBound { upper_bound: 10 };
 //! let mut sim = Simulation::builder(ring)
 //!     .synchrony(SynchronyModel::Fsync)
-//!     .agent(NodeId::new(0), Handedness::LeftIsCcw, Box::new(KnownBound::new(10)))
-//!     .agent(NodeId::new(5), Handedness::LeftIsCcw, Box::new(KnownBound::new(10)))
+//!     .agent(NodeId::new(0), Handedness::LeftIsCcw, algorithm.instantiate())
+//!     .agent(NodeId::new(5), Handedness::LeftIsCcw, algorithm.instantiate())
 //!     .activation(Box::new(FullActivation))
 //!     .edges(Box::new(RandomEdge::new(0.8, 42)))
 //!     .build()?;
@@ -70,7 +71,6 @@ pub mod prelude {
         RoundRobinSingle,
     };
     pub use dynring_engine::sim::{RunReport, Simulation, StopCondition};
-    pub use dynring_engine::world::AgentProgram;
     pub use dynring_graph::{
         EdgeId, EdgeSchedule, GlobalDirection, Handedness, NodeId, RingTopology, ScheduleBuilder,
     };

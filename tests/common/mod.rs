@@ -58,8 +58,8 @@ pub fn golden_scenarios() -> Vec<(&'static str, Scenario, u64)> {
         // Prediction-on goldens: the omniscient `PreventMeeting` adversary
         // forces the engine to predict every agent's decision each round, so
         // these digests pin the probe-pool / prediction-fusion path (state
-        // copies instead of per-round clone_box) bit-for-bit against the
-        // pre-refactor engine.
+        // copies into reused probes) bit-for-bit against the pre-refactor
+        // engine.
         (
             "fsync/known-bound/prevent-meeting",
             Scenario::fsync(9, Algorithm::KnownBound { upper_bound: 9 })

@@ -12,8 +12,8 @@ use dynring::engine::sim::{AgentSpec, RunSpec};
 use dynring::prelude::*;
 use dynring_graph::GraphError;
 
-fn walker(n: usize) -> Box<dyn Protocol> {
-    Box::new(KnownBound::new(n))
+fn walker(n: usize) -> CatalogProtocol {
+    Algorithm::KnownBound { upper_bound: n }.instantiate()
 }
 
 fn spec_agent(n: usize, start: usize) -> AgentSpec {

@@ -254,49 +254,6 @@ fn a_state_budget_below_the_cell_is_inconclusive_at_every_width() {
     );
 }
 
-/// A boxed protocol without a packed state key, so the canonical key holds
-/// its `Debug` string; the note makes that string longer than 127 bytes,
-/// which takes a two-byte length prefix.
-#[derive(Debug, Clone)]
-struct Chatty {
-    steps: u64,
-    #[expect(dead_code, reason = "read through `Debug`, which keys the program's state")]
-    note: &'static str,
-}
-
-impl Chatty {
-    const NOTE: &'static str = "a deliberately long-winded program state that walks left for three \
-                                steps, then right for two, and never packs its own state key";
-}
-
-impl dynring_model::Protocol for Chatty {
-    fn name(&self) -> &'static str {
-        "chatty"
-    }
-
-    fn termination_kind(&self) -> dynring_model::TerminationKind {
-        dynring_model::TerminationKind::Unconscious
-    }
-
-    fn decide(&mut self, _snapshot: &dynring_model::Snapshot) -> dynring_model::Decision {
-        self.steps += 1;
-        let dir = if self.steps % 5 < 3 {
-            dynring_model::LocalDirection::Left
-        } else {
-            dynring_model::LocalDirection::Right
-        };
-        dynring_model::Decision::Move(dir)
-    }
-
-    fn has_terminated(&self) -> bool {
-        false
-    }
-
-    fn clone_box(&self) -> Box<dyn dynring_model::Protocol> {
-        Box::new(self.clone())
-    }
-}
-
 /// Whether two admissible maps carry the visit map to the same mask and
 /// every agent to the same node, so that only the agents' flags bytes
 /// (whose handedness bit a reflection always flips) order them. The visit
@@ -331,12 +288,12 @@ fn flags_break_a_mask_tie(
 /// The packed canonical key's two-pass map search produces exactly the
 /// bytes of the direct minimum over every admissible map, across the
 /// catalogue run under FSYNC and SSYNC on rings of 4 to 17 nodes, plus
-/// mixed teams holding a boxed protocol keyed by its `Debug` string. Each
-/// case is counted and must occur: whole-byte visit maps (n = 8, 16) and
-/// partial tail bytes, landmark and anonymous rings, agents sharing a node,
-/// held ports and both handednesses, a fully visited ring (every admissible
-/// map ties on the visit mask), a mask tie that only the flags bytes break,
-/// teams of four or more agents and a program key of 128 bytes or more.
+/// five-agent teams mixing two catalogue algorithms. Each case is counted
+/// and must occur: whole-byte visit maps (n = 8, 16) and partial tail bytes,
+/// landmark and anonymous rings, agents sharing a node, held ports and both
+/// handednesses, a fully visited ring (every admissible map ties on the
+/// visit mask), a mask tie that only the flags bytes break, and teams of
+/// four or more agents.
 #[test]
 fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
     use dynring_engine::adversary::NoRemoval;
@@ -346,13 +303,13 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
     use dynring_model::TransportModel;
 
     // Checks one state against the reference, leaving its key in `key`,
-    // and counts the cases it covers (all but the long program key).
+    // and counts the cases it covers.
     fn check(
         sim: &mut Simulation,
         label: &str,
         scratch: &mut [KeyScratch; 2],
         key: &mut Vec<u8>,
-        seen: &mut [usize; 12],
+        seen: &mut [usize; 11],
     ) {
         let ring = sim.ring().clone();
         let (n, visited) = (ring.size(), sim.visited_count());
@@ -400,9 +357,8 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
         "fully visited ring",
         "mask tie broken only by the flags byte",
         "team of four or more agents",
-        "program key of 128 bytes or more",
     ];
-    let mut seen = [0usize; 12];
+    let mut seen = [0usize; 11];
     for n in 4..=17 {
         for algorithm in Algorithm::full_catalog(n) {
             for (ssync, landmark) in [(false, false), (false, true), (true, false), (true, true)] {
@@ -451,14 +407,14 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
             }
         }
     }
-    // Mixed teams: two `Debug`-keyed boxed programs beside catalogue ones.
+    // Mixed teams: five agents alternating between two catalogue algorithms.
     for n in [5, 8, 11, 16] {
         for (ssync, landmark) in [(false, None), (true, Some(n / 2))] {
             let ring = match landmark {
                 Some(l) => RingTopology::with_landmark(n, NodeId::new(l)).unwrap(),
                 None => RingTopology::new(n).unwrap(),
             };
-            let algorithm = Algorithm::KnownBound { upper_bound: n };
+            let algorithms = [Algorithm::Unconscious, Algorithm::KnownBound { upper_bound: n }];
             let mut builder = Simulation::builder(ring).edges(Box::new(NoRemoval));
             builder = if ssync {
                 builder
@@ -469,23 +425,13 @@ fn bitmask_canonical_key_matches_the_exhaustive_minimum() {
             };
             for (i, start) in [0, n / 3, n / 3, n - 1, 1].into_iter().enumerate() {
                 let handedness = if i % 2 == 0 { Handedness::LeftIsCcw } else { Handedness::LeftIsCw };
-                builder = if i % 2 == 0 {
-                    builder.agent(NodeId::new(start), handedness, Box::new(Chatty { steps: 0, note: Chatty::NOTE }))
-                } else {
-                    builder.agent_program(NodeId::new(start), handedness, algorithm.instantiate_enum())
-                };
+                let program = algorithms[i % 2].instantiate();
+                builder = builder.agent(NodeId::new(start), handedness, program);
             }
             let mut sim = builder.build().unwrap();
             for round in 0..3 * n {
                 let label = format!("mixed team n={n} ssync={ssync} round {round}");
                 check(&mut sim, &label, &mut scratch, &mut key, &mut seen);
-                // The `Debug` fallback's own length prefix sits right
-                // before the label: two varint bytes once it passes 127.
-                let at = key.windows(8).position(|w| w == b"Chatty {").expect("a Debug-keyed program");
-                let len = key[at..].iter().position(|&b| b == b'}').expect("a whole label") + 1;
-                assert!(len >= 128, "the label is {len} bytes");
-                assert_eq!(key[at - 2..at], [(len as u8) | 0x80, (len >> 7) as u8], "length prefix");
-                seen[11] += 1;
                 let choice = rng.next_u64() as usize % (n + 1);
                 sim.step_with_edge((choice < n).then(|| EdgeId::new(choice)));
             }

@@ -1,16 +1,17 @@
-//! Property tests for the protocol state-copy API backing the engine's
-//! probe pool.
+//! Property tests for the protocol state copy backing the engine's probe
+//! pool, and for the termination contract the round loop relies on.
 //!
 //! The omniscient-adversary path refreshes a per-agent *probe* through
-//! [`Protocol::clone_from_box`] (an in-place state copy) instead of boxing a
-//! fresh [`Protocol::clone_box`] every round. That is only sound if the copy
-//! is indistinguishable from a fresh clone for every protocol in the
-//! catalogue, whatever states the live instance and the stale probe are in —
-//! which is exactly what these properties pin down.
+//! `CatalogProtocol::clone_from` (an in-place state copy) instead of cloning
+//! afresh every round, and checkpoint slots and trace labels copy programs
+//! the same way. That is only sound if the copy is indistinguishable from a
+//! fresh clone for every protocol in the catalogue, whatever states the live
+//! instance and the stale probe are in — which is exactly what these
+//! properties pin down.
 
-use dynring_core::Algorithm;
+use dynring_core::{Algorithm, CatalogProtocol};
 use dynring_model::{
-    LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Protocol, Snapshot,
+    Decision, LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Protocol, Snapshot,
 };
 use proptest::prelude::*;
 
@@ -47,7 +48,7 @@ fn snapshot_from(bits: u64, round: u64) -> Snapshot {
 
 /// Drives `protocol` through `rounds` scrambled snapshots (skipping once it
 /// terminates, as the engine would).
-fn drive(protocol: &mut dyn Protocol, seed: u64, rounds: u64) {
+fn drive(protocol: &mut CatalogProtocol, seed: u64, rounds: u64) {
     for round in 1..=rounds {
         if protocol.has_terminated() {
             break;
@@ -56,30 +57,21 @@ fn drive(protocol: &mut dyn Protocol, seed: u64, rounds: u64) {
     }
 }
 
-/// The full catalogue instantiated for a small ring — once through the boxed
-/// concrete types and once through the statically dispatched
-/// [`CatalogProtocol`](dynring_core::CatalogProtocol) enum (itself a
-/// `Protocol`, so it must satisfy the same state-copy contract when it
-/// crosses a boxed boundary; a boxed enum and a boxed concrete protocol are
-/// different types, so copies between them are rightly refused).
-fn catalog() -> Vec<Box<dyn Protocol>> {
-    let algorithms = Algorithm::full_catalog(8);
-    algorithms
-        .iter()
-        .map(Algorithm::instantiate)
-        .chain(algorithms.iter().map(|a| Box::new(a.instantiate_enum()) as Box<dyn Protocol>))
-        .collect()
+/// The full catalogue instantiated for a small ring.
+fn catalog() -> Vec<CatalogProtocol> {
+    Algorithm::full_catalog(8).iter().map(Algorithm::instantiate).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For every catalogue protocol: copying a live instance's state into a
-    /// stale probe (driven through an unrelated history) leaves the probe
-    /// indistinguishable from a fresh `clone_box` — same labels, same debug
-    /// state, and identical behaviour on every subsequent activation.
+    /// For every pair of catalogue protocols, of the same variant or not:
+    /// copying a live instance's state into a stale probe (driven through an
+    /// unrelated history) leaves the probe indistinguishable from a fresh
+    /// `clone` — same labels, same debug state, and identical behaviour on
+    /// every subsequent activation.
     #[test]
-    fn clone_from_box_matches_a_fresh_clone_box(
+    fn clone_from_matches_a_fresh_clone(
         live_seed in 0u64..1 << 48,
         probe_seed in 0u64..1 << 48,
         live_rounds in 0u64..60,
@@ -87,89 +79,78 @@ proptest! {
         future_seed in 0u64..1 << 48,
     ) {
         for mut live in catalog() {
-            drive(live.as_mut(), live_seed, live_rounds);
-            // A stale probe of the same concrete type, in a different state.
-            let mut probe = live.clone_box();
-            drive(probe.as_mut(), probe_seed, probe_rounds);
+            drive(&mut live, live_seed, live_rounds);
+            for mut probe in catalog() {
+                drive(&mut probe, probe_seed, probe_rounds);
+                probe.clone_from(&live);
+                let mut fresh = live.clone();
 
-            prop_assert!(
-                probe.clone_from_box(live.as_ref()),
-                "{}: same-type state copy must succeed",
-                live.name()
-            );
-            let mut fresh = live.clone_box();
-
-            prop_assert_eq!(probe.state_label(), fresh.state_label());
-            prop_assert_eq!(format!("{probe:?}"), format!("{fresh:?}"));
-            prop_assert_eq!(probe.has_terminated(), fresh.has_terminated());
-
-            // The copy and the fresh clone stay in lock-step forever after.
-            for round in 1..=40u64 {
-                if fresh.has_terminated() {
-                    break;
-                }
-                let snapshot = snapshot_from(future_seed, round);
-                prop_assert_eq!(
-                    probe.decide(&snapshot),
-                    fresh.decide(&snapshot),
-                    "{} diverged at round {round}",
-                    probe.name()
-                );
                 prop_assert_eq!(probe.state_label(), fresh.state_label());
+                prop_assert_eq!(format!("{probe:?}"), format!("{fresh:?}"));
                 prop_assert_eq!(probe.has_terminated(), fresh.has_terminated());
+
+                // The copy and the fresh clone stay in lock-step forever after.
+                for round in 1..=40u64 {
+                    if fresh.has_terminated() {
+                        break;
+                    }
+                    let snapshot = snapshot_from(future_seed, round);
+                    prop_assert_eq!(
+                        probe.decide(&snapshot),
+                        fresh.decide(&snapshot),
+                        "{} diverged at round {round}",
+                        probe.name()
+                    );
+                    prop_assert_eq!(probe.state_label(), fresh.state_label());
+                    prop_assert_eq!(probe.has_terminated(), fresh.has_terminated());
+                }
             }
         }
     }
 
-    /// Copying across different concrete protocol types is refused and
-    /// leaves the destination untouched (the pool then falls back to
-    /// `clone_box`).
+    /// Every catalogue protocol enters its terminal state exactly on the
+    /// activation that returns `Decision::Terminate`, and on no other: the
+    /// engine terminates agents on that decision alone.
     #[test]
-    fn clone_from_box_refuses_type_mismatches(
+    fn has_terminated_turns_true_exactly_on_terminate(
         seed in 0u64..1 << 48,
-        rounds in 0u64..40,
+        rounds in 0u64..200,
     ) {
-        let protocols = catalog();
-        for (i, a) in protocols.iter().enumerate() {
-            for (j, b) in protocols.iter().enumerate() {
-                // `Algorithm::full_catalog` contains distinct parameterisations
-                // of shared concrete types (e.g. the three `PtNoChirality`
-                // flavours), and same-type copies rightly succeed — only
-                // genuinely different types must be refused.
-                let same_type = match (a.as_any(), b.as_any()) {
-                    (Some(x), Some(y)) => x.type_id() == y.type_id(),
-                    _ => false,
-                };
-                if i == j || same_type {
-                    continue;
-                }
-                let mut dst = a.clone_box();
-                drive(dst.as_mut(), seed, rounds);
-                let before = format!("{dst:?}");
-                prop_assert!(
-                    !dst.clone_from_box(b.as_ref()),
-                    "{} must refuse state from {}",
-                    a.name(),
-                    b.name()
+        for mut protocol in catalog() {
+            prop_assert!(!protocol.has_terminated(), "{} starts terminated", protocol.name());
+            for round in 1..=rounds {
+                let decision = protocol.decide(&snapshot_from(seed, round));
+                prop_assert_eq!(
+                    protocol.has_terminated(),
+                    decision == Decision::Terminate,
+                    "{} decided {:?} at round {}",
+                    protocol.name(),
+                    decision,
+                    round
                 );
-                prop_assert_eq!(before, format!("{dst:?}"));
+                if decision == Decision::Terminate {
+                    break;
+                }
             }
         }
     }
 }
 
-/// Every catalogue protocol opts into the state-copy API (`as_any` returns
-/// `Some`), so the engine's probe pool never has to fall back to per-round
-/// boxing for the paper's algorithms.
+/// A same-variant copy goes through the concrete protocol's own
+/// `clone_from`: the state lands in the probe's existing storage (the boxed
+/// `LandmarkNoChirality` state stays where it was) rather than a new clone.
 #[test]
 fn every_catalog_protocol_supports_in_place_copies() {
-    for protocol in catalog() {
-        assert!(
-            protocol.as_any().is_some(),
-            "{} does not expose as_any; probe reuse would allocate",
-            protocol.name()
-        );
-        let mut probe = protocol.clone_box();
-        assert!(probe.clone_from_box(protocol.as_ref()), "{}", protocol.name());
+    for (live, mut probe) in catalog().into_iter().zip(catalog()) {
+        drive(&mut probe, 7, 30);
+        let boxed_at = match &probe {
+            CatalogProtocol::LandmarkNoChirality(state) => Some(std::ptr::from_ref(&**state)),
+            _ => None,
+        };
+        probe.clone_from(&live);
+        assert_eq!(format!("{probe:?}"), format!("{live:?}"), "{}", live.name());
+        if let CatalogProtocol::LandmarkNoChirality(state) = &probe {
+            assert_eq!(Some(std::ptr::from_ref(&**state)), boxed_at, "{}", live.name());
+        }
     }
 }
