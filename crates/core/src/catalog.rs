@@ -285,18 +285,15 @@ impl fmt::Display for Algorithm {
 /// use dynring_core::{Algorithm, CatalogProtocol};
 /// use dynring_engine::adversary::RandomEdge;
 /// use dynring_engine::scheduler::FullActivation;
-/// use dynring_engine::sim::{Simulation, StopCondition};
+/// use dynring_engine::sim::{AgentSpec, RunSpec, StopCondition};
 /// use dynring_graph::{Handedness, NodeId, RingTopology};
-/// use dynring_model::Protocol;
+/// use dynring_model::{Protocol, SynchronyModel};
 ///
 /// let alg = Algorithm::KnownBound { upper_bound: 8 };
-/// let ring = RingTopology::new(8)?;
-/// let mut sim = Simulation::builder(ring)
-///     .agent(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate())
-///     .agent(NodeId::new(4), Handedness::LeftIsCcw, alg.instantiate())
-///     .activation(Box::new(FullActivation))
-///     .edges(Box::new(RandomEdge::new(0.5, 7)))
-///     .build()?;
+/// let agents = [0, 4]
+///     .map(|start| AgentSpec::new(NodeId::new(start), Handedness::LeftIsCcw, alg.instantiate()));
+/// let spec = RunSpec::new(RingTopology::new(8)?, SynchronyModel::Fsync, agents.into(), false)?;
+/// let mut sim = spec.instantiate(Box::new(FullActivation), Box::new(RandomEdge::new(0.5, 7)));
 /// let report = sim.run(200, StopCondition::Explored);
 /// assert!(report.explored());
 ///

@@ -129,12 +129,6 @@ impl PtNoChirality {
         PtNoChirality { done, strict, state: State::Init, d: 0, counters: Counters::new() }
     }
 
-    /// The termination test this agent uses.
-    #[must_use]
-    pub const fn termination_test(&self) -> SizeTermination {
-        self.done
-    }
-
     /// The memorised excursion length `d`.
     #[must_use]
     pub const fn excursion(&self) -> u64 {

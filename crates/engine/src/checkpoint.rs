@@ -558,7 +558,7 @@ mod tests {
     use crate::scheduler::{
         ActivationPolicy, AlternateBlocked, EtFairness, FullActivation, RoundRobinSingle,
     };
-    use crate::sim::{Simulation, StopReason};
+    use crate::sim::{AgentSpec, RunSpec, Simulation, StopReason};
     use dynring_core::Algorithm;
     use dynring_graph::{EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
     use dynring_model::{PriorOutcome, SynchronyModel, TransportModel};
@@ -665,30 +665,40 @@ mod tests {
         }
     }
 
+    /// A trace-off simulation with no edge removals: one `algorithm` agent
+    /// per `(start, handedness)`.
+    fn sim_of(
+        ring: RingTopology,
+        synchrony: SynchronyModel,
+        algorithm: Algorithm,
+        starts: &[(usize, Handedness)],
+        activation: Box<dyn ActivationPolicy>,
+    ) -> Simulation {
+        let agents = starts
+            .iter()
+            .map(|&(start, handedness)| {
+                AgentSpec::new(NodeId::new(start), handedness, algorithm.instantiate())
+            })
+            .collect();
+        RunSpec::new(ring, synchrony, agents, false)
+            .unwrap()
+            .instantiate(activation, Box::new(NoRemoval))
+    }
+
     fn known_bound_sim(ring: RingTopology, starts: &[(usize, Handedness)], n: usize) -> Simulation {
-        let mut builder = Simulation::builder(ring)
-            .synchrony(SynchronyModel::Fsync)
-            .activation(Box::new(FullActivation))
-            .edges(Box::new(NoRemoval));
-        for (start, handedness) in starts {
-            let program = Algorithm::KnownBound { upper_bound: n }.instantiate();
-            builder = builder.agent(NodeId::new(*start), *handedness, program);
-        }
-        builder.build().unwrap()
+        let algorithm = Algorithm::KnownBound { upper_bound: n };
+        sim_of(ring, SynchronyModel::Fsync, algorithm, starts, Box::new(FullActivation))
     }
 
     #[test]
     fn step_with_edge_blocks_exactly_the_forced_edge() {
-        let mut sim = Simulation::builder(RingTopology::new(6).unwrap())
-            .agent(
-                NodeId::new(2),
-                Handedness::LeftIsCcw,
-                Algorithm::LoneWalker { patience: 5 }.instantiate(),
-            )
-            .activation(Box::new(FullActivation))
-            .edges(Box::new(NoRemoval))
-            .build()
-            .unwrap();
+        let mut sim = sim_of(
+            RingTopology::new(6).unwrap(),
+            SynchronyModel::Fsync,
+            Algorithm::LoneWalker { patience: 5 },
+            &[(2, Handedness::LeftIsCcw)],
+            Box::new(FullActivation),
+        );
         // Block whatever the agent is about to try: it must not move.
         for _ in 0..4 {
             let target = sim.peek().agents[0].predicted.target_edge().expect("walker moves");
@@ -734,20 +744,12 @@ mod tests {
             } else {
                 RingTopology::new(n).unwrap()
             };
-            let mut builder = Simulation::builder(ring)
-                .synchrony(synchrony)
-                .activation(activation)
-                .edges(Box::new(NoRemoval));
-            for (start, handedness) in starts {
-                let node = NodeId::new(start);
-                let algorithm = if landmark {
-                    Algorithm::LandmarkNoChirality
-                } else {
-                    Algorithm::KnownBound { upper_bound: n }
-                };
-                builder = builder.agent(node, handedness, algorithm.instantiate());
-            }
-            let mut sim = builder.build().unwrap();
+            let algorithm = if landmark {
+                Algorithm::LandmarkNoChirality
+            } else {
+                Algorithm::KnownBound { upper_bound: n }
+            };
+            let mut sim = sim_of(ring, synchrony, algorithm, &starts, activation);
             assert!(sim.supports_checkpoint());
             // Slot 1 of the store holds the round-1 state until the fork is
             // written over it.
@@ -893,14 +895,9 @@ mod tests {
             }
             SynchronyModel::Ssync(_) => Box::new(AlternateBlocked::new(3)),
         };
-        let mut builder = Simulation::builder(ring)
-            .synchrony(algorithm.synchrony())
-            .activation(activation)
-            .edges(Box::new(NoRemoval));
-        for (start, handedness) in starts.iter().zip(orientations) {
-            builder = builder.agent(NodeId::new(*start), *handedness, algorithm.instantiate());
-        }
-        builder.build().unwrap()
+        let starts: Vec<(usize, Handedness)> =
+            starts.iter().copied().zip(orientations.iter().copied()).collect();
+        sim_of(ring, algorithm.synchrony(), algorithm, &starts, activation)
     }
 
     proptest! {

@@ -13,11 +13,11 @@
 //!   (fixed [`EdgeSchedule`](dynring_graph::EdgeSchedule)s such as the
 //!   worst-case schedule of Figure 2) and the proof adversaries
 //!   (Observations 1–2, Theorems 9, 10, 13, 15, 19);
-//! * [`sim`] — the round loop itself: one FSYNC round kernel and one SSYNC
-//!   round body, with port mutual exclusion, passive transport, metrics and
-//!   run recycling ([`Simulation::recycle`](sim::Simulation::recycle)
+//! * [`sim`] — the round loop itself: one round body for both synchrony
+//!   models, with port mutual exclusion, passive transport, metrics and run
+//!   recycling ([`Simulation::recycle`](sim::Simulation::recycle)
 //!   re-initialises a simulation in place, which is how the analysis layer
-//!   runs sweep cells);
+//!   runs sweep cells, and is also how a fresh simulation is initialised);
 //! * [`checkpoint`] — branchable run state: checkpoint/restore of a live
 //!   simulation into column stores of many checkpoints, plus canonicalised
 //!   configuration keys, the engine half of the analysis-side model
@@ -27,27 +27,25 @@
 //!
 //! # Quick example
 //!
-//! Agents join through [`SimulationBuilder::agent`](sim::SimulationBuilder::agent)
-//! with a program from [`Algorithm::instantiate`](dynring_core::Algorithm::instantiate).
+//! A run is described once, by a validated [`RunSpec`] whose
+//! agents carry programs from
+//! [`Algorithm::instantiate`](dynring_core::Algorithm::instantiate), and
+//! started with the policies it runs against.
 //!
 //! ```
 //! use dynring_core::Algorithm;
 //! use dynring_engine::adversary::NoRemoval;
 //! use dynring_engine::scheduler::FullActivation;
-//! use dynring_engine::sim::{Simulation, StopCondition};
+//! use dynring_engine::sim::{AgentSpec, RunSpec, StopCondition};
 //! use dynring_graph::{Handedness, NodeId, RingTopology};
 //! use dynring_model::SynchronyModel;
 //!
 //! let alg = Algorithm::KnownBound { upper_bound: 8 };
+//! let agents = [0, 3]
+//!     .map(|start| AgentSpec::new(NodeId::new(start), Handedness::LeftIsCcw, alg.instantiate()));
 //! let ring = RingTopology::new(8).unwrap();
-//! let mut sim = Simulation::builder(ring)
-//!     .synchrony(SynchronyModel::Fsync)
-//!     .agent(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate())
-//!     .agent(NodeId::new(3), Handedness::LeftIsCcw, alg.instantiate())
-//!     .activation(Box::new(FullActivation))
-//!     .edges(Box::new(NoRemoval))
-//!     .build()
-//!     .unwrap();
+//! let spec = RunSpec::new(ring, SynchronyModel::Fsync, agents.into(), false).unwrap();
+//! let mut sim = spec.instantiate(Box::new(FullActivation), Box::new(NoRemoval));
 //! let report = sim.run(100, StopCondition::AllTerminated);
 //! assert!(report.explored());
 //! assert!(report.all_terminated);
@@ -69,6 +67,6 @@ pub use adversary::EdgePolicy;
 pub use checkpoint::{CheckpointStore, KeyScratch, SimCheckpoint};
 pub use error::EngineError;
 pub use scheduler::ActivationPolicy;
-pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition};
+pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, StopCondition};
 pub use trace::{RoundRecord, Trace};
 pub use world::{AgentView, PredictedAction, RoundView};

@@ -4,7 +4,7 @@
 //! schedule drawings of Figures 2, 15 and 16 of the paper.
 
 use crate::trace::{RoundRecord, Trace};
-use dynring_graph::{GlobalDirection, NodeId, RingTopology};
+use dynring_graph::{NodeId, RingTopology};
 
 /// Renders one round as a single line: each node is a cell, `*` marks the
 /// landmark, letters mark agents (uppercase = in the node, lowercase = on a
@@ -74,36 +74,12 @@ pub fn render_trace(ring: &RingTopology, trace: &Trace, max_lines: usize) -> Str
     out
 }
 
-/// A compact description of an agent's journey: the sequence of nodes visited
-/// (with repeats collapsed).
-#[must_use]
-pub fn render_journey(trace: &Trace, agent_index: usize) -> String {
-    let mut journey: Vec<NodeId> = Vec::new();
-    for record in trace.rounds() {
-        if let Some(agent) = record.agents.get(agent_index) {
-            if journey.last() != Some(&agent.node_after) {
-                journey.push(agent.node_after);
-            }
-        }
-    }
-    journey.iter().map(ToString::to_string).collect::<Vec<_>>().join(" → ")
-}
-
-/// Human-readable label for a direction of travel (used in reports).
-#[must_use]
-pub fn direction_label(dir: GlobalDirection) -> &'static str {
-    match dir {
-        GlobalDirection::Ccw => "counter-clockwise",
-        GlobalDirection::Cw => "clockwise",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::tests::{label, record_row};
     use crate::trace::AgentRoundRecord;
-    use dynring_graph::{AgentId, EdgeId};
+    use dynring_graph::{AgentId, EdgeId, GlobalDirection};
     use dynring_model::PriorOutcome;
 
     fn sample_trace() -> (RingTopology, Trace) {
@@ -160,18 +136,5 @@ mod tests {
         let text = render_trace(&ring, &trace, 10);
         assert_eq!(text.lines().count(), 1);
         assert_eq!(render_trace(&ring, &Trace::new(), 10), "(empty trace)");
-    }
-
-    #[test]
-    fn journey_collapses_repeats() {
-        let (_, trace) = sample_trace();
-        assert_eq!(render_journey(&trace, 0), "v1");
-        assert_eq!(render_journey(&trace, 1), "v3");
-    }
-
-    #[test]
-    fn direction_labels() {
-        assert_eq!(direction_label(GlobalDirection::Ccw), "counter-clockwise");
-        assert_eq!(direction_label(GlobalDirection::Cw), "clockwise");
     }
 }

@@ -102,111 +102,8 @@ impl RunReport {
     }
 }
 
-/// Builder for a [`Simulation`].
-pub struct SimulationBuilder {
-    ring: RingTopology,
-    synchrony: SynchronyModel,
-    agents: Vec<(NodeId, Handedness, CatalogProtocol)>,
-    activation: Option<Box<dyn ActivationPolicy>>,
-    edges: Option<Box<dyn EdgePolicy>>,
-    record_trace: bool,
-}
-
-impl SimulationBuilder {
-    /// Declares the synchrony model (FSYNC by default).
-    #[must_use]
-    pub fn synchrony(mut self, synchrony: SynchronyModel) -> Self {
-        self.synchrony = synchrony;
-        self
-    }
-
-    /// Adds an agent with its start node, private orientation and program
-    /// (an [`Algorithm::instantiate`](dynring_core::Algorithm::instantiate)
-    /// result).
-    #[must_use]
-    pub fn agent(
-        mut self,
-        start: NodeId,
-        handedness: Handedness,
-        program: CatalogProtocol,
-    ) -> Self {
-        self.agents.push((start, handedness, program));
-        self
-    }
-
-    /// Sets the activation policy (scheduler).
-    #[must_use]
-    pub fn activation(mut self, policy: Box<dyn ActivationPolicy>) -> Self {
-        self.activation = Some(policy);
-        self
-    }
-
-    /// Sets the edge-removal policy (dynamics adversary).
-    #[must_use]
-    pub fn edges(mut self, policy: Box<dyn EdgePolicy>) -> Self {
-        self.edges = Some(policy);
-        self
-    }
-
-    /// Enables or disables per-round trace recording (disabled by default).
-    #[must_use]
-    pub fn record_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
-        self
-    }
-
-    /// Builds the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no agents were declared, an agent starts outside the ring, or
-    /// a policy is missing.
-    pub fn build(self) -> Result<Simulation, EngineError> {
-        if self.agents.is_empty() {
-            return Err(EngineError::NoAgents);
-        }
-        let activation =
-            self.activation.ok_or(EngineError::MissingPolicy { which: "activation" })?;
-        let edges = self.edges.ok_or(EngineError::MissingPolicy { which: "edges" })?;
-        let ring_size = self.ring.size();
-        let mut team = AgentSoA::new(ring_size);
-        for (index, (start, handedness, protocol)) in self.agents.into_iter().enumerate() {
-            if start.index() >= ring_size {
-                return Err(EngineError::StartOutOfRange {
-                    agent: AgentId::new(index),
-                    node: start,
-                    ring_size,
-                });
-            }
-            team.push(start, handedness, protocol);
-        }
-        let mut visited = vec![false; ring_size];
-        for node in &team.node {
-            visited[node.index()] = true;
-        }
-        let counters = RunCounters {
-            round: 0,
-            alive: team.len(),
-            unvisited: visited.iter().filter(|v| !**v).count(),
-            explored_at: None,
-            crowded_nodes: team.crowded_nodes(),
-        };
-        Ok(Simulation {
-            ring: self.ring,
-            synchrony: self.synchrony,
-            agents: team,
-            visited,
-            counters,
-            activation,
-            edges,
-            trace: if self.record_trace { Some(Trace::new()) } else { None },
-            scratch: RoundScratch::default(),
-        })
-    }
-}
-
 /// One agent of a [`RunSpec`]: the start node, the private orientation and
-/// the **pristine program template** every (re)run copies its initial state
+/// the **pristine program template** every run copies its initial state
 /// from.
 #[derive(Debug)]
 pub struct AgentSpec {
@@ -214,9 +111,8 @@ pub struct AgentSpec {
     pub start: NodeId,
     /// Private orientation.
     pub handedness: Handedness,
-    /// The program in its as-instantiated state. Fresh builds clone it;
-    /// recycled runs copy its state into the live program in place (see
-    /// [`Simulation::recycle`]).
+    /// The program in its as-instantiated state. Every run starts from a
+    /// copy of it (see [`Simulation::recycle`]).
     pub program: CatalogProtocol,
 }
 
@@ -228,25 +124,24 @@ impl AgentSpec {
     }
 }
 
-/// A validated, reusable description of one run: ring topology, synchrony
-/// model, the agent templates and whether a trace is recorded.
+/// A validated, reusable description of one run — ring topology, synchrony
+/// model, the agent templates and whether a trace is recorded — and the
+/// engine's only way to start one (see `docs/ARCHITECTURE.md`, "Run
+/// lifecycle"). A spec is compiled once and then drives any number of runs:
 ///
-/// This is the engine half of the **run-recycling** fast path (see
-/// `docs/ARCHITECTURE.md`, "Run lifecycle"): where [`SimulationBuilder`]
-/// builds one `Simulation` and is consumed, a `RunSpec` is compiled once and
-/// then drives any number of runs —
-///
-/// * [`RunSpec::instantiate`] builds a fresh simulation (observably identical
-///   to the builder path);
+/// * [`RunSpec::instantiate`] builds a fresh simulation;
 /// * [`Simulation::recycle`] re-initialises an *existing* simulation to round
 ///   zero of the spec **in place**, reusing every buffer the previous run
 ///   allocated.
 ///
+/// Both go through one initialisation: a fresh build is a recycle into an
+/// empty simulation.
+///
 /// The activation and edge policies are deliberately not part of the spec:
 /// they are installed on the simulation (at `instantiate` time or via
 /// [`Simulation::replace_policies`]) and restored by their
-/// [`reset`](crate::scheduler::ActivationPolicy::reset) hooks on recycle, so
-/// the spec itself stays immutable and shareable.
+/// [`reset`](crate::scheduler::ActivationPolicy::reset) hooks whenever a run
+/// starts, so the spec itself stays immutable and shareable.
 #[derive(Debug)]
 pub struct RunSpec {
     ring: RingTopology,
@@ -256,12 +151,13 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Compiles a validated spec.
+    /// Compiles a validated spec. This is where every run is validated.
     ///
     /// # Errors
     ///
-    /// Fails like [`SimulationBuilder::build`]: no agents, or an agent
-    /// starting outside the ring.
+    /// Fails with [`EngineError::NoAgents`] for an empty team and with
+    /// [`EngineError::StartOutOfRange`] for the first agent starting outside
+    /// the ring.
     pub fn new(
         ring: RingTopology,
         synchrony: SynchronyModel,
@@ -307,25 +203,31 @@ impl RunSpec {
         self.record_trace
     }
 
-    /// Builds a fresh simulation from this spec with the given policies
-    /// (observably identical to assembling the same run through
-    /// [`Simulation::builder`]; the agent templates are cloned, the spec
-    /// stays reusable).
+    /// Builds a fresh simulation from this spec with the given policies: an
+    /// empty simulation (no agents, empty maps, default scratch) recycled
+    /// into round zero of the spec, so a fresh run and a recycled one start
+    /// from one initialisation. The agent templates are cloned and the spec
+    /// stays reusable; the policies start from their
+    /// [`reset`](crate::scheduler::ActivationPolicy::reset) state.
     #[must_use]
     pub fn instantiate(
         &self,
         activation: Box<dyn ActivationPolicy>,
         edges: Box<dyn EdgePolicy>,
     ) -> Simulation {
-        let mut builder = Simulation::builder(self.ring.clone())
-            .synchrony(self.synchrony)
-            .activation(activation)
-            .edges(edges)
-            .record_trace(self.record_trace);
-        for agent in &self.agents {
-            builder = builder.agent(agent.start, agent.handedness, agent.program.clone());
-        }
-        builder.build().expect("RunSpec was validated at construction")
+        let mut sim = Simulation {
+            ring: self.ring.clone(),
+            synchrony: self.synchrony,
+            agents: AgentSoA::default(),
+            visited: Vec::new(),
+            counters: RunCounters::default(),
+            activation,
+            edges,
+            trace: None,
+            scratch: RoundScratch::default(),
+        };
+        sim.recycle(self);
+        sim
     }
 }
 
@@ -411,19 +313,6 @@ impl std::fmt::Debug for Simulation {
 }
 
 impl Simulation {
-    /// Starts building a simulation on the given ring.
-    #[must_use]
-    pub fn builder(ring: RingTopology) -> SimulationBuilder {
-        SimulationBuilder {
-            ring,
-            synchrony: SynchronyModel::Fsync,
-            agents: Vec::new(),
-            activation: None,
-            edges: None,
-            record_trace: false,
-        }
-    }
-
     /// The ring being explored.
     #[must_use]
     pub fn ring(&self) -> &RingTopology {
@@ -504,10 +393,11 @@ impl Simulation {
     ///
     /// When the shape (ring size, team size, program variants) matches
     /// the previous run this performs **zero heap allocations**; when it does
-    /// not, existing capacity is still reused and only growth allocates. A
-    /// recycled run is observably identical to one built fresh from the same
-    /// spec (`tests/recycle_equivalence.rs` pins this for the whole
-    /// catalogue).
+    /// not, existing capacity is still reused and only growth allocates.
+    /// [`RunSpec::instantiate`] initialises through this method too, into an
+    /// empty simulation, so a recycled run differs from a fresh one only in
+    /// the buffers it reuses (`tests/recycle_equivalence.rs` pins that no
+    /// state of the previous run leaks, for the whole catalogue).
     pub fn recycle(&mut self, spec: &RunSpec) {
         self.ring.clone_from(&spec.ring);
         self.synchrony = spec.synchrony;
@@ -746,22 +636,6 @@ impl Simulation {
             ring: &self.ring,
             agents: Cow::Borrowed(&self.scratch.views),
             visited: &self.visited,
-        }
-    }
-
-    /// Validates the adversary's last choice against the ring (exposed for
-    /// property tests; the engine already filters invalid edges).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::AdversaryEdgeOutOfRange`] when the edge does not
-    /// exist.
-    pub fn validate_edge_choice(&self, edge: Option<EdgeId>) -> Result<(), EngineError> {
-        match edge {
-            Some(e) if e.index() >= self.ring.size() => {
-                Err(EngineError::AdversaryEdgeOutOfRange { edge: e, ring_size: self.ring.size() })
-            }
-            _ => Ok(()),
         }
     }
 
@@ -1404,11 +1278,14 @@ impl RoundKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{BlockAgent, NoRemoval, PreventMeeting};
-    use crate::scheduler::{FullActivation, RoundRobinSingle};
+    use crate::adversary::{BlockAgent, NoRemoval, PreventMeeting, RandomEdge};
+    use crate::scheduler::{FullActivation, RandomSubset, RoundRobinSingle};
     use dynring_core::fsync::{KnownBound, Unconscious};
     use dynring_core::single::LoneWalker;
     use dynring_core::ssync::PtBoundChirality;
+    use dynring_core::Algorithm;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn known_bound(n: usize) -> CatalogProtocol {
         CatalogProtocol::KnownBound(KnownBound::new(n))
@@ -1426,48 +1303,54 @@ mod tests {
         CatalogProtocol::PtBoundChirality(PtBoundChirality::new(n))
     }
 
+    /// Two `PtBoundChirality` agents on nodes 0 and 3 under SSYNC/PT, with
+    /// a trace.
+    fn pt_pair(ring: RingTopology) -> RunSpec {
+        let n = ring.size();
+        let agents = [0, 3]
+            .map(|start| {
+                AgentSpec::new(NodeId::new(start), Handedness::LeftIsCcw, pt_bound_chirality(n))
+            })
+            .into();
+        let pt = SynchronyModel::Ssync(TransportModel::PassiveTransport);
+        RunSpec::new(ring, pt, agents, true).unwrap()
+    }
+
     fn fsync_sim(
         n: usize,
         starts: &[usize],
         protos: Vec<CatalogProtocol>,
         edges: Box<dyn EdgePolicy>,
     ) -> Simulation {
-        let ring = RingTopology::new(n).unwrap();
-        let mut builder = Simulation::builder(ring)
-            .synchrony(SynchronyModel::Fsync)
-            .activation(Box::new(FullActivation))
-            .edges(edges)
-            .record_trace(true);
-        for (start, proto) in starts.iter().zip(protos) {
-            builder = builder.agent(NodeId::new(*start), Handedness::LeftIsCcw, proto);
-        }
-        builder.build().unwrap()
+        let agents = starts
+            .iter()
+            .zip(protos)
+            .map(|(start, proto)| AgentSpec::new(NodeId::new(*start), Handedness::LeftIsCcw, proto))
+            .collect();
+        RunSpec::new(RingTopology::new(n).unwrap(), SynchronyModel::Fsync, agents, true)
+            .unwrap()
+            .instantiate(Box::new(FullActivation), edges)
     }
 
     #[test]
-    fn builder_rejects_empty_scenarios_and_bad_starts() {
+    fn run_spec_rejects_empty_teams_and_bad_starts() {
         let ring = RingTopology::new(4).unwrap();
-        let err = Simulation::builder(ring.clone())
-            .activation(Box::new(FullActivation))
-            .edges(Box::new(NoRemoval))
-            .build()
-            .unwrap_err();
+        let err = RunSpec::new(ring.clone(), SynchronyModel::Fsync, vec![], false).unwrap_err();
         assert_eq!(err, EngineError::NoAgents);
-
-        let err = Simulation::builder(ring.clone())
-            .agent(NodeId::new(9), Handedness::LeftIsCcw, lone_walker(0))
-            .activation(Box::new(FullActivation))
-            .edges(Box::new(NoRemoval))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::StartOutOfRange { .. }));
-
-        let err = Simulation::builder(ring)
-            .agent(NodeId::new(0), Handedness::LeftIsCcw, lone_walker(0))
-            .edges(Box::new(NoRemoval))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::MissingPolicy { which: "activation" }));
+        let agent =
+            |start| AgentSpec::new(NodeId::new(start), Handedness::LeftIsCcw, lone_walker(0));
+        let out_of_range = |agent, node| EngineError::StartOutOfRange {
+            agent: AgentId::new(agent),
+            node: NodeId::new(node),
+            ring_size: 4,
+        };
+        let err =
+            RunSpec::new(ring.clone(), SynchronyModel::Fsync, vec![agent(9)], false).unwrap_err();
+        assert_eq!(err, out_of_range(0, 9));
+        // The first offender is named, after any number of valid starts.
+        let team = vec![agent(3), agent(4), agent(5)];
+        let err = RunSpec::new(ring, SynchronyModel::Fsync, team, false).unwrap_err();
+        assert_eq!(err, out_of_range(1, 4));
     }
 
     #[test]
@@ -1550,15 +1433,8 @@ mod tests {
             .remove_for(dynring_graph::EdgeId::new(5), 2)
             .all_present_for(10)
             .build();
-        let mut sim = Simulation::builder(ring)
-            .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
-            .agent(NodeId::new(0), Handedness::LeftIsCcw, pt_bound_chirality(6))
-            .agent(NodeId::new(3), Handedness::LeftIsCcw, pt_bound_chirality(6))
-            .activation(Box::new(RoundRobinSingle::new()))
-            .edges(Box::new(FromSchedule::new(schedule)))
-            .record_trace(true)
-            .build()
-            .unwrap();
+        let mut sim = pt_pair(ring)
+            .instantiate(Box::new(RoundRobinSingle::new()), Box::new(FromSchedule::new(schedule)));
         let report = sim.run(400, StopCondition::ExploredAndPartialTermination);
         assert!(report.explored());
         assert!(report.partially_terminated(), "Theorem 12: at least one agent terminates");
@@ -1574,15 +1450,8 @@ mod tests {
         // its label renders the restored state only because the restore
         // drops the trace's label cache.
         let n = 6;
-        let mut sim = Simulation::builder(RingTopology::new(n).unwrap())
-            .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
-            .agent(NodeId::new(0), Handedness::LeftIsCcw, pt_bound_chirality(n))
-            .agent(NodeId::new(3), Handedness::LeftIsCcw, pt_bound_chirality(n))
-            .activation(Box::new(RoundRobinSingle::new()))
-            .edges(Box::new(NoRemoval))
-            .record_trace(true)
-            .build()
-            .unwrap();
+        let mut sim = pt_pair(RingTopology::new(n).unwrap())
+            .instantiate(Box::new(RoundRobinSingle::new()), Box::new(NoRemoval));
         sim.step();
         sim.step();
         let checkpoint = sim.checkpoint();
@@ -1625,25 +1494,6 @@ mod tests {
             report.total_moves,
             report.moves_per_agent.iter().sum::<u64>()
         );
-    }
-
-    #[test]
-    fn run_spec_validates_like_the_builder() {
-        let ring = RingTopology::new(4).unwrap();
-        let err = RunSpec::new(ring.clone(), SynchronyModel::Fsync, vec![], false).unwrap_err();
-        assert_eq!(err, EngineError::NoAgents);
-        let err = RunSpec::new(
-            ring,
-            SynchronyModel::Fsync,
-            vec![AgentSpec::new(
-                NodeId::new(9),
-                Handedness::LeftIsCcw,
-                lone_walker(0),
-            )],
-            false,
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::StartOutOfRange { .. }));
     }
 
     #[test]
@@ -1812,8 +1662,109 @@ mod tests {
         assert_eq!(view.agents.len(), 2);
         assert!(view.agents.iter().all(|a| a.predicted.is_move()));
         assert_eq!(sim.round(), 0);
-        assert!(sim.validate_edge_choice(Some(EdgeId::new(9))).is_err());
-        assert!(sim.validate_edge_choice(Some(EdgeId::new(2))).is_ok());
-        assert!(sim.validate_edge_choice(None).is_ok());
+    }
+
+    /// A random run: a ring of 4–12 nodes with or without a landmark, and a
+    /// team of 1–5 catalogue programs on random (possibly shared) starts
+    /// with random handedness. The first program picks the synchrony model
+    /// (FSYNC, SSYNC/PT or SSYNC/ET) and the rest are drawn among the
+    /// programs of that model, so every run can be played.
+    fn random_spec(rng: &mut TestRng) -> RunSpec {
+        let n = (4usize..13).sample(rng);
+        let landmark = any::<bool>().sample(rng);
+        let ring = if landmark {
+            RingTopology::with_landmark(n, NodeId::new((0..n).sample(rng))).unwrap()
+        } else {
+            RingTopology::new(n).unwrap()
+        };
+        let mut catalog = Algorithm::full_catalog(n);
+        catalog.retain(|algorithm| landmark || !algorithm.needs_landmark());
+        let synchrony = catalog[(0..catalog.len()).sample(rng)].synchrony();
+        catalog.retain(|algorithm| algorithm.synchrony() == synchrony);
+        let agents = (0..(1usize..6).sample(rng))
+            .map(|_| {
+                let start = NodeId::new((0..n).sample(rng));
+                let handedness = if any::<bool>().sample(rng) {
+                    Handedness::LeftIsCw
+                } else {
+                    Handedness::LeftIsCcw
+                };
+                let program = catalog[(0..catalog.len()).sample(rng)].instantiate();
+                AgentSpec::new(start, handedness, program)
+            })
+            .collect();
+        RunSpec::new(ring, synchrony, agents, any::<bool>().sample(rng)).unwrap()
+    }
+
+    /// Checks every run counter and every agent column of `sim` against
+    /// values computed from `spec` alone: the state of round zero.
+    fn check_round_zero(sim: &Simulation, spec: &RunSpec) -> TestCaseResult {
+        let (n, team) = (spec.ring.size(), spec.agents.len());
+        let starts: Vec<NodeId> = spec.agents.iter().map(|agent| agent.start).collect();
+        let mut population = vec![0u32; n];
+        for start in &starts {
+            population[start.index()] += 1;
+        }
+        prop_assert_eq!(&sim.ring, &spec.ring);
+        prop_assert_eq!(sim.synchrony, spec.synchrony);
+        let visited: Vec<bool> = population.iter().map(|&p| p > 0).collect();
+        prop_assert_eq!(&sim.visited, &visited);
+        let counters = sim.counters;
+        prop_assert_eq!(counters.round, 0);
+        prop_assert_eq!(counters.alive, team);
+        prop_assert_eq!(counters.unvisited, population.iter().filter(|&&p| p == 0).count());
+        prop_assert_eq!(counters.explored_at, None);
+        prop_assert_eq!(counters.crowded_nodes, population.iter().filter(|&&p| p >= 2).count());
+        let agents = &sim.agents;
+        prop_assert_eq!(&agents.node, &starts);
+        let handedness: Vec<Handedness> = spec.agents.iter().map(|a| a.handedness).collect();
+        prop_assert_eq!(&agents.handedness, &handedness);
+        prop_assert_eq!(&agents.held_port, &vec![None; team]);
+        prop_assert_eq!(&agents.terminated, &vec![false; team]);
+        prop_assert_eq!(&agents.prior, &vec![PriorOutcome::Idle; team]);
+        prop_assert_eq!(&agents.moves, &vec![0; team]);
+        prop_assert_eq!(&agents.activations, &vec![0; team]);
+        prop_assert_eq!(&agents.last_active_round, &vec![0; team]);
+        prop_assert_eq!(&agents.asleep_on_port, &vec![0; team]);
+        prop_assert_eq!(&agents.terminated_at, &vec![None; team]);
+        let rows: Vec<bool> =
+            starts.iter().flat_map(|start| (0..n).map(move |node| node == start.index())).collect();
+        prop_assert_eq!(&agents.visited, &rows);
+        prop_assert_eq!(&agents.visited_count, &vec![1; team]);
+        prop_assert_eq!(&agents.node_population, &population);
+        let programs: Vec<String> = agents.program.iter().map(|p| format!("{p:?}")).collect();
+        let templates: Vec<String> =
+            spec.agents.iter().map(|a| format!("{:?}", a.program)).collect();
+        prop_assert_eq!(programs, templates);
+        prop_assert_eq!(sim.trace().map(Trace::len), spec.record_trace.then_some(0));
+        Ok(())
+    }
+
+    fn random_policies(seed: u64) -> (Box<dyn ActivationPolicy>, Box<dyn EdgePolicy>) {
+        (Box::new(RandomSubset::new(0.5, seed)), Box::new(RandomEdge::new(0.5, seed)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A fresh simulation, and one recycled from a different spec after
+        /// a few rounds, both start in the round-zero state computed
+        /// straight from the spec.
+        #[test]
+        fn runs_start_in_the_state_their_spec_describes(
+            seed in any::<u64>(),
+            previous_seed in any::<u64>(),
+        ) {
+            let spec = random_spec(&mut TestRng::new(seed));
+            let (activation, edges) = random_policies(seed);
+            check_round_zero(&spec.instantiate(activation, edges), &spec)?;
+            let previous = random_spec(&mut TestRng::new(previous_seed));
+            let (activation, edges) = random_policies(previous_seed);
+            let mut sim = previous.instantiate(activation, edges);
+            let rounds = previous.ring().size() as u64;
+            let _ = sim.run(rounds, StopCondition::RoundBudget);
+            sim.recycle(&spec);
+            check_round_zero(&sim, &spec)?;
+        }
     }
 }

@@ -93,31 +93,6 @@ pub(crate) struct AgentSoA {
 }
 
 impl AgentSoA {
-    /// An empty team on a ring of the given size.
-    pub(crate) fn new(ring_size: usize) -> Self {
-        AgentSoA { node_population: vec![0; ring_size], ..AgentSoA::default() }
-    }
-
-    /// Appends an agent; its start node is marked visited in its private map.
-    pub(crate) fn push(&mut self, node: NodeId, handedness: Handedness, program: CatalogProtocol) {
-        self.node.push(node);
-        self.held_port.push(None);
-        self.terminated.push(false);
-        self.handedness.push(handedness);
-        self.prior.push(PriorOutcome::Idle);
-        self.program.push(program);
-        self.moves.push(0);
-        self.activations.push(0);
-        self.last_active_round.push(0);
-        self.asleep_on_port.push(0);
-        self.terminated_at.push(None);
-        let start = self.visited.len();
-        self.visited.resize(start + self.node_population.len(), false);
-        self.visited[start + node.index()] = true;
-        self.visited_count.push(1);
-        self.node_population[node.index()] += 1;
-    }
-
     /// Re-initialises the whole team in place from per-agent templates: every
     /// parallel vector is refilled (capacity reused — no allocation when the
     /// shape matches a previous run, and vector growth is the only
@@ -247,12 +222,6 @@ impl AgentSoA {
     /// Number of agents.
     pub(crate) fn len(&self) -> usize {
         self.node.len()
-    }
-
-    /// Number of nodes holding two or more agents, counted from the
-    /// population index.
-    pub(crate) fn crowded_nodes(&self) -> usize {
-        self.node_population.iter().filter(|p| **p >= 2).count()
     }
 
     /// The number of distinct nodes agent `index` has visited (maintained
@@ -529,19 +498,22 @@ mod tests {
     use dynring_core::Algorithm;
     use dynring_model::Protocol;
 
-    fn team(ring: &RingTopology, agents: &[(usize, Handedness)]) -> AgentSoA {
-        let mut soa = AgentSoA::new(ring.size());
-        for (node, handedness) in agents {
-            soa.push(NodeId::new(*node), *handedness, Algorithm::Unconscious.instantiate());
-        }
-        soa
+    /// A team of `Unconscious` agents at round zero, with the number of
+    /// nodes it starts crowded on.
+    fn team(ring: &RingTopology, agents: &[(usize, Handedness)]) -> (AgentSoA, usize) {
+        let program = Algorithm::Unconscious.instantiate();
+        let mut soa = AgentSoA::default();
+        let starts =
+            agents.iter().map(|&(node, handedness)| (NodeId::new(node), handedness, &program));
+        let crowded_nodes = soa.reset_from(ring.size(), starts);
+        (soa, crowded_nodes)
     }
 
     #[test]
     fn local_global_conversion_roundtrips() {
         let ring = RingTopology::new(5).unwrap();
         for h in Handedness::both() {
-            let soa = team(&ring, &[(0, h)]);
+            let (soa, _) = team(&ring, &[(0, h)]);
             for d in LocalDirection::both() {
                 assert_eq!(to_local(h, to_global(soa.handedness[0], d)), d);
             }
@@ -553,7 +525,7 @@ mod tests {
 
     fn snapshot_of(
         ring: &RingTopology,
-        agents: &AgentSoA,
+        (agents, crowded_nodes): &(AgentSoA, usize),
         observer: usize,
         round_hint: Option<u64>,
     ) -> Snapshot {
@@ -561,7 +533,7 @@ mod tests {
             ring,
             &agents.node,
             &agents.held_port,
-            agents.crowded_nodes(),
+            *crowded_nodes,
             observer,
             agents.handedness[observer],
             agents.prior[observer],
@@ -581,7 +553,7 @@ mod tests {
             ],
         );
         // Agent 1 is waiting on the CCW port of node 2.
-        agents.held_port[1] = Some(GlobalDirection::Ccw);
+        agents.0.held_port[1] = Some(GlobalDirection::Ccw);
 
         let snap0 = snapshot_of(&ring, &agents, 0, Some(7));
         // Observer 0 (left = CCW) sees agent 1 on its *left* port.
@@ -640,8 +612,9 @@ mod tests {
     #[test]
     fn visited_count_starts_with_the_start_node() {
         let ring = RingTopology::new(4).unwrap();
-        let soa = team(&ring, &[(3, Handedness::LeftIsCcw)]);
+        let (soa, crowded_nodes) = team(&ring, &[(3, Handedness::LeftIsCcw)]);
         assert_eq!(soa.visited_count(0), 1);
+        assert_eq!(crowded_nodes, 0);
     }
 
     #[test]

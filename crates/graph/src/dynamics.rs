@@ -16,25 +16,11 @@ use crate::ids::EdgeId;
 use crate::ring::RingTopology;
 use serde::{Deserialize, Serialize};
 
-/// Behaviour of an [`EdgeSchedule`] after its fixed horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum AfterHorizon {
-    /// All edges are present after the horizon (the adversary gives up).
-    #[default]
-    AllPresent,
-    /// The last prescribed choice is repeated forever.
-    RepeatLast,
-    /// The schedule repeats from the beginning (periodic dynamics, as in
-    /// carrier graphs).
-    Cycle,
-    /// Asking beyond the horizon is an error.
-    Error,
-}
-
 /// A fixed (offline) 1-interval-connected edge-presence schedule.
 ///
 /// `missing[t]` is the edge removed in round `t+1` (rounds are 1-based in the
 /// engine, the vector is 0-based), or `None` when every edge is present.
+/// Past the fixed horizon every edge is present.
 ///
 /// # Example
 ///
@@ -50,21 +36,20 @@ pub enum AfterHorizon {
 /// assert_eq!(schedule.missing_at(2), None);
 /// assert!(schedule.is_present(2, EdgeId::new(3)));
 /// assert!(!schedule.is_present(3, EdgeId::new(3)));
-/// // beyond the horizon all edges are present by default
+/// // beyond the horizon every edge is present
 /// assert_eq!(schedule.missing_at(100), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EdgeSchedule {
     ring_size: usize,
     missing: Vec<Option<EdgeId>>,
-    after: AfterHorizon,
 }
 
 impl EdgeSchedule {
     /// Creates a schedule in which no edge is ever missing.
     #[must_use]
     pub fn always_present(ring: &RingTopology) -> Self {
-        EdgeSchedule { ring_size: ring.size(), missing: Vec::new(), after: AfterHorizon::AllPresent }
+        EdgeSchedule { ring_size: ring.size(), missing: Vec::new() }
     }
 
     /// Creates a schedule from the per-round missing edge choices.
@@ -80,14 +65,7 @@ impl EdgeSchedule {
         for e in missing.iter().flatten() {
             ring.check_edge(*e)?;
         }
-        Ok(EdgeSchedule { ring_size: ring.size(), missing, after: AfterHorizon::AllPresent })
-    }
-
-    /// Sets the behaviour after the fixed horizon and returns the schedule.
-    #[must_use]
-    pub fn with_after_horizon(mut self, after: AfterHorizon) -> Self {
-        self.after = after;
-        self
+        Ok(EdgeSchedule { ring_size: ring.size(), missing })
     }
 
     /// Size of the ring the schedule refers to.
@@ -102,39 +80,16 @@ impl EdgeSchedule {
         self.missing.len() as u64
     }
 
-    /// The behaviour after the fixed horizon.
-    #[must_use]
-    pub const fn after_horizon(&self) -> AfterHorizon {
-        self.after
-    }
-
-    /// The edge missing in the given (1-based) round, if any.
+    /// The edge missing in the given (1-based) round, if any; `None` past
+    /// the horizon.
     ///
     /// # Panics
     ///
-    /// Panics if `round` is 0, or if the round lies beyond the horizon and the
-    /// schedule was configured with [`AfterHorizon::Error`].
+    /// Panics if `round` is 0.
     #[must_use]
     pub fn missing_at(&self, round: u64) -> Option<EdgeId> {
         assert!(round >= 1, "rounds are 1-based");
-        let idx = (round - 1) as usize;
-        if idx < self.missing.len() {
-            return self.missing[idx];
-        }
-        match self.after {
-            AfterHorizon::AllPresent => None,
-            AfterHorizon::RepeatLast => self.missing.last().copied().flatten(),
-            AfterHorizon::Cycle => {
-                if self.missing.is_empty() {
-                    None
-                } else {
-                    self.missing[idx % self.missing.len()]
-                }
-            }
-            AfterHorizon::Error => {
-                panic!("round {round} beyond schedule horizon {}", self.missing.len())
-            }
-        }
+        self.missing.get((round - 1) as usize).copied().flatten()
     }
 
     /// Whether `edge` is present in the given round.
@@ -246,11 +201,7 @@ impl ScheduleBuilder {
     /// Finalises the schedule (all edges present after the horizon).
     #[must_use]
     pub fn build(self) -> EdgeSchedule {
-        EdgeSchedule {
-            ring_size: self.ring_size,
-            missing: self.missing,
-            after: AfterHorizon::AllPresent,
-        }
+        EdgeSchedule { ring_size: self.ring_size, missing: self.missing }
     }
 }
 
@@ -278,38 +229,6 @@ mod tests {
         let r = ring(4);
         assert!(EdgeSchedule::from_missing(&r, vec![Some(EdgeId::new(4))]).is_err());
         assert!(EdgeSchedule::from_missing(&r, vec![Some(EdgeId::new(3)), None]).is_ok());
-    }
-
-    #[test]
-    fn after_horizon_modes() {
-        let r = ring(5);
-        let base = vec![Some(EdgeId::new(1)), None, Some(EdgeId::new(2))];
-
-        let s = EdgeSchedule::from_missing(&r, base.clone()).unwrap();
-        assert_eq!(s.missing_at(4), None);
-
-        let s = EdgeSchedule::from_missing(&r, base.clone())
-            .unwrap()
-            .with_after_horizon(AfterHorizon::RepeatLast);
-        assert_eq!(s.missing_at(4), Some(EdgeId::new(2)));
-        assert_eq!(s.missing_at(400), Some(EdgeId::new(2)));
-
-        let s = EdgeSchedule::from_missing(&r, base)
-            .unwrap()
-            .with_after_horizon(AfterHorizon::Cycle);
-        assert_eq!(s.missing_at(4), Some(EdgeId::new(1)));
-        assert_eq!(s.missing_at(5), None);
-        assert_eq!(s.missing_at(6), Some(EdgeId::new(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond schedule horizon")]
-    fn error_mode_panics_beyond_horizon() {
-        let r = ring(5);
-        let s = EdgeSchedule::from_missing(&r, vec![None])
-            .unwrap()
-            .with_after_horizon(AfterHorizon::Error);
-        let _ = s.missing_at(2);
     }
 
     #[test]

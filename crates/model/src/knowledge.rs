@@ -1,4 +1,5 @@
-//! A-priori knowledge, synchrony levels and transport models.
+//! Synchrony levels, transport models and the scenario assumptions that
+//! label the feasibility map.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -66,84 +67,6 @@ impl fmt::Display for SynchronyModel {
             SynchronyModel::Fsync => write!(f, "FSYNC"),
             SynchronyModel::Ssync(t) => write!(f, "SSYNC/{t}"),
         }
-    }
-}
-
-/// What an agent knows a priori about the ring and the team.
-///
-/// All fields default to "knows nothing": anonymous agent, no size
-/// information, no chirality.
-///
-/// ```
-/// use dynring_model::Knowledge;
-/// let k = Knowledge::default().with_upper_bound(16).with_chirality();
-/// assert_eq!(k.upper_bound, Some(16));
-/// assert!(k.has_chirality);
-/// assert_eq!(k.best_upper_bound(), Some(16));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub struct Knowledge {
-    /// The exact ring size `n`, if known.
-    pub exact_size: Option<usize>,
-    /// An upper bound `N ≥ n` on the ring size, if known.
-    pub upper_bound: Option<usize>,
-    /// Whether all agents share (and know they share) the same orientation.
-    pub has_chirality: bool,
-    /// A distinct identifier, granted only in scenarios that show an
-    /// impossibility holds *even with* distinct IDs. Constructive protocols
-    /// in this crate never read it.
-    pub distinct_id: Option<u64>,
-    /// The number of agents operating in the ring, if known.
-    pub agent_count: Option<usize>,
-}
-
-impl Knowledge {
-    /// Knowledge of nothing at all (anonymous, no size info, no chirality).
-    #[must_use]
-    pub fn nothing() -> Self {
-        Knowledge::default()
-    }
-
-    /// Adds knowledge of the exact ring size.
-    #[must_use]
-    pub fn with_exact_size(mut self, n: usize) -> Self {
-        self.exact_size = Some(n);
-        self
-    }
-
-    /// Adds knowledge of an upper bound on the ring size.
-    #[must_use]
-    pub fn with_upper_bound(mut self, bound: usize) -> Self {
-        self.upper_bound = Some(bound);
-        self
-    }
-
-    /// Declares that the agents share a common orientation and know it.
-    #[must_use]
-    pub fn with_chirality(mut self) -> Self {
-        self.has_chirality = true;
-        self
-    }
-
-    /// Grants a distinct identifier (impossibility scenarios only).
-    #[must_use]
-    pub fn with_distinct_id(mut self, id: u64) -> Self {
-        self.distinct_id = Some(id);
-        self
-    }
-
-    /// Adds knowledge of the number of agents.
-    #[must_use]
-    pub fn with_agent_count(mut self, count: usize) -> Self {
-        self.agent_count = Some(count);
-        self
-    }
-
-    /// The tightest upper bound derivable from this knowledge: the exact size
-    /// if known, otherwise the upper bound, otherwise `None`.
-    #[must_use]
-    pub fn best_upper_bound(&self) -> Option<usize> {
-        self.exact_size.or(self.upper_bound)
     }
 }
 
@@ -215,32 +138,6 @@ mod tests {
         let s = SynchronyModel::Ssync(TransportModel::EventualTransport);
         assert!(!s.is_fsync());
         assert_eq!(s.transport(), Some(TransportModel::EventualTransport));
-    }
-
-    #[test]
-    fn knowledge_builders_compose() {
-        let k = Knowledge::nothing()
-            .with_exact_size(10)
-            .with_upper_bound(20)
-            .with_chirality()
-            .with_distinct_id(3)
-            .with_agent_count(2);
-        assert_eq!(k.exact_size, Some(10));
-        assert_eq!(k.upper_bound, Some(20));
-        assert!(k.has_chirality);
-        assert_eq!(k.distinct_id, Some(3));
-        assert_eq!(k.agent_count, Some(2));
-        assert_eq!(k.best_upper_bound(), Some(10));
-    }
-
-    #[test]
-    fn best_upper_bound_prefers_exact_size() {
-        assert_eq!(Knowledge::nothing().best_upper_bound(), None);
-        assert_eq!(Knowledge::nothing().with_upper_bound(7).best_upper_bound(), Some(7));
-        assert_eq!(
-            Knowledge::nothing().with_exact_size(5).with_upper_bound(7).best_upper_bound(),
-            Some(5)
-        );
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   a missing edge, failed to acquire the port, passively transported);
 //! * [`Decision`] — the result of the **Compute** operation: a direction
 //!   (`left`, `right`) or `nil`, possibly together with explicit termination;
-//! * [`Knowledge`] — what the agent knows a priori (`n`, an upper bound `N`,
-//!   chirality, landmark presence);
 //! * [`Protocol`] — the trait every algorithm implements (the engine runs
 //!   them through `dynring_core::CatalogProtocol`, the enum over the
 //!   paper's algorithms), together with the [`TerminationKind`] it
@@ -34,6 +32,6 @@ pub mod snapshot;
 pub mod statekey;
 
 pub use decision::Decision;
-pub use knowledge::{Knowledge, ScenarioAssumptions, SynchronyModel, TransportModel};
+pub use knowledge::{ScenarioAssumptions, SynchronyModel, TransportModel};
 pub use protocol::{Protocol, TerminationKind};
 pub use snapshot::{LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Snapshot};

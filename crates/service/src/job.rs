@@ -51,16 +51,6 @@ impl Job {
         self.cells.is_empty()
     }
 
-    /// The digest key of one cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn cell_digest(&self, index: usize) -> u64 {
-        scenario_digest(&self.cells[index])
-    }
-
     /// The job fingerprint: FNV-1a over the id and every cell digest, in
     /// order. Identical across processes of the same build, so a resumed
     /// process can verify the journal on disk describes *this* battery.

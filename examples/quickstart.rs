@@ -17,15 +17,19 @@ use dynring_engine::render;
 pub fn run(n: usize) -> Result<RunReport, Box<dyn std::error::Error>> {
     let ring = RingTopology::new(n)?;
 
+    // A run is described once — ring, synchrony, each agent's start,
+    // orientation and program, trace recording — and started against its
+    // scheduler and adversary.
     let algorithm = Algorithm::KnownBound { upper_bound: n };
-    let mut sim = Simulation::builder(ring.clone())
-        .synchrony(SynchronyModel::Fsync)
-        .agent(NodeId::new(0), Handedness::LeftIsCcw, algorithm.instantiate())
-        .agent(NodeId::new(5 % n), Handedness::LeftIsCw, algorithm.instantiate())
-        .activation(Box::new(FullActivation))
-        .edges(Box::new(StickyRandomEdge::new(1, n as u64, 0.3, 42)))
-        .record_trace(true)
-        .build()?;
+    let agents = vec![
+        AgentSpec::new(NodeId::new(0), Handedness::LeftIsCcw, algorithm.instantiate()),
+        AgentSpec::new(NodeId::new(5 % n), Handedness::LeftIsCw, algorithm.instantiate()),
+    ];
+    let spec = RunSpec::new(ring.clone(), SynchronyModel::Fsync, agents, true)?;
+    let mut sim = spec.instantiate(
+        Box::new(FullActivation),
+        Box::new(StickyRandomEdge::new(1, n as u64, 0.3, 42)),
+    );
 
     let report = sim.run(10 * n as u64, StopCondition::AllTerminated);
 

@@ -14,37 +14,35 @@ use dynring::prelude::*;
 /// three agents under the given transport model and returns the report.
 pub fn run(model: TransportModel, n: usize) -> RunReport {
     let ring = RingTopology::new(n).expect("valid ring");
-    let mut builder = Simulation::builder(ring)
-        .synchrony(SynchronyModel::Ssync(model))
-        .record_trace(false);
-    for start in [0, n / 3, 2 * n / 3] {
-        builder = builder.agent(
-            NodeId::new(start),
-            Handedness::LeftIsCcw,
-            CatalogProtocol::PtNoChirality(match model {
+    let agents = [0, n / 3, 2 * n / 3]
+        .map(|start| {
+            let program = match model {
                 TransportModel::EventualTransport => PtNoChirality::for_eventual_transport(n),
                 _ => PtNoChirality::with_upper_bound(n),
-            }),
-        );
-    }
+            };
+            AgentSpec::new(
+                NodeId::new(start),
+                Handedness::LeftIsCcw,
+                CatalogProtocol::PtNoChirality(program),
+            )
+        })
+        .into();
+    let spec = RunSpec::new(ring, SynchronyModel::Ssync(model), agents, false)
+        .expect("valid scenario");
+    let sticky = || Box::new(StickyRandomEdge::new(1, n as u64, 0.3, 7));
     let mut sim = match model {
         // Theorem 9: under NS the adversary pairs the first-mover scheduler
         // with the matching edge removal and nothing ever moves.
-        TransportModel::NoSimultaneity => builder
-            .activation(Box::new(FirstMoverOnly))
-            .edges(Box::new(BlockFirstMover))
-            .build()
-            .expect("valid scenario"),
-        TransportModel::PassiveTransport => builder
-            .activation(Box::new(AlternateBlocked::new(3)))
-            .edges(Box::new(StickyRandomEdge::new(1, n as u64, 0.3, 7)))
-            .build()
-            .expect("valid scenario"),
-        TransportModel::EventualTransport => builder
-            .activation(Box::new(EtFairness::new(Box::new(RoundRobinSingle::new()), 1)))
-            .edges(Box::new(StickyRandomEdge::new(1, n as u64, 0.3, 7)))
-            .build()
-            .expect("valid scenario"),
+        TransportModel::NoSimultaneity => {
+            spec.instantiate(Box::new(FirstMoverOnly), Box::new(BlockFirstMover))
+        }
+        TransportModel::PassiveTransport => {
+            spec.instantiate(Box::new(AlternateBlocked::new(3)), sticky())
+        }
+        TransportModel::EventualTransport => spec.instantiate(
+            Box::new(EtFairness::new(Box::new(RoundRobinSingle::new()), 1)),
+            sticky(),
+        ),
     };
     sim.run(500 * (n as u64) * (n as u64), StopCondition::ExploredAndPartialTermination)
 }

@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`graph`] | `dynring-graph` | ring topology, ports, edge schedules |
-//! | [`model`] | `dynring-model` | snapshots, decisions, knowledge, the `Protocol` trait |
+//! | [`model`] | `dynring-model` | snapshots, decisions, synchrony models, the `Protocol` trait |
 //! | [`algorithms`] | `dynring-core` | the paper's algorithms (FSYNC and SSYNC) |
 //! | [`engine`] | `dynring-engine` | round engine, schedulers, adversaries, traces |
 //! | [`analysis`] | `dynring-analysis` | the table/figure experiments |
@@ -28,15 +28,12 @@
 //! // Two agents that know an upper bound on the ring size explore a dynamic
 //! // ring of 10 nodes and terminate within 3N − 6 rounds, whatever the
 //! // adversary does (here: a random edge is missing most rounds).
-//! let ring = RingTopology::new(10)?;
 //! let algorithm = Algorithm::KnownBound { upper_bound: 10 };
-//! let mut sim = Simulation::builder(ring)
-//!     .synchrony(SynchronyModel::Fsync)
-//!     .agent(NodeId::new(0), Handedness::LeftIsCcw, algorithm.instantiate())
-//!     .agent(NodeId::new(5), Handedness::LeftIsCcw, algorithm.instantiate())
-//!     .activation(Box::new(FullActivation))
-//!     .edges(Box::new(RandomEdge::new(0.8, 42)))
-//!     .build()?;
+//! let agents = [0, 5].map(|start| {
+//!     AgentSpec::new(NodeId::new(start), Handedness::LeftIsCcw, algorithm.instantiate())
+//! });
+//! let spec = RunSpec::new(RingTopology::new(10)?, SynchronyModel::Fsync, agents.into(), false)?;
+//! let mut sim = spec.instantiate(Box::new(FullActivation), Box::new(RandomEdge::new(0.8, 42)));
 //! let report = sim.run(100, StopCondition::AllTerminated);
 //! assert!(report.explored());
 //! assert!(report.all_terminated);
@@ -70,12 +67,12 @@ pub mod prelude {
         AlternateBlocked, EtFairness, FirstMoverOnly, FullActivation, RandomSubset,
         RoundRobinSingle,
     };
-    pub use dynring_engine::sim::{RunReport, Simulation, StopCondition};
+    pub use dynring_engine::sim::{AgentSpec, RunReport, RunSpec, Simulation, StopCondition};
     pub use dynring_graph::{
         EdgeId, EdgeSchedule, GlobalDirection, Handedness, NodeId, RingTopology, ScheduleBuilder,
     };
     pub use dynring_model::{
-        Decision, Knowledge, LocalDirection, Protocol, Snapshot, SynchronyModel, TerminationKind,
+        Decision, LocalDirection, Protocol, Snapshot, SynchronyModel, TerminationKind,
         TransportModel,
     };
     pub use dynring_service::{FaultPlan, Job, JobOutcome, JobStatus, Supervisor};
