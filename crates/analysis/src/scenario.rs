@@ -345,7 +345,8 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if the scenario is malformed (e.g. a start node outside the
-    /// ring), like [`Scenario::build`].
+    /// ring), like [`Scenario::build`]; the message carries the
+    /// [`EngineError`](dynring_engine::EngineError)'s `Display` text.
     #[must_use]
     pub fn compile(&self) -> RunSpec {
         let agents = self
@@ -359,7 +360,7 @@ impl Scenario {
             })
             .collect();
         RunSpec::new(self.ring(), self.synchrony, agents, self.record_trace)
-            .expect("scenario must describe a valid simulation")
+            .unwrap_or_else(|err| panic!("scenario must describe a valid simulation: {err}"))
     }
 
     /// Builds the simulation for this scenario.

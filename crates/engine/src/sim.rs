@@ -1333,7 +1333,9 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_rejects_empty_teams_and_bad_starts() {
+    fn builder_rejects_empty_scenarios_and_bad_starts() {
+        // `RunSpec::new` is the one place a team is checked before a
+        // simulation is built from it.
         let ring = RingTopology::new(4).unwrap();
         let err = RunSpec::new(ring.clone(), SynchronyModel::Fsync, vec![], false).unwrap_err();
         assert_eq!(err, EngineError::NoAgents);
@@ -1351,6 +1353,38 @@ mod tests {
         let team = vec![agent(3), agent(4), agent(5)];
         let err = RunSpec::new(ring, SynchronyModel::Fsync, team, false).unwrap_err();
         assert_eq!(err, out_of_range(1, 4));
+    }
+
+    #[test]
+    fn run_spec_validates_like_the_builder() {
+        // `RunSpec::new` accepts exactly the starts a built simulation can hold:
+        // every node of the ring, shared or not, under every synchrony and
+        // either handedness; the accepted spec starts each agent there.
+        let n = 5;
+        let pt = SynchronyModel::Ssync(TransportModel::PassiveTransport);
+        let et = SynchronyModel::Ssync(TransportModel::EventualTransport);
+        for synchrony in [SynchronyModel::Fsync, pt, et] {
+            let starts = [0, 1, 2, 3, 4, 0, 4];
+            let agents = starts
+                .iter()
+                .enumerate()
+                .map(|(i, &start)| {
+                    let handedness =
+                        if i % 2 == 0 { Handedness::LeftIsCcw } else { Handedness::LeftIsCw };
+                    AgentSpec::new(NodeId::new(start), handedness, lone_walker(0))
+                })
+                .collect();
+            let spec =
+                RunSpec::new(RingTopology::new(n).unwrap(), synchrony, agents, false).unwrap();
+            let sim = spec.instantiate(Box::new(FullActivation), Box::new(NoRemoval));
+            let positions: Vec<usize> = sim.positions().iter().map(|v| v.index()).collect();
+            assert_eq!(positions, starts);
+
+            let agent = AgentSpec::new(NodeId::new(n), Handedness::LeftIsCcw, lone_walker(0));
+            let err = RunSpec::new(RingTopology::new(n).unwrap(), synchrony, vec![agent], false)
+                .unwrap_err();
+            assert!(matches!(err, EngineError::StartOutOfRange { ring_size: 5, .. }));
+        }
     }
 
     #[test]
