@@ -2,20 +2,21 @@
 //! the canonical configuration key its memo table deduplicates on.
 //!
 //! A checkpoint captures everything that determines a run's future
-//! behaviour — the run counters (round, live agents, unvisited and crowded
-//! nodes, exploration round), the global visit map, the agent columns
-//! (every agent's position, held port, outcome flags, statistics, visit map
-//! and full program state) and the activation policy's state token (see
+//! behaviour — the run counters (round, live agents, unvisited nodes,
+//! exploration round), the global visit map, the agent columns (every
+//! agent's position, held port, orientation, prior outcome, termination
+//! round, statistics, visit map and full program state) and the activation
+//! policy's state token (see
 //! [`ActivationPolicy::state_token`](crate::scheduler::ActivationPolicy::state_token)).
 //!
 //! Checkpoints live in a [`CheckpointStore`], one growable buffer per
 //! column. With `A` agents on `n` nodes, slot `k` holds rows `k·A..(k+1)·A`
 //! of each per-agent column, rows `k·n..(k+1)·n` of the global visit map and
-//! of the node population and rows `k·A·n..(k+1)·A·n` of the per-agent
-//! visit maps, plus one counter set and one activation token. The agent
-//! columns are the simulation's own struct-of-arrays type, so checkpointing
-//! into a slot, restoring from one and copying a slot between stores are
-//! each the one column copy `AgentSoA::copy_team`. A store allocates once
+//! rows `k·A·n..(k+1)·A·n` of the per-agent visit maps, plus one counter set
+//! and one activation token. The agent columns are the simulation's own
+//! struct-of-arrays type, one column per agent fact, so checkpointing into a
+//! slot, restoring from one and copying a slot between stores are each the
+//! one column copy `AgentSoA::copy_team`. A store allocates once
 //! per column doubling and frees once per column, however many checkpoints
 //! it holds. A [`SimCheckpoint`] is a store of one slot, for callers that
 //! keep one state at a time.
@@ -432,7 +433,7 @@ impl CheckpointStore {
             PriorOutcome::PortAcquisitionFailed => 3,
             PriorOutcome::Transported => 4,
         };
-        let shared = (u8::from(agents.terminated[index]) << 2) | (prior << 4);
+        let shared = (u8::from(agents.terminated_at[index].is_some()) << 2) | (prior << 4);
         [shared | port[0] | handedness[0], shared | port[1] | handedness[1]]
     }
 }
@@ -629,7 +630,7 @@ mod tests {
                             }
                         }
                     });
-                    buf.push(u8::from(agents.terminated[index]));
+                    buf.push(u8::from(agents.terminated_at[index].is_some()));
                     buf.push(match (agents.handedness[index], reflect) {
                         (Handedness::LeftIsCcw, false) | (Handedness::LeftIsCw, true) => 0,
                         _ => 1,

@@ -379,10 +379,9 @@ impl Simulation {
     /// * ring topology, synchrony model and the global visited map are
     ///   overwritten (the map's allocation is reused);
     /// * the whole agent team is reset from the spec's templates — hot and
-    ///   cold SoA fields, per-agent visit maps and the occupancy index are
-    ///   refilled in their existing vectors, and each program copies the
-    ///   template's pristine state through the enum's variant-matching
-    ///   `clone_from`;
+    ///   cold SoA fields and per-agent visit maps are refilled in their
+    ///   existing vectors, and each program copies the template's pristine
+    ///   state through the enum's variant-matching `clone_from`;
     /// * the trace is cleared (or created/dropped if `spec` toggles
     ///   recording) and the round scratch, including the probe pool, carries
     ///   over as-is — every scratch buffer is refilled before use;
@@ -401,7 +400,7 @@ impl Simulation {
     pub fn recycle(&mut self, spec: &RunSpec) {
         self.ring.clone_from(&spec.ring);
         self.synchrony = spec.synchrony;
-        let crowded_nodes = self.agents.reset_from(
+        self.agents.reset_from(
             spec.ring.size(),
             spec.agents.iter().map(|a| (a.start, a.handedness, &a.program)),
         );
@@ -419,7 +418,6 @@ impl Simulation {
             alive: spec.agents.len(),
             unvisited: spec.ring.size() - start_nodes,
             explored_at: None,
-            crowded_nodes,
         };
         match (&mut self.trace, spec.record_trace) {
             (Some(trace), true) => trace.clear(),
@@ -554,18 +552,14 @@ impl Simulation {
             sleeper_pred,
             node: &mut agents.node[..a],
             held: &mut agents.held_port[..a],
-            term: &mut agents.terminated[..a],
             hand: &agents.handedness[..a],
             prior: &mut agents.prior[..a],
             prog: &mut agents.program[..a],
             moves: &mut agents.moves[..a],
-            activations: &mut agents.activations[..a],
             last_active: &mut agents.last_active_round[..a],
             asleep: &mut agents.asleep_on_port[..a],
             terminated_at: &mut agents.terminated_at[..a],
-            vcount: &mut agents.visited_count[..a],
             avisited: &mut agents.visited[..a * n],
-            population: &mut agents.node_population[..n],
             visited: &mut visited[..n],
             views: &mut scratch.views[..a],
             dec: &mut scratch.decisions[..a],
@@ -615,8 +609,8 @@ impl Simulation {
         out.all_terminated = self.all_terminated();
         out.moves_per_agent.clone_from(&self.agents.moves);
         out.visited_per_agent.clear();
-        out.visited_per_agent
-            .extend((0..self.agents.len()).map(|index| self.agents.visited_count(index)));
+        let rows = self.agents.visited.chunks_exact(self.ring.size());
+        out.visited_per_agent.extend(rows.map(|row| row.iter().filter(|v| **v).count()));
         out.total_moves = self.agents.moves.iter().sum();
         out.stop_reason = stop_reason;
     }
@@ -818,12 +812,6 @@ pub(crate) struct RunCounters {
     pub(crate) unvisited: usize,
     /// The round in which the last unvisited node was first visited.
     pub(crate) explored_at: Option<u64>,
-    /// Number of nodes holding two or more agents. While this is zero the
-    /// Look occupancy of every agent is trivially empty, so
-    /// [`build_snapshot`] skips its scan over the team entirely — the common
-    /// case under a meeting-preventing adversary, and the difference between
-    /// O(k) and O(k²) Look work per round for large teams.
-    pub(crate) crowded_nodes: usize,
 }
 
 impl RunCounters {
@@ -887,18 +875,14 @@ struct RoundKernel<'s> {
     sleeper_pred: bool,
     node: &'s mut [NodeId],
     held: &'s mut [Option<GlobalDirection>],
-    term: &'s mut [bool],
     hand: &'s [Handedness],
     prior: &'s mut [PriorOutcome],
     prog: &'s mut [CatalogProtocol],
     moves: &'s mut [u64],
-    activations: &'s mut [u64],
     last_active: &'s mut [u64],
     asleep: &'s mut [u64],
     terminated_at: &'s mut [Option<u64>],
-    vcount: &'s mut [usize],
     avisited: &'s mut [bool],
-    population: &'s mut [u32],
     visited: &'s mut [bool],
     views: &'s mut [AgentView],
     dec: &'s mut [Option<Decision>],
@@ -990,7 +974,7 @@ impl RoundKernel<'_> {
                 self.held,
                 self.dec,
                 self.prior,
-                self.term,
+                self.terminated_at,
                 self.prog,
             );
         }
@@ -1004,7 +988,7 @@ impl RoundKernel<'_> {
     fn fsync_compute(&mut self, r: u64, policy_edges: bool) -> usize {
         let mut active_len = 0;
         for index in 0..self.node.len() {
-            let live = !self.term[index];
+            let live = !self.terminated(index);
             self.mask[index] = live;
             self.dec[index] = if live {
                 let snapshot = self.snapshot(index, Some(r));
@@ -1059,13 +1043,13 @@ impl RoundKernel<'_> {
         self.activation.select_into(&view, self.chosen);
         self.mask.fill(false);
         for id in self.chosen.iter() {
-            if self.term.get(id.index()) == Some(&false) {
+            if self.terminated_at.get(id.index()) == Some(&None) {
                 self.mask[id.index()] = true;
             }
         }
         if !self.mask.contains(&true) {
             for index in 0..a {
-                self.mask[index] = !self.term[index];
+                self.mask[index] = !self.terminated(index);
             }
         }
         let mut active_len = 0;
@@ -1087,7 +1071,7 @@ impl RoundKernel<'_> {
                 }
             } else {
                 self.dec[index] = None;
-                if deferred && self.sleeper_pred && !self.term[index] {
+                if deferred && self.sleeper_pred && !self.terminated(index) {
                     let snapshot = self.snapshot(index, None);
                     let decision = self.probes.refresh(index, &self.prog[index]).decide(&snapshot);
                     self.views[index].predicted =
@@ -1104,7 +1088,7 @@ impl RoundKernel<'_> {
     #[inline(always)]
     fn predict_views(&mut self, round_hint: Option<u64>) {
         for index in 0..self.node.len() {
-            self.dec[index] = if self.term[index] {
+            self.dec[index] = if self.terminated(index) {
                 None
             } else {
                 let snapshot = self.snapshot(index, round_hint);
@@ -1121,8 +1105,9 @@ impl RoundKernel<'_> {
     fn fill_views(&mut self, predict: bool) {
         for index in 0..self.node.len() {
             let at = self.node[index];
+            let terminated = self.terminated(index);
             let predicted = match self.dec[index] {
-                _ if self.term[index] => PredictedAction::Terminate,
+                _ if terminated => PredictedAction::Terminate,
                 Some(decision) if predict => {
                     predict_action(self.ring, at, self.hand[index], decision)
                 }
@@ -1132,7 +1117,7 @@ impl RoundKernel<'_> {
                 id: AgentId::new(index),
                 node: at,
                 held_port: self.held[index],
-                terminated: self.term[index],
+                terminated,
                 handedness: self.hand[index],
                 predicted,
                 last_active_round: self.last_active[index],
@@ -1142,6 +1127,12 @@ impl RoundKernel<'_> {
         }
     }
 
+    /// Whether agent `index` has terminated.
+    #[inline(always)]
+    fn terminated(&self, index: usize) -> bool {
+        self.terminated_at[index].is_some()
+    }
+
     /// Agent `index`'s Look snapshot of the current state.
     #[inline(always)]
     fn snapshot(&self, index: usize, round_hint: Option<u64>) -> Snapshot {
@@ -1149,7 +1140,6 @@ impl RoundKernel<'_> {
             self.ring,
             self.node,
             self.held,
-            self.counters.crowded_nodes,
             index,
             self.hand[index],
             self.prior[index],
@@ -1177,7 +1167,6 @@ impl RoundKernel<'_> {
         }
         for index in 0..a {
             let Some(decision) = self.dec[index] else { continue };
-            self.activations[index] += 1;
             self.last_active[index] = r;
             self.asleep[index] = 0;
             match decision {
@@ -1243,7 +1232,7 @@ impl RoundKernel<'_> {
     }
 
     /// Agent `index` crosses the edge in direction `gdir` and arrives with
-    /// `outcome`, with the population and visit bookkeeping.
+    /// `outcome`, with the visit bookkeeping.
     #[inline(always)]
     fn traverse(&mut self, index: usize, gdir: GlobalDirection, outcome: PriorOutcome) {
         let at = self.node[index];
@@ -1252,24 +1241,18 @@ impl RoundKernel<'_> {
         self.held[index] = None;
         self.prior[index] = outcome;
         self.moves[index] += 1;
-        AgentSoA::relocate(self.population, &mut self.counters.crowded_nodes, at, destination);
         let node_index = destination.index();
         if !self.visited[node_index] {
             self.visited[node_index] = true;
             self.counters.unvisited -= 1;
         }
-        let cell = &mut self.avisited[index * self.visited.len() + node_index];
-        if !*cell {
-            *cell = true;
-            self.vcount[index] += 1;
-        }
+        self.avisited[index * self.visited.len() + node_index] = true;
     }
 
     /// Agent `index` enters its terminal state in round `r`.
     #[inline(always)]
     fn terminate(&mut self, index: usize, r: u64) {
         self.counters.alive -= 1;
-        self.term[index] = true;
         self.terminated_at[index] = Some(r);
         self.held[index] = None;
     }
@@ -1735,37 +1718,31 @@ mod tests {
     fn check_round_zero(sim: &Simulation, spec: &RunSpec) -> TestCaseResult {
         let (n, team) = (spec.ring.size(), spec.agents.len());
         let starts: Vec<NodeId> = spec.agents.iter().map(|agent| agent.start).collect();
-        let mut population = vec![0u32; n];
+        let mut visited = vec![false; n];
         for start in &starts {
-            population[start.index()] += 1;
+            visited[start.index()] = true;
         }
         prop_assert_eq!(&sim.ring, &spec.ring);
         prop_assert_eq!(sim.synchrony, spec.synchrony);
-        let visited: Vec<bool> = population.iter().map(|&p| p > 0).collect();
         prop_assert_eq!(&sim.visited, &visited);
         let counters = sim.counters;
         prop_assert_eq!(counters.round, 0);
         prop_assert_eq!(counters.alive, team);
-        prop_assert_eq!(counters.unvisited, population.iter().filter(|&&p| p == 0).count());
+        prop_assert_eq!(counters.unvisited, visited.iter().filter(|&&v| !v).count());
         prop_assert_eq!(counters.explored_at, None);
-        prop_assert_eq!(counters.crowded_nodes, population.iter().filter(|&&p| p >= 2).count());
         let agents = &sim.agents;
         prop_assert_eq!(&agents.node, &starts);
         let handedness: Vec<Handedness> = spec.agents.iter().map(|a| a.handedness).collect();
         prop_assert_eq!(&agents.handedness, &handedness);
         prop_assert_eq!(&agents.held_port, &vec![None; team]);
-        prop_assert_eq!(&agents.terminated, &vec![false; team]);
         prop_assert_eq!(&agents.prior, &vec![PriorOutcome::Idle; team]);
         prop_assert_eq!(&agents.moves, &vec![0; team]);
-        prop_assert_eq!(&agents.activations, &vec![0; team]);
         prop_assert_eq!(&agents.last_active_round, &vec![0; team]);
         prop_assert_eq!(&agents.asleep_on_port, &vec![0; team]);
         prop_assert_eq!(&agents.terminated_at, &vec![None; team]);
         let rows: Vec<bool> =
             starts.iter().flat_map(|start| (0..n).map(move |node| node == start.index())).collect();
         prop_assert_eq!(&agents.visited, &rows);
-        prop_assert_eq!(&agents.visited_count, &vec![1; team]);
-        prop_assert_eq!(&agents.node_population, &population);
         let programs: Vec<String> = agents.program.iter().map(|p| format!("{p:?}")).collect();
         let templates: Vec<String> =
             spec.agents.iter().map(|a| format!("{:?}", a.program)).collect();

@@ -38,7 +38,7 @@
 //! slots), so a recycled trace-on run appends without heap allocation.
 
 use dynring_core::CatalogProtocol;
-use dynring_graph::{AgentId, EdgeId, GlobalDirection, NodeId};
+use dynring_graph::{AgentId, EdgeId, GlobalDirection, NodeId, RingTopology};
 use dynring_model::{Decision, LocalDirection, PriorOutcome, Protocol};
 use std::fmt;
 
@@ -293,8 +293,10 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant.
+    /// Returns a description of the first violated invariant, or of why
+    /// `ring_size` is not the size of a ring.
     pub fn check_invariants(&self, ring_size: usize) -> Result<(), String> {
+        let ring = RingTopology::new(ring_size).map_err(|err| err.to_string())?;
         let mut terminated: std::collections::HashSet<AgentId> = std::collections::HashSet::new();
         let mut held: std::collections::HashSet<(NodeId, GlobalDirection)> =
             std::collections::HashSet::new();
@@ -306,13 +308,18 @@ impl Trace {
                         agent.id, record.round
                     ));
                 }
-                let before = agent.node_before.index() as i64;
-                let after = agent.node_after.index() as i64;
-                let diff = (after - before).rem_euclid(ring_size as i64);
-                if diff != 0 && diff != 1 && diff != ring_size as i64 - 1 {
+                let (before, after) = (agent.node_before, agent.node_after);
+                let crossed = ring.edge_between(before, after);
+                if before != after && crossed.is_none() {
                     return Err(format!(
-                        "agent {} jumped from {} to {} in round {}",
-                        agent.id, agent.node_before, agent.node_after, record.round
+                        "agent {} jumped from {before} to {after} in round {}",
+                        agent.id, record.round
+                    ));
+                }
+                if let Some(edge) = crossed.filter(|edge| record.missing_edge == Some(*edge)) {
+                    return Err(format!(
+                        "agent {} crossed the missing edge {} from {} to {} in round {}",
+                        agent.id, edge, before, after, record.round
                     ));
                 }
                 if agent.terminated {
@@ -353,7 +360,7 @@ impl Trace {
         held_port: &[Option<GlobalDirection>],
         decisions: &[Option<Decision>],
         outcomes: &[PriorOutcome],
-        terminated: &[bool],
+        terminated_at: &[Option<u64>],
         programs: &[CatalogProtocol],
     ) {
         self.ring_size = ring_size;
@@ -375,7 +382,7 @@ impl Trace {
                 nodes_before[index],
                 nodes_after[index],
                 active_mask[index],
-                terminated[index],
+                terminated_at[index].is_some(),
                 held_port[index],
                 decisions[index],
                 outcomes[index],
@@ -665,7 +672,9 @@ pub(crate) mod tests {
     /// packing, spill and label interning. Each agent's program is the fresh
     /// catalogue program carrying its row's label (see [`label`]). Like the
     /// engine, the row holds one agent per id in id order, and an agent
-    /// without a decision keeps the label it was last recorded with.
+    /// without a decision keeps the label it was last recorded with. A
+    /// terminated agent is recorded with the row's round as its termination
+    /// round; the trace keeps only the flag.
     pub(crate) fn record_row(t: &mut Trace, ring_size: usize, row: &RoundRecord) {
         let agents = &row.agents;
         assert!(agents.iter().enumerate().all(|(i, a)| a.id.index() == i), "agents in id order");
@@ -683,7 +692,7 @@ pub(crate) mod tests {
             &agents.iter().map(|a| a.held_port_after).collect::<Vec<_>>(),
             &agents.iter().map(|a| a.decision).collect::<Vec<_>>(),
             &agents.iter().map(|a| a.outcome).collect::<Vec<_>>(),
-            &agents.iter().map(|a| a.terminated).collect::<Vec<_>>(),
+            &agents.iter().map(|a| a.terminated.then_some(row.round)).collect::<Vec<_>>(),
             &programs,
         );
     }
@@ -852,12 +861,15 @@ pub(crate) mod tests {
         assert!(err.contains("same port"));
     }
 
-    /// One round of unit-labelled agents: agent `i` moves from `before[i]`
-    /// to `after[i]`, and is active exactly when not terminated.
+    /// One round of unit-labelled agents with edge `missing` (if any)
+    /// removed: agent `i` moves from `before[i]` to `after[i]`, and is
+    /// active exactly when not terminated.
+    #[allow(clippy::too_many_arguments)]
     fn record_lane_round(
         t: &mut Trace,
         round: u64,
         ring_size: usize,
+        missing: Option<usize>,
         before: &[usize],
         after: &[usize],
         held: &[Option<GlobalDirection>],
@@ -877,7 +889,8 @@ pub(crate) mod tests {
             })
             .collect();
         let active = agents.iter().filter(|a| a.active).map(|a| a.id).collect();
-        let row = RoundRecord { round, missing_edge: None, active, agents, visited_count: 2 };
+        let missing_edge = missing.map(EdgeId::new);
+        let row = RoundRecord { round, missing_edge, active, agents, visited_count: 2 };
         record_row(t, ring_size, &row);
     }
     #[test]
@@ -885,8 +898,8 @@ pub(crate) mod tests {
         // 0 → 1 is the +1 (ccw) move code, 1 → 0 the −1 (cw) code, and the
         // wrap 0 → 7 on an 8-ring exercises the modular delta.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, &[0, 1], &[1, 0], &[None, None], &[false, false]);
-        record_lane_round(&mut t, 2, 8, &[1, 0], &[0, 7], &[None, None], &[false, false]);
+        record_lane_round(&mut t, 1, 8, None, &[0, 1], &[1, 0], &[None, None], &[false, false]);
+        record_lane_round(&mut t, 2, 8, None, &[1, 0], &[0, 7], &[None, None], &[false, false]);
         assert!(t.check_invariants(8).is_ok());
         let rounds: Vec<RoundRecord> = t.rounds().collect();
         assert_eq!(rounds[0].agents[0].node_after, NodeId::new(1));
@@ -898,7 +911,7 @@ pub(crate) mod tests {
         // A two-edge jump does not fit the 2-bit move code: it must spill an
         // explicit landing node and still reach the checker intact.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, &[0], &[3], &[None], &[false]);
+        record_lane_round(&mut t, 1, 8, None, &[0], &[3], &[None], &[false]);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("jumped"), "{err}");
     }
@@ -906,10 +919,32 @@ pub(crate) mod tests {
     #[test]
     fn encoder_preserves_post_termination_moves_for_the_checker() {
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, &[2], &[2], &[None], &[true]);
-        record_lane_round(&mut t, 2, 8, &[2], &[3], &[None], &[true]);
+        record_lane_round(&mut t, 1, 8, None, &[2], &[2], &[None], &[true]);
+        record_lane_round(&mut t, 2, 8, None, &[2], &[3], &[None], &[true]);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("terminated"), "{err}");
+    }
+
+    #[test]
+    fn invariants_reject_crossing_the_missing_edge() {
+        // Edge e joins nodes e and e + 1 (mod 8). Agent 0 crosses the
+        // missing e2 one step ccw in round 1.
+        let mut t = Trace::new();
+        record_lane_round(&mut t, 1, 8, Some(2), &[2, 5], &[3, 5], &[None; 2], &[false; 2]);
+        let err = t.check_invariants(8).unwrap_err();
+        assert_eq!(err, "agent a0 crossed the missing edge e2 from v2 to v3 in round 1");
+        // After a legal round, agent 1 crosses the missing e7 one step cw,
+        // over the wrap from node 0 to node 7.
+        let mut t = Trace::new();
+        record_lane_round(&mut t, 1, 8, Some(7), &[2, 1], &[3, 0], &[None; 2], &[false; 2]);
+        record_lane_round(&mut t, 2, 8, Some(7), &[3, 0], &[3, 7], &[None; 2], &[false; 2]);
+        let err = t.check_invariants(8).unwrap_err();
+        assert_eq!(err, "agent a1 crossed the missing edge e7 from v0 to v7 in round 2");
+        // Waiting at an end of the missing edge, or crossing another edge,
+        // is legal.
+        let mut t = Trace::new();
+        record_lane_round(&mut t, 1, 8, Some(2), &[2, 3], &[2, 4], &[None; 2], &[false; 2]);
+        assert!(t.check_invariants(8).is_ok());
     }
 
     #[test]
@@ -919,6 +954,7 @@ pub(crate) mod tests {
             &mut t,
             1,
             8,
+            None,
             &[4, 4],
             &[4, 4],
             &[Some(GlobalDirection::Ccw), Some(GlobalDirection::Ccw)],

@@ -8,11 +8,13 @@
 //! same prediction by simulation, exactly as the adversaries in the paper's
 //! impossibility proofs do.
 //!
-//! Agent state is laid out as a **struct of arrays** (`AgentSoA`): the
-//! fields read by the per-round hot loops — the Look snapshot's occupancy
-//! pass and the scheduler's activation scans — are dense parallel vectors
-//! indexed by agent, while cold state (the agent program, per-agent visit
-//! maps, statistics) lives in separate arrays the hot passes never touch.
+//! Agent state is laid out as a **struct of arrays** (`AgentSoA`): one
+//! column per agent fact, each a dense vector indexed by agent. The fields
+//! read by the per-round hot loops — the Look snapshot's scan over the team
+//! and the scheduler's activation scans — are separate from cold state (the
+//! agent program, per-agent visit maps, statistics) the hot passes never
+//! touch. Nothing derivable is stored: termination is `terminated_at`, and
+//! reports count each agent's row of the visit map.
 //! Every program is a [`CatalogProtocol`]: a statically dispatched enum
 //! over the paper's algorithms (zero virtual calls in Compute). Decision
 //! predictions reuse per-agent probe instances from a private probe pool
@@ -48,6 +50,7 @@ pub(crate) fn to_local(handedness: Handedness, dir: GlobalDirection) -> LocalDir
 /// Mutable per-agent runtime state owned by the simulation, in
 /// struct-of-arrays layout. All vectors are parallel and indexed by agent
 /// (agents are stored in id order, so the index *is* the [`AgentId`]).
+/// Each agent fact has exactly one column.
 ///
 /// The same type holds the agent columns of a
 /// [`CheckpointStore`](crate::checkpoint::CheckpointStore), many teams deep,
@@ -60,8 +63,6 @@ pub(crate) struct AgentSoA {
     pub node: Vec<NodeId>,
     /// Hot: the port (by global direction) each agent holds, if any.
     pub held_port: Vec<Option<GlobalDirection>>,
-    /// Hot: whether each agent has terminated.
-    pub terminated: Vec<bool>,
     /// Hot: each agent's private orientation.
     pub handedness: Vec<Handedness>,
     /// Hot: the outcome each agent will be shown at its next Look.
@@ -70,26 +71,17 @@ pub(crate) struct AgentSoA {
     pub program: Vec<CatalogProtocol>,
     /// Cold: successful traversals per agent.
     pub moves: Vec<u64>,
-    /// Cold: activations per agent.
-    pub activations: Vec<u64>,
     /// Cold: the last round each agent was active (0 = never).
     pub last_active_round: Vec<u64>,
     /// Cold: consecutive rounds spent asleep while holding a port (ET
     /// fairness accounting).
     pub asleep_on_port: Vec<u64>,
-    /// Cold: per-agent termination rounds.
+    /// Hot: the round each agent terminated in; `Some` exactly when it has
+    /// terminated.
     pub terminated_at: Vec<Option<u64>>,
     /// Cold: per-agent visit maps, flattened row-major
     /// (`agent * ring_size + node`).
     pub visited: Vec<bool>,
-    /// Cold: number of `true` entries in each agent's row of `visited`,
-    /// maintained incrementally by the resolution phase so reports read the
-    /// count in O(1) instead of re-scanning the row.
-    pub visited_count: Vec<usize>,
-    /// Number of agents standing on each node (index = node id, so its
-    /// length is the ring size), maintained incrementally on every
-    /// move/transport.
-    pub node_population: Vec<u32>,
 }
 
 impl AgentSoA {
@@ -99,42 +91,27 @@ impl AgentSoA {
     /// allocation when it does not), and each agent's program copies the
     /// template's pristine state through [`Clone::clone_from`]. This is the
     /// team half of
-    /// [`Simulation::recycle`](crate::sim::Simulation::recycle). Returns the
-    /// number of nodes the team starts crowded on (two or more agents).
+    /// [`Simulation::recycle`](crate::sim::Simulation::recycle).
     pub(crate) fn reset_from<'a>(
         &mut self,
         ring_size: usize,
         specs: impl ExactSizeIterator<Item = (NodeId, Handedness, &'a CatalogProtocol)>,
-    ) -> usize {
+    ) {
         let count = specs.len();
-        if self.node_population.len() == ring_size {
-            // Every agent stands on exactly one node, so undoing the agents'
-            // positions zeroes the occupancy index in O(agents), not O(n).
-            for node in &self.node {
-                self.node_population[node.index()] -= 1;
-            }
-            debug_assert!(self.node_population.iter().all(|p| *p == 0));
-        } else {
-            refill(&mut self.node_population, ring_size, 0);
-        }
         if self.node.len() != count {
             // A new team size: size every column; the loop below writes
             // each agent's entries.
             self.node.resize(count, NodeId::new(0));
             self.held_port.resize(count, None);
-            self.terminated.resize(count, false);
             self.handedness.resize(count, Handedness::LeftIsCcw);
             self.prior.resize(count, PriorOutcome::Idle);
             self.moves.resize(count, 0);
-            self.activations.resize(count, 0);
             self.last_active_round.resize(count, 0);
             self.asleep_on_port.resize(count, 0);
             self.terminated_at.resize(count, None);
-            self.visited_count.resize(count, 1);
         }
         refill(&mut self.visited, count * ring_size, false);
         self.program.truncate(count);
-        let mut crowded_nodes = 0;
         // One pass per agent rather than one fill per column: with the
         // paper's two- and three-agent teams, per-column fills cost more in
         // call overhead than in stores.
@@ -142,36 +119,27 @@ impl AgentSoA {
             debug_assert!(node.index() < ring_size, "RunSpec starts are validated");
             self.node[index] = node;
             self.held_port[index] = None;
-            self.terminated[index] = false;
             self.handedness[index] = handedness;
             self.prior[index] = PriorOutcome::Idle;
             self.moves[index] = 0;
-            self.activations[index] = 0;
             self.last_active_round[index] = 0;
             self.asleep_on_port[index] = 0;
             self.terminated_at[index] = None;
-            self.visited_count[index] = 1;
             copy_program(&mut self.program, index, template);
             self.visited[index * ring_size + node.index()] = true;
-            self.node_population[node.index()] += 1;
-            if self.node_population[node.index()] == 2 {
-                crowded_nodes += 1;
-            }
         }
-        crowded_nodes
     }
 
     /// Makes team slot `slot` of `self` a copy of team slot `from` of
     /// `src`, column by column and in place — the one copy behind
     /// checkpointing, restoring and copying a checkpoint between stores.
     /// With `(team, ring) = shape`, team slot `k` spans agent rows
-    /// `k·team..`, visit-map rows `k·team·ring..` and population rows
-    /// `k·ring..`; a live team is slot 0 of 1. Every column is cut to
-    /// `slots` slots (see [`put_slot`]), and a slot past its end is
-    /// appended. Capacity is reused, so a copy into a slot already written
-    /// allocates nothing (programs copy their state through
-    /// [`Clone::clone_from`]), and a growing store allocates once per column
-    /// doubling.
+    /// `k·team..` and visit-map rows `k·team·ring..`; a live team is slot 0
+    /// of 1. Every column is cut to `slots` slots (see [`put_slot`]), and a
+    /// slot past its end is appended. Capacity is reused, so a copy into a
+    /// slot already written allocates nothing (programs copy their state
+    /// through [`Clone::clone_from`]), and a growing store allocates once per
+    /// column doubling.
     pub(crate) fn copy_team(
         &mut self,
         slot: usize,
@@ -183,39 +151,16 @@ impl AgentSoA {
         let rows = |width: usize| from * width..(from + 1) * width;
         put_slot(&mut self.node, slot, slots, &src.node[rows(team)]);
         put_slot(&mut self.held_port, slot, slots, &src.held_port[rows(team)]);
-        put_slot(&mut self.terminated, slot, slots, &src.terminated[rows(team)]);
         put_slot(&mut self.handedness, slot, slots, &src.handedness[rows(team)]);
         put_slot(&mut self.prior, slot, slots, &src.prior[rows(team)]);
         put_slot(&mut self.moves, slot, slots, &src.moves[rows(team)]);
-        put_slot(&mut self.activations, slot, slots, &src.activations[rows(team)]);
         put_slot(&mut self.last_active_round, slot, slots, &src.last_active_round[rows(team)]);
         put_slot(&mut self.asleep_on_port, slot, slots, &src.asleep_on_port[rows(team)]);
         put_slot(&mut self.terminated_at, slot, slots, &src.terminated_at[rows(team)]);
         put_slot(&mut self.visited, slot, slots, &src.visited[rows(team * ring)]);
-        put_slot(&mut self.visited_count, slot, slots, &src.visited_count[rows(team)]);
-        put_slot(&mut self.node_population, slot, slots, &src.node_population[rows(ring)]);
         self.program.truncate(slots * team);
         for (row, program) in (slot * team..).zip(&src.program[rows(team)]) {
             copy_program(&mut self.program, row, program);
-        }
-    }
-
-    /// Records that an agent left `from` for `to`, keeping the population
-    /// index and the crowded-node counter in sync.
-    #[inline]
-    pub(crate) fn relocate(
-        node_population: &mut [u32],
-        crowded_nodes: &mut usize,
-        from: NodeId,
-        to: NodeId,
-    ) {
-        node_population[from.index()] -= 1;
-        if node_population[from.index()] == 1 {
-            *crowded_nodes -= 1;
-        }
-        node_population[to.index()] += 1;
-        if node_population[to.index()] == 2 {
-            *crowded_nodes += 1;
         }
     }
 
@@ -224,23 +169,9 @@ impl AgentSoA {
         self.node.len()
     }
 
-    /// The number of distinct nodes agent `index` has visited (maintained
-    /// incrementally; equals the number of `true` entries in the agent's
-    /// row of the visit map).
-    pub(crate) fn visited_count(&self, index: usize) -> usize {
-        let n = self.node_population.len();
-        debug_assert_eq!(
-            self.visited_count[index],
-            self.visited[index * n..(index + 1) * n].iter().filter(|v| **v).count(),
-            "incremental per-agent visit counter out of sync"
-        );
-        self.visited_count[index]
-    }
-
-    /// Whether every agent has terminated (a straight pass over one dense
-    /// bool slice).
+    /// Whether every agent has terminated.
     pub(crate) fn all_terminated(&self) -> bool {
-        self.terminated.iter().all(|t| *t)
+        self.terminated_at.iter().all(Option::is_some)
     }
 }
 
@@ -427,18 +358,15 @@ impl RoundView<'_> {
 
 /// Builds the **Look** snapshot of agent `observer` from the team's
 /// positions and held ports (the paper's Look operation: own position,
-/// other agents at the same node, landmark flag, own previous outcome).
-/// While no node holds two agents (`crowded_nodes == 0`, tracked
-/// incrementally) every occupancy is trivially empty and the scan over the
-/// team is skipped. `round_hint` is the round under FSYNC, `None` under
-/// SSYNC.
-#[allow(clippy::too_many_arguments)]
+/// other agents at the same node, landmark flag, own previous outcome). The
+/// occupancy is one scan over the team, which the paper's teams of one to
+/// three agents keep short. `round_hint` is the round under FSYNC, `None`
+/// under SSYNC.
 #[inline(always)]
 pub(crate) fn build_snapshot(
     ring: &RingTopology,
     node: &[NodeId],
     held_port: &[Option<GlobalDirection>],
-    crowded_nodes: usize,
     observer: usize,
     handedness: Handedness,
     prior: PriorOutcome,
@@ -446,18 +374,16 @@ pub(crate) fn build_snapshot(
 ) -> Snapshot {
     let observer_node = node[observer];
     let mut occupancy = NodeOccupancy::default();
-    if crowded_nodes > 0 {
-        for (index, (at, held)) in node.iter().zip(held_port).enumerate() {
-            if index == observer || *at != observer_node {
-                continue;
-            }
-            match held {
-                None => occupancy.in_node += 1,
-                Some(gdir) => match to_local(handedness, *gdir) {
-                    LocalDirection::Left => occupancy.on_left_port += 1,
-                    LocalDirection::Right => occupancy.on_right_port += 1,
-                },
-            }
+    for (index, (at, held)) in node.iter().zip(held_port).enumerate() {
+        if index == observer || *at != observer_node {
+            continue;
+        }
+        match held {
+            None => occupancy.in_node += 1,
+            Some(gdir) => match to_local(handedness, *gdir) {
+                LocalDirection::Left => occupancy.on_left_port += 1,
+                LocalDirection::Right => occupancy.on_right_port += 1,
+            },
         }
     }
     let position = match held_port[observer] {
@@ -498,22 +424,21 @@ mod tests {
     use dynring_core::Algorithm;
     use dynring_model::Protocol;
 
-    /// A team of `Unconscious` agents at round zero, with the number of
-    /// nodes it starts crowded on.
-    fn team(ring: &RingTopology, agents: &[(usize, Handedness)]) -> (AgentSoA, usize) {
+    /// A team of `Unconscious` agents at round zero.
+    fn team(ring: &RingTopology, agents: &[(usize, Handedness)]) -> AgentSoA {
         let program = Algorithm::Unconscious.instantiate();
         let mut soa = AgentSoA::default();
         let starts =
             agents.iter().map(|&(node, handedness)| (NodeId::new(node), handedness, &program));
-        let crowded_nodes = soa.reset_from(ring.size(), starts);
-        (soa, crowded_nodes)
+        soa.reset_from(ring.size(), starts);
+        soa
     }
 
     #[test]
     fn local_global_conversion_roundtrips() {
         let ring = RingTopology::new(5).unwrap();
         for h in Handedness::both() {
-            let (soa, _) = team(&ring, &[(0, h)]);
+            let soa = team(&ring, &[(0, h)]);
             for d in LocalDirection::both() {
                 assert_eq!(to_local(h, to_global(soa.handedness[0], d)), d);
             }
@@ -525,7 +450,7 @@ mod tests {
 
     fn snapshot_of(
         ring: &RingTopology,
-        (agents, crowded_nodes): &(AgentSoA, usize),
+        agents: &AgentSoA,
         observer: usize,
         round_hint: Option<u64>,
     ) -> Snapshot {
@@ -533,7 +458,6 @@ mod tests {
             ring,
             &agents.node,
             &agents.held_port,
-            *crowded_nodes,
             observer,
             agents.handedness[observer],
             agents.prior[observer],
@@ -553,7 +477,7 @@ mod tests {
             ],
         );
         // Agent 1 is waiting on the CCW port of node 2.
-        agents.0.held_port[1] = Some(GlobalDirection::Ccw);
+        agents.held_port[1] = Some(GlobalDirection::Ccw);
 
         let snap0 = snapshot_of(&ring, &agents, 0, Some(7));
         // Observer 0 (left = CCW) sees agent 1 on its *left* port.
@@ -612,9 +536,8 @@ mod tests {
     #[test]
     fn visited_count_starts_with_the_start_node() {
         let ring = RingTopology::new(4).unwrap();
-        let (soa, crowded_nodes) = team(&ring, &[(3, Handedness::LeftIsCcw)]);
-        assert_eq!(soa.visited_count(0), 1);
-        assert_eq!(crowded_nodes, 0);
+        let soa = team(&ring, &[(3, Handedness::LeftIsCcw), (1, Handedness::LeftIsCw)]);
+        assert_eq!(soa.visited, [false, false, false, true, false, true, false, false]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! Section 2 (one edge missing per round, port mutual exclusion, unit moves,
 //! terminated agents never move again).
 
+use dynring::engine::Trace;
 use dynring::prelude::*;
 use dynring_analysis::scenario::{AdversaryKind, Scenario};
 use proptest::prelude::*;
@@ -30,6 +31,43 @@ fn algorithm_from_index(i: usize, n: usize) -> Algorithm {
     }
 }
 
+/// Per-agent report fields counted from a trace alone.
+struct AgentRecount {
+    /// Distinct nodes among each agent's start and every node it ended a
+    /// round on.
+    visited: Vec<usize>,
+    /// Rounds in which each agent ended on another node than it began on.
+    moves: Vec<u64>,
+    /// The first round each agent is flagged terminated in.
+    termination_rounds: Vec<Option<u64>>,
+}
+
+/// Recounts [`AgentRecount`] over `trace`, a run on `n` nodes whose agents
+/// started on `starts`.
+fn recount_agents(trace: &Trace, n: usize, starts: Vec<NodeId>) -> AgentRecount {
+    let team = starts.len();
+    let mut seen: Vec<Vec<bool>> = vec![vec![false; n]; team];
+    for (row, start) in seen.iter_mut().zip(&starts) {
+        row[start.index()] = true;
+    }
+    let mut moves = vec![0; team];
+    let mut termination_rounds = vec![None; team];
+    for record in trace.rounds() {
+        for agent in &record.agents {
+            let i = agent.id.index();
+            seen[i][agent.node_after.index()] = true;
+            if agent.node_after != agent.node_before {
+                moves[i] += 1;
+            }
+            if agent.terminated && termination_rounds[i].is_none() {
+                termination_rounds[i] = Some(record.round);
+            }
+        }
+    }
+    let visited = seen.iter().map(|row| row.iter().filter(|v| **v).count()).collect();
+    AgentRecount { visited, moves, termination_rounds }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -53,7 +91,8 @@ proptest! {
             .with_stop(StopCondition::RoundBudget)
             .with_max_rounds(30 * n as u64);
         let mut sim = scenario.build();
-        let _ = sim.run(30 * n as u64, StopCondition::RoundBudget);
+        let starts = sim.positions();
+        let report = sim.run(30 * n as u64, StopCondition::RoundBudget);
         let trace = sim.trace().expect("trace recording enabled");
         prop_assert!(trace.len() as u64 <= 30 * n as u64);
         if let Err(violation) = trace.check_invariants(n) {
@@ -66,6 +105,11 @@ proptest! {
             prop_assert!(record.visited_count <= n);
             last = record.visited_count;
         }
+        // The report's per-agent fields, recounted from the trace alone.
+        let recount = recount_agents(trace, n, starts);
+        prop_assert_eq!(&report.visited_per_agent, &recount.visited);
+        prop_assert_eq!(&report.moves_per_agent, &recount.moves);
+        prop_assert_eq!(&report.termination_rounds, &recount.termination_rounds);
     }
 
     /// The exploration round reported by the simulation matches the trace.
