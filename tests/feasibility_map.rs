@@ -3,6 +3,9 @@
 //! configuration. The benchmark harness runs the same experiments on larger
 //! rings.
 
+#[allow(dead_code)]
+mod common;
+
 use dynring_analysis::{figures, lower_bounds, markdown_table, tables};
 
 #[test]
@@ -30,4 +33,11 @@ fn tables_and_figures_reproduce_the_paper() {
     assert!(rows.iter().any(|r| r.id.starts_with("T4")));
     assert!(rows.iter().any(|r| r.id.starts_with("F2")));
     assert!(rows.iter().any(|r| r.id.starts_with("LB")));
+    // Every row's text, recorded before the Table 1/3 rows were built from
+    // the model-check cells.
+    assert_eq!(
+        common::fnv(&rendered),
+        16_533_063_967_820_452_580,
+        "the feasibility map's texts changed:\n{rendered}"
+    );
 }

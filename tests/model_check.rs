@@ -4,6 +4,10 @@
 //! scripted adversary to the same defeat, and the canonical configuration key
 //! is invariant under the ring's rotation/reflection symmetries.
 
+#[allow(dead_code)]
+mod common;
+
+use dynring_analysis::markdown_table;
 use dynring_analysis::model_check::{self, ModelCheck, Objective, Verdict};
 use dynring_analysis::scenario::{AdversaryKind, Scenario};
 use dynring_core::Algorithm;
@@ -126,13 +130,10 @@ fn parallel_search_is_bit_identical_to_sequential() {
 fn schedule_digest(schedule: &EdgeSchedule) -> u64 {
     let missing: Vec<Option<EdgeId>> =
         (1..=schedule.horizon()).map(|round| schedule.missing_at(round)).collect();
-    let rendered = format!(
+    common::fnv(&format!(
         "EdgeSchedule {{ ring_size: {}, missing: {missing:?}, after: AllPresent }}",
         schedule.ring_size()
-    );
-    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    ))
 }
 
 /// One pinned search output: cell id, verdict kind, the full
@@ -229,6 +230,19 @@ fn search_outputs_match_the_recorded_table() {
     let rendered: Vec<String> = actual.iter().map(|row| format!("{row:?}")).collect();
     let expected: Vec<String> = SEARCH_PINS.iter().map(|row| format!("{row:?}")).collect();
     assert_eq!(rendered, expected, "search outputs diverged from the recorded table");
+}
+
+/// The rendered rows of the n = 4, 5 matrix, as the `model_check` example
+/// prints them, keep the texts recorded before the Table 1/3 rows were
+/// built from the model-check cells.
+#[test]
+fn matrix_row_texts_match_the_recorded_digest() {
+    let rendered = markdown_table("Exhaustive model checking", &model_check::model_check_rows(&[4, 5]));
+    assert_eq!(
+        common::fnv(&rendered),
+        8_819_475_029_787_789_053,
+        "the matrix rows changed:\n{rendered}"
+    );
 }
 
 /// A cell that keeps more distinct configurations than its `max_states`
