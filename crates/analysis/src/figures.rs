@@ -13,6 +13,7 @@
 //!   model gives the adversary full power (the NS-flavoured oscillation run).
 
 use crate::batch::BatchRunner;
+use crate::model_check;
 use crate::report::RowResult;
 use crate::scenario::{AdversaryKind, Scenario, ScenarioRunner, SchedulerKind};
 use dynring_core::Algorithm;
@@ -86,9 +87,8 @@ pub fn figure2_in(worker: &mut ScenarioRunner, ring_size: usize) -> Figure2Outco
     let ring = RingTopology::new(ring_size).expect("valid ring");
     let schedule = figure2_schedule(&ring);
     let expected = 3 * ring_size as u64 - 6;
-    let scenario = Scenario::fsync(ring_size, Algorithm::KnownBound { upper_bound: ring_size })
-        .with_starts(vec![0, 1])
-        .with_orientations(vec![Handedness::LeftIsCcw, Handedness::LeftIsCcw])
+    let scenario = model_check::theorem4_cell(ring_size)
+        .scenario
         .with_adversary(AdversaryKind::scripted(schedule))
         .with_stop(StopCondition::AllTerminated)
         .with_max_rounds(6 * ring_size as u64);

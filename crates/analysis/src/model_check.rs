@@ -2,9 +2,12 @@
 //!
 //! The paper's impossibility rows (Tables 1 and 3) are proved by exhibiting an
 //! adversary strategy; the sibling [`tables`](crate::tables) module *samples*
-//! those strategies as hand-scripted schedules. This module closes the loop
-//! for small rings: it explores **every** adversary edge-removal choice at
-//! every round by breadth-first expansion over simulation states and returns
+//! those strategies as hand-scripted schedules. Both run the rows described
+//! once here, by [`table1_cells`] and [`table3_cells`]: each [`TableCell`]
+//! holds the exhaustive check and the sampled run of one row. This module
+//! closes the loop for small rings: it explores **every** adversary
+//! edge-removal choice at every round by breadth-first expansion over
+//! simulation states and returns
 //!
 //! * [`Verdict::Infeasible`] with a concrete witness [`EdgeSchedule`] that
 //!   defeats the protocol (replayable through
@@ -23,10 +26,13 @@
 //! crossed in that round ([`Simulation::crossed_edges`]); every other
 //! choice plays the all-present round and shares its outcome. Successors are
 //! deduplicated **per level** on the canonicalised configuration key of
-//! [`CheckpointStore::canonical_key_into`] (lexicographic minimum over the ring's
-//! rotation/reflection automorphisms), which quotients away the agents'
-//! anonymity. Keys are only compared within a level because the FSYNC round
-//! hint makes configurations at different depths genuinely different states.
+//! [`CheckpointStore::canonical_key_into`]: the lexicographic minimum over the
+//! ring's rotation/reflection automorphisms, or over the two maps that fix
+//! the landmark on a landmark ring. Only the ring's symmetries are
+//! quotiented: agents are encoded in id order, so two configurations that
+//! differ by swapping agents get different keys. Keys are only compared
+//! within a level because the FSYNC round hint makes configurations at
+//! different depths genuinely different states.
 //!
 //! Witness schedules are reconstructed from a parent-pointer arena: the
 //! frontier holds checkpoints, interior nodes only `(parent, choice)`
@@ -39,8 +45,8 @@
 //! The depth bound of each packaged cell is derived from the paper's round
 //! bounds (e.g. the `3N − 6` termination bound of Theorem 3 for the deceived
 //! `KnownBound` strategy of Theorems 1/2); for pure survival rows (Theorems 9,
-//! 10, 11) the bound is a multiple of `n` matching the scripted rows of
-//! [`tables::table3`](crate::tables::table3). A liveness objective that is
+//! 10, 11) it is `20n`, `8n` and `n + 4` rounds, set per cell in
+//! [`table3_cells`] (the sampled runs play `80n`). A liveness objective that is
 //! still undecided at the bound is reported `Infeasible` (the adversary
 //! exhibited a play surviving the whole horizon); an undecided safety
 //! objective is reported `Feasible` (no play violated it within the horizon).
@@ -1006,6 +1012,10 @@ pub struct TableCell {
     /// Whether the paper predicts `Infeasible` (impossibility rows) or
     /// `Feasible` (the no-termination safety row).
     pub expect_infeasible: bool,
+    /// The check's scenario played by the row's hand-scripted adversary,
+    /// with its stop condition and round budget: the run the sampled
+    /// [`tables`](crate::tables) row scores.
+    pub sampled: Scenario,
 }
 
 impl TableCell {
@@ -1014,8 +1024,10 @@ impl TableCell {
         claim: &'static str,
         check: ModelCheck,
         expect_infeasible: bool,
+        sample: impl FnOnce(Scenario) -> Scenario,
     ) -> Self {
-        TableCell { id, claim, check, expect_infeasible }
+        let sampled = sample(check.scenario.clone());
+        TableCell { id, claim, check, expect_infeasible, sampled }
     }
 
     /// Runs the cell in `ctx` and scores it as a report row: `holds`
@@ -1084,19 +1096,23 @@ impl TableCell {
 }
 
 /// The deceived horizon guess the Table 1 witnesses commit to.
-const GUESSED_BOUND: usize = 3;
+pub(crate) const GUESSED_BOUND: usize = 3;
 
-/// Exhaustively checkable Table 1 rows on a ring of `4 ≤ n ≤ 12`.
-///
-/// Mirrors the scenario parameters of [`tables::table1`](crate::tables::table1)
-/// exactly, minus the hand-picked adversaries — the search plays every
-/// adversary.
+/// The Table 1 rows on a ring of `n ≥ 4`: the only description of their
+/// scenarios, which both the exhaustive search and the sampled
+/// [`tables::table1`](crate::tables::table1) rows run.
 #[must_use]
 pub fn table1_cells(n: usize) -> Vec<TableCell> {
-    assert!((4..=12).contains(&n), "exhaustive Table 1 cells cover 4 <= n <= 12");
+    assert!(n >= 4, "Table 1 cells need n >= 4");
     // The deceived strategy terminates by round 3·GUESSED − 6 + 1 on its
     // guessed ring; the depth adds slack for adversary-delayed defeats.
     let t1_depth = 3 * GUESSED_BOUND as u64 + 4;
+    // The sampled witness blocks one agent until every agent has stopped.
+    let block_agent = |scenario: Scenario| {
+        scenario
+            .with_adversary(AdversaryKind::BlockAgent { agent: 0 })
+            .with_stop(StopCondition::AllTerminated)
+    };
     vec![
         TableCell::new(
             format!("MC-T1-R1(n={n})"),
@@ -1108,6 +1124,7 @@ pub fn table1_cells(n: usize) -> Vec<TableCell> {
                 t1_depth,
             ),
             true,
+            block_agent,
         ),
         TableCell::new(
             format!("MC-T1-R2(n={n})"),
@@ -1120,6 +1137,7 @@ pub fn table1_cells(n: usize) -> Vec<TableCell> {
                 t1_depth,
             ),
             true,
+            block_agent,
         ),
         TableCell::new(
             format!("MC-T1-R3(n={n})"),
@@ -1133,18 +1151,33 @@ pub fn table1_cells(n: usize) -> Vec<TableCell> {
                 n as u64 + 6,
             ),
             false,
+            |scenario| {
+                scenario
+                    .with_adversary(AdversaryKind::PreventMeeting)
+                    .with_stop(StopCondition::RoundBudget)
+                    .with_max_rounds(60 * n as u64)
+            },
         ),
     ]
 }
 
-/// Exhaustively checkable Table 3 rows on a ring of `4 ≤ n ≤ 12` (the
-/// Theorem 19 row needs `n ≥ 5` and is omitted below that).
-///
-/// Mirrors the scenario parameters of [`tables::table3`](crate::tables::table3).
+/// The Table 3 rows on a ring of `n ≥ 4` (the Theorem 19 row needs `n ≥ 5`
+/// and is omitted below that): the only description of their scenarios,
+/// which both the exhaustive search and the sampled
+/// [`tables::table3`](crate::tables::table3) rows run. Every sampled run
+/// plays a fixed budget of `80n` rounds.
 #[must_use]
 pub fn table3_cells(n: usize) -> Vec<TableCell> {
-    assert!((4..=12).contains(&n), "exhaustive Table 3 cells cover 4 <= n <= 12");
+    assert!(n >= 4, "Table 3 cells need n >= 4");
     let mut cells = Vec::new();
+    let scripted = |adversary: AdversaryKind| {
+        move |scenario: Scenario| {
+            scenario
+                .with_adversary(adversary)
+                .with_stop(StopCondition::RoundBudget)
+                .with_max_rounds(80 * n as u64)
+        }
+    };
 
     // Theorem 9 (NS): under the first-mover scheduler no protocol ever moves;
     // the search proves no adversary-surviving play contains a single move.
@@ -1163,6 +1196,7 @@ pub fn table3_cells(n: usize) -> Vec<TableCell> {
             "Theorem 9",
             ModelCheck::new(scenario, Objective::AnyMove, 20 * n as u64),
             true,
+            scripted(AdversaryKind::BlockFirstMover),
         ));
     }
 
@@ -1177,6 +1211,7 @@ pub fn table3_cells(n: usize) -> Vec<TableCell> {
         "Theorem 10",
         ModelCheck::new(scenario, Objective::Explore, 8 * n as u64),
         true,
+        scripted(AdversaryKind::BlockForever { edge: 0 }),
     ));
 
     // Theorem 11 (PT): explicit termination of both agents is impossible.
@@ -1191,6 +1226,7 @@ pub fn table3_cells(n: usize) -> Vec<TableCell> {
         // deeper horizons explode the PT state space.
         ModelCheck::new(scenario, Objective::ExploreAndFullTermination, n as u64 + 4),
         true,
+        scripted(AdversaryKind::BlockForever { edge: n / 2 }),
     ));
 
     // Theorem 19 (ET, only a bound known): acting on a guessed size < n
@@ -1207,6 +1243,7 @@ pub fn table3_cells(n: usize) -> Vec<TableCell> {
             "Theorem 19",
             ModelCheck::new(scenario, Objective::NoPrematureTermination, 12 * n as u64),
             true,
+            scripted(AdversaryKind::Static),
         ));
     }
     cells
@@ -1222,8 +1259,8 @@ pub fn infeasibility_cells(n: usize) -> Vec<TableCell> {
 
 /// The Theorem 4 lower-bound cell: the correctly-parameterised `KnownBound`
 /// strategy *is* feasible, and the search's worst discovered schedule is the
-/// true worst case — `lower_bounds` consumes it, with Figure 2's hand script
-/// as the regression pin.
+/// true worst case — `lower_bounds` consumes it, with Figure 2's hand script,
+/// played on this cell's scenario, as the regression pin.
 #[must_use]
 pub fn theorem4_cell(n: usize) -> ModelCheck {
     assert!(n >= 5, "the Theorem 4 cell needs n >= 5");

@@ -1,7 +1,9 @@
 //! Helpers shared by the golden-execution suites (`tests/determinism.rs`
 //! pins the fresh-build lifecycle, `tests/recycle_equivalence.rs` the
 //! recycled one — both against the same pre-refactor digests, defined once
-//! here so the two suites can never assert different truths).
+//! here so the two suites can never assert different truths). The row-text
+//! pins of `tests/feasibility_map.rs` and `tests/model_check.rs` digest with
+//! the same [`fnv`].
 
 use dynring_analysis::scenario::{AdversaryKind, Scenario, SchedulerKind};
 use dynring_core::Algorithm;

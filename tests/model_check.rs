@@ -16,35 +16,89 @@ use dynring_graph::{EdgeId, EdgeSchedule, Handedness};
 use dynring_model::SynchronyModel;
 use proptest::prelude::*;
 
+/// The round the cell's sampled adversary defeats its safety objective
+/// in, or `None` where that play does not (measured at n = 4..=14): the
+/// Table 1 witnesses stop the deceived strategy at round 4 once the ring
+/// outgrows what it covers by then, and the Theorem 19 witness at 3n − 8,
+/// the search's own defeat round.
+fn sampled_defeat_round(id: &str, n: usize) -> Option<u64> {
+    match id.split('(').next() {
+        Some("MC-T1-R1") => (n >= 6).then_some(4),
+        Some("MC-T1-R2") => (n >= 7).then_some(4),
+        Some("MC-T3-R4") => Some(3 * n as u64 - 8),
+        _ => None,
+    }
+}
+
 /// The machine-checked acceptance matrix: every exhaustively checkable
 /// Table 1/3 cell for `4 ≤ n ≤ max_check_n` (default 9, `DYNRING_MC_MAX_N`
 /// raises it) resolves to the verdict the paper predicts, and every
 /// impossibility witness replays through [`AdversaryKind::Scripted`] to the
 /// same non-achievement outcome.
+///
+/// Each cell's sampled run, the scripted adversary its `tables` row plays,
+/// is checked against the search at the same size: it never defeats the
+/// feasible safety cell; it defeats every survival cell and outlasts the
+/// search's depth; and where it violates a safety objective, it does so no
+/// earlier than the search's earliest defeat, at the round
+/// [`sampled_defeat_round`] pins.
 #[test]
 fn every_table1_and_table3_row_is_proven_for_small_n() {
     for n in 4..=model_check::max_check_n(9) {
         for cell in model_check::infeasibility_cells(n) {
             let verdict = cell.check.run();
+            let objective = cell.check.objective;
+            let sampled = cell.sampled.run();
+            let sampled_defeat = objective.defeated_in(&sampled);
             if cell.expect_infeasible {
                 let proof = verdict.infeasible().unwrap_or_else(|| {
                     panic!("{} ({}) must be infeasible", cell.id, cell.claim)
                 });
                 let replay = cell.check.replay(&proof.witness);
                 assert!(
-                    cell.check.objective.defeated_in(&replay),
+                    objective.defeated_in(&replay),
                     "{}: the discovered witness (horizon {}) does not reproduce the \
                      {} defeat when replayed through a scripted adversary: {replay:?}",
                     cell.id,
                     proof.witness.horizon(),
-                    cell.check.objective.label(),
+                    objective.label(),
                 );
+                if objective.is_safety() {
+                    let first = sampled.first_termination().filter(|_| sampled_defeat);
+                    assert_eq!(
+                        first,
+                        sampled_defeat_round(&cell.id, n),
+                        "{}: the sampled adversary's defeat round moved",
+                        cell.id
+                    );
+                    assert!(
+                        first.is_none_or(|round| round >= proof.defeat_round),
+                        "{}: the sampled run defeats at round {first:?}, before the \
+                         search's earliest defeat at round {}",
+                        cell.id,
+                        proof.defeat_round
+                    );
+                } else {
+                    assert!(
+                        sampled_defeat && sampled.rounds >= cell.check.depth,
+                        "{}: the sampled run must survive the search's {} rounds \
+                         without {}: {sampled:?}",
+                        cell.id,
+                        cell.check.depth,
+                        objective.label()
+                    );
+                }
             } else {
                 assert!(
                     verdict.is_feasible(),
                     "{} ({}) must be feasible, got {verdict:?}",
                     cell.id,
                     cell.claim
+                );
+                assert!(
+                    !sampled_defeat,
+                    "{}: the sampled run defeats a feasible cell",
+                    cell.id
                 );
             }
         }
@@ -237,7 +291,10 @@ fn search_outputs_match_the_recorded_table() {
 /// built from the model-check cells.
 #[test]
 fn matrix_row_texts_match_the_recorded_digest() {
-    let rendered = markdown_table("Exhaustive model checking", &model_check::model_check_rows(&[4, 5]));
+    let rendered = markdown_table(
+        "Exhaustive model checking",
+        &model_check::model_check_rows(&[4, 5]),
+    );
     assert_eq!(
         common::fnv(&rendered),
         8_819_475_029_787_789_053,
