@@ -241,15 +241,39 @@ const SEARCH_PINS: &[Pin] = &[
     ("theorem4(n=7)", "feasible", 7664, 957, 170, 15, 15, 3738808876491554630),
 ];
 
-/// Every packaged Table 1/3 cell and the Theorem 4 cell at n = 4..=7 keep
-/// the verdict, the search statistics, the decisive round and the
-/// schedule pinned in [`SEARCH_PINS`]. The parallel-equivalence test only
-/// compares the search with itself; this one compares it with recorded
-/// outputs.
-#[test]
-fn search_outputs_match_the_recorded_table() {
-    let mut actual = Vec::new();
-    for n in 4..=7 {
+/// The sequential search's outputs for every packaged cell at n = 8 and 9,
+/// recorded before the frontier kept its states as canonical keys instead of
+/// checkpoints. MC-T3-R4(n=9) is the widest level any packaged cell reaches.
+#[rustfmt::skip]
+const LARGE_SEARCH_PINS: &[Pin] = &[
+    ("MC-T1-R1(n=8)", "infeasible", 118, 39, 27, 4, 4, 9184302537610829383),
+    ("MC-T1-R2(n=8)", "infeasible", 181, 77, 58, 4, 4, 9184302537610829383),
+    ("MC-T1-R3(n=8)", "feasible", 291114, 44512, 9374, 14, 14, 9599135402624532831),
+    ("MC-T3-R1a(n=8)", "infeasible", 1440, 160, 1, 160, 160, 130698245644896855),
+    ("MC-T3-R1b(n=8)", "infeasible", 1440, 160, 1, 160, 160, 130698245644896855),
+    ("MC-T3-R1c(n=8)", "infeasible", 1440, 160, 1, 160, 160, 13528325156849683716),
+    ("MC-T3-R2(n=8)", "infeasible", 58149, 6573, 129, 64, 64, 7558048800124486999),
+    ("MC-T3-R3(n=8)", "infeasible", 73107, 13150, 3206, 12, 12, 1585992810931534631),
+    ("MC-T3-R4(n=8)", "infeasible", 578437, 98105, 34894, 16, 16, 1194603362183938802),
+    ("theorem4(n=8)", "feasible", 22410, 2489, 381, 18, 18, 17294695848207821121),
+    ("MC-T1-R1(n=9)", "infeasible", 131, 39, 27, 4, 4, 4541620973260868256),
+    ("MC-T1-R2(n=9)", "infeasible", 201, 77, 58, 4, 4, 4541620973260868256),
+    ("MC-T1-R3(n=9)", "feasible", 448930, 64997, 11964, 15, 15, 7773165299807686166),
+    ("MC-T3-R1a(n=9)", "infeasible", 1800, 180, 1, 180, 180, 10600100660446696936),
+    ("MC-T3-R1b(n=9)", "infeasible", 1800, 180, 1, 180, 180, 10600100660446696936),
+    ("MC-T3-R1c(n=9)", "infeasible", 1800, 180, 1, 180, 180, 3020855445812093340),
+    ("MC-T3-R2(n=9)", "infeasible", 118080, 11992, 205, 72, 72, 7753199941306430760),
+    ("MC-T3-R3(n=9)", "infeasible", 134510, 21811, 5348, 13, 13, 13355959205264295730),
+    ("MC-T3-R4(n=9)", "infeasible", 3769228, 546450, 174023, 19, 19, 4234437316749315525),
+    ("theorem4(n=9)", "feasible", 56860, 5685, 773, 21, 21, 6428146506057711652),
+];
+
+/// The [`Pin`] rows of every packaged Table 1/3 cell and the Theorem 4 cell
+/// (from n = 5) at each size of `sizes`, searched on `threads` workers, each
+/// rendered by its `Debug` form.
+fn search_pin_rows(sizes: std::ops::RangeInclusive<usize>, threads: usize) -> Vec<String> {
+    let mut rows = Vec::new();
+    for n in sizes {
         let mut checks: Vec<(String, ModelCheck)> = model_check::infeasibility_cells(n)
             .into_iter()
             .map(|cell| (cell.id, cell.check))
@@ -258,7 +282,7 @@ fn search_outputs_match_the_recorded_table() {
             checks.push((format!("theorem4(n={n})"), model_check::theorem4_cell(n)));
         }
         for (id, check) in checks {
-            let verdict = check.run_with_threads(1);
+            let verdict = check.run_with_threads(threads);
             let stats = *verdict.stats();
             let (kind, round, digest) = match &verdict {
                 Verdict::Infeasible(p) => {
@@ -269,8 +293,8 @@ fn search_outputs_match_the_recorded_table() {
                 }
                 Verdict::Inconclusive { depth, .. } => ("inconclusive", *depth, 0),
             };
-            actual.push((
-                id,
+            let row = (
+                id.as_str(),
                 kind,
                 stats.expanded,
                 stats.visited,
@@ -278,12 +302,42 @@ fn search_outputs_match_the_recorded_table() {
                 stats.depth_reached,
                 round,
                 digest,
-            ));
+            );
+            rows.push(format!("{row:?}"));
         }
     }
-    let rendered: Vec<String> = actual.iter().map(|row| format!("{row:?}")).collect();
-    let expected: Vec<String> = SEARCH_PINS.iter().map(|row| format!("{row:?}")).collect();
-    assert_eq!(rendered, expected, "search outputs diverged from the recorded table");
+    rows
+}
+
+fn rendered(pins: &[Pin]) -> Vec<String> {
+    pins.iter().map(|row| format!("{row:?}")).collect()
+}
+
+/// Every packaged Table 1/3 cell and the Theorem 4 cell at n = 4..=7 keep
+/// the verdict, the search statistics, the decisive round and the
+/// schedule pinned in [`SEARCH_PINS`]. The parallel-equivalence test only
+/// compares the search with itself; this one compares it with recorded
+/// outputs.
+#[test]
+fn search_outputs_match_the_recorded_table() {
+    assert_eq!(
+        search_pin_rows(4..=7, 1),
+        rendered(SEARCH_PINS),
+        "search outputs diverged from the recorded table"
+    );
+}
+
+/// The same pins at n = 8 and 9, where the frontiers are widest, on the
+/// sequential search and on two workers.
+#[test]
+fn large_search_outputs_match_the_recorded_table() {
+    for threads in [1, 2] {
+        assert_eq!(
+            search_pin_rows(8..=9, threads),
+            rendered(LARGE_SEARCH_PINS),
+            "search outputs at {threads} thread(s) diverged from the recorded table"
+        );
+    }
 }
 
 /// The rendered rows of the n = 4, 5 matrix, as the `model_check` example
