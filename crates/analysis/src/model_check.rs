@@ -26,7 +26,7 @@
 //! crossed in that round ([`Simulation::crossed_edges`]); every other
 //! choice plays the all-present round and shares its outcome. Successors are
 //! deduplicated **per level** on the canonicalised configuration key of
-//! [`CheckpointStore::canonical_key_into`]: the lexicographic minimum over the
+//! [`Simulation::canonical_key_into`]: the lexicographic minimum over the
 //! ring's rotation/reflection automorphisms, or over the two maps that fix
 //! the landmark on a landmark ring. Only the ring's symmetries are
 //! quotiented: agents are encoded in id order, so two configurations that
@@ -34,11 +34,16 @@
 //! within a level because the FSYNC round hint makes configurations at
 //! different depths genuinely different states.
 //!
-//! Witness schedules are reconstructed from a parent-pointer arena: the
-//! frontier holds checkpoints, interior nodes only `(parent, choice)`
-//! links. Each worker keeps the checkpoints it reaches in a
-//! [`CheckpointStore`] of its own per level parity, so a search allocates
-//! per column doubling, not per state.
+//! A frontier state costs its key. Each worker keeps the keys it reaches in
+//! a dedup table of its own per level parity, and a frontier entry is the
+//! index of its key there, the [`SymmetryMap`] that won the key, and a link
+//! into a parent-pointer arena whose nodes are only `(parent, choice)`
+//! pairs. Expanding an entry rebuilds its state from the key with
+//! [`Simulation::restore_from_key`], in the frame the state was reached in,
+//! so the edge choices the search records, and the witness schedules it
+//! reconstructs from the links, are those of that frame. The crossed-edge
+//! choices restore the rebuilt parent from one checkpoint the worker
+//! reuses. The tables allocate per doubling, not per state.
 //!
 //! # Depth bounds
 //!
@@ -56,7 +61,7 @@ use crate::figures;
 use crate::report::RowResult;
 use crate::scenario::{AdversaryKind, Scenario, SchedulerKind};
 use dynring_core::Algorithm;
-use dynring_engine::{CheckpointStore, KeyScratch, RunReport, Simulation, StopCondition};
+use dynring_engine::{KeyScratch, RunReport, SimCheckpoint, Simulation, StopCondition, SymmetryMap};
 use dynring_graph::{EdgeId, EdgeSchedule, Handedness, RingTopology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -150,7 +155,12 @@ fn word_digest(bytes: &[u8]) -> u64 {
 ///
 /// `clear` keeps every buffer's capacity, so a recycled table performs no
 /// steady-state allocations once the hot level has been seen.
+///
+/// Each table sits on cache lines of its own: workers grow their tables
+/// side by side, and headers sharing a line would bounce between their
+/// cores on every insert.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct KeyTable {
     /// Open-addressed probe table storing `entry index + 1` (`0` = empty).
     /// Length is a power of two.
@@ -226,6 +236,14 @@ impl KeyTable {
         true
     }
 
+    /// Capacity × element size of every buffer.
+    fn bytes(&self) -> usize {
+        capacity_bytes(&self.slots)
+            + capacity_bytes(&self.digests)
+            + capacity_bytes(&self.ends)
+            + capacity_bytes(&self.arena)
+    }
+
     fn grow(&mut self) {
         let new_len = (self.slots.len() * 2).max(Self::INITIAL_SLOTS);
         self.slots.clear();
@@ -241,6 +259,11 @@ impl KeyTable {
     }
 }
 
+/// Capacity × element size of a buffer.
+fn capacity_bytes<T>(buffer: &Vec<T>) -> usize {
+    buffer.capacity() * std::mem::size_of::<T>()
+}
+
 /// Sentinel parent of the BFS root in the packed link arena.
 const ROOT_LINK: u32 = u32::MAX;
 
@@ -254,11 +277,13 @@ struct Link {
     choice: u16,
 }
 
-/// One frontier state: checkpoint `slot` of `worker`'s slab for the
-/// level's parity, and the link that reached it.
+/// One frontier state: key `slot` of `worker`'s table for the level's
+/// parity, the map that carried the state to that key, and the link that
+/// reached it.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    worker: u32,
+    worker: u16,
+    map: SymmetryMap,
     slot: u32,
     link: u32,
 }
@@ -273,8 +298,7 @@ enum Rec {
     /// Protocol win.
     Proto,
     /// Undecided configuration new to the worker. The `k`-th `New` record
-    /// of a worker's level is entry `k` of its key table and slot `k` of
-    /// its slab.
+    /// of a worker's level is entry `k` of its key table and of its maps.
     New,
     /// Duplicate of a key the worker reached earlier in the level (hence a
     /// global duplicate).
@@ -290,17 +314,19 @@ struct Worker {
     /// The cell's branchable simulation, built on the worker's first chunk
     /// of a run.
     sim: Option<Simulation>,
+    /// The current parent, rebuilt from its key: every crossed choice
+    /// restores it.
+    parent: SimCheckpoint,
     key_scratch: KeyScratch,
     key: Vec<u8>,
     /// The edges crossed in the current parent's all-present round.
     crossed: Vec<bool>,
-    /// The current parent's all-present successor (slot 0) and its key,
-    /// shared by every choice that removes an edge nobody crossed.
-    shared: CheckpointStore,
+    /// The key of the current parent's all-present successor, shared by
+    /// every choice that removes an edge nobody crossed.
     shared_key: Vec<u8>,
-    /// The worker's keys: every undecided successor its chunks reached,
-    /// each once.
-    seen: KeyTable,
+    /// The map of each key the worker added to its table this level, in
+    /// insertion order.
+    maps: Vec<SymmetryMap>,
     recs: Vec<Rec>,
     /// The chunks it claimed this level, in claim (hence level) order.
     claimed: Vec<usize>,
@@ -309,7 +335,7 @@ struct Worker {
 }
 
 /// Reusable buffers of one exhaustive search: the link arena, both
-/// frontiers, one worker per thread and each worker's checkpoint slabs.
+/// frontiers, one worker per thread and each worker's key tables.
 /// Holding a `SearchContext` across [`ModelCheck::run_in`] calls makes the
 /// search allocation-free in the steady state (the bench's counting
 /// allocator pins this).
@@ -319,18 +345,11 @@ pub struct SearchContext {
     frontier: Vec<Entry>,
     next: Vec<Entry>,
     workers: Vec<Worker>,
-    /// Checkpoint slabs by level parity, then by worker: a level's frontier
-    /// lives in one parity and its successors are written to the other, each
-    /// into the slab of the worker that reached it.
-    slabs: [Vec<Slab>; 2],
+    /// Key tables by level parity, then by worker: a level's frontier is
+    /// keys of its parity, and its successors' keys go to the other parity,
+    /// each into the table of the worker that reached it.
+    tables: [Vec<KeyTable>; 2],
 }
-
-/// One worker's checkpoint slab for one parity, on cache lines of its own:
-/// workers grow their slabs side by side, and slab headers sharing a line
-/// would bounce between their cores on every write.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct Slab(CheckpointStore);
 
 impl SearchContext {
     /// A context whose searches expand levels on `threads` workers
@@ -343,7 +362,7 @@ impl SearchContext {
             frontier: Vec::new(),
             next: Vec::new(),
             workers: (0..threads).map(|_| Worker::default()).collect(),
-            slabs: [(); 2].map(|()| (0..threads).map(|_| Slab::default()).collect()),
+            tables: [(); 2].map(|()| (0..threads).map(|_| KeyTable::default()).collect()),
         }
     }
 
@@ -357,6 +376,22 @@ impl SearchContext {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Bytes the context holds for search state, as capacity × element
+    /// size: both parities' key tables, the workers' map columns, the link
+    /// arena and both frontiers. Buffers keep their capacity across runs,
+    /// so after a run in a fresh context this is the run's high-water mark.
+    /// The workers' simulations and scratch buffers are not counted.
+    #[must_use]
+    pub fn store_bytes(&self) -> usize {
+        let tables: usize = self.tables.iter().flatten().map(KeyTable::bytes).sum();
+        let maps: usize = self.workers.iter().map(|worker| capacity_bytes(&worker.maps)).sum();
+        tables
+            + maps
+            + capacity_bytes(&self.links)
+            + capacity_bytes(&self.frontier)
+            + capacity_bytes(&self.next)
     }
 }
 
@@ -416,11 +451,20 @@ impl Objective {
 
     /// Scores a live configuration. `Undecided` implies at least one agent is
     /// still alive, so every undecided configuration can be expanded further.
+    ///
+    /// The search scores states rebuilt from their canonical keys, so this
+    /// must read only what a key holds (see [`Simulation::restore_from_key`]).
+    /// It must never read move counts, termination rounds, per-agent visit
+    /// maps, or the round `explored_at` holds (only whether it is set).
+    /// `AnyMove` reads the move total, which a rebuilt state zeroes: that is
+    /// sound only because a state with a move is decided, so every parent
+    /// the search expands has none, and its successors' totals count the
+    /// one round stepped since. The debug assertion below checks it.
     fn classify(self, sim: &Simulation) -> Outcome {
         let explored = sim.explored();
         let alive = sim.alive_count();
         let partial = alive < sim.agent_count();
-        match self {
+        let outcome = match self {
             Objective::Explore if explored => Outcome::ProtocolWins,
             Objective::Explore if alive == 0 => Outcome::AdversaryWins,
             Objective::ExploreAndPartialTermination if explored && partial => Outcome::ProtocolWins,
@@ -433,7 +477,14 @@ impl Objective {
             Objective::NoPrematureTermination if explored => Outcome::ProtocolWins,
             Objective::NoTermination if partial => Outcome::AdversaryWins,
             _ => Outcome::Undecided,
-        }
+        };
+        debug_assert!(
+            self != Objective::AnyMove
+                || !matches!(outcome, Outcome::Undecided)
+                || sim.total_moves() == 0,
+            "an undecided any-move state has a move, which its key would drop"
+        );
+        outcome
     }
 
     /// Whether a replayed [`RunReport`] exhibits the adversary's win — the
@@ -671,7 +722,8 @@ impl ModelCheck {
         for worker in &mut ctx.workers {
             worker.sim = None;
         }
-        let sim = ctx.workers[0].sim.insert(self.branchable_simulation());
+        let Worker { sim, key_scratch, key, .. } = &mut ctx.workers[0];
+        let sim = sim.insert(self.branchable_simulation());
         assert!(
             sim.supports_checkpoint(),
             "scheduler {:?} is not checkpointable and cannot be model checked",
@@ -702,9 +754,12 @@ impl ModelCheck {
         }
 
         let mut round = sim.round();
-        // A level's checkpoints live in the slabs of its round's parity.
-        sim.checkpoint_to_slot(&mut ctx.slabs[(round % 2) as usize][0].0, 0);
-        ctx.frontier.push(Entry { worker: 0, slot: 0, link: ROOT_LINK });
+        // A level's keys live in the tables of its round's parity.
+        let map = sim.canonical_key_into(key_scratch, key);
+        let root = &mut ctx.tables[(round % 2) as usize][0];
+        root.clear();
+        root.insert(key);
+        ctx.frontier.push(Entry { worker: 0, map, slot: 0, link: ROOT_LINK });
 
         for _ in 0..self.depth {
             if ctx.frontier.is_empty() {
@@ -753,10 +808,10 @@ impl ModelCheck {
     /// The level runs as one chunk on the caller's thread, or, when it is
     /// wide enough, as many contiguous chunks that `ctx.threads` scoped
     /// threads claim in order, one at a time. Each thread writes the records
-    /// of its chunks and every checkpoint new to it into its own worker; the
-    /// merge then replays the records in (item, choice) order and counts a
-    /// key new to its worker as globally new unless another worker reached
-    /// it in an earlier chunk.
+    /// of its chunks into its own worker and every key new to it into its
+    /// own table; the merge then replays the records in (item, choice) order
+    /// and counts a key new to its worker as globally new unless another
+    /// worker reached it in an earlier chunk.
     fn expand_level(
         &self,
         ctx: &mut SearchContext,
@@ -773,9 +828,9 @@ impl ModelCheck {
         } else {
             (1, width)
         };
-        // The frontier sits in the parity of its own round; successors go
-        // to the other one.
-        let [even, odd] = &mut ctx.slabs;
+        // The frontier's keys sit in the parity of its own round;
+        // successors' keys go to the other one.
+        let [even, odd] = &mut ctx.tables;
         let (current, successors) = if round % 2 == 1 { (&*even, odd) } else { (&*odd, even) };
         // Lowest chunk index that hit an adversary win. The merge never
         // reads records past that win, so chunks strictly after it may stop
@@ -788,8 +843,16 @@ impl ModelCheck {
         // frontier the chunks index was written before the threads started.
         let next_chunk = AtomicUsize::new(0);
         let frontier = &ctx.frontier[..];
-        let expand = |(worker, slab): (&mut Worker, _)| {
-            self.expand_chunks(frontier, chunk_len, &next_chunk, current, worker, slab, ring, &earliest_adv);
+        let expand = |(worker, table): (&mut Worker, _)| {
+            self.expand_chunks(
+                frontier,
+                chunk_len,
+                &next_chunk,
+                current,
+                worker,
+                table,
+                &earliest_adv,
+            );
         };
         let mut work = ctx.workers.iter_mut().zip(successors.iter_mut()).take(active);
         let first = work.next().expect("a context has at least one worker");
@@ -812,6 +875,7 @@ impl ModelCheck {
         for worker in &mut ctx.workers[..active] {
             worker.merged = (0, 0, 0);
         }
+        let tables = &ctx.tables[(round % 2) as usize][..active];
         for (chunk, items) in ctx.frontier.chunks(chunk_len).enumerate() {
             let workers = &ctx.workers[..active];
             let owner = workers
@@ -847,10 +911,11 @@ impl ModelCheck {
                         Rec::New => {
                             let slot = ordinal;
                             ordinal += 1;
-                            let (digest, key) = worker.seen.entry(slot);
-                            let reached_earlier = workers.iter().enumerate().any(|(other, w)| {
-                                other != owner && w.seen.contains_before(digest, key, w.merged.2)
-                            });
+                            let (digest, key) = tables[owner].entry(slot);
+                            let reached_earlier =
+                                workers.iter().zip(tables).enumerate().any(|(other, (w, table))| {
+                                    other != owner && table.contains_before(digest, key, w.merged.2)
+                                });
                             if reached_earlier {
                                 continue;
                             }
@@ -860,8 +925,9 @@ impl ModelCheck {
                                 return Some(Verdict::Inconclusive { stats: *stats, depth: round });
                             }
                             ctx.next.push(Entry {
-                                worker: u32::try_from(owner).expect("worker index exceeds u32"),
-                                slot: u32::try_from(slot).expect("slab exceeds u32 entries"),
+                                worker: u16::try_from(owner).expect("worker index exceeds u16"),
+                                map: worker.maps[slot],
+                                slot: u32::try_from(slot).expect("key table exceeds u32 entries"),
                                 link,
                             });
                         }
@@ -877,35 +943,43 @@ impl ModelCheck {
     /// Claims chunks of `frontier` from `next_chunk` until none is left and
     /// expands each: every admissible choice of every item, recorded in
     /// order into `worker.recs`. Each undecided successor new to the worker
-    /// keeps its checkpoint in the next free slot of `slab`.
+    /// keeps its key in `table` and its map in `worker.maps`.
     ///
-    /// A parent is stepped once per distinct round, not once per choice: its
-    /// all-present round first, then once per edge an agent crossed in it
-    /// (see [`Simulation::crossed_edges`]). Removing an edge nobody crossed
-    /// plays that same all-present round, so such a choice, and the
-    /// remove-nothing choice, take its outcome. The first of them probes its
-    /// key and, if it is new, copies its checkpoint into the slab; every
-    /// later one is a duplicate of it. The records are those of stepping
-    /// every choice.
+    /// An item's state is rebuilt from its key in `current`, and stepped
+    /// once per distinct round, not once per choice: its all-present round
+    /// first, then once per edge an agent crossed in it (see
+    /// [`Simulation::crossed_edges`]), each from a checkpoint of the rebuilt
+    /// state. Removing an edge nobody crossed plays that same all-present
+    /// round, so such a choice, and the remove-nothing choice, take its
+    /// outcome. The first of them probes its key; every later one is a
+    /// duplicate of it. The records are those of stepping every choice.
     #[allow(clippy::too_many_arguments)]
     fn expand_chunks(
         &self,
         frontier: &[Entry],
         chunk_len: usize,
         next_chunk: &AtomicUsize,
-        current: &[Slab],
+        current: &[KeyTable],
         worker: &mut Worker,
-        slab: &mut Slab,
-        ring: &RingTopology,
+        table: &mut KeyTable,
         earliest_adv: &AtomicUsize,
     ) {
-        let Worker { sim, key_scratch, key, crossed, shared, shared_key, seen, recs, claimed, .. } =
+        let Worker { sim, parent, key_scratch, key, crossed, shared_key, maps, recs, claimed, .. } =
             worker;
-        let Slab(slab) = slab;
         let sim = sim.get_or_insert_with(|| self.branchable_simulation());
-        seen.clear();
+        table.clear();
+        maps.clear();
         recs.clear();
         claimed.clear();
+        // Keeps a successor's key and map if the key is new to the worker.
+        let mut keep = |key: &[u8], map: SymmetryMap| {
+            if table.insert(key) {
+                maps.push(map);
+                Rec::New
+            } else {
+                Rec::Dup
+            }
+        };
         loop {
             let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
             let Some(items) = frontier.chunks(chunk_len).nth(chunk) else { return };
@@ -914,33 +988,29 @@ impl ModelCheck {
                 if earliest_adv.load(Ordering::Relaxed) < chunk {
                     break;
                 }
-                let parent = &current[item.worker as usize].0;
-                let parent_slot = item.slot as usize;
-                sim.restore_from_slot(parent, parent_slot);
+                let (_, parent_key) = current[usize::from(item.worker)].entry(item.slot as usize);
+                sim.restore_from_key(parent_key, item.map);
+                sim.checkpoint_into(parent);
                 sim.step_with_edge(None);
-                sim.crossed_edges_since_slot(parent, parent_slot, crossed);
+                sim.crossed_edges(parent, crossed);
                 let all_present = self.objective.classify(sim);
-                if let Outcome::Undecided = all_present {
-                    sim.checkpoint_to_slot(shared, 0);
-                    shared.canonical_key_into(0, ring, key_scratch, shared_key);
-                }
+                let shared_map = match all_present {
+                    Outcome::Undecided => sim.canonical_key_into(key_scratch, shared_key),
+                    _ => SymmetryMap::default(),
+                };
                 let mut shared_kept = false;
                 // The n + 1 admissible adversary choices: remove edge e, or
                 // remove nothing (encoded as choice index n, never crossed).
                 for (choice_index, &crossed) in crossed.iter().chain(&[false]).enumerate() {
                     let rec = if crossed {
-                        sim.restore_from_slot(parent, parent_slot);
+                        sim.restore(parent);
                         sim.step_with_edge(Some(EdgeId::new(choice_index)));
                         match self.objective.classify(sim) {
                             Outcome::AdversaryWins => Rec::Adv,
                             Outcome::ProtocolWins => Rec::Proto,
                             Outcome::Undecided => {
-                                // A duplicate leaves its slot free for the
-                                // next successor.
-                                let slot = seen.len();
-                                sim.checkpoint_to_slot(slab, slot);
-                                slab.canonical_key_into(slot, ring, key_scratch, key);
-                                if seen.insert(key) { Rec::New } else { Rec::Dup }
+                                let map = sim.canonical_key_into(key_scratch, key);
+                                keep(key, map)
                             }
                         }
                     } else {
@@ -950,13 +1020,7 @@ impl ModelCheck {
                             Outcome::Undecided if shared_kept => Rec::Dup,
                             Outcome::Undecided => {
                                 shared_kept = true;
-                                let slot = seen.len();
-                                if seen.insert(shared_key) {
-                                    slab.copy_slot(slot, shared, 0);
-                                    Rec::New
-                                } else {
-                                    Rec::Dup
-                                }
+                                keep(shared_key, shared_map)
                             }
                         }
                     };
@@ -1457,7 +1521,7 @@ mod tests {
     }
 
     #[test]
-    fn reused_parallel_context_retains_a_bounded_number_of_checkpoints() {
+    fn reused_parallel_context_retains_a_bounded_number_of_keys() {
         // The Theorem 10 cell at n = 7 peaks at a frontier of 78, past the
         // 32-wide threshold of the parallel path.
         let cell = table3_cells(7)
@@ -1468,16 +1532,32 @@ mod tests {
         let first = cell.check.run_in(&mut ctx);
         let stats = *first.stats();
         assert!(stats.peak_frontier >= PARALLEL_FRONTIER_MIN);
-        // Which worker claims which chunk varies from run to run, but a slab
-        // never holds more than one level's successors, however often the
-        // context is reused.
+        // Which worker claims which chunk varies from run to run, but a key
+        // table never holds more than one level's successors, however often
+        // the context is reused.
         let level_successors = (cell.check.scenario.ring().size() + 1) * stats.peak_frontier;
         assert!(level_successors < usize::try_from(stats.visited).unwrap());
         for _ in 0..4 {
             assert_eq!(cell.check.run_in(&mut ctx).stats(), &stats);
-            for Slab(store) in ctx.slabs.iter().flatten() {
-                assert!(store.len() <= level_successors, "{} > {level_successors}", store.len());
+            for table in ctx.tables.iter().flatten() {
+                assert!(table.len() <= level_successors, "{} > {level_successors}", table.len());
             }
+        }
+    }
+
+    #[test]
+    fn store_high_water_of_the_widest_cell_is_pinned() {
+        // The sequential search's buffers grow deterministically, so their
+        // high-water mark is exact: a memory regression fails here rather
+        // than hiding in resident-size noise.
+        for (n, expected) in [(7, 1_822_720), (8, 14_450_688)] {
+            let cell = table3_cells(n)
+                .into_iter()
+                .find(|cell| cell.id.starts_with("MC-T3-R4"))
+                .expect("the Theorem 19 cell is packaged from n = 5");
+            let mut ctx = SearchContext::new(1);
+            let _ = cell.check.run_in(&mut ctx);
+            assert_eq!(ctx.store_bytes(), expected, "{}", cell.id);
         }
     }
 }

@@ -5,9 +5,13 @@
 //! wall-clock rows for every infeasibility cell at n = 9 and, in full mode,
 //! n = 10.
 //!
-//! It refreshes the `model_check_cases` section of `BENCH_engine.json` and,
-//! on multi-core hosts, gates on the same-process `PARALLEL` ratio
-//! (four-thread ÷ sequential states/sec on the widest cell).
+//! It refreshes the `model_check_cases` section of `BENCH_engine.json`,
+//! prints one `STORE` line per row with the search state's high-water
+//! bytes ([`SearchContext::store_bytes`]), and, on multi-core hosts, gates on
+//! the same-process `PARALLEL` ratio (four-thread ÷ sequential states/sec
+//! on the widest cell).
+//!
+//! [`SearchContext::store_bytes`]: dynring_analysis::model_check::SearchContext::store_bytes
 //!
 //! ```bash
 //! cargo bench --bench model_check_throughput            # full measurement
@@ -62,6 +66,10 @@ fn main() {
             r.max
         );
         samples.push(sample);
+    }
+    println!();
+    for sample in &samples {
+        println!("STORE {} {} bytes", sample.id, sample.store_bytes);
     }
     if !parallel {
         println!("\nPARALLEL pair skipped: single-core host (the parallel search's byte-identity is test-pinned)");

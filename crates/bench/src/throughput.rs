@@ -557,6 +557,7 @@ pub fn measure_states(case: &ModelCheckCase, budget: Duration) -> ModelCheckSamp
         },
         elapsed_ns: start.elapsed().as_nanos(),
         states_per_sec: Rates::of(&mut run_rates),
+        store_bytes: ctx.store_bytes(),
     }
 }
 
@@ -585,6 +586,10 @@ pub struct ModelCheckSample {
     pub elapsed_ns: u128,
     /// Expanded states per second over the runs.
     pub states_per_sec: Rates,
+    /// [`SearchContext::store_bytes`] after the runs: the search state's
+    /// high-water mark in bytes, a memory figure that does not move with
+    /// the host.
+    pub store_bytes: usize,
 }
 
 /// A same-process comparison between two rows of one grid: the row whose id
@@ -1125,6 +1130,7 @@ mod tests {
             dedup_ratio: 4.2,
             elapsed_ns: 10,
             states_per_sec: rates(states_per_sec),
+            store_bytes: 1 << 20,
         }
     }
 

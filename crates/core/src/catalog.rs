@@ -13,7 +13,7 @@
 //! types, and that enum is the engine's only program type. Dispatching
 //! `decide` through it is a **static `match`** the compiler can inline, so
 //! a Look–Compute cycle pays **zero virtual calls**, and the engine copies
-//! program state (prediction probes, checkpoint slots, trace labels) with a
+//! program state (prediction probes, checkpoints, trace labels) with a
 //! plain variant-matching [`Clone::clone_from`].
 //!
 //! A new protocol joins as one more [`CatalogProtocol`] variant plus its
@@ -23,6 +23,7 @@
 use crate::fsync::{KnownBound, LandmarkChirality, LandmarkNoChirality, Unconscious};
 use crate::single::LoneWalker;
 use crate::ssync::{EtUnconscious, PtBoundChirality, PtLandmarkChirality, PtNoChirality};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{
     Decision, Protocol, ScenarioAssumptions, Snapshot, SynchronyModel, TerminationKind,
     TransportModel,
@@ -276,7 +277,7 @@ impl fmt::Display for Algorithm {
 /// (inlinable) call into the wrapped state machine, so a team runs its whole
 /// Look–Compute cycle without a single virtual call. The enum also carries a
 /// variant-matching [`Clone::clone_from`], which is how the engine refreshes
-/// prediction probes, checkpoint slots and trace labels in place.
+/// prediction probes, checkpoints and trace labels in place.
 ///
 /// The nine variants cover the paper's algorithm catalogue as mapped out in
 /// [`Algorithm::instantiate`]:
@@ -409,6 +410,58 @@ impl Clone for CatalogProtocol {
     }
 }
 
+impl CatalogProtocol {
+    /// Overwrites the program with the state [`Protocol::write_state_key`]
+    /// wrote to `key`: the inverse of the key, so that decoding a key and
+    /// keying the result gives the same bytes back. A program of the key's
+    /// variant decodes in place, reusing any heap buffer it holds; any
+    /// other is first replaced by a fresh program of that variant.
+    ///
+    /// This lives here rather than on [`Protocol`]: only the engine's
+    /// programs are ever rebuilt from a key, and every one of them is a
+    /// `CatalogProtocol`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a key `write_state_key` cannot have written.
+    pub fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        let tag = key.byte();
+        if self.tag() != tag {
+            // Any algorithm of the tag's variant will do: every field is
+            // overwritten below.
+            *self = match tag {
+                0 => Algorithm::KnownBound { upper_bound: 3 },
+                1 => Algorithm::Unconscious,
+                2 => Algorithm::LandmarkChirality,
+                3 => Algorithm::LandmarkNoChirality,
+                4 => Algorithm::PtBoundChirality { upper_bound: 3 },
+                5 => Algorithm::PtLandmarkChirality,
+                6 => Algorithm::PtLandmarkNoChirality,
+                7 => Algorithm::EtUnconscious,
+                8 => Algorithm::LoneWalker { patience: 0 },
+                _ => panic!("program tag {tag} is out of range"),
+            }
+            .instantiate();
+        }
+        dispatch!(self, p => p.read_state_key(key));
+    }
+
+    /// The variant tag that leads the program's key.
+    fn tag(&self) -> u8 {
+        match self {
+            CatalogProtocol::KnownBound(_) => 0,
+            CatalogProtocol::Unconscious(_) => 1,
+            CatalogProtocol::LandmarkChirality(_) => 2,
+            CatalogProtocol::LandmarkNoChirality(_) => 3,
+            CatalogProtocol::PtBoundChirality(_) => 4,
+            CatalogProtocol::PtLandmarkChirality(_) => 5,
+            CatalogProtocol::PtNoChirality(_) => 6,
+            CatalogProtocol::EtUnconscious(_) => 7,
+            CatalogProtocol::LoneWalker(_) => 8,
+        }
+    }
+}
+
 /// Every method forwards to the wrapped state machine through the static
 /// `match`, and the trace-facing strings (`name`, `state_label`) are
 /// bit-identical to the wrapped protocol's own.
@@ -437,17 +490,7 @@ impl Protocol for CatalogProtocol {
     fn write_state_key(&self, out: &mut Vec<u8>) {
         // A leading variant tag keeps encodings of different catalogue
         // algorithms disjoint even when their field encodings would collide.
-        out.push(match self {
-            CatalogProtocol::KnownBound(_) => 0,
-            CatalogProtocol::Unconscious(_) => 1,
-            CatalogProtocol::LandmarkChirality(_) => 2,
-            CatalogProtocol::LandmarkNoChirality(_) => 3,
-            CatalogProtocol::PtBoundChirality(_) => 4,
-            CatalogProtocol::PtLandmarkChirality(_) => 5,
-            CatalogProtocol::PtNoChirality(_) => 6,
-            CatalogProtocol::EtUnconscious(_) => 7,
-            CatalogProtocol::LoneWalker(_) => 8,
-        });
+        out.push(self.tag());
         dispatch!(self, p => p.write_state_key(out))
     }
 }
@@ -533,10 +576,55 @@ mod tests {
     }
 
     #[test]
+    fn every_program_reads_back_its_own_key() {
+        use dynring_model::{LocalPosition, NodeOccupancy, PriorOutcome};
+        // Varied outcomes, landmark sightings and company drive each
+        // program through several states; at every one, a program of
+        // another variant decodes the key to the same state and key.
+        let priors = [
+            PriorOutcome::Idle,
+            PriorOutcome::Moved,
+            PriorOutcome::BlockedOnPort,
+            PriorOutcome::BlockedOnPort,
+            PriorOutcome::Moved,
+            PriorOutcome::Transported,
+            PriorOutcome::PortAcquisitionFailed,
+        ];
+        for algorithm in Algorithm::full_catalog(8) {
+            let mut program = algorithm.instantiate();
+            let mut decoded = Algorithm::LoneWalker { patience: 0 }.instantiate();
+            let (mut key, mut rekey) = (Vec::new(), Vec::new());
+            for (round, &prior) in (1..).zip(priors.iter().cycle().take(60)) {
+                let snapshot = Snapshot {
+                    position: LocalPosition::InNode,
+                    is_landmark: round % 5 == 0,
+                    occupancy: NodeOccupancy {
+                        in_node: usize::from(round % 7 == 3),
+                        ..NodeOccupancy::default()
+                    },
+                    prior,
+                    round_hint: Some(round),
+                };
+                program.decide(&snapshot);
+                key.clear();
+                program.write_state_key(&mut key);
+                let mut reader = KeyReader::new(&key);
+                decoded.read_state_key(&mut reader);
+                let label = format!("{algorithm} round {round}");
+                assert!(reader.rest().is_empty(), "{label}: trailing bytes");
+                rekey.clear();
+                decoded.write_state_key(&mut rekey);
+                assert_eq!(rekey, key, "{label}");
+                assert_eq!(format!("{decoded:?}"), format!("{program:?}"), "{label}");
+            }
+        }
+    }
+
+    #[test]
     fn catalog_protocol_fits_a_narrow_program_column() {
-        // A checkpoint slot holds one `CatalogProtocol` per agent in its
-        // program column, so the enum's width is that column's stride:
-        // every restore, checkpoint and slot copy moves it once per agent.
+        // A checkpoint holds one `CatalogProtocol` per agent in its program
+        // column, so the enum's width is that column's stride: every
+        // restore and checkpoint moves it once per agent.
         assert!(
             std::mem::size_of::<CatalogProtocol>() <= 176,
             "CatalogProtocol is {} bytes wide",

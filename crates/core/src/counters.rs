@@ -23,6 +23,7 @@
 //!   stands on the landmark with a net offset different from the offset of
 //!   its first landmark visit; the absolute difference is exactly `n`.
 
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, PriorOutcome, Snapshot};
 use serde::{Deserialize, Serialize};
 
@@ -280,6 +281,30 @@ impl Counters {
         push_opt_u64(out, self.known_size);
         out.push(direction_key(self.last_attempt));
     }
+
+    /// Overwrites every field with the ones [`Counters::write_state_key`]
+    /// wrote to `key`, reading past them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a key `write_state_key` cannot have written.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        *self = Counters {
+            activated: key.present(),
+            ttime: key.u64(),
+            tsteps: key.u64(),
+            etime: key.u64(),
+            esteps: key.u64(),
+            btime: key.u64(),
+            ntime: key.u64(),
+            offset: key.i64(),
+            min_offset: key.i64(),
+            max_offset: key.i64(),
+            landmark_ref: key.opt_i64(),
+            known_size: key.opt_u64(),
+            last_attempt: direction_from_key(key.byte()),
+        };
+    }
 }
 
 /// Single-byte injective encoding of an optional local direction.
@@ -290,6 +315,41 @@ pub(crate) fn direction_key(dir: Option<LocalDirection>) -> u8 {
         Some(LocalDirection::Left) => 1,
         Some(LocalDirection::Right) => 2,
     }
+}
+
+/// The inverse of [`direction_key`].
+///
+/// # Panics
+///
+/// Panics on a byte `direction_key` never returns.
+#[must_use]
+pub(crate) fn direction_from_key(byte: u8) -> Option<LocalDirection> {
+    match byte {
+        0 => None,
+        1 => Some(LocalDirection::Left),
+        2 => Some(LocalDirection::Right),
+        _ => panic!("direction key {byte} is out of range"),
+    }
+}
+
+/// Reads a one-byte code written as the index of its value in `values`
+/// (the state enums' key bytes).
+///
+/// # Panics
+///
+/// Panics on a code past the end of `values`.
+pub(crate) fn read_code<T: Copy>(key: &mut KeyReader<'_>, values: &[T]) -> T {
+    let code = key.byte();
+    *values.get(usize::from(code)).unwrap_or_else(|| panic!("state code {code} is out of range"))
+}
+
+/// Reads a direction that [`direction_key`] wrote as `Some`.
+///
+/// # Panics
+///
+/// Panics on any other byte.
+pub(crate) fn read_direction(key: &mut KeyReader<'_>) -> LocalDirection {
+    direction_from_key(key.byte()).expect("a direction that is always set")
 }
 
 #[cfg(test)]

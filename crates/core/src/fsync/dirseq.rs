@@ -9,6 +9,7 @@
 //! direction for any desired number `c·n` of consecutive rounds, within
 //! `32·((len(ID) + 3)·c·n) + 1` rounds.
 
+use dynring_model::statekey::KeyReader;
 use dynring_model::LocalDirection;
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +38,7 @@ pub struct DirectionSequence {
 }
 
 // Manual `Clone` so that `clone_from` reuses the capacity of `base`: the
-// engine refreshes its prediction probes, checkpoint slots and trace labels
+// engine refreshes its prediction probes, checkpoints and trace labels
 // through `CatalogProtocol::clone_from` every round.
 impl Clone for DirectionSequence {
     fn clone(&self) -> Self {
@@ -79,18 +80,25 @@ impl DirectionSequence {
     /// Builds the direction schedule for the given identifier value.
     #[must_use]
     pub fn new(id: u64) -> Self {
+        let mut seq = DirectionSequence { id, base: Vec::new(), base_phase: 0 };
+        seq.rebuild(id);
+        seq
+    }
+
+    /// Makes this the sequence of `id`, in place (`base` keeps its
+    /// capacity).
+    fn rebuild(&mut self, id: u64) {
         // S(ID) = "10" ∘ b(ID) ∘ "0"
-        let mut s = vec![1u8, 0u8];
-        s.extend(binary_string(id));
-        s.push(0);
+        let bits = (64 - id.leading_zeros()).max(1);
+        let len = bits as usize + 3;
         // j̄ = min j with 2^j ≥ len(S); pad S with leading zeros to length 2^j̄.
-        let mut base_phase = 0u32;
-        while (1usize << base_phase) < s.len() {
-            base_phase += 1;
-        }
-        let mut base = vec![0u8; (1usize << base_phase) - s.len()];
-        base.extend_from_slice(&s);
-        DirectionSequence { id, base, base_phase }
+        self.base_phase = len.next_power_of_two().trailing_zeros();
+        self.base.clear();
+        self.base.resize((1usize << self.base_phase) - len, 0);
+        self.base.extend([1, 0]);
+        self.base.extend((0..bits).rev().map(|i| ((id >> i) & 1) as u8));
+        self.base.push(0);
+        self.id = id;
     }
 
     /// The identifier this sequence was built from.
@@ -105,6 +113,12 @@ impl DirectionSequence {
     /// identifier alone is injective on the whole struct.
     pub fn write_state_key(&self, out: &mut Vec<u8>) {
         dynring_model::statekey::push_u64(out, self.id);
+    }
+
+    /// Overwrites the sequence with the one `write_state_key` wrote to
+    /// `key`, rebuilding it in place.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.rebuild(key.u64());
     }
 
     /// `j̄`: the first phase whose length accommodates `S(ID)`.

@@ -15,16 +15,14 @@
 //! taking, for every bit position, the bit of `k1`, then of `k2`, then of
 //! `k3`.
 
+use dynring_model::statekey::KeyReader;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Minimal binary representation of `value` (at least one digit).
-fn to_bits(value: u64) -> Vec<u8> {
-    if value == 0 {
-        return vec![0];
-    }
-    let len = 64 - value.leading_zeros() as usize;
-    (0..len).rev().map(|i| ((value >> i) & 1) as u8).collect()
+/// Length of the minimal binary representation of `value` (at least one
+/// digit).
+fn bit_len(value: u64) -> u32 {
+    (64 - value.leading_zeros()).max(1)
 }
 
 /// Interleaves the bits of `k1`, `k2`, `k3` (each padded with a prefix of
@@ -47,23 +45,25 @@ fn to_bits(value: u64) -> Vec<u8> {
 /// ```
 #[must_use]
 pub fn interleave_id(k1: u64, k2: u64, k3: u64) -> (String, u64) {
-    let (b1, b2, b3) = (to_bits(k1), to_bits(k2), to_bits(k3));
-    let width = b1.len().max(b2.len()).max(b3.len());
-    let pad = |bits: &[u8]| -> Vec<u8> {
-        let mut padded = vec![0u8; width - bits.len()];
-        padded.extend_from_slice(bits);
-        padded
-    };
-    let (b1, b2, b3) = (pad(&b1), pad(&b2), pad(&b3));
-    let mut bits = String::with_capacity(3 * width);
+    let mut bits = String::new();
+    let value = interleave_into(k1, k2, k3, &mut bits);
+    (bits, value)
+}
+
+/// [`interleave_id`] written into `bits` (cleared first, capacity reused),
+/// returning the value.
+fn interleave_into(k1: u64, k2: u64, k3: u64, bits: &mut String) -> u64 {
+    let width = bit_len(k1).max(bit_len(k2)).max(bit_len(k3));
+    bits.clear();
     let mut value: u64 = 0;
-    for i in 0..width {
-        for bit in [b1[i], b2[i], b3[i]] {
+    for i in (0..width).rev() {
+        for k in [k1, k2, k3] {
+            let bit = (k >> i) & 1;
             bits.push(if bit == 1 { '1' } else { '0' });
-            value = (value << 1) | u64::from(bit);
+            value = (value << 1) | bit;
         }
     }
-    (bits, value)
+    value
 }
 
 /// The identifier an agent computes from its blocking history
@@ -78,7 +78,7 @@ pub struct AgentIdentifier {
 }
 
 // Manual `Clone` so that `clone_from` reuses the capacity of `bits`: the
-// engine refreshes its prediction probes, checkpoint slots and trace labels
+// engine refreshes its prediction probes, checkpoints and trace labels
 // through `CatalogProtocol::clone_from` every round.
 impl Clone for AgentIdentifier {
     fn clone(&self) -> Self {
@@ -159,6 +159,13 @@ impl AgentIdentifier {
         push_u64(out, self.k2);
         push_u64(out, self.k3);
     }
+
+    /// Overwrites the identifier with the one `write_state_key` wrote to
+    /// `key`, rebuilding the bit string in place.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        (self.k1, self.k2, self.k3) = (key.u64(), key.u64(), key.u64());
+        self.value = interleave_into(self.k1, self.k2, self.k3, &mut self.bits);
+    }
 }
 
 impl fmt::Display for AgentIdentifier {
@@ -173,10 +180,11 @@ mod tests {
 
     #[test]
     fn minimal_binary_representation() {
-        assert_eq!(to_bits(0), vec![0]);
-        assert_eq!(to_bits(1), vec![1]);
-        assert_eq!(to_bits(6), vec![1, 1, 0]);
-        assert_eq!(to_bits(8), vec![1, 0, 0, 0]);
+        assert_eq!(bit_len(0), 1);
+        assert_eq!(bit_len(1), 1);
+        assert_eq!(bit_len(6), 3);
+        assert_eq!(bit_len(8), 4);
+        assert_eq!(bit_len(u64::MAX), 64);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! the ring size, explore any 1-interval-connected ring and both explicitly
 //! terminate within `3N − 6` rounds.
 
-use crate::counters::Counters;
+use crate::counters::{read_code, Counters};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -161,13 +162,19 @@ impl Protocol for KnownBound {
 
     fn write_state_key(&self, out: &mut Vec<u8>) {
         dynring_model::statekey::push_u64(out, self.bound);
-        out.push(match self.state {
-            State::Init => 0,
-            State::Bounce => 1,
-            State::Forward => 2,
-            State::Terminate => 3,
-        });
+        out.push(self.state as u8);
         self.counters.write_state_key(out);
+    }
+}
+
+impl KnownBound {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.bound = key.u64();
+        // A state's key byte is its index in declaration order.
+        let states = [State::Init, State::Bounce, State::Forward, State::Terminate];
+        self.state = read_code(key, &states);
+        self.counters.read_state_key(key);
     }
 }
 

@@ -20,7 +20,8 @@
 //!   runs the imperative code of Figure 4 immediately, as the paper requires
 //!   ("change state … and process it in the same round").
 
-use crate::counters::Counters;
+use crate::counters::{read_code, Counters};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -273,20 +274,32 @@ impl Protocol for LandmarkChirality {
 
     fn write_state_key(&self, out: &mut Vec<u8>) {
         use dynring_model::statekey::push_opt_u64;
-        out.push(match self.state {
-            LcState::Init => 0,
-            LcState::Bounce => 1,
-            LcState::Return => 2,
-            LcState::Forward => 3,
-            LcState::BCommSignal => 4,
-            LcState::BCommWait => 5,
-            LcState::FCommSignal => 6,
-            LcState::FCommWait => 7,
-            LcState::Terminate => 8,
-        });
+        out.push(self.state as u8);
         push_opt_u64(out, self.bounce_steps);
         push_opt_u64(out, self.return_steps);
         self.counters.write_state_key(out);
+    }
+}
+
+impl LandmarkChirality {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        let states = [
+            LcState::Init,
+            LcState::Bounce,
+            LcState::Return,
+            LcState::Forward,
+            LcState::BCommSignal,
+            LcState::BCommWait,
+            LcState::FCommSignal,
+            LcState::FCommWait,
+            LcState::Terminate,
+        ];
+        // A state's key byte is its index in declaration order.
+        self.state = read_code(key, &states);
+        self.bounce_steps = key.opt_u64();
+        self.return_steps = key.opt_u64();
+        self.counters.read_state_key(key);
     }
 }
 

@@ -21,9 +21,10 @@
 //! the catch (the paper states the two cases are "the same as in Algorithm
 //! `LandmarkWithChirality`").
 
-use crate::counters::Counters;
+use crate::counters::{direction_from_key, read_code, read_direction, Counters};
 use crate::fsync::dirseq::DirectionSequence;
 use crate::fsync::ident::AgentIdentifier;
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -589,22 +590,7 @@ impl Protocol for LandmarkNoChirality {
 
     fn write_state_key(&self, out: &mut Vec<u8>) {
         use dynring_model::statekey::{push_opt_u64, push_u64};
-        out.push(match self.state {
-            LnState::Init => 0,
-            LnState::FirstBlock => 1,
-            LnState::AtLandmark => 2,
-            LnState::AtLandmarkWait => 3,
-            LnState::Happy => 4,
-            LnState::Reverse => 5,
-            LnState::Bounce => 6,
-            LnState::Return => 7,
-            LnState::Forward => 8,
-            LnState::BCommSignal => 9,
-            LnState::BCommWait => 10,
-            LnState::FCommSignal => 11,
-            LnState::FCommWait => 12,
-            LnState::Terminate => 13,
-        });
+        out.push(self.state as u8);
         out.push(u8::from(self.landmark_phase));
         out.push(crate::counters::direction_key(Some(self.dir)));
         push_u64(out, self.k1);
@@ -627,6 +613,52 @@ impl Protocol for LandmarkNoChirality {
         push_opt_u64(out, self.bounce_steps);
         push_opt_u64(out, self.return_steps);
         self.counters.write_state_key(out);
+    }
+}
+
+impl LandmarkNoChirality {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    /// An identifier or direction sequence already held is rebuilt in
+    /// place, so its heap buffer is reused.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        let states = [
+            LnState::Init,
+            LnState::FirstBlock,
+            LnState::AtLandmark,
+            LnState::AtLandmarkWait,
+            LnState::Happy,
+            LnState::Reverse,
+            LnState::Bounce,
+            LnState::Return,
+            LnState::Forward,
+            LnState::BCommSignal,
+            LnState::BCommWait,
+            LnState::FCommSignal,
+            LnState::FCommWait,
+            LnState::Terminate,
+        ];
+        // A state's key byte is its index in declaration order.
+        self.state = read_code(key, &states);
+        self.landmark_phase = key.present();
+        self.dir = read_direction(key);
+        self.k1 = key.u64();
+        self.k3 = key.u64();
+        if key.present() {
+            self.identifier
+                .get_or_insert_with(|| AgentIdentifier::from_counters(0, 0, 0))
+                .read_state_key(key);
+        } else {
+            self.identifier = None;
+        }
+        if key.present() {
+            self.sequence.get_or_insert_with(|| DirectionSequence::new(0)).read_state_key(key);
+        } else {
+            self.sequence = None;
+        }
+        self.fwd = direction_from_key(key.byte());
+        self.bounce_steps = key.opt_u64();
+        self.return_steps = key.opt_u64();
+        self.counters.read_state_key(key);
     }
 }
 

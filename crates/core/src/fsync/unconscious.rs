@@ -4,7 +4,8 @@
 //! explore every 1-interval-connected ring within `O(n)` rounds, without ever
 //! terminating (termination is impossible in this setting by Theorems 1/2).
 
-use crate::counters::Counters;
+use crate::counters::{read_code, read_direction, Counters};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -166,16 +167,22 @@ impl Protocol for Unconscious {
     }
 
     fn write_state_key(&self, out: &mut Vec<u8>) {
-        out.push(match self.state {
-            State::Init => 0,
-            State::Bounce => 1,
-            State::Reverse => 2,
-            State::Forward => 3,
-            State::Keep => 4,
-        });
+        out.push(self.state as u8);
         dynring_model::statekey::push_u64(out, self.guess);
         out.push(crate::counters::direction_key(Some(self.dir)));
         self.counters.write_state_key(out);
+    }
+}
+
+impl Unconscious {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        // A state's key byte is its index in declaration order.
+        let states = [State::Init, State::Bounce, State::Reverse, State::Forward, State::Keep];
+        self.state = read_code(key, &states);
+        self.guess = key.u64();
+        self.dir = read_direction(key);
+        self.counters.read_state_key(key);
     }
 }
 

@@ -8,7 +8,8 @@
 //! [`BlockSingleAgent`-style adversary](https://docs.rs/dynring-engine) in
 //! the analysis crate.
 
-use crate::counters::Counters;
+use crate::counters::{read_direction, Counters};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -82,6 +83,15 @@ impl Protocol for LoneWalker {
         dynring_model::statekey::push_u64(out, self.patience);
         out.push(crate::counters::direction_key(Some(self.dir)));
         self.counters.write_state_key(out);
+    }
+}
+
+impl LoneWalker {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.patience = key.u64();
+        self.dir = read_direction(key);
+        self.counters.read_state_key(key);
     }
 }
 

@@ -4,7 +4,8 @@
 //! catches someone solves the exploration in ET" — two agents with chirality
 //! suffice.
 
-use crate::counters::Counters;
+use crate::counters::{read_direction, Counters};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -80,6 +81,14 @@ impl Protocol for EtUnconscious {
     fn write_state_key(&self, out: &mut Vec<u8>) {
         out.push(crate::counters::direction_key(Some(self.dir)));
         self.counters.write_state_key(out);
+    }
+}
+
+impl EtUnconscious {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.dir = read_direction(key);
+        self.counters.read_state_key(key);
     }
 }
 

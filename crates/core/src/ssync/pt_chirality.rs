@@ -8,7 +8,8 @@
 //! landmark. One agent always terminates explicitly; the other terminates or
 //! ends up waiting forever on a port (strong partial termination).
 
-use crate::counters::Counters;
+use crate::counters::{read_code, Counters};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -97,15 +98,24 @@ impl PtChirality {
             }
             DoneTest::LandmarkLoop => out.push(1),
         }
-        out.push(match self.state {
-            State::Init => 0,
-            State::Bounce => 1,
-            State::Reverse => 2,
-            State::Terminate => 3,
-        });
+        out.push(self.state as u8);
         push_opt_u64(out, self.left_steps);
         push_opt_u64(out, self.right_steps);
         self.counters.write_state_key(out);
+    }
+
+    fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.done = match key.byte() {
+            0 => DoneTest::UpperBound(key.u64()),
+            1 => DoneTest::LandmarkLoop,
+            tag => panic!("termination test tag {tag} is out of range"),
+        };
+        // A state's key byte is its index in declaration order.
+        let states = [State::Init, State::Bounce, State::Reverse, State::Terminate];
+        self.state = read_code(key, &states);
+        self.left_steps = key.opt_u64();
+        self.right_steps = key.opt_u64();
+        self.counters.read_state_key(key);
     }
 
     fn step(&mut self, snapshot: &Snapshot) -> Decision {
@@ -224,6 +234,13 @@ impl Protocol for PtBoundChirality {
     }
 }
 
+impl PtBoundChirality {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.inner.read_state_key(key);
+    }
+}
+
 /// Algorithm `PTLandmarkWithChirality` of Figure 17: two agents, chirality,
 /// landmark; `O(n²)` edge traversals (Theorem 14), asymptotically optimal
 /// (Theorem 15).
@@ -287,6 +304,13 @@ impl Protocol for PtLandmarkChirality {
 
     fn write_state_key(&self, out: &mut Vec<u8>) {
         self.inner.write_state_key(out);
+    }
+}
+
+impl PtLandmarkChirality {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.inner.read_state_key(key);
     }
 }
 

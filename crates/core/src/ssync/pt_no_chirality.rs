@@ -10,7 +10,8 @@
 //! previous one (the agents must have crossed), or when it has certainly
 //! visited the whole ring.
 
-use crate::counters::Counters;
+use crate::counters::{read_code, Counters};
+use dynring_model::statekey::KeyReader;
 use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
 use serde::{Deserialize, Serialize};
 
@@ -305,16 +306,34 @@ impl Protocol for PtNoChirality {
             SizeTermination::LandmarkLoop => out.push(2),
         }
         out.push(u8::from(self.strict));
-        out.push(match self.state {
-            State::Init => 0,
-            State::Bounce => 1,
-            State::Reverse => 2,
-            State::MeetingR => 3,
-            State::MeetingB => 4,
-            State::Terminate => 5,
-        });
+        out.push(self.state as u8);
         push_u64(out, self.d);
         self.counters.write_state_key(out);
+    }
+}
+
+impl PtNoChirality {
+    /// Overwrites the state with the one `write_state_key` wrote to `key`.
+    pub(crate) fn read_state_key(&mut self, key: &mut KeyReader<'_>) {
+        self.done = match key.byte() {
+            0 => SizeTermination::UpperBound(key.u64()),
+            1 => SizeTermination::ExactSize(key.u64()),
+            2 => SizeTermination::LandmarkLoop,
+            tag => panic!("termination test tag {tag} is out of range"),
+        };
+        self.strict = key.present();
+        let states = [
+            State::Init,
+            State::Bounce,
+            State::Reverse,
+            State::MeetingR,
+            State::MeetingB,
+            State::Terminate,
+        ];
+        // A state's key byte is its index in declaration order.
+        self.state = read_code(key, &states);
+        self.d = key.u64();
+        self.counters.read_state_key(key);
     }
 }
 

@@ -1,25 +1,17 @@
-//! Branchable run state: the checkpoints the model checker forks from, and
-//! the canonical configuration key its memo table deduplicates on.
+//! Branchable run state: the checkpoint a run forks from, and the canonical
+//! configuration key the model checker deduplicates on and rebuilds its
+//! frontier states from.
 //!
-//! A checkpoint captures everything that determines a run's future
+//! A [`SimCheckpoint`] captures everything that determines a run's future
 //! behaviour — the run counters (round, live agents, unvisited nodes,
 //! exploration round), the global visit map, the agent columns (every
 //! agent's position, held port, orientation, prior outcome, termination
 //! round, statistics, visit map and full program state) and the activation
 //! policy's state token (see
 //! [`ActivationPolicy::state_token`](crate::scheduler::ActivationPolicy::state_token)).
-//!
-//! Checkpoints live in a [`CheckpointStore`], one growable buffer per
-//! column. With `A` agents on `n` nodes, slot `k` holds rows `k·A..(k+1)·A`
-//! of each per-agent column, rows `k·n..(k+1)·n` of the global visit map and
-//! rows `k·A·n..(k+1)·A·n` of the per-agent visit maps, plus one counter set
-//! and one activation token. The agent columns are the simulation's own
-//! struct-of-arrays type, one column per agent fact, so checkpointing into a
-//! slot, restoring from one and copying a slot between stores are each the
-//! one column copy `AgentSoA::copy_team`. A store allocates once
-//! per column doubling and frees once per column, however many checkpoints
-//! it holds. A [`SimCheckpoint`] is a store of one slot, for callers that
-//! keep one state at a time.
+//! The agent columns are the simulation's own struct-of-arrays type, one
+//! column per agent fact, so checkpointing and restoring are each one
+//! in-place copy per column, and a reused checkpoint allocates nothing.
 //!
 //! Three things are deliberately *not* captured:
 //!
@@ -38,7 +30,9 @@
 //! Exhaustive search over adversary choices revisits the same configuration
 //! through many different histories, and configurations that differ only by
 //! a symmetry of the ring are behaviourally interchangeable. The key
-//! produced by [`CheckpointStore::canonical_key_into`] quotients both away:
+//! written by [`Simulation::canonical_key_into`](crate::sim::Simulation::canonical_key_into)
+//! (or [`SimCheckpoint::canonical_key_into`] of a checkpoint) quotients
+//! both away:
 //!
 //! * **rotation** — on anonymous rings, shifting every node index by a
 //!   constant relabels the ring without changing anything any agent can
@@ -53,28 +47,30 @@
 //!   comparable across cells that only differ in where the landmark sits.
 //!
 //! The key is the lexicographic minimum of the encoded configuration over
-//! the admissible maps (2 for landmark rings, `2n` for anonymous ones).
-//! The encoding covers exactly the state that can influence future
-//! behaviour: the permuted visit map, each agent's mapped position, held
-//! port, termination flag, handedness, prior outcome, sleep/activation ages
-//! (read by the paper's schedulers) and the complete program state
-//! (protocols only ever observe local-frame snapshots, so program state is
-//! invariant under both symmetries). Statistics that feed reports but never
-//! decisions — move counts, termination rounds, per-agent visit maps — are
-//! excluded, which is what lets the memo table collapse distinct histories
-//! onto one frontier state.
+//! the admissible maps (2 for landmark rings, `2n` for anonymous ones), and
+//! keying also returns the [`SymmetryMap`] that attains it. The encoding
+//! covers exactly the state that can influence future behaviour: the
+//! permuted visit map, each agent's mapped position, held port, termination
+//! flag, handedness, prior outcome, sleep/activation ages (read by the
+//! paper's schedulers) and the complete program state (protocols only ever
+//! observe local-frame snapshots, so program state is invariant under both
+//! symmetries). Statistics that feed reports but never decisions — move
+//! counts, termination rounds, per-agent visit maps — are excluded, which
+//! is what lets the memo table collapse distinct histories onto one
+//! frontier state.
 //!
 //! # Packed key format
 //!
-//! [`CheckpointStore::canonical_key_into`] produces the key in a compact
-//! binary layout with **zero steady-state allocations** (all buffers come
-//! from a recycled [`KeyScratch`]). Every integer is a prefix-free LEB128
-//! varint written by [`dynring_model::statekey`], the one module that knows
-//! the integer encoding:
+//! The key is a compact binary layout written with **zero steady-state
+//! allocations** (all buffers come from a recycled [`KeyScratch`]). Every
+//! integer is a prefix-free LEB128 varint written by
+//! [`dynring_model::statekey`], the one module that knows the integer
+//! encoding:
 //!
 //! * a *symmetry-invariant* prefix, emitted once — round counter,
-//!   activation-policy token, and per agent the sleep age, the dense rank of
-//!   its last-active round, and its length-prefixed program state via
+//!   activation-policy token, and per agent the sleep age, the competition
+//!   rank of its last-active round (how many agents were last active
+//!   strictly earlier), and its length-prefixed program state via
 //!   [`Protocol::write_state_key`]
 //!   (the `CatalogProtocol` variant tag, then the protocol's packed
 //!   varints);
@@ -102,15 +98,42 @@
 //! are equal. The unit tests hold a second, `Debug`-string encoding of the
 //! same configuration and check that both keys split configurations into
 //! the same classes.
+//!
+//! # Decoding a key
+//!
+//! The model checker keeps a frontier state as its key and the map that
+//! won it, nothing more, and
+//! [`Simulation::restore_from_key`](crate::sim::Simulation::restore_from_key)
+//! rebuilds the run from the two. Undoing the map puts every node, the
+//! visit map, each held port's direction and each handedness back in the
+//! frame the state was keyed in, so the rebuilt run steps exactly as the
+//! keyed one did. The decode contract:
+//!
+//! * **read back** from the key: round, activation token, visit map, and
+//!   per agent the node, held port, handedness, prior outcome, termination
+//!   flag, sleep age and program state;
+//! * **rebuilt** from those: the live-agent and unvisited counts, and the
+//!   exploration round, set to the key's round when every node is visited;
+//!   each last-active round becomes the agent's dense rank (how many
+//!   distinct earlier rounds the team was last active in), which keeps the
+//!   agents' order and ties and never exceeds the round;
+//! * **zeroed**, as the key omits them: move counts (0), termination rounds
+//!   (the key's round for every terminated agent) and the per-agent visit
+//!   maps (cleared).
+//!
+//! The zeroed fields, and the exact values of the rebuilt rounds, are
+//! meaningless in a key-restored run. The search never reads them (see
+//! `Objective::classify` in `dynring-analysis`), and it replays every
+//! witness through a scripted adversary from the cell's start to report on
+//! it.
 
 use crate::sim::RunCounters;
-use crate::world::{put_slot, AgentSoA};
+use crate::world::AgentSoA;
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
-use dynring_model::statekey::{push_prefixed, push_u64};
+use dynring_model::statekey::{push_prefixed, push_u64, KeyReader};
 use dynring_model::{PriorOutcome, Protocol};
-use std::ops::Range;
 
-/// Recycled scratch buffer for [`CheckpointStore::canonical_key_into`].
+/// Recycled scratch buffer for canonical keys.
 ///
 /// Holding one `KeyScratch` per search worker makes canonicalisation
 /// allocation-free in the steady state: the candidate buffer of the direct
@@ -131,188 +154,148 @@ impl KeyScratch {
     }
 }
 
-/// Checkpoints of one simulation shape, kept column by column in numbered
-/// slots (see the [module docs](self) for the layout).
-///
-/// [`Simulation::checkpoint_to_slot`](crate::sim::Simulation::checkpoint_to_slot)
-/// writes a slot,
-/// [`Simulation::restore_from_slot`](crate::sim::Simulation::restore_from_slot)
-/// reads one back and [`CheckpointStore::copy_slot`] copies one between
-/// stores. Slots are written in order: writing slot [`CheckpointStore::len`]
-/// appends it, writing an earlier one overwrites it in place, and a write
-/// of another team or ring shape must be to slot 0, which empties the store
-/// first. Capacity is kept throughout, so refilling a store with up to as
-/// many checkpoints of one shape as it has held before allocates nothing.
-#[derive(Debug, Default)]
-pub struct CheckpointStore {
-    /// The agent columns, in the simulation's own layout, slot after slot.
-    pub(crate) agents: AgentSoA,
-    /// The global visit maps, one ring's worth per slot.
-    pub(crate) visited: Vec<bool>,
-    /// The run counters of each slot.
-    pub(crate) counters: Vec<RunCounters>,
-    /// The activation policy's state token of each slot.
-    pub(crate) activation_tokens: Vec<u64>,
-    /// Agents per slot and ring size: the shape every slot shares.
-    pub(crate) shape: (usize, usize),
+/// One admissible symmetry of a ring: `v ↦ v + rot`, or `v ↦ rot − v` when
+/// it reflects, packed into a `u16` (rings of up to 32 768 nodes). Keying a
+/// configuration returns the map that carries it to its key, and
+/// [`Simulation::restore_from_key`](crate::sim::Simulation::restore_from_key)
+/// undoes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SymmetryMap(u16);
+
+impl SymmetryMap {
+    /// The map `(rot, reflect)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rot` does not fit the packed width.
+    fn new((rot, reflect): (usize, bool)) -> Self {
+        let packed = (rot << 1) | usize::from(reflect);
+        SymmetryMap(u16::try_from(packed).expect("ring too wide for a packed symmetry map"))
+    }
+
+    fn rot(self) -> usize {
+        usize::from(self.0 >> 1)
+    }
+
+    fn reflects(self) -> bool {
+        self.0 & 1 == 1
+    }
+
+    /// Node `v`'s image on a ring of `n` nodes.
+    fn apply(self, n: usize, v: usize) -> usize {
+        map_node(n, v, self.rot(), self.reflects())
+    }
+
+    /// The node whose image is `w`: a reflection is its own inverse, and
+    /// a rotation by `rot` is undone by one by `n − rot`.
+    fn invert(self, n: usize, w: usize) -> usize {
+        let rot = if self.reflects() || self.rot() == 0 { self.rot() } else { n - self.rot() };
+        map_node(n, w, rot, self.reflects())
+    }
 }
 
-impl CheckpointStore {
-    /// Number of slots written since the store last changed shape.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
+/// The key-visible state of one run, borrowed from a live simulation or a
+/// checkpoint: what a canonical key encodes.
+pub(crate) struct KeyedState<'a> {
+    pub(crate) agents: &'a AgentSoA,
+    pub(crate) visited: &'a [bool],
+    pub(crate) round: u64,
+    pub(crate) token: u64,
+}
 
-    /// Whether no slot has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// Makes slot `to` a copy of slot `from` of `src` — the same column copy
-    /// as checkpointing a simulation into it.
+impl KeyedState<'_> {
+    /// Writes the canonicalised configuration key into `out` (cleared
+    /// first; capacity reused across calls), in the packed format of the
+    /// [module docs](self), and returns the map that attains it. Two states
+    /// receive the same key **iff** their configurations are identical up
+    /// to the ring symmetries — the memo-table identity of the model
+    /// checker's breadth-first search. This is the allocation-free hot
+    /// path; `scratch` is the caller's.
     ///
-    /// # Panics
-    ///
-    /// Panics if `to` is past [`CheckpointStore::len`] (or not 0 when `src`
-    /// has another shape), or `from` is not a slot of `src`.
-    pub fn copy_slot(&mut self, to: usize, src: &CheckpointStore, from: usize) {
-        let state = (src.counters[from], src.activation_tokens[from]);
-        self.write(to, &src.agents, from, src.shape, src.visited_at(from), state);
-    }
-
-    /// Writes slot `slot` from team slot `from` of `agents` (a team of
-    /// `shape`), the global visit map `visited` and the run counters and
-    /// activation token in `state`: the one write behind checkpointing a
-    /// simulation and copying a slot.
-    pub(crate) fn write(
-        &mut self,
-        slot: usize,
-        agents: &AgentSoA,
-        from: usize,
-        shape: (usize, usize),
-        visited: &[bool],
-        (counters, token): (RunCounters, u64),
-    ) {
-        let slots = if shape == self.shape { self.len() } else { 0 };
-        assert!(slot <= slots, "slot {slot} is past the end of a {slots}-slot store");
-        let slots = slots.max(slot + 1);
-        self.shape = shape;
-        self.agents.copy_team(slot, slots, agents, from, shape);
-        put_slot(&mut self.visited, slot, slots, visited);
-        put_slot(&mut self.counters, slot, slots, &[counters]);
-        put_slot(&mut self.activation_tokens, slot, slots, &[token]);
-    }
-
-    /// The global visit map of slot `slot`.
-    pub(crate) fn visited_at(&self, slot: usize) -> &[bool] {
-        let ring = self.shape.1;
-        &self.visited[slot * ring..(slot + 1) * ring]
-    }
-
-    /// The agent rows of slot `slot`.
-    fn rows(&self, slot: usize) -> Range<usize> {
-        let team = self.shape.0;
-        slot * team..(slot + 1) * team
-    }
-
-    /// Writes the canonicalised configuration key of slot `slot` into `out`
-    /// (cleared first; capacity reused across calls), in the packed format
-    /// of the [module docs](self). Two slots receive the same key **iff**
-    /// their configurations are identical up to the ring symmetries — the
-    /// memo-table identity of the model checker's breadth-first search.
-    /// This is the allocation-free hot path; `scratch` is the caller's.
-    ///
-    /// The caller's `ring` must be the ring the slot was captured on (the
-    /// store does not keep the landmark). The bytes are those of
-    /// [`SimCheckpoint::canonical_key_exhaustive`]; only the search for the
+    /// `ring` must be the ring the state was captured on (the state does
+    /// not keep the landmark). The bytes are those of
+    /// [`KeyedState::canonical_key_exhaustive`]; only the search for the
     /// minimising map differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not a slot of the store or `ring`'s size does not
-    /// match it.
-    pub fn canonical_key_into(
+    pub(crate) fn canonical_key_into(
         &self,
-        slot: usize,
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
-    ) {
-        self.write_invariant_prefix(slot, ring, out);
+    ) -> SymmetryMap {
+        self.write_invariant_prefix(ring, out);
         if ring.size() > 64 {
-            self.push_min_variant_exhaustive(slot, ring, scratch, out);
+            self.push_min_variant_exhaustive(ring, scratch, out)
         } else {
-            self.push_min_variant(slot, ring, out);
+            self.push_min_variant(ring, out)
         }
     }
 
-    /// The packed key of slot `slot`, chosen the direct way (see
+    /// The packed key, chosen the direct way (see
     /// [`SimCheckpoint::canonical_key_exhaustive`]).
     pub(crate) fn canonical_key_exhaustive(
         &self,
-        slot: usize,
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
-    ) {
-        self.write_invariant_prefix(slot, ring, out);
-        self.push_min_variant_exhaustive(slot, ring, scratch, out);
+    ) -> SymmetryMap {
+        self.write_invariant_prefix(ring, out);
+        self.push_min_variant_exhaustive(ring, scratch, out)
     }
 
-    /// Writes the symmetry-invariant prefix of slot `slot`'s packed key into
-    /// `out` (cleared first).
-    fn write_invariant_prefix(&self, slot: usize, ring: &RingTopology, out: &mut Vec<u8>) {
-        assert_eq!(self.shape.1, ring.size(), "checkpoint is from a different ring");
-        assert!(slot < self.len(), "slot {slot} of a {}-slot store", self.len());
+    /// Writes the symmetry-invariant prefix of the packed key into `out`
+    /// (cleared first).
+    fn write_invariant_prefix(&self, ring: &RingTopology, out: &mut Vec<u8>) {
+        assert_eq!(self.visited.len(), ring.size(), "state is from a different ring");
         // Symmetry-invariant prefix: both map families relabel nodes and
         // global directions but never touch round counters, scheduler state,
         // sleep ages or program state (protocols only see local frames), so
         // these are emitted once, outside the min-over-maps loop.
-        let agents = &self.agents;
-        let rows = self.rows(slot);
-        let last_active = &agents.last_active_round[rows.clone()];
+        let agents = self.agents;
+        let last_active = &agents.last_active_round;
         out.clear();
-        push_u64(out, self.counters[slot].round);
-        push_u64(out, self.activation_tokens[slot]);
-        for index in rows {
+        push_u64(out, self.round);
+        push_u64(out, self.token);
+        for (index, &r) in last_active.iter().enumerate() {
             push_u64(out, agents.asleep_on_port[index]);
             // `last_active_round` is only consumed through order comparisons
             // (`min_by_key` in the first-mover scheduler and adversary), so
-            // the key encodes its dense rank among the agents: plays reaching
+            // the key encodes its competition rank among the agents, the
+            // number of agents last active strictly earlier: plays reaching
             // the same configuration along different activation histories
             // coincide. Teams are tiny, so the O(k²) scan beats allocating a
             // rank table.
-            let r = agents.last_active_round[index];
             let rank = last_active.iter().filter(|&&other| other < r).count();
             push_u64(out, rank as u64);
             push_prefixed(out, |out| agents.program[index].write_state_key(out));
         }
     }
 
-    /// Appends the lexicographically least variant section of slot `slot`
-    /// over the admissible maps, emitting every candidate in full.
+    /// Appends the lexicographically least variant section over the
+    /// admissible maps, emitting every candidate in full, and returns the
+    /// first map that attains it.
     fn push_min_variant_exhaustive(
         &self,
-        slot: usize,
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
-    ) {
+    ) -> SymmetryMap {
         let variant_at = out.len();
-        for (i, (rot, reflect)) in admissible_maps(ring).enumerate() {
-            self.emit_variant(slot, ring.size(), rot, reflect, &mut scratch.candidate);
+        let mut winner = SymmetryMap::default();
+        for (i, map) in admissible_maps(ring).enumerate() {
+            let map = SymmetryMap::new(map);
+            self.emit_variant(ring.size(), map, &mut scratch.candidate);
             if i == 0 || scratch.candidate.as_slice() < &out[variant_at..] {
                 out.truncate(variant_at);
                 out.extend_from_slice(&scratch.candidate);
+                winner = map;
             }
         }
+        winner
     }
 
     /// Appends the same section as
-    /// [`CheckpointStore::push_min_variant_exhaustive`] for a ring of at
-    /// most 64 nodes, in two passes of integer compares.
+    /// [`KeyedState::push_min_variant_exhaustive`] for a ring of at most 64
+    /// nodes, in two passes of integer compares, and returns the same map.
     ///
     /// The section opens with the bit-packed visit map, so that map decides
     /// the minimum first. Each candidate's visit map is a rotation, or a
@@ -323,11 +306,11 @@ impl CheckpointStore {
     /// bytes are its mapped node's one-byte varint and its flags byte, which
     /// compare as the `u16` `node << 8 | flags`: pass two finds the least
     /// such value of the first agent among the maps tying on the mask.
-    fn push_min_variant(&self, slot: usize, ring: &RingTopology, out: &mut Vec<u8>) {
+    fn push_min_variant(&self, ring: &RingTopology, out: &mut Vec<u8>) -> SymmetryMap {
         let n = ring.size();
         let full = u64::MAX >> (64 - n);
         let visited = self
-            .visited_at(slot)
+            .visited
             .iter()
             .enumerate()
             .fold(0u64, |mask, (v, &seen)| mask | (u64::from(seen) << v));
@@ -355,14 +338,15 @@ impl CheckpointStore {
         // reflection move its node to different nodes, and a reflection
         // flips its handedness bit. So the first agent's value alone
         // decides the agents' lexicographic order, for any team size, and
-        // no two maps tie on the whole section unless the team is empty.
+        // no two maps tie on the whole section unless the team is empty
+        // (the first tying map wins then, as in the exhaustive search).
         let agent = |index: usize| (self.agents.node[index].index(), self.flags(index));
         let value = |(node, flags): (usize, [u8; 2]), (rot, reflect): (usize, bool)| {
             // `node < n ≤ 64`, so the value fits in a `u16`.
             ((map_node(n, node, rot, reflect) as u16) << 8) | u16::from(flags[usize::from(reflect)])
         };
-        let rows = self.rows(slot);
-        let first = (!rows.is_empty()).then(|| agent(rows.start));
+        let team = self.agents.len();
+        let first = (team > 0).then(|| agent(0));
         let (mut winner, mut winner_value) = ((0, false), u32::MAX);
         for map in admissible_maps(ring) {
             let value = match first {
@@ -375,25 +359,24 @@ impl CheckpointStore {
             }
         }
         out.extend_from_slice(&least.swap_bytes().to_le_bytes()[..n.div_ceil(8)]);
-        for index in rows {
+        for index in 0..team {
             let value = value(agent(index), winner);
             push_u64(out, u64::from(value >> 8));
             out.push(value as u8);
         }
+        SymmetryMap::new(winner)
     }
 
-    /// The symmetry-variant section of slot `slot`'s packed key under one
-    /// candidate map: bit-packed permuted visit map, then mapped node +
-    /// flags byte per agent.
-    fn emit_variant(&self, slot: usize, n: usize, rot: usize, reflect: bool, buf: &mut Vec<u8>) {
+    /// The symmetry-variant section of the packed key under one candidate
+    /// map: bit-packed permuted visit map, then mapped node + flags byte per
+    /// agent.
+    fn emit_variant(&self, n: usize, map: SymmetryMap, buf: &mut Vec<u8>) {
         buf.clear();
-        let visited = self.visited_at(slot);
         // Node `w` of the canonical image is node `map⁻¹(w)` of the
-        // original (both map families are trivially invertible).
+        // original.
         let mut packed = 0u8;
         for w in 0..n {
-            let v = if reflect { (rot + n - w) % n } else { (w + n - rot) % n };
-            if visited[v] {
+            if self.visited[map.invert(n, w)] {
                 packed |= 1 << (w % 8);
             }
             if w % 8 == 7 {
@@ -404,19 +387,17 @@ impl CheckpointStore {
         if !n.is_multiple_of(8) {
             buf.push(packed);
         }
-        for index in self.rows(slot) {
-            let node = map_node(n, self.agents.node[index].index(), rot, reflect);
-            push_u64(buf, node as u64);
-            buf.push(self.flags(index)[usize::from(reflect)]);
+        for index in 0..self.agents.len() {
+            push_u64(buf, map.apply(n, self.agents.node[index].index()) as u64);
+            buf.push(self.flags(index)[usize::from(map.reflects())]);
         }
     }
 
-    /// The flags bytes of agent row `index` under a candidate map that does
-    /// not reflect the ring (`[0]`) and under one that does (`[1]`).
-    /// Reflection swaps the held port's global direction and flips the
-    /// handedness bit.
+    /// The flags bytes of agent `index` under a candidate map that does not
+    /// reflect the ring (`[0]`) and under one that does (`[1]`). Reflection
+    /// swaps the held port's global direction and flips the handedness bit.
     fn flags(&self, index: usize) -> [u8; 2] {
-        let agents = &self.agents;
+        let agents = self.agents;
         let port = match agents.held_port[index] {
             None => [0, 0],
             Some(GlobalDirection::Ccw) => [1, 2],
@@ -426,15 +407,110 @@ impl CheckpointStore {
             Handedness::LeftIsCcw => [0, 1 << 3],
             Handedness::LeftIsCw => [1 << 3, 0],
         };
-        let prior = match agents.prior[index] {
-            PriorOutcome::Idle => 0u8,
-            PriorOutcome::Moved => 1,
-            PriorOutcome::BlockedOnPort => 2,
-            PriorOutcome::PortAcquisitionFailed => 3,
-            PriorOutcome::Transported => 4,
-        };
+        // A prior's code is its declaration index, as `PRIORS` lists them.
+        let prior = agents.prior[index] as u8;
         let shared = (u8::from(agents.terminated_at[index].is_some()) << 2) | (prior << 4);
         [shared | port[0] | handedness[0], shared | port[1] | handedness[1]]
+    }
+}
+
+/// The prior outcomes in declaration order, indexed by their 3-bit code in
+/// a flags byte.
+const PRIORS: [PriorOutcome; 5] = [
+    PriorOutcome::Idle,
+    PriorOutcome::Moved,
+    PriorOutcome::BlockedOnPort,
+    PriorOutcome::PortAcquisitionFailed,
+    PriorOutcome::Transported,
+];
+
+/// Rebuilds the team's columns and the global visit map from `key`, a key
+/// of a state with as many agents as `agents` on a ring of
+/// `visited.len()` nodes, in the frame `map` carried to the key, and
+/// returns the run counters and activation token (see "Decoding a key" in
+/// the [module docs](self)). Programs decode in place.
+///
+/// # Panics
+///
+/// Panics if `key` is not such a key.
+pub(crate) fn read_key(
+    key: &[u8],
+    map: SymmetryMap,
+    agents: &mut AgentSoA,
+    visited: &mut [bool],
+) -> (RunCounters, u64) {
+    let n = visited.len();
+    let mut key = KeyReader::new(key);
+    let round = key.u64();
+    let token = key.u64();
+    for index in 0..agents.len() {
+        agents.asleep_on_port[index] = key.u64();
+        agents.last_active_round[index] = key.u64();
+        let mut program = key.prefixed();
+        agents.program[index].read_state_key(&mut program);
+        assert!(program.rest().is_empty(), "program key has trailing bytes");
+    }
+    dense_from_competition(&mut agents.last_active_round);
+    let packed = key.bytes(n.div_ceil(8));
+    let mut unvisited = 0;
+    for (v, seen) in visited.iter_mut().enumerate() {
+        let w = map.apply(n, v);
+        *seen = (packed[w / 8] >> (w % 8)) & 1 == 1;
+        unvisited += usize::from(!*seen);
+    }
+    let mut alive = 0;
+    for index in 0..agents.len() {
+        let w = usize::try_from(key.u64()).expect("node index fits in memory");
+        assert!(w < n, "mapped node {w} is off a {n}-node ring");
+        agents.node[index] = NodeId::new(map.invert(n, w));
+        let flags = key.byte();
+        let (ccw, cw) = if map.reflects() { (2, 1) } else { (1, 2) };
+        agents.held_port[index] = match flags & 3 {
+            0 => None,
+            port if port == ccw => Some(GlobalDirection::Ccw),
+            port if port == cw => Some(GlobalDirection::Cw),
+            port => panic!("held-port code {port} is out of range"),
+        };
+        agents.handedness[index] = if (flags & (1 << 3) != 0) == map.reflects() {
+            Handedness::LeftIsCcw
+        } else {
+            Handedness::LeftIsCw
+        };
+        let terminated = flags & (1 << 2) != 0;
+        agents.terminated_at[index] = terminated.then_some(round);
+        alive += usize::from(!terminated);
+        let prior = PRIORS.get(usize::from(flags >> 4));
+        agents.prior[index] = *prior.expect("prior code is out of range");
+        agents.moves[index] = 0;
+    }
+    assert!(key.rest().is_empty(), "key has trailing bytes");
+    agents.visited.fill(false);
+    let explored_at = (unvisited == 0).then_some(round);
+    (RunCounters { round, alive, unvisited, explored_at }, token)
+}
+
+/// Turns competition ranks (each the number of smaller values) into dense
+/// ranks (each the number of distinct smaller values), in place: the same
+/// order and ties, each value at most the number of tie groups below it.
+///
+/// A tie group's competition rank is the previous group's plus that group's
+/// size, so the groups are visited upward from rank 0. Every entry already
+/// rewritten holds less than the next dense rank, which is at most the
+/// competition rank of the next group: no rewritten entry is matched again.
+///
+/// # Panics
+///
+/// Panics if `ranks` are not competition ranks.
+fn dense_from_competition(ranks: &mut [u64]) {
+    let (mut group, mut dense, mut done) = (0, 0, 0);
+    while done < ranks.len() {
+        let mut size = 0;
+        for rank in ranks.iter_mut().filter(|rank| **rank == group) {
+            *rank = dense;
+            size += 1;
+        }
+        assert!(size > 0, "last-active ranks are not competition ranks");
+        (group, dense, done) = (group + size, dense + 1, done + size as usize);
     }
 }
 
@@ -449,58 +525,75 @@ fn map_node(n: usize, v: usize, rot: usize, reflect: bool) -> usize {
 /// A complete behavioural snapshot of a [`Simulation`](crate::sim::Simulation)
 /// mid-run, produced by
 /// [`Simulation::checkpoint`](crate::sim::Simulation::checkpoint) and
-/// consumed by [`Simulation::restore`](crate::sim::Simulation::restore): a
-/// [`CheckpointStore`] of one slot.
+/// consumed by [`Simulation::restore`](crate::sim::Simulation::restore).
 ///
 /// Checkpoints are only meaningful for the simulation (or an identically
 /// shaped recycle of the spec) they were captured from; `restore` asserts
 /// the shapes match. See the [module docs](self) for what is and is not
 /// captured.
 #[derive(Debug, Default)]
-pub struct SimCheckpoint(pub(crate) CheckpointStore);
+pub struct SimCheckpoint {
+    /// The agent columns, in the simulation's own layout.
+    pub(crate) agents: AgentSoA,
+    /// The global visit map.
+    pub(crate) visited: Vec<bool>,
+    /// The run counters.
+    pub(crate) counters: RunCounters,
+    /// The activation policy's state token.
+    pub(crate) token: u64,
+}
 
 impl SimCheckpoint {
-    /// The captured run counters (all zero before the first capture).
-    fn counters(&self) -> RunCounters {
-        self.0.counters.first().copied().unwrap_or_default()
-    }
-
     /// The round the checkpoint was captured at.
     #[must_use]
     pub fn round(&self) -> u64 {
-        self.counters().round
+        self.counters.round
     }
 
     /// Number of agents captured.
     #[must_use]
     pub fn agent_count(&self) -> usize {
-        self.0.shape.0
+        self.agents.len()
     }
 
     /// Whether the captured state had explored the whole ring.
     #[must_use]
     pub fn explored(&self) -> bool {
-        self.counters().explored_at.is_some()
+        self.counters.explored_at.is_some()
     }
 
     /// Number of agents that had not terminated in the captured state.
     #[must_use]
     pub fn alive_count(&self) -> usize {
-        self.counters().alive
+        self.counters.alive
     }
 
-    /// [`CheckpointStore::canonical_key_into`] of the checkpoint, with a
-    /// throwaway [`KeyScratch`]; hot callers should hold their own scratch
-    /// and call [`SimCheckpoint::canonical_key_into`].
+    /// The key-visible state of the checkpoint.
+    fn keyed(&self) -> KeyedState<'_> {
+        KeyedState {
+            agents: &self.agents,
+            visited: &self.visited,
+            round: self.counters.round,
+            token: self.token,
+        }
+    }
+
+    /// [`SimCheckpoint::canonical_key_into`] with a throwaway
+    /// [`KeyScratch`]; hot callers should hold their own scratch.
     ///
     /// # Panics
     ///
-    /// Panics if nothing was captured or `ring`'s size does not match.
-    pub fn canonical_key(&self, ring: &RingTopology, out: &mut Vec<u8>) {
-        self.canonical_key_into(ring, &mut KeyScratch::new(), out);
+    /// Panics if `ring`'s size does not match the checkpoint.
+    pub fn canonical_key(&self, ring: &RingTopology, out: &mut Vec<u8>) -> SymmetryMap {
+        self.canonical_key_into(ring, &mut KeyScratch::new(), out)
     }
 
-    /// [`CheckpointStore::canonical_key_into`] of the checkpoint.
+    /// Writes the checkpoint's canonical key into `out` (cleared first) and
+    /// returns the map that attains it; see the [module docs](self) for the
+    /// format. `ring` must be the ring the checkpoint was captured on (it
+    /// does not keep the landmark). The same bytes as
+    /// [`Simulation::canonical_key_into`](crate::sim::Simulation::canonical_key_into)
+    /// of the run it was captured from.
     ///
     /// # Panics
     ///
@@ -510,8 +603,8 @@ impl SimCheckpoint {
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
-    ) {
-        self.0.canonical_key_into(0, ring, scratch, out);
+    ) -> SymmetryMap {
+        self.keyed().canonical_key_into(ring, scratch, out)
     }
 
     /// The packed key of [`SimCheckpoint::canonical_key_into`], chosen the
@@ -528,8 +621,8 @@ impl SimCheckpoint {
         ring: &RingTopology,
         scratch: &mut KeyScratch,
         out: &mut Vec<u8>,
-    ) {
-        self.0.canonical_key_exhaustive(0, ring, scratch, out);
+    ) -> SymmetryMap {
+        self.keyed().canonical_key_exhaustive(ring, scratch, out)
     }
 }
 
@@ -554,10 +647,13 @@ fn admissible_maps(ring: &RingTopology) -> impl Iterator<Item = (usize, bool)> {
 
 #[cfg(test)]
 mod tests {
-    use super::{admissible_maps, CheckpointStore, KeyScratch, SimCheckpoint};
+    use super::{admissible_maps, dense_from_competition, KeyScratch, SimCheckpoint};
+    use crate::world::AgentSoA;
+    use dynring_model::statekey::KeyReader;
     use crate::adversary::NoRemoval;
     use crate::scheduler::{
-        ActivationPolicy, AlternateBlocked, EtFairness, FullActivation, RoundRobinSingle,
+        ActivationPolicy, AlternateBlocked, EtFairness, FirstMoverOnly, FullActivation,
+        RoundRobinSingle,
     };
     use crate::sim::{AgentSpec, RunSpec, Simulation, StopReason};
     use dynring_core::Algorithm;
@@ -574,9 +670,9 @@ mod tests {
         /// key beyond [`admissible_maps`], and allocates freely.
         fn canonical_key_debug(&self, ring: &RingTopology, out: &mut Vec<u8>) {
             let n = ring.size();
-            let agents = &self.0.agents;
+            let agents = &self.agents;
             let team = self.agent_count();
-            let visited = self.0.visited_at(0);
+            let visited = &self.visited;
             assert_eq!(visited.len(), n, "checkpoint is from a different ring");
             // Program state via the derived `Debug` representation: complete
             // (every catalogue state machine derives `Debug` field by field) and
@@ -591,9 +687,10 @@ mod tests {
             }
             // `last_active_round` is only ever consumed through order comparisons
             // (`min_by_key` in the first-mover scheduler and adversary), so the
-            // key encodes its dense rank among the agents instead of the raw
-            // round number: plays that reach the same configuration along
-            // different activation histories coincide.
+            // key encodes its competition rank among the agents (how many were
+            // last active strictly earlier) instead of the raw round number:
+            // plays that reach the same configuration along different
+            // activation histories coincide.
             let last_active = &agents.last_active_round[..team];
             let last_active_rank: Vec<u8> = last_active
                 .iter()
@@ -608,7 +705,7 @@ mod tests {
             let emit = |rot: usize, reflect: bool, buf: &mut Vec<u8>| {
                 buf.clear();
                 buf.extend_from_slice(&self.round().to_le_bytes());
-                buf.extend_from_slice(&self.0.activation_tokens[0].to_le_bytes());
+                buf.extend_from_slice(&self.token.to_le_bytes());
                 // Node `w` of the canonical image is node `map⁻¹(w)` of the
                 // original (both map families are trivially invertible).
                 for w in 0..n {
@@ -752,19 +849,17 @@ mod tests {
             };
             let mut sim = sim_of(ring, synchrony, algorithm, &starts, activation);
             assert!(sim.supports_checkpoint());
-            // Slot 1 of the store holds the round-1 state until the fork is
+            // A reused checkpoint holds the round-1 state until the fork is
             // written over it.
-            let mut store = CheckpointStore::default();
-            sim.checkpoint_to_slot(&mut store, 0);
+            let mut reused = sim.checkpoint();
             for missing in prefix {
                 sim.step_with_edge(missing);
                 if sim.round() == 1 {
-                    sim.checkpoint_to_slot(&mut store, 1);
+                    sim.checkpoint_into(&mut reused);
                 }
             }
             let fork = sim.checkpoint();
-            sim.checkpoint_to_slot(&mut store, 1);
-            assert_eq!(store.len(), 2);
+            sim.checkpoint_into(&mut reused);
             assert_eq!(fork.round(), 5);
             assert_eq!(fork.agent_count(), 2);
             let positions = sim.positions();
@@ -777,15 +872,11 @@ mod tests {
             let first_branch = sim.checkpoint();
             let mut key_a = Vec::new();
             first_branch.canonical_key(sim.ring(), &mut key_a);
-            // Rewind and replay the same choices, from the checkpoint and
-            // then from the store's slot: every observable must match.
-            for from_slot in [false, true] {
-                let label = format!("{synchrony:?} landmark={landmark} from_slot={from_slot}");
-                if from_slot {
-                    sim.restore_from_slot(&store, 1);
-                } else {
-                    sim.restore(&fork);
-                }
+            // Rewind and replay the same choices, from the fresh checkpoint
+            // and then from the reused one: every observable must match.
+            for (label, fork) in [("fresh", &fork), ("reused", &reused)] {
+                let label = format!("{synchrony:?} landmark={landmark} {label}");
+                sim.restore(fork);
                 assert_eq!(sim.round(), 5);
                 assert_eq!(format!("{:?}", sim.checkpoint()), format!("{fork:?}"), "{label}");
                 for missing in continuation {
@@ -798,10 +889,11 @@ mod tests {
                 second_branch.canonical_key(sim.ring(), &mut key_b);
                 assert_eq!(key_a, key_b, "{label}");
             }
-            let (mut fork_key, mut slot_key) = (Vec::new(), Vec::new());
-            fork.canonical_key(sim.ring(), &mut fork_key);
-            store.canonical_key_into(1, sim.ring(), &mut KeyScratch::new(), &mut slot_key);
-            assert_eq!(fork_key, slot_key);
+            let (mut fork_key, mut reused_key) = (Vec::new(), Vec::new());
+            let map = fork.canonical_key(sim.ring(), &mut fork_key);
+            let reused_map =
+                reused.canonical_key_into(sim.ring(), &mut KeyScratch::new(), &mut reused_key);
+            assert_eq!((fork_key, map), (reused_key, reused_map));
         }
     }
 
@@ -873,14 +965,15 @@ mod tests {
         assert_ne!(key_a, key_c);
     }
 
-    /// A catalogue cell as the model checker branches it: the algorithm's
-    /// own synchrony with the default deterministic scheduler of its model
-    /// (FSYNC: everyone; ET: fair round robin; otherwise sleep-blocked), a
-    /// landmark at node 0 when the algorithm needs one, and no edge removal
-    /// (the test forces every edge choice).
+    /// A catalogue cell as the model checker branches it: `synchrony` with
+    /// a deterministic scheduler of its model (FSYNC: everyone; ET: fair
+    /// round robin; NS: the first-mover rule, which orders agents by their
+    /// last-active rounds; PT: sleep-blocked), the given landmark, and no
+    /// edge removal (the test forces every edge choice).
     fn catalog_sim(
         n: usize,
         algorithm: Algorithm,
+        synchrony: SynchronyModel,
         starts: &[usize],
         orientations: &[Handedness],
         landmark: Option<usize>,
@@ -889,16 +982,102 @@ mod tests {
             Some(l) => RingTopology::with_landmark(n, NodeId::new(l)).unwrap(),
             None => RingTopology::new(n).unwrap(),
         };
-        let activation: Box<dyn ActivationPolicy> = match algorithm.synchrony() {
+        let activation: Box<dyn ActivationPolicy> = match synchrony {
             SynchronyModel::Fsync => Box::new(FullActivation),
             SynchronyModel::Ssync(TransportModel::EventualTransport) => {
                 Box::new(EtFairness::new(Box::new(RoundRobinSingle::new()), 0))
             }
+            SynchronyModel::Ssync(TransportModel::NoSimultaneity) => Box::new(FirstMoverOnly),
             SynchronyModel::Ssync(_) => Box::new(AlternateBlocked::new(3)),
         };
         let starts: Vec<(usize, Handedness)> =
             starts.iter().copied().zip(orientations.iter().copied()).collect();
-        sim_of(ring, algorithm.synchrony(), algorithm, &starts, activation)
+        sim_of(ring, synchrony, algorithm, &starts, activation)
+    }
+
+    /// Asserts that two runs agree on every column a key holds: round,
+    /// activation token, visit map, and per agent node, held port,
+    /// handedness, prior outcome, termination flag, sleep age, program
+    /// state, and the order of the last-active rounds.
+    fn assert_key_visible_eq(a: &Simulation, b: &Simulation, label: &str) {
+        let (a, b) = (a.checkpoint(), b.checkpoint());
+        assert_eq!((a.round(), a.token), (b.round(), b.token), "{label}: round, token");
+        assert_eq!(a.visited, b.visited, "{label}: visit map");
+        let (x, y) = (&a.agents, &b.agents);
+        assert_eq!(x.node, y.node, "{label}: nodes");
+        assert_eq!(x.held_port, y.held_port, "{label}: held ports");
+        assert_eq!(x.handedness, y.handedness, "{label}: handedness");
+        assert_eq!(x.prior, y.prior, "{label}: priors");
+        let terminated = |agents: &AgentSoA| -> Vec<bool> {
+            agents.terminated_at.iter().map(Option::is_some).collect()
+        };
+        assert_eq!(terminated(x), terminated(y), "{label}: termination flags");
+        assert_eq!(x.asleep_on_port, y.asleep_on_port, "{label}: sleep ages");
+        assert_eq!(format!("{:?}", x.program), format!("{:?}", y.program), "{label}: programs");
+        let order = |agents: &AgentSoA| -> Vec<std::cmp::Ordering> {
+            let rounds = &agents.last_active_round;
+            rounds.iter().flat_map(|r| rounds.iter().map(move |other| r.cmp(other))).collect()
+        };
+        assert_eq!(order(x), order(y), "{label}: last-active order");
+    }
+
+    #[test]
+    fn competition_ranks_become_dense_ranks() {
+        for (competition, dense) in [
+            (vec![0, 0, 2], vec![0, 0, 1]),
+            (vec![2, 0, 0], vec![1, 0, 0]),
+            (vec![0, 1, 2], vec![0, 1, 2]),
+            (vec![1, 0], vec![1, 0]),
+            (vec![0, 0, 0, 3, 4], vec![0, 0, 0, 1, 2]),
+            (vec![3, 0, 0, 0, 4], vec![1, 0, 0, 0, 2]),
+            (vec![], vec![]),
+        ] {
+            let mut ranks = competition.clone();
+            dense_from_competition(&mut ranks);
+            assert_eq!(ranks, dense, "{competition:?}");
+        }
+    }
+
+    #[test]
+    fn restored_last_active_rounds_keep_their_order_at_or_below_the_round() {
+        // Three agents at round 1, last active at rounds {0, 1, 0}: the key
+        // holds the competition ranks {0, 2, 0}. Restoring 2 would tie the
+        // round-2 activation, and the first-mover rule breaks that tie by
+        // id, so the restored run must hold values no later than round 1.
+        let n = 7;
+        let ns = SynchronyModel::Ssync(TransportModel::NoSimultaneity);
+        let algorithm = Algorithm::PtBoundNoChirality { upper_bound: n };
+        let orientations = [Handedness::LeftIsCcw; 3];
+        let mut sim = catalog_sim(n, algorithm, ns, &[0, 2, 4], &orientations, None);
+        let mut twin = catalog_sim(n, algorithm, ns, &[0, 2, 4], &orientations, None);
+        sim.step_with_edge(None);
+        let mut state = sim.checkpoint();
+        state.agents.last_active_round.copy_from_slice(&[0, 1, 0]);
+        sim.restore(&state);
+        let mut scratch = KeyScratch::new();
+        let (mut key, mut twin_key) = (Vec::new(), Vec::new());
+        let map = sim.canonical_key_into(&mut scratch, &mut key);
+        let mut reader = KeyReader::new(&key);
+        let (_round, _token) = (reader.u64(), reader.u64());
+        let ranks: Vec<u64> = (0..3)
+            .map(|_| {
+                let (_asleep, rank) = (reader.u64(), reader.u64());
+                reader.prefixed();
+                rank
+            })
+            .collect();
+        assert_eq!(ranks, [0, 2, 0]);
+        twin.restore_from_key(&key, map);
+        assert_eq!(twin.checkpoint().agents.last_active_round, [0, 1, 0]);
+        for round in 2..10 {
+            let label = format!("round {round}");
+            sim.step_with_edge(None);
+            twin.step_with_edge(None);
+            assert_key_visible_eq(&sim, &twin, &label);
+            let map = sim.canonical_key_into(&mut scratch, &mut key);
+            assert_eq!(twin.canonical_key_into(&mut scratch, &mut twin_key), map, "{label}");
+            assert_eq!(key, twin_key, "{label}");
+        }
     }
 
     proptest! {
@@ -938,7 +1117,8 @@ mod tests {
             };
             let landmark = algorithm.needs_landmark().then_some(0);
             let orientations = vec![Handedness::LeftIsCcw; starts.len()];
-            let mut sim_a = catalog_sim(n, algorithm, &starts, &orientations, landmark);
+            let synchrony = algorithm.synchrony();
+            let mut sim_a = catalog_sim(n, algorithm, synchrony, &starts, &orientations, landmark);
             let (other_starts, other_orientations, other_landmark) = if perturb {
                 (starts.iter().map(|&s| (s + 1) % n).collect(), orientations, landmark)
             } else {
@@ -950,8 +1130,14 @@ mod tests {
                     landmark.map(map),
                 )
             };
-            let mut sim_b =
-                catalog_sim(n, algorithm, &other_starts, &other_orientations, other_landmark);
+            let mut sim_b = catalog_sim(
+                n,
+                algorithm,
+                synchrony,
+                &other_starts,
+                &other_orientations,
+                other_landmark,
+            );
             let ring = sim_a.ring().clone();
             let (mut packed_a, mut packed_b) = (Vec::new(), Vec::new());
             let (mut debug_a, mut debug_b) = (Vec::new(), Vec::new());
@@ -985,6 +1171,71 @@ mod tests {
                     algorithm, n, shift, reflect, perturb, round,
                     packed_a == packed_b, debug_a == debug_b
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Decoding a key gives back the keyed run: re-keying the restored
+        /// run yields the same bytes and map, the two agree on every column
+        /// the key holds, and stepping both with the same edge choice keeps
+        /// them agreeing. Every catalogue program, every synchrony model,
+        /// landmark and anonymous rings, and rings past 64 nodes, whose keys
+        /// take the per-map comparison path.
+        #[test]
+        fn restore_from_key_round_trips_every_catalogue_type(
+            n in 4usize..9,
+            wide in any::<bool>(),
+            pick in 0usize..64,
+            model in 0usize..4,
+            anonymous in any::<bool>(),
+            start_a in 0usize..80,
+            start_b in 0usize..80,
+            flips in any::<u8>(),
+            schedule_bits in any::<u64>(),
+        ) {
+            let n = if wide { n + 61 } else { n };
+            let catalog = Algorithm::full_catalog(n);
+            let algorithm = catalog[pick % catalog.len()];
+            let synchrony = [
+                SynchronyModel::Fsync,
+                SynchronyModel::Ssync(TransportModel::NoSimultaneity),
+                SynchronyModel::Ssync(TransportModel::PassiveTransport),
+                SynchronyModel::Ssync(TransportModel::EventualTransport),
+            ][model];
+            let starts = [start_a % n, start_b % n, (start_a + start_b) % n];
+            let starts = &starts[..algorithm.required_agents().min(3)];
+            let orientations: Vec<Handedness> = (0..starts.len())
+                .map(|i| {
+                    if flips >> i & 1 == 1 { Handedness::LeftIsCw } else { Handedness::LeftIsCcw }
+                })
+                .collect();
+            let landmark = (algorithm.needs_landmark() || !anonymous).then_some(start_b % n);
+            let build = || catalog_sim(n, algorithm, synchrony, starts, &orientations, landmark);
+            let (mut sim, mut twin) = (build(), build());
+            let mut scratch = KeyScratch::new();
+            let (mut key, mut twin_key) = (Vec::new(), Vec::new());
+            for round in 0..12u32 {
+                let choice = (schedule_bits >> (5 * round)) as usize % 32;
+                let edge = (choice < n).then(|| EdgeId::new(choice));
+                sim.step_with_edge(edge);
+                let label = format!("{algorithm} {synchrony:?} n={n} round {round}");
+                if round > 0 {
+                    // The twin was restored from last round's key: it must
+                    // step exactly as the keyed run did.
+                    twin.step_with_edge(edge);
+                    assert_key_visible_eq(&sim, &twin, &label);
+                }
+                let map = sim.canonical_key_into(&mut scratch, &mut key);
+                twin.restore_from_key(&key, map);
+                assert_key_visible_eq(&sim, &twin, &label);
+                let last_active = twin.checkpoint().agents.last_active_round;
+                prop_assert!(last_active.iter().all(|&r| r <= twin.round()), "{}", label);
+                let twin_map = twin.canonical_key_into(&mut scratch, &mut twin_key);
+                prop_assert_eq!(twin_map, map, "{}", label);
+                prop_assert_eq!(&twin_key, &key, "{}", label);
             }
         }
     }

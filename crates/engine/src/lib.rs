@@ -19,9 +19,8 @@
 //!   re-initialises a simulation in place, which is how the analysis layer
 //!   runs sweep cells, and is also how a fresh simulation is initialised);
 //! * [`checkpoint`] — branchable run state: checkpoint/restore of a live
-//!   simulation into column stores of many checkpoints, plus canonicalised
-//!   configuration keys, the engine half of the analysis-side model
-//!   checker;
+//!   simulation, plus canonicalised configuration keys and the restore of a
+//!   run from its key, the engine half of the analysis-side model checker;
 //! * [`trace`] — per-round records of everything that happened, for replay,
 //!   rendering and assertions in tests.
 //!
@@ -64,7 +63,7 @@ pub mod trace;
 pub mod world;
 
 pub use adversary::EdgePolicy;
-pub use checkpoint::{CheckpointStore, KeyScratch, SimCheckpoint};
+pub use checkpoint::{KeyScratch, SimCheckpoint, SymmetryMap};
 pub use error::EngineError;
 pub use scheduler::ActivationPolicy;
 pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, StopCondition};

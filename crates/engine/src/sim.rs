@@ -1,7 +1,7 @@
 //! The round loop: Look–Compute–Move against an adversary.
 
 use crate::adversary::EdgePolicy;
-use crate::checkpoint::{CheckpointStore, SimCheckpoint};
+use crate::checkpoint::{read_key, KeyScratch, KeyedState, SimCheckpoint, SymmetryMap};
 use crate::error::EngineError;
 use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
@@ -686,32 +686,24 @@ impl Simulation {
     }
 
     /// [`Simulation::checkpoint`], written into an existing checkpoint whose
-    /// buffers are reused.
+    /// buffers are reused: a checkpoint of a run of the same shape
+    /// allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if the activation policy is not checkpointable.
     pub fn checkpoint_into(&self, out: &mut SimCheckpoint) {
-        self.checkpoint_to_slot(&mut out.0, 0);
+        out.agents.copy_from(&self.agents);
+        out.visited.clone_from(&self.visited);
+        out.counters = self.counters;
+        out.token = self.state_token();
     }
 
-    /// [`Simulation::checkpoint`], written into slot `slot` of `store` —
-    /// the model checker's expansion loop keeps every frontier state this
-    /// way, in per-worker stores that allocate per column doubling rather
-    /// than per state. Writing slot [`CheckpointStore::len`] appends it; see
-    /// [`CheckpointStore`] for the slot rules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the activation policy is not checkpointable, or `slot` is
-    /// past the end of `store` (or not 0 when `store` holds another shape).
-    pub fn checkpoint_to_slot(&self, store: &mut CheckpointStore, slot: usize) {
-        let token = self
-            .activation
+    /// The activation policy's state token.
+    fn state_token(&self) -> u64 {
+        self.activation
             .state_token()
-            .expect("checkpoint requires a checkpointable activation policy");
-        let shape = (self.agents.len(), self.ring.size());
-        store.write(slot, &self.agents, 0, shape, &self.visited, (self.counters, token));
+            .expect("checkpoint requires a checkpointable activation policy")
     }
 
     /// Rewinds the run to a state previously captured from **this** run by
@@ -725,29 +717,67 @@ impl Simulation {
     /// Panics if the checkpoint's shape (team size, ring size) does not match
     /// this simulation — checkpoints are not portable across specs.
     pub fn restore(&mut self, cp: &SimCheckpoint) {
-        self.restore_from_slot(&cp.0, 0);
+        assert_eq!(cp.agents.len(), self.agents.len(), "checkpoint is from a different team");
+        assert_eq!(cp.visited.len(), self.ring.size(), "checkpoint is from a different ring");
+        self.agents.copy_from(&cp.agents);
+        self.visited.copy_from_slice(&cp.visited);
+        self.counters = cp.counters;
+        self.restored(cp.token);
     }
 
-    /// [`Simulation::restore`] from slot `slot` of `store`.
+    /// Writes the run's canonical configuration key into `out` (cleared
+    /// first; capacity reused) and returns the symmetry map that carries
+    /// the run to it: the model checker's dedup identity and frontier
+    /// state. `scratch` is the caller's, so that keying allocates nothing
+    /// in the steady state. See the
+    /// [`checkpoint`](crate::checkpoint) module docs for the format.
     ///
     /// # Panics
     ///
-    /// Panics if the store's shape does not match this simulation, or
-    /// `slot` is not one of its slots.
-    pub fn restore_from_slot(&mut self, store: &CheckpointStore, slot: usize) {
-        let shape = (self.agents.len(), self.ring.size());
-        assert_eq!(store.shape.0, shape.0, "checkpoint is from a different team");
-        assert_eq!(store.shape.1, shape.1, "checkpoint is from a different ring");
-        assert!(slot < store.len(), "slot {slot} of a {}-slot store", store.len());
-        self.agents.copy_team(0, 1, &store.agents, slot, shape);
-        self.visited.copy_from_slice(store.visited_at(slot));
-        self.counters = store.counters[slot];
+    /// Panics if the activation policy is not checkpointable.
+    pub fn canonical_key_into(&self, scratch: &mut KeyScratch, out: &mut Vec<u8>) -> SymmetryMap {
+        let state = KeyedState {
+            agents: &self.agents,
+            visited: &self.visited,
+            round: self.counters.round,
+            token: self.state_token(),
+        };
+        state.canonical_key_into(&self.ring, scratch, out)
+    }
+
+    /// Rebuilds the run from `key`, a canonical key of a state of this
+    /// run's spec, and `map`, the map that carried that state to it (both
+    /// from [`Simulation::canonical_key_into`]): the state comes back in
+    /// its own frame, not the key's, so stepping it replays exactly what
+    /// stepping the keyed state did. Programs decode in place, so a
+    /// restore allocates nothing once the programs' buffers have grown.
+    ///
+    /// What the key omits is rebuilt or zeroed as the
+    /// [`checkpoint`](crate::checkpoint) module docs list ("Decoding a
+    /// key"): move counts, termination rounds, per-agent visit maps, the
+    /// exploration round and the values (not the order) of the last-active
+    /// rounds are meaningless in a key-restored run, so its reports are
+    /// too. Replay a schedule from the start, through
+    /// [`adversary::FromSchedule`](crate::adversary::FromSchedule), to report
+    /// on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a key of this spec's team and ring.
+    pub fn restore_from_key(&mut self, key: &[u8], map: SymmetryMap) {
+        let (counters, token) = read_key(key, map, &mut self.agents, &mut self.visited);
+        self.counters = counters;
+        self.restored(token);
+    }
+
+    /// Finishes a restore: reinstates the activation token, and tells the
+    /// trace, if any, that program state changed outside `decide` — the
+    /// one event the trace's label delta encoding cannot observe.
+    fn restored(&mut self, token: u64) {
         if let Some(trace) = self.trace.as_mut() {
-            // Program state just changed outside `decide` — the one event the
-            // trace's label delta encoding cannot observe.
             trace.invalidate_label_cache();
         }
-        self.activation.restore_state(store.activation_tokens[slot]);
+        self.activation.restore_state(token);
     }
 
     /// Marks in `hit` (cleared, then one entry per edge) every edge an
@@ -770,27 +800,10 @@ impl Simulation {
     ///
     /// Panics if `before` is from a different team.
     pub fn crossed_edges(&self, before: &SimCheckpoint, hit: &mut Vec<bool>) {
-        self.crossed_edges_since_slot(&before.0, 0, hit);
-    }
-
-    /// [`Simulation::crossed_edges`] since slot `slot` of `store`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store is from a different team, or `slot` is not one
-    /// of its slots.
-    pub fn crossed_edges_since_slot(
-        &self,
-        store: &CheckpointStore,
-        slot: usize,
-        hit: &mut Vec<bool>,
-    ) {
-        let team = self.agents.len();
-        assert_eq!(store.shape.0, team, "checkpoint is from a different team");
+        assert_eq!(before.agents.len(), self.agents.len(), "checkpoint is from a different team");
         hit.clear();
         hit.resize(self.ring.size(), false);
-        let before = &store.agents.node[slot * team..(slot + 1) * team];
-        for (&from, &to) in before.iter().zip(&self.agents.node) {
+        for (&from, &to) in before.agents.node.iter().zip(&self.agents.node) {
             if let Some(edge) = self.ring.edge_between(from, to) {
                 hit[edge.index()] = true;
             }

@@ -53,8 +53,8 @@ pub(crate) fn to_local(handedness: Handedness, dir: GlobalDirection) -> LocalDir
 /// Each agent fact has exactly one column.
 ///
 /// The same type holds the agent columns of a
-/// [`CheckpointStore`](crate::checkpoint::CheckpointStore), many teams deep,
-/// and [`AgentSoA::copy_team`] moves a team between the two, so every column
+/// [`SimCheckpoint`](crate::checkpoint::SimCheckpoint), and
+/// [`AgentSoA::copy_from`] copies a team between the two, so every column
 /// here is captured. What the spec fixes (the ring size) lives on the
 /// simulation instead.
 #[derive(Debug, Default)]
@@ -130,38 +130,22 @@ impl AgentSoA {
         }
     }
 
-    /// Makes team slot `slot` of `self` a copy of team slot `from` of
-    /// `src`, column by column and in place — the one copy behind
-    /// checkpointing, restoring and copying a checkpoint between stores.
-    /// With `(team, ring) = shape`, team slot `k` spans agent rows
-    /// `k·team..` and visit-map rows `k·team·ring..`; a live team is slot 0
-    /// of 1. Every column is cut to `slots` slots (see [`put_slot`]), and a
-    /// slot past its end is appended. Capacity is reused, so a copy into a
-    /// slot already written allocates nothing (programs copy their state
-    /// through [`Clone::clone_from`]), and a growing store allocates once per
-    /// column doubling.
-    pub(crate) fn copy_team(
-        &mut self,
-        slot: usize,
-        slots: usize,
-        src: &AgentSoA,
-        from: usize,
-        (team, ring): (usize, usize),
-    ) {
-        let rows = |width: usize| from * width..(from + 1) * width;
-        put_slot(&mut self.node, slot, slots, &src.node[rows(team)]);
-        put_slot(&mut self.held_port, slot, slots, &src.held_port[rows(team)]);
-        put_slot(&mut self.handedness, slot, slots, &src.handedness[rows(team)]);
-        put_slot(&mut self.prior, slot, slots, &src.prior[rows(team)]);
-        put_slot(&mut self.moves, slot, slots, &src.moves[rows(team)]);
-        put_slot(&mut self.last_active_round, slot, slots, &src.last_active_round[rows(team)]);
-        put_slot(&mut self.asleep_on_port, slot, slots, &src.asleep_on_port[rows(team)]);
-        put_slot(&mut self.terminated_at, slot, slots, &src.terminated_at[rows(team)]);
-        put_slot(&mut self.visited, slot, slots, &src.visited[rows(team * ring)]);
-        self.program.truncate(slots * team);
-        for (row, program) in (slot * team..).zip(&src.program[rows(team)]) {
-            copy_program(&mut self.program, row, program);
-        }
+    /// Makes `self` a copy of `src`, column by column and in place — the
+    /// one copy behind checkpointing and restoring. Capacity is reused, so
+    /// a copy of a team of the same shape allocates nothing (programs copy
+    /// their state through [`Clone::clone_from`], which `Vec::clone_from`
+    /// calls for every row both sides hold).
+    pub(crate) fn copy_from(&mut self, src: &AgentSoA) {
+        self.node.clone_from(&src.node);
+        self.held_port.clone_from(&src.held_port);
+        self.handedness.clone_from(&src.handedness);
+        self.prior.clone_from(&src.prior);
+        self.program.clone_from(&src.program);
+        self.moves.clone_from(&src.moves);
+        self.last_active_round.clone_from(&src.last_active_round);
+        self.asleep_on_port.clone_from(&src.asleep_on_port);
+        self.terminated_at.clone_from(&src.terminated_at);
+        self.visited.clone_from(&src.visited);
     }
 
     /// Number of agents.
@@ -181,23 +165,6 @@ fn copy_program(programs: &mut Vec<CatalogProtocol>, index: usize, src: &Catalog
     match programs.get_mut(index) {
         Some(dst) => dst.clone_from(src),
         None => programs.push(src.clone()),
-    }
-}
-
-/// Writes `rows` over slot `slot` of `column`, whose slots are
-/// `rows.len()` entries wide, after cutting it to `slots` slots: in place
-/// when the slot exists, appended when it is the next one. A column left
-/// longer or shorter by a team of another shape is cut first, so a write of
-/// slot 0 of 1 starts it afresh.
-pub(crate) fn put_slot<T: Copy>(column: &mut Vec<T>, slot: usize, slots: usize, rows: &[T]) {
-    let (start, end) = (slot * rows.len(), (slot + 1) * rows.len());
-    column.truncate(slots * rows.len());
-    debug_assert!(column.len() >= start, "slot {slot} is past the end of the column");
-    if column.len() < end {
-        column.truncate(start);
-        column.extend_from_slice(rows);
-    } else {
-        column[start..end].copy_from_slice(rows);
     }
 }
 

@@ -35,6 +35,15 @@
 //! engine's `packed_key_classes_match_debug_key_classes` proptest, in
 //! `crates/engine/src/checkpoint.rs`, compares the equivalence classes
 //! induced by the two encodings).
+//!
+//! # Round trip
+//!
+//! The model checker keeps its frontier as keys alone and rebuilds each
+//! parent from its key, so an encoding must also **decode**: every field
+//! written by a `push_*` helper is read back, in the same order, by the
+//! matching [`KeyReader`] method, and the state read back emits the same
+//! bytes again. Injectivity is what makes the round trip possible: a key
+//! that splits into its fields one way only names one state.
 
 /// Appends a `u64` as an LEB128 varint (1 byte below 128, at most 10).
 #[inline]
@@ -105,26 +114,94 @@ pub fn push_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     }
 }
 
+/// Reads a key back field by field: the inverse of the `push_*` helpers,
+/// called in the order the fields were written.
+///
+/// Keys are only ever read back by the code that wrote them, so every
+/// method panics on bytes the matching writer cannot have written: a key
+/// that ends inside a field, or a presence tag other than `0` or `1`.
+#[derive(Debug, Clone)]
+pub struct KeyReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> KeyReader<'a> {
+    /// A reader at the front of `bytes`.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        KeyReader { rest: bytes }
+    }
+
+    /// The bytes not read yet.
+    #[must_use]
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// Reads one raw byte (a tag or flags byte).
+    pub fn byte(&mut self) -> u8 {
+        let (&byte, rest) = self.rest.split_first().expect("key ends inside a field");
+        self.rest = rest;
+        byte
+    }
+
+    /// Reads `len` raw bytes.
+    pub fn bytes(&mut self, len: usize) -> &'a [u8] {
+        assert!(len <= self.rest.len(), "key ends inside a field");
+        let (bytes, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        bytes
+    }
+
+    /// Reads a varint written by [`push_u64`].
+    pub fn u64(&mut self) -> u64 {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte();
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte < 0x80 {
+                return value;
+            }
+        }
+        panic!("varint is longer than ten bytes")
+    }
+
+    /// Reads a value written by [`push_i64`].
+    pub fn i64(&mut self) -> i64 {
+        let zigzag = self.u64();
+        ((zigzag >> 1) as i64) ^ -((zigzag & 1) as i64)
+    }
+
+    /// Reads a presence tag byte: `0` absent, `1` present.
+    pub fn present(&mut self) -> bool {
+        match self.byte() {
+            0 => false,
+            1 => true,
+            tag => panic!("presence tag {tag} is neither 0 nor 1"),
+        }
+    }
+
+    /// Reads a value written by [`push_opt_u64`].
+    pub fn opt_u64(&mut self) -> Option<u64> {
+        self.present().then(|| self.u64())
+    }
+
+    /// Reads a value written by [`push_opt_i64`].
+    pub fn opt_i64(&mut self) -> Option<i64> {
+        self.present().then(|| self.i64())
+    }
+
+    /// Splits off the payload of a section written by [`push_prefixed`]: a
+    /// reader over exactly its bytes, and this reader moves past it.
+    pub fn prefixed(&mut self) -> KeyReader<'a> {
+        let len = usize::try_from(self.u64()).expect("section length fits in memory");
+        KeyReader::new(self.bytes(len))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Reads one varint at the front of `bytes`, returning it and the rest;
-    /// `None` if `bytes` ends inside it.
-    fn read_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
-        let mut value = 0u64;
-        for (i, &byte) in bytes.iter().enumerate().take(10) {
-            value |= u64::from(byte & 0x7F) << (7 * i);
-            if byte < 0x80 {
-                return Some((value, &bytes[i + 1..]));
-            }
-        }
-        None
-    }
-
-    fn unzigzag(value: u64) -> i64 {
-        ((value >> 1) as i64) ^ -((value & 1) as i64)
-    }
 
     /// The reference length prefix [`push_prefixed`] is checked against: a
     /// varint length, then the bytes.
@@ -189,26 +266,42 @@ mod tests {
         for &value in &signed {
             push_i64(&mut out, value);
         }
-        let mut rest = out.as_slice();
+        let mut key = KeyReader::new(&out);
         for &value in &unsigned {
-            let (decoded, tail) = read_u64(rest).expect("a whole varint");
-            assert_eq!(decoded, value);
-            rest = tail;
+            assert_eq!(key.u64(), value);
         }
         for &value in &signed {
-            let (decoded, tail) = read_u64(rest).expect("a whole varint");
-            assert_eq!(unzigzag(decoded), value);
-            rest = tail;
+            assert_eq!(key.i64(), value);
         }
-        assert!(rest.is_empty());
+        assert!(key.rest().is_empty());
         // A varint is never a proper prefix of another: every proper
         // prefix of an encoding ends on a continuation byte.
         for &value in &unsigned {
             let bytes = encoded(|out| push_u64(out, value));
             for cut in 0..bytes.len() {
-                assert!(read_u64(&bytes[..cut]).is_none(), "{value} cut at {cut}");
+                let mut cut_key = KeyReader::new(&bytes[..cut]);
+                let read = std::panic::catch_unwind(move || cut_key.u64());
+                assert!(read.is_err(), "{value} cut at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn optional_fields_and_sections_read_back() {
+        let out = encoded(|out| {
+            push_opt_i64(out, Some(-7));
+            push_opt_i64(out, None);
+            push_opt_u64(out, Some(300));
+            push_opt_u64(out, None);
+            push_prefixed(out, |out| push_u64(out, 5));
+            out.push(0xAB);
+        });
+        let mut key = KeyReader::new(&out);
+        assert_eq!((key.opt_i64(), key.opt_i64()), (Some(-7), None));
+        assert_eq!((key.opt_u64(), key.opt_u64()), (Some(300), None));
+        let mut section = key.prefixed();
+        assert_eq!((section.u64(), section.rest()), (5, &[][..]));
+        assert_eq!((key.byte(), key.rest()), (0xAB, &[][..]));
     }
 
     #[test]
@@ -234,8 +327,9 @@ mod tests {
             let mut in_place = vec![0xEE];
             push_prefixed(&mut in_place, |out| out.extend_from_slice(&payload));
             assert_eq!(in_place, direct, "payload of {len} bytes");
-            let (decoded, rest) = read_u64(&in_place[1..]).expect("a whole length");
-            assert_eq!((decoded, rest), (len as u64, payload.as_slice()));
+            let mut key = KeyReader::new(&in_place[1..]);
+            assert_eq!(key.prefixed().rest(), payload.as_slice());
+            assert!(key.rest().is_empty());
         }
     }
 }

@@ -11,7 +11,8 @@ use dynring_analysis::markdown_table;
 use dynring_analysis::model_check::{self, ModelCheck, Objective, Verdict};
 use dynring_analysis::scenario::{AdversaryKind, Scenario};
 use dynring_core::Algorithm;
-use dynring_engine::StopCondition;
+use dynring_engine::{KeyScratch, Simulation, StopCondition};
+use std::collections::HashSet;
 use dynring_graph::{EdgeId, EdgeSchedule, Handedness};
 use dynring_model::SynchronyModel;
 use proptest::prelude::*;
@@ -354,6 +355,78 @@ fn matrix_row_texts_match_the_recorded_digest() {
         8_819_475_029_787_789_053,
         "the matrix rows changed:\n{rendered}"
     );
+}
+
+/// The key-visible columns of a run, as its adversary sees them: round,
+/// visit map, and per agent the node, held port, termination flag,
+/// handedness, predicted action (a function of the program state), sleep
+/// age, and the rank of its last-active round among the team's.
+fn key_visible_view(sim: &mut Simulation) -> String {
+    let round = sim.round();
+    let view = sim.peek();
+    let agents: Vec<_> = view
+        .agents
+        .iter()
+        .map(|a| {
+            let earlier = view.agents.iter().filter(|b| b.last_active_round < a.last_active_round);
+            let rank = earlier.count();
+            (a.node, a.held_port, a.terminated, a.handedness, a.predicted, a.asleep_on_port, rank)
+        })
+        .collect();
+    format!("{round} {:?} {agents:?}", view.visited)
+}
+
+/// Rebuilding a state from its canonical key is exact on the states the
+/// search reaches: in every packaged cell at n = 4..=6, each state reached
+/// by a forced step from a level, at most `LEVEL_SAMPLE` parents a level
+/// (spread evenly over it), is keyed, restored into a second simulation
+/// from its key and map, and keyed again. The bytes and map must match,
+/// and so must every column the key holds.
+#[test]
+fn keys_round_trip_through_the_reachable_states_of_small_cells() {
+    const LEVEL_SAMPLE: usize = 48;
+    let mut scratch = KeyScratch::new();
+    let (mut key, mut rekey) = (Vec::new(), Vec::new());
+    for n in 4..=6 {
+        let mut checks: Vec<(String, ModelCheck)> = model_check::infeasibility_cells(n)
+            .into_iter()
+            .map(|cell| (cell.id, cell.check))
+            .collect();
+        if n >= 5 {
+            checks.push((format!("theorem4(n={n})"), model_check::theorem4_cell(n)));
+        }
+        for (id, check) in checks {
+            let mut sim = check.branchable_simulation();
+            let mut twin = check.branchable_simulation();
+            let mut level = vec![sim.checkpoint()];
+            let mut kept = HashSet::new();
+            for depth in 1..=check.depth {
+                let mut next = Vec::new();
+                kept.clear();
+                for parent in &level {
+                    for choice in 0..=n {
+                        let label = format!("{id} depth {depth} choice {choice}");
+                        sim.restore(parent);
+                        sim.step_with_edge((choice < n).then(|| EdgeId::new(choice)));
+                        let map = sim.canonical_key_into(&mut scratch, &mut key);
+                        twin.restore_from_key(&key, map);
+                        let twin_map = twin.canonical_key_into(&mut scratch, &mut rekey);
+                        assert_eq!((twin_map, &rekey), (map, &key), "{label}");
+                        let view = key_visible_view(&mut sim);
+                        assert_eq!(key_visible_view(&mut twin), view, "{label}");
+                        if sim.alive_count() > 0 && kept.insert(key.clone()) {
+                            next.push(sim.checkpoint());
+                        }
+                    }
+                }
+                let stride = next.len().div_ceil(LEVEL_SAMPLE).max(1);
+                level = next.into_iter().step_by(stride).collect();
+                if level.is_empty() {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 /// A cell that keeps more distinct configurations than its `max_states`

@@ -1,8 +1,9 @@
 //! Zero-allocation contract of the exhaustive search's steady state.
 //!
 //! A [`SearchContext`] recycles every buffer the sequential search touches —
-//! the hashed dedup table, the packed link arena, both frontiers, the
-//! checkpoint slabs and the canonicalisation scratch. Once a context is warm
+//! the hashed dedup tables that hold the frontier's keys, the packed link
+//! arena, both frontiers, the workers' reused parent checkpoints and the
+//! canonicalisation scratch. Once a context is warm
 //! for a cell, re-running the cell may allocate only the fixed per-run setup
 //! (one simulation build) and the terminal witness materialisation; the
 //! per-expanded-state inner loop must not touch the global allocator at all.

@@ -1,8 +1,8 @@
 //! Allocation contract of a cold exhaustive search.
 //!
-//! A fresh [`SearchContext`] keeps every frontier checkpoint in per-worker
-//! column stores, so a search's allocations grow with the number of column
-//! doublings, not with the number of states it keeps. This is the cold
+//! A fresh [`SearchContext`] keeps every frontier state as its key in
+//! per-worker key tables, so a search's allocations grow with the number of
+//! buffer doublings, not with the number of states it keeps. This is the cold
 //! half of the contract whose warm half — a recycled context allocates
 //! nothing per expanded state — lives in `model_check_alloc.rs`.
 //!
@@ -64,8 +64,9 @@ fn cold_search_allocates_per_column_doubling_not_per_state() {
         visited > 10_000,
         "the cell must keep enough states to tell (kept only {visited})"
     );
-    // A checkpoint with buffers of its own costs about fifteen allocations;
-    // the column stores must not cost even one per ten states.
+    // A checkpoint per state with buffers of its own would cost about
+    // fifteen allocations; the key tables must not cost even one per ten
+    // states.
     assert!(
         allocations < visited / 10,
         "a cold search allocated {allocations} times for {visited} kept states"

@@ -3,7 +3,7 @@
 //!
 //! The omniscient-adversary path refreshes a per-agent *probe* through
 //! `CatalogProtocol::clone_from` (an in-place state copy) instead of cloning
-//! afresh every round, and checkpoint slots and trace labels copy programs
+//! afresh every round, and checkpoints and trace labels copy programs
 //! the same way. That is only sound if the copy is indistinguishable from a
 //! fresh clone for every protocol in the catalogue, whatever states the live
 //! instance and the stale probe are in — which is exactly what these
