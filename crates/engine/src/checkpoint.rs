@@ -117,9 +117,9 @@
 //!   each last-active round becomes the agent's dense rank (how many
 //!   distinct earlier rounds the team was last active in), which keeps the
 //!   agents' order and ties and never exceeds the round;
-//! * **zeroed**, as the key omits them: move counts (0), termination rounds
-//!   (the key's round for every terminated agent) and the per-agent visit
-//!   maps (cleared).
+//! * **zeroed**, as the key omits them: move counts (0) and the per-agent
+//!   visit maps (cleared); a terminated agent's termination round, also
+//!   omitted, is set to the key's round.
 //!
 //! The zeroed fields, and the exact values of the rebuilt rounds, are
 //! meaningless in a key-restored run. The search never reads them (see
