@@ -38,7 +38,9 @@
 //! a dedup table of its own per level parity, and a frontier entry is the
 //! index of its key there, the [`SymmetryMap`] that won the key, and a link
 //! into a parent-pointer arena whose nodes are only `(parent, choice)`
-//! pairs. Expanding an entry rebuilds its state from the key with
+//! pairs. The arena holds a link per frontier state and per play a verdict
+//! may cite: the adversary win that ends the search and each level's last
+//! protocol win. Expanding an entry rebuilds its state from the key with
 //! [`Simulation::restore_from_key`], in the frame the state was reached in,
 //! so the edge choices the search records, and the witness schedules it
 //! reconstructs from the links, are those of that frame. The crossed-edge
@@ -269,13 +271,18 @@ const ROOT_LINK: u32 = u32::MAX;
 
 /// One node of the parent-pointer witness arena: a `u32` parent index with
 /// the forced-edge choice packed alongside (`choice == ring size` encodes
-/// "remove nothing"). Eight bytes per expanded decision instead of the 24 of
-/// the old `(usize, Option<EdgeId>)` pairs.
+/// "remove nothing"). Eight bytes per frontier state, plus one per level
+/// that has a protocol win and one for the adversary win that ends a
+/// search.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     parent: u32,
     choice: u16,
 }
+
+/// Ring sizes below this fit every choice index in a [`Rec`] (and hence in
+/// a [`Link`]).
+const CHOICE_LIMIT: usize = 1 << 14;
 
 /// One frontier state: key `slot` of `worker`'s table for the level's
 /// parity, the map that carried the state to that key, and the link that
@@ -288,21 +295,49 @@ struct Entry {
     link: u32,
 }
 
-/// One expansion outcome recorded by a worker, in the exact (item, choice)
-/// order the level is merged in. Every successor of a level lands in the
-/// same round, so no record needs to carry it.
-#[derive(Debug, Clone, Copy)]
-enum Rec {
+/// What one adversary choice led to. Every successor of a level lands in
+/// the same round, so no record needs to carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
     /// Adversary win; the worker stops after recording it.
     Adv,
     /// Protocol win.
     Proto,
-    /// Undecided configuration new to the worker. The `k`-th `New` record
-    /// of a worker's level is entry `k` of its key table and of its maps.
+    /// Undecided configuration new to the worker. In (item, choice) order,
+    /// the `k`-th `New` outcome of a worker's level is entry `k` of its key
+    /// table and of its maps.
     New,
     /// Duplicate of a key the worker reached earlier in the level (hence a
     /// global duplicate).
     Dup,
+}
+
+/// One expansion record of a worker: the [`Kind`] of outcome adversary
+/// choice `choice` led to, packed in two bytes.
+///
+/// An item's records are one per distinct outcome: first the all-present
+/// round's, under choice `n` (remove nothing, which no agent crosses), then
+/// one per crossed edge, in increasing choice order. Every choice no agent
+/// crossed takes the all-present outcome. The merge scores it at the
+/// lowest such choice, the one that probed its key. At the others it is a
+/// duplicate, or one more protocol win, of which only the last, at `n`,
+/// is read.
+#[derive(Debug, Clone, Copy)]
+struct Rec(u16);
+
+impl Rec {
+    fn new(choice: usize, kind: Kind) -> Self {
+        debug_assert!(choice < CHOICE_LIMIT);
+        Rec((choice as u16) << 2 | kind as u16)
+    }
+
+    fn choice(self) -> usize {
+        usize::from(self.0 >> 2)
+    }
+
+    fn kind(self) -> Kind {
+        [Kind::Adv, Kind::Proto, Kind::New, Kind::Dup][usize::from(self.0 & 3)]
+    }
 }
 
 /// Everything one thread expands a level's chunks with. Each lives in the
@@ -327,6 +362,7 @@ struct Worker {
     /// The map of each key the worker added to its table this level, in
     /// insertion order.
     maps: Vec<SymmetryMap>,
+    /// The records of the chunks it claimed this level, in claim order.
     recs: Vec<Rec>,
     /// The chunks it claimed this level, in claim (hence level) order.
     claimed: Vec<usize>,
@@ -379,16 +415,21 @@ impl SearchContext {
     }
 
     /// Bytes the context holds for search state, as capacity × element
-    /// size: both parities' key tables, the workers' map columns, the link
-    /// arena and both frontiers. Buffers keep their capacity across runs,
-    /// so after a run in a fresh context this is the run's high-water mark.
-    /// The workers' simulations and scratch buffers are not counted.
+    /// size: both parities' key tables, the workers' map columns and
+    /// expansion records, the link arena and both frontiers. Buffers keep
+    /// their capacity across runs, so after a run in a fresh context this is
+    /// the run's high-water mark. The workers' simulations and scratch
+    /// buffers are not counted.
     #[must_use]
     pub fn store_bytes(&self) -> usize {
         let tables: usize = self.tables.iter().flatten().map(KeyTable::bytes).sum();
-        let maps: usize = self.workers.iter().map(|worker| capacity_bytes(&worker.maps)).sum();
+        let columns: usize = self
+            .workers
+            .iter()
+            .map(|worker| capacity_bytes(&worker.maps) + capacity_bytes(&worker.recs))
+            .sum();
         tables
-            + maps
+            + columns
             + capacity_bytes(&self.links)
             + capacity_bytes(&self.frontier)
             + capacity_bytes(&self.next)
@@ -731,7 +772,10 @@ impl ModelCheck {
         );
         let ring = self.scenario.ring();
         let n = ring.size();
-        assert!(n < usize::from(u16::MAX), "ring size exceeds the packed link arena's choice width");
+        assert!(
+            n < CHOICE_LIMIT,
+            "ring size exceeds the packed choice width"
+        );
         let mut stats = SearchStats::default();
         ctx.links.clear();
         ctx.frontier.clear();
@@ -875,6 +919,10 @@ impl ModelCheck {
         for worker in &mut ctx.workers[..active] {
             worker.merged = (0, 0, 0);
         }
+        // The level's last protocol win in (item, choice) order, as
+        // (parent link, choice). Levels land in strictly later rounds, so it
+        // is the latest win so far, and the only one that needs a link.
+        let mut last_win: Option<(u32, usize)> = None;
         let tables = &ctx.tables[(round % 2) as usize][..active];
         for (chunk, items) in ctx.frontier.chunks(chunk_len).enumerate() {
             let workers = &ctx.workers[..active];
@@ -883,17 +931,38 @@ impl ModelCheck {
                 .position(|worker| worker.claimed.get(worker.merged.0) == Some(&chunk))
                 .expect("every chunk up to the first adversary win is expanded");
             let worker = &workers[owner];
-            let (claims, recs_start, mut ordinal) = worker.merged;
-            // A chunk holds n + 1 records per item, unless it ends at an
-            // adversary win, the worker's last record.
-            let recs_end = worker.recs.len().min(recs_start + items.len() * (n + 1));
-            let recs = &worker.recs[recs_start..recs_end];
-            for (item_recs, item) in recs.chunks(n + 1).zip(items) {
-                for (choice_index, &rec) in item_recs.iter().enumerate() {
-                    stats.expanded += 1;
-                    match rec {
-                        Rec::Adv => {
+            let (claims, mut cursor, mut ordinal) = worker.merged;
+            for item in items {
+                // The item's all-present record, then its crossed choices up
+                // to the next item's all-present record. A chunk that ends
+                // at an adversary win ends at the worker's last record.
+                let shared = worker.recs[cursor];
+                debug_assert_eq!(shared.choice(), n, "an item's records lead with choice n");
+                let rest = &worker.recs[cursor + 1..];
+                let crossed = &rest[..rest
+                    .iter()
+                    .position(|rec| rec.choice() == n)
+                    .unwrap_or(rest.len())];
+                cursor += 1 + crossed.len();
+                // The crossed choices are distinct and increasing, so the
+                // lowest uncrossed one is the count of those that start at 0
+                // with no gap.
+                let lowest = crossed
+                    .iter()
+                    .zip(0..)
+                    .take_while(|&(rec, i)| rec.choice() == i)
+                    .count();
+                let (below, above) = crossed.split_at(lowest);
+                let at_lowest = Rec::new(lowest, shared.kind());
+                let in_order = below.iter().chain(std::iter::once(&at_lowest)).chain(above);
+                // Choices scored before this item's.
+                let scored = stats.expanded;
+                for rec in in_order {
+                    let choice_index = rec.choice();
+                    match rec.kind() {
+                        Kind::Adv => {
                             let link = push_link(&mut ctx.links, item.link, choice_index);
+                            stats.expanded = scored + choice_index as u64 + 1;
                             stats.depth_reached = round;
                             return Some(Verdict::Infeasible(InfeasibleProof {
                                 witness: schedule_from(&ctx.links, link, ring),
@@ -902,13 +971,8 @@ impl ModelCheck {
                                 stats: *stats,
                             }));
                         }
-                        Rec::Proto => {
-                            let link = push_link(&mut ctx.links, item.link, choice_index);
-                            if best_win.is_none_or(|(r, _)| round >= r) {
-                                *best_win = Some((round, link));
-                            }
-                        }
-                        Rec::New => {
+                        Kind::Proto => last_win = Some((item.link, choice_index)),
+                        Kind::New => {
                             let slot = ordinal;
                             ordinal += 1;
                             let (digest, key) = tables[owner].entry(slot);
@@ -922,6 +986,7 @@ impl ModelCheck {
                             let link = push_link(&mut ctx.links, item.link, choice_index);
                             stats.visited += 1;
                             if stats.visited > self.max_states {
+                                stats.expanded = scored + choice_index as u64 + 1;
                                 return Some(Verdict::Inconclusive { stats: *stats, depth: round });
                             }
                             ctx.next.push(Entry {
@@ -931,19 +996,28 @@ impl ModelCheck {
                                 link,
                             });
                         }
-                        Rec::Dup => {}
+                        Kind::Dup => {}
                     }
                 }
+                if shared.kind() == Kind::Proto {
+                    // Remove-nothing, the item's last choice, shares it.
+                    last_win = Some((item.link, n));
+                }
+                stats.expanded = scored + n as u64 + 1;
             }
-            ctx.workers[owner].merged = (claims + 1, recs_end, ordinal);
+            ctx.workers[owner].merged = (claims + 1, cursor, ordinal);
+        }
+        if let Some((parent, choice_index)) = last_win {
+            *best_win = Some((round, push_link(&mut ctx.links, parent, choice_index)));
         }
         None
     }
 
     /// Claims chunks of `frontier` from `next_chunk` until none is left and
     /// expands each: every admissible choice of every item, recorded in
-    /// order into `worker.recs`. Each undecided successor new to the worker
-    /// keeps its key in `table` and its map in `worker.maps`.
+    /// order into `worker.recs`, one [`Rec`] per distinct outcome. Each
+    /// undecided successor new to the worker keeps its key in `table` and
+    /// its map in `worker.maps`.
     ///
     /// An item's state is rebuilt from its key in `current`, and stepped
     /// once per distinct round, not once per choice: its all-present round
@@ -951,8 +1025,9 @@ impl ModelCheck {
     /// [`Simulation::crossed_edges`]), each from a checkpoint of the rebuilt
     /// state. Removing an edge nobody crossed plays that same all-present
     /// round, so such a choice, and the remove-nothing choice, take its
-    /// outcome. The first of them probes its key; every later one is a
-    /// duplicate of it. The records are those of stepping every choice.
+    /// outcome. The lowest of them probes its key, in choice order among
+    /// the crossed choices' keys, so the worker's table holds its keys in
+    /// the order stepping every choice would insert them.
     #[allow(clippy::too_many_arguments)]
     fn expand_chunks(
         &self,
@@ -975,9 +1050,9 @@ impl ModelCheck {
         let mut keep = |key: &[u8], map: SymmetryMap| {
             if table.insert(key) {
                 maps.push(map);
-                Rec::New
+                Kind::New
             } else {
-                Rec::Dup
+                Kind::Dup
             }
         };
         loop {
@@ -993,39 +1068,52 @@ impl ModelCheck {
                 sim.checkpoint_into(parent);
                 sim.step_with_edge(None);
                 sim.crossed_edges(parent, crossed);
+                let n = crossed.len();
                 let all_present = self.objective.classify(sim);
                 let shared_map = match all_present {
                     Outcome::Undecided => sim.canonical_key_into(key_scratch, shared_key),
                     _ => SymmetryMap::default(),
                 };
-                let mut shared_kept = false;
+                // The all-present record leads the item. An undecided
+                // outcome is a duplicate until its lowest choice finds the
+                // key new.
+                let shared = recs.len();
+                recs.push(Rec::new(
+                    n,
+                    match all_present {
+                        Outcome::AdversaryWins => Kind::Adv,
+                        Outcome::ProtocolWins => Kind::Proto,
+                        Outcome::Undecided => Kind::Dup,
+                    },
+                ));
+                let mut shared_probed = false;
                 // The n + 1 admissible adversary choices: remove edge e, or
-                // remove nothing (encoded as choice index n, never crossed).
+                // remove nothing (choice index n, never crossed).
                 for (choice_index, &crossed) in crossed.iter().chain(&[false]).enumerate() {
-                    let rec = if crossed {
+                    let kind = if crossed {
                         sim.restore(parent);
                         sim.step_with_edge(Some(EdgeId::new(choice_index)));
-                        match self.objective.classify(sim) {
-                            Outcome::AdversaryWins => Rec::Adv,
-                            Outcome::ProtocolWins => Rec::Proto,
+                        let kind = match self.objective.classify(sim) {
+                            Outcome::AdversaryWins => Kind::Adv,
+                            Outcome::ProtocolWins => Kind::Proto,
                             Outcome::Undecided => {
                                 let map = sim.canonical_key_into(key_scratch, key);
                                 keep(key, map)
                             }
-                        }
+                        };
+                        recs.push(Rec::new(choice_index, kind));
+                        kind
+                    } else if shared_probed {
+                        continue;
                     } else {
-                        match all_present {
-                            Outcome::AdversaryWins => Rec::Adv,
-                            Outcome::ProtocolWins => Rec::Proto,
-                            Outcome::Undecided if shared_kept => Rec::Dup,
-                            Outcome::Undecided => {
-                                shared_kept = true;
-                                keep(shared_key, shared_map)
-                            }
+                        // The lowest uncrossed choice.
+                        shared_probed = true;
+                        if let Outcome::Undecided = all_present {
+                            recs[shared] = Rec::new(n, keep(shared_key, shared_map));
                         }
+                        recs[shared].kind()
                     };
-                    recs.push(rec);
-                    if let Rec::Adv = rec {
+                    if kind == Kind::Adv {
                         earliest_adv.fetch_min(chunk, Ordering::Relaxed);
                         break 'items;
                     }
@@ -1545,19 +1633,87 @@ mod tests {
         }
     }
 
+    /// The sequential search's store high-water mark
+    /// ([`SearchContext::store_bytes`] after a run in a fresh context) of
+    /// every packaged Table 1/3 cell and Theorem 4 cell at n = 4..=7, and of
+    /// the widest of them, the Theorem 19 cell, at n = 8.
+    #[rustfmt::skip]
+    const STORE_PINS: &[(&str, usize)] = &[
+        ("MC-T1-R1(n=4)", 9472),
+        ("MC-T1-R2(n=4)", 8596),
+        ("MC-T1-R3(n=4)", 704512),
+        ("MC-T3-R1a(n=4)", 10550),
+        ("MC-T3-R1b(n=4)", 10534),
+        ("MC-T3-R1c(n=4)", 10598),
+        ("MC-T3-R2(n=4)", 14784),
+        ("MC-T3-R3(n=4)", 76032),
+        ("MC-T1-R1(n=5)", 11888),
+        ("MC-T1-R2(n=5)", 9968),
+        ("MC-T1-R3(n=5)", 1118208),
+        ("MC-T3-R1a(n=5)", 10550),
+        ("MC-T3-R1b(n=5)", 10534),
+        ("MC-T3-R1c(n=5)", 10598),
+        ("MC-T3-R2(n=5)", 21376),
+        ("MC-T3-R3(n=5)", 143872),
+        ("MC-T3-R4(n=5)", 29760),
+        ("theorem4(n=5)", 13824),
+        ("MC-T1-R1(n=6)", 12144),
+        ("MC-T1-R2(n=6)", 13216),
+        ("MC-T1-R3(n=6)", 2203648),
+        ("MC-T3-R1a(n=6)", 10550),
+        ("MC-T3-R1b(n=6)", 10534),
+        ("MC-T3-R1c(n=6)", 10598),
+        ("MC-T3-R2(n=6)", 34560),
+        ("MC-T3-R3(n=6)", 344064),
+        ("MC-T3-R4(n=6)", 182784),
+        ("theorem4(n=6)", 26304),
+        ("MC-T1-R1(n=7)", 12144),
+        ("MC-T1-R2(n=7)", 16672),
+        ("MC-T1-R3(n=7)", 3080192),
+        ("MC-T3-R1a(n=7)", 12700),
+        ("MC-T3-R1b(n=7)", 12668),
+        ("MC-T3-R1c(n=7)", 12796),
+        ("MC-T3-R2(n=7)", 60928),
+        ("MC-T3-R3(n=7)", 583680),
+        ("MC-T3-R4(n=7)", 1462272),
+        ("theorem4(n=7)", 53248),
+        ("MC-T3-R4(n=8)", 11436032),
+    ];
+
     #[test]
-    fn store_high_water_of_the_widest_cell_is_pinned() {
+    fn store_high_water_of_every_recorded_cell_is_pinned() {
         // The sequential search's buffers grow deterministically, so their
         // high-water mark is exact: a memory regression fails here rather
         // than hiding in resident-size noise.
-        for (n, expected) in [(7, 1_822_720), (8, 14_450_688)] {
-            let cell = table3_cells(n)
-                .into_iter()
-                .find(|cell| cell.id.starts_with("MC-T3-R4"))
-                .expect("the Theorem 19 cell is packaged from n = 5");
-            let mut ctx = SearchContext::new(1);
-            let _ = cell.check.run_in(&mut ctx);
-            assert_eq!(ctx.store_bytes(), expected, "{}", cell.id);
+        let mut checks = Vec::new();
+        for n in 4..=7 {
+            checks.extend(
+                infeasibility_cells(n)
+                    .into_iter()
+                    .map(|cell| (cell.id, cell.check)),
+            );
+            if n >= 5 {
+                checks.push((format!("theorem4(n={n})"), theorem4_cell(n)));
+            }
         }
+        checks.extend(
+            table3_cells(8)
+                .into_iter()
+                .filter(|cell| cell.id.starts_with("MC-T3-R4"))
+                .map(|cell| (cell.id, cell.check)),
+        );
+        let measured: Vec<(String, usize)> = checks
+            .into_iter()
+            .map(|(id, check)| {
+                let mut ctx = SearchContext::new(1);
+                let _ = check.run_in(&mut ctx);
+                (id, ctx.store_bytes())
+            })
+            .collect();
+        let expected: Vec<(String, usize)> = STORE_PINS
+            .iter()
+            .map(|&(id, bytes)| (id.to_owned(), bytes))
+            .collect();
+        assert_eq!(measured, expected);
     }
 }

@@ -18,7 +18,9 @@
 //! last fsync batch. A kill mid-write leaves a partial final line; replay
 //! treats exactly that (an unparsable **last** line) as the expected crash
 //! signature and drops it, while an unparsable line anywhere else is
-//! reported as corruption.
+//! reported as corruption. A resumed run cuts the file back to the lines
+//! replay accepted before it appends ([`FileSink::open_after`]), so a torn
+//! tail never ends up in the middle of the journal.
 //!
 //! `cell_completed` carries the **full serialized `RunReport`**, not just a
 //! digest: that is what lets resume assemble the final report without
@@ -331,6 +333,8 @@ pub trait JournalSink: Send {
 #[derive(Debug)]
 pub struct FileSink {
     file: File,
+    /// The line being appended, with its newline.
+    line: Vec<u8>,
 }
 
 impl FileSink {
@@ -341,17 +345,42 @@ impl FileSink {
     /// Propagates the open failure.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(FileSink { file })
+        Ok(FileSink {
+            file,
+            line: Vec::new(),
+        })
+    }
+
+    /// Opens (creating if needed) `path` for appending after cutting it
+    /// back to its first `len` bytes, the prefix a [`replay`] accepted
+    /// ([`Replay::accepted_len`]), and ending that prefix with a newline
+    /// when it is not empty. A torn last line is gone, and the next line
+    /// starts on a line of its own even when the accepted line's newline
+    /// was never written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the open, truncate or write failure.
+    pub fn open_after(path: &Path, len: u64) -> std::io::Result<Self> {
+        let mut sink = FileSink::open(path)?;
+        sink.file.set_len(len)?;
+        if len > 0 {
+            sink.file.write_all(b"\n")?;
+        }
+        Ok(sink)
     }
 }
 
 impl JournalSink for FileSink {
     fn append(&mut self, line: &str) -> std::io::Result<()> {
-        // One write_all per line: after this returns, the line is in the OS
-        // page cache and survives a SIGKILL of this process (fsync batches
-        // additionally protect against machine crashes).
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")
+        // The line and its newline in one write: after this returns, the
+        // line is in the OS page cache and survives a SIGKILL of this
+        // process (fsync batches additionally protect against machine
+        // crashes), and no kill lands between the line and its newline.
+        self.line.clear();
+        self.line.extend_from_slice(line.as_bytes());
+        self.line.push(b'\n');
+        self.file.write_all(&self.line)
     }
 
     fn sync(&mut self) -> std::io::Result<()> {
@@ -451,6 +480,10 @@ pub struct Replay {
     pub finished: bool,
     /// Whether a trailing partial line (the crash signature) was dropped.
     pub dropped_partial_tail: bool,
+    /// Bytes of the journal up to the end of the last accepted event's
+    /// line, without its newline: the prefix a resumed run keeps (see
+    /// [`FileSink::open_after`]).
+    pub accepted_len: u64,
     /// Total events replayed.
     pub events: usize,
 }
@@ -473,23 +506,41 @@ pub fn replay(path: &Path, job: &Job) -> Result<Replay, ServiceError> {
         context: format!("opening journal {} for replay", path.display()),
         source,
     })?;
-    let reader = BufReader::new(file);
-    let mut lines: Vec<String> = Vec::new();
-    for line in reader.lines() {
-        let line = line.map_err(|source| ServiceError::Io {
-            context: format!("reading journal {}", path.display()),
-            source,
-        })?;
-        if !line.trim().is_empty() {
-            lines.push(line);
+    let mut reader = BufReader::new(file);
+    // Each non-blank line's bytes, without its line ending, and the offset
+    // where they end.
+    let mut lines: Vec<(Vec<u8>, u64)> = Vec::new();
+    let mut offset = 0u64;
+    loop {
+        let mut line = Vec::new();
+        let read = reader
+            .read_until(b'\n', &mut line)
+            .map_err(|source| ServiceError::Io {
+                context: format!("reading journal {}", path.display()),
+                source,
+            })?;
+        if read == 0 {
+            break;
+        }
+        offset += read as u64;
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        }
+        if !line.trim_ascii().is_empty() {
+            let end = offset - (read - line.len()) as u64;
+            lines.push((line, end));
         }
     }
     let mut replay = Replay::default();
     let last = lines.len().saturating_sub(1);
-    for (number, line) in lines.iter().enumerate() {
-        let parsed: Result<JournalEvent, String> = line
-            .parse::<Value>()
+    for (number, (line, end)) in lines.iter().enumerate() {
+        // A kill mid-write can also cut a character in two.
+        let parsed: Result<JournalEvent, String> = std::str::from_utf8(line)
             .map_err(|e| e.to_string())
+            .and_then(|line| line.parse::<Value>().map_err(|e| e.to_string()))
             .and_then(|value| JournalEvent::from_json(&value));
         let event = match parsed {
             Ok(event) => event,
@@ -532,6 +583,7 @@ pub fn replay(path: &Path, job: &Job) -> Result<Replay, ServiceError> {
             }
         }
         replay.events += 1;
+        replay.accepted_len = *end;
         match event {
             JournalEvent::JobStarted { .. } | JournalEvent::JobResumed { .. } => {}
             JournalEvent::CellCompleted { index, digest, report, .. } => {

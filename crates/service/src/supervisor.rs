@@ -136,9 +136,13 @@ impl Supervisor {
             return Ok(assemble(job, &replayed, collect_skipped(job, &replayed), resumed));
         }
 
-        let sink = FileSink::open(journal_path).map_err(|source| ServiceError::Io {
-            context: format!("opening journal {}", journal_path.display()),
-            source,
+        // Resume after the last accepted line: a torn tail is cut off, and
+        // the next event starts a line of its own.
+        let sink = FileSink::open_after(journal_path, replayed.accepted_len).map_err(|source| {
+            ServiceError::Io {
+                context: format!("opening journal {}", journal_path.display()),
+                source,
+            }
         })?;
         let mut journal = Journal::new(self.fault.wrap_sink(Box::new(sink)), FSYNC_EVERY);
         let io = |context: &str| {
@@ -156,7 +160,7 @@ impl Supervisor {
             .map(|i| (i, replayed.attempts.get(&i).copied().unwrap_or(0) + 1))
             .collect();
 
-        if existing {
+        if replayed.events > 0 {
             journal
                 .append(&JournalEvent::JobResumed { pending: pending.len() })
                 .map_err(io("appending job_resumed"))?;
@@ -486,28 +490,61 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A kill mid-write leaves a torn last line, possibly cut inside a
+    /// character, or a whole line without its newline. The resume replays the lines before it and cuts the
+    /// file back to them before appending, so the finished journal replays
+    /// too: a second run short-circuits to the same report and appends
+    /// nothing.
     #[test]
-    fn trailing_partial_line_is_dropped_on_resume() {
+    fn a_torn_journal_tail_is_cut_back_before_the_resume_appends() {
         let job = battery(4);
-        let path = temp_journal("partial");
-        let reference_path = temp_journal("partial-reference");
+        let reference_path = temp_journal("torn-reference");
         let sup = Supervisor::new().threads(1).chunk(2);
-        let reference = sup.run(&job, &reference_path).unwrap();
-        // Kill mid-run, then simulate the crash-mid-write signature by
-        // appending a truncated line.
-        let err = sup
-            .clone()
-            .fault_plan(FaultPlan::none().with_kill_before(2))
-            .run(&job, &path)
-            .unwrap_err();
-        assert!(matches!(err, ServiceError::Killed { .. }));
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        write!(file, "{{\"event\":\"cell_comp").unwrap();
-        drop(file);
-        let resumed = sup.run(&job, &path).unwrap();
-        assert_eq!(resumed.render(&job), reference.render(&job));
-        std::fs::remove_file(&path).unwrap();
+        let reference = sup.run(&job, &reference_path).unwrap().render(&job);
+        type Tear = fn(&Path);
+        fn append(path: &Path, bytes: &[u8]) {
+            use std::io::Write as _;
+            let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+            file.write_all(bytes).unwrap();
+        }
+        let tears: [(&str, Tear); 3] = [
+            ("torn-line", |path| append(path, b"{\"event\":\"cell_comp")),
+            // Cut inside the three bytes of a `≥`.
+            ("torn-character", |path| append(path, b"{\"error\":\"\xe2\x89")),
+            ("torn-newline", |path| {
+                let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+                let len = file.metadata().unwrap().len();
+                file.set_len(len - 1).unwrap();
+            }),
+        ];
+        for (tag, tear) in tears {
+            let path = temp_journal(tag);
+            let err = sup
+                .clone()
+                .fault_plan(FaultPlan::none().with_kill_before(2))
+                .run(&job, &path)
+                .unwrap_err();
+            assert!(matches!(err, ServiceError::Killed { .. }));
+            tear(&path);
+            let resumed = sup.run(&job, &path).unwrap();
+            assert_eq!(resumed.render(&job), reference, "{tag}");
+            let finished = std::fs::read(&path).unwrap();
+            let again = sup
+                .run(&job, &path)
+                .unwrap_or_else(|err| panic!("{tag}: {err}"));
+            assert_eq!(
+                again.resumed,
+                job.len(),
+                "{tag}: the finished journal runs nothing"
+            );
+            assert_eq!(again.render(&job), reference, "{tag}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                finished,
+                "{tag}: nothing is appended"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
         std::fs::remove_file(&reference_path).unwrap();
     }
 
