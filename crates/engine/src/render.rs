@@ -56,20 +56,23 @@ pub fn render_round(ring: &RingTopology, record: &RoundRecord) -> String {
     line
 }
 
-/// Renders a whole trace, one line per round (optionally subsampled to at
-/// most `max_lines` lines).
+/// Renders a whole trace, one line per round, subsampled to at most
+/// `max_lines` lines (a `max_lines` of 0 counts as 1). A subsampled trace
+/// shows evenly spaced rounds from the first to the last; with room for a
+/// single line only, it shows the last round.
 #[must_use]
 pub fn render_trace(ring: &RingTopology, trace: &Trace, max_lines: usize) -> String {
     if trace.is_empty() {
         return String::from("(empty trace)");
     }
-    let stride = (trace.len() / max_lines.max(1)).max(1);
+    let last = trace.len() - 1;
+    let lines = trace.len().min(max_lines.max(1));
     let mut out = String::new();
-    for (i, record) in trace.rounds().enumerate() {
-        if i % stride == 0 || i + 1 == trace.len() {
-            out.push_str(&render_round(ring, &record));
-            out.push('\n');
-        }
+    for line in 0..lines {
+        let index = if lines == 1 { last } else { line * last / (lines - 1) };
+        let record = trace.round_at(index).expect("index within the trace");
+        out.push_str(&render_round(ring, &record));
+        out.push('\n');
     }
     out
 }
@@ -77,7 +80,7 @@ pub fn render_trace(ring: &RingTopology, trace: &Trace, max_lines: usize) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::tests::{label, record_row};
+    use crate::trace::tests::{label, record, record_row};
     use crate::trace::AgentRoundRecord;
     use dynring_graph::{AgentId, EdgeId, GlobalDirection};
     use dynring_model::PriorOutcome;
@@ -115,7 +118,7 @@ mod tests {
             ],
             visited_count: 3,
         };
-        record_row(&mut trace, ring.size(), &row);
+        record_row(&mut trace, &row);
         (ring, trace)
     }
 
@@ -128,6 +131,39 @@ mod tests {
         assert!(line.contains('*'), "landmark marker: {line}");
         assert!(line.contains('x'), "missing edge marker: {line}");
         assert!(line.contains("visited=3"));
+    }
+
+    /// A trace of `len` rounds.
+    fn trace_of(len: usize) -> Trace {
+        let mut trace = Trace::new();
+        for round in 1..=len as u64 {
+            record_row(&mut trace, &record(round, 2));
+        }
+        trace
+    }
+
+    #[test]
+    fn subsampled_traces_keep_the_first_and_last_rounds_within_the_limit() {
+        let ring = RingTopology::with_landmark(5, NodeId::new(0)).unwrap();
+        for max in [1, 10, 40] {
+            for len in [1, max - 1, max, max + 1, 2 * max - 1, 79] {
+                let trace = trace_of(len);
+                let text = render_trace(&ring, &trace, max);
+                if len == 0 {
+                    assert_eq!(text, "(empty trace)");
+                    continue;
+                }
+                let rounds: Vec<usize> =
+                    text.lines().map(|line| line[1..5].trim().parse().unwrap()).collect();
+                let case = format!("len {len}, max {max}: rounds {rounds:?}");
+                assert_eq!(rounds.len(), len.min(max), "{case}");
+                assert!(rounds.windows(2).all(|pair| pair[0] < pair[1]), "{case}");
+                assert_eq!(rounds.last(), Some(&len), "{case}");
+                if max > 1 {
+                    assert_eq!(rounds[0], 1, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

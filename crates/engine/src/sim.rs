@@ -772,7 +772,7 @@ impl Simulation {
 
     /// Finishes a restore: reinstates the activation token, and tells the
     /// trace, if any, that program state changed outside `decide` — the
-    /// one event the trace's label delta encoding cannot observe.
+    /// one event the trace's label reuse cannot observe.
     fn restored(&mut self, token: u64) {
         if let Some(trace) = self.trace.as_mut() {
             trace.invalidate_label_cache();
@@ -972,15 +972,13 @@ impl RoundKernel<'_> {
         if self.counters.explored_at.is_none() && self.counters.unvisited == 0 {
             self.counters.explored_at = Some(r);
         }
-        // Trace recording: flat columnar appends straight from the round
-        // slices (allocation-free in the recycled steady state).
+        // Trace recording: one entry per agent, appended straight from the
+        // round slices (allocation-free in the recycled steady state).
         if let Some(trace) = self.trace.as_mut() {
-            trace.record_round_from_lane(
+            trace.record_round(
                 r,
                 missing,
                 n - self.counters.unvisited,
-                n,
-                &self.act[..active_len],
                 self.mask,
                 self.nodes_before,
                 self.node,

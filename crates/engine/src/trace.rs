@@ -1,45 +1,41 @@
-//! Per-round execution records, stored columnar.
+//! Per-round execution records.
 //!
 //! A [`Trace`] stores, for every simulated round, which agents were active,
 //! which edge was missing, what each agent decided and what happened to it.
 //! Traces feed the ASCII renderer, the invariant checker and the experiment
 //! reports (e.g. "in which round was the ring explored?").
 //!
-//! # Columnar layout
+//! # Layout
 //!
-//! Recording used to dominate trace-on runs: one `RoundRecord` per round
-//! owning two `Vec`s plus one eagerly formatted `state_label: String` per
-//! agent. The trace now appends into flat, reusable columns instead:
+//! The trace is two flat vectors that the round loop appends to:
 //!
-//! * **per-round columns** — round number, missing edge, visited count, and
-//!   offsets into the flat active-set and agent-entry columns;
-//! * **per-agent-entry columns** — the start node, a packed `u16` of
-//!   flags/enums (active, terminated, held port, decision, outcome, move
-//!   delta), and a state-label id;
-//! * **delta-encoded movement** — the landing node is stored as a 2-bit code
-//!   (stayed / one step ccw / one step cw) relative to the start node; only
-//!   a landing that is none of those (a jump the engine never makes, kept so
-//!   the invariant checker still sees it) spills an explicit `NodeId` to a
-//!   side table;
-//! * **interned state labels** — the engine never calls
-//!   [`state_label`](dynring_model::Protocol::state_label) while
-//!   recording. Protocol state only changes inside `decide`, so a new label
-//!   entry (a cheap in-place, variant-matching `CatalogProtocol` snapshot)
-//!   is taken only for agents that computed this round; every other entry
-//!   reuses the agent's previous label id.
-//!   Labels are rendered to `String`s lazily, at materialization time.
+//! * **one head per round** — round number, missing edge, visited count and
+//!   the position of the round's first entry;
+//! * **one plain entry per agent per round**, in id order — active flag,
+//!   nodes before and after, held port, decision, outcome, terminated flag
+//!   and a state-label id. An entry's agent is its position in the round,
+//!   and the round's active set is the agents whose entries are flagged
+//!   active.
 //!
-//! The row-oriented [`RoundRecord`]/[`AgentRoundRecord`] structs survive as a
+//! State labels are interned: the engine never calls
+//! [`state_label`](dynring_model::Protocol::state_label) while recording.
+//! Protocol state only changes inside `decide`, so a new label entry (an
+//! in-place, variant-matching `CatalogProtocol` snapshot) is taken only for
+//! agents that computed this round; every other entry reuses the agent's
+//! previous label id. Labels are rendered to `String`s when a view
+//! materializes.
+//!
+//! The row-oriented [`RoundRecord`]/[`AgentRoundRecord`] structs are a
 //! **lazily materialized view**: [`Trace::rounds`] iterates them,
-//! [`Trace::round`] finds one by round number through a round-offset index,
-//! and the `Debug` representation (which the golden digests of
-//! `tests/determinism.rs` pin) is byte-identical to the old eager storage.
-//! [`Trace::clear`] keeps every column's capacity (and the label table's
+//! [`Trace::round`] finds one by round number, and the `Debug`
+//! representation (which the golden digests of `tests/determinism.rs` pin)
+//! is byte-identical to an eager `Trace { rounds: [...] }` struct.
+//! [`Trace::clear`] keeps both vectors' capacity (and the label table's
 //! slots), so a recycled trace-on run appends without heap allocation.
 
 use dynring_core::CatalogProtocol;
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, NodeId, RingTopology};
-use dynring_model::{Decision, LocalDirection, PriorOutcome, Protocol};
+use dynring_model::{Decision, PriorOutcome, Protocol};
 use std::fmt;
 
 /// What happened to one agent in one round.
@@ -109,45 +105,40 @@ impl RoundRecord {
     }
 }
 
-// Bit layout of one packed per-agent entry (low to high).
-const ACTIVE_BIT: u16 = 1;
-const TERMINATED_BIT: u16 = 1 << 1;
-const PORT_SHIFT: u16 = 2; // 2 bits: 0 none, 1 ccw, 2 cw
-const DECISION_SHIFT: u16 = 4; // 3 bits: 0 none, 1 left, 2 right, 3 stay, 4 retreat, 5 terminate
-const OUTCOME_SHIFT: u16 = 7; // 3 bits: PriorOutcome discriminant
-const MOVE_SHIFT: u16 = 10; // 2 bits: 0 stayed, 1 +1 mod n, 2 -1 mod n, 3 spilled
-const FIELD2: u16 = 0b11;
-const FIELD3: u16 = 0b111;
-const MOVE_STAY: u16 = 0;
-const MOVE_CCW: u16 = 1;
-const MOVE_CW: u16 = 2;
-const MOVE_SPILL: u16 = 3;
-
 /// Label id sentinel: the agent has no interned label yet (first recorded
 /// round, or the cache was invalidated by a checkpoint restore).
 const NO_LABEL: u32 = u32::MAX;
 
-/// A full execution trace, stored columnar (see the module docs).
+/// One recorded round, without its entries.
+#[derive(Clone, Copy)]
+struct Head {
+    round: u64,
+    missing_edge: Option<EdgeId>,
+    visited_count: usize,
+    /// Position of the round's first entry; the round's entries run to the
+    /// next head's `first` (rounds only ever append).
+    first: usize,
+}
+
+/// One agent in one round; the agent is the entry's position in its round.
+#[derive(Clone, Copy)]
+struct Entry {
+    active: bool,
+    node_before: NodeId,
+    node_after: NodeId,
+    held_port: Option<GlobalDirection>,
+    decision: Option<Decision>,
+    outcome: PriorOutcome,
+    terminated: bool,
+    /// Index into the label table.
+    label: u32,
+}
+
+/// A full execution trace (see the module docs).
+#[derive(Clone)]
 pub struct Trace {
-    // Per-round columns.
-    round_no: Vec<u64>,
-    missing: Vec<Option<EdgeId>>,
-    visited: Vec<usize>,
-    /// Start of each round's slice of `active_ids`; the end is the next
-    /// round's start (rounds only ever append).
-    active_start: Vec<u32>,
-    /// Start of each round's slice of the per-agent-entry columns.
-    agent_start: Vec<u32>,
-    /// Flat concatenation of every round's active set.
-    active_ids: Vec<AgentId>,
-    // Per-agent-entry columns (one entry per agent per recorded round).
-    entry_id: Vec<AgentId>,
-    entry_before: Vec<NodeId>,
-    entry_packed: Vec<u16>,
-    entry_label: Vec<u32>,
-    /// Explicit landing nodes for entries whose move code is `MOVE_SPILL`,
-    /// keyed by entry index (appended in order, so lookups binary-search).
-    spill: Vec<(u32, NodeId)>,
+    heads: Vec<Head>,
+    entries: Vec<Entry>,
     /// State-label table: one snapshot of an agent's program per slot, whose
     /// label is formatted only when a view materializes. Slots past
     /// `labels_len` are retained capacity from a cleared trace, overwritten
@@ -158,8 +149,6 @@ pub struct Trace {
     /// Per-agent id of the label recorded last (recorder state; `NO_LABEL`
     /// forces a fresh snapshot).
     last_label: Vec<u32>,
-    /// Ring size the move codes are relative to.
-    ring_size: usize,
     /// Round numbers are exactly `1..=len` — lookup is an index.
     dense: bool,
     /// Round numbers are strictly increasing — lookup is a binary search.
@@ -171,42 +160,23 @@ impl Trace {
     #[must_use]
     pub fn new() -> Self {
         Trace {
-            round_no: Vec::new(),
-            missing: Vec::new(),
-            visited: Vec::new(),
-            active_start: Vec::new(),
-            agent_start: Vec::new(),
-            active_ids: Vec::new(),
-            entry_id: Vec::new(),
-            entry_before: Vec::new(),
-            entry_packed: Vec::new(),
-            entry_label: Vec::new(),
-            spill: Vec::new(),
+            heads: Vec::new(),
+            entries: Vec::new(),
             labels: Vec::new(),
             labels_len: 0,
             last_label: Vec::new(),
-            ring_size: 0,
             dense: true,
             sorted: true,
         }
     }
 
-    /// Forgets every recorded round, keeping every column's allocation (and
+    /// Forgets every recorded round, keeping both vectors' allocation (and
     /// the label table's slots) so a recycled simulation (see
     /// [`Simulation::recycle`](crate::sim::Simulation::recycle)) can refill
     /// the trace without reallocating.
     pub fn clear(&mut self) {
-        self.round_no.clear();
-        self.missing.clear();
-        self.visited.clear();
-        self.active_start.clear();
-        self.agent_start.clear();
-        self.active_ids.clear();
-        self.entry_id.clear();
-        self.entry_before.clear();
-        self.entry_packed.clear();
-        self.entry_label.clear();
-        self.spill.clear();
+        self.heads.clear();
+        self.entries.clear();
         self.labels_len = 0;
         self.last_label.clear();
         self.dense = true;
@@ -214,9 +184,8 @@ impl Trace {
     }
 
     /// All recorded rounds in order, as lazily materialized [`RoundRecord`]s.
-    #[must_use]
-    pub fn rounds(&self) -> Rounds<'_> {
-        Rounds { trace: self, index: 0 }
+    pub fn rounds(&self) -> impl ExactSizeIterator<Item = RoundRecord> + '_ {
+        (0..self.len()).map(|index| self.materialize(index))
     }
 
     /// The record at a given position (0-based), if recorded.
@@ -228,17 +197,17 @@ impl Trace {
     /// Number of recorded rounds.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.round_no.len()
+        self.heads.len()
     }
 
     /// Whether nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.round_no.is_empty()
+        self.heads.is_empty()
     }
 
     /// The record of a given (1-based) round, if recorded. Engine traces are
-    /// dense (`1..=len`) and resolve in O(1) through the offset index;
+    /// dense (`1..=len`) and resolve in O(1) by index;
     /// sparse-but-increasing round numbers binary-search; only an
     /// out-of-order trace (e.g. one appended to across checkpoint restores)
     /// falls back to a first-match scan.
@@ -251,32 +220,29 @@ impl Trace {
         if self.dense {
             return match round {
                 0 => None,
-                r if (r as usize) <= self.round_no.len() => Some(r as usize - 1),
+                r if (r as usize) <= self.heads.len() => Some(r as usize - 1),
                 _ => None,
             };
         }
         if self.sorted {
-            return self.round_no.binary_search(&round).ok();
+            return self.heads.binary_search_by_key(&round, |head| head.round).ok();
         }
-        self.round_no.iter().position(|&r| r == round)
+        self.heads.iter().position(|head| head.round == round)
     }
 
     /// The first round in which the union of visited nodes covered the whole
     /// ring of the given size.
     #[must_use]
     pub fn exploration_round(&self, ring_size: usize) -> Option<u64> {
-        self.visited.iter().position(|&v| v >= ring_size).map(|index| self.round_no[index])
+        self.heads.iter().find(|head| head.visited_count >= ring_size).map(|head| head.round)
     }
 
     /// Total number of edge traversals across all agents and rounds.
     #[must_use]
     pub fn total_traversals(&self) -> usize {
-        self.entry_packed
+        self.entries
             .iter()
-            .filter(|packed| {
-                let outcome = (*packed >> OUTCOME_SHIFT) & FIELD3;
-                outcome == PriorOutcome::Moved as u16 || outcome == PriorOutcome::Transported as u16
-            })
+            .filter(|entry| matches!(entry.outcome, PriorOutcome::Moved | PriorOutcome::Transported))
             .count()
     }
 
@@ -341,20 +307,18 @@ impl Trace {
         Ok(())
     }
 
-    /// Records one engine round straight from the round loop's slices: flat
-    /// appends only, no per-round `Vec`s, no
+    /// Records one engine round straight from the round loop's slices, one
+    /// entry per agent in id order: plain appends, no per-round `Vec`s, no
     /// `state_label` formatting (agents that did not compute reuse their
     /// previous label id; agents that did snapshot their program in place).
-    /// Steady-state allocation-free once every column has seen this shape.
+    /// Steady-state allocation-free once both vectors have seen this shape.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_round_from_lane(
+    pub(crate) fn record_round(
         &mut self,
         round: u64,
         missing_edge: Option<EdgeId>,
         visited_count: usize,
-        ring_size: usize,
-        active: &[AgentId],
-        active_mask: &[bool],
+        active: &[bool],
         nodes_before: &[NodeId],
         nodes_after: &[NodeId],
         held_port: &[Option<GlobalDirection>],
@@ -363,8 +327,11 @@ impl Trace {
         terminated_at: &[Option<u64>],
         programs: &[CatalogProtocol],
     ) {
-        self.ring_size = ring_size;
-        self.begin_round(round, missing_edge, visited_count, active);
+        self.dense = self.dense && round == self.heads.len() as u64 + 1;
+        if let Some(last) = self.heads.last() {
+            self.sorted = self.sorted && round > last.round;
+        }
+        self.heads.push(Head { round, missing_edge, visited_count, first: self.entries.len() });
         let count = nodes_after.len();
         if self.last_label.len() < count {
             self.last_label.resize(count, NO_LABEL);
@@ -377,97 +344,25 @@ impl Trace {
             } else {
                 self.last_label[index]
             };
-            self.push_entry(
-                AgentId::new(index),
-                nodes_before[index],
-                nodes_after[index],
-                active_mask[index],
-                terminated_at[index].is_some(),
-                held_port[index],
-                decisions[index],
-                outcomes[index],
+            self.entries.push(Entry {
+                active: active[index],
+                node_before: nodes_before[index],
+                node_after: nodes_after[index],
+                held_port: held_port[index],
+                decision: decisions[index],
+                outcome: outcomes[index],
+                terminated: terminated_at[index].is_some(),
                 label,
-            );
+            });
         }
     }
 
     /// Drops the per-agent label cache so the next recorded round snapshots
     /// every program afresh. Called on [`Simulation::restore`]
     /// (crate::sim::Simulation::restore): a restore rewrites program state
-    /// outside `decide`, which is the one event the delta encoding cannot
-    /// see.
+    /// outside `decide`, which is the one event label reuse cannot see.
     pub(crate) fn invalidate_label_cache(&mut self) {
         self.last_label.clear();
-    }
-
-    fn begin_round(
-        &mut self,
-        round: u64,
-        missing_edge: Option<EdgeId>,
-        visited_count: usize,
-        active: &[AgentId],
-    ) {
-        self.dense = self.dense && round == self.round_no.len() as u64 + 1;
-        if let Some(&last) = self.round_no.last() {
-            self.sorted = self.sorted && round > last;
-        }
-        self.round_no.push(round);
-        self.missing.push(missing_edge);
-        self.visited.push(visited_count);
-        self.active_start.push(self.active_ids.len() as u32);
-        self.active_ids.extend_from_slice(active);
-        self.agent_start.push(self.entry_id.len() as u32);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_entry(
-        &mut self,
-        id: AgentId,
-        node_before: NodeId,
-        node_after: NodeId,
-        active: bool,
-        terminated: bool,
-        held_port: Option<GlobalDirection>,
-        decision: Option<Decision>,
-        outcome: PriorOutcome,
-        label: u32,
-    ) {
-        let n = self.ring_size;
-        let move_code = if node_after == node_before {
-            MOVE_STAY
-        } else if node_after.index() == (node_before.index() + 1) % n {
-            MOVE_CCW
-        } else if node_after.index() == (node_before.index() + n - 1) % n {
-            MOVE_CW
-        } else {
-            self.spill.push((self.entry_id.len() as u32, node_after));
-            MOVE_SPILL
-        };
-        let mut packed = move_code << MOVE_SHIFT;
-        packed |= (outcome as u16) << OUTCOME_SHIFT;
-        packed |= match decision {
-            None => 0,
-            Some(Decision::Move(LocalDirection::Left)) => 1,
-            Some(Decision::Move(LocalDirection::Right)) => 2,
-            Some(Decision::Stay) => 3,
-            Some(Decision::Retreat) => 4,
-            Some(Decision::Terminate) => 5,
-        } << DECISION_SHIFT;
-        packed |= match held_port {
-            None => 0,
-            Some(GlobalDirection::Ccw) => 1,
-            Some(GlobalDirection::Cw) => 2,
-        } << PORT_SHIFT;
-        if active {
-            packed |= ACTIVE_BIT;
-        }
-        if terminated {
-            packed |= TERMINATED_BIT;
-        }
-        self.entry_id.push(id);
-        self.entry_before.push(node_before);
-        self.entry_packed.push(packed);
-        self.entry_label.push(label);
     }
 
     /// Interns a program snapshot: reuses a cleared table slot in place
@@ -478,8 +373,8 @@ impl Trace {
         if id == self.labels.len() {
             // Growing past every retained slot: snapshot straight into the
             // push (no placeholder that the slot write would immediately
-            // overwrite — the label table is the widest trace column, so
-            // writing each fresh slot once instead of twice matters).
+            // overwrite — the label table is the widest part of the trace,
+            // so writing each fresh slot once instead of twice matters).
             self.labels.push(program.clone());
         } else {
             self.labels[id].clone_from(program);
@@ -491,63 +386,29 @@ impl Trace {
 
     /// Materializes the row view of the round at `index` (0-based).
     fn materialize(&self, index: usize) -> RoundRecord {
-        let active_end =
-            self.active_start.get(index + 1).map_or(self.active_ids.len(), |&end| end as usize);
-        let entry_end =
-            self.agent_start.get(index + 1).map_or(self.entry_id.len(), |&end| end as usize);
-        let entries = self.agent_start[index] as usize..entry_end;
+        let head = self.heads[index];
+        let end = self.heads.get(index + 1).map_or(self.entries.len(), |next| next.first);
+        let entries = &self.entries[head.first..end];
         RoundRecord {
-            round: self.round_no[index],
-            missing_edge: self.missing[index],
-            active: self.active_ids[self.active_start[index] as usize..active_end].to_vec(),
-            agents: entries.map(|entry| self.materialize_entry(entry)).collect(),
-            visited_count: self.visited[index],
-        }
-    }
-
-    fn materialize_entry(&self, entry: usize) -> AgentRoundRecord {
-        let packed = self.entry_packed[entry];
-        let node_before = self.entry_before[entry];
-        let n = self.ring_size;
-        let node_after = match (packed >> MOVE_SHIFT) & FIELD2 {
-            MOVE_STAY => node_before,
-            MOVE_CCW => NodeId::new((node_before.index() + 1) % n),
-            MOVE_CW => NodeId::new((node_before.index() + n - 1) % n),
-            _ => {
-                let slot = self
-                    .spill
-                    .binary_search_by_key(&(entry as u32), |&(at, _)| at)
-                    .expect("spilled landing node recorded for this entry");
-                self.spill[slot].1
-            }
-        };
-        AgentRoundRecord {
-            id: self.entry_id[entry],
-            active: packed & ACTIVE_BIT != 0,
-            node_before,
-            node_after,
-            held_port_after: match (packed >> PORT_SHIFT) & FIELD2 {
-                0 => None,
-                1 => Some(GlobalDirection::Ccw),
-                _ => Some(GlobalDirection::Cw),
-            },
-            decision: match (packed >> DECISION_SHIFT) & FIELD3 {
-                0 => None,
-                1 => Some(Decision::Move(LocalDirection::Left)),
-                2 => Some(Decision::Move(LocalDirection::Right)),
-                3 => Some(Decision::Stay),
-                4 => Some(Decision::Retreat),
-                _ => Some(Decision::Terminate),
-            },
-            outcome: match (packed >> OUTCOME_SHIFT) & FIELD3 {
-                0 => PriorOutcome::Idle,
-                1 => PriorOutcome::Moved,
-                2 => PriorOutcome::BlockedOnPort,
-                3 => PriorOutcome::PortAcquisitionFailed,
-                _ => PriorOutcome::Transported,
-            },
-            terminated: packed & TERMINATED_BIT != 0,
-            state_label: self.labels[self.entry_label[entry] as usize].state_label(),
+            round: head.round,
+            missing_edge: head.missing_edge,
+            active: (0..entries.len()).filter(|&i| entries[i].active).map(AgentId::new).collect(),
+            agents: entries
+                .iter()
+                .enumerate()
+                .map(|(i, entry)| AgentRoundRecord {
+                    id: AgentId::new(i),
+                    active: entry.active,
+                    node_before: entry.node_before,
+                    node_after: entry.node_after,
+                    held_port_after: entry.held_port,
+                    decision: entry.decision,
+                    outcome: entry.outcome,
+                    terminated: entry.terminated,
+                    state_label: self.labels[entry.label as usize].state_label(),
+                })
+                .collect(),
+            visited_count: head.visited_count,
         }
     }
 }
@@ -558,31 +419,7 @@ impl Default for Trace {
     }
 }
 
-impl Clone for Trace {
-    fn clone(&self) -> Self {
-        Trace {
-            round_no: self.round_no.clone(),
-            missing: self.missing.clone(),
-            visited: self.visited.clone(),
-            active_start: self.active_start.clone(),
-            agent_start: self.agent_start.clone(),
-            active_ids: self.active_ids.clone(),
-            entry_id: self.entry_id.clone(),
-            entry_before: self.entry_before.clone(),
-            entry_packed: self.entry_packed.clone(),
-            entry_label: self.entry_label.clone(),
-            spill: self.spill.clone(),
-            labels: self.labels[..self.labels_len].to_vec(),
-            labels_len: self.labels_len,
-            last_label: self.last_label.clone(),
-            ring_size: self.ring_size,
-            dense: self.dense,
-            sorted: self.sorted,
-        }
-    }
-}
-
-/// Byte-identical to the derived `Debug` of the historical row-of-structs
+/// Byte-identical to the derived `Debug` of an eager row-of-structs
 /// storage (`Trace { rounds: [...] }`) — the golden digests in
 /// `tests/determinism.rs` hash this representation.
 impl fmt::Debug for Trace {
@@ -602,36 +439,14 @@ impl PartialEq for Trace {
 
 impl Eq for Trace {}
 
-/// Iterator over a trace's rounds as materialized [`RoundRecord`]s (see
-/// [`Trace::rounds`]).
-pub struct Rounds<'a> {
-    trace: &'a Trace,
-    index: usize,
-}
-
-impl Iterator for Rounds<'_> {
-    type Item = RoundRecord;
-
-    fn next(&mut self) -> Option<RoundRecord> {
-        let record = self.trace.round_at(self.index)?;
-        self.index += 1;
-        Some(record)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.trace.len() - self.index;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for Rounds<'_> {}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use dynring_core::Algorithm;
+    use dynring_model::LocalDirection;
 
-    fn record(round: u64, visited: usize) -> RoundRecord {
+    /// One round of agent 0 stepping from node 0 to node 1.
+    pub(crate) fn record(round: u64, visited: usize) -> RoundRecord {
         RoundRecord {
             round,
             missing_edge: None,
@@ -667,25 +482,25 @@ pub(crate) mod tests {
             .unwrap_or_else(|| panic!("no fresh catalogue program is labelled {label:?}"))
     }
 
-    /// Records `row` through the engine-facing columnar encoder
-    /// (`record_round_from_lane`), so every test entry goes through move-code
-    /// packing, spill and label interning. Each agent's program is the fresh
-    /// catalogue program carrying its row's label (see [`label`]). Like the
-    /// engine, the row holds one agent per id in id order, and an agent
-    /// without a decision keeps the label it was last recorded with. A
-    /// terminated agent is recorded with the row's round as its termination
-    /// round; the trace keeps only the flag.
-    pub(crate) fn record_row(t: &mut Trace, ring_size: usize, row: &RoundRecord) {
+    /// Records `row` through the engine-facing writer (`record_round`), so
+    /// every test entry goes through label interning. Each agent's program
+    /// is the fresh catalogue program carrying its row's label (see
+    /// [`label`]). Like the engine, the row holds one agent per id in id
+    /// order, its active set lists exactly the agents flagged active, in id
+    /// order, and an agent without a decision keeps the label it was last
+    /// recorded with. A terminated agent is recorded with the row's round
+    /// as its termination round; the trace keeps only the flag.
+    pub(crate) fn record_row(t: &mut Trace, row: &RoundRecord) {
         let agents = &row.agents;
         assert!(agents.iter().enumerate().all(|(i, a)| a.id.index() == i), "agents in id order");
+        let flagged: Vec<AgentId> = agents.iter().filter(|a| a.active).map(|a| a.id).collect();
+        assert_eq!(row.active, flagged, "active set is the agents flagged active, in id order");
         let programs: Vec<CatalogProtocol> =
             agents.iter().map(|a| program_labelled(&a.state_label)).collect();
-        t.record_round_from_lane(
+        t.record_round(
             row.round,
             row.missing_edge,
             row.visited_count,
-            ring_size,
-            &row.active,
             &agents.iter().map(|a| a.active).collect::<Vec<_>>(),
             &agents.iter().map(|a| a.node_before).collect::<Vec<_>>(),
             &agents.iter().map(|a| a.node_after).collect::<Vec<_>>(),
@@ -701,8 +516,8 @@ pub(crate) mod tests {
     fn trace_accumulates_rounds() {
         let mut t = Trace::new();
         assert!(t.is_empty());
-        record_row(&mut t, 8, &record(1, 2));
-        record_row(&mut t, 8, &record(2, 3));
+        record_row(&mut t, &record(1, 2));
+        record_row(&mut t, &record(2, 3));
         assert_eq!(t.len(), 2);
         assert_eq!(t.round(2).unwrap().visited_count, 3);
         assert_eq!(t.exploration_round(3), Some(2));
@@ -721,8 +536,8 @@ pub(crate) mod tests {
         second.agents[0].decision = Some(Decision::Retreat);
         second.agents[0].outcome = PriorOutcome::BlockedOnPort;
         second.agents[0].state_label = label(1);
-        record_row(&mut t, 8, &record(1, 2));
-        record_row(&mut t, 8, &second);
+        record_row(&mut t, &record(1, 2));
+        record_row(&mut t, &second);
         assert_eq!(t.round_at(0).unwrap(), record(1, 2));
         assert_eq!(t.round_at(1).unwrap(), second);
         assert_eq!(t.rounds().len(), 2);
@@ -733,9 +548,9 @@ pub(crate) mod tests {
     #[test]
     fn round_lookup_handles_sparse_numbering() {
         let mut t = Trace::new();
-        record_row(&mut t, 8, &record(2, 2));
-        record_row(&mut t, 8, &record(5, 3));
-        record_row(&mut t, 8, &record(9, 4));
+        record_row(&mut t, &record(2, 2));
+        record_row(&mut t, &record(5, 3));
+        record_row(&mut t, &record(9, 4));
         assert_eq!(t.round(5).unwrap().visited_count, 3);
         assert_eq!(t.round(9).unwrap().visited_count, 4);
         assert!(t.round(1).is_none());
@@ -748,10 +563,10 @@ pub(crate) mod tests {
         // A restored trace-on simulation appends rounds from every branch,
         // so numbers may repeat or decrease; lookup is first-match.
         let mut t = Trace::new();
-        record_row(&mut t, 8, &record(1, 2));
-        record_row(&mut t, 8, &record(2, 3));
-        record_row(&mut t, 8, &record(2, 4));
-        record_row(&mut t, 8, &record(1, 5));
+        record_row(&mut t, &record(1, 2));
+        record_row(&mut t, &record(2, 3));
+        record_row(&mut t, &record(2, 4));
+        record_row(&mut t, &record(1, 5));
         assert_eq!(t.round(1).unwrap().visited_count, 2);
         assert_eq!(t.round(2).unwrap().visited_count, 3);
         assert!(t.round(3).is_none());
@@ -760,8 +575,8 @@ pub(crate) mod tests {
     #[test]
     fn dense_lookup_rejects_round_zero_and_overflow() {
         let mut t = Trace::new();
-        record_row(&mut t, 8, &record(1, 2));
-        record_row(&mut t, 8, &record(2, 3));
+        record_row(&mut t, &record(1, 2));
+        record_row(&mut t, &record(2, 3));
         assert!(t.round(0).is_none());
         assert_eq!(t.round(1).unwrap().round, 1);
         assert!(t.round(3).is_none());
@@ -770,14 +585,14 @@ pub(crate) mod tests {
     #[test]
     fn clear_resets_and_allows_refill() {
         let mut t = Trace::new();
-        record_row(&mut t, 8, &record(1, 2));
-        record_row(&mut t, 8, &record(2, 3));
+        record_row(&mut t, &record(1, 2));
+        record_row(&mut t, &record(2, 3));
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert!(t.round(1).is_none());
         assert_eq!(t.total_traversals(), 0);
-        record_row(&mut t, 8, &record(1, 4));
+        record_row(&mut t, &record(1, 4));
         assert_eq!(t.len(), 1);
         assert_eq!(t.round(1).unwrap().visited_count, 4);
         assert_eq!(t.round_at(0).unwrap().agents[0].state_label, label(0));
@@ -786,7 +601,7 @@ pub(crate) mod tests {
     #[test]
     fn debug_matches_row_of_structs_form() {
         let mut t = Trace::new();
-        record_row(&mut t, 8, &record(1, 2));
+        record_row(&mut t, &record(1, 2));
         let rounds = vec![record(1, 2)];
         // The historical storage derived Debug over a single `rounds` field;
         // the golden digests pin this exact rendering.
@@ -806,11 +621,11 @@ pub(crate) mod tests {
     fn equality_is_view_equality() {
         let mut a = Trace::new();
         let mut b = Trace::new();
-        record_row(&mut a, 8, &record(1, 2));
-        record_row(&mut b, 8, &record(1, 2));
+        record_row(&mut a, &record(1, 2));
+        record_row(&mut b, &record(1, 2));
         assert_eq!(a, b);
         assert_eq!(a, a.clone());
-        record_row(&mut b, 8, &record(2, 3));
+        record_row(&mut b, &record(2, 3));
         assert_ne!(a, b);
         assert_eq!(Trace::new(), Trace::default());
     }
@@ -818,7 +633,7 @@ pub(crate) mod tests {
     #[test]
     fn invariants_accept_legal_traces() {
         let mut t = Trace::new();
-        record_row(&mut t, 6, &record(1, 2));
+        record_row(&mut t, &record(1, 2));
         assert!(t.check_invariants(6).is_ok());
     }
 
@@ -827,7 +642,7 @@ pub(crate) mod tests {
         let mut t = Trace::new();
         let mut r = record(1, 2);
         r.agents[0].node_after = NodeId::new(3);
-        record_row(&mut t, 8, &r);
+        record_row(&mut t, &r);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("jumped"));
     }
@@ -838,10 +653,10 @@ pub(crate) mod tests {
         let mut r1 = record(1, 2);
         r1.agents[0].terminated = true;
         r1.agents[0].node_after = r1.agents[0].node_before;
-        record_row(&mut t, 8, &r1);
+        record_row(&mut t, &r1);
         let mut r2 = record(2, 2);
         r2.agents[0].terminated = true;
-        record_row(&mut t, 8, &r2);
+        record_row(&mut t, &r2);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("terminated"));
     }
@@ -856,7 +671,8 @@ pub(crate) mod tests {
         second.held_port_after = Some(GlobalDirection::Ccw);
         r.agents[0].held_port_after = Some(GlobalDirection::Ccw);
         r.agents.push(second);
-        record_row(&mut t, 8, &r);
+        r.active.push(AgentId::new(1));
+        record_row(&mut t, &r);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("same port"));
     }
@@ -864,11 +680,9 @@ pub(crate) mod tests {
     /// One round of unit-labelled agents with edge `missing` (if any)
     /// removed: agent `i` moves from `before[i]` to `after[i]`, and is
     /// active exactly when not terminated.
-    #[allow(clippy::too_many_arguments)]
     fn record_lane_round(
         t: &mut Trace,
         round: u64,
-        ring_size: usize,
         missing: Option<usize>,
         before: &[usize],
         after: &[usize],
@@ -891,15 +705,17 @@ pub(crate) mod tests {
         let active = agents.iter().filter(|a| a.active).map(|a| a.id).collect();
         let missing_edge = missing.map(EdgeId::new);
         let row = RoundRecord { round, missing_edge, active, agents, visited_count: 2 };
-        record_row(t, ring_size, &row);
+        record_row(t, &row);
     }
+
     #[test]
     fn encoder_accepts_legal_unit_moves_in_both_directions() {
-        // 0 → 1 is the +1 (ccw) move code, 1 → 0 the −1 (cw) code, and the
-        // wrap 0 → 7 on an 8-ring exercises the modular delta.
+        // 0 → 1 is a ccw step, 1 → 0 a cw step, and 0 → 7 on an 8-ring is
+        // the cw step over the wrap edge: all legal, and each landing node
+        // reads back as recorded.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, None, &[0, 1], &[1, 0], &[None, None], &[false, false]);
-        record_lane_round(&mut t, 2, 8, None, &[1, 0], &[0, 7], &[None, None], &[false, false]);
+        record_lane_round(&mut t, 1, None, &[0, 1], &[1, 0], &[None, None], &[false, false]);
+        record_lane_round(&mut t, 2, None, &[1, 0], &[0, 7], &[None, None], &[false, false]);
         assert!(t.check_invariants(8).is_ok());
         let rounds: Vec<RoundRecord> = t.rounds().collect();
         assert_eq!(rounds[0].agents[0].node_after, NodeId::new(1));
@@ -908,19 +724,21 @@ pub(crate) mod tests {
 
     #[test]
     fn encoder_preserves_teleports_for_the_checker() {
-        // A two-edge jump does not fit the 2-bit move code: it must spill an
-        // explicit landing node and still reach the checker intact.
+        // A three-edge jump, which no engine round makes, is recorded as it
+        // is and reaches the checker intact.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, None, &[0], &[3], &[None], &[false]);
+        record_lane_round(&mut t, 1, None, &[0], &[3], &[None], &[false]);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("jumped"), "{err}");
     }
 
     #[test]
     fn encoder_preserves_post_termination_moves_for_the_checker() {
+        // An agent terminated in round 1 steps to a neighbour in round 2;
+        // the recorded entries keep both the flag and the move.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, None, &[2], &[2], &[None], &[true]);
-        record_lane_round(&mut t, 2, 8, None, &[2], &[3], &[None], &[true]);
+        record_lane_round(&mut t, 1, None, &[2], &[2], &[None], &[true]);
+        record_lane_round(&mut t, 2, None, &[2], &[3], &[None], &[true]);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("terminated"), "{err}");
     }
@@ -930,30 +748,31 @@ pub(crate) mod tests {
         // Edge e joins nodes e and e + 1 (mod 8). Agent 0 crosses the
         // missing e2 one step ccw in round 1.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, Some(2), &[2, 5], &[3, 5], &[None; 2], &[false; 2]);
+        record_lane_round(&mut t, 1, Some(2), &[2, 5], &[3, 5], &[None; 2], &[false; 2]);
         let err = t.check_invariants(8).unwrap_err();
         assert_eq!(err, "agent a0 crossed the missing edge e2 from v2 to v3 in round 1");
         // After a legal round, agent 1 crosses the missing e7 one step cw,
         // over the wrap from node 0 to node 7.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, Some(7), &[2, 1], &[3, 0], &[None; 2], &[false; 2]);
-        record_lane_round(&mut t, 2, 8, Some(7), &[3, 0], &[3, 7], &[None; 2], &[false; 2]);
+        record_lane_round(&mut t, 1, Some(7), &[2, 1], &[3, 0], &[None; 2], &[false; 2]);
+        record_lane_round(&mut t, 2, Some(7), &[3, 0], &[3, 7], &[None; 2], &[false; 2]);
         let err = t.check_invariants(8).unwrap_err();
         assert_eq!(err, "agent a1 crossed the missing edge e7 from v0 to v7 in round 2");
         // Waiting at an end of the missing edge, or crossing another edge,
         // is legal.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, Some(2), &[2, 3], &[2, 4], &[None; 2], &[false; 2]);
+        record_lane_round(&mut t, 1, Some(2), &[2, 3], &[2, 4], &[None; 2], &[false; 2]);
         assert!(t.check_invariants(8).is_ok());
     }
 
     #[test]
     fn encoder_preserves_shared_ports_for_the_checker() {
+        // Two agents end the round holding the same port of node 4; both
+        // held ports are recorded and the checker sees the clash.
         let mut t = Trace::new();
         record_lane_round(
             &mut t,
             1,
-            8,
             None,
             &[4, 4],
             &[4, 4],

@@ -57,9 +57,9 @@ fn batched_steady_state_allocates_nothing() {
     // Lanes differ in adversary and placement — a realistic mixed group, not
     // just B copies of one cell — and terminate at different rounds, so the
     // harvest/compaction path is inside the measured window too. Every third
-    // lane records a trace: the columnar trace clears capacity-intact on
-    // recycle, so trace-on lanes are held to the same zero-allocation
-    // steady state as trace-off ones.
+    // lane records a trace: a trace clears capacity-intact on recycle, so
+    // trace-on lanes are held to the same zero-allocation steady state as
+    // trace-off ones.
     let group: Vec<Scenario> = (0..8u64)
         .map(|lane| {
             let scenario = Scenario::fsync(n, Algorithm::KnownBound { upper_bound: n })

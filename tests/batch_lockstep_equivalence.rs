@@ -134,7 +134,7 @@ fn placement_mixes_batch_identically() {
 /// a trace-recording cell) splits into groups such that batched execution is
 /// still byte-identical — shape changes open fresh groups without disturbing
 /// their neighbours, while trace cells batch with their shape-mates (the
-/// columnar trace records on the batched path).
+/// trace records on the batched path).
 #[test]
 fn mixed_shape_battery_groups_and_matches() {
     let scenarios = vec![
@@ -188,8 +188,8 @@ fn batched_trace_digests(scenarios: &[Scenario], cap: usize) -> Vec<u64> {
 
 /// Trace-on cells across the full catalogue and adversary suite: at every
 /// lane cap the batched traces digest identically to fresh solo runs —
-/// recording on the batched path is observably the same columnar append
-/// stream as the solo step.
+/// recording on the batched path appends the same entries as the solo
+/// step.
 #[test]
 fn trace_on_cells_batch_byte_identically_at_every_lane_cap() {
     let n = 7;

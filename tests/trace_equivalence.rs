@@ -1,12 +1,12 @@
-//! Columnar trace ≡ eager row-of-structs equivalence.
+//! Stored trace ≡ eager row-of-structs equivalence.
 //!
-//! The trace layer stores executions as per-round columns with delta-encoded
-//! per-agent entries and lazily rendered state labels; `RoundRecord` /
-//! `AgentRoundRecord` survive only as materialized views. Nothing observable
-//! may depend on the representation:
+//! The trace layer stores executions as one head per round and one plain
+//! entry per agent per round, with interned state labels rendered lazily;
+//! `RoundRecord` / `AgentRoundRecord` are only materialized views. Nothing
+//! observable may depend on the representation:
 //!
-//! * the **golden digests** pinned from the pre-refactor engine (shared with
-//!   `tests/determinism.rs`) must come out of the columnar view unchanged,
+//! * the **golden digests** pinned from the row-of-structs engine (shared
+//!   with `tests/determinism.rs`) must come out of the view unchanged,
 //!   and each golden trace must render byte-identical to an eager
 //!   `Trace { rounds: [...] }` built from its own materialized records;
 //! * a **battery** drives the full 12-entry catalogue × FSYNC/SSYNC × the
@@ -29,7 +29,7 @@ use dynring_engine::trace::{RoundRecord, Trace};
 use dynring_model::TerminationKind;
 use proptest::prelude::*;
 
-/// Materializes every round and checks the columnar view against it:
+/// Materializes every round and checks the trace's view against it:
 /// the Debug rendering must equal the pre-refactor eager form (a struct
 /// holding one plain `rounds` vector), and the random-access paths —
 /// `round_at` by index, `round` by round number, `agent` by id — must agree
@@ -90,7 +90,7 @@ fn golden_traces_materialize_byte_identical_to_the_pre_refactor_structs() {
         let (_, _, digest) = fresh_trace_run(&scenario);
         assert_eq!(
             digest, expected,
-            "{name}: columnar view drifted from the pre-refactor eager structs \
+            "{name}: the trace view drifted from the pre-refactor eager structs \
              (got {digest:#018x}, pinned {expected:#018x})"
         );
     }
